@@ -1,4 +1,4 @@
-.PHONY: all build test test-scenarios test-serve fmt check bench bench-smoke bench-data bench-eval bench-serve clean
+.PHONY: all build test test-scenarios test-serve fmt check bench bench-smoke bench-data bench-eval bench-serve bench-perf clean
 
 all: build
 
@@ -61,6 +61,15 @@ bench-eval:
 # stream; exits non-zero if the warm path is not >= 5x the rebuild.
 bench-serve:
 	dune exec bench/main.exe -- serve
+
+# Repository benchmark (perfbench/, BENCHMARK.json), one short
+# serve-read run: exits non-zero if the run fails or any request fails.
+bench-perf:
+	mkdir -p _perfbench
+	python3 perfbench/run.py --workload serve-read --seed 1 --seconds 10 --trace 0 \
+	  > _perfbench/bench-perf.json
+	python3 -c 'import json, sys; r = json.loads(open(sys.argv[1]).read().splitlines()[-1]); print("bench-perf:", r["failed"], "failed of", r["attempted"]); sys.exit(1 if r["failed"] else 0)' \
+	  _perfbench/bench-perf.json
 
 clean:
 	dune clean

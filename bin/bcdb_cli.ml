@@ -800,9 +800,10 @@ let serve_request live ~jobs ~timeout ~max_worlds payload =
       with
       | Error msg -> (respond_error msg, true)
       | Ok [] -> (respond_error "add: no rows", true)
-      | Ok rows ->
-          Core.Live.add live ~label (List.rev rows);
-          (Printf.sprintf "OK 0\nadded %s\n" label, true))
+      | Ok rows -> (
+          match Core.Live.try_add live ~label (List.rev rows) with
+          | Ok () -> (Printf.sprintf "OK 0\nadded %s\n" label, true)
+          | Error msg -> (respond_error msg, true)))
   | "check" :: directives -> (
       match request_directives directives with
       | Error msg -> (respond_error msg, true)

@@ -3,7 +3,8 @@
 # against the paper database covering every response status —
 #   SATISFIED 0 / UNSATISFIED 2 / UNKNOWN 3 (budget) / OK 0 / ERROR 1
 # — interleaved with live mutations (evict, confirm, add) whose effect
-# the following checks must observe. Used by `make test-serve` and CI.
+# the following checks must observe, and a duplicate-label add that
+# must be refused without a trace. Used by `make test-serve` and CI.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -32,17 +33,23 @@ q() :- TxOut(t, s, \"U8Pk\", a)."
   # 6: still satisfied, now at jobs 2 over the maintained graphs
   frame "check jobs=2
 q() :- TxOut(t, s, \"U8Pk\", a)."
-  # 7: a new arrival re-creates the risky output: OK 0 ...
+  # 7: an arrival under a label that is still pending is refused:
+  #    ERROR 1 ...
+  frame 'add T2
+TxOut("99", 1, "U8Pk", 2.5)'
+  # 8: ... and leaves no trace — its risky output is not there: SATISFIED 0
+  frame "$Q"
+  # 9: a new arrival re-creates the risky output: OK 0 ...
   frame 'add X1
 TxOut("99", 1, "U8Pk", 2.5)'
-  # 8: ... and the verdict flips back: UNSATISFIED 2
+  # 10: ... and the verdict flips back: UNSATISFIED 2
   frame "$Q"
-  # 9: a malformed query is an ERROR 1, not a dead server
+  # 11: a malformed query is an ERROR 1, not a dead server
   frame "check
 this is not datalog"
-  # 10: stats keeps serving after the error: OK 0
+  # 12: stats keeps serving after the error: OK 0
   frame "stats"
-  # 11: clean shutdown: OK 0
+  # 13: clean shutdown: OK 0
   frame "quit"
 } | "$BCDB" serve --paper 2>&1 )
 code=$?
@@ -56,7 +63,7 @@ fi
 got=$(printf '%s\n' "$out" \
   | grep -a -o 'UNSATISFIED 2\|SATISFIED 0\|UNKNOWN 3\|ERROR 1\|OK 0' \
   | tr '\n' ' ')
-want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 OK 0 '
+want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 ERROR 1 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 OK 0 '
 
 if [ "$got" != "$want" ]; then
   echo "FAIL: status sequence mismatch"

@@ -74,9 +74,10 @@ let drain t =
     | None -> Ok confirmed
     | Some ev -> (
         match ev with
-        | Add { txid; rows } ->
-            Bccore.Live.add t.live ~label:txid rows;
-            go ()
+        | Add { txid; rows } -> (
+            match Bccore.Live.try_add t.live ~label:txid rows with
+            | Ok () -> go ()
+            | Error _ as e -> e)
         | Drop { txid; reason = Mempool.Confirmed } -> (
             match Bccore.Live.confirm t.live txid with
             | Ok () ->

@@ -60,6 +60,17 @@ let with_pending t ?label rows =
   let tx = Pending.make ~id ?label rows in
   { t with pending = Array.append t.pending [| tx |] }
 
+let remove_pending ?state t id =
+  let n = Array.length t.pending in
+  if id < 0 || id >= n then invalid_arg "Bcdb.remove_pending: no such transaction";
+  {
+    t with
+    state = Option.value state ~default:t.state;
+    pending =
+      Array.init (n - 1) (fun i ->
+          if i < id then t.pending.(i) else Pending.reid t.pending.(i + 1) i);
+  }
+
 let append_to_state t id =
   if id < 0 || id >= Array.length t.pending then Error "no such transaction"
   else

@@ -59,6 +59,13 @@ val with_pending :
     transaction, Example 4). The state and existing transactions are
     shared. *)
 
+val remove_pending : ?state:Relational.Database.t -> t -> int -> t
+(** [remove_pending t id] drops pending transaction [id]; later ids
+    shift down by one, labels and rows are kept. [state] (default: [t]'s)
+    replaces the state — unchecked, like {!create_unchecked}. What a
+    from-scratch [create_unchecked] over the survivors gives, without
+    re-deduplicating their rows. *)
+
 val append_to_state : t -> int -> (t, string) result
 (** Commit pending transaction [id] into the current state, provided the
     result satisfies the constraints; the transaction leaves [T]. This is

@@ -9,73 +9,59 @@ type t = {
 
 let conflict_count t = List.length t.conflicts
 
-(* Assemble the graph from its two ingredients. The conflict relation is
-   closed over: edges connect exactly the valid pairs not listed, and
-   pairs involving an invalid node are dropped from the kept list (they
-   carry no information — invalid nodes are isolated regardless). *)
-let of_parts ~node_ok ~conflicts =
-  let k = Array.length node_ok in
-  let conflict = Hashtbl.create (max 16 (2 * List.length conflicts)) in
-  List.iter
-    (fun (i, j) ->
-      Hashtbl.replace conflict (if i < j then (i, j) else (j, i)) ())
-    conflicts;
-  let graph = Undirected.create k in
-  for i = 0 to k - 1 do
-    if node_ok.(i) then
-      for j = i + 1 to k - 1 do
-        if node_ok.(j) && not (Hashtbl.mem conflict (i, j)) then
-          Undirected.add_edge graph i j
-      done
-  done;
-  let conflicts =
-    Hashtbl.fold
-      (fun (i, j) () acc ->
-        if node_ok.(i) && node_ok.(j) then (i, j) :: acc else acc)
-      conflict []
-    |> List.sort compare
-  in
-  { graph; node_ok; conflicts }
-
 (* Drop one node and densely re-id the rest (ids above [j] shift down by
    one, matching [Bcdb.create_unchecked] after an eviction). Node
    validity and pairwise conflicts of the survivors are untouched — both
-   depend only on R and the transactions' own rows — so only the
-   edge bitsets are re-assembled, O(k²) bit sets and no row work. *)
+   depend only on R and the transactions' own rows — so each surviving
+   row is one word shift and the conflict list one re-id pass. *)
 let remove g j =
   let k = Array.length g.node_ok in
   if j < 0 || j >= k then invalid_arg "Fd_graph.remove: no such node";
-  let node_ok =
-    Array.init (k - 1) (fun i -> if i < j then g.node_ok.(i) else g.node_ok.(i + 1))
-  in
   let remap i = if i < j then i else i - 1 in
-  let conflicts =
-    List.filter_map
-      (fun (a, b) -> if a = j || b = j then None else Some (remap a, remap b))
-      g.conflicts
-  in
-  of_parts ~node_ok ~conflicts
+  {
+    graph = Undirected.remove_node g.graph j;
+    node_ok =
+      Array.init (k - 1) (fun i -> g.node_ok.(if i < j then i else i + 1));
+    conflicts =
+      List.filter_map
+        (fun (a, b) -> if a = j || b = j then None else Some (remap a, remap b))
+        g.conflicts;
+  }
+
+let invalidate g ~node_ok =
+  if Array.length node_ok <> Array.length g.node_ok then
+    invalid_arg "Fd_graph.invalidate: node count mismatch";
+  let lost = ref [] in
+  Array.iteri
+    (fun i ok ->
+      if ok && not g.node_ok.(i) then
+        invalid_arg "Fd_graph.invalidate: a node regained validity";
+      if g.node_ok.(i) && not ok then lost := i :: !lost)
+    node_ok;
+  match !lost with
+  | [] -> { g with node_ok }
+  | lost ->
+      let graph = Undirected.copy g.graph in
+      List.iter (Undirected.isolate graph) lost;
+      {
+        graph;
+        node_ok;
+        conflicts =
+          List.filter (fun (a, b) -> node_ok.(a) && node_ok.(b)) g.conflicts;
+      }
 
 let node_valid store id =
   let db = Tagged_store.db store in
-  let fd_constraints = List.map (fun f -> R.Constr.Fd f) (Bcdb.fds db) in
-  let saved = Tagged_store.world store in
-  Tagged_store.base_only store;
-  let ok =
-    R.Check.batch_consistent (Tagged_store.source store) fd_constraints
-      (Tagged_store.tx_rows store id)
-  in
-  Tagged_store.set_world store saved;
-  ok
+  R.Check.batch_consistent (Tagged_store.base_source store)
+    (List.map (fun f -> R.Constr.Fd f) (Bcdb.fds db))
+    (Tagged_store.tx_rows store id)
 
 (* Pending transactions whose rows collide with transaction [id] on some
    fd (same lhs projection, different rhs), found through the store's
    indexes over R ∪ T. *)
 let conflicts_of store id =
   let db = Tagged_store.db store in
-  let saved = Tagged_store.world store in
-  Tagged_store.all_visible store;
-  let src = Tagged_store.source store in
+  let src = Tagged_store.union_source store in
   let tx = db.Bcdb.pending.(id) in
   let acc = Hashtbl.create 8 in
   List.iter
@@ -95,7 +81,6 @@ let conflicts_of store id =
                      (Tagged_store.origins store f.R.Constr.frel other)))
         (Pending.rows_for tx f.R.Constr.frel))
     (Bcdb.fds db);
-  Tagged_store.set_world store saved;
   Hashtbl.fold (fun j () l -> j :: l) acc [] |> List.sort Int.compare
 
 let extend g store =
@@ -107,16 +92,20 @@ let extend g store =
   let conflicting = conflicts_of store id in
   let graph = Undirected.extend g.graph 1 in
   let node_ok = Array.append g.node_ok [| ok |] in
-  if ok then
-    for j = 0 to id - 1 do
-      if node_ok.(j) && not (List.mem j conflicting) then
-        Undirected.add_edge graph id j
-    done;
   let conflicts =
-    g.conflicts
-    @ List.filter_map
-        (fun j -> if node_ok.(j) && ok then Some (j, id) else None)
-        conflicting
+    if not ok then g.conflicts
+    else begin
+      let rival = Array.make id false in
+      List.iter (fun j -> rival.(j) <- true) conflicting;
+      for j = 0 to id - 1 do
+        if node_ok.(j) && not rival.(j) then Undirected.add_edge graph id j
+      done;
+      (* [id] tops every pair, so a merge keeps the list sorted. *)
+      List.merge compare g.conflicts
+        (List.filter_map
+           (fun j -> if node_ok.(j) then Some (j, id) else None)
+           conflicting)
+    end
   in
   { graph; node_ok; conflicts }
 

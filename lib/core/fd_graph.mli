@@ -26,28 +26,29 @@ val build : Tagged_store.t -> t
 val conflict_count : t -> int
 
 val node_valid : Tagged_store.t -> int -> bool
-(** [R ∪ T_id |= I_fd], checked through the store's indexes with the
-    base state alone visible. What {!build} computes for every node at
-    once; exposed for the live layer, which re-derives validity per
-    surviving transaction after a block confirmation changes [R]. *)
-
-val of_parts : node_ok:bool array -> conflicts:(int * int) list -> t
-(** Assemble a graph directly from node validity and the pairwise
-    conflict relation: edges connect exactly the valid pairs not listed
-    in [conflicts]. Pairs naming an invalid node are dropped from the
-    kept list. O(k²) bit operations, no row work — this is how the live
-    layer rebuilds after maintaining both ingredients incrementally. *)
+(** [R ∪ T_id |= I_fd], checked through the store's indexes over the
+    base state alone ({!Tagged_store.base_source}: the active world is
+    not switched). What {!build} computes for every node at once. *)
 
 val remove : t -> int -> t
 (** [remove g j] drops node [j] and densely re-ids the survivors (ids
     above [j] shift down by one, matching {!Bcdb.create_unchecked} after
     an RBF eviction). Validity and conflicts of survivors are reused
     unchanged — both depend only on [R] and the transactions' own
-    rows. *)
+    rows. One word shift per surviving row: O(k² / 32). *)
+
+val invalidate : t -> node_ok:bool array -> t
+(** [invalidate g ~node_ok] installs recomputed node validity after [R]
+    grew (a confirmation or a state append): nodes that turned invalid
+    lose every edge and their conflict pairs, everything else is kept.
+    Validity is monotone in [R] — a node can lose it, never regain it —
+    so a [node_ok] naming a node [g] has invalid raises
+    [Invalid_argument]. *)
 
 val extend : t -> Tagged_store.t -> t
 (** [extend g store] incrementally adds the store's newest transaction
     (id = [tx_count - 1]) as one more node: its validity and its
     conflicts against the other pending transactions are found through
-    the store's indexes, without re-examining existing pairs. The
-    steady-state maintenance of Section 6.3. *)
+    the store's indexes ({!Tagged_store.union_source}, no world switch),
+    without re-examining existing pairs; existing rows are copied a word
+    at a time. The steady-state maintenance of Section 6.3. *)

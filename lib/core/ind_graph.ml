@@ -54,9 +54,7 @@ let edges store thetas =
 let edges_for_tx store thetas id =
   let db = Tagged_store.db store in
   let tx = db.Bcdb.pending.(id) in
-  let saved = Tagged_store.world store in
-  Tagged_store.all_visible store;
-  let src = Tagged_store.source store in
+  let src = Tagged_store.union_source store in
   let acc = Hashtbl.create 8 in
   let record j =
     if j >= 0 && j <> id then
@@ -82,8 +80,53 @@ let edges_for_tx store thetas id =
       probe ~my_attrs:theta.Q.Theta.rattrs ~my_rel:theta.Q.Theta.rrel
         ~other_rel:theta.Q.Theta.lrel ~other_attrs:theta.Q.Theta.lattrs)
     thetas;
-  Tagged_store.set_world store saved;
   Hashtbl.fold (fun e () l -> e :: l) acc [] |> List.sort compare
+
+(* Every Θ edge inside one bucket joins a transaction with a matching
+   lrel row to one with a matching rrel row, so a bucket with both sides
+   non-empty links all its transactions into one connected set: a star
+   from the bucket's first transaction spans it. Linear in the members'
+   rows, where the edges themselves can be quadratic. *)
+let links db thetas members =
+  let acc = ref [] in
+  List.iter
+    (fun (theta : Q.Theta.t) ->
+      let buckets = R.Tuple.Tbl.create 64 in
+      let push side tuple attrs id =
+        let proj = R.Tuple.project tuple attrs in
+        let left, right =
+          match R.Tuple.Tbl.find_opt buckets proj with
+          | Some cell -> cell
+          | None ->
+              let cell = (ref [], ref []) in
+              R.Tuple.Tbl.replace buckets proj cell;
+              cell
+        in
+        let l = if side then left else right in
+        l := id :: !l
+      in
+      List.iter
+        (fun id ->
+          let tx = db.Bcdb.pending.(id) in
+          List.iter
+            (fun tuple -> push true tuple theta.Q.Theta.lattrs id)
+            (Pending.rows_for tx theta.Q.Theta.lrel);
+          List.iter
+            (fun tuple -> push false tuple theta.Q.Theta.rattrs id)
+            (Pending.rows_for tx theta.Q.Theta.rrel))
+        members;
+      R.Tuple.Tbl.iter
+        (fun _ (left, right) ->
+          match (!left, !right) with
+          | [], _ | _, [] -> ()
+          | l, r ->
+              let hub = List.hd l in
+              List.iter
+                (fun j -> if j <> hub then acc := (hub, j) :: !acc)
+                (List.rev_append l r))
+        buckets)
+    thetas;
+  !acc
 
 let base_edges store =
   let db = Tagged_store.db store in

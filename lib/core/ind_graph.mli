@@ -22,4 +22,13 @@ val build : Tagged_store.t -> Bcquery.Query.t -> (int * int) list -> Bcgraph.Und
 
 val edges_for_tx : Tagged_store.t -> Bcquery.Theta.t list -> int -> (int * int) list
 (** The edges incident to one transaction, found through the store's
-    indexes — incremental maintenance when a transaction is issued. *)
+    indexes over [R ∪ T] ({!Tagged_store.union_source}: the active world
+    is not switched) — incremental maintenance when a transaction is
+    issued. *)
+
+val links : Bcdb.t -> Bcquery.Theta.t list -> int list -> (int * int) list
+(** [links db thetas members] is a set of transaction pairs inside
+    [members] whose connected components over [members] are exactly
+    those of the edges {!edges} finds among [members] — a spanning
+    structure, not the edge set itself. Linear in the members' rows:
+    what re-splitting one component after a removal needs. *)

@@ -18,9 +18,10 @@ let keep_window = 8
 
 type tracked = {
   t_query : Q.Query.t;
-  t_thetas : Q.Theta.t list;
-      (* ΘI ∪ Θq — derived from the (fixed) constraint set and the query
-         text, never from R or the pending rows: computed once. *)
+  t_qthetas : Q.Theta.t list;
+      (* Θq — derived from the query text alone: computed once. The ΘI
+         half of Θ is shared by every tracked query and maintained as
+         [ind_base], so each query only probes its own Θq. *)
   mutable t_comps : int list list;
   t_sat : (string, int) Hashtbl.t;
       (* signature → check stamp of the last hit/solve; presence means
@@ -199,62 +200,96 @@ let splice arr id =
     (Array.length arr - 1)
     (fun i -> if i < id then arr.(i) else arr.(i + 1))
 
+let span t name f = Obs.span (Session.obs t.session) ~cat:"live" name f
+
 (* --- tx add ------------------------------------------------------- *)
 
+(* Everything that can reject an arrival, checked before any structure
+   (the store first of all) is touched: an add is all-or-nothing. *)
+let admissible t label rows =
+  let catalog = Bcdb.catalog t.db in
+  if Option.is_some (find t label) then
+    Error (Printf.sprintf "add: transaction %S is already pending" label)
+  else if rows = [] then Error "add: no rows"
+  else
+    match
+      List.find_opt
+        (fun (rel, tuple) ->
+          match R.Schema.find_opt catalog rel with
+          | None -> true
+          | Some schema -> R.Schema.arity schema <> Array.length tuple)
+        rows
+    with
+    | Some (rel, _) -> Error (Printf.sprintf "add: bad row for relation %s" rel)
+    | None -> Ok ()
+
+let try_add t ?label rows =
+  let id = Array.length t.db.Bcdb.pending in
+  let label = Option.value label ~default:(Printf.sprintf "T%d" id) in
+  match admissible t label rows with
+  | Error _ as e -> e
+  | Ok () ->
+      span t "add" @@ fun () ->
+      let db' = Bcdb.with_pending t.db ~label rows in
+      let store = Session.store t.session in
+      (* A permanent extension: the journal is deliberately dropped — the
+         arrival is never rolled back (an eviction re-packs instead). *)
+      ignore (Tagged_store.append_tx store db' : Tagged_store.journal);
+      let fd = span t "fd" (fun () -> Fd_graph.extend t.fd store) in
+      (* The new transaction's ΘI edges, probed once and shared by the
+         session's ΘI edge set and every tracked query's merge. *)
+      let ind_new =
+        span t "ind_edges" (fun () ->
+            Ind_graph.edges_for_tx store (Q.Theta.of_inds (Bcdb.inds db')) id)
+      in
+      let session' = Session.extended ~fd_graph:fd ~ind_edges:ind_new t.session in
+      t.db <- db';
+      t.session <- session';
+      t.fd <- fd;
+      t.ind_base <- Session.ind_base_edges session';
+      t.includable <- Session.includable session';
+      t.digests <- Array.append t.digests [| tx_digest db'.Bcdb.pending.(id) |];
+      (* Θ edges only ever appear on insert, so each tracked query's
+         component partition absorbs the new node by merging just the
+         parts its incident Θ = ΘI ∪ Θq edges reach. Only the (possibly
+         merged) component containing the new node changes content, so
+         an add dirties exactly that one signature. *)
+      span t "components" (fun () ->
+          List.iter
+            (fun tr ->
+              let q_edges =
+                match tr.t_qthetas with
+                | [] -> []
+                | thetas -> Ind_graph.edges_for_tx store thetas id
+              in
+              let comps' =
+                Bcgraph.Components.add_node tr.t_comps id (ind_new @ q_edges)
+              in
+              Session.seed_components session' tr.t_query comps';
+              tr.t_comps <- comps';
+              (* Violated verdicts never survive a mutation, even of other
+                 components: a witness is canonical only relative to the
+                 whole database (plan choice and row order are global),
+                 so replaying one across any change would break
+                 bit-identity with a fresh solve. Satisfied verdicts
+                 carry no witness and stay. *)
+              Hashtbl.reset tr.t_viol)
+            t.tracked);
+      Ok ()
+
 let add t ?label rows =
-  let db' = Bcdb.with_pending t.db ?label rows in
-  let store = Session.store t.session in
-  (* A permanent extension: the journal is deliberately dropped — the
-     arrival is never rolled back (an eviction re-packs instead). *)
-  ignore (Tagged_store.append_tx store db' : Tagged_store.journal);
-  let session' = Session.extended t.session in
-  let id = Array.length db'.Bcdb.pending - 1 in
-  t.db <- db';
-  t.session <- session';
-  t.fd <- Session.fd_graph session';
-  t.ind_base <- Session.ind_base_edges session';
-  t.includable <- Session.includable session';
-  t.digests <- Array.append t.digests [| tx_digest db'.Bcdb.pending.(id) |];
-  (* Θ edges only ever appear on insert, so each tracked query's
-     component partition is maintained by a union-find merge: the old
-     partition plus the new node's incident Θ = ΘI ∪ Θq edges. Only the
-     (possibly merged) component containing the new node changes
-     content, so an add dirties exactly that one signature. *)
-  List.iter
-    (fun tr ->
-      let incident = Ind_graph.edges_for_tx store tr.t_thetas id in
-      let uf = Bcgraph.Union_find.create (id + 1) in
-      List.iter
-        (function
-          | first :: rest ->
-              List.iter (fun m -> Bcgraph.Union_find.union uf first m) rest
-          | [] -> ())
-        tr.t_comps;
-      List.iter (fun (a, b) -> Bcgraph.Union_find.union uf a b) incident;
-      let comps' = Bcgraph.Union_find.groups uf in
-      Session.seed_components session' tr.t_query comps';
-      tr.t_comps <- comps';
-      (* Violated verdicts never survive a mutation, even of other
-         components: a witness is canonical only relative to the whole
-         database (plan choice and row order are global), so replaying
-         one across any change would break bit-identity with a fresh
-         solve. Satisfied verdicts carry no witness and stay. *)
-      Hashtbl.reset tr.t_viol)
-    t.tracked
+  match try_add t ?label rows with Ok () -> () | Error msg -> invalid_arg msg
 
 (* --- removal events ------------------------------------------------ *)
-
-let survivors pending id =
-  Array.to_list pending |> List.filteri (fun i _ -> i <> id)
 
 (* Scoped component rebuild after a removal: every part not containing
    [id] survives re-id'd — its content, hence its verdict-cache
    signature, is untouched — and only the part that lost the node is
-   re-split, with its survivors' edges rediscovered through the store's
-   indexes. A removal dirties exactly the component it leaves. *)
+   re-split, by bucketing its survivors' rows on the Θ projections
+   ({!Ind_graph.links}: linear in their rows, no index probes). A
+   removal dirties exactly the component it leaves. *)
 let retrack_after_removal t id =
-  let store = Session.store t.session in
-  let n = Array.length t.db.Bcdb.pending in
+  let ind_thetas = Q.Theta.of_inds (Bcdb.inds t.db) in
   List.iter
     (fun tr ->
       let rest, survivors = Bcgraph.Components.remove_node tr.t_comps id in
@@ -262,17 +297,8 @@ let retrack_after_removal t id =
         match survivors with
         | [] -> []
         | _ ->
-            let member = Array.make n false in
-            List.iter (fun m -> member.(m) <- true) survivors;
-            let edges =
-              List.concat_map
-                (fun m ->
-                  List.filter
-                    (fun (a, b) -> member.(a) && member.(b))
-                    (Ind_graph.edges_for_tx store tr.t_thetas m))
-                survivors
-            in
-            Bcgraph.Components.split_members ~n survivors edges
+            Bcgraph.Components.split_members survivors
+              (Ind_graph.links t.db (ind_thetas @ tr.t_qthetas) survivors)
       in
       let comps' = Bcgraph.Components.merge rest parts in
       Session.seed_components t.session tr.t_query comps';
@@ -284,18 +310,22 @@ let retrack_after_removal t id =
       Hashtbl.reset tr.t_viol)
     t.tracked
 
-(* Node validity and includability against a {e changed} state: one
+(* Node validity and includability against a {e grown} state: one
    indexed batch check per survivor, through the plain database source
-   (the state is all-segment, so lookups hit segment indexes). *)
-let install_after_state_change t db' ~conflicts ~ind_base =
+   (the state is all-segment, so lookups hit segment indexes). Nodes
+   that turned invalid are isolated in [fd]; validity is never
+   regained, so no other edge changes. *)
+let install_after_state_change t db' ~fd ~ind_base =
   let src = R.Database.source db'.Bcdb.state in
-  let fd_constraints =
-    List.map (fun f -> R.Constr.Fd f) (Bcdb.fds db')
-  in
-  let node_ok =
-    Array.map
-      (fun tx -> R.Check.batch_consistent src fd_constraints (grouped_rows tx))
-      db'.Bcdb.pending
+  let fd =
+    span t "fd" (fun () ->
+        let fd_constraints = List.map (fun f -> R.Constr.Fd f) (Bcdb.fds db') in
+        Fd_graph.invalidate fd
+          ~node_ok:
+            (Array.map
+               (fun tx ->
+                 R.Check.batch_consistent src fd_constraints (grouped_rows tx))
+               db'.Bcdb.pending))
   in
   let includable =
     Array.map
@@ -303,10 +333,10 @@ let install_after_state_change t db' ~conflicts ~ind_base =
         R.Check.batch_consistent src db'.Bcdb.constraints (grouped_rows tx))
       db'.Bcdb.pending
   in
-  let fd = Fd_graph.of_parts ~node_ok ~conflicts in
   let session' =
-    Session.reseed t.session ~fd_graph:fd ~ind_base_edges:ind_base ~includable
-      db'
+    span t "store" (fun () ->
+        Session.reseed t.session ~fd_graph:fd ~ind_base_edges:ind_base
+          ~includable db')
   in
   t.db <- db';
   t.session <- session';
@@ -315,18 +345,21 @@ let install_after_state_change t db' ~conflicts ~ind_base =
   t.includable <- includable
 
 let evict t label =
+  span t "evict" @@ fun () ->
   match find t label with
   | None -> Error (Printf.sprintf "evict: no pending transaction %S" label)
   | Some id ->
       (* R is untouched: validity, surviving conflicts, ΘI edges and
          includability all carry over — only ids re-pack. *)
-      let db' = rebuild_db t.db.Bcdb.state t.db (survivors t.db.Bcdb.pending id) in
-      let fd = Fd_graph.remove t.fd id in
-      let ind_base = remap_edges id t.ind_base in
+      let fd = span t "fd" (fun () -> Fd_graph.remove t.fd id) in
+      let ind_base = span t "ind_edges" (fun () -> remap_edges id t.ind_base) in
       let includable = splice t.includable id in
-      let session' =
-        Session.reseed t.session ~fd_graph:fd ~ind_base_edges:ind_base
-          ~includable db'
+      let db', session' =
+        span t "store" (fun () ->
+            let db' = Bcdb.remove_pending t.db id in
+            ( db',
+              Session.reseed t.session ~fd_graph:fd ~ind_base_edges:ind_base
+                ~includable db' ))
       in
       t.db <- db';
       t.session <- session';
@@ -336,35 +369,36 @@ let evict t label =
       t.digests <- splice t.digests id;
       (* Removal can split only the component it leaves: re-split that
          one, keep every other part (and its cached verdict). *)
-      retrack_after_removal t id;
+      span t "components" (fun () -> retrack_after_removal t id);
       Ok ()
 
 let confirm t label =
+  span t "confirm" @@ fun () ->
   match find t label with
   | None -> Error (Printf.sprintf "confirm: no pending transaction %S" label)
   | Some id ->
-      let tx = t.db.Bcdb.pending.(id) in
-      let state = compact_with t.db.Bcdb.state tx.Pending.rows in
-      let db' = rebuild_db state t.db (survivors t.db.Bcdb.pending id) in
+      let db' =
+        span t "store" (fun () ->
+            let rows = t.db.Bcdb.pending.(id).Pending.rows in
+            Bcdb.remove_pending ~state:(compact_with t.db.Bcdb.state rows) t.db id)
+      in
       (* Pairwise conflicts and Θ edges depend only on pending rows:
          re-id them. Validity/includability consult R: recompute. *)
-      let conflicts = remap_edges id t.fd.Fd_graph.conflicts in
-      let ind_base = remap_edges id t.ind_base in
-      install_after_state_change t db' ~conflicts ~ind_base;
+      let fd = span t "fd" (fun () -> Fd_graph.remove t.fd id) in
+      let ind_base = span t "ind_edges" (fun () -> remap_edges id t.ind_base) in
+      install_after_state_change t db' ~fd ~ind_base;
       t.digests <- splice t.digests id;
       (* R changed: every signature embeds the epoch, so the whole
          verdict cache is conservatively dirty — but the partition
          itself is maintained like an evict's. *)
       t.epoch <- t.epoch + 1;
-      retrack_after_removal t id;
+      span t "components" (fun () -> retrack_after_removal t id);
       Ok ()
 
 let append_state t rows =
   let state = compact_with t.db.Bcdb.state rows in
   let db' = rebuild_db state t.db (Array.to_list t.db.Bcdb.pending) in
-  let conflicts = t.fd.Fd_graph.conflicts in
-  let ind_base = t.ind_base in
-  install_after_state_change t db' ~conflicts ~ind_base;
+  install_after_state_change t db' ~fd:t.fd ~ind_base:t.ind_base;
   t.epoch <- t.epoch + 1;
   (* Ids did not move and Θ edges ignore R: tracked components hold. *)
   List.iter
@@ -372,6 +406,7 @@ let append_state t rows =
     t.tracked
 
 let reset t db =
+  span t "reset" @@ fun () ->
   let state = compact db.Bcdb.state in
   let db' = rebuild_db state db (Array.to_list db.Bcdb.pending) in
   let session' = Session.reseed t.session db' in
@@ -394,13 +429,10 @@ let track t q =
   | Some tr -> tr
   | None ->
       let comps = Session.ind_components t.session q in
-      let thetas =
-        Q.Theta.of_inds (Bcdb.inds t.db) @ Q.Theta.of_query (Q.Query.body q)
-      in
       let tr =
         {
           t_query = q;
-          t_thetas = thetas;
+          t_qthetas = Q.Theta.of_query (Q.Query.body q);
           t_comps = comps;
           t_sat = Hashtbl.create 64;
           t_viol = Hashtbl.create 8;

@@ -12,20 +12,26 @@
     of the four mempool events, paying per event only for what the event
     actually changed:
 
-    - {b add} ({!add}): one new graph node; its fd conflicts and Θ edges
-      are found through the store's indexes ({!Fd_graph.extend},
-      {!Ind_graph.edges_for_tx}); tracked per-query components are
-      merged with a union-find pass; everything else is reused.
+    - {b add} ({!try_add}): one new graph node; its fd conflicts and Θ
+      edges are found through world-free index probes
+      ({!Fd_graph.extend}, {!Ind_graph.edges_for_tx}; ΘI once per add,
+      Θq once per tracked query); existing graph rows are copied a word
+      at a time; tracked per-query components merge only the parts the
+      new node's edges reach ({!Bcgraph.Components.add_node});
+      everything else is reused.
     - {b evict} ({!evict}, RBF): the node and its edges are dropped and
-      ids re-packed ({!Fd_graph.remove}); node validity, surviving
+      ids re-packed ({!Fd_graph.remove}: one word shift per surviving
+      row); node validity, surviving
       conflicts, ΘI edges and includability are reused (none depends on
       the evicted transaction). Tracked components are rebuilt {e only}
       for the component the node leaves (a removal can split nothing
       else); every other part is re-id'd and keeps its cached verdict.
     - {b confirm} ({!confirm}): the transaction's rows join [R], so node
       validity and includability are recomputed per survivor (one
-      indexed probe each); the pairwise conflict relation and the ΘI
-      edges depend only on pending rows and are reused re-id'd. The
+      indexed probe each) and survivors that turned invalid are
+      isolated ({!Fd_graph.invalidate}) in the word-shifted graph; the
+      pairwise conflict relation and the ΘI edges depend only on
+      pending rows and are reused re-id'd. The
       component partition is maintained like an evict's, but the state
       epoch bump conservatively dirties every cached verdict.
     - {b reorg} ({!reset}): full resync — the one event with no useful
@@ -66,7 +72,16 @@
     pass [~use_cache:false]) to disable it. Hits, misses, and dirty
     re-solves are surfaced as the [live.comp_cache_hit] /
     [live.comp_cache_miss] / [live.comp_dirty] {!Obs} counters and via
-    {!cache_stats}. *)
+    {!cache_stats}.
+
+    {2 Spans}
+
+    On the recorder given to {!create}, every maintenance event records
+    a span of category [live] — [add], [evict], [confirm] or [reset] —
+    with children [fd] (fd-graph upkeep, including validity re-checks
+    after a confirmation), [ind_edges] (ΘI edge probes or re-iding),
+    [components] (per-tracked-query partition upkeep) and, on removals,
+    [store] (state compaction and the store reload). *)
 
 type t
 
@@ -108,10 +123,22 @@ val pending_count : t -> int
 val find : t -> string -> int option
 (** Pending id of the transaction with the given label, if any. *)
 
+val try_add :
+  t -> ?label:string -> (string * Relational.Tuple.t) list -> (unit, string) result
+(** A transaction arrives in the mempool. Costs in proportion to the new
+    transaction, not the ledger: index probes for its rows through
+    world-free store views (the active world, its epoch and posting
+    caches are untouched), one word copy per fd-graph row, and per
+    tracked query a merge of just the components its Θ edges reach.
+    Dirties only the (possibly merged) component the new transaction
+    lands in. [Error], with nothing changed, if the label (default
+    ["T<id>"]) is already pending, [rows] is empty, or a row names an
+    unknown relation or has the wrong arity. *)
+
 val add : t -> ?label:string -> (string * Relational.Tuple.t) list -> unit
-(** A transaction arrives in the mempool. O(its rows) index probes plus
-    one union-find merge per tracked query. Dirties only the (possibly
-    merged) component the new transaction lands in. *)
+(** {!try_add} for callers that guarantee an admissible arrival; raises
+    [Invalid_argument] (nothing changed) where {!try_add} returns
+    [Error]. *)
 
 val evict : t -> string -> (unit, string) result
 (** The labeled transaction is replaced/evicted (RBF). [Error] if no

@@ -20,6 +20,10 @@ let make ~id ?label rows =
   let label = Option.value label ~default:(Printf.sprintf "T%d" id) in
   { id; label; rows }
 
+let reid t id =
+  if id < 0 then invalid_arg "Pending.reid: negative id";
+  { t with id }
+
 let rows_for t rel =
   List.filter_map
     (fun (r, tuple) -> if String.equal r rel then Some tuple else None)

@@ -14,6 +14,10 @@ val make : id:int -> ?label:string -> (string * Relational.Tuple.t) list -> t
 (** Duplicate rows are dropped. Raises [Invalid_argument] on an empty row
     list or a negative id. *)
 
+val reid : t -> int -> t
+(** The same transaction (label and rows) under another id — the dense
+    re-id of a pending-set removal, without re-deduplicating rows. *)
+
 val rows_for : t -> string -> Relational.Tuple.t list
 (** The tuples this transaction inserts into the named relation. *)
 

@@ -260,38 +260,44 @@ let replica t =
     components_lock = Mutex.create ();
   }
 
-let extended t =
+let extended ?fd_graph ?ind_edges t =
   let store = t.store in
   let db' = Tagged_store.db store in
   let id = Tagged_store.tx_count store - 1 in
   if Array.length db'.Bcdb.pending <> Array.length t.db.Bcdb.pending + 1 then
     invalid_arg "Session.extended: store is not one transaction ahead";
   let fd_graph =
-    if Lazy.is_val t.caches.fd_graph then
-      Lazy.from_val (Fd_graph.extend (Lazy.force t.caches.fd_graph) store)
-    else lazy (Fd_graph.build store)
+    match fd_graph with
+    | Some g -> Lazy.from_val g
+    | None ->
+        if Lazy.is_val t.caches.fd_graph then
+          Lazy.from_val (Fd_graph.extend (Lazy.force t.caches.fd_graph) store)
+        else lazy (Fd_graph.build store)
   in
   let ind_base_edges =
     if Lazy.is_val t.caches.ind_base_edges then
       Lazy.from_val
         (Lazy.force t.caches.ind_base_edges
-        @ Ind_graph.edges_for_tx store
-            (Bcquery.Theta.of_inds (Bcdb.inds db'))
-            id)
+        @
+        match ind_edges with
+        | Some edges -> edges
+        | None ->
+            Ind_graph.edges_for_tx store
+              (Bcquery.Theta.of_inds (Bcdb.inds db'))
+              id)
     else lazy (Ind_graph.base_edges store)
   in
   let includable =
     if Lazy.is_val t.caches.includable then
       Lazy.from_val
-        (let saved = Tagged_store.world store in
-         Tagged_store.base_only store;
-         let ok =
-           R.Check.batch_consistent (Tagged_store.source store)
-             db'.Bcdb.constraints
-             (Tagged_store.tx_rows store id)
-         in
-         Tagged_store.set_world store saved;
-         Array.append (Lazy.force t.caches.includable) [| ok |])
+        (Array.append
+           (Lazy.force t.caches.includable)
+           [|
+             R.Check.batch_consistent
+               (Tagged_store.base_source store)
+               db'.Bcdb.constraints
+               (Tagged_store.tx_rows store id);
+           |])
     else lazy (compute_includable store db'.Bcdb.constraints)
   in
   {

@@ -86,13 +86,18 @@ val replica : t -> t
     to the replica's own store. Used by the parallel {!Engine} backend:
     one replica per worker domain. *)
 
-val extended : t -> t
+val extended :
+  ?fd_graph:Fd_graph.t -> ?ind_edges:(int * int) list -> t -> t
 (** A session over the same store after the store has been extended with
     one hypothetical transaction ({!Tagged_store.append_tx}): every
     already-computed structure is updated incrementally (one new graph
-    node, its edges found via indexes) instead of rebuilt. Used by
-    {!Dry_run} and by {!Live} on transaction arrival; when the extension
-    is rolled back, the extended session must not outlive the rollback. *)
+    node, its edges found via indexes that never switch the store's
+    world) instead of rebuilt. Used by {!Dry_run} and by {!Live} on
+    transaction arrival; when the extension is rolled back, the extended
+    session must not outlive the rollback. A caller that already
+    extended the fd graph, or probed the new transaction's ΘI edges,
+    passes them as [fd_graph] / [ind_edges] instead of having them
+    recomputed. *)
 
 val reseed :
   t ->

@@ -730,6 +730,62 @@ let source t =
     selectivity = selectivity t;
   }
 
+(* Read-only sources fixed at one world, independent of the active
+   one: [R ∪ T] (every pending row) or [R] alone. They walk posting
+   [all] lists and the base slice directly, so a probe through them
+   never touches [visible], [viscount] or [epoch] — the posting caches
+   of the active world survive it. Tuples come in the same order as
+   {!source} under {!all_visible}/{!base_only}. *)
+let fixed_source t ~pending =
+  let pend_all rs =
+    Seq.init (if pending then rs.len else 0) (fun i -> rs.entries.(i).tuple)
+  in
+  let scan name =
+    let rs = rel_store t name in
+    Seq.append (R.Segment.tuple_seq rs.base.b_seg) (pend_all rs)
+  in
+  let base_rows rs binds =
+    Seq.map (R.Segment.tuple rs.base.b_seg)
+      (R.Segment.slice_rows rs.base.b_seg (base_slice rs binds))
+  in
+  let pend_rows rs binds =
+    if not pending then Seq.empty
+    else
+      match probe rs binds with
+      | None, _ -> Seq.empty
+      | Some p, residual ->
+          List.to_seq p.all
+          |> Seq.filter_map (fun i ->
+                 let e = rs.entries.(i) in
+                 if matches residual e.tuple then Some e.tuple else None)
+  in
+  let lookup name binds =
+    match binds with
+    | [] -> scan name
+    | _ ->
+        let rs = rel_store t name in
+        fun () -> Seq.append (pend_rows rs binds) (base_rows rs binds) ()
+  in
+  let fold_lookup name binds f = Seq.for_all f (lookup name binds) in
+  let mem name tuple =
+    let rs = rel_store t name in
+    R.Segment.mem rs.base.b_seg tuple
+    || (pending && R.Tuple.Tbl.mem rs.by_tuple tuple)
+  in
+  {
+    R.Source.catalog = R.Database.catalog t.db.Bcdb.state;
+    scan;
+    lookup;
+    fold_lookup;
+    mem;
+    cardinality = cardinality t;
+    selectivity = selectivity t;
+  }
+
+let union_source t = fixed_source t ~pending:true
+let base_source t = fixed_source t ~pending:false
+let epoch t = t.epoch
+
 let tx_rows t id =
   let tx = t.db.Bcdb.pending.(id) in
   List.map
@@ -869,13 +925,13 @@ let append_tx t (db' : Bcdb.t) =
   t.db <- db';
   t.k <- t.k + 1;
   t.pending_epoch <- t.pending_epoch + 1;
-  t.visible <- Bitset.of_list t.k (Bitset.to_list journal.prev_visible);
+  t.visible <- Bitset.resize journal.prev_visible t.k;
   journal
 
 let undo t journal =
   (* Restore the previous world's membership first, while [by_origin]
      still routes the hypothetical transaction's flips. *)
-  apply_world t (Bitset.of_list t.k (Bitset.to_list journal.prev_visible));
+  apply_world t (Bitset.resize journal.prev_visible t.k);
   let id = Array.length journal.prev_db.Bcdb.pending in
   List.iter
     (function

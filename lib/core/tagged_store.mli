@@ -102,6 +102,23 @@ val base_only : t -> unit
 val source : t -> Relational.Source.t
 (** A live view: reflects subsequent [set_world] calls. *)
 
+val union_source : t -> Relational.Source.t
+(** A read-only view fixed at [R ∪ T]: every pending row visible,
+    whatever the active world. Answers what {!source} answers after
+    {!all_visible}, in the same order, but never switches the world —
+    the active world, its epoch and its posting caches are untouched.
+    The live layer's index probes for one transaction go through it. *)
+
+val base_source : t -> Relational.Source.t
+(** A read-only view fixed at [R] alone (what {!source} answers after
+    {!base_only}), with the same no-world-switch guarantee as
+    {!union_source}. *)
+
+val epoch : t -> int
+(** Monotone stamp of the active world: bumped by every world switch
+    that changes the visible set (and by {!undo}). Probes through
+    {!union_source}/{!base_source} leave it unchanged. *)
+
 type world_delta = {
   added_txs : int;  (** Transactions visible now but not in [prev]. *)
   removed_txs : int;  (** Transactions visible in [prev] but not now. *)

@@ -32,6 +32,43 @@ let mem t i =
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* Whole-word copy into a fresh array; when shrinking, the last kept
+   word is masked so the trailing-zero invariant holds at the new
+   capacity. *)
+let resize t m =
+  if m < 0 then invalid_arg "Bitset.resize: negative capacity";
+  let out = create m in
+  let nw = nwords m in
+  Array.blit t.words 0 out.words 0 (min nw (Array.length t.words));
+  let tail = m land 31 in
+  if m < t.n && tail <> 0 then
+    out.words.(nw - 1) <- out.words.(nw - 1) land ((1 lsl tail) - 1);
+  out
+
+(* Drop element [j] and shift every higher element down by one: words
+   below [j]'s are copied, [j]'s own word keeps its low bits and shifts
+   its high bits, and every later word shifts right by one, taking the
+   next word's lowest bit as its top bit. Bits at and above the old
+   capacity are zero, so the shifted words stay zero at and above the
+   new one. *)
+let remove_shift t j =
+  check t j;
+  let out = create (t.n - 1) in
+  let src = t.words and dst = out.words in
+  let nw = Array.length src and nw' = Array.length dst in
+  let carry w = if w + 1 < nw then (src.(w + 1) land 1) lsl 31 else 0 in
+  let jw = j lsr 5 and jb = j land 31 in
+  Array.blit src 0 dst 0 (min jw nw');
+  if jw < nw' then begin
+    let x = src.(jw) in
+    dst.(jw) <-
+      x land ((1 lsl jb) - 1) lor ((x lsr (jb + 1)) lsl jb) lor carry jw
+  end;
+  for w = jw + 1 to nw' - 1 do
+    dst.(w) <- (src.(w) lsr 1) lor carry w
+  done;
+  out
+
 (* SWAR popcount of a 32-bit value held in a wider int. *)
 let popcount x =
   let x = x - ((x lsr 1) land 0x55555555) in

@@ -13,6 +13,16 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
 val is_empty : t -> bool
+
+val resize : t -> int -> t
+(** [resize t m] is a fresh bitset of capacity [m] holding the members
+    of [t] below [m]. A whole-word copy: O(m / 32). *)
+
+val remove_shift : t -> int -> t
+(** [remove_shift t j] is a fresh bitset of capacity [capacity t - 1]:
+    [j] is dropped and every member above [j] shifts down by one (the
+    dense re-id of a pending-set removal). Word shifts: O(n / 32). *)
+
 val cardinal : t -> int
 val equal : t -> t -> bool
 val subset : t -> t -> bool

@@ -31,16 +31,20 @@ let remove_node parts node =
   (rest, survivors)
 
 (* Re-split [members] into connected sub-parts under [edges] (which must
-   join members only). Built on the same union-find as {!of_graph}, so
-   the sub-parts come out in canonical form: ascending node lists. *)
-let split_members ~n members edges =
-  let uf = Union_find.create n in
-  List.iter (fun (a, b) -> Union_find.union uf a b) edges;
-  let member = Array.make n false in
-  List.iter (fun m -> member.(m) <- true) members;
-  List.filter
-    (fun group -> match group with m :: _ -> member.(m) | [] -> false)
-    (Union_find.groups uf)
+   join members only), on a union-find over the members alone — O(|members|
+   + |edges|), whatever the id range. Members are sorted first, so the
+   sub-parts come out in canonical form: ascending node lists ordered by
+   smallest member. *)
+let split_members members edges =
+  let ids = Array.of_list (List.sort_uniq Int.compare members) in
+  let local = Hashtbl.create (Array.length ids) in
+  Array.iteri (fun i m -> Hashtbl.replace local m i) ids;
+  let uf = Union_find.create (Array.length ids) in
+  List.iter
+    (fun (a, b) ->
+      Union_find.union uf (Hashtbl.find local a) (Hashtbl.find local b))
+    edges;
+  List.map (List.map (fun i -> ids.(i))) (Union_find.groups uf)
 
 (* Canonical partition order: parts ascending, sorted by smallest member
    — the invariant {!of_graph} establishes and every incremental
@@ -53,6 +57,37 @@ let merge a b =
       | [], _ -> -1
       | _, [] -> 1)
     (List.filter (fun p -> p <> []) (a @ b))
+
+(* --- partition surgery (single-node insertion) ---------------------- *)
+
+(* Insert [part] (non-empty, ascending) before the first part whose
+   smallest member is larger: the canonical order of {!of_graph}. *)
+let insert_part part parts =
+  let head = List.hd part in
+  let rec go = function
+    | (m :: _ as q) :: rest when m < head -> q :: go rest
+    | rest -> part :: rest
+  in
+  go parts
+
+(* A new node can only merge the parts its incident edges reach: those
+   parts and the node become one, every other part is kept as is. *)
+let add_node parts node edges =
+  let nbrs =
+    List.filter_map
+      (fun (a, b) ->
+        if a = node && b <> node then Some b
+        else if b = node && a <> node then Some a
+        else None)
+      edges
+  in
+  let size = 1 + List.fold_left max node nbrs in
+  let mark = Array.make size false in
+  List.iter (fun m -> mark.(m) <- true) nbrs;
+  let touched, rest =
+    List.partition (List.exists (fun m -> m < size && mark.(m))) parts
+  in
+  insert_part (List.fold_left (List.merge Int.compare) [ node ] touched) rest
 
 let component_of g start =
   let n = Undirected.node_count g in

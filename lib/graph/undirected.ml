@@ -14,15 +14,30 @@ let copy g = { g with rows = Array.map Bitset.copy g.rows }
 
 let extend g extra =
   if extra < 0 then invalid_arg "Undirected.extend: negative extra";
-  let out = create (g.n + extra) in
-  (* Row capacities differ, so re-add bit by bit. *)
-  for i = 0 to g.n - 1 do
-    Bitset.iter (Bitset.add out.rows.(i)) g.rows.(i)
-  done;
-  out
+  let n = g.n + extra in
+  {
+    n;
+    rows =
+      Array.init n (fun i ->
+          if i < g.n then Bitset.resize g.rows.(i) n else Bitset.create n);
+  }
 
 let check g i =
   if i < 0 || i >= g.n then invalid_arg "Undirected: node out of range"
+
+let remove_node g j =
+  check g j;
+  {
+    n = g.n - 1;
+    rows =
+      Array.init (g.n - 1) (fun i ->
+          Bitset.remove_shift g.rows.(if i < j then i else i + 1) j);
+  }
+
+let isolate g i =
+  check g i;
+  Bitset.iter (fun j -> Bitset.remove g.rows.(j) i) g.rows.(i);
+  g.rows.(i) <- Bitset.create g.n
 
 let get g i j = Bitset.mem g.rows.(i) j
 

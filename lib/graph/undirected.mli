@@ -15,7 +15,15 @@ val copy : t -> t
 
 val extend : t -> int -> t
 (** [extend g extra] is a fresh graph with [extra] additional isolated
-    nodes and all of [g]'s edges. *)
+    nodes and all of [g]'s edges. Each row is one word copy. *)
+
+val remove_node : t -> int -> t
+(** [remove_node g j] is a fresh graph without node [j]: nodes above [j]
+    shift down by one (the dense re-id of a pending-set removal) and
+    every other edge is kept. Each row is one word shift. *)
+
+val isolate : t -> int -> unit
+(** [isolate g i] removes every edge incident to [i], in place. *)
 
 val add_edge : t -> int -> int -> unit
 (** Self-loops are ignored. Out-of-range nodes raise [Invalid_argument]. *)

@@ -32,6 +32,132 @@ let bitset_ops_prop =
       && G.Bitset.subset (G.Bitset.inter a b) a
       && G.Bitset.cardinal a = List.length sx)
 
+(* --- word-boundary properties: the whole-word graph primitives against
+   bit-by-bit references, at capacities on both sides of the 32-bit word
+   boundaries. Comparing with [equal] (word-wise) also pins the
+   trailing-zero invariant: a stray bit at or above the capacity would
+   make two bitsets with the same members unequal. *)
+
+let boundary_sizes = [ 0; 1; 31; 32; 33; 63; 64; 65 ]
+
+(* A capacity from [boundary_sizes] and a random member list below it. *)
+let sized_members =
+  QCheck.Gen.(
+    oneofl boundary_sizes >>= fun n ->
+    map (fun xs -> (n, xs)) (list_size (int_bound 80) (int_bound (max 0 (n - 1)))))
+  |> QCheck.Gen.map (fun (n, xs) -> (n, if n = 0 then [] else xs))
+
+let same_bits a b =
+  G.Bitset.equal a b
+  && G.Bitset.cardinal a = G.Bitset.cardinal b
+  && G.Bitset.to_list a = G.Bitset.to_list b
+
+let bitset_resize_prop =
+  QCheck.Test.make ~name:"Bitset.resize = bit-by-bit copy" ~count:300
+    (QCheck.make
+       ~print:(fun ((n, xs), m) ->
+         Printf.sprintf "n=%d m=%d [%s]" n m
+           (String.concat ";" (List.map string_of_int xs)))
+       QCheck.Gen.(pair sized_members (oneofl boundary_sizes)))
+    (fun ((n, xs), m) ->
+      let b = G.Bitset.of_list n xs in
+      same_bits (G.Bitset.resize b m)
+        (G.Bitset.of_list m (List.filter (fun x -> x < m) xs)))
+
+let bitset_remove_shift_prop =
+  QCheck.Test.make ~name:"Bitset.remove_shift = bit-by-bit re-id" ~count:300
+    (QCheck.make
+       ~print:(fun ((n, xs), j) ->
+         Printf.sprintf "n=%d j=%d [%s]" n j
+           (String.concat ";" (List.map string_of_int xs)))
+       QCheck.Gen.(
+         sized_members >>= fun (n, xs) ->
+         let n = max n 1 in
+         map (fun j -> ((n, xs), j)) (int_bound (n - 1))))
+    (fun ((n, xs), j) ->
+      let b = G.Bitset.of_list n xs in
+      same_bits (G.Bitset.remove_shift b j)
+        (G.Bitset.of_list (n - 1)
+           (List.filter_map
+              (fun x -> if x = j then None else Some (if x > j then x - 1 else x))
+              xs)))
+
+(* A random graph on a boundary-sized node set. *)
+let boundary_graph =
+  QCheck.Gen.(
+    oneofl boundary_sizes >>= fun n ->
+    if n = 0 then return (0, [])
+    else
+      map
+        (fun es -> (n, es))
+        (list_size (int_bound 150) (pair (int_bound (n - 1)) (int_bound (n - 1)))))
+
+let graph_of n edges =
+  let g = G.Undirected.create n in
+  List.iter (fun (a, b) -> G.Undirected.add_edge g a b) edges;
+  g
+
+let same_graph g h =
+  G.Undirected.node_count g = G.Undirected.node_count h
+  &&
+  let ok = ref true in
+  for i = 0 to G.Undirected.node_count g - 1 do
+    ok :=
+      !ok
+      && same_bits
+           (G.Undirected.neighbours_bitset g i)
+           (G.Undirected.neighbours_bitset h i)
+  done;
+  !ok
+
+let print_graph (n, es) =
+  Printf.sprintf "n=%d {%s}" n
+    (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) es))
+
+let undirected_extend_prop =
+  QCheck.Test.make ~name:"Undirected.extend = bit-by-bit rebuild" ~count:200
+    (QCheck.make
+       ~print:(fun (g, extra) -> Printf.sprintf "%s +%d" (print_graph g) extra)
+       QCheck.Gen.(pair boundary_graph (oneofl [ 0; 1; 2; 31; 33 ])))
+    (fun ((n, edges), extra) ->
+      same_graph
+        (G.Undirected.extend (graph_of n edges) extra)
+        (graph_of (n + extra) edges))
+
+let undirected_remove_node_prop =
+  QCheck.Test.make ~name:"Undirected.remove_node = bit-by-bit re-id" ~count:200
+    (QCheck.make
+       ~print:(fun (g, j) -> Printf.sprintf "%s -%d" (print_graph g) j)
+       QCheck.Gen.(
+         boundary_graph >>= fun (n, es) ->
+         let n = max n 1 in
+         map (fun j -> ((n, es), j)) (int_bound (n - 1))))
+    (fun ((n, edges), j) ->
+      let reid x = if x > j then x - 1 else x in
+      same_graph
+        (G.Undirected.remove_node (graph_of n edges) j)
+        (graph_of (n - 1)
+           (List.filter_map
+              (fun (a, b) -> if a = j || b = j then None else Some (reid a, reid b))
+              edges)))
+
+let components_add_node_prop =
+  QCheck.Test.make ~name:"Components.add_node = of_graph of the grown graph"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (g, nbrs) ->
+         Printf.sprintf "%s new~[%s]" (print_graph g)
+           (String.concat ";" (List.map string_of_int nbrs)))
+       QCheck.Gen.(
+         boundary_graph >>= fun (n, es) ->
+         map
+           (fun nbrs -> ((n, es), if n = 0 then [] else nbrs))
+           (list_size (int_bound 4) (int_bound (max 0 (n - 1))))))
+    (fun ((n, edges), nbrs) ->
+      let incident = List.map (fun m -> (m, n)) nbrs in
+      G.Components.add_node (G.Components.of_graph (graph_of n edges)) n incident
+      = G.Components.of_graph (graph_of (n + 1) (edges @ incident)))
+
 let test_union_find () =
   let uf = G.Union_find.create 6 in
   G.Union_find.union uf 0 1;
@@ -195,6 +321,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_bitset_basics;
           QCheck_alcotest.to_alcotest bitset_ops_prop;
+          QCheck_alcotest.to_alcotest bitset_resize_prop;
+          QCheck_alcotest.to_alcotest bitset_remove_shift_prop;
         ] );
       ( "union-find",
         [ Alcotest.test_case "groups" `Quick test_union_find ] );
@@ -203,6 +331,9 @@ let () =
           Alcotest.test_case "edges" `Quick test_undirected;
           Alcotest.test_case "components" `Quick test_components;
           QCheck_alcotest.to_alcotest induced_preserves_edges;
+          QCheck_alcotest.to_alcotest undirected_extend_prop;
+          QCheck_alcotest.to_alcotest undirected_remove_node_prop;
+          QCheck_alcotest.to_alcotest components_add_node_prop;
         ] );
       ( "bron-kerbosch",
         [

@@ -227,6 +227,138 @@ let differential ~jobs ~count =
       done;
       !ok)
 
+(* --- long streams: the pending set crosses word boundaries -----------
+
+   The short streams above never hold more than a handful of pending
+   transactions, so every bitset row fits in one 32-bit word. These
+   streams are add-heavy and run until more than 70 transactions are
+   pending — past the 32- and 64-bit boundaries the word-level graph
+   growth and shrinkage must handle. Besides agreeing with a rebuild
+   after every event (components in exactly the canonical order, which
+   decides the winning component), maintenance must leave the store's
+   active world alone: an add keeps the store, its world and its epoch;
+   a removal installs a fresh store that no probe has switched. *)
+
+let world_of live =
+  let store = Core.Session.store (Core.Live.session live) in
+  (store, Bcgraph.Bitset.to_list (Core.Tagged_store.world store),
+   Core.Tagged_store.epoch store)
+
+let wide_rows rng =
+  List.sort_uniq compare
+    (List.init
+       (1 + Random.State.int rng 2)
+       (fun _ ->
+         if Random.State.int rng 3 > 0 then
+           node_row (3 + Random.State.int rng 60) colours.(Random.State.int rng 3)
+         else edge_row (Random.State.int rng 63) (Random.State.int rng 63)))
+
+let long_stream =
+  QCheck.Test.make ~name:"long stream past 70 pending = rebuild, world-free"
+    ~count:3
+    QCheck.(pair (int_bound 1_000_000) (int_bound (List.length queries - 1)))
+    (fun (seed, qi) ->
+      let rng = Random.State.make [| seed; 0x70 |] in
+      let m = fresh_model () in
+      let live = Core.Live.create (model_db m) in
+      let q = parse (List.nth queries qi) in
+      let step = ref 0 in
+      let unchanged what (store, w, e) =
+        let store', w', e' = world_of live in
+        let ok =
+          if store' == store then w' = w && e' = e
+          else (what <> "add" && w' = [] && e' = 0)
+        in
+        if not ok then
+          QCheck.Test.fail_reportf
+            "step %d: %s moved the store's world: [%s]@%d -> [%s]@%d" !step
+            what
+            (String.concat "," (List.map string_of_int w))
+            e
+            (String.concat "," (List.map string_of_int w'))
+            e';
+        true
+      in
+      let agrees () =
+        ignore (assert_agrees ~step:!step ~jobs:1 live m q : bool);
+        let fresh = Core.Session.create (model_db m) in
+        if Core.Live.components live q <> Core.Session.ind_components fresh q
+        then
+          fail_diff "component order" !step pp_comps (Core.Live.components live q)
+            (Core.Session.ind_components fresh q)
+      in
+      let crossed32 = ref false and crossed64 = ref false in
+      while List.length m.pending <= 70 do
+        incr step;
+        let before = world_of live in
+        let pick = Random.State.int rng 100 in
+        if pick < 80 || m.pending = [] then begin
+          let label = next_label () and rows = wide_rows rng in
+          m.pending <- m.pending @ [ (label, rows) ];
+          Core.Live.add live ~label rows;
+          ignore (unchanged "add" before : bool)
+        end
+        else begin
+          let label = random_pending_label rng m in
+          let rows = List.assoc label m.pending in
+          m.pending <- List.filter (fun (l, _) -> l <> label) m.pending;
+          let what, result =
+            if pick < 90 then ("evict", Core.Live.evict live label)
+            else begin
+              m.confirmed <- (label, rows) :: m.confirmed;
+              ("confirm", Core.Live.confirm live label)
+            end
+          in
+          (match result with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_reportf "%s %s: %s" what label e);
+          ignore (unchanged what before : bool)
+        end;
+        let k = Core.Live.pending_count live in
+        if k > 32 then crossed32 := true;
+        if k > 64 then crossed64 := true;
+        (* Full agreement every few events (and the check moves the
+           world, so the next event starts from a non-trivial one). *)
+        if !step mod 4 = 0 || k > 64 then agrees ()
+      done;
+      agrees ();
+      !crossed32 && !crossed64)
+
+(* --- duplicate labels: a rejected add changes nothing ---------------- *)
+
+let test_duplicate_add_rejected () =
+  let m = fresh_model () in
+  m.pending <- [ ("A", [ node_row 3 "green" ]); ("T2", [ edge_row 3 0 ]) ];
+  let live = Core.Live.create (model_db m) in
+  let q = parse (List.nth queries 1) in
+  ignore (Core.Live.components live q : int list list);
+  let before = world_of live in
+  (match Core.Live.try_add live ~label:"A" [ node_row 5 "blue" ] with
+  | Ok () -> Alcotest.fail "a duplicate label was accepted"
+  | Error _ -> ());
+  (* An unlabeled add defaults to "T<id>": rejected when that is taken. *)
+  (match Core.Live.try_add live [ node_row 6 "red" ] with
+  | Ok () -> Alcotest.fail "a duplicate default label was accepted"
+  | Error _ -> ());
+  (match Core.Live.try_add live ~label:"C" [] with
+  | Ok () -> Alcotest.fail "an empty transaction was accepted"
+  | Error _ -> ());
+  (match Core.Live.try_add live ~label:"C" [ ("Nope", R.Tuple.make [ V.Int 1 ]) ] with
+  | Ok () -> Alcotest.fail "a row of an unknown relation was accepted"
+  | Error _ -> ());
+  let store, w, e = world_of live in
+  let store', w', e' = before in
+  Alcotest.(check bool) "same store, world and epoch" true
+    (store == store' && w = w' && e = e');
+  Alcotest.(check int) "still two pending" 2 (Core.Live.pending_count live);
+  Alcotest.(check bool) "maintained structures = rebuild" true
+    (assert_agrees ~step:0 ~jobs:1 live m q);
+  (* ... and the layer keeps accepting fresh arrivals afterwards. *)
+  m.pending <- m.pending @ [ ("C", [ node_row 5 "blue" ]) ];
+  Core.Live.add live ~label:"C" [ node_row 5 "blue" ];
+  Alcotest.(check bool) "then a fresh add = rebuild" true
+    (assert_agrees ~step:1 ~jobs:1 live m q)
+
 (* --- satellite 3 (PR 10): the verdict cache must be invisible --------
 
    Two live instances over the same initial database, driven by the
@@ -528,6 +660,9 @@ let () =
           QCheck_alcotest.to_alcotest (differential ~jobs:4 ~count:40);
           QCheck_alcotest.to_alcotest (cache_differential ~jobs:1 ~count:60);
           QCheck_alcotest.to_alcotest (cache_differential ~jobs:4 ~count:40);
+          QCheck_alcotest.to_alcotest long_stream;
+          Alcotest.test_case "duplicate add is rejected, nothing changes"
+            `Quick test_duplicate_add_rejected;
         ] );
       ( "staleness",
         [
