@@ -9,8 +9,7 @@ test:
 	dune runtest
 
 # Scenario attack library: the differential verdict harness (honors
-# BCDB_TEST_JOBS / BCDB_BK_STEAL) plus the `bcdb scenario run`
-# exit-code contract.
+# BCDB_TEST_JOBS) plus the `bcdb scenario run` exit-code contract.
 test-scenarios:
 	dune build test/test_scenario.exe bin/bcdb_cli.exe
 	dune exec test/test_scenario.exe

@@ -153,8 +153,7 @@ let write_bench_json path =
                    \"worker_util\": %.6f, \"eval_full\": %d, \
                    \"eval_delta\": %d, \"eval_delta_tuples\": %d, \
                    \"eval_delta_ratio\": %.6f, \"base_bytes\": %d, \
-                   \"dict_hits\": %d, \"bk_steals\": %d, \
-                   \"bk_subtrees\": %d, \"eval_native\": %d}"
+                   \"dict_hits\": %d, \"eval_native\": %d}"
                   figure m.E.label
                   (E.algo_name m.E.algo)
                   (variant_name m.E.variant)
@@ -167,8 +166,7 @@ let write_bench_json path =
                   m.E.cache_hit_ratio m.E.comp_cache_hit_ratio m.E.worker_util
                   m.E.eval_full
                   m.E.eval_delta m.E.eval_delta_tuples m.E.eval_delta_ratio
-                  m.E.base_bytes m.E.dict_hits m.E.bk_steals m.E.bk_subtrees
-                  m.E.eval_native));
+                  m.E.base_bytes m.E.dict_hits m.E.eval_native));
       Buffer.add_string buf "\n  ]\n}\n";
       let oc = open_out path in
       output_string oc (Buffer.contents buf);
@@ -191,9 +189,9 @@ let required_keys =
     "\"components\":"; "\"components_covered\":"; "\"precheck\":";
     "\"obs_worlds\":"; "\"cache_hit_ratio\":"; "\"worker_util\":";
     "\"eval_delta_ratio\":";
-    (* base_bytes/dict_hits/bk_steals/bk_subtrees/eval_native and
-       comp_cache_hit_ratio are written but deliberately NOT required:
-       committed series predate them and must keep validating. *)
+    (* base_bytes/dict_hits/eval_native and comp_cache_hit_ratio are
+       written but deliberately NOT required: committed series predate
+       them and must keep validating. *)
   ]
 
 let validate_bench_json path =
@@ -228,9 +226,9 @@ let validate_bench_json path =
 (* Fig 6a/6b: query types. *)
 
 let run_measure ?(figure = "adhoc") ?(x = 0.0) ?repeats ?warmup ?summary ?jobs
-    ?use_delta ?use_native ?use_steal ~session ~label ~algo ~variant q =
+    ?use_delta ?use_native ~session ~label ~algo ~variant q =
   record ~figure ~x
-    (E.run ?repeats ?warmup ?summary ?jobs ?use_delta ?use_native ?use_steal
+    (E.run ?repeats ?warmup ?summary ?jobs ?use_delta ?use_native
        ~obs_sinks:(obs_sinks ()) ~session ~label ~algo ~variant q)
 
 let query_types variant =
@@ -641,7 +639,7 @@ let jobs_sweep () =
          "Jobs sweep (OptDCSat, D-sweep/50 blocks): recommended_domains = %d \
           (runtime suggests %d)"
          best_jobs
-         (Core.Engine.default_jobs ()))
+         (Domain.recommended_domain_count ()))
     ~columns:[ "jobs"; "seconds" ]
     ~rows:
       (List.map
@@ -678,11 +676,11 @@ let parallel () =
 (* ------------------------------------------------------------------ *)
 (* Dense-component worst case: one cocktail-party compatibility graph
    K_{pairs x 2} whose 2^pairs maximal worlds all live in a single
-   component — the regime where the clique stream used to serialize
-   behind one enumerator. NaiveDCSat must grind through every world
+   component, so every world comes out of one clique enumerator behind
+   the claim lock. NaiveDCSat must grind through every world
    (the query is true over R ∪ T but false in each world), so the jobs
-   sweep here measures the work-stealing backend end to end;
-   bk.steal / bk.subtree and worker_util are recorded per row.
+   sweep here measures the claim-lock pool end to end; worker_util is
+   recorded per row.
 
    OptDCSat dissolves this workload outright — its component split
    yields one 2-clique component per pair, 2·pairs worlds instead of
@@ -701,11 +699,17 @@ let dense_native_pairs () = if !smoke_flag then 10 else 16
 
 let dense_session pairs = E.session_of (W.Dense.db ~pairs)
 
-let dense_measure ?(repeats = 1) ?use_native ~session ~figure ~x ~jobs
-    ~use_steal label =
+let dense_measure ?(repeats = 1) ?use_native ~session ~figure ~x ~jobs label =
   run_measure ~figure ~x ~repeats ~summary:`Min ~jobs ~use_delta:false
-    ?use_native ~use_steal ~session ~label ~algo:E.Naive ~variant:Q.Satisfied
+    ?use_native ~session ~label ~algo:E.Naive ~variant:Q.Satisfied
     (W.Dense.query ())
+
+(* worker_util = Σ item evaluation time / (jobs × runtime). One worker's
+   items run one after another inside the solve, so their sum is at most
+   the runtime: a jobs=2 run whose utilization exceeds 1/2 evaluated on
+   both workers. *)
+let second_worker_evaluated (m : E.measurement) =
+  m.E.jobs = 2 && m.E.worker_util > 0.5
 
 let dense () =
   let pairs = dense_pairs () in
@@ -721,20 +725,20 @@ let dense () =
         m.E.stats.Core.Dcsat.worlds_checked;
     m
   in
-  (* jobs=1 is the canonical sequential claim-lock producer; jobs>1
-     runs the work-stealing enumeration. *)
   let measure jobs =
     check_exhaustive
       (dense_measure ~session:sess ~figure:"dense-jobs" ~x:(float_of_int jobs)
-         ~jobs ~use_steal:(jobs > 1) label)
+         ~jobs label)
   in
   let m1 = measure 1 in
   let m2 = measure 2 in
   let m4 = measure 4 in
   let cores = Domain.recommended_domain_count () in
   if !smoke_flag then begin
-    if m4.E.bk_subtrees = 0 then
-      fail "dense/%s: stealing run claimed no root subtrees" label
+    if not (second_worker_evaluated m2) then
+      fail "dense/%s: jobs=2 run never evaluated on a second worker \
+            (worker_util %.2f)"
+        label m2.E.worker_util
   end
   else if cores < 2 then
     Printf.printf
@@ -759,7 +763,7 @@ let dense () =
   let nsess = dense_session npairs in
   let nmeasure use_native x =
     dense_measure ~repeats:3 ~use_native ~session:nsess ~figure:"dense-native"
-      ~x ~jobs:1 ~use_steal:false nlabel
+      ~x ~jobs:1 nlabel
   in
   let interp = nmeasure false 0.0 in
   let native = nmeasure true 1.0 in
@@ -782,7 +786,7 @@ let dense () =
           use_delta off)"
          pairs worlds)
     ~columns:
-      [ "run"; "jobs"; "seconds"; "worlds"; "steals"; "subtrees"; "util" ]
+      [ "run"; "jobs"; "seconds"; "worlds"; "util" ]
     ~rows:
       (List.map
          (fun (name, (m : E.measurement)) ->
@@ -791,14 +795,12 @@ let dense () =
              string_of_int m.E.jobs;
              E.ms m.E.seconds;
              string_of_int m.E.stats.Core.Dcsat.worlds_checked;
-             string_of_int m.E.bk_steals;
-             string_of_int m.E.bk_subtrees;
              Printf.sprintf "%.2f" m.E.worker_util;
            ])
          [
-           ("claim-lock", m1);
-           ("steal", m2);
-           ("steal", m4);
+           ("sequential", m1);
+           ("claim-lock", m2);
+           ("claim-lock", m4);
            (nlabel ^ "-interp", interp);
            (nlabel ^ "-native", native);
            ("opt-contrast", opt);
@@ -1461,20 +1463,22 @@ let smoke () =
   in
   if warm.E.eval_delta = 0 then
     fail "smoke: warm re-solve recorded no eval.delta (incremental layer inert)";
-  (* Dense steal + closure-compiled smoke: the work-stealing clique
-     backend and the native evaluation tier must both actually engage
-     at CI scale — an inert fast path would otherwise pass silently. *)
+  (* Dense parallel + closure-compiled smoke: the second pool worker and
+     the native evaluation tier must both actually engage at CI scale —
+     an inert fast path would otherwise pass silently. *)
   let dpairs = 12 in
   let dm =
     dense_measure
       ~session:(dense_session dpairs)
-      ~figure:"dense-jobs" ~x:2.0 ~jobs:2 ~use_steal:true
+      ~figure:"dense-jobs" ~x:2.0 ~jobs:2
       (Printf.sprintf "dense-%dp" dpairs)
   in
   if dm.E.eval_native = 0 then
     fail "smoke: closure-compiled path never taken (eval.compiled_native = 0)";
-  if dm.E.bk_subtrees = 0 then
-    fail "smoke: stealing backend claimed no root subtrees (bk.subtree = 0)";
+  if not (second_worker_evaluated dm) then
+    fail "smoke: jobs=2 dense run never evaluated on a second worker \
+          (worker_util %.2f)"
+      dm.E.worker_util;
   if
     (not dm.E.satisfied)
     || dm.E.stats.Core.Dcsat.worlds_checked <> W.Dense.worlds ~pairs:dpairs

@@ -158,24 +158,6 @@ let eval_clique_factory ~use_delta ~use_native obs plan () =
     in
     eval_txs_with ev obs store (Bitset.to_list world)
 
-(* Work-stealing toggle. BCDB_BK_STEAL=0 forces the claim-lock clique
-   pipeline, =1 forces the work-stealing enumerator at any jobs count
-   (the CI matrix crosses both with BCDB_TEST_JOBS); unset is Auto:
-   steal only when there are several workers to feed and the node set is
-   large enough that one sequential producer could become the
-   bottleneck. An explicit [?use_steal] argument beats the env var. *)
-let steal_env = lazy (Sys.getenv_opt "BCDB_BK_STEAL")
-let auto_steal_threshold = 32
-
-let steal_enabled ~use_steal ~jobs n =
-  match use_steal with
-  | Some b -> b
-  | None -> (
-      match Lazy.force steal_env with
-      | Some "0" -> false
-      | Some "1" -> true
-      | _ -> jobs > 1 && n >= auto_steal_threshold)
-
 (* The monotone pre-check: q false over R ∪ T implies satisfied. The
    previously active world is restored afterwards. The full-visibility
    world goes through the incremental evaluator too: on repeated solves
@@ -220,40 +202,6 @@ let run_worlds ~jobs ~budget ~on_event ~count_cliques session counters ~eval
      counters are deterministic across backends and job counts. *)
   if Obs.enabled obs then begin
     if count_cliques then Obs.add obs "dcsat.cliques" report.Engine.pulled;
-    Obs.add obs "dcsat.worlds" report.Engine.evaluated
-  end;
-  ( Option.map
-      (fun (v : Engine.violation) -> (v.Engine.world, v.witness))
-      report.Engine.hit,
-    report.Engine.exhausted )
-
-(* Work-stealing counterpart of {!run_worlds} over {!clique_source}:
-   the cliques of the fd graph restricted to [nodes] are enumerated by
-   the engine's steal backend itself (no single producer), evaluated on
-   [scope] views or full replicas, and the report is folded into the
-   run's counters the same way. *)
-let run_steal ~jobs ~budget ~on_event ?scope session counters ~eval nodes =
-  let store = Session.store session in
-  let obs = Session.obs session in
-  let fd = Session.fd_graph session in
-  let sub, back = Undirected.induced fd.Fd_graph.graph nodes in
-  let report =
-    Engine.run_cliques_steal ~obs ~budget
-      ~counted:(counters.cliques, counters.worlds)
-      ~jobs
-      ~replicate:(fun () -> Session.borrow_replica session)
-      ~release:(Session.return_replica session)
-      ~restrict:(Tagged_store.restrict store) ?scope ~graph:sub ~back ~eval
-      ~on_item:(fun members -> on_event (Clique_found members))
-      ~on_evaluated:(fun ev ->
-        on_event
-          (World_evaluated (ev.Engine.world, ev.Engine.violation <> None)))
-      ()
-  in
-  counters.cliques <- counters.cliques + report.Engine.pulled;
-  counters.worlds <- counters.worlds + report.Engine.evaluated;
-  if Obs.enabled obs then begin
-    Obs.add obs "dcsat.cliques" report.Engine.pulled;
     Obs.add obs "dcsat.worlds" report.Engine.evaluated
   end;
   ( Option.map
@@ -339,23 +287,21 @@ let component_source ~use_covers ~budget ~on_event session q components =
    are skipped wholesale (their cached verdict is Satisfied); the dirty
    remainder is solved {e exhaustively} — no cross-component early exit,
    so every dirty component's fresh verdict lands back in the cache —
-   scheduled suspects-first then largest-first: small components become
-   the work items of one drained claim-lock engine run
-   ([stop_on_hit:false], cross-component parallelism), big ones each get
-   a dedicated work-stealing run (intra-component parallelism).
+   scheduled suspects-first then largest-first, each one a work item of
+   one drained engine run ([stop_on_hit:false], cross-component
+   parallelism).
 
    Determinism: clean components are provably satisfied (equal content
    signature ⇒ equal verdict), so the first violating component overall
    is the first violating {e dirty} one; picking the lowest-component-
    index violation — each component's own winner being the first in BK
-   emission order (claim-lock) or the path-minimum (steal), both equal
-   to the serial order — reproduces the serial early-exit verdict and
+   emission order — reproduces the serial early-exit verdict and
    witness bit for bit. Budgets are enforced inside the per-component
    evaluator at clique granularity (the engine claim path here counts
    components, the wrong unit), at cumulative counts under one lock;
    a budget-cut component reports [Comp_unknown] and is never cached. *)
-let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
-    ~on_event ~hooks session q plan counters components =
+let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
+    ~hooks session q plan counters components =
   let store = Session.store session in
   let obs = Session.obs session in
   let fd = Session.fd_graph session in
@@ -404,11 +350,6 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
               (hooks.comp_suspect ~index:i c, List.length c, i, c))
             to_solve))
   in
-  let big, small =
-    List.partition
-      (fun (_, c) -> steal_enabled ~use_steal ~jobs (List.length c))
-      ordered
-  in
   let entered = ref 0 in
   let lock = Mutex.create () in
   let locked f =
@@ -421,7 +362,7 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
      attributed back by physical equality — the same convention the
      engine's scoped-view cache relies on. *)
   let index_of =
-    let assoc = List.map (fun (i, c) -> (c, i)) small in
+    let assoc = List.map (fun (i, c) -> (c, i)) ordered in
     fun members ->
       let rec go = function
         | (c, i) :: tl -> if c == members then i else go tl
@@ -493,8 +434,8 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
           | Comp_satisfied | Comp_unknown _ -> None);
       }
   in
-  if small <> [] then begin
-    let remaining = ref small in
+  if ordered <> [] then begin
+    let remaining = ref ordered in
     let source () =
       match !remaining with
       | [] -> None
@@ -524,30 +465,6 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
       Obs.add obs "dcsat.worlds" (Atomic.get worlds_acc)
     end
   end;
-  let eval = eval_clique_factory ~use_delta ~use_native obs plan in
-  List.iter
-    (fun (i, c) ->
-      match Engine.Budget.tripped budget with
-      | Some _ -> () (* unsolved: never cached; verdict resolves Unknown *)
-      | None ->
-          on_event (Component_entered c);
-          incr entered;
-          let before_cl = counters.cliques and before_w = counters.worlds in
-          let violation, exhausted =
-            run_steal ~jobs ~budget ~on_event ~scope:c session counters ~eval c
-          in
-          let verdict =
-            match (violation, exhausted) with
-            | Some (world, witness), _ -> Comp_violated { world; witness }
-            | None, Some reason -> Comp_unknown reason
-            | None, None -> Comp_satisfied
-          in
-          results.(i) <-
-            Some
-              ( verdict,
-                counters.cliques - before_cl,
-                counters.worlds - before_w ))
-    big;
   counters.covered <- counters.covered + !entered;
   Array.iteri
     (fun i r ->
@@ -612,8 +529,7 @@ let with_world_restored session k =
   Fun.protect ~finally:(fun () -> Tagged_store.set_world store saved) k
 
 let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
-    ?(use_delta = true) ?(use_native = true) ?use_steal ?(on_event = ignore)
-    session q =
+    ?(use_delta = true) ?(use_native = true) ?(on_event = ignore) session q =
   require_monotone q @@ fun () ->
   with_world_restored session @@ fun () ->
   let t0 = Monotime.now () in
@@ -626,25 +542,21 @@ let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
   else begin
     let store = Session.store session in
     let k = Tagged_store.tx_count store in
-    let all = List.init k Fun.id in
-    let eval =
-      eval_clique_factory ~use_delta ~use_native (Session.obs session) plan
-    in
     let violation, exhausted =
       if k = 0 then
         (base_world_check ~use_delta ~use_native session counters plan, None)
-      else if steal_enabled ~use_steal ~jobs k then
-        run_steal ~jobs ~budget ~on_event session counters ~eval all
       else
         run_worlds ~jobs ~budget ~on_event ~count_cliques:true session counters
-          ~eval
-          (clique_source ~budget session all)
+          ~eval:
+            (eval_clique_factory ~use_delta ~use_native (Session.obs session)
+               plan)
+          (clique_source ~budget session (List.init k Fun.id))
     in
     Ok (finish ~t0 ~precheck:false counters (verdict_of ~violation ~exhausted))
   end
 
 let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
-    ?(use_covers = true) ?(use_delta = true) ?(use_native = true) ?use_steal
+    ?(use_covers = true) ?(use_delta = true) ?(use_native = true)
     ?(on_event = ignore) ?comp_hooks session q =
   require_monotone q @@ fun () ->
   match q with
@@ -684,84 +596,24 @@ let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
               match comp_hooks with
               | Some hooks ->
                   run_scheduled ~jobs ~budget ~use_covers ~use_delta
-                    ~use_native ~use_steal ~on_event ~hooks session q plan
+                    ~use_native ~on_event ~hooks session q plan
                     counters components
               | None ->
-              let eval =
-                eval_clique_factory ~use_delta ~use_native
-                  (Session.obs session) plan
-              in
-              (* Components are processed in order, but big ones leave
-                 the claim-lock pipeline for the work-stealing backend.
-                 Runs of consecutive small components are batched through
-                 one chained {!component_source} (per-component engine
-                 joins would tax the many-tiny-components workloads), big
-                 components each get a dedicated steal run; cumulative
-                 counts feed every run's budget checks via [~counted],
-                 so the budget sees one logical enumeration. *)
-              let steal_comp c =
-                steal_enabled ~use_steal ~jobs (List.length c)
-              in
-              let rec group = function
-                | [] -> []
-                | c :: rest when steal_comp c -> `Big c :: group rest
-                | rest ->
-                    let rec take acc = function
-                      | c :: tl when not (steal_comp c) -> take (c :: acc) tl
-                      | tl -> (List.rev acc, tl)
-                    in
-                    let small, tl = take [] rest in
-                    `Batch small :: group tl
-              in
-              let run_group = function
-                | `Batch comps ->
-                    let before = counters.cliques in
-                    let source, covered =
-                      component_source ~use_covers ~budget ~on_event session q
-                        comps
-                    in
-                    let result =
-                      run_worlds ~jobs ~budget ~on_event ~count_cliques:true
-                        session counters ~eval source
-                    in
-                    counters.covered <-
-                      counters.covered
-                      + covered ~pulled:(counters.cliques - before);
-                    result
-                | `Big comp ->
-                    let covers =
-                      (not use_covers)
-                      || Obs.span obs ~cat:"dcsat" "covers" (fun () ->
-                             Covers.covers store comp q)
-                    in
-                    if not covers then begin
-                      on_event (Component_skipped comp);
-                      (None, None)
-                    end
-                    else begin
-                      on_event (Component_entered comp);
-                      let before = counters.cliques in
-                      let result =
-                        run_steal ~jobs ~budget ~on_event ~scope:comp session
-                          counters ~eval comp
-                      in
-                      if counters.cliques > before then
-                        counters.covered <- counters.covered + 1;
-                      result
-                    end
-              in
-              let rec go = function
-                | [] -> (None, Engine.Budget.tripped budget)
-                | g :: rest -> (
-                    match Engine.Budget.tripped budget with
-                    | Some _ as ex -> (None, ex)
-                    | None -> (
-                        match run_group g with
-                        | (Some _, _) as hit -> hit
-                        | (None, Some _) as ex -> ex
-                        | None, None -> go rest))
-              in
-              go (group components)
+                  (* One chained {!component_source} run: per-component
+                     engine joins would tax the many-tiny-components
+                     workloads. *)
+                  let source, covered =
+                    component_source ~use_covers ~budget ~on_event session q
+                      components
+                  in
+                  let result =
+                    run_worlds ~jobs ~budget ~on_event ~count_cliques:true
+                      session counters
+                      ~eval:(eval_clique_factory ~use_delta ~use_native obs plan)
+                      source
+                  in
+                  counters.covered <- covered ~pulled:counters.cliques;
+                  result
             end
           in
           Ok

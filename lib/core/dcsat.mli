@@ -152,7 +152,6 @@ val naive :
   ?use_precheck:bool ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?on_event:(event -> unit) ->
   Session.t ->
   Bcquery.Query.t ->
@@ -171,16 +170,7 @@ val naive :
     [use_native] (default true) turns off the closure-compiled
     evaluation tier ({!Bcquery.Eval.compile_native} via {!Inc_eval}) —
     full evaluations then run the interpreted backtracking join;
-    answers, witnesses and counts are identical either way.
-
-    [use_steal] selects the work-stealing clique backend
-    ({!Engine.run_cliques_steal}): the enumeration itself is spread over
-    the workers instead of running behind the claim lock. Defaults to
-    the [BCDB_BK_STEAL] environment variable ([0] never, [1] always) or,
-    unset, to automatic (steal only when [jobs > 1] and the node set is
-    large). Verdicts, witnesses and — on violated or fully enumerated
-    runs — work counts are identical either way; only budget-tripped
-    counts may differ, as with the claim-lock parallel backend. *)
+    answers, witnesses and counts are identical either way. *)
 
 val opt :
   ?jobs:int ->
@@ -189,28 +179,24 @@ val opt :
   ?use_covers:bool ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?on_event:(event -> unit) ->
   ?comp_hooks:comp_hooks ->
   Session.t ->
   Bcquery.Query.t ->
   (outcome, refusal) result
 (** [use_covers] (default true) disables the constant-coverage component
-    filter for ablation measurements. [jobs], [budget], [use_delta],
-    [use_native] and [use_steal] as in {!naive}; with stealing enabled, big components
-    each get a dedicated work-stealing run while runs of consecutive
-    small components stay batched through one chained claim-lock source,
-    all under cumulative budget accounting.
+    filter for ablation measurements. [jobs], [budget], [use_delta] and
+    [use_native] as in {!naive}; the cliques of all covered components
+    stream, in component order, through one engine run.
 
     [comp_hooks] switches component processing to the {e scheduled}
     path: components reported clean by [comp_clean] are skipped (their
     cached verdict being [Satisfied]), and the dirty remainder is solved
     {e exhaustively} — no cross-component early exit, so every dirty
     component's verdict reaches [comp_solved] and the caller's cache —
-    ordered suspects-first then largest-first. Small dirty components
-    become the work items of one drained claim-lock engine run
-    (cross-component parallelism); big ones each get a dedicated
-    work-stealing run. The lowest-component-index violation wins, which
+    ordered suspects-first then largest-first. The dirty components
+    become the work items of one drained engine run (cross-component
+    parallelism). The lowest-component-index violation wins, which
     reproduces the serial early-exit verdict and witness bit for bit
     (clean components cannot violate, each component's internal winner
     is the serial-order first). Caveats under [comp_hooks]: reported

@@ -111,11 +111,8 @@ type report = {
   exhausted : Budget.reason option;
 }
 
-type backend = Sequential | Parallel of int
-
+(* Upper bound on the worker count of one parallel run. *)
 let max_jobs = 64
-let backend_of_jobs jobs = if jobs <= 1 then Sequential else Parallel (min jobs max_jobs)
-let default_jobs () = Domain.recommended_domain_count ()
 
 (* Per-item evaluation time feeds the "engine.busy_s" histogram (its sum
    over jobs × wall time is the worker-utilization headline number). *)
@@ -411,151 +408,9 @@ let run_parallel ~obs ~jobs ~budget ~counted:(pulled_base, evaluated_base)
 let run ?(obs = Obs.null) ?(budget = Budget.unlimited) ?(counted = (0, 0))
     ?(stop_on_hit = true) ~jobs ~store ~replicate ?(release = ignore) ?restrict
     ~source ~eval ~on_item ~on_evaluated () =
-  match backend_of_jobs jobs with
-  | Sequential ->
-      run_sequential ~obs ~budget ~counted ~stop_on_hit ~store ~restrict
-        ~source ~eval ~on_item ~on_evaluated
-  | Parallel jobs ->
-      run_parallel ~obs ~jobs ~budget ~counted ~stop_on_hit ~replicate ~release
-        ~restrict ~source ~eval ~on_item ~on_evaluated
-
-(* Work-stealing clique backend. Instead of one sequential enumerator
-   behind the claim lock, every worker pulls cliques straight out of a
-   {!Bcgraph.Bron_kerbosch.Par} pool over [graph] — enumeration itself
-   is parallel, which is what the single-dense-component worst case
-   needs. Determinism is path-based: each claimed clique carries its
-   position in the canonical search tree, the winning violation is the
-   minimum path ({!Bcgraph.Bron_kerbosch.path_compare} = sequential
-   emission order), and [Par.prune] abandons every subtree strictly
-   after the current winner. On a violated run the reported counts are
-   recovered exactly — [count_upto] walks the same tree sequentially
-   (pure graph work, no worlds) up to the winning path — so pulled /
-   evaluated match the sequential backend's clamped stats. On a
-   budget-tripped run counts are whatever the workers got to (the same
-   nondeterminism the claim-lock backend has under budgets). All items
-   share one [scope] (the component being enumerated) or none (whole
-   store): workers evaluate on a [restrict] view or a borrowed full
-   replica. *)
-let run_cliques_steal ?(obs = Obs.null) ?(budget = Budget.unlimited)
-    ?(counted = (0, 0)) ~jobs ~replicate ?(release = ignore) ?restrict ?scope
-    ~graph ~back ~eval ~on_item ~on_evaluated () =
-  let pulled_base, evaluated_base = counted in
-  let workers = match backend_of_jobs jobs with Sequential -> 1 | Parallel j -> j in
-  let interrupt =
-    if Budget.is_unlimited budget then None else Some (Budget.interrupt budget)
-  in
-  let pool = Bcgraph.Bron_kerbosch.Par.create ?interrupt ~workers graph in
-  let lock = Mutex.create () in
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-  in
-  let pulled = Atomic.make 0 and eval_count = Atomic.make 0 in
-  let best = ref None in
-  let borrowed = ref [] in
-  let record path v =
-    locked (fun () ->
-        match !best with
-        | Some (bp, _) when Bcgraph.Bron_kerbosch.path_compare bp path <= 0 ->
-            ()
-        | _ ->
-            best := Some (path, v);
-            Bcgraph.Bron_kerbosch.Par.prune pool path)
-  in
-  let worker w () =
-    let eval = eval () in
-    let view = ref None in
-    let store_for () =
-      match !view with
-      | Some store -> store
-      | None ->
-          let store =
-            locked (fun () ->
-                match (scope, restrict) with
-                | Some comp, Some restrict -> restrict comp
-                | _ ->
-                    let store = replicate () in
-                    borrowed := store :: !borrowed;
-                    store)
-          in
-          view := Some store;
-          store
-    in
-    let claim_raw () =
-      if
-        Budget.check budget
-          ~pulled:(pulled_base + Atomic.get pulled)
-          ~evaluated:(evaluated_base + Atomic.get eval_count)
-        <> None
-      then None
-      else if Obs.enabled obs then
-        Obs.span obs ~cat:"dcsat" "bk_yield" (fun () ->
-            Bcgraph.Bron_kerbosch.Par.next pool ~worker:w)
-      else Bcgraph.Bron_kerbosch.Par.next pool ~worker:w
-    in
-    let claim () =
-      if Obs.enabled obs then Obs.span obs ~cat:"engine" "claim" claim_raw
-      else claim_raw ()
-    in
-    let rec go () =
-      match claim () with
-      | None -> ()
-      | Some (path, clique) ->
-          Atomic.incr pulled;
-          let members = List.map (fun i -> back.(i)) clique in
-          locked (fun () -> on_item members);
-          let ev = eval_timed obs eval (store_for ()) members in
-          Atomic.incr eval_count;
-          locked (fun () -> on_evaluated ev);
-          (match ev.violation with Some v -> record path v | None -> ());
-          go ()
-    in
-    Obs.span obs ~cat:"engine" "worker" go
-  in
-  let failure = ref None in
-  let guarded w =
-    try w () with
-    | e ->
-        let bt = Printexc.get_raw_backtrace () in
-        locked (fun () -> if !failure = None then failure := Some (e, bt));
-        (* poison the pool so the other workers drain quickly *)
-        Bcgraph.Bron_kerbosch.Par.prune pool [| -1 |]
-  in
-  let done_m = Mutex.create () and done_cv = Condition.create () in
-  let helpers = workers - 1 in
-  let finished = ref 0 in
-  for h = 1 to helpers do
-    Pool.submit (Pool.take ()) (fun () ->
-        guarded (worker h);
-        Mutex.lock done_m;
-        incr finished;
-        Condition.signal done_cv;
-        Mutex.unlock done_m)
-  done;
-  guarded (worker 0);
-  Obs.span obs ~cat:"engine" "join" (fun () ->
-      Mutex.lock done_m;
-      while !finished < helpers do
-        Condition.wait done_cv done_m
-      done;
-      Mutex.unlock done_m);
-  List.iter release !borrowed;
-  if Obs.enabled obs then begin
-    Obs.add obs "bk.steal" (Bcgraph.Bron_kerbosch.Par.steals pool);
-    Obs.add obs "bk.subtree" (Bcgraph.Bron_kerbosch.Par.subtrees pool)
-  end;
-  (match !failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  match !best with
-  | Some (path, v) ->
-      let counted = Bcgraph.Bron_kerbosch.count_upto graph path in
-      { hit = Some v; pulled = counted; evaluated = counted;
-        exhausted = Budget.tripped budget }
-  | None ->
-      {
-        hit = None;
-        pulled = Atomic.get pulled;
-        evaluated = Atomic.get eval_count;
-        exhausted = Budget.tripped budget;
-      }
+  if jobs <= 1 then
+    run_sequential ~obs ~budget ~counted ~stop_on_hit ~store ~restrict ~source
+      ~eval ~on_item ~on_evaluated
+  else
+    run_parallel ~obs ~jobs:(min jobs max_jobs) ~budget ~counted ~stop_on_hit
+      ~replicate ~release ~restrict ~source ~eval ~on_item ~on_evaluated

@@ -7,15 +7,15 @@
     each worker owns a private {!Tagged_store} replica (the snapshot-per-
     worker idea of block-parallel blockchain databases). Two backends:
 
-    - [Sequential] (the [jobs <= 1] path) runs items inline on the
+    - sequential (the [jobs <= 1] path) runs items inline on the
       primary store — or, for scoped items, on a component view built
       with [restrict] — bit-for-bit the pre-engine behaviour, including
       event order and statistics;
-    - [Parallel n] runs [n] workers: the calling domain plus [n - 1]
-      helpers from a persistent pool of parked domains (spawning a
-      domain costs milliseconds, often more than a whole solve, so
-      helpers are reused across runs and sleep on a condition variable
-      in between). Full replicas are borrowed lazily via [replicate] the
+    - parallel ([jobs = n > 1], capped at 64) runs [n] workers: the
+      calling domain plus [n - 1] helpers from a persistent pool of
+      parked domains (spawning a domain costs milliseconds, often more
+      than a whole solve, so helpers are reused across runs and sleep on
+      a condition variable in between). Full replicas are borrowed lazily via [replicate] the
       first time a worker meets an unscoped item (and handed back
       through [release] after the join); for scoped items each worker
       materializes its own component view with [restrict] under the
@@ -126,15 +126,6 @@ type report = {
           the question is {e unknown}. *)
 }
 
-type backend = Sequential | Parallel of int
-
-val backend_of_jobs : int -> backend
-(** [jobs <= 1] is [Sequential]; larger values are clamped to a sane
-    domain-pool bound. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val run :
   ?obs:Obs.t ->
   ?budget:Budget.t ->
@@ -194,50 +185,3 @@ val run :
     worker to finish, releases all borrowed replicas through [release],
     and re-raises with the original backtrace after the join — the
     helper-domain pool stays reusable for subsequent runs. *)
-
-val run_cliques_steal :
-  ?obs:Obs.t ->
-  ?budget:Budget.t ->
-  ?counted:int * int ->
-  jobs:int ->
-  replicate:(unit -> Tagged_store.t) ->
-  ?release:(Tagged_store.t -> unit) ->
-  ?restrict:(int list -> Tagged_store.t) ->
-  ?scope:int list ->
-  graph:Bcgraph.Undirected.t ->
-  back:int array ->
-  eval:(unit -> Tagged_store.t -> int list -> evaluation) ->
-  on_item:(int list -> unit) ->
-  on_evaluated:(evaluation -> unit) ->
-  unit ->
-  report
-(** Work-stealing clique backend: evaluate the maximal cliques of
-    [graph] (node ids mapped through [back], as from
-    {!Bcgraph.Undirected.induced}) with the enumeration itself spread
-    over [jobs] workers via {!Bcgraph.Bron_kerbosch.Par} — no single
-    producer behind a claim lock, so one giant dense component no
-    longer serializes the solve. [jobs <= 1] still runs the pool with
-    one worker (exactly the sequential DFS).
-
-    Every item shares [scope]: workers evaluate on a private [restrict]
-    view of that component, or on borrowed full replicas ([replicate] /
-    [release]) when [scope] or [restrict] is absent — the primary store
-    is never evaluated on and never mutated during the run.
-
-    {b Determinism.} Claimed cliques carry their canonical search-tree
-    path; the winning violation is the path-minimum one (= the first in
-    sequential enumeration order), later subtrees are pruned via
-    {!Bcgraph.Bron_kerbosch.Par.prune}, and on a violated run the
-    pulled/evaluated counts are recovered exactly by
-    {!Bcgraph.Bron_kerbosch.count_upto} — so verdict, witness and stats
-    all match the sequential backend's. Counts of a budget-tripped run
-    without a violation are whatever the workers reached, as with the
-    claim-lock backend. [budget] is enforced on each worker's claim
-    path ([counted] bases included) and its deadline hook interrupts
-    the pool between yields.
-
-    [obs] records the same spans as {!run} plus ["bk.steal"] /
-    ["bk.subtree"] counters (steal operations, root subtrees claimed).
-    Exception safety matches {!run}: the first failure is re-raised
-    after the join, borrowed replicas are released, the pool of parked
-    domains stays reusable. *)

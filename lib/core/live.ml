@@ -523,7 +523,7 @@ let prune tr =
   end
 
 let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
-    ?use_steal ?use_cache t q =
+    ?use_cache t q =
   let budget =
     match (timeout_s, max_worlds) with
     | None, None -> None
@@ -532,7 +532,7 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
   (* A tractable-decided query never reaches the component machinery:
      skip both the seeding and the cache bookkeeping. *)
   if Tractable.decides t.db q then
-    Solver.solve ~jobs ?budget ~use_delta ?use_native ?use_steal t.session q
+    Solver.solve ~jobs ?budget ~use_delta ?use_native t.session q
   else begin
     let use_cache =
       match use_cache with Some b -> b | None -> cache_default ()
@@ -561,8 +561,7 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
       | _ -> None
     in
     let result =
-      Solver.solve ~jobs ?budget ~use_delta ?use_native ?use_steal ?comp_hooks
-        t.session q
+      Solver.solve ~jobs ?budget ~use_delta ?use_native ?comp_hooks t.session q
     in
     (match tr with Some tr when cacheable -> prune tr | _ -> ());
     result

@@ -167,7 +167,6 @@ val check :
   ?max_worlds:int ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?use_cache:bool ->
   t ->
   Bcquery.Query.t ->

@@ -22,7 +22,7 @@ let strategy_counter = function
   | Naive -> "solver.strategy.naive"
   | Brute_force -> "solver.strategy.brute_force"
 
-let solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
+let solve ?jobs ?budget ?use_delta ?use_native ?sum_args_nonnegative
     ?comp_hooks session q =
   let obs = Session.obs session in
   let result =
@@ -31,14 +31,12 @@ let solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
     | Some (outcome, case) -> Ok (outcome, Tractable case)
     | None -> (
         match
-          Dcsat.opt ?jobs ?budget ?use_delta ?use_native ?use_steal ?comp_hooks
-            session q
+          Dcsat.opt ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q
         with
         | Ok outcome -> Ok (outcome, Opt)
         | Error `Not_connected -> (
             match
-              Dcsat.naive ?jobs ?budget ?use_delta ?use_native ?use_steal
-                session q
+              Dcsat.naive ?jobs ?budget ?use_delta ?use_native session q
             with
             | Ok outcome -> Ok (outcome, Naive)
             | Error refusal ->
@@ -62,11 +60,11 @@ let solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
   | _ -> ());
   result
 
-let solve_exn ?jobs ?budget ?use_delta ?use_native ?use_steal
-    ?sum_args_nonnegative ?comp_hooks session q =
+let solve_exn ?jobs ?budget ?use_delta ?use_native ?sum_args_nonnegative
+    ?comp_hooks session q =
   match
-    solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
-      ?comp_hooks session q
+    solve ?jobs ?budget ?use_delta ?use_native ?sum_args_nonnegative ?comp_hooks
+      session q
   with
   | Ok result -> result
   | Error msg -> invalid_arg ("Solver.solve: " ^ msg)

@@ -20,7 +20,6 @@ val solve :
   ?budget:Engine.Budget.t ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?sum_args_nonnegative:bool ->
   ?comp_hooks:Dcsat.comp_hooks ->
   Session.t ->
@@ -35,13 +34,10 @@ val solve :
     store views (see {!Engine}). [budget] bounds those enumerating
     paths; an exhausted budget yields [verdict = Unknown] in the
     outcome. The tractable procedures are PTIME and always run inline,
-    unbudgeted — they terminate promptly by construction. [use_steal]
-    selects the work-stealing clique backend for the enumerating paths
-    (see {!Dcsat.naive}); it defaults to the [BCDB_BK_STEAL] environment
-    variable, or to automatic when unset. [use_native] (default true)
-    toggles the closure-compiled evaluation tier on the same paths (see
-    {!Dcsat.naive}); answers are identical either way. [comp_hooks]
-    enables OptDCSat's per-component verdict-cache path (see
+    unbudgeted — they terminate promptly by construction. [use_native]
+    (default true) toggles the closure-compiled evaluation tier on the
+    same paths (see {!Dcsat.naive}); answers are identical either way.
+    [comp_hooks] enables OptDCSat's per-component verdict-cache path (see
     {!Dcsat.opt}); the tractable, naive and brute-force strategies
     ignore it — only the component-factorized algorithm has cacheable
     per-component verdicts. *)
@@ -51,7 +47,6 @@ val solve_exn :
   ?budget:Engine.Budget.t ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?sum_args_nonnegative:bool ->
   ?comp_hooks:Dcsat.comp_hooks ->
   Session.t ->

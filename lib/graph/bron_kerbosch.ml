@@ -1,7 +1,6 @@
 (* Degeneracy-rooted Bron–Kerbosch with Tomita pivoting.
 
-   Both entry points — the sequential [generator] and the work-stealing
-   [Par] pool — walk the *same* canonical search tree:
+   The [generator] walks one canonical search tree:
 
      - The outer level is the degeneracy order: root [i] explores the
        node [v = order.(i)] with R = {v}, P = N(v) ∩ {later in order},
@@ -13,14 +12,8 @@
        X wins only on strict improvement), branching set P \ N(pivot)
        in ascending node order.
 
-   A tree node is identified by its *path*: the array of branch indices
-   taken from the virtual top (so a root is [|i|], its j-th branch
-   [|i; j|], ...). Leaves — nodes with both P and X empty — are the
-   maximal cliques; leaf paths are prefix-free, and lexicographic order
-   on leaf paths is exactly the sequential DFS emission order. That
-   gives the parallel pool a deterministic winner (minimum path) and
-   lets a violated run recover the exact sequential clique count with a
-   cheap post-hoc graph-only walk ([count_upto]).
+   Leaves — nodes with both P and X empty — are the maximal cliques,
+   emitted in depth-first order.
 
    Pivot scoring runs through {!Bitset.max_inter} — a word-level argmax
    over the borrowed adjacency rows, no intermediate bitsets. *)
@@ -64,38 +57,6 @@ let branch_todo pr p x =
   let todo = Array.make len 0 in
   List.iteri (fun k v -> todo.(len - 1 - k) <- v) !acc;
   todo
-
-let path_snoc path i =
-  let l = Array.length path in
-  let out = Array.make (l + 1) i in
-  Array.blit path 0 out 0 l;
-  out
-
-(* Lexicographic order on paths, shorter-prefix-first tiebreak. Leaf
-   paths are prefix-free so the tiebreak never decides between two
-   cliques; it only makes the order total. *)
-let path_compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go k =
-    if k = la || k = lb then Int.compare la lb
-    else
-      let c = Int.compare a.(k) b.(k) in
-      if c <> 0 then c else go (k + 1)
-  in
-  go 0
-
-(* [beyond prefix best]: true iff *every* leaf under the tree node at
-   [prefix] has path > [best] — i.e. the first difference between the
-   two already favours [best]. When [prefix] is a prefix of [best] the
-   subtree may still contain smaller leaves, so the answer is false. *)
-let beyond prefix best =
-  let n = min (Array.length prefix) (Array.length best) in
-  let rec go k =
-    if k = n then false
-    else if prefix.(k) = best.(k) then go (k + 1)
-    else prefix.(k) > best.(k)
-  in
-  go 0
 
 (* Sticky interrupt: polled once per branching step, not once per
    yield — on adversarial graphs the search can expand exponentially
@@ -205,324 +166,3 @@ let count_maximal_cliques g =
       incr count;
       `Continue);
   !count
-
-(* ------------------------------------------------------------------ *)
-(* Post-hoc prefix count                                              *)
-
-exception Done
-
-let count_upto g target =
-  let pr = prep g in
-  let count = ref 0 in
-  (* [on_prefix]: the current node's path equals target's prefix of the
-     same depth. Off-prefix nodes are strictly before the target in DFS
-     order, so their whole subtree counts with no further comparisons;
-     on the prefix, branches left of target.(depth) fall off-prefix,
-     the one at target.(depth) stays on, and anything right of it is
-     beyond the target and pruned (unreachable when [target] is a real
-     leaf path — we meet the leaf first and stop). *)
-  let rec walk on_prefix depth p x =
-    if Bitset.is_empty p && Bitset.is_empty x then begin
-      incr count;
-      if on_prefix then raise Done
-    end
-    else begin
-      let todo = branch_todo pr p x in
-      for j = 0 to Array.length todo - 1 do
-        let v = todo.(j) in
-        let child_on =
-          on_prefix
-          &&
-          if depth >= Array.length target || j > target.(depth) then raise Done
-          else j = target.(depth)
-        in
-        let p' = Bitset.inter p pr.neigh.(v)
-        and x' = Bitset.inter x pr.neigh.(v) in
-        walk child_on (depth + 1) p' x';
-        Bitset.remove p v;
-        Bitset.add x v
-      done
-    end
-  in
-  (try
-     let i = ref 0 in
-     while !i < pr.n do
-       let v = pr.order.(!i) in
-       let child_on =
-         if Array.length target = 0 || !i > target.(0) then raise Done
-         else !i = target.(0)
-       in
-       let p, x = root_px pr v in
-       walk child_on 1 p x;
-       incr i
-     done
-   with Done -> ());
-  !count
-
-(* ------------------------------------------------------------------ *)
-(* Work-stealing pool                                                 *)
-
-module Par = struct
-  (* A frame is one interior tree node with branches [lo, hi) still
-     unexplored. [fpr]/[fxr] are the *running* P/X — the frozen sets of
-     the node advanced past branches [0, lo): every mutation happens
-     under the owning deque's mutex, and a thief splitting off the
-     suffix [mid, hi) rebuilds its own running sets by advancing copies
-     of the victim's over todo.[lo, mid). [fpath] and [ftodo] are
-     immutable and safely shared between the halves. *)
-  type frame = {
-    fpath : int array;
-    fr : int list;
-    ftodo : int array;
-    mutable lo : int;
-    mutable hi : int;
-    fpr : Bitset.t;
-    fxr : Bitset.t;
-  }
-
-  type deque = { dmutex : Mutex.t; mutable frames : frame list (* head = newest *) }
-
-  type t = {
-    pp : prep;
-    workers : int;
-    interrupted : unit -> bool;
-    cursor : int Atomic.t;  (* next unclaimed root index *)
-    live : int Atomic.t;  (* deque frames + in-hand work tokens *)
-    best : int array option Atomic.t;  (* min winning leaf path so far *)
-    deques : deque array;
-    steal_count : int Atomic.t;
-    subtree_count : int Atomic.t;
-  }
-
-  let create ?interrupt ~workers g =
-    if workers < 1 then invalid_arg "Bron_kerbosch.Par.create: workers < 1";
-    let stop = sticky interrupt in
-    (* The caller's hook must already be domain-safe (the engine shares
-       Budget.interrupt across workers); stickiness needs an atomic. *)
-    let dead = Atomic.make false in
-    let interrupted () =
-      Atomic.get dead
-      ||
-      if stop () then begin
-        Atomic.set dead true;
-        true
-      end
-      else false
-    in
-    {
-      pp = prep g;
-      workers;
-      interrupted;
-      cursor = Atomic.make 0;
-      live = Atomic.make 0;
-      best = Atomic.make None;
-      deques =
-        Array.init workers (fun _ -> { dmutex = Mutex.create (); frames = [] });
-      steal_count = Atomic.make 0;
-      subtree_count = Atomic.make 0;
-    }
-
-  let steals t = Atomic.get t.steal_count
-  let subtrees t = Atomic.get t.subtree_count
-
-  let prune t path =
-    let rec cas () =
-      let cur = Atomic.get t.best in
-      match cur with
-      | Some b when path_compare b path <= 0 -> ()
-      | _ -> if not (Atomic.compare_and_set t.best cur (Some path)) then cas ()
-    in
-    cas ()
-
-  let beyond_best t prefix =
-    match Atomic.get t.best with None -> false | Some b -> beyond prefix b
-
-  let push_own t w f =
-    let dq = t.deques.(w) in
-    Mutex.lock dq.dmutex;
-    dq.frames <- f :: dq.frames;
-    Atomic.incr t.live;
-    Mutex.unlock dq.dmutex
-
-  (* Push a frame whose live token is already accounted for (a stolen
-     frame: the split case bumps [live] under the victim's lock, the
-     move-whole case carries the victim frame's own count across).
-     Incrementing again here would leak a token per steal and keep the
-     termination test from ever firing. *)
-  let push_stolen t w f =
-    let dq = t.deques.(w) in
-    Mutex.lock dq.dmutex;
-    dq.frames <- f :: dq.frames;
-    Mutex.unlock dq.dmutex
-
-  (* Take the next branch of the newest frame of [w]'s own deque.
-     Returns [`Empty] when the deque is empty, [`Pruned] when the frame
-     head was dropped against the current best path, and
-     [`Branch (path, r, p, x)] — with a live-token acquired — when a
-     child node was carved out. *)
-  let take_own t w =
-    let dq = t.deques.(w) in
-    Mutex.lock dq.dmutex;
-    match dq.frames with
-    | [] ->
-        Mutex.unlock dq.dmutex;
-        `Empty
-    | f :: rest ->
-        let i = f.lo in
-        let branch_path = path_snoc f.fpath i in
-        if beyond_best t branch_path then begin
-          (* every leaf under branches [lo, hi) is beyond the winner *)
-          dq.frames <- rest;
-          Atomic.decr t.live;
-          Mutex.unlock dq.dmutex;
-          `Pruned
-        end
-        else begin
-          Atomic.incr t.live;
-          let v = f.ftodo.(i) in
-          let p' = Bitset.inter f.fpr t.pp.neigh.(v)
-          and x' = Bitset.inter f.fxr t.pp.neigh.(v) in
-          Bitset.remove f.fpr v;
-          Bitset.add f.fxr v;
-          f.lo <- i + 1;
-          if f.lo >= f.hi then begin
-            dq.frames <- rest;
-            Atomic.decr t.live
-          end;
-          Mutex.unlock dq.dmutex;
-          `Branch (branch_path, v :: f.fr, p', x')
-        end
-
-  (* Under the victim's lock: split the oldest frame that still has two
-     or more branches (the shallowest = biggest subtree); if every frame
-     is down to its last branch, take the oldest whole. Returns a frame
-     already accounted for in [live] that the thief must push. *)
-  let steal_from t dq =
-    let rec scan frames last_split last_any =
-      match frames with
-      | [] -> (last_split, last_any)
-      | f :: rest ->
-          scan rest (if f.hi - f.lo >= 2 then Some f else last_split) (Some f)
-    in
-    match scan dq.frames None None with
-    | Some f, _ ->
-        let mid = (f.lo + f.hi + 1) / 2 in
-        let pr' = Bitset.copy f.fpr and xr' = Bitset.copy f.fxr in
-        for k = f.lo to mid - 1 do
-          Bitset.remove pr' f.ftodo.(k);
-          Bitset.add xr' f.ftodo.(k)
-        done;
-        let nf =
-          {
-            fpath = f.fpath;
-            fr = f.fr;
-            ftodo = f.ftodo;
-            lo = mid;
-            hi = f.hi;
-            fpr = pr';
-            fxr = xr';
-          }
-        in
-        f.hi <- mid;
-        Atomic.incr t.live;
-        Some nf
-    | None, Some f ->
-        (* single-branch frames only: move the oldest across; it keeps
-           its live count *)
-        dq.frames <- List.filter (fun g -> g != f) dq.frames;
-        Some f
-    | None, None -> None
-
-  let try_steal t w =
-    let rec go k =
-      if k >= t.workers then false
-      else
-        let vi = (w + 1 + k) mod t.workers in
-        if vi = w then go (k + 1)
-        else
-          let dq = t.deques.(vi) in
-          if Mutex.try_lock dq.dmutex then begin
-            let stolen = steal_from t dq in
-            Mutex.unlock dq.dmutex;
-            match stolen with
-            | Some f ->
-                push_stolen t w f;
-                Atomic.incr t.steal_count;
-                true
-            | None -> go (k + 1)
-          end
-          else go (k + 1)
-    in
-    go 0
-
-  let next t ~worker =
-    let w = worker in
-    if w < 0 || w >= t.workers then invalid_arg "Bron_kerbosch.Par.next";
-    (* [process] holds one live token for the child node in hand;
-       releases it before returning a leaf or resuming the loop. *)
-    let rec process path r p x =
-      if Bitset.is_empty p && Bitset.is_empty x then begin
-        Atomic.decr t.live;
-        Some (path, List.sort Int.compare r)
-      end
-      else begin
-        let todo = branch_todo t.pp p x in
-        if Array.length todo > 0 then
-          push_own t w
-            {
-              fpath = path;
-              fr = r;
-              ftodo = todo;
-              lo = 0;
-              hi = Array.length todo;
-              fpr = p;
-              fxr = x;
-            };
-        Atomic.decr t.live;
-        loop ()
-      end
-    and claim_root () =
-      (* [live] is bumped *before* the cursor moves: any worker that
-         observes the advanced cursor also observes the token, so the
-         termination test (roots exhausted && live = 0) can't fire while
-         a root claim is in flight. *)
-      Atomic.incr t.live;
-      let i = Atomic.fetch_and_add t.cursor 1 in
-      if i >= t.pp.n then begin
-        Atomic.decr t.live;
-        `Exhausted
-      end
-      else begin
-        Atomic.incr t.subtree_count;
-        if beyond_best t [| i |] then begin
-          Atomic.decr t.live;
-          `Claimed_empty
-        end
-        else begin
-          let v = t.pp.order.(i) in
-          let p, x = root_px t.pp v in
-          `Root (process [| i |] [ v ] p x)
-        end
-      end
-    and loop () =
-      if t.interrupted () then None
-      else
-        match take_own t w with
-        | `Branch (path, r, p, x) -> process path r p x
-        | `Pruned -> loop ()
-        | `Empty -> (
-            match claim_root () with
-            | `Root r -> r
-            | `Claimed_empty -> loop ()
-            | `Exhausted ->
-                if try_steal t w then loop ()
-                else if
-                  Atomic.get t.live = 0 && Atomic.get t.cursor >= t.pp.n
-                then None
-                else begin
-                  Domain.cpu_relax ();
-                  loop ()
-                end)
-    in
-    if t.pp.n = 0 then None else loop ()
-end

@@ -5,19 +5,10 @@
     style): the outer level is split into one subtree per node, each of
     candidate width at most the graph's degeneracy.
 
-    Enumeration comes in three flavours: a callback that may abort early
-    — denial constraint checking stops at the first violating world — a
-    resumable step-wise generator that hands cliques out one at a time,
-    and a work-stealing pool ({!Par}) that enumerates the {e same} search
-    tree from several domains at once.
-
-    All flavours walk one canonical tree. A tree node is named by its
-    {e path} — the branch indices from the top (root [i] is [[|i|]], its
-    [j]-th branch [[|i; j|]], ...). Maximal cliques are the leaves; leaf
-    paths are prefix-free and their lexicographic order ({!path_compare})
-    is exactly the sequential emission order, which is what keeps the
-    parallel pool's lowest-path winner identical to the sequential
-    first-found result. *)
+    Enumeration comes in two flavours: a callback that may abort early
+    — denial constraint checking stops at the first violating world — and
+    a resumable step-wise generator that hands cliques out one at a time.
+    Both walk the same tree in the same depth-first order. *)
 
 val generator : ?interrupt:(unit -> bool) -> Undirected.t -> unit -> int list option
 (** [generator g] is a stateful puller: each call produces the next
@@ -43,52 +34,3 @@ val maximal_cliques : Undirected.t -> int list list
 (** All maximal cliques, in enumeration order. *)
 
 val count_maximal_cliques : Undirected.t -> int
-
-val path_compare : int array -> int array -> int
-(** Lexicographic order on tree paths; on two leaf paths this is exactly
-    the sequential enumeration order. *)
-
-val count_upto : Undirected.t -> int array -> int
-(** [count_upto g path] is the number of maximal cliques whose tree path
-    is [<= path] — i.e. the 1-based position of the leaf at [path] in
-    sequential enumeration order. A pure graph walk (no worlds, no
-    stored cliques): subtrees entirely after [path] are pruned, so a
-    violated parallel run can recover the exact sequential pulled /
-    evaluated counts without having recorded its enumeration. *)
-
-module Par : sig
-  (** Work-stealing enumeration of the same tree. Each worker owns a
-      deque of unexplored frames; exhausted workers claim fresh root
-      subtrees from a shared cursor, then steal half the branch range of
-      the shallowest splittable frame of a victim. Termination is
-      detected by a live-work token count; {!prune} lets the consumer
-      cut every subtree strictly after a known winning leaf, preserving
-      the deterministic lowest-path winner. *)
-
-  type t
-
-  val create : ?interrupt:(unit -> bool) -> workers:int -> Undirected.t -> t
-  (** [interrupt] is shared by all workers (it must be domain-safe, like
-      [Engine.Budget.interrupt]) and is sticky: once it fires, every
-      worker's {!next} permanently answers [None]. *)
-
-  val next : t -> worker:int -> (int array * int list) option
-  (** [next t ~worker] is the next maximal clique claimed by [worker]
-      (in [0 .. workers-1], exclusive to one domain): its tree path and
-      the ascending node list. Blocks (spinning cooperatively) while
-      other workers still hold unexplored work; [None] means the whole
-      enumeration is exhausted, pruned or interrupted. The union of all
-      workers' cliques is exactly the sequential enumeration minus
-      subtrees pruned after {!prune}. *)
-
-  val prune : t -> int array -> unit
-  (** [prune t path] records a winning leaf: subtrees every leaf of
-      which is lexicographically after [path] are abandoned. Keeps the
-      minimum over all calls, so racing workers can only tighten it. *)
-
-  val steals : t -> int
-  (** Successful steal operations so far. *)
-
-  val subtrees : t -> int
-  (** Root subtrees claimed so far. *)
-end

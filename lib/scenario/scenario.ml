@@ -69,8 +69,8 @@ type solved = {
 
 let compile t = Compile.of_trace t.trace
 
-let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?use_steal
-    ?timeout_s ?max_worlds t compiled =
+let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?timeout_s
+    ?max_worlds t compiled =
   match t.property compiled with
   | Error msg -> Error ("property: " ^ msg)
   | Ok query -> (
@@ -91,20 +91,20 @@ let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?use_steal
         | Auto ->
             Result.map
               (fun (o, s) -> (o, Core.Solver.strategy_name s))
-              (Core.Solver.solve ?jobs ~budget ?use_delta ?use_native
-                 ?use_steal session query)
+              (Core.Solver.solve ?jobs ~budget ?use_delta ?use_native session
+                 query)
         | Naive ->
             Result.map
               (fun o -> (o, "NaiveDCSat"))
               (Result.map_error refusal_to_string
                  (Core.Dcsat.naive ?jobs ~budget ?use_delta ?use_native
-                    ?use_steal session query))
+                    session query))
         | Opt ->
             Result.map
               (fun o -> (o, "OptDCSat"))
               (Result.map_error refusal_to_string
                  (Core.Dcsat.opt ?jobs ~budget ?use_delta ?use_native
-                    ?use_steal session query))
+                    session query))
         | Brute -> (
             match
               Core.Dcsat.brute_force ?jobs ~budget ?use_delta ?use_native
@@ -127,8 +127,7 @@ let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?use_steal
                   outcome.Core.Dcsat.verdict;
             })
 
-let solve ?engine ?jobs ?use_delta ?use_native ?use_steal ?timeout_s
-    ?max_worlds t =
+let solve ?engine ?jobs ?use_delta ?use_native ?timeout_s ?max_worlds t =
   Result.bind (compile t)
-    (solve_compiled ?engine ?jobs ?use_delta ?use_native ?use_steal ?timeout_s
-       ?max_worlds t)
+    (solve_compiled ?engine ?jobs ?use_delta ?use_native ?timeout_s ?max_worlds
+       t)

@@ -78,7 +78,6 @@ val solve_compiled :
   ?jobs:int ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   t ->
@@ -94,7 +93,6 @@ val solve :
   ?jobs:int ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   t ->

@@ -134,7 +134,7 @@ let verdict_class = function
   | Core.Dcsat.Violated _ -> "violated"
   | Core.Dcsat.Unknown _ -> "unknown"
 
-let differential ?jobs ?use_delta ?use_native ?use_steal script =
+let differential ?jobs ?use_delta ?use_native script =
   match Compile.of_trace (assemble script) with
   | Error msg -> Error ("interpreter: " ^ msg)
   | Ok compiled -> (
@@ -143,8 +143,8 @@ let differential ?jobs ?use_delta ?use_native ?use_steal script =
       in
       let db = Compile.db compiled in
       let auto =
-        Core.Solver.solve ?jobs ?use_delta ?use_native ?use_steal
-          (Core.Session.create db) query
+        Core.Solver.solve ?jobs ?use_delta ?use_native (Core.Session.create db)
+          query
       in
       match auto with
       | Error msg -> Error ("auto solver refused: " ^ msg)

@@ -45,7 +45,6 @@ val differential :
   ?jobs:int ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   script ->
   (unit, string) result
 (** The differential oracle the fuzz tests and the bench smoke round

@@ -2,10 +2,9 @@
     key-conflicting transaction pairs whose compatibility graph is one
     cocktail-party component K_{pairs×2} with [2^pairs] maximal worlds.
 
-    This is the adversarial regime the work-stealing Bron–Kerbosch
-    backend targets: a single giant component where the sequential
-    clique producer would otherwise serialize the whole solve behind
-    one enumerator. The paired query is satisfied but undecidable by
+    This is the adversarial regime for the clique enumeration: a single
+    giant component whose cliques all come from one sequential producer
+    behind the engine's claim lock. The paired query is satisfied but undecidable by
     the pre-check, so every world must be materialized and evaluated. *)
 
 val db : pairs:int -> Bccore.Bcdb.t

@@ -23,13 +23,11 @@ type measurement = {
   eval_delta_ratio : float;
   base_bytes : int;
   dict_hits : int;
-  bk_steals : int;
-  bk_subtrees : int;
   eval_native : int;
 }
 
 let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
-    ?(use_delta = true) ?use_native ?use_steal ?timeout_s ?max_worlds
+    ?(use_delta = true) ?use_native ?timeout_s ?max_worlds
     ?(obs_sinks = []) ~session ~label ~algo ~variant q =
   let solve () =
     (* Budgets are single-run (the deadline is absolute): each solve gets
@@ -42,11 +40,8 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
     let result =
       match algo with
       | Naive ->
-          Core.Dcsat.naive ~jobs ~budget ~use_delta ?use_native ?use_steal
-            session q
-      | Opt ->
-          Core.Dcsat.opt ~jobs ~budget ~use_delta ?use_native ?use_steal
-            session q
+          Core.Dcsat.naive ~jobs ~budget ~use_delta ?use_native session q
+      | Opt -> Core.Dcsat.opt ~jobs ~budget ~use_delta ?use_native session q
     in
     match result with
     | Ok outcome -> outcome
@@ -135,8 +130,6 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
     eval_delta_ratio;
     base_bytes = Core.Tagged_store.base_bytes (Core.Session.store session);
     dict_hits = Core.Obs.counter obs "segment.dict_hits";
-    bk_steals = Core.Obs.counter obs "bk.steal";
-    bk_subtrees = Core.Obs.counter obs "bk.subtree";
     eval_native = Core.Obs.counter obs "eval.compiled_native";
   }
 

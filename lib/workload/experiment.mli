@@ -52,13 +52,6 @@ type measurement = {
   dict_hits : int;
       (** Base-segment dictionary probes that found their string/bool
           key, from the instrumented run (["segment.dict_hits"]). *)
-  bk_steals : int;
-      (** Work-stealing clique backend: frames stolen between worker
-          deques in the instrumented run (["bk.steal"]); 0 when the
-          claim-lock backend ran. *)
-  bk_subtrees : int;
-      (** Degeneracy-ordered root subtrees claimed by the stealing
-          backend (["bk.subtree"]); 0 under the claim-lock backend. *)
   eval_native : int;
       (** Full evaluations served by the closure-compiled plan in the
           instrumented run (["eval.compiled_native"]). *)
@@ -71,7 +64,6 @@ val run :
   ?jobs:int ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?use_steal:bool ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   ?obs_sinks:Bccore.Obs.sink list ->
@@ -91,10 +83,8 @@ val run :
     evaluation layer ({!Bccore.Inc_eval}); pass [false] to measure the
     full-evaluation baseline, or when comparing backends whose runs
     would otherwise replay each other's cached worlds. [use_native]
-    (default true) toggles the closure-compiled evaluation tier;
-    [use_steal] forces the work-stealing clique backend on ([true]) or
-    off ([false]) — left unset, the solver consults [BCDB_BK_STEAL] or
-    falls back to automatic selection (see {!Bccore.Dcsat.naive}). [timeout_s]/[max_worlds] bound each individual solve
+    (default true) toggles the closure-compiled evaluation tier.
+    [timeout_s]/[max_worlds] bound each individual solve
     (a fresh {!Bccore.Engine.Budget} per run, so repeats don't share one
     allowance); a tripped budget surfaces as [unknown = true]. Raises
     [Invalid_argument] if the solver refuses the query (e.g. OptDCSat on

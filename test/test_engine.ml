@@ -2,10 +2,14 @@
    max-pulled) surfacing as three-valued verdicts, the clique
    generator's interrupt hook, and exception safety of both backends —
    a raising eval must propagate to the caller, release every borrowed
-   replica, and leave the helper-domain pool reusable. *)
+   replica, and leave the helper-domain pool reusable — plus a
+   solver-level differential of the jobs=4 pool against jobs=1. *)
 
 module Core = Bccore
 module Engine = Core.Engine
+module R = Relational
+module V = R.Value
+module Q = Bcquery
 
 (* CI runs the suite once with BCDB_TEST_JOBS=1 and once with
    BCDB_TEST_JOBS=4, exercising the same assertions against the
@@ -221,6 +225,117 @@ let jobs_cases name mk =
       `Quick (mk par_jobs);
   ]
 
+(* --- solver-level differential: jobs=1 vs the jobs=4 pool --- *)
+
+let acct = R.Schema.relation "Acct" [ "id"; "val" ]
+let cat = R.Schema.of_list [ acct ]
+let acct_row id v = ("Acct", R.Tuple.make [ V.Int id; V.Str v ])
+
+(* Random instances with heavy key conflicts: many pending writers of
+   few distinct ids makes the fd graph dense — one big clique stream
+   for the pool's workers to share. *)
+let random_db rng =
+  let state = R.Database.create cat in
+  R.Database.insert_all state [ acct_row 9 "a" ];
+  let k = 5 + Random.State.int rng 5 in
+  let random_tx () =
+    let rows = 1 + Random.State.int rng 2 in
+    List.init rows (fun _ ->
+        acct_row
+          (Random.State.int rng 4)
+          (if Random.State.bool rng then "a" else "b"))
+  in
+  Core.Bcdb.create_exn ~state
+    ~constraints:[ R.Constr.key acct [ "id" ] ]
+    ~pending:(List.init k (fun _ -> random_tx ()))
+    ()
+
+let queries =
+  [
+    {| q() :- Acct(x, "a"), Acct(x, "b"). |};
+    {| q() :- Acct(0, v). |};
+    {| q() :- Acct(x, "a"), Acct(y, "b"), x != y. |};
+  ]
+
+(* Everything observable except runtime must coincide: the pool's
+   lowest-index winner is the sequential first violation, and its work
+   counts are clamped to that index. *)
+let same_outcome (a : Core.Dcsat.outcome) (b : Core.Dcsat.outcome) =
+  let sa = a.Core.Dcsat.stats and sb = b.Core.Dcsat.stats in
+  a.Core.Dcsat.satisfied = b.Core.Dcsat.satisfied
+  && a.Core.Dcsat.witness_world = b.Core.Dcsat.witness_world
+  && a.Core.Dcsat.witness = b.Core.Dcsat.witness
+  && a.Core.Dcsat.verdict = b.Core.Dcsat.verdict
+  && sa.Core.Dcsat.worlds_checked = sb.Core.Dcsat.worlds_checked
+  && sa.Core.Dcsat.cliques_enumerated = sb.Core.Dcsat.cliques_enumerated
+  && sa.Core.Dcsat.components_total = sb.Core.Dcsat.components_total
+  && sa.Core.Dcsat.components_covered = sb.Core.Dcsat.components_covered
+  && sa.Core.Dcsat.precheck_decided = sb.Core.Dcsat.precheck_decided
+
+let pool_matches_sequential =
+  QCheck.Test.make
+    ~name:"naive/opt: jobs=4 pool = jobs=1 (verdict/witness/stats)"
+    ~count:60
+    QCheck.(pair (int_bound 100_000) (int_bound (List.length queries - 1)))
+    (fun (seed, qi) ->
+      let rng = Random.State.make [| seed |] in
+      let db = random_db rng in
+      let session = Core.Session.create db in
+      let q = Q.Parser.parse_exn ~catalog:cat (List.nth queries qi) in
+      (* no precheck: force the enumeration on every instance *)
+      let naive ~jobs =
+        match Core.Dcsat.naive ~use_precheck:false ~jobs session q with
+        | Ok o -> o
+        | Error _ -> QCheck.assume_fail ()
+      in
+      let naive_ok = same_outcome (naive ~jobs:1) (naive ~jobs:4) in
+      let opt_ok =
+        match Core.Dcsat.opt ~use_precheck:false ~jobs:1 session q with
+        | Error _ -> true (* disconnected: Naive covers it *)
+        | Ok base -> (
+            match Core.Dcsat.opt ~use_precheck:false ~jobs:4 session q with
+            | Ok o -> same_outcome base o
+            | Error _ -> false)
+      in
+      naive_ok && opt_ok)
+
+(* A tripped budget must surface as Unknown and leave the session
+   reusable: borrowed replicas handed back, a follow-up unbudgeted solve
+   on the same session gives the exact answer. *)
+let budget_trips_to_unknown () =
+  let state = R.Database.create cat in
+  let pending =
+    (* 8 key-conflicting pairs: 2^8 maximal worlds, all satisfied *)
+    List.concat_map
+      (fun j -> [ [ acct_row j "a" ]; [ acct_row j "b" ] ])
+      (List.init 8 Fun.id)
+  in
+  let db =
+    Core.Bcdb.create_exn ~state
+      ~constraints:[ R.Constr.key acct [ "id" ] ]
+      ~pending ()
+  in
+  let session = Core.Session.create db in
+  let q =
+    Q.Parser.parse_exn ~catalog:cat {| q() :- Acct(x, "a"), Acct(x, "b"). |}
+  in
+  for _ = 1 to 2 do
+    let budget = Core.Engine.Budget.create ~max_worlds:4 () in
+    (match
+       Core.Dcsat.naive ~use_precheck:false ~jobs:4 ~budget session q
+     with
+    | Ok o -> (
+        match o.Core.Dcsat.verdict with
+        | Core.Dcsat.Unknown _ -> ()
+        | v -> Alcotest.failf "expected Unknown, got %s" (Core.Dcsat.verdict_name v))
+    | Error _ -> Alcotest.fail "refused");
+    match Core.Dcsat.naive ~use_precheck:false ~jobs:4 session q with
+    | Ok o ->
+        Alcotest.(check bool)
+          "full solve after trip is exact" true o.Core.Dcsat.satisfied
+    | Error _ -> Alcotest.fail "refused"
+  done
+
 let () =
   Alcotest.run "engine"
     [
@@ -245,4 +360,10 @@ let () =
         jobs_cases "eval raise propagates" test_eval_raise_propagates
         @ jobs_cases "replicate raise propagates"
             test_replicate_raise_propagates );
+      ( "solver",
+        [
+          QCheck_alcotest.to_alcotest pool_matches_sequential;
+          Alcotest.test_case "budget trips to Unknown" `Quick
+            budget_trips_to_unknown;
+        ] );
     ]

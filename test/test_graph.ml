@@ -1,4 +1,5 @@
-(* Graph substrate: bitsets, union-find, components, Bron–Kerbosch. *)
+(* Graph substrate: bitsets, union-find, components, Bron–Kerbosch and
+   its helpers (Bitset.max_inter, Undirected.degeneracy_order). *)
 
 module G = Bcgraph
 
@@ -314,6 +315,78 @@ let induced_preserves_edges =
       done;
       !ok)
 
+(* --- graph-layer helpers of the clique enumeration ---------------- *)
+
+let random_graph n edges =
+  let g = G.Undirected.create n in
+  List.iter
+    (fun (i, j) -> if i < n && j < n && i <> j then G.Undirected.add_edge g i j)
+    edges;
+  g
+
+let graph_arb =
+  QCheck.(
+    pair (int_range 1 10)
+      (list_of_size (QCheck.Gen.int_bound 30) (pair (int_bound 9) (int_bound 9))))
+
+(* --- Bitset.max_inter ------------------------------------------------ *)
+
+let max_inter_matches_naive =
+  QCheck.Test.make ~name:"max_inter = naive argmax over inter_cardinal"
+    ~count:200
+    QCheck.(
+      triple
+        (list_of_size (QCheck.Gen.int_bound 12) (int_bound 19))
+        (list_of_size (QCheck.Gen.int_bound 12) (int_bound 19))
+        (array_of_size (QCheck.Gen.return 20)
+           (list_of_size (QCheck.Gen.int_bound 8) (int_bound 19))))
+    (fun (cand, target, rows_members) ->
+      let cand = G.Bitset.of_list 20 cand
+      and target = G.Bitset.of_list 20 target in
+      let rows = Array.map (G.Bitset.of_list 20) rows_members in
+      let naive =
+        List.fold_left
+          (fun (bu, bs) u ->
+            let s = G.Bitset.inter_cardinal rows.(u) target in
+            if s > bs then (u, s) else (bu, bs))
+          (-1, -1)
+          (G.Bitset.to_list cand)
+      in
+      G.Bitset.max_inter ~rows cand target = naive)
+
+(* --- Undirected.degeneracy_order ------------------------------------ *)
+
+let degeneracy_is_greedy_min_peel =
+  QCheck.Test.make ~name:"degeneracy_order = greedy min-degree peel"
+    ~count:100 graph_arb (fun (n, edges) ->
+      let g = random_graph n edges in
+      let order = G.Undirected.degeneracy_order g in
+      (* a permutation of 0..n-1 *)
+      List.sort compare (Array.to_list order) = List.init n Fun.id
+      &&
+      (* each removed node has minimum remaining degree, smallest id on
+         ties, against a naive simulation *)
+      let removed = Array.make n false in
+      let live_degree v =
+        List.length
+          (List.filter (fun u -> not removed.(u)) (G.Undirected.neighbours g v))
+      in
+      Array.for_all
+        (fun v ->
+          let dv = live_degree v in
+          let ok =
+            List.for_all
+              (fun u ->
+                removed.(u) || u = v
+                ||
+                let du = live_degree u in
+                du > dv || (du = dv && u > v))
+              (List.init n Fun.id)
+          in
+          removed.(v) <- true;
+          ok)
+        order)
+
 let () =
   Alcotest.run "graph"
     [
@@ -342,5 +415,10 @@ let () =
           Alcotest.test_case "early stop" `Quick test_early_stop;
           QCheck_alcotest.to_alcotest bk_matches_brute;
           QCheck_alcotest.to_alcotest generator_matches_iter;
+        ] );
+      ( "helpers",
+        [
+          QCheck_alcotest.to_alcotest max_inter_matches_naive;
+          QCheck_alcotest.to_alcotest degeneracy_is_greedy_min_peel;
         ] );
     ]

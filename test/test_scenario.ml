@@ -1,14 +1,14 @@
 (* Scenario differential harness: every named scenario instance must
    produce its scripted verdict under every solver (auto dispatch,
    NaiveDCSat, OptDCSat, brute force), at jobs 1 and 4, across the
-   delta / native / steal evaluation toggles. The qcheck generator is
+   delta / native evaluation toggles. The qcheck generator is
    fuzzed at fixed, replayable seeds against a solver-vs-brute-force
    oracle, and the shrinker is shown to minimize an injected failing
    trace to a single zeroed payment step.
 
-   CI runs this file once per BCDB_TEST_JOBS x BCDB_BK_STEAL matrix
-   cell; the explicit jobs list below keeps both parallelism levels
-   covered even in a single run. *)
+   CI runs this file once per BCDB_TEST_JOBS matrix cell; the explicit
+   jobs list below keeps both parallelism levels covered even in a
+   single run. *)
 
 module S = Scenario
 module G = Scenario.Trace_gen
@@ -20,15 +20,8 @@ let jobs_env =
 
 let jobs_list = if List.mem jobs_env [ 1; 4 ] then [ 1; 4 ] else [ 1; 4; jobs_env ]
 
-(* (use_delta, use_native, use_steal) *)
-let toggles =
-  [
-    (false, false, false);
-    (true, false, false);
-    (false, true, false);
-    (false, false, true);
-    (true, true, true);
-  ]
+(* (use_delta, use_native) *)
+let toggles = [ (false, false); (true, false); (false, true); (true, true) ]
 
 let engines = [ S.Auto; S.Naive; S.Opt; S.Brute ]
 
@@ -41,12 +34,12 @@ let test_differential () =
           List.iter
             (fun engine ->
               List.iter
-                (fun (use_delta, use_native, use_steal) ->
+                (fun (use_delta, use_native) ->
                   List.iter
                     (fun jobs ->
                       match
                         S.solve_compiled ~engine ~jobs ~use_delta ~use_native
-                          ~use_steal inst compiled
+                          inst compiled
                       with
                       | Error msg -> (
                           (* A specialized solver may refuse a query
@@ -63,10 +56,9 @@ let test_differential () =
                           | Ok () -> ()
                           | Error msg ->
                               Alcotest.failf
-                                "%s [%s jobs=%d delta=%b native=%b steal=%b]: \
-                                 %s"
+                                "%s [%s jobs=%d delta=%b native=%b]: %s"
                                 inst.S.name (S.engine_name engine) jobs
-                                use_delta use_native use_steal msg))
+                                use_delta use_native msg))
                     jobs_list)
                 toggles)
             engines)
