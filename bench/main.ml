@@ -99,11 +99,11 @@ let recorded : (string * float * E.measurement) list ref = ref []
    summary into this collector; one Chrome trace_event file covering the
    whole bench run is written (and schema-validated) at exit. *)
 let trace_out : string option ref = ref None
-let trace_collector = Core.Obs.collector ()
+let trace_collector = Bcobs.Obs.collector ()
 
 let obs_sinks () =
   match !trace_out with
-  | Some _ -> [ Core.Obs.collector_sink trace_collector ]
+  | Some _ -> [ Bcobs.Obs.collector_sink trace_collector ]
   | None -> []
 
 (* Worker count that the jobs sweep found fastest on the largest
@@ -456,9 +456,9 @@ let datasize () =
     let rows = p.W.Huge.rows in
     Printf.printf "[datasize] building %s (%d rows)...\n%!" (W.Huge.name p)
       rows;
-    let t0 = Core.Monotime.now () in
+    let t0 = Bcobs.Monotime.now () in
     let db = W.Huge.generate p in
-    let build_s = Core.Monotime.elapsed ~since:t0 in
+    let build_s = Bcobs.Monotime.elapsed ~since:t0 in
     let sess = E.session_of db in
     let x = float_of_int rows in
     let q_hit = W.Huge.query_hit () and q_miss = W.Huge.query_miss () in
@@ -474,16 +474,16 @@ let datasize () =
         ~algo:E.Opt ~variant:Q.Satisfied q_miss
     in
     let snap = Filename.temp_file "bcdb-bench" ".snap" in
-    let t0 = Core.Monotime.now () in
+    let t0 = Bcobs.Monotime.now () in
     (match Core.Bcdb_file.save_binary snap db with
     | Ok () -> ()
     | Error e -> fail "datasize (%d rows): save_binary: %s" rows e);
-    let save_s = Core.Monotime.elapsed ~since:t0 in
+    let save_s = Bcobs.Monotime.elapsed ~since:t0 in
     (* The restore models a fresh-process restart (the snapshot's whole
        point), so the cold build's and the save buffer's GC debt — paid
        here, outside any timed region — must not bill to the load. *)
     Gc.compact ();
-    let t0 = Core.Monotime.now () in
+    let t0 = Bcobs.Monotime.now () in
     let restored =
       match Core.Bcdb_file.load_binary snap with
       | Ok db' -> db'
@@ -491,7 +491,7 @@ let datasize () =
           fail "datasize (%d rows): load_binary: %s" rows e;
           db
     in
-    let load_s = Core.Monotime.elapsed ~since:t0 in
+    let load_s = Bcobs.Monotime.elapsed ~since:t0 in
     Sys.remove snap;
     let sess' = E.session_of restored in
     let check label (cold : E.measurement) q variant =
@@ -878,9 +878,9 @@ let evalbench () =
     run ();
     let ts =
       List.init batches (fun _ ->
-          let t0 = Core.Monotime.now () in
+          let t0 = Bcobs.Monotime.now () in
           run ();
-          Core.Monotime.elapsed ~since:t0)
+          Bcobs.Monotime.elapsed ~since:t0)
     in
     List.fold_left min infinity ts
   in
@@ -944,11 +944,11 @@ let evalbench () =
    individually. *)
 
 let time_runs n f =
-  let t0 = Core.Monotime.now () in
+  let t0 = Bcobs.Monotime.now () in
   for _ = 1 to n do
     f ()
   done;
-  Core.Monotime.elapsed ~since:t0 /. float_of_int n
+  Bcobs.Monotime.elapsed ~since:t0 /. float_of_int n
 
 let ablation () =
   let s = sim Sweep in
@@ -1520,8 +1520,8 @@ let write_and_validate_trace () =
   match !trace_out with
   | None -> []
   | Some path -> (
-      Core.Obs.write_trace trace_collector path;
-      match Core.Obs.validate_trace_file path with
+      Bcobs.Obs.write_trace trace_collector path;
+      match Bcobs.Obs.validate_trace_file path with
       | Ok events ->
           Printf.printf "[trace] wrote %s (%d events)\n" path events;
           []

@@ -153,11 +153,11 @@ let obs_flag =
    null (zero overhead) unless at least one sink is requested. *)
 let obs_of_flags ~trace ~metrics ~summary =
   let sinks =
-    (if summary then [ Core.Obs.pretty_sink () ] else [])
-    @ (match metrics with Some f -> [ Core.Obs.metrics_sink f ] | None -> [])
-    @ match trace with Some f -> [ Core.Obs.trace_sink f ] | None -> []
+    (if summary then [ Bcobs.Obs.pretty_sink () ] else [])
+    @ (match metrics with Some f -> [ Bcobs.Obs.metrics_sink f ] | None -> [])
+    @ match trace with Some f -> [ Bcobs.Obs.trace_sink f ] | None -> []
   in
-  if sinks = [] then Core.Obs.null else Core.Obs.create ~sinks ()
+  if sinks = [] then Bcobs.Obs.null else Bcobs.Obs.create ~sinks ()
 
 (* The paper's Figure 2 example, shared with the test fixtures in
    spirit. *)
@@ -388,7 +388,7 @@ let check_cmd =
                     (fun (o, s) -> (o, Core.Solver.strategy_name s))
                     (Core.Solver.solve ~jobs ~budget session q)
             in
-            Core.Obs.flush obs;
+            Bcobs.Obs.flush obs;
             match result with
             | Ok (o, strategy) ->
                 report db o strategy;
@@ -478,7 +478,7 @@ let explain_cmd =
             let session = Core.Session.create ~obs db in
             let budget = budget_of_flags ~timeout ~max_worlds in
             let result = Core.Explain.run ~jobs ~budget session q in
-            Core.Obs.flush obs;
+            Bcobs.Obs.flush obs;
             match result with
             | Ok report ->
                 print_endline (Core.Explain.to_string db report);
@@ -640,7 +640,7 @@ let validate_trace_cmd =
       & info [] ~docv:"FILE" ~doc:"Chrome trace_event JSON file to validate.")
   in
   let run path =
-    match Core.Obs.validate_trace_file path with
+    match Bcobs.Obs.validate_trace_file path with
     | Ok events ->
         Printf.printf "%s: valid trace (%d events)\n" path events;
         0

@@ -13,7 +13,7 @@ type t = {
   mutable last_tip : Crypto.digest;
   mutable desync : string option;
       (* an event we could not encode: full resync on next [sync] *)
-  obs : Bccore.Obs.t;
+  obs : Bcobs.Obs.t;
 }
 
 let node t = t.node
@@ -38,7 +38,7 @@ let enqueue t = function
   | Mempool.Tx_removed { tx; reason } ->
       Queue.add (Drop { txid = tx.Tx.txid; reason }) t.queue
 
-let create ?(obs = Bccore.Obs.null) node =
+let create ?(obs = Bcobs.Obs.null) node =
   match Encode.bcdb_of_node node with
   | Error msg -> Error msg
   | Ok db ->

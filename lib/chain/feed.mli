@@ -14,7 +14,7 @@
 
 type t
 
-val create : ?obs:Bccore.Obs.t -> Node.t -> (t, string) result
+val create : ?obs:Bcobs.Obs.t -> Node.t -> (t, string) result
 (** Snapshot the node ({!Encode.bcdb_of_node}) and register the event
     hook. The feed must be the node's only writer path from then on —
     mutate the mempool through the node as usual; call {!sync} before

@@ -38,8 +38,8 @@ type event =
   | Clique_found of int list
   | World_evaluated of int list * bool
 
-(* Per-component verdicts and the cache hooks of the scheduled OptDCSat
-   path. A component's verdict depends only on its member transactions'
+(* Per-component verdicts and the verdict-cache hooks of OptDCSat. A
+   component's verdict depends only on its member transactions'
    rows, the confirmed state and the query — the factorization argument
    of Proposition 2 — so a caller that can recognize an unchanged
    component (Live's content signatures) may replay its last verdict. *)
@@ -181,9 +181,7 @@ let run_worlds ~jobs ~budget ~on_event ~count_cliques session counters ~eval
   let store = Session.store session in
   let obs = Session.obs session in
   let report =
-    Engine.run ~obs ~budget
-      ~counted:(counters.cliques, counters.worlds)
-      ~jobs ~store
+    Engine.run ~obs ~budget ~jobs ~store
       ~replicate:(fun () -> Session.borrow_replica session)
       ~release:(Session.return_replica session)
       ~restrict:(Tagged_store.restrict store)
@@ -209,223 +207,150 @@ let run_worlds ~jobs ~budget ~on_event ~count_cliques session counters ~eval
       report.Engine.hit,
     report.Engine.exhausted )
 
-(* Work source: the maximal cliques of the fd graph restricted to
-   [nodes], as candidate sets in original transaction ids. When [scope]
-   is given, items are tagged with that component-scoped store view. A
-   budgeted run threads its deadline hook into the clique generator, so
-   a long inter-yield search is still cut promptly; source pulls happen
-   under the engine lock, so the budget's sticky trip never races. *)
-let clique_source ?scope ~budget session nodes =
-  let obs = Session.obs session in
-  let fd = Session.fd_graph session in
+(* The maximal cliques of the fd graph restricted to [nodes], as
+   candidate sets in original transaction ids. [interrupt] (a budget's
+   deadline hook) is threaded into the clique generator, so a long
+   inter-yield search is still cut promptly. *)
+let clique_source ?interrupt obs fd nodes =
   let sub, back = Undirected.induced fd.Fd_graph.graph nodes in
-  let interrupt =
-    if Engine.Budget.is_unlimited budget then None
-    else Some (Engine.Budget.interrupt budget)
-  in
-  let next = Engine.Work_source.of_cliques ?interrupt ?scope sub ~back in
+  let next = Engine.Work_source.of_cliques ?interrupt sub ~back in
   if not (Obs.enabled obs) then next
   else fun () -> Obs.span obs ~cat:"dcsat" "bk_yield" next
 
-(* Work source for OptDCSat: the clique streams of the covered
-   components, chained in component order. The Covers test and the
-   component events fire lazily, when the stream first reaches the
-   component — under the engine lock in the parallel backend, so the
-   primary store is never touched concurrently.
+let budget_interrupt budget =
+  if Engine.Budget.is_unlimited budget then None
+  else Some (Engine.Budget.interrupt budget)
 
-   The parallel claim pump may pull ahead of the winning violation
-   into later components, so covers are not counted directly: each is
-   tagged with the emission index of the component's first clique
-   (= its engine claim index), and [covered] later counts only those
-   within the claimed-and-counted prefix — making the stat identical
-   to the sequential run's. *)
-let component_source ~use_covers ~budget ~on_event session q components =
-  let store = Session.store session in
-  let remaining = ref components in
-  let current = ref Engine.Work_source.empty in
-  let emitted = ref 0 in
-  let cover_marks = ref [] in
-  let rec pull () =
-    match !current () with
-    | Some _ as item ->
-        incr emitted;
-        item
-    | None -> (
-        match !remaining with
-        | [] -> None
-        | component :: rest ->
-            remaining := rest;
-            let covers =
-              (not use_covers)
-              || Obs.span (Session.obs session) ~cat:"dcsat" "covers"
-                   (fun () -> Covers.covers store component q)
-            in
-            if covers then begin
-              cover_marks := !emitted :: !cover_marks;
-              on_event (Component_entered component);
-              (* Every clique of this component — and the maximal world
-                 it closes into — lives inside [component], so its items
-                 are scoped to it: workers evaluate on component-sized
-                 store views (tens of tuples, not the whole store). *)
-              current := clique_source ~scope:component ~budget session component;
-              pull ()
-            end
-            else begin
-              on_event (Component_skipped component);
-              pull ()
-            end)
-  in
-  let covered ~pulled =
-    List.length (List.filter (fun mark -> mark < pulled) !cover_marks)
-  in
-  (pull, covered)
-
-(* --- dirty-component scheduling (per-component verdict cache) ------- *)
-
-(* The cached OptDCSat path: with [hooks], the caller owns a
-   per-component verdict cache. Components whose [comp_clean] probe hits
-   are skipped wholesale (their cached verdict is Satisfied); the dirty
-   remainder is solved {e exhaustively} — no cross-component early exit,
-   so every dirty component's fresh verdict lands back in the cache —
-   scheduled suspects-first then largest-first, each one a work item of
-   one drained engine run ([stop_on_hit:false], cross-component
-   parallelism).
-
-   Determinism: clean components are provably satisfied (equal content
-   signature ⇒ equal verdict), so the first violating component overall
-   is the first violating {e dirty} one; picking the lowest-component-
-   index violation — each component's own winner being the first in BK
-   emission order — reproduces the serial early-exit verdict and
-   witness bit for bit. Budgets are enforced inside the per-component
-   evaluator at clique granularity (the engine claim path here counts
-   components, the wrong unit), at cumulative counts under one lock;
-   a budget-cut component reports [Comp_unknown] and is never cached. *)
-let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
+(* OptDCSat's component loop (Fig. 5), with or without [hooks] (see
+   {!opt} in the interface). Every covered component is one work item of
+   a single engine run; its worker enumerates the component's cliques in
+   Bron–Kerbosch order and stops at the component's first violation.
+   The source walks the components lazily under the claim lock, checking
+   the budget and running Covers, so no component is entered after a
+   trip. [lock] serializes every budget check and every [on_event] call;
+   the engine run's own budget stays unlimited, as it would count
+   components, the wrong unit. The lowest-index violation wins, and
+   without [hooks] work is counted only up to it. *)
+let run_components ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
     ~hooks session q plan counters components =
   let store = Session.store session in
   let obs = Session.obs session in
+  (* Forced here: workers must not race on the session's lazy graph. *)
   let fd = Session.fd_graph session in
   let comps = Array.of_list components in
   let n = Array.length comps in
   (* Per component index: verdict plus its clique/world work counts. *)
   let results : (comp_verdict * int * int) option array = Array.make n None in
+  let entered = Array.make n false in
   (* Cache hits land in [results] but must not re-fire [comp_solved]. *)
   let from_cache = Array.make n false in
-  let dirty = ref [] in
-  for i = n - 1 downto 0 do
-    match hooks.comp_clean ~index:i comps.(i) with
-    | Some v ->
-        results.(i) <- Some (v, 0, 0);
-        from_cache.(i) <- true
-    | None -> dirty := (i, comps.(i)) :: !dirty
-  done;
-  (* Covers runs serially up front (it probes the primary store): a
-     component that cannot cover the query's constants is Satisfied
-     without enumeration — cacheably so. *)
-  let to_solve =
-    List.filter
-      (fun (i, c) ->
-        let covers =
-          (not use_covers)
-          || Obs.span obs ~cat:"dcsat" "covers" (fun () ->
-                 Covers.covers store c q)
+  let order =
+    match hooks with
+    | None -> List.init n Fun.id
+    | Some hooks ->
+        let dirty =
+          List.filter
+            (fun i ->
+              match hooks.comp_clean ~index:i comps.(i) with
+              | Some v ->
+                  results.(i) <- Some (v, 0, 0);
+                  from_cache.(i) <- true;
+                  false
+              | None -> true)
+            (List.init n Fun.id)
         in
-        if not covers then begin
-          on_event (Component_skipped c);
-          results.(i) <- Some (Comp_satisfied, 0, 0)
-        end;
-        covers)
-      !dirty
+        (* Suspects first, then largest first. *)
+        let key i =
+          ( not (hooks.comp_suspect ~index:i comps.(i)),
+            -List.length comps.(i),
+            i )
+        in
+        List.map (fun (_, _, i) -> i) (List.sort compare (List.map key dirty))
   in
-  let ordered =
-    List.map
-      (fun (_, _, i, c) -> (i, c))
-      (List.sort
-         (fun (s1, n1, i1, _) (s2, n2, i2, _) ->
-           if s1 <> s2 then compare s2 s1 (* suspects first *)
-           else if n1 <> n2 then Int.compare n2 n1 (* then largest *)
-           else Int.compare i1 i2)
-         (List.map
-            (fun (i, c) ->
-              (hooks.comp_suspect ~index:i c, List.length c, i, c))
-            to_solve))
-  in
-  let entered = ref 0 in
+  (* Components are disjoint and non-empty: the first member names one. *)
+  let index_of = Hashtbl.create 16 in
+  List.iter (fun i -> Hashtbl.replace index_of (List.hd comps.(i)) i) order;
   let lock = Mutex.create () in
   let locked f =
     Mutex.lock lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
   in
-  let cliques_acc = Atomic.make 0 and worlds_acc = Atomic.make 0 in
-  let cliques_base = counters.cliques and worlds_base = counters.worlds in
-  (* Work items reuse the component lists physically, so results are
-     attributed back by physical equality — the same convention the
-     engine's scoped-view cache relies on. *)
-  let index_of =
-    let assoc = List.map (fun (i, c) -> (c, i)) ordered in
-    fun members ->
-      let rec go = function
-        | (c, i) :: tl -> if c == members then i else go tl
-        | [] -> -1
-      in
-      go assoc
+  let worlds = ref 0 in
+  let check_budget () =
+    locked (fun () -> Engine.Budget.check budget ~evaluated:!worlds)
+  in
+  let remaining = ref order in
+  let source () =
+    let rec next () =
+      match !remaining with
+      | [] -> None
+      | i :: tl ->
+          remaining := tl;
+          let c = comps.(i) in
+          let covers =
+            (not use_covers)
+            || Obs.span obs ~cat:"dcsat" "covers" (fun () ->
+                   Covers.covers store c q)
+          in
+          if covers then begin
+            entered.(i) <- true;
+            locked (fun () -> on_event (Component_entered c));
+            (* Every maximal world of [c] lives inside it: workers
+               evaluate on a component-sized store view. *)
+            Some { Engine.Work_source.members = c; scope = Some c }
+          end
+          else begin
+            (* Cacheably satisfied without enumeration. *)
+            locked (fun () ->
+                results.(i) <- Some (Comp_satisfied, 0, 0);
+                on_event (Component_skipped c));
+            next ()
+          end
+    in
+    if check_budget () <> None then None else next ()
   in
   let eval_comp () =
     let clique_eval = eval_clique_factory ~use_delta ~use_native obs plan () in
     fun view members ->
-      let i = index_of members in
-      let sub, back = Undirected.induced fd.Fd_graph.graph members in
-      let cut = ref false in
+      let i = Hashtbl.find index_of (List.hd members) in
+      let cut = ref None in
       let interrupt =
-        if Engine.Budget.is_unlimited budget then None
-        else
-          Some
-            (fun () ->
-              let stop = locked (fun () -> Engine.Budget.interrupt budget ()) in
-              if stop then cut := true;
-              stop)
+        Option.map
+          (fun stop () ->
+            locked (fun () ->
+                let stopped = stop () in
+                if stopped then cut := Engine.Budget.tripped budget;
+                stopped))
+          (budget_interrupt budget)
       in
-      let next = Bcgraph.Bron_kerbosch.generator ?interrupt sub in
-      let comp_cliques = ref 0 and comp_worlds = ref 0 in
+      let next = clique_source ?interrupt obs fd members in
+      let cliques = ref 0 and comp_worlds = ref 0 in
       let rec go () =
-        match next () with
+        match check_budget () with
+        | Some reason -> Comp_unknown reason
         | None -> (
-            if not !cut then Comp_satisfied
-            else
-              match locked (fun () -> Engine.Budget.tripped budget) with
-              | Some reason -> Comp_unknown reason
-              | None -> Comp_satisfied)
-        | Some clique -> (
-            let members' = List.map (fun j -> back.(j)) clique in
-            incr comp_cliques;
-            ignore (Atomic.fetch_and_add cliques_acc 1 : int);
-            let tripped =
-              locked (fun () ->
-                  Engine.Budget.check budget
-                    ~pulled:(cliques_base + Atomic.get cliques_acc)
-                    ~evaluated:(worlds_base + Atomic.get worlds_acc))
-            in
-            match tripped with
-            | Some reason -> Comp_unknown reason
+            match next () with
             | None -> (
-                locked (fun () -> on_event (Clique_found members'));
-                let ev = clique_eval view members' in
+                match !cut with
+                | Some reason -> Comp_unknown reason
+                | None -> Comp_satisfied)
+            | Some { Engine.Work_source.members = clique; _ } -> (
+                incr cliques;
+                locked (fun () -> on_event (Clique_found clique));
+                let ev = clique_eval view clique in
                 incr comp_worlds;
-                ignore (Atomic.fetch_and_add worlds_acc 1 : int);
                 locked (fun () ->
+                    incr worlds;
                     on_event
                       (World_evaluated
                          (ev.Engine.world, ev.Engine.violation <> None)));
                 match ev.Engine.violation with
-                | Some v ->
-                    Comp_violated
-                      { world = v.Engine.world; witness = v.Engine.witness }
+                | Some { Engine.world; witness } ->
+                    Comp_violated { world; witness }
                 | None -> go ()))
       in
       let verdict = go () in
-      locked (fun () ->
-          if i >= 0 then
-            results.(i) <- Some (verdict, !comp_cliques, !comp_worlds));
+      locked (fun () -> results.(i) <- Some (verdict, !cliques, !comp_worlds));
       {
         Engine.world = members;
         violation =
@@ -434,53 +359,54 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
           | Comp_satisfied | Comp_unknown _ -> None);
       }
   in
-  if ordered <> [] then begin
-    let remaining = ref ordered in
-    let source () =
-      match !remaining with
-      | [] -> None
-      | (_, c) :: tl ->
-          remaining := tl;
-          Some { Engine.Work_source.members = c; scope = Some c }
-    in
-    (* The run's own budget stays unlimited: exhaustion is enforced per
-       clique inside [eval_comp] (components claimed after a trip settle
-       to [Comp_unknown] on their first pull, in O(1)). *)
+  if order <> [] then
     ignore
-      (Engine.run ~obs ~jobs ~store ~stop_on_hit:false
+      (Engine.run ~obs ~jobs ~store ~stop_on_hit:(Option.is_none hooks)
          ~replicate:(fun () -> Session.borrow_replica session)
          ~release:(Session.return_replica session)
          ~restrict:(Tagged_store.restrict store)
-         ~source ~eval:eval_comp
-         ~on_item:(fun members ->
-           locked (fun () ->
-               incr entered;
-               on_event (Component_entered members)))
-         ~on_evaluated:ignore ()
+         ~source ~eval:eval_comp ~on_item:ignore ~on_evaluated:ignore ()
         : Engine.report);
-    counters.cliques <- counters.cliques + Atomic.get cliques_acc;
-    counters.worlds <- counters.worlds + Atomic.get worlds_acc;
-    if Obs.enabled obs then begin
-      Obs.add obs "dcsat.cliques" (Atomic.get cliques_acc);
-      Obs.add obs "dcsat.worlds" (Atomic.get worlds_acc)
-    end
-  end;
-  counters.covered <- counters.covered + !entered;
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Some (verdict, _, _) when not from_cache.(i) ->
-          hooks.comp_solved ~index:i comps.(i) verdict
-      | Some _ | None -> ())
-    results;
   let rec first_violation i =
     if i >= n then None
     else
       match results.(i) with
-      | Some (Comp_violated { world; witness }, _, _) -> Some (world, witness)
+      | Some (Comp_violated { world; witness }, _, _) ->
+          Some (i, (world, witness))
       | _ -> first_violation (i + 1)
   in
-  (first_violation 0, Engine.Budget.tripped budget)
+  let violation = first_violation 0 in
+  let counted =
+    match (hooks, violation) with
+    | None, Some (winner, _) -> winner + 1
+    | _ -> n
+  in
+  let cliques = ref 0 and comp_worlds = ref 0 in
+  for i = 0 to counted - 1 do
+    (match results.(i) with
+    | Some (_, c, w) ->
+        cliques := !cliques + c;
+        comp_worlds := !comp_worlds + w
+    | None -> ());
+    if entered.(i) then counters.covered <- counters.covered + 1
+  done;
+  counters.cliques <- counters.cliques + !cliques;
+  counters.worlds <- counters.worlds + !comp_worlds;
+  if Obs.enabled obs then begin
+    Obs.add obs "dcsat.cliques" !cliques;
+    Obs.add obs "dcsat.worlds" !comp_worlds
+  end;
+  Option.iter
+    (fun hooks ->
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Some (verdict, _, _) when not from_cache.(i) ->
+              hooks.comp_solved ~index:i comps.(i) verdict
+          | Some _ | None -> ())
+        results)
+    hooks;
+  (Option.map snd violation, Engine.Budget.tripped budget)
 
 let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
     ?(use_delta = true) ?(use_native = true) session q =
@@ -550,7 +476,9 @@ let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
           ~eval:
             (eval_clique_factory ~use_delta ~use_native (Session.obs session)
                plan)
-          (clique_source ~budget session (List.init k Fun.id))
+          (clique_source ?interrupt:(budget_interrupt budget)
+             (Session.obs session) (Session.fd_graph session)
+             (List.init k Fun.id))
     in
     Ok (finish ~t0 ~precheck:false counters (verdict_of ~violation ~exhausted))
   end
@@ -593,27 +521,8 @@ let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
               if Obs.enabled obs then
                 Obs.add obs "dcsat.components" (List.length components);
               on_event (Components_found (List.length components));
-              match comp_hooks with
-              | Some hooks ->
-                  run_scheduled ~jobs ~budget ~use_covers ~use_delta
-                    ~use_native ~on_event ~hooks session q plan
-                    counters components
-              | None ->
-                  (* One chained {!component_source} run: per-component
-                     engine joins would tax the many-tiny-components
-                     workloads. *)
-                  let source, covered =
-                    component_source ~use_covers ~budget ~on_event session q
-                      components
-                  in
-                  let result =
-                    run_worlds ~jobs ~budget ~on_event ~count_cliques:true
-                      session counters
-                      ~eval:(eval_clique_factory ~use_delta ~use_native obs plan)
-                      source
-                  in
-                  counters.covered <- covered ~pulled:counters.cliques;
-                  result
+              run_components ~jobs ~budget ~use_covers ~use_delta ~use_native
+                ~on_event ~hooks:comp_hooks session q plan counters components
             end
           in
           Ok

@@ -127,9 +127,8 @@ type comp_hooks = {
           can (re)fill its cache. Skipped components (clean hits, or
           left unsolved after a budget trip) get no callback. *)
 }
-(** The per-component verdict-cache protocol of {!opt}'s scheduled path
-    (the live layer's warm-check fast path). See [?comp_hooks] in
-    {!opt}. *)
+(** The per-component verdict-cache protocol of {!opt} (the live
+    layer's warm-check fast path). See [?comp_hooks] in {!opt}. *)
 
 val pp_refusal : Format.formatter -> refusal -> unit
 
@@ -186,25 +185,30 @@ val opt :
   (outcome, refusal) result
 (** [use_covers] (default true) disables the constant-coverage component
     filter for ablation measurements. [jobs], [budget], [use_delta] and
-    [use_native] as in {!naive}; the cliques of all covered components
-    stream, in component order, through one engine run.
+    [use_native] as in {!naive}.
 
-    [comp_hooks] switches component processing to the {e scheduled}
-    path: components reported clean by [comp_clean] are skipped (their
-    cached verdict being [Satisfied]), and the dirty remainder is solved
-    {e exhaustively} — no cross-component early exit, so every dirty
-    component's verdict reaches [comp_solved] and the caller's cache —
-    ordered suspects-first then largest-first. The dirty components
-    become the work items of one drained engine run (cross-component
-    parallelism). The lowest-component-index violation wins, which
-    reproduces the serial early-exit verdict and witness bit for bit
-    (clean components cannot violate, each component's internal winner
-    is the serial-order first). Caveats under [comp_hooks]: reported
-    stats count only the work actually done (clean components are never
-    re-counted); budgets are enforced at clique granularity inside each
-    component with up to one in-flight world per worker of overshoot,
-    and budget-tripped runs may do more work than the serial order
-    (concurrent components finish); [on_event] callbacks remain
-    serialized but unordered across components. *)
+    Every covered component is one work item of a single engine run:
+    its worker enumerates the component's cliques in Bron–Kerbosch
+    order and stops at the component's first violation. Covers runs
+    lazily as components are claimed, and the budget is checked before
+    each claim and before each clique, at cumulative world counts; no
+    component is entered after a trip. Without [comp_hooks], components
+    go in index order, the first violation stops the run, and the stats
+    count only the components up to the lowest-index violating one, so
+    they are identical at every [jobs]. At [jobs:1] a [max_worlds]
+    budget of [k] cuts the unbudgeted run right after its [k]-th world.
+
+    With [comp_hooks], components reported clean by [comp_clean] are
+    skipped (their cached verdict standing in), and the dirty remainder
+    is solved {e exhaustively} — no cross-component early exit, so every
+    dirty component's verdict reaches [comp_solved] and the caller's
+    cache — ordered suspects-first then largest-first. Stats then count
+    all the work actually done (clean components are never re-counted).
+
+    In both modes the lowest-component-index violation wins, which is
+    the serial early-exit verdict and witness bit for bit (clean
+    components cannot violate; each component's own winner is its
+    serial-order first). With [jobs > 1], [on_event] callbacks are
+    serialized under one lock but unordered across components. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -10,7 +10,6 @@ module Work_source = struct
   type t = unit -> item option
 
   let plain members = { members; scope = None }
-  let empty : t = fun () -> None
 
   let of_list items =
     let remaining = ref items in
@@ -21,12 +20,10 @@ module Work_source = struct
           remaining := tl;
           Some (plain x)
 
-  let of_cliques ?interrupt ?scope graph ~back =
+  let of_cliques ?interrupt graph ~back =
     let next = Bcgraph.Bron_kerbosch.generator ?interrupt graph in
     fun () ->
-      Option.map
-        (fun c -> { members = List.map (fun i -> back.(i)) c; scope })
-        (next ())
+      Option.map (fun c -> plain (List.map (fun i -> back.(i)) c)) (next ())
 end
 
 (* Cooperative cancellation: a budget is checked on the claim path (the
@@ -37,33 +34,31 @@ end
    [jobs - 1] in-flight items. Tripping is sticky: the first reason
    observed is the one reported. All mutation happens on the claim path
    (under the engine lock in the parallel backend) or inside source
-   pulls, which run under that same lock. *)
+   pulls, which run under that same lock; OptDCSat, which checks a
+   budget per clique inside its workers, serializes those checks under
+   its own lock. *)
 module Budget = struct
-  type reason = Deadline | Max_worlds | Max_pulled
+  type reason = Deadline | Max_worlds
 
   type t = {
     deadline : float option;  (* absolute Monotime.now target *)
     max_worlds : int;
-    max_pulled : int;
     mutable tripped : reason option;
   }
 
-  let unlimited =
-    { deadline = None; max_worlds = max_int; max_pulled = max_int; tripped = None }
+  let unlimited = { deadline = None; max_worlds = max_int; tripped = None }
 
-  let create ?timeout_s ?max_worlds ?max_pulled () =
+  let create ?timeout_s ?max_worlds () =
     (match timeout_s with
     | Some s when s < 0.0 -> invalid_arg "Engine.Budget.create: negative timeout"
     | _ -> ());
     {
       deadline = Option.map (fun s -> Monotime.now () +. s) timeout_s;
       max_worlds = Option.value max_worlds ~default:max_int;
-      max_pulled = Option.value max_pulled ~default:max_int;
       tripped = None;
     }
 
-  let is_unlimited t =
-    t.deadline = None && t.max_worlds = max_int && t.max_pulled = max_int
+  let is_unlimited t = t.deadline = None && t.max_worlds = max_int
 
   let tripped t = t.tripped
   let trip t reason = if t.tripped = None then t.tripped <- Some reason
@@ -71,15 +66,14 @@ module Budget = struct
   let deadline_passed t =
     match t.deadline with Some d -> Monotime.now () > d | None -> false
 
-  let check t ~pulled ~evaluated =
+  let check t ~evaluated =
     (if t.tripped = None then
        if evaluated >= t.max_worlds then trip t Max_worlds
-       else if pulled >= t.max_pulled then trip t Max_pulled
        else if deadline_passed t then trip t Deadline);
     t.tripped
 
   (* The hook handed to Bron_kerbosch.generator: only the deadline can
-     fire between yields (world/pull limits are claim-path properties). *)
+     fire between yields (the world limit is a claim-path property). *)
   let interrupt t () =
     t.tripped <> None
     ||
@@ -89,10 +83,7 @@ module Budget = struct
     end
     else false
 
-  let reason_name = function
-    | Deadline -> "deadline"
-    | Max_worlds -> "max-worlds"
-    | Max_pulled -> "max-pulled"
+  let reason_name = function Deadline -> "deadline" | Max_worlds -> "max-worlds"
 
   let pp_reason ppf r = Format.pp_print_string ppf (reason_name r)
 end
@@ -125,8 +116,7 @@ let eval_timed obs eval store members =
   end
   else eval store members
 
-let run_sequential ~obs ~budget ~counted:(pulled_base, evaluated_base)
-    ~stop_on_hit ~store ~restrict ~source ~eval ~on_item ~on_evaluated =
+let run_sequential ~obs ~budget ~stop_on_hit ~store ~restrict ~source ~eval ~on_item ~on_evaluated =
   (* [eval] is a factory: one evaluator instance per worker, so stateful
      evaluators (incremental world caches) are never shared between
      domains. The sequential backend is its own single worker. *)
@@ -149,12 +139,7 @@ let run_sequential ~obs ~budget ~counted:(pulled_base, evaluated_base)
   in
   let hit = ref None in
   let rec go () =
-    if
-      Budget.check budget
-        ~pulled:(pulled_base + !pulled)
-        ~evaluated:(evaluated_base + !evaluated)
-      <> None
-    then ()
+    if Budget.check budget ~evaluated:!evaluated <> None then ()
     else
       match source () with
       | None -> ()
@@ -259,8 +244,7 @@ end
    wins. That makes the returned witness — and, after clamping the work
    counters to the winning index, the reported stats — deterministic and
    equal to the sequential backend's. *)
-let run_parallel ~obs ~jobs ~budget ~counted:(pulled_base, evaluated_base)
-    ~stop_on_hit ~replicate ~release ~restrict ~source ~eval ~on_item
+let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~restrict ~source ~eval ~on_item
     ~on_evaluated =
   let lock = Mutex.create () in
   let locked f =
@@ -275,11 +259,7 @@ let run_parallel ~obs ~jobs ~budget ~counted:(pulled_base, evaluated_base)
   let claim_raw () =
     locked (fun () ->
         if Atomic.get stop then None
-        else if
-          Budget.check budget
-            ~pulled:(pulled_base + !next_index)
-            ~evaluated:(evaluated_base + Atomic.get eval_count)
-          <> None
+        else if Budget.check budget ~evaluated:(Atomic.get eval_count) <> None
         then None
         else
           match source () with
@@ -405,12 +385,12 @@ let run_parallel ~obs ~jobs ~budget ~counted:(pulled_base, evaluated_base)
   in
   { hit; pulled = counted; evaluated = counted; exhausted = Budget.tripped budget }
 
-let run ?(obs = Obs.null) ?(budget = Budget.unlimited) ?(counted = (0, 0))
-    ?(stop_on_hit = true) ~jobs ~store ~replicate ?(release = ignore) ?restrict
-    ~source ~eval ~on_item ~on_evaluated () =
+let run ?(obs = Obs.null) ?(budget = Budget.unlimited) ?(stop_on_hit = true)
+    ~jobs ~store ~replicate ?(release = ignore) ?restrict ~source ~eval ~on_item
+    ~on_evaluated () =
   if jobs <= 1 then
-    run_sequential ~obs ~budget ~counted ~stop_on_hit ~store ~restrict ~source
-      ~eval ~on_item ~on_evaluated
+    run_sequential ~obs ~budget ~stop_on_hit ~store ~restrict ~source ~eval
+      ~on_item ~on_evaluated
   else
-    run_parallel ~obs ~jobs:(min jobs max_jobs) ~budget ~counted ~stop_on_hit
+    run_parallel ~obs ~jobs:(min jobs max_jobs) ~budget ~stop_on_hit
       ~replicate ~release ~restrict ~source ~eval ~on_item ~on_evaluated

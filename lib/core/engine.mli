@@ -48,26 +48,21 @@ module Work_source : sig
       safely touch the primary store (e.g. Covers tests). *)
 
   val plain : int list -> item
-  val empty : t
   val of_list : int list list -> t
 
   val of_cliques :
-    ?interrupt:(unit -> bool) ->
-    ?scope:int list ->
-    Bcgraph.Undirected.t ->
-    back:int array ->
-    t
+    ?interrupt:(unit -> bool) -> Bcgraph.Undirected.t -> back:int array -> t
   (** Stream the graph's maximal cliques ({!Bcgraph.Bron_kerbosch.generator}),
       mapping node ids through [back] (as produced by
-      {!Bcgraph.Undirected.induced}), each tagged with [scope].
+      {!Bcgraph.Undirected.induced}), as unscoped items.
       [interrupt] is forwarded to the generator: when it fires (e.g. a
       {!Budget} deadline between yields), the stream ends early. *)
 end
 
 (** Cooperative cancellation and resource budgets. A budget bounds one
-    engine run by wall-clock deadline ({!Monotime}), worlds evaluated,
-    and/or work items pulled. It is checked on the claim path — the
-    single point both backends funnel work through — and its
+    engine run by wall-clock deadline ({!Monotime}) and/or worlds
+    evaluated. It is checked on the claim path — the single point both
+    backends funnel work through — and its
     {!Budget.interrupt} hook is polled inside
     {!Bcgraph.Bron_kerbosch.generator} branching steps, so a deadline
     also cuts an exponentially long gap between two clique yields.
@@ -78,14 +73,13 @@ end
     {!type-report.exhausted}. {!Budget.unlimited} never trips and may be
     shared freely. *)
 module Budget : sig
-  type reason = Deadline | Max_worlds | Max_pulled
+  type reason = Deadline | Max_worlds
 
   type t
 
   val unlimited : t
 
-  val create :
-    ?timeout_s:float -> ?max_worlds:int -> ?max_pulled:int -> unit -> t
+  val create : ?timeout_s:float -> ?max_worlds:int -> unit -> t
   (** [timeout_s] is a wall-clock allowance relative to {e now}
       (monotonic clock), converted to an absolute deadline immediately —
       create the budget right before the run it bounds. Raises
@@ -93,7 +87,7 @@ module Budget : sig
 
   val is_unlimited : t -> bool
 
-  val check : t -> pulled:int -> evaluated:int -> reason option
+  val check : t -> evaluated:int -> reason option
   (** Trip (sticky) if a limit is hit; return the tripped reason. Called
       by the engine on the claim path, under the engine lock in the
       parallel backend. *)
@@ -129,7 +123,6 @@ type report = {
 val run :
   ?obs:Obs.t ->
   ?budget:Budget.t ->
-  ?counted:int * int ->
   ?stop_on_hit:bool ->
   jobs:int ->
   store:Tagged_store.t ->
@@ -165,19 +158,16 @@ val run :
 
     [budget] (default {!Budget.unlimited}) bounds the run; when it trips,
     no further items are claimed, in-flight items finish, and the report
-    carries [exhausted = Some reason]. [counted] (default [(0, 0)]) is a
-    [(pulled, evaluated)] base added to this run's own counts in every
-    budget check, so a caller that splits one logical enumeration over
-    several consecutive engine runs (OptDCSat's per-component batches)
-    keeps cumulative budget accounting.
+    carries [exhausted = Some reason].
 
     [stop_on_hit] (default [true]) selects whether a recorded violation
-    stops further claiming. With [stop_on_hit:false] the run drains the
-    whole source regardless of violations — the dirty-component
-    scheduler uses this so every dirty component gets (re)solved and
-    cached in one pass — and the report carries the {e lowest-claim-index}
-    violation with unclamped full counts. Budget exhaustion still stops
-    claiming either way.
+    stops further claiming. NaiveDCSat, brute force and OptDCSat without
+    a verdict cache stop at the first violation; OptDCSat with
+    [Dcsat.comp_hooks] passes [stop_on_hit:false], so the run drains
+    the whole source regardless of violations and every dirty component
+    gets (re)solved and cached in one pass. A drained run's report
+    carries the {e lowest-claim-index} violation with unclamped full
+    counts. Budget exhaustion still stops claiming either way.
 
     {b Exception safety.} If [eval] (or [replicate]/[restrict]) raises in
     any backend, the exception propagates to the caller: the parallel

@@ -522,8 +522,7 @@ let prune tr =
       tr.t_viol
   end
 
-let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
-    ?use_cache t q =
+let check ?(jobs = 1) ?timeout_s ?max_worlds ?use_cache t q =
   let budget =
     match (timeout_s, max_worlds) with
     | None, None -> None
@@ -532,7 +531,7 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
   (* A tractable-decided query never reaches the component machinery:
      skip both the seeding and the cache bookkeeping. *)
   if Tractable.decides t.db q then
-    Solver.solve ~jobs ?budget ~use_delta ?use_native t.session q
+    Solver.solve ~jobs ?budget t.session q
   else begin
     let use_cache =
       match use_cache with Some b -> b | None -> cache_default ()
@@ -551,18 +550,11 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
       | Q.Query.Boolean body -> Q.Gaifman.is_connected body
       | Q.Query.Aggregate _ -> false
     in
-    let tr = if use_delta || cacheable then Some (track t q) else None in
     (* Seeding the session's component cache is a [track] side effect,
-       so the solver's delta path answers from the maintained
-       partition. *)
-    let comp_hooks =
-      match tr with
-      | Some tr when cacheable -> Some (make_hooks t tr)
-      | _ -> None
-    in
-    let result =
-      Solver.solve ~jobs ?budget ~use_delta ?use_native ?comp_hooks t.session q
-    in
-    (match tr with Some tr when cacheable -> prune tr | _ -> ());
+       so the solver answers from the maintained partition. *)
+    let tr = track t q in
+    let comp_hooks = if cacheable then Some (make_hooks t tr) else None in
+    let result = Solver.solve ~jobs ?budget ?comp_hooks t.session q in
+    if cacheable then prune tr;
     result
   end

@@ -165,8 +165,6 @@ val check :
   ?jobs:int ->
   ?timeout_s:float ->
   ?max_worlds:int ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
   ?use_cache:bool ->
   t ->
   Bcquery.Query.t ->

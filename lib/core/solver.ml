@@ -22,12 +22,11 @@ let strategy_counter = function
   | Naive -> "solver.strategy.naive"
   | Brute_force -> "solver.strategy.brute_force"
 
-let solve ?jobs ?budget ?use_delta ?use_native ?sum_args_nonnegative
-    ?comp_hooks session q =
+let solve ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q =
   let obs = Session.obs session in
   let result =
     Obs.span obs ~cat:"solver" "solve" @@ fun () ->
-    match Tractable.solve ?sum_args_nonnegative session q with
+    match Tractable.solve session q with
     | Some (outcome, case) -> Ok (outcome, Tractable case)
     | None -> (
         match
@@ -60,12 +59,8 @@ let solve ?jobs ?budget ?use_delta ?use_native ?sum_args_nonnegative
   | _ -> ());
   result
 
-let solve_exn ?jobs ?budget ?use_delta ?use_native ?sum_args_nonnegative
-    ?comp_hooks session q =
-  match
-    solve ?jobs ?budget ?use_delta ?use_native ?sum_args_nonnegative ?comp_hooks
-      session q
-  with
+let solve_exn ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q =
+  match solve ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q with
   | Ok result -> result
   | Error msg -> invalid_arg ("Solver.solve: " ^ msg)
 

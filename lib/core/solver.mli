@@ -20,7 +20,6 @@ val solve :
   ?budget:Engine.Budget.t ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?sum_args_nonnegative:bool ->
   ?comp_hooks:Dcsat.comp_hooks ->
   Session.t ->
   Bcquery.Query.t ->
@@ -47,7 +46,6 @@ val solve_exn :
   ?budget:Engine.Budget.t ->
   ?use_delta:bool ->
   ?use_native:bool ->
-  ?sum_args_nonnegative:bool ->
   ?comp_hooks:Dcsat.comp_hooks ->
   Session.t ->
   Bcquery.Query.t ->

@@ -306,11 +306,10 @@ let solve_ind_monotone_aggregate run q =
 (* The live layer's dispatch guard: a tractable-decided query never
    reaches the component machinery, so seeding ind-q components (or
    probing a per-component verdict cache) for it would be pure waste. *)
-let decides ?sum_args_nonnegative db q =
-  applicable ?sum_args_nonnegative db q <> None
+let decides db q = applicable db q <> None
 
-let solve ?sum_args_nonnegative session q =
-  match applicable ?sum_args_nonnegative (Session.db session) q with
+let solve session q =
+  match applicable (Session.db session) q with
   | None -> None
   | Some case ->
       let run = { session; worlds = 0; t0 = Monotime.now () } in

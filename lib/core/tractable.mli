@@ -34,16 +34,15 @@ val case_name : case -> string
 val applicable :
   ?sum_args_nonnegative:bool -> Bcdb.t -> Bcquery.Query.t -> case option
 (** Which (if any) tractable procedure decides this query over this
-    database's constraint profile. *)
+    database's constraint profile. [sum_args_nonnegative] (default
+    [true], matching bitcoin amounts) admits the [sum] cases, which are
+    tractable only over non-negative summands. {!decides} and {!solve}
+    use the default. *)
 
-val decides : ?sum_args_nonnegative:bool -> Bcdb.t -> Bcquery.Query.t -> bool
+val decides : Bcdb.t -> Bcquery.Query.t -> bool
 (** [applicable db q <> None] — the dispatch guard used by the live
     layer to keep tractable-decided queries away from the component
     tracking and verdict-cache machinery entirely. *)
 
-val solve :
-  ?sum_args_nonnegative:bool ->
-  Session.t ->
-  Bcquery.Query.t ->
-  (Dcsat.outcome * case) option
+val solve : Session.t -> Bcquery.Query.t -> (Dcsat.outcome * case) option
 (** [None] when no tractable case applies. *)

@@ -73,35 +73,35 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
      recorder — within noise of the pre-observability harness), and the
      engine's determinism contract makes the world/clique counters of
      the extra run equal to the timed runs'. *)
-  let obs = Core.Obs.create ~sinks:obs_sinks () in
+  let obs = Bcobs.Obs.create ~sinks:obs_sinks () in
   let saved = Core.Session.obs session in
   Core.Session.set_obs session obs;
   let instrumented = solve () in
   Core.Session.set_obs session saved;
-  Core.Obs.flush obs;
-  let obs_worlds = Core.Obs.counter obs "dcsat.worlds" in
-  let eval_full = Core.Obs.counter obs "eval.full" in
-  let eval_delta = Core.Obs.counter obs "eval.delta" in
-  let eval_delta_tuples = Core.Obs.counter obs "eval.delta_tuples" in
+  Bcobs.Obs.flush obs;
+  let obs_worlds = Bcobs.Obs.counter obs "dcsat.worlds" in
+  let eval_full = Bcobs.Obs.counter obs "eval.full" in
+  let eval_delta = Bcobs.Obs.counter obs "eval.delta" in
+  let eval_delta_tuples = Bcobs.Obs.counter obs "eval.delta_tuples" in
   let eval_delta_ratio =
     let total = eval_full + eval_delta in
     if total = 0 then 0.0 else float_of_int eval_delta /. float_of_int total
   in
-  let hit = Core.Obs.counter obs "store.vis_hit" in
-  let miss = Core.Obs.counter obs "store.vis_miss" in
+  let hit = Bcobs.Obs.counter obs "store.vis_hit" in
+  let miss = Bcobs.Obs.counter obs "store.vis_miss" in
   let cache_hit_ratio =
     if hit + miss = 0 then 0.0
     else float_of_int hit /. float_of_int (hit + miss)
   in
-  let chit = Core.Obs.counter obs "live.comp_cache_hit" in
-  let cmiss = Core.Obs.counter obs "live.comp_cache_miss" in
+  let chit = Bcobs.Obs.counter obs "live.comp_cache_hit" in
+  let cmiss = Bcobs.Obs.counter obs "live.comp_cache_miss" in
   let comp_cache_hit_ratio =
     if chit + cmiss = 0 then 0.0
     else float_of_int chit /. float_of_int (chit + cmiss)
   in
   let busy =
-    match Core.Obs.hist_of obs "engine.busy_s" with
-    | Some h -> h.Core.Obs.sum
+    match Bcobs.Obs.hist_of obs "engine.busy_s" with
+    | Some h -> h.Bcobs.Obs.sum
     | None -> 0.0
   in
   let irt = instrumented.Core.Dcsat.stats.Core.Dcsat.runtime in
@@ -129,8 +129,8 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
     eval_delta_tuples;
     eval_delta_ratio;
     base_bytes = Core.Tagged_store.base_bytes (Core.Session.store session);
-    dict_hits = Core.Obs.counter obs "segment.dict_hits";
-    eval_native = Core.Obs.counter obs "eval.compiled_native";
+    dict_hits = Bcobs.Obs.counter obs "segment.dict_hits";
+    eval_native = Bcobs.Obs.counter obs "eval.compiled_native";
   }
 
 let session_of db =

@@ -66,7 +66,7 @@ val run :
   ?use_native:bool ->
   ?timeout_s:float ->
   ?max_worlds:int ->
-  ?obs_sinks:Bccore.Obs.sink list ->
+  ?obs_sinks:Bcobs.Obs.sink list ->
   session:Bccore.Session.t ->
   label:string ->
   algo:algo ->
@@ -91,7 +91,7 @@ val run :
     a disconnected query).
 
     The timed runs execute with the session's existing recorder
-    untouched (normally {!Bccore.Obs.null}, so they are not perturbed);
+    untouched (normally {!Bcobs.Obs.null}, so they are not perturbed);
     one extra {e untimed} run under a fresh recorder supplies the
     [obs_worlds]/[cache_hit_ratio]/[worker_util] fields and pushes its
     summary through [obs_sinks] (default none — e.g. a trace collector

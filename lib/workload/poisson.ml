@@ -37,9 +37,9 @@ let run ~seed ~rate ~requests service =
     clock := !clock +. inter_arrival st rate;
     if i = 0 then first_arrival := !clock;
     let started = Float.max !clock !completion in
-    let t0 = Bccore.Monotime.now () in
+    let t0 = Bcobs.Monotime.now () in
     service i;
-    let dt = Bccore.Monotime.elapsed ~since:t0 in
+    let dt = Bcobs.Monotime.elapsed ~since:t0 in
     total_service := !total_service +. dt;
     completion := started +. dt;
     latencies.(i) <- !completion -. !clock

@@ -1,9 +1,10 @@
-(* Engine robustness: cooperative budgets (deadline / max-worlds /
-   max-pulled) surfacing as three-valued verdicts, the clique
-   generator's interrupt hook, and exception safety of both backends —
-   a raising eval must propagate to the caller, release every borrowed
-   replica, and leave the helper-domain pool reusable — plus a
-   solver-level differential of the jobs=4 pool against jobs=1. *)
+(* Engine robustness: cooperative budgets (deadline / max-worlds)
+   surfacing as three-valued verdicts, the clique generator's interrupt
+   hook, and exception safety of both backends — a raising eval must
+   propagate to the caller, release every borrowed replica, and leave
+   the helper-domain pool reusable — plus solver-level differentials:
+   the jobs=4 pool against jobs=1, OptDCSat's budget prefixes, and its
+   verdict-cache hooks against the hook-free run. *)
 
 module Core = Bccore
 module Engine = Core.Engine
@@ -31,19 +32,19 @@ let test_budget_create () =
       ignore (Engine.Budget.create ~timeout_s:(-1.0) ()))
 
 let test_budget_trips_sticky () =
-  let b = Engine.Budget.create ~max_worlds:3 ~max_pulled:2 () in
-  Alcotest.(check bool) "under both limits" true
-    (Engine.Budget.check b ~pulled:1 ~evaluated:1 = None);
-  (* max_pulled trips first here; the reason then sticks even when a
-     later check would also exceed max_worlds. *)
-  Alcotest.(check bool) "max_pulled trips" true
-    (Engine.Budget.check b ~pulled:2 ~evaluated:1
-    = Some Engine.Budget.Max_pulled);
+  Alcotest.(check bool) "under the world limit" true
+    (Engine.Budget.check (Engine.Budget.create ~max_worlds:3 ()) ~evaluated:2
+    = None);
+  let b = Engine.Budget.create ~timeout_s:0.01 ~max_worlds:3 () in
+  Alcotest.(check bool) "max_worlds trips" true
+    (Engine.Budget.check b ~evaluated:3 = Some Engine.Budget.Max_worlds);
+  (* Once the deadline has passed too, the first reason still sticks. *)
+  Unix.sleepf 0.02;
   Alcotest.(check bool) "first reason sticks" true
-    (Engine.Budget.check b ~pulled:9 ~evaluated:9
-    = Some Engine.Budget.Max_pulled);
+    (Engine.Budget.check b ~evaluated:0 = Some Engine.Budget.Max_worlds);
+  Alcotest.(check bool) "interrupt fires" true (Engine.Budget.interrupt b ());
   Alcotest.(check bool) "tripped agrees" true
-    (Engine.Budget.tripped b = Some Engine.Budget.Max_pulled)
+    (Engine.Budget.tripped b = Some Engine.Budget.Max_worlds)
 
 let test_budget_deadline_interrupt () =
   let b = Engine.Budget.create ~timeout_s:0.0 () in
@@ -336,6 +337,114 @@ let budget_trips_to_unknown () =
     | Error _ -> Alcotest.fail "refused"
   done
 
+(* --- OptDCSat: budget prefixes and the verdict-cache hooks --- *)
+
+let opt_traced ?budget ?comp_hooks ~jobs session q =
+  let events = ref [] in
+  match
+    Core.Dcsat.opt ~use_precheck:false ~jobs ?budget ?comp_hooks
+      ~on_event:(fun e -> events := e :: !events)
+      session q
+  with
+  | Ok o -> Some (o, List.rev !events)
+  | Error _ -> None
+
+(* The events up to and including the [k]-th World_evaluated; for
+   [k = 0], up to and including Components_found (nothing is pulled). *)
+let rec cut_after_worlds k = function
+  | [] -> []
+  | (Core.Dcsat.Components_found _ as e) :: _ when k = 0 -> [ e ]
+  | (Core.Dcsat.World_evaluated _ as e) :: tl ->
+      if k = 1 then [ e ] else e :: cut_after_worlds (k - 1) tl
+  | e :: tl -> e :: cut_after_worlds k tl
+
+(* A max-worlds budget of [k] cuts the jobs=1 run right after its [k]-th
+   world: same events up to there, same counts, and [Unknown Max_worlds]
+   exactly when the cut prefix holds no violation and the enumeration
+   did not finish first. *)
+let budget_prefix_holds session q =
+  match opt_traced ~jobs:1 session q with
+  | None -> true
+  | Some (full, events) ->
+      let total = full.Core.Dcsat.stats.Core.Dcsat.worlds_checked in
+      List.for_all
+        (fun k ->
+          let budget = Engine.Budget.create ~max_worlds:k () in
+          match opt_traced ~budget ~jobs:1 session q with
+          | None -> false
+          | Some (o, got) ->
+              let prefix = cut_after_worlds k events in
+              let count p = List.length (List.filter p prefix) in
+              let entered =
+                count (function
+                  | Core.Dcsat.Component_entered _ -> true
+                  | _ -> false)
+              in
+              let violated =
+                count (function
+                  | Core.Dcsat.World_evaluated (_, v) -> v
+                  | _ -> false)
+                > 0
+              in
+              let st = o.Core.Dcsat.stats in
+              let expected_verdict =
+                if k <= total && not violated then
+                  Core.Dcsat.Unknown Engine.Budget.Max_worlds
+                else full.Core.Dcsat.verdict
+              in
+              got = prefix
+              && st.Core.Dcsat.worlds_checked = min k total
+              && st.Core.Dcsat.cliques_enumerated = min k total
+              && st.Core.Dcsat.components_covered = entered
+              && o.Core.Dcsat.verdict = expected_verdict)
+        (List.init (total + 2) Fun.id)
+
+(* Hooks that never report a component clean re-solve everything: the
+   scheduled run must answer exactly as the hook-free one, and report
+   every component back once, in ascending index order. *)
+let all_dirty_matches_no_hooks session q =
+  match opt_traced ~jobs:1 session q with
+  | None -> true
+  | Some (base, _) ->
+      List.for_all
+        (fun jobs ->
+          let solved = ref [] in
+          let comp_hooks =
+            {
+              Core.Dcsat.comp_clean = (fun ~index:_ _ -> None);
+              comp_suspect = (fun ~index _ -> index mod 3 = 2);
+              comp_solved = (fun ~index _ _ -> solved := index :: !solved);
+            }
+          in
+          match opt_traced ~comp_hooks ~jobs session q with
+          | None -> false
+          | Some (o, _) ->
+              o.Core.Dcsat.verdict = base.Core.Dcsat.verdict
+              && o.Core.Dcsat.witness_world = base.Core.Dcsat.witness_world
+              && o.Core.Dcsat.witness = base.Core.Dcsat.witness
+              && List.rev !solved
+                 = List.init
+                     base.Core.Dcsat.stats.Core.Dcsat.components_total
+                     Fun.id)
+        [ 1; 4 ]
+
+(* Dense 8 pairs (8 components, 16 worlds under Opt) plus random
+   instances under every query ([opt_traced] skips disconnected ones). *)
+let opt_cases name holds =
+  Alcotest.test_case name `Quick (fun () ->
+      let dense =
+        ( Core.Session.create (Workload.Dense.db ~pairs:8),
+          Workload.Dense.query () )
+      in
+      let random seed =
+        let db = random_db (Random.State.make [| seed |]) in
+        let session = Core.Session.create db in
+        List.map (fun q -> (session, Q.Parser.parse_exn ~catalog:cat q)) queries
+      in
+      List.iter
+        (fun (session, q) -> Alcotest.(check bool) name true (holds session q))
+        (dense :: List.concat_map random (List.init 30 Fun.id)))
+
 let () =
   Alcotest.run "engine"
     [
@@ -365,5 +474,9 @@ let () =
           QCheck_alcotest.to_alcotest pool_matches_sequential;
           Alcotest.test_case "budget trips to Unknown" `Quick
             budget_trips_to_unknown;
+          opt_cases "opt: max-worlds k = unbudgeted run cut at world k"
+            budget_prefix_holds;
+          opt_cases "opt: all-dirty hooks = no hooks (jobs 1 and 4)"
+            all_dirty_matches_no_hooks;
         ] );
     ]

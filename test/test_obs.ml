@@ -9,7 +9,7 @@ module R = Relational
 module V = R.Value
 module Q = Bcquery
 module Core = Bccore
-module Obs = Bccore.Obs
+module Obs = Bcobs.Obs
 
 (* The parallel worker count: CI runs the suite once with
    BCDB_TEST_JOBS=1 and once with BCDB_TEST_JOBS=4, so the same

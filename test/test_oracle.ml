@@ -136,7 +136,7 @@ let differential ~trace =
     (fun (seed, qi) ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
-      let obs = if trace then Core.Obs.create () else Core.Obs.null in
+      let obs = if trace then Bcobs.Obs.create () else Bcobs.Obs.null in
       let session = Core.Session.create ~obs db in
       let q = Q.Parser.parse_exn ~catalog:cat (List.nth queries qi) in
       let o = build_oracle db q in
