@@ -226,10 +226,13 @@ let validate_bench_json path =
 (* Fig 6a/6b: query types. *)
 
 let run_measure ?(figure = "adhoc") ?(x = 0.0) ?repeats ?warmup ?summary ?jobs
-    ?use_delta ?use_native ~session ~label ~algo ~variant q =
+    ?config ~session ~label ~algo ~variant q =
   record ~figure ~x
-    (E.run ?repeats ?warmup ?summary ?jobs ?use_delta ?use_native
-       ~obs_sinks:(obs_sinks ()) ~session ~label ~algo ~variant q)
+    (E.run ?repeats ?warmup ?summary ?jobs ?config ~obs_sinks:(obs_sinks ())
+       ~session ~label ~algo ~variant q)
+
+(* The full-evaluation baseline: the incremental layer off. *)
+let full_eval = { Core.Dcsat.default with delta = false }
 
 let query_types variant =
   let figure = match variant with Q.Satisfied -> "fig6a" | Q.Unsatisfied -> "fig6b" in
@@ -571,12 +574,12 @@ let datasize () =
 let jobs_attempts = 6
 
 let paired_jobs ~figure ~label ~session ~algo q =
-  (* use_delta:false — the pair compares engine backends on full
+  (* [full_eval] — the pair compares engine backends on full
      evaluations. With the incremental layer on, whichever side runs
      second replays the first side's cached worlds and the comparison
      measures cache luck, not backend overhead. *)
   let measure jobs =
-    E.run ~repeats:5 ~warmup:1 ~summary:`Min ~jobs ~use_delta:false
+    E.run ~repeats:5 ~warmup:1 ~summary:`Min ~jobs ~config:full_eval
       ~obs_sinks:(obs_sinks ()) ~session ~label ~algo ~variant:Q.Unsatisfied q
   in
   let rec attempt n best =
@@ -619,9 +622,9 @@ let jobs_sweep () =
     List.map
       (fun jobs ->
         let m =
-          (* use_delta:false for the same reason as [paired_jobs]. *)
+          (* [full_eval] for the same reason as [paired_jobs]. *)
           run_measure ~figure:"jobs_sweep" ~x:(float_of_int jobs) ~repeats:5
-            ~warmup:1 ~summary:`Min ~jobs ~use_delta:false ~session:sess
+            ~warmup:1 ~summary:`Min ~jobs ~config:full_eval ~session:sess
             ~label:"qp3" ~algo:E.Opt ~variant:Q.Unsatisfied q
         in
         (jobs, m.E.seconds))
@@ -699,10 +702,10 @@ let dense_native_pairs () = if !smoke_flag then 10 else 16
 
 let dense_session pairs = E.session_of (W.Dense.db ~pairs)
 
-let dense_measure ?(repeats = 1) ?use_native ~session ~figure ~x ~jobs label =
-  run_measure ~figure ~x ~repeats ~summary:`Min ~jobs ~use_delta:false
-    ?use_native ~session ~label ~algo:E.Naive ~variant:Q.Satisfied
-    (W.Dense.query ())
+let dense_measure ?(repeats = 1) ?(config = full_eval) ~session ~figure ~x
+    ~jobs label =
+  run_measure ~figure ~x ~repeats ~summary:`Min ~jobs ~config ~session ~label
+    ~algo:E.Naive ~variant:Q.Satisfied (W.Dense.query ())
 
 (* worker_util = Σ item evaluation time / (jobs × runtime). One worker's
    items run one after another inside the solve, so their sum is at most
@@ -761,9 +764,9 @@ let dense () =
   let nworlds = W.Dense.worlds ~pairs:npairs in
   let nlabel = Printf.sprintf "dense-%dp" npairs in
   let nsess = dense_session npairs in
-  let nmeasure use_native x =
-    dense_measure ~repeats:3 ~use_native ~session:nsess ~figure:"dense-native"
-      ~x ~jobs:1 nlabel
+  let nmeasure native x =
+    dense_measure ~repeats:3 ~config:{ full_eval with native }
+      ~session:nsess ~figure:"dense-native" ~x ~jobs:1 nlabel
   in
   let interp = nmeasure false 0.0 in
   let native = nmeasure true 1.0 in
@@ -776,14 +779,14 @@ let dense () =
   (* The Opt contrast: component decomposition collapses the instance. *)
   let opt =
     run_measure ~figure:"dense" ~x:(float_of_int worlds) ~repeats:1
-      ~summary:`Min ~use_delta:false ~session:sess ~label ~algo:E.Opt
+      ~summary:`Min ~config:full_eval ~session:sess ~label ~algo:E.Opt
       ~variant:Q.Satisfied (W.Dense.query ())
   in
   E.print_table
     ~title:
       (Printf.sprintf
          "Dense component (K_{%dx2}, %d maximal worlds, NaiveDCSat, \
-          use_delta off)"
+          delta off)"
          pairs worlds)
     ~columns:
       [ "run"; "jobs"; "seconds"; "worlds"; "util" ]
@@ -824,9 +827,10 @@ let evalbench () =
   let mid_sess = session (Preset W.Datasets.Mid) ~contradictions:default_c () in
   let row ~label ~sim:s ~session:sess ~algo ~variant family =
     let q = Q.instantiate s family variant in
-    let measure use_delta x =
+    let measure delta x =
       run_measure ~figure:"evalbench" ~x ~repeats:5 ~warmup:1 ~summary:`Min
-        ~use_delta ~session:sess ~label ~algo ~variant q
+        ~config:{ Core.Dcsat.default with delta } ~session:sess ~label ~algo
+        ~variant q
     in
     (* Baseline first so the incremental side cannot inherit its cached
        worlds — each measure's warmup run warms its own caches. *)
@@ -897,7 +901,7 @@ let evalbench () =
             let interp_b =
               batch_min (fun () ->
                   for _ = 1 to per do
-                    ignore (Bcquery.Eval.eval_boolean_compiled src compiled)
+                    ignore (Bcquery.Eval.eval_boolean src compiled)
                   done)
             in
             let native_b =
@@ -989,18 +993,13 @@ let ablation () =
   (* 2. The R ∪ T pre-check, on a satisfied constraint. *)
   let precheck_on = time_runs 5 (fun () -> ok (Core.Dcsat.opt sess q_sat)) in
   let precheck_off =
-    time_runs 3 (fun () -> ok (Core.Dcsat.opt ~use_precheck:false sess q_sat))
-  in
-  (* 3. The Covers component filter (pre-check disabled so that the
-     filter actually runs on the satisfied side too). *)
-  let covers_on =
-    time_runs 3 (fun () -> ok (Core.Dcsat.opt ~use_precheck:false sess q_sat))
-  in
-  let covers_off =
     time_runs 3 (fun () ->
-        ok (Core.Dcsat.opt ~use_precheck:false ~use_covers:false sess q_sat))
+        ok
+          (Core.Dcsat.opt
+             ~config:{ Core.Dcsat.default with precheck = false }
+             sess q_sat))
   in
-  (* 4. Tractable PTIME procedure vs generic clique enumeration, on a
+  (* 3. Tractable PTIME procedure vs generic clique enumeration, on a
      key-only variant of the same data. *)
   let db = Core.Session.db sess in
   let key_only =
@@ -1044,12 +1043,6 @@ let ablation () =
           E.ms precheck_on;
           E.ms precheck_off;
           Printf.sprintf "%.0fx" (precheck_off /. precheck_on);
-        ];
-        [
-          "Covers component filter (no pre-check)";
-          E.ms covers_on;
-          E.ms covers_off;
-          Printf.sprintf "%.1fx" (covers_off /. covers_on);
         ];
         [
           "tractable fd-only solver vs NaiveDCSat (qs)";
@@ -1155,11 +1148,7 @@ let scenario_snapshot_check (s : Sc.t) (solved : Sc.solved) =
   | Error e -> fail "scenarios: %s: snapshot restore failed: %s" s.Sc.name e
   | Ok restored -> (
       let sess = Core.Session.create restored in
-      let budget =
-        match s.Sc.max_worlds with
-        | None -> Core.Engine.Budget.unlimited
-        | Some max_worlds -> Core.Engine.Budget.create ~max_worlds ()
-      in
+      let budget = Core.Engine.Budget.create ?max_worlds:s.Sc.max_worlds () in
       match Core.Solver.solve ~budget sess solved.Sc.query with
       | Error e ->
           fail "scenarios: %s: post-snapshot solve refused: %s" s.Sc.name e
@@ -1463,6 +1452,19 @@ let smoke () =
   in
   if warm.E.eval_delta = 0 then
     fail "smoke: warm re-solve recorded no eval.delta (incremental layer inert)";
+  (* The converse: a config with both evaluation switches off must reach
+     Inc_eval, or every baseline row would silently measure the fast
+     path. *)
+  let slow =
+    run_measure ~figure:"evalbench" ~x ~repeats:2 ~session:sess
+      ~config:{ Core.Dcsat.default with delta = false; native = false }
+      ~label:"qp3-baseline" ~algo:E.Opt ~variant:Q.Unsatisfied q
+  in
+  if slow.E.eval_delta <> 0 || slow.E.eval_native <> 0 then
+    fail
+      "smoke: delta/native off still took the fast path (eval.delta %d, \
+       eval.compiled_native %d)"
+      slow.E.eval_delta slow.E.eval_native;
   (* Dense parallel + closure-compiled smoke: the second pool worker and
      the native evaluation tier must both actually engage at CI scale —
      an inert fast path would otherwise pass silently. *)

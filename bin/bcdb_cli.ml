@@ -118,9 +118,7 @@ let max_worlds_arg =
 (* A fresh budget per invocation: deadlines are absolute, so the budget
    must be created right before the solve it bounds. *)
 let budget_of_flags ~timeout ~max_worlds =
-  match (timeout, max_worlds) with
-  | None, None -> Core.Engine.Budget.unlimited
-  | _ -> Core.Engine.Budget.create ?timeout_s:timeout ?max_worlds ()
+  Core.Engine.Budget.create ?timeout_s:timeout ?max_worlds ()
 
 let trace_arg =
   Arg.(
@@ -813,18 +811,16 @@ let serve_request live ~jobs ~timeout ~max_worlds payload =
           match Q.Parser.parse ~catalog q_text with
           | Error msg -> (respond_error msg, true)
           | Ok q -> (
-              let timeout_s =
-                match req_timeout with Some _ -> req_timeout | None -> timeout
+              let or_server req server =
+                if Option.is_some req then req else server
               in
-              let max_worlds =
-                match req_max_worlds with
-                | Some _ -> req_max_worlds
-                | None -> max_worlds
+              let budget =
+                budget_of_flags
+                  ~timeout:(or_server req_timeout timeout)
+                  ~max_worlds:(or_server req_max_worlds max_worlds)
               in
               let jobs = Option.value req_jobs ~default:jobs in
-              match
-                Core.Live.check ~jobs ?timeout_s ?max_worlds live q
-              with
+              match Core.Live.check ~jobs ~budget live q with
               | Ok (o, strategy) ->
                   (respond_outcome o (Core.Solver.strategy_name strategy), true)
               | Error msg -> (respond_error msg, true))))

@@ -125,51 +125,52 @@ let finish ~t0 ~precheck counters verdict =
       };
   }
 
-(* Engine eval factories: each worker instantiates one {!Inc_eval}
-   evaluator over the session's compiled plan, so its incremental world
-   caches are worker-private (the caches themselves live with the store
-   being evaluated on, which is also worker-private).
+type config = { precheck : bool; delta : bool; native : bool }
 
-   [obs] records the eval span — it runs on whatever domain evaluates,
+let default = { precheck = true; delta = true; native = true }
+
+(* The solve's evaluator constructor: each call instantiates one
+   {!Inc_eval} evaluator over the session's compiled plan, so every
+   engine worker gets its own incremental world caches (the caches
+   themselves live with the store being evaluated on, which is also
+   worker-private). *)
+let evaluators config session plan () =
+  Inc_eval.switched ~delta:config.delta ~native:config.native
+    ~obs:(Session.obs session) plan
+
+(* [obs] records the eval span — it runs on whatever domain evaluates,
    and per-domain buffering keeps concurrent evaluations from
    interleaving. This runs once per world: the span closure must only be
    built when recording, or its allocation taxes the uninstrumented hot
    path. *)
-let eval_txs_with ev obs store txs =
+let eval_txs obs ev store txs =
   if Obs.enabled obs then
     Obs.span obs ~cat:"dcsat" "eval" (fun () -> Inc_eval.eval_world ev store txs)
   else Inc_eval.eval_world ev store txs
 
-let eval_txs_factory ~use_delta ~use_native obs plan () =
-  let ev = Inc_eval.evaluator ~use_delta ~use_native ~obs plan in
-  fun store txs -> eval_txs_with ev obs store txs
-
 (* A clique work item: materialize its maximal world (memoized with the
    evaluator's world cache — the closure is world-independent), then
    evaluate. *)
-let eval_clique_factory ~use_delta ~use_native obs plan () =
-  let ev = Inc_eval.evaluator ~use_delta ~use_native ~obs plan in
-  fun store members ->
-    let world =
-      if Obs.enabled obs then
-        Obs.span obs ~cat:"dcsat" "get_maximal" (fun () ->
-            Inc_eval.maximal_world ev store members)
-      else Inc_eval.maximal_world ev store members
-    in
-    eval_txs_with ev obs store (Bitset.to_list world)
+let eval_clique obs ev store members =
+  let world =
+    if Obs.enabled obs then
+      Obs.span obs ~cat:"dcsat" "get_maximal" (fun () ->
+          Inc_eval.maximal_world ev store members)
+    else Inc_eval.maximal_world ev store members
+  in
+  eval_txs obs ev store (Bitset.to_list world)
 
 (* The monotone pre-check: q false over R ∪ T implies satisfied. The
    previously active world is restored afterwards. The full-visibility
    world goes through the incremental evaluator too: on repeated solves
    of one constraint it is a pure replay. *)
-let precheck ~use_delta ~use_native session plan =
+let precheck session evaluators =
   let obs = Session.obs session in
   Obs.span obs ~cat:"dcsat" "precheck" @@ fun () ->
   let store = Session.store session in
   let saved = Tagged_store.world store in
   Tagged_store.all_visible store;
-  let ev = Inc_eval.evaluator ~use_delta ~use_native ~obs plan in
-  let decided = not (Inc_eval.eval_bool ev store) in
+  let decided = not (Inc_eval.eval_bool (evaluators ()) store) in
   Tagged_store.set_world store saved;
   decided
 
@@ -231,8 +232,8 @@ let budget_interrupt budget =
    the engine run's own budget stays unlimited, as it would count
    components, the wrong unit. The lowest-index violation wins, and
    without [hooks] work is counted only up to it. *)
-let run_components ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
-    ~hooks session q plan counters components =
+let run_components ~jobs ~budget ~on_event ~hooks session q evaluators counters
+    components =
   let store = Session.store session in
   let obs = Session.obs session in
   (* Forced here: workers must not race on the session's lazy graph. *)
@@ -287,12 +288,10 @@ let run_components ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
       | i :: tl ->
           remaining := tl;
           let c = comps.(i) in
-          let covers =
-            (not use_covers)
-            || Obs.span obs ~cat:"dcsat" "covers" (fun () ->
-                   Covers.covers store c q)
-          in
-          if covers then begin
+          if
+            Obs.span obs ~cat:"dcsat" "covers" (fun () ->
+                Covers.covers store c q)
+          then begin
             entered.(i) <- true;
             locked (fun () -> on_event (Component_entered c));
             (* Every maximal world of [c] lives inside it: workers
@@ -310,7 +309,7 @@ let run_components ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
     if check_budget () <> None then None else next ()
   in
   let eval_comp () =
-    let clique_eval = eval_clique_factory ~use_delta ~use_native obs plan () in
+    let ev = evaluators () in
     fun view members ->
       let i = Hashtbl.find index_of (List.hd members) in
       let cut = ref None in
@@ -337,7 +336,7 @@ let run_components ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
             | Some { Engine.Work_source.members = clique; _ } -> (
                 incr cliques;
                 locked (fun () -> on_event (Clique_found clique));
-                let ev = clique_eval view clique in
+                let ev = eval_clique obs ev view clique in
                 incr comp_worlds;
                 locked (fun () ->
                     incr worlds;
@@ -408,16 +407,22 @@ let run_components ~jobs ~budget ~use_covers ~use_delta ~use_native ~on_event
     hooks;
   (Option.map snd violation, Engine.Budget.tripped budget)
 
-let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
-    ?(use_delta = true) ?(use_native = true) session q =
-  let t0 = Monotime.now () in
+(* Restore the store's active world on every exit path: neither a
+   refusal, nor a pre-check decision, nor a full enumeration may leave
+   the session in a surprising world. *)
+let with_world_restored session k =
   let store = Session.store session in
   let saved = Tagged_store.world store in
-  Fun.protect ~finally:(fun () -> Tagged_store.set_world store saved)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Tagged_store.set_world store saved) k
+
+let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
+    ?(config = default) session q =
+  with_world_restored session @@ fun () ->
+  let t0 = Monotime.now () in
   let counters = fresh_counters () in
-  let plan = Session.plan session q in
-  let next = Poss.generator store in
+  let evaluators = evaluators config session (Session.plan session q) in
+  let obs = Session.obs session in
+  let next = Poss.generator (Session.store session) in
   let source () =
     Option.map
       (fun w -> Engine.Work_source.plain (Bitset.to_list w))
@@ -426,7 +431,7 @@ let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
   let violation, exhausted =
     run_worlds ~jobs ~budget ~on_event:ignore ~count_cliques:false session
       counters
-      ~eval:(eval_txs_factory ~use_delta ~use_native (Session.obs session) plan)
+      ~eval:(fun () -> eval_txs obs (evaluators ()))
       source
   in
   finish ~t0 ~precheck:false counters (verdict_of ~violation ~exhausted)
@@ -436,96 +441,63 @@ let require_monotone q k =
   | Q.Monotone.Monotone -> k ()
   | Q.Monotone.Not_monotone reason -> Error (`Not_monotone reason)
 
-let base_world_check ~use_delta ~use_native session counters plan =
-  let store = Session.store session in
-  let obs = Session.obs session in
-  counters.worlds <- counters.worlds + 1;
-  if Obs.enabled obs then Obs.add obs "dcsat.worlds" 1;
-  let ev = eval_txs_factory ~use_delta ~use_native obs plan () store [] in
-  Option.map
-    (fun (v : Engine.violation) -> (v.Engine.world, v.witness))
-    ev.Engine.violation
-
-(* Restore the store's active world on every exit path: neither a
-   refusal, nor a pre-check decision, nor a full enumeration may leave
-   the session in a surprising world. *)
-let with_world_restored session k =
-  let store = Session.store session in
-  let saved = Tagged_store.world store in
-  Fun.protect ~finally:(fun () -> Tagged_store.set_world store saved) k
-
-let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
-    ?(use_delta = true) ?(use_native = true) ?(on_event = ignore) session q =
-  require_monotone q @@ fun () ->
+(* The prologue NaiveDCSat and OptDCSat share: the [R ∪ T] pre-check,
+   then, with no pending transaction, the single world [R]; otherwise
+   [enumerate k counters evaluators] over the [k] pending transactions. *)
+let solve_monotone ~config ~on_event session q enumerate =
   with_world_restored session @@ fun () ->
   let t0 = Monotime.now () in
   let counters = fresh_counters () in
-  let plan = Session.plan session q in
-  if use_precheck && precheck ~use_delta ~use_native session plan then begin
+  let evaluators = evaluators config session (Session.plan session q) in
+  if config.precheck && precheck session evaluators then begin
     on_event Precheck_decided;
     Ok (finish ~t0 ~precheck:true counters Satisfied)
   end
   else begin
-    let store = Session.store session in
-    let k = Tagged_store.tx_count store in
+    let k = Tagged_store.tx_count (Session.store session) in
     let violation, exhausted =
-      if k = 0 then
-        (base_world_check ~use_delta ~use_native session counters plan, None)
-      else
-        run_worlds ~jobs ~budget ~on_event ~count_cliques:true session counters
-          ~eval:
-            (eval_clique_factory ~use_delta ~use_native (Session.obs session)
-               plan)
-          (clique_source ?interrupt:(budget_interrupt budget)
-             (Session.obs session) (Session.fd_graph session)
-             (List.init k Fun.id))
+      if k = 0 then begin
+        let obs = Session.obs session in
+        counters.worlds <- counters.worlds + 1;
+        if Obs.enabled obs then Obs.add obs "dcsat.worlds" 1;
+        let ev = eval_txs obs (evaluators ()) (Session.store session) [] in
+        ( Option.map
+            (fun (v : Engine.violation) -> (v.Engine.world, v.witness))
+            ev.Engine.violation,
+          None )
+      end
+      else enumerate k counters evaluators
     in
     Ok (finish ~t0 ~precheck:false counters (verdict_of ~violation ~exhausted))
   end
 
-let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
-    ?(use_covers = true) ?(use_delta = true) ?(use_native = true)
+let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(config = default)
+    ?(on_event = ignore) session q =
+  require_monotone q @@ fun () ->
+  solve_monotone ~config ~on_event session q @@ fun k counters evaluators ->
+  let obs = Session.obs session in
+  run_worlds ~jobs ~budget ~on_event ~count_cliques:true session counters
+    ~eval:(fun () -> eval_clique obs (evaluators ()))
+    (clique_source ?interrupt:(budget_interrupt budget) obs
+       (Session.fd_graph session) (List.init k Fun.id))
+
+let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(config = default)
     ?(on_event = ignore) ?comp_hooks session q =
   require_monotone q @@ fun () ->
   match q with
   | Q.Query.Aggregate _ -> Error `Not_connected
-  | Q.Query.Boolean body ->
-      if not (Q.Gaifman.is_connected body) then Error `Not_connected
-      else
-        with_world_restored session @@ fun () ->
-        let t0 = Monotime.now () in
-        let counters = fresh_counters () in
-        let plan = Session.plan session q in
-        if use_precheck && precheck ~use_delta ~use_native session plan then begin
-          on_event Precheck_decided;
-          Ok (finish ~t0 ~precheck:true counters Satisfied)
-        end
-        else begin
-          let store = Session.store session in
-          let k = Tagged_store.tx_count store in
-          let violation, exhausted =
-            if k = 0 then
-              (base_world_check ~use_delta ~use_native session counters plan, None)
-            else begin
-              let obs = Session.obs session in
-              let components =
-                Obs.span obs ~cat:"dcsat" "ind_graph" (fun () ->
-                    if use_delta then Session.ind_components session q
-                    else
-                      let graph =
-                        Ind_graph.build store q (Session.ind_base_edges session)
-                      in
-                      Bcgraph.Components.of_graph graph)
-              in
-              counters.comps <- List.length components;
-              if Obs.enabled obs then
-                Obs.add obs "dcsat.components" (List.length components);
-              on_event (Components_found (List.length components));
-              run_components ~jobs ~budget ~use_covers ~use_delta ~use_native
-                ~on_event ~hooks:comp_hooks session q plan counters components
-            end
-          in
-          Ok
-            (finish ~t0 ~precheck:false counters
-               (verdict_of ~violation ~exhausted))
-        end
+  | Q.Query.Boolean body when not (Q.Gaifman.is_connected body) ->
+      Error `Not_connected
+  | Q.Query.Boolean _ ->
+      solve_monotone ~config ~on_event session q @@ fun _ counters evaluators ->
+      let obs = Session.obs session in
+      let components =
+        Obs.span obs ~cat:"dcsat" "ind_graph" (fun () ->
+            Session.ind_components session q)
+      in
+      let n = List.length components in
+      counters.comps <- n;
+      if Obs.enabled obs then Obs.add obs "dcsat.components" n;
+      on_event (Components_found n);
+      run_components ~jobs ~budget ~on_event ~hooks:comp_hooks session q
+        evaluators counters components

@@ -135,11 +135,24 @@ val pp_refusal : Format.formatter -> refusal -> unit
 val verdict_name : verdict -> string
 (** ["SATISFIED"], ["UNSATISFIED"], or ["UNKNOWN (budget exhausted: …)"]. *)
 
+type config = { precheck : bool; delta : bool; native : bool }
+(** The solver's oracle switches, all on in {!default}. [precheck] runs
+    the [R ∪ T] pre-check before {!naive} and {!opt} enumerate
+    ({!brute_force} never pre-checks). [delta] is the incremental
+    evaluation layer ({!Inc_eval}: per-store world caches, replay,
+    delta-seeded search); off, every world pays a full backtracking
+    join. [native] is the closure-compiled evaluation tier
+    ({!Bcquery.Eval.compile_native}); off, full evaluations run the
+    interpreted join. Verdicts and witnesses are bit-identical under
+    every setting; only the work done differs. Tests use the other
+    settings as oracles, benchmarks as baselines. *)
+
+val default : config
+
 val brute_force :
   ?jobs:int ->
   ?budget:Engine.Budget.t ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:config ->
   Session.t ->
   Bcquery.Query.t ->
   outcome
@@ -148,44 +161,27 @@ val brute_force :
 val naive :
   ?jobs:int ->
   ?budget:Engine.Budget.t ->
-  ?use_precheck:bool ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:config ->
   ?on_event:(event -> unit) ->
   Session.t ->
   Bcquery.Query.t ->
   (outcome, refusal) result
-(** [use_precheck] (default true) disables the [R ∪ T] pre-check for
-    ablation measurements. [use_delta] (default true) turns off the
-    incremental evaluation layer ({!Inc_eval}: per-store world caches,
-    replay, delta-seeded search) — every world then pays a full
-    backtracking join; answers and witnesses are identical either way.
-    [jobs] (default 1) selects the engine backend; with [jobs > 1],
+(** [jobs] (default 1) selects the engine backend; with [jobs > 1],
     [on_event] callbacks are serialized but their order is
     nondeterministic. [budget] (default {!Engine.Budget.unlimited})
     bounds the enumeration; the pre-check is never budgeted (it is a
-    single query evaluation).
-
-    [use_native] (default true) turns off the closure-compiled
-    evaluation tier ({!Bcquery.Eval.compile_native} via {!Inc_eval}) —
-    full evaluations then run the interpreted backtracking join;
-    answers, witnesses and counts are identical either way. *)
+    single query evaluation). [config] defaults to {!default}. *)
 
 val opt :
   ?jobs:int ->
   ?budget:Engine.Budget.t ->
-  ?use_precheck:bool ->
-  ?use_covers:bool ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:config ->
   ?on_event:(event -> unit) ->
   ?comp_hooks:comp_hooks ->
   Session.t ->
   Bcquery.Query.t ->
   (outcome, refusal) result
-(** [use_covers] (default true) disables the constant-coverage component
-    filter for ablation measurements. [jobs], [budget], [use_delta] and
-    [use_native] as in {!naive}.
+(** [jobs], [budget] and [config] as in {!naive}.
 
     Every covered component is one work item of a single engine run:
     its worker enumerates the component's cliques in Bron–Kerbosch

@@ -32,24 +32,9 @@ let run ?jobs ?budget ?(max_events = 50) session q =
     if !count <= max_events then events := e :: !events else truncated := true
   in
   let traced =
-    (* Prefer the same order as the dispatcher, but instrument the paths
-       that support tracing. *)
-    match Tractable.solve session q with
-    | Some (outcome, case) ->
-        Ok (outcome, "tractable: " ^ Tractable.case_name case)
-    | None -> (
-        match Dcsat.opt ?jobs ?budget ~on_event session q with
-        | Ok outcome -> Ok (outcome, "OptDCSat")
-        | Error `Not_connected -> (
-            match Dcsat.naive ?jobs ?budget ~on_event session q with
-            | Ok outcome -> Ok (outcome, "NaiveDCSat")
-            | Error refusal ->
-                Error (Format.asprintf "%a" Dcsat.pp_refusal refusal))
-        | Error (`Not_monotone _) ->
-            if Tagged_store.tx_count (Session.store session) > 24 then
-              Error
-                "not monotone and too many pending transactions to enumerate"
-            else Ok (Dcsat.brute_force ?jobs ?budget session q, "brute force"))
+    Result.map
+      (fun (outcome, strategy) -> (outcome, Solver.strategy_name strategy))
+      (Solver.solve ?jobs ?budget ~on_event session q)
   in
   Result.map
     (fun (outcome, strategy) ->

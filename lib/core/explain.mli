@@ -22,8 +22,8 @@ val run :
   Session.t ->
   Bcquery.Query.t ->
   (report, string) result
-(** Solve with the dispatcher's preference order (tracing only applies to
-    the Naive/Opt paths; tractable and brute-force runs yield an empty
+(** Solve through {!Solver.solve} (tracing only applies to the
+    Naive/Opt paths; tractable and brute-force runs yield an empty
     trace). [max_events] defaults to 50. [jobs] selects the engine
     backend (default 1); with [jobs > 1] the trace's event order is
     nondeterministic. [budget] bounds the enumerating solvers as in

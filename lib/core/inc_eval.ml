@@ -205,6 +205,9 @@ type t = {
 let evaluator ?(use_delta = true) ?(use_native = true) ?(obs = Obs.null) plan =
   { plan; use_delta; use_native; obs; cached = None }
 
+let switched ~delta ~native ~obs plan =
+  evaluator ~use_delta:delta ~use_native:native ~obs plan
+
 (* The evaluator's state for [store], with a one-slot physical-identity
    fast path (workers see one store for a whole engine run). A dry-run
    append/undo replaces the store's database value; cached worlds (and
@@ -254,11 +257,11 @@ let full_entry t store =
              again, to re-derive the canonical witness. *)
           count_native t;
           if Q.Eval.native_exists nat src then
-            let witness = Q.Eval.find_witness_compiled src p.body in
+            let witness = Q.Eval.find_witness src p.body in
             { world; matched = true; witness; acc = None }
           else { world; matched = false; witness = None; acc = None }
       | None ->
-          let witness = Q.Eval.find_witness_compiled src p.body in
+          let witness = Q.Eval.find_witness src p.body in
           { world; matched = witness <> None; witness; acc = None })
   | Some a ->
       if p.incremental_agg then begin
@@ -273,7 +276,7 @@ let full_entry t store =
             Q.Eval.native_iter nat src (fun values ->
                 acc := acc_add p a !acc values)
         | None ->
-            Q.Eval.iter_matches_compiled src p.body (fun values _ ->
+            Q.Eval.iter_matches src p.body (fun values _ ->
                 acc := acc_add p a !acc values;
                 `Continue));
         { world; matched = acc_matched a !acc; witness = None; acc = Some !acc }
@@ -317,7 +320,7 @@ let delta_boolean t store (e : entry) (d : Tagged_store.world_delta) =
        search, so delta and from-scratch evaluation return the identical
        canonical assignment. This runs at most once per solve — the
        engine stops at the first violation. *)
-    let witness = Q.Eval.find_witness_compiled src p.body in
+    let witness = Q.Eval.find_witness src p.body in
     { world; matched = true; witness; acc = None }
 
 let delta_aggregate t store a (acc0 : acc) (d : Tagged_store.world_delta) =

@@ -68,6 +68,10 @@ val evaluator : ?use_delta:bool -> ?use_native:bool -> ?obs:Obs.t -> plan -> t
     evaluation. [obs] (default {!Obs.null}) receives the [eval.*]
     counters. *)
 
+val switched : delta:bool -> native:bool -> obs:Obs.t -> plan -> t
+(** {!evaluator} with every argument explicit: the solver's
+    constructor, fed from {!Dcsat.config}. *)
+
 val eval_world : t -> Tagged_store.t -> int list -> Engine.evaluation
 (** Switch the store to the world of the given transactions and
     evaluate the plan over it, as an engine evaluation (with canonical

@@ -522,16 +522,11 @@ let prune tr =
       tr.t_viol
   end
 
-let check ?(jobs = 1) ?timeout_s ?max_worlds ?use_cache t q =
-  let budget =
-    match (timeout_s, max_worlds) with
-    | None, None -> None
-    | _ -> Some (Engine.Budget.create ?timeout_s ?max_worlds ())
-  in
+let check ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?use_cache t q =
   (* A tractable-decided query never reaches the component machinery:
      skip both the seeding and the cache bookkeeping. *)
   if Tractable.decides t.db q then
-    Solver.solve ~jobs ?budget t.session q
+    Solver.solve ~jobs ~budget t.session q
   else begin
     let use_cache =
       match use_cache with Some b -> b | None -> cache_default ()
@@ -544,7 +539,7 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?use_cache t q =
        [Unknown], breaking cache-on/off bit-identity. *)
     let cacheable =
       use_cache
-      && Option.is_none budget
+      && Engine.Budget.is_unlimited budget
       &&
       match q with
       | Q.Query.Boolean body -> Q.Gaifman.is_connected body
@@ -554,7 +549,7 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?use_cache t q =
        so the solver answers from the maintained partition. *)
     let tr = track t q in
     let comp_hooks = if cacheable then Some (make_hooks t tr) else None in
-    let result = Solver.solve ~jobs ?budget ?comp_hooks t.session q in
+    let result = Solver.solve ~jobs ~budget ?comp_hooks t.session q in
     if cacheable then prune tr;
     result
   end

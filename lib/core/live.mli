@@ -163,21 +163,20 @@ val reset : t -> Bcdb.t -> unit
 
 val check :
   ?jobs:int ->
-  ?timeout_s:float ->
-  ?max_worlds:int ->
+  ?budget:Engine.Budget.t ->
   ?use_cache:bool ->
   t ->
   Bcquery.Query.t ->
   (Dcsat.outcome * Solver.strategy, string) result
 (** One DCSat request against the current mempool: {!Solver.solve} over
-    the maintained session, with [timeout_s]/[max_worlds] forming the
-    per-request admission budget (an exhausted budget yields
-    [verdict = Unknown], never a wrong answer). The first check of a
+    the maintained session, with [budget] (default
+    {!Engine.Budget.unlimited}) the per-request admission budget (an
+    exhausted budget yields [verdict = Unknown], never a wrong answer). The first check of a
     query starts component tracking for it. [use_cache] overrides the
     [BCDB_LIVE_CACHE] environment default; when the cache is live and
     the query will take the OptDCSat path, the check re-solves only
     components whose signature is not cached (see the module preamble).
     Tractable-decided queries bypass tracking and caching entirely, and
-    so do budgeted requests (any [timeout_s]/[max_worlds]): a cached
+    so do budgeted requests (any budget that can trip): a cached
     verdict could otherwise answer where the budget-tripped solve must
     return [Unknown], breaking cache-on/off bit-identity. *)

@@ -22,7 +22,7 @@ let strategy_counter = function
   | Naive -> "solver.strategy.naive"
   | Brute_force -> "solver.strategy.brute_force"
 
-let solve ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q =
+let solve ?jobs ?budget ?config ?on_event ?comp_hooks session q =
   let obs = Session.obs session in
   let result =
     Obs.span obs ~cat:"solver" "solve" @@ fun () ->
@@ -30,13 +30,11 @@ let solve ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q =
     | Some (outcome, case) -> Ok (outcome, Tractable case)
     | None -> (
         match
-          Dcsat.opt ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q
+          Dcsat.opt ?jobs ?budget ?config ?on_event ?comp_hooks session q
         with
         | Ok outcome -> Ok (outcome, Opt)
         | Error `Not_connected -> (
-            match
-              Dcsat.naive ?jobs ?budget ?use_delta ?use_native session q
-            with
+            match Dcsat.naive ?jobs ?budget ?config ?on_event session q with
             | Ok outcome -> Ok (outcome, Naive)
             | Error refusal ->
                 Error (Format.asprintf "%a" Dcsat.pp_refusal refusal))
@@ -50,8 +48,7 @@ let solve ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q =
                    (Tagged_store.tx_count store) brute_limit)
             else
               Ok
-                ( Dcsat.brute_force ?jobs ?budget ?use_delta ?use_native session q,
-                  Brute_force ))
+                (Dcsat.brute_force ?jobs ?budget ?config session q, Brute_force))
   in
   (match result with
   | Ok (_, strategy) when Obs.enabled obs ->
@@ -59,8 +56,8 @@ let solve ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q =
   | _ -> ());
   result
 
-let solve_exn ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q =
-  match solve ?jobs ?budget ?use_delta ?use_native ?comp_hooks session q with
+let solve_exn ?jobs ?budget ?config ?comp_hooks session q =
+  match solve ?jobs ?budget ?config ?comp_hooks session q with
   | Ok result -> result
   | Error msg -> invalid_arg ("Solver.solve: " ^ msg)
 

@@ -18,8 +18,8 @@ val strategy_name : strategy -> string
 val solve :
   ?jobs:int ->
   ?budget:Engine.Budget.t ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:Dcsat.config ->
+  ?on_event:(Dcsat.event -> unit) ->
   ?comp_hooks:Dcsat.comp_hooks ->
   Session.t ->
   Bcquery.Query.t ->
@@ -33,10 +33,10 @@ val solve :
     store views (see {!Engine}). [budget] bounds those enumerating
     paths; an exhausted budget yields [verdict = Unknown] in the
     outcome. The tractable procedures are PTIME and always run inline,
-    unbudgeted — they terminate promptly by construction. [use_native]
-    (default true) toggles the closure-compiled evaluation tier on the
-    same paths (see {!Dcsat.naive}); answers are identical either way.
-    [comp_hooks] enables OptDCSat's per-component verdict-cache path (see
+    unbudgeted — they terminate promptly by construction. [config] (see
+    {!Dcsat.config}) reaches the same paths; [on_event] observes the
+    Naive/Opt paths (see {!Explain}). [comp_hooks] enables OptDCSat's
+    per-component verdict-cache path (see
     {!Dcsat.opt}); the tractable, naive and brute-force strategies
     ignore it — only the component-factorized algorithm has cacheable
     per-component verdicts. *)
@@ -44,8 +44,7 @@ val solve :
 val solve_exn :
   ?jobs:int ->
   ?budget:Engine.Budget.t ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:Dcsat.config ->
   ?comp_hooks:Dcsat.comp_hooks ->
   Session.t ->
   Bcquery.Query.t ->

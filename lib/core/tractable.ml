@@ -152,7 +152,7 @@ let solve_fd_conjunctive run body =
   Tagged_store.all_visible store;
   let src = Tagged_store.source store in
   let found = ref None in
-  Q.Eval.iter_matches src qpos (fun values support ->
+  Q.Eval.iter_matches src (Q.Eval.compile qpos) (fun values support ->
       let candidates = support_choices store support in
       let viable members =
         fd_consistent_set run.session members
@@ -183,7 +183,9 @@ let solve_ind_conjunctive run body =
     let world = global_maximal run in
     run.worlds <- run.worlds + 1;
     Tagged_store.set_world store world;
-    match Q.Eval.find_witness (Tagged_store.source store) body with
+    match
+      Q.Eval.find_witness (Tagged_store.source store) (Q.Eval.compile body)
+    with
     | Some assignment ->
         outcome run false (Some (Bitset.to_list world)) (Some assignment)
     | None -> outcome run true None None
@@ -208,7 +210,7 @@ let solve_ind_conjunctive run body =
     let found = ref None in
     Tagged_store.all_visible store;
     let src = Tagged_store.source store in
-    Q.Eval.iter_matches src qpos (fun values support ->
+    Q.Eval.iter_matches src (Q.Eval.compile qpos) (fun values support ->
         Tagged_store.all_visible store;
         let negated_ground =
           List.map
@@ -251,15 +253,9 @@ let solve_ind_conjunctive run body =
     | None -> outcome run true None None
   end
 
-let theta_holds theta value threshold =
-  match theta with
-  | Q.Query.Lt -> R.Value.lt value threshold
-  | Q.Query.Gt -> R.Value.lt threshold value
-  | Q.Query.Eq -> R.Value.equal value threshold
-
 let solve_fd_aggregate run (a : Q.Query.aggregate) =
   let store = Session.store run.session in
-  let body = a.Q.Query.body in
+  let body = Q.Eval.compile a.Q.Query.body in
   let tested = Hashtbl.create 64 in
   let found = ref None in
   Tagged_store.all_visible store;
@@ -276,9 +272,7 @@ let solve_fd_aggregate run (a : Q.Query.aggregate) =
             Tagged_store.set_world_list store members;
             let world_src = Tagged_store.source store in
             let result =
-              match Q.Eval.aggregate_value world_src a with
-              | None -> false
-              | Some v -> theta_holds a.Q.Query.theta v a.Q.Query.threshold
+              Q.Eval.eval_compiled world_src (Q.Query.Aggregate a) body
             in
             Tagged_store.all_visible store;
             result

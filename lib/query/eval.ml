@@ -223,19 +223,16 @@ let run_delta (src : Source.t) (c : compiled) ~delta on_match =
     done
   with Stop -> ()
 
-let iter_matches src q f = run src q f
-let iter_matches_compiled src c f = run_compiled src c f
+let iter_matches = run_compiled
 
-let eval_boolean_compiled src c =
+let eval_boolean src c =
   let found = ref false in
   run_compiled src c (fun _ _ ->
       found := true;
       `Stop);
   !found
 
-let eval_boolean src q = eval_boolean_compiled src (compile q)
-
-let find_witness_compiled src c =
+let find_witness src c =
   let witness = ref None in
   run_compiled src c (fun values _ ->
       witness := Some values;
@@ -243,8 +240,6 @@ let find_witness_compiled src c =
   Option.map
     (fun values -> List.combine (Array.to_list c.var_names) (Array.to_list values))
     !witness
-
-let find_witness src q = find_witness_compiled src (compile q)
 
 (* --- closure-compiled plans ------------------------------------------
 
@@ -441,7 +436,7 @@ let project_compiled (c : compiled) (agg_args : Term.t array) values =
       | Term.Const k -> k)
     agg_args
 
-let aggregate_value_compiled src (c : compiled) (a : Query.aggregate) =
+let aggregate_value src (c : compiled) (a : Query.aggregate) =
   match a.Query.agg with
   | Query.Count ->
       let n = ref 0 in
@@ -478,9 +473,6 @@ let aggregate_value_compiled src (c : compiled) (a : Query.aggregate) =
           `Continue);
       !acc
 
-let aggregate_value src (a : Query.aggregate) =
-  aggregate_value_compiled src (compile a.Query.body) a
-
 let theta_holds theta value threshold =
   match theta with
   | Query.Lt -> Value.lt value threshold
@@ -489,9 +481,9 @@ let theta_holds theta value threshold =
 
 let eval_compiled src (q : Query.t) (c : compiled) =
   match q with
-  | Query.Boolean _ -> eval_boolean_compiled src c
+  | Query.Boolean _ -> eval_boolean src c
   | Query.Aggregate a -> (
-      match aggregate_value_compiled src c a with
+      match aggregate_value src c a with
       | None -> false (* empty bag: comparison is false (footnote 9) *)
       | Some v -> theta_holds a.Query.theta v a.Query.threshold)
 

@@ -13,9 +13,9 @@
 
     Compilation (variable numbering, atom/comparison lowering) is split
     from execution so a solver session can compile each constraint once
-    and evaluate the plan over thousands of worlds; the [*_compiled]
-    variants below take the reusable plan, and the plain ones remain as
-    compile-and-run wrappers. *)
+    and evaluate the plan over thousands of worlds: the entry points
+    below take the reusable plan, except the one-shot {!eval} and
+    {!count_matches}. *)
 
 type compiled
 (** A compiled conjunctive-query body: variables numbered, atoms and
@@ -52,7 +52,7 @@ val compile_native : compiled -> native option
 
 val native_exists : native -> Relational.Source.t -> bool
 (** True when at least one satisfying assignment exists (stops at the
-    first match). Agrees exactly with {!eval_boolean_compiled} on the
+    first match). Agrees exactly with {!eval_boolean} on the
     plan it was compiled from. *)
 
 val native_iter :
@@ -60,24 +60,19 @@ val native_iter :
 (** Calls the callback once per satisfying assignment with the values of
     [q.vars] (in {!var_names} order). The array is reused between
     calls — copy it to retain. Matches are the same bag
-    {!iter_matches_compiled} enumerates, in the native plan's order; use
+    {!iter_matches} enumerates, in the native plan's order; use
     it only for order-insensitive (commutative) accumulation. *)
 
-val eval_boolean : Relational.Source.t -> Cq.t -> bool
+val eval_boolean : Relational.Source.t -> compiled -> bool
 (** True when at least one satisfying assignment exists (early exit). *)
 
-val eval_boolean_compiled : Relational.Source.t -> compiled -> bool
-
 val find_witness :
-  Relational.Source.t -> Cq.t -> (string * Relational.Value.t) list option
-(** A satisfying assignment, as variable bindings in [q.vars] order. *)
-
-val find_witness_compiled :
   Relational.Source.t -> compiled -> (string * Relational.Value.t) list option
+(** A satisfying assignment, as variable bindings in [q.vars] order. *)
 
 val iter_matches :
   Relational.Source.t ->
-  Cq.t ->
+  compiled ->
   (Relational.Value.t array ->
   (string * Relational.Tuple.t) list ->
   [ `Continue | `Stop ]) ->
@@ -86,14 +81,6 @@ val iter_matches :
     [q.vars] (in order) and the {e support}: the (relation, tuple) pair
     each positive atom was mapped to, in atom order. Duplicate assignments
     never occur. Return [`Stop] to abort. *)
-
-val iter_matches_compiled :
-  Relational.Source.t ->
-  compiled ->
-  (Relational.Value.t array ->
-  (string * Relational.Tuple.t) list ->
-  [ `Continue | `Stop ]) ->
-  unit
 
 val run_delta :
   Relational.Source.t ->
@@ -119,13 +106,10 @@ val run_delta :
     must deduplicate assignments. *)
 
 val aggregate_value :
-  Relational.Source.t -> Query.aggregate -> Relational.Value.t option
-(** [α(B)] where [B] is the bag of [h(x̄)] over all satisfying
-    assignments; [None] when the bag is empty. *)
-
-val aggregate_value_compiled :
   Relational.Source.t -> compiled -> Query.aggregate -> Relational.Value.t option
-(** Same, over the precompiled body ([compile a.body]). *)
+(** [α(B)] where [B] is the bag of [h(x̄)] over all satisfying
+    assignments of the precompiled body ([compile a.body]); [None] when
+    the bag is empty. *)
 
 val project_compiled :
   compiled ->

@@ -69,8 +69,8 @@ type solved = {
 
 let compile t = Compile.of_trace t.trace
 
-let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?timeout_s
-    ?max_worlds t compiled =
+let solve_compiled ?(engine = Auto) ?jobs ?config ?timeout_s ?max_worlds t
+    compiled =
   match t.property compiled with
   | Error msg -> Error ("property: " ^ msg)
   | Ok query -> (
@@ -78,11 +78,7 @@ let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?timeout_s
       let max_worlds =
         match max_worlds with Some _ as m -> m | None -> t.max_worlds
       in
-      let budget =
-        match (timeout_s, max_worlds) with
-        | None, None -> Core.Engine.Budget.unlimited
-        | _ -> Core.Engine.Budget.create ?timeout_s ?max_worlds ()
-      in
+      let budget = Core.Engine.Budget.create ?timeout_s ?max_worlds () in
       let refusal_to_string r =
         Format.asprintf "%a" Core.Dcsat.pp_refusal r
       in
@@ -91,24 +87,20 @@ let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?timeout_s
         | Auto ->
             Result.map
               (fun (o, s) -> (o, Core.Solver.strategy_name s))
-              (Core.Solver.solve ?jobs ~budget ?use_delta ?use_native session
-                 query)
+              (Core.Solver.solve ?jobs ~budget ?config session query)
         | Naive ->
             Result.map
               (fun o -> (o, "NaiveDCSat"))
               (Result.map_error refusal_to_string
-                 (Core.Dcsat.naive ?jobs ~budget ?use_delta ?use_native
-                    session query))
+                 (Core.Dcsat.naive ?jobs ~budget ?config session query))
         | Opt ->
             Result.map
               (fun o -> (o, "OptDCSat"))
               (Result.map_error refusal_to_string
-                 (Core.Dcsat.opt ?jobs ~budget ?use_delta ?use_native
-                    session query))
+                 (Core.Dcsat.opt ?jobs ~budget ?config session query))
         | Brute -> (
             match
-              Core.Dcsat.brute_force ?jobs ~budget ?use_delta ?use_native
-                session query
+              Core.Dcsat.brute_force ?jobs ~budget ?config session query
             with
             | o -> Ok (o, "brute force")
             | exception Invalid_argument msg -> Error msg)
@@ -127,7 +119,6 @@ let solve_compiled ?(engine = Auto) ?jobs ?use_delta ?use_native ?timeout_s
                   outcome.Core.Dcsat.verdict;
             })
 
-let solve ?engine ?jobs ?use_delta ?use_native ?timeout_s ?max_worlds t =
+let solve ?engine ?jobs ?config ?timeout_s ?max_worlds t =
   Result.bind (compile t)
-    (solve_compiled ?engine ?jobs ?use_delta ?use_native ?timeout_s ?max_worlds
-       t)
+    (solve_compiled ?engine ?jobs ?config ?timeout_s ?max_worlds t)

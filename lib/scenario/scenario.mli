@@ -76,8 +76,7 @@ val compile : t -> (Compile.t, string) result
 val solve_compiled :
   ?engine:engine ->
   ?jobs:int ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:Bccore.Dcsat.config ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   t ->
@@ -85,14 +84,14 @@ val solve_compiled :
   (solved, string) result
 (** Solve the already-compiled instance under a fresh session.
     [max_worlds] (or, unset, the scenario's own) and [timeout_s] bound
-    the solve with a fresh budget. [Error] on an unparseable property
-    or a solver refusal. *)
+    the solve with a fresh budget; [config] is the solver's
+    {!Bccore.Dcsat.config}. [Error] on an unparseable property or a
+    solver refusal. *)
 
 val solve :
   ?engine:engine ->
   ?jobs:int ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:Bccore.Dcsat.config ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   t ->

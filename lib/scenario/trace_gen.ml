@@ -134,7 +134,7 @@ let verdict_class = function
   | Core.Dcsat.Violated _ -> "violated"
   | Core.Dcsat.Unknown _ -> "unknown"
 
-let differential ?jobs ?use_delta ?use_native script =
+let differential ?jobs ?config script =
   match Compile.of_trace (assemble script) with
   | Error msg -> Error ("interpreter: " ^ msg)
   | Ok compiled -> (
@@ -143,15 +143,14 @@ let differential ?jobs ?use_delta ?use_native script =
       in
       let db = Compile.db compiled in
       let auto =
-        Core.Solver.solve ?jobs ?use_delta ?use_native (Core.Session.create db)
-          query
+        Core.Solver.solve ?jobs ?config (Core.Session.create db) query
       in
       match auto with
       | Error msg -> Error ("auto solver refused: " ^ msg)
       | Ok (auto_outcome, strategy) -> (
           match
-            Core.Dcsat.brute_force ?jobs ?use_delta ?use_native
-              (Core.Session.create db) query
+            Core.Dcsat.brute_force ?jobs ?config (Core.Session.create db)
+              query
           with
           | exception Invalid_argument msg ->
               Error ("brute force refused: " ^ msg)

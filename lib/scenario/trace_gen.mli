@@ -43,8 +43,7 @@ val arbitrary : script QCheck.arbitrary
 
 val differential :
   ?jobs:int ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:Bccore.Dcsat.config ->
   script ->
   (unit, string) result
 (** The differential oracle the fuzz tests and the bench smoke round
@@ -52,6 +51,6 @@ val differential :
     an [(R, I, T)] instance, and check that the auto-dispatched solver
     and the brute-force enumerator return the same verdict constructor
     for a canonical aggregate denial constraint ("the first party never
-    receives more than a fixed total"). [Error] describes the
+    receives more than a fixed total"), both under [config]. [Error] describes the
     disagreement; interpreter failures are impossible by construction
     and reported as errors if they somehow occur. *)

@@ -27,21 +27,16 @@ type measurement = {
 }
 
 let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
-    ?(use_delta = true) ?use_native ?timeout_s ?max_worlds
-    ?(obs_sinks = []) ~session ~label ~algo ~variant q =
+    ?config ?timeout_s ?max_worlds ?(obs_sinks = []) ~session ~label ~algo
+    ~variant q =
   let solve () =
     (* Budgets are single-run (the deadline is absolute): each solve gets
        a fresh one, so every repeat has the full allowance. *)
-    let budget =
-      match (timeout_s, max_worlds) with
-      | None, None -> Core.Engine.Budget.unlimited
-      | _ -> Core.Engine.Budget.create ?timeout_s ?max_worlds ()
-    in
+    let budget = Core.Engine.Budget.create ?timeout_s ?max_worlds () in
     let result =
       match algo with
-      | Naive ->
-          Core.Dcsat.naive ~jobs ~budget ~use_delta ?use_native session q
-      | Opt -> Core.Dcsat.opt ~jobs ~budget ~use_delta ?use_native session q
+      | Naive -> Core.Dcsat.naive ~jobs ~budget ?config session q
+      | Opt -> Core.Dcsat.opt ~jobs ~budget ?config session q
     in
     match result with
     | Ok outcome -> outcome

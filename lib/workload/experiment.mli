@@ -62,8 +62,7 @@ val run :
   ?warmup:int ->
   ?summary:[ `Mean | `Min ] ->
   ?jobs:int ->
-  ?use_delta:bool ->
-  ?use_native:bool ->
+  ?config:Bccore.Dcsat.config ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   ?obs_sinks:Bcobs.Obs.sink list ->
@@ -79,14 +78,12 @@ val run :
     [~summary:`Min] (the right statistic when comparing backends whose
     difference is smaller than scheduler noise). Times are read from the
     solver's monotonic-clock stats. [jobs] (default 1) selects the
-    engine backend. [use_delta] (default true) toggles the incremental
-    evaluation layer ({!Bccore.Inc_eval}); pass [false] to measure the
-    full-evaluation baseline, or when comparing backends whose runs
-    would otherwise replay each other's cached worlds. [use_native]
-    (default true) toggles the closure-compiled evaluation tier.
-    [timeout_s]/[max_worlds] bound each individual solve
-    (a fresh {!Bccore.Engine.Budget} per run, so repeats don't share one
-    allowance); a tripped budget surfaces as [unknown = true]. Raises
+    engine backend. [config] ({!Bccore.Dcsat.config}) selects the
+    solver's switches: turn [delta] off to measure the full-evaluation
+    baseline, or when comparing backends whose runs would otherwise
+    replay each other's cached worlds. [timeout_s]/[max_worlds] bound
+    each individual solve (a fresh {!Bccore.Engine.Budget} per run, so
+    repeats don't share one allowance); a tripped budget surfaces as [unknown = true]. Raises
     [Invalid_argument] if the solver refuses the query (e.g. OptDCSat on
     a disconnected query).
 

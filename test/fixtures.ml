@@ -17,6 +17,10 @@ let txin = Chain.Encode.txin
 let catalog = Chain.Encode.catalog
 let constraints = Chain.Encode.constraints
 
+(* Solver switches with the R ∪ T pre-check off, so the clique and
+   component enumeration runs even where R ∪ T already refutes q. *)
+let no_precheck = { Core.Dcsat.default with precheck = false }
+
 let str s = V.Str s
 let f x = V.Float x
 

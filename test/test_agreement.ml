@@ -146,14 +146,10 @@ let backend_agreement =
       && agree (fun ~jobs -> Core.Dcsat.opt ~jobs session q)
       (* With the pre-check off, the clique/component enumeration — and
          with it the component-scoped store path — actually runs even
-         when R ∪ T already refutes q; with covers off every component
-         is entered. Together these drive far more worlds through the
-         scoped-store views on both backends. *)
-      && agree (fun ~jobs -> Core.Dcsat.naive ~use_precheck:false ~jobs session q)
-      && agree (fun ~jobs -> Core.Dcsat.opt ~use_precheck:false ~jobs session q)
-      && agree (fun ~jobs ->
-             Core.Dcsat.opt ~use_precheck:false ~use_covers:false ~jobs session
-               q)
+         when R ∪ T already refutes q, which drives far more worlds
+         through the scoped-store views on both backends. *)
+      && agree (fun ~jobs -> Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs session q)
+      && agree (fun ~jobs -> Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs session q)
       && agree (fun ~jobs ->
              match Core.Dcsat.brute_force ~jobs session q with
              | o -> Ok o

@@ -83,27 +83,34 @@ let test_aggregate_rows () =
     (is_complete
        (c mixed (Fixtures.parse {| q(max(a)) :- TxOut(t, s, pk, a) | > 3. |})))
 
+(* The fixture queries of this file, each over every database whose
+   catalog it parses against. *)
+let fixture_dbs () = [ fd_only_db (); ind_only_db (); mixed_db () ]
+
+let queries db =
+  let cat = Core.Bcdb.catalog db in
+  List.filter_map
+    (fun text ->
+      match Q.Parser.parse ~catalog:cat text with
+      | Ok q -> Some q
+      | Error _ -> None)
+    [
+      {| q() :- Account(o, b, x). |};
+      {| q() :- Orders(i, c, t). |};
+      {| q() :- TxOut(t, s, pk, a). |};
+      {| q(max(x)) :- Account(o, b, x) | < 2. |};
+      {| q(sum(t)) :- Orders(i, c, t) | > 3. |};
+      "q(count()) :- Account(o, b, x) | > 1.";
+      {| q(sum(a)) :- TxOut(t, s, pk, a) | > 1. |};
+      {| q() :- TxOut(t, s, "U8Pk", a). |};
+      {| q() :- TxOut(t, s, "U99Pk", a). |};
+      {| q() :- TxOut(t, s, pk, a), !TxIn(t, s, pk, a, "n", "g"). |};
+    ]
+
 (* Coherence: whenever the tractable solver claims an instance, the
    classification must be PTIME. *)
 let tractable_implies_ptime () =
-  let dbs = [ fd_only_db (); ind_only_db (); mixed_db () ] in
-  let queries db =
-    let cat = Core.Bcdb.catalog db in
-    List.filter_map
-      (fun text ->
-        match Q.Parser.parse ~catalog:cat text with
-        | Ok q -> Some q
-        | Error _ -> None)
-      [
-        {| q() :- Account(o, b, x). |};
-        {| q() :- Orders(i, c, t). |};
-        {| q() :- TxOut(t, s, pk, a). |};
-        {| q(max(x)) :- Account(o, b, x) | < 2. |};
-        {| q(sum(t)) :- Orders(i, c, t) | > 3. |};
-        "q(count()) :- Account(o, b, x) | > 1.";
-        {| q(sum(a)) :- TxOut(t, s, pk, a) | > 1. |};
-      ]
-  in
+  let dbs = fixture_dbs () in
   List.iter
     (fun db ->
       List.iter
@@ -169,6 +176,41 @@ let test_explain_brute_for_nonmonotone () =
       Alcotest.(check bool) "not monotone" false r.Core.Explain.monotone;
       Alcotest.(check string) "strategy" "brute force" r.Core.Explain.strategy
 
+(* Explain is the dispatcher plus a trace: same strategy, verdict and
+   witness as Solver.solve, and the same solver.strategy.* counter. *)
+let test_explain_is_dispatch () =
+  List.iter
+    (fun db ->
+      List.iter
+        (fun q ->
+          let name = Q.Query.to_string q in
+          let session = Core.Session.create db in
+          let obs = Bcobs.Obs.create () in
+          Core.Session.set_obs session obs;
+          match
+            (Core.Explain.run session q, Core.Solver.solve (Core.Session.create db) q)
+          with
+          | Ok r, Ok (o, strategy) ->
+              Alcotest.(check string)
+                (name ^ ": strategy") (Core.Solver.strategy_name strategy)
+                r.Core.Explain.strategy;
+              Alcotest.(check bool)
+                (name ^ ": verdict and witness") true
+                (r.Core.Explain.outcome.Core.Dcsat.verdict = o.Core.Dcsat.verdict);
+              let counter =
+                match strategy with
+                | Core.Solver.Tractable _ -> "solver.strategy.tractable"
+                | Core.Solver.Opt -> "solver.strategy.opt"
+                | Core.Solver.Naive -> "solver.strategy.naive"
+                | Core.Solver.Brute_force -> "solver.strategy.brute_force"
+              in
+              Alcotest.(check int) (name ^ ": " ^ counter) 1
+                (Bcobs.Obs.counter obs counter)
+          | Error a, Error b -> Alcotest.(check string) (name ^ ": refusal") b a
+          | _ -> Alcotest.failf "%s: explain and solver disagree on refusal" name)
+        (queries db))
+    (fixture_dbs ())
+
 let () =
   Alcotest.run "complexity"
     [
@@ -184,5 +226,7 @@ let () =
           Alcotest.test_case "precheck event" `Quick test_explain_precheck;
           Alcotest.test_case "brute for non-monotone" `Quick
             test_explain_brute_for_nonmonotone;
+          Alcotest.test_case "same answer and counter as the dispatcher" `Quick
+            test_explain_is_dispatch;
         ] );
     ]

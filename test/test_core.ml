@@ -91,12 +91,9 @@ let test_maximal_worlds () =
   (* The most U4Pk can ever have received: 0.5 (state) + 3 (T2) + 0.5
      (T3) = 4. *)
   let sum_u4 (src : R.Source.t) =
-    Q.Eval.aggregate_value src
-      (match
-         Fixtures.parse {| q(sum(a)) :- TxOut(t, s, "U4Pk", a) | > 0. |}
-       with
-      | Q.Query.Aggregate a -> a
-      | Q.Query.Boolean _ -> assert false)
+    (match Fixtures.parse {| q(sum(a)) :- TxOut(t, s, "U4Pk", a) | > 0. |} with
+    | Q.Query.Aggregate a -> Q.Eval.aggregate_value src (Q.Eval.compile a.Q.Query.body) a
+    | Q.Query.Boolean _ -> assert false)
     |> Option.value ~default:(R.Value.Int 0)
   in
   match Core.Maximal_worlds.extremum session sum_u4 ~compare:R.Value.compare with

@@ -25,6 +25,8 @@ let par_jobs =
 let test_budget_create () =
   Alcotest.(check bool) "unlimited is unlimited" true
     (Engine.Budget.is_unlimited Engine.Budget.unlimited);
+  Alcotest.(check bool) "create () is unlimited" true
+    (Engine.Budget.is_unlimited (Engine.Budget.create ()));
   Alcotest.(check bool) "bounded is not" false
     (Engine.Budget.is_unlimited (Engine.Budget.create ~max_worlds:5 ()));
   Alcotest.check_raises "negative timeout"
@@ -285,16 +287,16 @@ let pool_matches_sequential =
       let q = Q.Parser.parse_exn ~catalog:cat (List.nth queries qi) in
       (* no precheck: force the enumeration on every instance *)
       let naive ~jobs =
-        match Core.Dcsat.naive ~use_precheck:false ~jobs session q with
+        match Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs session q with
         | Ok o -> o
         | Error _ -> QCheck.assume_fail ()
       in
       let naive_ok = same_outcome (naive ~jobs:1) (naive ~jobs:4) in
       let opt_ok =
-        match Core.Dcsat.opt ~use_precheck:false ~jobs:1 session q with
+        match Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs:1 session q with
         | Error _ -> true (* disconnected: Naive covers it *)
         | Ok base -> (
-            match Core.Dcsat.opt ~use_precheck:false ~jobs:4 session q with
+            match Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs:4 session q with
             | Ok o -> same_outcome base o
             | Error _ -> false)
       in
@@ -323,14 +325,14 @@ let budget_trips_to_unknown () =
   for _ = 1 to 2 do
     let budget = Core.Engine.Budget.create ~max_worlds:4 () in
     (match
-       Core.Dcsat.naive ~use_precheck:false ~jobs:4 ~budget session q
+       Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs:4 ~budget session q
      with
     | Ok o -> (
         match o.Core.Dcsat.verdict with
         | Core.Dcsat.Unknown _ -> ()
         | v -> Alcotest.failf "expected Unknown, got %s" (Core.Dcsat.verdict_name v))
     | Error _ -> Alcotest.fail "refused");
-    match Core.Dcsat.naive ~use_precheck:false ~jobs:4 session q with
+    match Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs:4 session q with
     | Ok o ->
         Alcotest.(check bool)
           "full solve after trip is exact" true o.Core.Dcsat.satisfied
@@ -342,7 +344,7 @@ let budget_trips_to_unknown () =
 let opt_traced ?budget ?comp_hooks ~jobs session q =
   let events = ref [] in
   match
-    Core.Dcsat.opt ~use_precheck:false ~jobs ?budget ?comp_hooks
+    Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs ?budget ?comp_hooks
       ~on_event:(fun e -> events := e :: !events)
       session q
   with

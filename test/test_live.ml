@@ -651,6 +651,29 @@ let test_feed_survives_reorg () =
   (match C.Feed.sync feed with Ok () -> () | Error e -> Alcotest.fail e);
   assert_feed_consistent "after reorg" feed
 
+(* A budget that cannot trip is the unbudgeted request: its check takes
+   the verdict cache. A world-bounded one bypasses it. *)
+let test_budget_cacheability () =
+  let live = Core.Live.create (Fixtures.paper_db ()) in
+  let checks () = (Core.Live.cache_stats live).Core.Live.cache_checks in
+  let hits () = (Core.Live.cache_stats live).Core.Live.cache_hits in
+  let check budget =
+    match Core.Live.check ~use_cache:true ~budget live Fixtures.qs_u8 with
+    | Ok (o, _) -> o.Core.Dcsat.satisfied
+    | Error e -> Alcotest.fail e
+  in
+  let unlimited () = Core.Engine.Budget.create () in
+  let first = check (unlimited ()) in
+  let second = check (unlimited ()) in
+  Alcotest.(check bool) "same verdict" first second;
+  Alcotest.(check int) "both checks used the cache" 2 (checks ());
+  Alcotest.(check bool) "the second hit it" true (hits () > 0);
+  let before = hits () in
+  let bounded = check (Core.Engine.Budget.create ~max_worlds:1000 ()) in
+  Alcotest.(check bool) "bounded verdict" first bounded;
+  Alcotest.(check int) "bounded check bypassed the cache" 2 (checks ());
+  Alcotest.(check int) "and recorded no hit" before (hits ())
+
 let () =
   Alcotest.run "live"
     [
@@ -663,6 +686,8 @@ let () =
           QCheck_alcotest.to_alcotest long_stream;
           Alcotest.test_case "duplicate add is rejected, nothing changes"
             `Quick test_duplicate_add_rejected;
+          Alcotest.test_case "unlimited budget checks hit the cache" `Quick
+            test_budget_cacheability;
         ] );
       ( "staleness",
         [

@@ -191,13 +191,15 @@ let test_span_buffers_well_formed () =
 let deterministic_counters =
   [ "dcsat.worlds"; "dcsat.cliques"; "dcsat.components" ]
 
-let counters_of ~jobs ~use_precheck session q =
+let counters_of ~jobs ~precheck session q =
   let obs = Obs.create () in
   let saved = Core.Session.obs session in
   Core.Session.set_obs session obs;
   Fun.protect ~finally:(fun () -> Core.Session.set_obs session saved)
   @@ fun () ->
-  match Core.Dcsat.opt ~jobs ~use_precheck session q with
+  match
+    Core.Dcsat.opt ~jobs ~config:{ Core.Dcsat.default with precheck } session q
+  with
   | Error r -> Alcotest.failf "opt refused: %a" Core.Dcsat.pp_refusal r
   | Ok o ->
       ( { o.Core.Dcsat.stats with Core.Dcsat.runtime = 0.0 },
@@ -207,16 +209,15 @@ let counters_of ~jobs ~use_precheck session q =
 let test_backend_counters_agree () =
   let session = Core.Session.create (fixture_db ()) in
   List.iter
-    (fun (qs, use_precheck) ->
+    (fun (qs, precheck) ->
       let q = parse qs in
-      let seq = counters_of ~jobs:1 ~use_precheck session q in
-      let par = counters_of ~jobs:par_jobs ~use_precheck session q in
+      let seq = counters_of ~jobs:1 ~precheck session q in
+      let par = counters_of ~jobs:par_jobs ~precheck session q in
       Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "obs counters %s (precheck %b)" qs use_precheck)
+        (Printf.sprintf "obs counters %s (precheck %b)" qs precheck)
         (snd seq) (snd par);
       if fst seq <> fst par then
-        Alcotest.failf "solver stats diverge on %s (precheck %b)" qs
-          use_precheck)
+        Alcotest.failf "solver stats diverge on %s (precheck %b)" qs precheck)
     [
       (q_green, true);
       (q_green, false);
@@ -253,8 +254,8 @@ let random_dbs_counters_agree =
       in
       let session = Core.Session.create db in
       let q = parse {| q() :- Edge(s, d), Node(d, "green"). |} in
-      let seq = counters_of ~jobs:1 ~use_precheck:false session q in
-      let par = counters_of ~jobs:par_jobs ~use_precheck:false session q in
+      let seq = counters_of ~jobs:1 ~precheck:false session q in
+      let par = counters_of ~jobs:par_jobs ~precheck:false session q in
       seq = par)
 
 (* Instrumentation must not change answers: the same solve under a null

@@ -20,8 +20,11 @@ let jobs_env =
 
 let jobs_list = if List.mem jobs_env [ 1; 4 ] then [ 1; 4 ] else [ 1; 4; jobs_env ]
 
-(* (use_delta, use_native) *)
-let toggles = [ (false, false); (true, false); (false, true); (true, true) ]
+(* Every {delta, native} pair, pre-check on. *)
+let configs =
+  List.map
+    (fun (delta, native) -> { Bccore.Dcsat.default with delta; native })
+    [ (false, false); (true, false); (false, true); (true, true) ]
 
 let engines = [ S.Auto; S.Naive; S.Opt; S.Brute ]
 
@@ -34,12 +37,11 @@ let test_differential () =
           List.iter
             (fun engine ->
               List.iter
-                (fun (use_delta, use_native) ->
+                (fun (config : Bccore.Dcsat.config) ->
                   List.iter
                     (fun jobs ->
                       match
-                        S.solve_compiled ~engine ~jobs ~use_delta ~use_native
-                          inst compiled
+                        S.solve_compiled ~engine ~jobs ~config inst compiled
                       with
                       | Error msg -> (
                           (* A specialized solver may refuse a query
@@ -58,9 +60,9 @@ let test_differential () =
                               Alcotest.failf
                                 "%s [%s jobs=%d delta=%b native=%b]: %s"
                                 inst.S.name (S.engine_name engine) jobs
-                                use_delta use_native msg))
+                                config.delta config.native msg))
                     jobs_list)
-                toggles)
+                configs)
             engines)
     (Scenarios.Catalog.instances ())
 
