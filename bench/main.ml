@@ -1362,7 +1362,7 @@ let servebench () =
   if (not !smoke_flag) && cache_speedup < 3.0 then
     fail
       "serve/%s: cached warm check (%.6fs) not >=3x faster than \
-       BCDB_LIVE_CACHE=0 (%.6fs, %.1fx)"
+       uncached (%.6fs, %.1fx)"
       label cache_on.W.Poisson.mean_service cache_off.W.Poisson.mean_service
       cache_speedup;
   let template =

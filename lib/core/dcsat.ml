@@ -135,7 +135,7 @@ let default = { precheck = true; delta = true; native = true }
    themselves live with the store being evaluated on, which is also
    worker-private). *)
 let evaluators config session plan () =
-  Inc_eval.switched ~delta:config.delta ~native:config.native
+  Inc_eval.evaluator ~use_delta:config.delta ~use_native:config.native
     ~obs:(Session.obs session) plan
 
 (* [obs] records the eval span — it runs on whatever domain evaluates,
@@ -185,7 +185,6 @@ let run_worlds ~jobs ~budget ~on_event ~count_cliques session counters ~eval
     Engine.run ~obs ~budget ~jobs ~store
       ~replicate:(fun () -> Session.borrow_replica session)
       ~release:(Session.return_replica session)
-      ~restrict:(Tagged_store.restrict store)
       ~source ~eval
       ~on_item:(fun members ->
         if count_cliques then on_event (Clique_found members))
@@ -294,9 +293,7 @@ let run_components ~jobs ~budget ~on_event ~hooks session q evaluators counters
           then begin
             entered.(i) <- true;
             locked (fun () -> on_event (Component_entered c));
-            (* Every maximal world of [c] lives inside it: workers
-               evaluate on a component-sized store view. *)
-            Some { Engine.Work_source.members = c; scope = Some c }
+            Some c
           end
           else begin
             (* Cacheably satisfied without enumeration. *)
@@ -310,7 +307,7 @@ let run_components ~jobs ~budget ~on_event ~hooks session q evaluators counters
   in
   let eval_comp () =
     let ev = evaluators () in
-    fun view members ->
+    fun store members ->
       let i = Hashtbl.find index_of (List.hd members) in
       let cut = ref None in
       let interrupt =
@@ -333,10 +330,10 @@ let run_components ~jobs ~budget ~on_event ~hooks session q evaluators counters
                 match !cut with
                 | Some reason -> Comp_unknown reason
                 | None -> Comp_satisfied)
-            | Some { Engine.Work_source.members = clique; _ } -> (
+            | Some clique -> (
                 incr cliques;
                 locked (fun () -> on_event (Clique_found clique));
-                let ev = eval_clique obs ev view clique in
+                let ev = eval_clique obs ev store clique in
                 incr comp_worlds;
                 locked (fun () ->
                     incr worlds;
@@ -363,7 +360,6 @@ let run_components ~jobs ~budget ~on_event ~hooks session q evaluators counters
       (Engine.run ~obs ~jobs ~store ~stop_on_hit:(Option.is_none hooks)
          ~replicate:(fun () -> Session.borrow_replica session)
          ~release:(Session.return_replica session)
-         ~restrict:(Tagged_store.restrict store)
          ~source ~eval:eval_comp ~on_item:ignore ~on_evaluated:ignore ()
         : Engine.report);
   let rec first_violation i =
@@ -423,11 +419,7 @@ let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
   let evaluators = evaluators config session (Session.plan session q) in
   let obs = Session.obs session in
   let next = Poss.generator (Session.store session) in
-  let source () =
-    Option.map
-      (fun w -> Engine.Work_source.plain (Bitset.to_list w))
-      (next ())
-  in
+  let source () = Option.map Bitset.to_list (next ()) in
   let violation, exhausted =
     run_worlds ~jobs ~budget ~on_event:ignore ~count_cliques:false session
       counters

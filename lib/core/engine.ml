@@ -1,15 +1,5 @@
 module Work_source = struct
-  (* [scope], when present, is the member list of the component every
-     world of this item lives inside. Workers materialize their own
-     component-scoped store view from it (via the [restrict] parameter
-     of {!run}) and cache the view while consecutive items carry the
-     physically-equal scope list — sources must reuse one list instance
-     per component for that caching to hit. *)
-  type item = { members : int list; scope : int list option }
-
-  type t = unit -> item option
-
-  let plain members = { members; scope = None }
+  type t = unit -> int list option
 
   let of_list items =
     let remaining = ref items in
@@ -18,12 +8,11 @@ module Work_source = struct
       | [] -> None
       | x :: tl ->
           remaining := tl;
-          Some (plain x)
+          Some x
 
   let of_cliques ?interrupt graph ~back =
     let next = Bcgraph.Bron_kerbosch.generator ?interrupt graph in
-    fun () ->
-      Option.map (fun c -> plain (List.map (fun i -> back.(i)) c)) (next ())
+    fun () -> Option.map (List.map (fun i -> back.(i))) (next ())
 end
 
 (* Cooperative cancellation: a budget is checked on the claim path (the
@@ -116,37 +105,24 @@ let eval_timed obs eval store members =
   end
   else eval store members
 
-let run_sequential ~obs ~budget ~stop_on_hit ~store ~restrict ~source ~eval ~on_item ~on_evaluated =
+let run_sequential ~obs ~budget ~stop_on_hit ~store ~source ~eval ~on_item
+    ~on_evaluated =
   (* [eval] is a factory: one evaluator instance per worker, so stateful
      evaluators (incremental world caches) are never shared between
-     domains. The sequential backend is its own single worker. *)
+     domains. The sequential backend is its own single worker, and its
+     store is the primary one. *)
   let eval = eval () in
   let pulled = ref 0 and evaluated = ref 0 in
-  (* One scoped view per component, rebuilt when the scope list changes
-     (sources reuse one list instance per component, so consecutive
-     items of a component hit the cache and its warm indexes). *)
-  let scoped = ref None in
-  let store_for (item : Work_source.item) =
-    match (item.Work_source.scope, restrict) with
-    | None, _ | _, None -> store
-    | Some comp, Some restrict -> (
-        match !scoped with
-        | Some (c, view) when c == comp -> view
-        | _ ->
-            let view = restrict comp in
-            scoped := Some (comp, view);
-            view)
-  in
   let hit = ref None in
   let rec go () =
     if Budget.check budget ~evaluated:!evaluated <> None then ()
     else
       match source () with
       | None -> ()
-      | Some item ->
+      | Some members ->
           incr pulled;
-          on_item item.Work_source.members;
-          let ev = eval_timed obs eval (store_for item) item.Work_source.members in
+          on_item members;
+          let ev = eval_timed obs eval store members in
           incr evaluated;
           on_evaluated ev;
           (match ev.violation with
@@ -229,23 +205,19 @@ end
    the claim path ever does. The calling domain is one of the [jobs]
    workers (so [jobs = 2] parks only one helper, and a helper that never
    gets scheduled costs nothing); the rest come from the persistent
-   {!Pool}. Each worker evaluates unscoped items on a private full
-   replica, borrowed lazily (and under the lock, since replication reads
-   the primary store) the first time the worker actually needs one —
-   workers that only ever see scoped items never pay for a full clone.
-   For scoped items each worker materializes its own component view with
-   [restrict] — under the lock, since restriction reads the primary
-   store, which only the claim path otherwise touches — and caches it
-   while consecutive claims come from the same component. No store is
-   ever shared between worker domains. Once any violation is recorded,
-   claiming stops: unclaimed items all carry higher indexes than every
-   claimed one, so none of them can beat the recorded violation; workers
-   finish the items they already hold, and the lowest-index violation
-   wins. That makes the returned witness — and, after clamping the work
-   counters to the winning index, the reported stats — deterministic and
-   equal to the sequential backend's. *)
-let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~restrict ~source ~eval ~on_item
-    ~on_evaluated =
+   {!Pool}. Each worker evaluates every item it claims on the one
+   private full replica it owns, borrowed lazily (and under the lock,
+   since replication reads the primary store) when the worker claims its
+   first item — a worker that never claims one never pays for a clone.
+   No store is ever shared between worker domains. Once any violation
+   is recorded, claiming stops: unclaimed items all carry higher indexes
+   than every claimed one, so none of them can beat the recorded
+   violation; workers finish the items they already hold, and the
+   lowest-index violation wins. That makes the returned witness — and,
+   after clamping the work counters to the winning index, the reported
+   stats — deterministic and equal to the sequential backend's. *)
+let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~source
+    ~eval ~on_item ~on_evaluated =
   let lock = Mutex.create () in
   let locked f =
     Mutex.lock lock;
@@ -264,11 +236,11 @@ let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~restrict ~
         else
           match source () with
           | None -> None
-          | Some item ->
+          | Some members ->
               let i = !next_index in
               incr next_index;
-              on_item item.Work_source.members;
-              Some (i, item))
+              on_item members;
+              Some (i, members))
   in
   let claim () =
     (* The claim span covers lock acquisition plus the pull itself, so a
@@ -290,8 +262,7 @@ let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~restrict ~
   let worker () =
     let eval = eval () in
     let replica = ref None in
-    let scoped = ref None in
-    let full_replica () =
+    let store () =
       match !replica with
       | Some store -> store
       | None ->
@@ -304,23 +275,12 @@ let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~restrict ~
           replica := Some store;
           store
     in
-    let store_for (item : Work_source.item) =
-      match (item.Work_source.scope, restrict) with
-      | None, _ | _, None -> full_replica ()
-      | Some comp, Some restrict -> (
-          match !scoped with
-          | Some (c, view) when c == comp -> view
-          | _ ->
-              let view = locked (fun () -> restrict comp) in
-              scoped := Some (comp, view);
-              view)
-    in
     let claimed = ref [] in
     let rec go () =
       match claim () with
       | None -> ()
-      | Some (i, item) ->
-          let ev = eval_timed obs eval (store_for item) item.Work_source.members in
+      | Some (i, members) ->
+          let ev = eval_timed obs eval (store ()) members in
           Atomic.incr eval_count;
           claimed := i :: !claimed;
           locked (fun () -> on_evaluated ev);
@@ -386,11 +346,11 @@ let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~restrict ~
   { hit; pulled = counted; evaluated = counted; exhausted = Budget.tripped budget }
 
 let run ?(obs = Obs.null) ?(budget = Budget.unlimited) ?(stop_on_hit = true)
-    ~jobs ~store ~replicate ?(release = ignore) ?restrict ~source ~eval ~on_item
+    ~jobs ~store ~replicate ?(release = ignore) ~source ~eval ~on_item
     ~on_evaluated () =
   if jobs <= 1 then
-    run_sequential ~obs ~budget ~stop_on_hit ~store ~restrict ~source ~eval
-      ~on_item ~on_evaluated
+    run_sequential ~obs ~budget ~stop_on_hit ~store ~source ~eval ~on_item
+      ~on_evaluated
   else
     run_parallel ~obs ~jobs:(min jobs max_jobs) ~budget ~stop_on_hit
-      ~replicate ~release ~restrict ~source ~eval ~on_item ~on_evaluated
+      ~replicate ~release ~source ~eval ~on_item ~on_evaluated

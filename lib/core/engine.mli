@@ -5,23 +5,22 @@
     world of a clique with [getMaximal], evaluate [q] over it — is
     independent across work items, so it parallelizes naturally once
     each worker owns a private {!Tagged_store} replica (the snapshot-per-
-    worker idea of block-parallel blockchain databases). Two backends:
+    worker idea of block-parallel blockchain databases). Each worker
+    owns exactly one store and evaluates every item it claims on it.
+    Two backends:
 
     - sequential (the [jobs <= 1] path) runs items inline on the
-      primary store — or, for scoped items, on a component view built
-      with [restrict] — bit-for-bit the pre-engine behaviour, including
+      primary store — bit-for-bit the pre-engine behaviour, including
       event order and statistics;
     - parallel ([jobs = n > 1], capped at 64) runs [n] workers: the
       calling domain plus [n - 1] helpers from a persistent pool of
       parked domains (spawning a domain costs milliseconds, often more
       than a whole solve, so helpers are reused across runs and sleep on
-      a condition variable in between). Full replicas are borrowed lazily via [replicate] the
-      first time a worker meets an unscoped item (and handed back
-      through [release] after the join); for scoped items each worker
-      materializes its own component view with [restrict] under the
-      engine lock, cached across consecutive items of the same
-      component — no store is ever shared between domains. An [Atomic]
-      first-violation short-circuit stops claiming.
+      a condition variable in between). Each worker borrows one full
+      replica via [replicate] when it claims its first item, and hands
+      it back through [release] after the join — no store is ever
+      shared between domains. An [Atomic] first-violation short-circuit
+      stops claiming.
 
     {b Determinism contract.} Work items are claimed in source order and
     numbered; once a violation is found, no further items are handed out
@@ -34,27 +33,18 @@
     but interleaves completions. *)
 
 module Work_source : sig
-  type item = { members : int list; scope : int list option }
-  (** A candidate transaction set, optionally tagged with the member
-      list of the component all its worlds live inside. Workers turn
-      the scope into a component-sized store view via the [restrict]
-      parameter of {!run} and cache the view while consecutive items
-      carry the physically-equal scope list — sources must reuse one
-      list instance per component for the cache to hit. *)
-
-  type t = unit -> item option
+  type t = unit -> int list option
   (** A stateful puller of candidate transaction sets. Pulls happen
       under the engine lock in the parallel backend, so a source may
       safely touch the primary store (e.g. Covers tests). *)
 
-  val plain : int list -> item
   val of_list : int list list -> t
 
   val of_cliques :
     ?interrupt:(unit -> bool) -> Bcgraph.Undirected.t -> back:int array -> t
   (** Stream the graph's maximal cliques ({!Bcgraph.Bron_kerbosch.generator}),
       mapping node ids through [back] (as produced by
-      {!Bcgraph.Undirected.induced}), as unscoped items.
+      {!Bcgraph.Undirected.induced}).
       [interrupt] is forwarded to the generator: when it fires (e.g. a
       {!Budget} deadline between yields), the stream ends early. *)
 end
@@ -128,17 +118,15 @@ val run :
   store:Tagged_store.t ->
   replicate:(unit -> Tagged_store.t) ->
   ?release:(Tagged_store.t -> unit) ->
-  ?restrict:(int list -> Tagged_store.t) ->
   source:Work_source.t ->
   eval:(unit -> Tagged_store.t -> int list -> evaluation) ->
   on_item:(int list -> unit) ->
   on_evaluated:(evaluation -> unit) ->
   unit ->
   report
-(** Drain [source], evaluating each item with [eval] on [store] (or a
-    per-component [restrict] view) sequentially, or on worker
-    replicas/views in parallel, stopping at the first violation per the
-    determinism contract. [eval] is a {e factory}: each worker calls it
+(** Drain [source], evaluating each item with [eval] on [store]
+    sequentially, or on each worker's one replica in parallel, stopping
+    at the first violation per the determinism contract. [eval] is a {e factory}: each worker calls it
     once at start-up and evaluates every item it claims with the
     returned function, so an evaluator may carry per-worker mutable
     state (e.g. {!Inc_eval}'s world caches) without cross-domain
@@ -149,12 +137,12 @@ val run :
     [claim], [join], cat ["engine"]) and per-item evaluation times (the
     ["engine.busy_s"] histogram) — each worker domain writes to its own
     buffer, so instrumentation adds no cross-domain contention.
-    [replicate] and [restrict] are called lazily, under the engine lock
-    in the parallel backend (they read the primary store); every store
-    [replicate] returns is passed to [release] after the workers have
-    joined (the default [release] drops it). When [restrict] is absent,
-    scoped items fall back to the unscoped path. [on_item] fires when an
-    item is claimed, [on_evaluated] after it is evaluated.
+    [replicate] is called lazily, at most once per parallel worker and
+    under the engine lock (it reads the primary store); every store it
+    returns is passed to [release] after the workers have joined (the
+    default [release] drops it). The sequential backend never calls
+    either. [on_item] fires when an item is claimed, [on_evaluated]
+    after it is evaluated.
 
     [budget] (default {!Budget.unlimited}) bounds the run; when it trips,
     no further items are claimed, in-flight items finish, and the report
@@ -169,7 +157,7 @@ val run :
     carries the {e lowest-claim-index} violation with unclamped full
     counts. Budget exhaustion still stops claiming either way.
 
-    {b Exception safety.} If [eval] (or [replicate]/[restrict]) raises in
+    {b Exception safety.} If [eval] (or [replicate]) raises in
     any backend, the exception propagates to the caller: the parallel
     backend records the first failure, stops claiming, waits for every
     worker to finish, releases all borrowed replicas through [release],

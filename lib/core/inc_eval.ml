@@ -142,10 +142,10 @@ let max_worlds = 16
 
 (* States live in a global weak-keyed registry so they persist exactly
    as long as the store does: session stores and pooled replicas keep
-   their history across solver runs; component-scoped views drop theirs
-   with the view. One store is only ever evaluated on by one domain at a
-   time (the engine's no-shared-store contract), so states need no lock
-   of their own — only the registry itself is guarded. *)
+   their history across solver runs. One store is only ever evaluated
+   on by one domain at a time (the engine's no-shared-store contract),
+   so states need no lock of their own — only the registry itself is
+   guarded. *)
 module Registry = Ephemeron.K1.Make (struct
   type t = Tagged_store.t
 
@@ -204,9 +204,6 @@ type t = {
 
 let evaluator ?(use_delta = true) ?(use_native = true) ?(obs = Obs.null) plan =
   { plan; use_delta; use_native; obs; cached = None }
-
-let switched ~delta ~native ~obs plan =
-  evaluator ~use_delta:delta ~use_native:native ~obs plan
 
 (* The evaluator's state for [store], with a one-slot physical-identity
    fast path (workers see one store for a whole engine run). A dry-run

@@ -9,7 +9,7 @@
     small per-(store, plan) cache of recently evaluated worlds in a
     process-wide weak registry keyed by store identity, so the history
     survives as long as the store does (session stores and pooled
-    replicas across runs; component-scoped views until dropped).
+    replicas across runs).
 
     Evaluating the current world:
 
@@ -67,10 +67,6 @@ val evaluator : ?use_delta:bool -> ?use_native:bool -> ?obs:Obs.t -> plan -> t
     either way. Counted as [eval.compiled_native] per native
     evaluation. [obs] (default {!Obs.null}) receives the [eval.*]
     counters. *)
-
-val switched : delta:bool -> native:bool -> obs:Obs.t -> plan -> t
-(** {!evaluator} with every argument explicit: the solver's
-    constructor, fed from {!Dcsat.config}. *)
 
 val eval_world : t -> Tagged_store.t -> int list -> Engine.evaluation
 (** Switch the store to the world of the given transactions and

@@ -3,14 +3,6 @@ module Q = Bcquery
 
 (* --- per-(query, component) verdict cache -------------------------- *)
 
-(* BCDB_LIVE_CACHE=0 disables the verdict cache for every check that
-   does not pass an explicit [?use_cache]; anything else (including
-   unset) enables it. The CI matrix crosses both values. *)
-let cache_env = lazy (Sys.getenv_opt "BCDB_LIVE_CACHE")
-
-let cache_default () =
-  match Lazy.force cache_env with Some "0" -> false | _ -> true
-
 (* Cache entries unreferenced for this many cache-eligible checks of
    their query are pruned — wide enough that an add-then-evict returning
    the mempool to a recent partition still hits. *)
@@ -522,15 +514,13 @@ let prune tr =
       tr.t_viol
   end
 
-let check ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?use_cache t q =
+let check ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_cache = true)
+    t q =
   (* A tractable-decided query never reaches the component machinery:
      skip both the seeding and the cache bookkeeping. *)
   if Tractable.decides t.db q then
     Solver.solve ~jobs ~budget t.session q
   else begin
-    let use_cache =
-      match use_cache with Some b -> b | None -> cache_default ()
-    in
     (* The cache only applies where OptDCSat will actually run — the
        component factorization is what makes per-component verdicts
        reusable. Naive/brute fallbacks check without hooks. Budgeted

@@ -67,10 +67,9 @@
     {e twin} components with identical content share a signature, and
     a twin may only replay its own witness, never its sibling's. The
     last violator is also scheduled first as the {e suspect} when it
-    does go dirty. Budget-cut ([Unknown]) components
-    are never cached. The cache is enabled by default; set [BCDB_LIVE_CACHE=0] (or
-    pass [~use_cache:false]) to disable it. Hits, misses, and dirty
-    re-solves are surfaced as the [live.comp_cache_hit] /
+    does go dirty. Budget-cut ([Unknown]) components are never cached.
+    The cache is always on in production; only a differential oracle
+    passes [~use_cache:false]. Hits, misses, and dirty re-solves are surfaced as the [live.comp_cache_hit] /
     [live.comp_cache_miss] / [live.comp_dirty] {!Obs} counters and via
     {!cache_stats}.
 
@@ -172,9 +171,10 @@ val check :
     the maintained session, with [budget] (default
     {!Engine.Budget.unlimited}) the per-request admission budget (an
     exhausted budget yields [verdict = Unknown], never a wrong answer). The first check of a
-    query starts component tracking for it. [use_cache] overrides the
-    [BCDB_LIVE_CACHE] environment default; when the cache is live and
-    the query will take the OptDCSat path, the check re-solves only
+    query starts component tracking for it. [use_cache] (default
+    [true]) is the verdict cache; [false] is the uncached oracle that
+    tests and the bench compare against. When the cache is on and the
+    query will take the OptDCSat path, the check re-solves only
     components whose signature is not cached (see the module preamble).
     Tractable-decided queries bypass tracking and caching entirely, and
     so do budgeted requests (any budget that can trip): a cached

@@ -27,8 +27,6 @@ let list session =
       `Continue);
   List.rev !acc
 
-let count session = List.length (list session)
-
 let extremum session eval ~compare =
   let store = Session.store session in
   let best = ref None in

@@ -15,7 +15,6 @@ val iter :
     [restrict] limits the candidate transactions (e.g. to one component
     of the ind-q-transaction graph). *)
 
-val count : Session.t -> int
 val list : Session.t -> int list list
 (** Sorted id lists, in enumeration order. *)
 

@@ -226,40 +226,6 @@ let return_replica t r =
     Mutex.unlock t.pool_lock
   end
 
-let replica t =
-  revalidate t;
-  (* Already-forced caches are shared by value (they are immutable once
-     built); unforced ones are rebound to the replica's own store so a
-     worker can never force a computation against the parent's store. *)
-  let store = Tagged_store.clone t.store in
-  let share forced fresh =
-    if Lazy.is_val forced then Lazy.from_val (Lazy.force forced) else fresh
-  in
-  let fresh = build_caches t.obs t.db store in
-  {
-    db = t.db;
-    store;
-    state_gen = t.state_gen;
-    obs = t.obs;
-    caches =
-      {
-        fd_graph = share t.caches.fd_graph fresh.fd_graph;
-        ind_base_edges = share t.caches.ind_base_edges fresh.ind_base_edges;
-        includable = share t.caches.includable fresh.includable;
-      };
-    valid_lock = Mutex.create ();
-    pool = ref [];
-    pool_lock = Mutex.create ();
-    (* Plans are immutable and query-keyed: share the parent's cache
-       value-wise at replication time; the replica then grows its own.
-       Component caches are db-guarded and the replica shares the same
-       database value, so its snapshot stays valid too. *)
-    plans = ref !(t.plans);
-    plans_lock = Mutex.create ();
-    components = ref !(t.components);
-    components_lock = Mutex.create ();
-  }
-
 let extended ?fd_graph ?ind_edges t =
   let store = t.store in
   let db' = Tagged_store.db store in

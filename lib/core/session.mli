@@ -27,7 +27,7 @@ val set_obs : t -> Obs.t -> unit
 (** Swap the recorder mid-session (the bench harness records one
     instrumented run after the timed ones). The store, pooled replicas
     as they are next borrowed, and future solver runs all pick up the
-    new recorder; {!replica} sessions share it. *)
+    new recorder. *)
 
 val plan : t -> Bcquery.Query.t -> Inc_eval.plan
 (** The session's compiled plan for [q], compiling on first use and
@@ -76,15 +76,6 @@ val borrow_replica : t -> Tagged_store.t
 val return_replica : t -> Tagged_store.t -> unit
 (** Hand a borrowed replica back for reuse. Replicas whose database no
     longer matches the session's are silently dropped. *)
-
-val replica : t -> t
-(** A worker-private view of the same database: the store is cloned
-    ({!Tagged_store.clone}) so worlds can be switched independently,
-    while every cached structure that has already been forced
-    (fd-transaction graph, ΘI edges, includability) is shared by value —
-    they are immutable once built. Structures not yet forced are rebound
-    to the replica's own store. Used by the parallel {!Engine} backend:
-    one replica per worker domain. *)
 
 val extended :
   ?fd_graph:Fd_graph.t -> ?ind_edges:(int * int) list -> t -> t

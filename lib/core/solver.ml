@@ -55,12 +55,3 @@ let solve ?jobs ?budget ?config ?on_event ?comp_hooks session q =
       Obs.add obs (strategy_counter strategy) 1
   | _ -> ());
   result
-
-let solve_exn ?jobs ?budget ?config ?comp_hooks session q =
-  match solve ?jobs ?budget ?config ?comp_hooks session q with
-  | Ok result -> result
-  | Error msg -> invalid_arg ("Solver.solve: " ^ msg)
-
-let check db q =
-  let session = Session.create db in
-  Result.map (fun (o, _) -> o.Dcsat.satisfied) (solve session q)

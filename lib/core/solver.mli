@@ -29,8 +29,8 @@ val solve :
     [jobs] selects the engine backend for the Naive/Opt/brute-force
     paths (default 1, sequential — bit-identical to the pre-engine
     solvers); [jobs > 1] runs the calling domain plus pooled helper
-    domains, evaluating on session-pooled replicas or component-scoped
-    store views (see {!Engine}). [budget] bounds those enumerating
+    domains, each evaluating on one session-pooled replica (see
+    {!Engine}). [budget] bounds those enumerating
     paths; an exhausted budget yields [verdict = Unknown] in the
     outcome. The tractable procedures are PTIME and always run inline,
     unbudgeted — they terminate promptly by construction. [config] (see
@@ -40,15 +40,3 @@ val solve :
     {!Dcsat.opt}); the tractable, naive and brute-force strategies
     ignore it — only the component-factorized algorithm has cacheable
     per-component verdicts. *)
-
-val solve_exn :
-  ?jobs:int ->
-  ?budget:Engine.Budget.t ->
-  ?config:Dcsat.config ->
-  ?comp_hooks:Dcsat.comp_hooks ->
-  Session.t ->
-  Bcquery.Query.t ->
-  Dcsat.outcome * strategy
-
-val check : Bcdb.t -> Bcquery.Query.t -> (bool, string) result
-(** Convenience: does [D |= ¬q]? Builds a throwaway session. *)

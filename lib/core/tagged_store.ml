@@ -15,8 +15,8 @@ type entry = { tuple : R.Tuple.t; origins : int array }
    - the {e base segment} holds every tuple contributed by the base
      state, as one immutable columnar {!R.Segment.t}. Base tuples are
      visible in *every* world, so the segment — column payloads and
-     hash indexes alike — is shared zero-copy across clones and
-     component-scoped views; cloning a store never touches base data.
+     hash indexes alike — is shared zero-copy across clones; cloning a
+     store never touches base data.
      Indexes are built on demand under the segment's own lock and
      memoized per store, so steady-state probes never touch the lock.
      The rare base tuple that is *also* written by pending transactions
@@ -47,23 +47,8 @@ type posting = {
   mutable cvis : int list;  (* visible subset of [all] at [cepoch] *)
 }
 
-(* Cost-model source for [cardinality]/[selectivity]. A scoped view
-   answers cost probes with the *parent's* pending counts (computed over
-   an immutable snapshot of the parent segment): the query planner then
-   picks the same join orders on the view as on the full store, which
-   keeps witnesses bit-identical between the scoped and unscoped
-   evaluation paths. *)
-type snapshot = {
-  s_entries : entry array;
-  s_idx : (int, int Vtbl.t) Hashtbl.t;
-  s_comp : (int list, int R.Tuple.Tbl.t) Hashtbl.t;
-}
-
-type stats_src = Own | Snapshot of snapshot
-
 type rel_store = {
-  base : base;  (* shared with clones and scoped views *)
-  stats : stats_src;
+  base : base;  (* shared with clones *)
   bmemo : (int list, R.Segment.index) Hashtbl.t;
       (* per-store memo of base indexes already fetched: lock-free *)
   mutable entries : entry array;  (* pending segment, valid up to [len] *)
@@ -90,11 +75,10 @@ type t = {
   mutable k : int;
   mutable visible : Bitset.t;
   mutable epoch : int;
-  mutable pending_epoch : int;  (* bumped by append_tx/undo: pending-set shape *)
   mutable obs : Obs.t;
 }
 
-(* Every store — created, cloned or restricted — gets a fresh uid, so a
+(* Every store — created or cloned — gets a fresh uid, so a
    weak table keyed by physical store identity can hash without walking
    the (deep, mutable) structure. *)
 let uid_counter = Atomic.make 0
@@ -109,7 +93,7 @@ let seq_first seq = match seq () with Seq.Nil -> None | Seq.Cons (x, _) -> Some 
    is the only one. *)
 let base_find bs tuple = seq_first (R.Segment.find bs.b_seg tuple)
 
-let fresh_rel ?(stats = Own) base entries =
+let fresh_rel base entries =
   let np = Array.length entries in
   let by_tuple = R.Tuple.Tbl.create (max 16 np) in
   Array.iteri (fun i (e : entry) -> R.Tuple.Tbl.replace by_tuple e.tuple i) entries;
@@ -125,7 +109,6 @@ let fresh_rel ?(stats = Own) base entries =
     entries;
   {
     base;
-    stats;
     bmemo = Hashtbl.create 4;
     entries;
     len = np;
@@ -210,7 +193,6 @@ let create (db : Bcdb.t) =
     k;
     visible = Bitset.create k;
     epoch = 0;
-    pending_epoch = 0;
     obs = Obs.null;
   }
 
@@ -238,27 +220,8 @@ let clone_rel rs =
     Hashtbl.iter (fun key inner -> Hashtbl.replace out key (copy inner)) tbl;
     out
   in
-  let stats =
-    match rs.stats with
-    | Own -> Own
-    | Snapshot s ->
-        (* The snapshot entries are immutable and shared; the lazily
-           built count tables are private to each store. *)
-        Snapshot
-          {
-            s_entries = s.s_entries;
-            s_idx = copy_outer Vtbl.copy s.s_idx;
-            s_comp =
-              (let out = Hashtbl.create (max 4 (Hashtbl.length s.s_comp)) in
-               Hashtbl.iter
-                 (fun key inner -> Hashtbl.replace out key (R.Tuple.Tbl.copy inner))
-                 s.s_comp;
-               out)
-          }
-  in
   {
     base = rs.base;  (* shared: immutable segment, immutable b_extra *)
-    stats;
     bmemo = Hashtbl.copy rs.bmemo;
     entries = Array.copy rs.entries;
     len = rs.len;
@@ -278,58 +241,12 @@ let clone t =
     k = t.k;
     visible = Bitset.copy t.visible;
     epoch = t.epoch;
-    pending_epoch = t.pending_epoch;
-    obs = t.obs;
-  }
-
-let restrict t members =
-  let mset = Bitset.of_list t.k members in
-  let restrict_rel rs =
-    let keep = ref [] in
-    for i = rs.len - 1 downto 0 do
-      let e = rs.entries.(i) in
-      if Array.exists (fun o -> o >= 0 && Bitset.mem mset o) e.origins then
-        keep := e :: !keep
-    done;
-    let stats =
-      match rs.stats with
-      | Snapshot s ->
-          Snapshot
-            {
-              s_entries = s.s_entries;
-              s_idx = Hashtbl.create 4;
-              s_comp = Hashtbl.create 4;
-            }
-      | Own ->
-          Snapshot
-            {
-              s_entries = Array.sub rs.entries 0 rs.len;
-              s_idx = Hashtbl.create 4;
-              s_comp = Hashtbl.create 4;
-            }
-    in
-    let sub = fresh_rel ~stats rs.base (Array.of_list !keep) in
-    Hashtbl.iter (fun key o -> Hashtbl.replace sub.overlay key o) rs.overlay;
-    (* Seed the base-index memo from the parent so a fresh scoped view
-       starts lock-free for every column set the parent already probed. *)
-    Hashtbl.iter (fun c idx -> Hashtbl.replace sub.bmemo c idx) rs.bmemo;
-    sub
-  in
-  {
-    uid = fresh_uid ();
-    db = t.db;
-    rels = Smap.map restrict_rel t.rels;
-    k = t.k;
-    visible = Bitset.create t.k;
-    epoch = 0;
-    pending_epoch = t.pending_epoch;
     obs = t.obs;
   }
 
 let db t = t.db
 let uid t = t.uid
 let tx_count t = t.k
-let pending_epoch t = t.pending_epoch
 let state_generation t = R.Database.generation t.db.Bcdb.state
 let set_obs t obs = t.obs <- obs
 let world t = Bitset.copy t.visible
@@ -641,65 +558,24 @@ let mem t name tuple =
     | None -> false
     | Some i -> rs.viscount.(i) > 0
 
-(* Count tables over a stats snapshot, built on first probe of a column
-   (set). Counts only — the positions themselves are never needed. *)
-let snapshot_count_1 s col v =
-  let tbl =
-    match Hashtbl.find_opt s.s_idx col with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Vtbl.create (max 16 (Array.length s.s_entries)) in
-        Array.iter
-          (fun (e : entry) ->
-            let v = e.tuple.(col) in
-            Vtbl.replace tbl v (1 + Option.value (Vtbl.find_opt tbl v) ~default:0))
-          s.s_entries;
-        Hashtbl.replace s.s_idx col tbl;
-        tbl
-  in
-  Option.value (Vtbl.find_opt tbl v) ~default:0
-
-let snapshot_count_n s cols key =
-  let tbl =
-    match Hashtbl.find_opt s.s_comp cols with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = R.Tuple.Tbl.create (max 16 (Array.length s.s_entries)) in
-        Array.iter
-          (fun (e : entry) ->
-            let key = R.Tuple.project e.tuple cols in
-            R.Tuple.Tbl.replace tbl key
-              (1 + Option.value (R.Tuple.Tbl.find_opt tbl key) ~default:0))
-          s.s_entries;
-        Hashtbl.replace s.s_comp cols tbl;
-        tbl
-  in
-  Option.value (R.Tuple.Tbl.find_opt tbl key) ~default:0
-
 let cardinality t name =
   let rs = rel_store t name in
-  let pend =
-    match rs.stats with Own -> rs.len | Snapshot s -> Array.length s.s_entries
-  in
-  R.Segment.length rs.base.b_seg + pend
+  R.Segment.length rs.base.b_seg + rs.len
 
 (* World-independent by design (and by the pre-segmentation semantics):
    memoized pending counts plus the base hash-range width (an upper
    bound — collisions are not filtered out, which is fine for a cost
    estimate and identical across every store sharing the segment, so
-   scoped and unscoped evaluations still pick the same join orders). *)
+   the primary store and its replicas pick the same join orders). *)
 let selectivity t name binds =
   match binds with
   | [] -> cardinality t name
   | _ -> (
       let rs = rel_store t name in
       let pend_count_1 col v =
-        match rs.stats with
-        | Own -> (
-            match Vtbl.find_opt (ensure_index rs col) v with
-            | Some p -> p.count
-            | None -> 0)
-        | Snapshot s -> snapshot_count_1 s col v
+        match Vtbl.find_opt (ensure_index rs col) v with
+        | Some p -> p.count
+        | None -> 0
       in
       match binds with
       | [] -> assert false
@@ -709,12 +585,9 @@ let selectivity t name binds =
           let cols = List.map fst sorted in
           let key = Array.of_list (List.map snd sorted) in
           let pend =
-            match rs.stats with
-            | Own -> (
-                match R.Tuple.Tbl.find_opt (ensure_composite rs cols) key with
-                | Some p -> p.count
-                | None -> 0)
-            | Snapshot s -> snapshot_count_n s cols key
+            match R.Tuple.Tbl.find_opt (ensure_composite rs cols) key with
+            | Some p -> p.count
+            | None -> 0
           in
           pend + base_count rs sorted
       | (col, v) :: _ -> pend_count_1 col v + base_count rs [ (col, v) ])
@@ -924,7 +797,6 @@ let append_tx t (db' : Bcdb.t) =
   in
   t.db <- db';
   t.k <- t.k + 1;
-  t.pending_epoch <- t.pending_epoch + 1;
   t.visible <- Bitset.resize journal.prev_visible t.k;
   journal
 
@@ -973,5 +845,4 @@ let undo t journal =
   t.db <- journal.prev_db;
   t.k <- Array.length journal.prev_db.Bcdb.pending;
   t.visible <- journal.prev_visible;
-  t.pending_epoch <- t.pending_epoch + 1;
   t.epoch <- t.epoch + 1

@@ -18,7 +18,11 @@
     The base state lives in an immutable columnar {!Relational.Segment.t}
     per relation (unboxed [Int]/[Float] columns, dictionary-encoded
     otherwise): off-heap, invisible to the GC, and shared zero-copy by
-    every replica. Only the pending tail is per-store mutable state. *)
+    every replica. Only the pending tail is per-store mutable state.
+
+    Every world is evaluated on a full store: the session's primary one,
+    or a {!clone} that one engine worker owns. A world inside an ind-q
+    component leaves every transaction outside it invisible. *)
 
 type t
 
@@ -31,39 +35,20 @@ val clone : t -> t
     {e independent of base size} — while the visibility bitset, pending
     entry arrays and pending index tables are copied. Switching worlds
     or building indexes on the clone never affects the parent and vice
-    versa — this is what lets one worker per replica evaluate worlds
-    concurrently ({!Engine}). Clone while no {!append_tx} journal is
+    versa — this is what lets each parallel engine worker evaluate
+    worlds on the one replica it owns ({!Engine}). A clone answers
+    [cardinality]/[selectivity] exactly as its parent does, so the
+    evaluator picks the same join orders, and returns the same
+    witnesses, on either. Clone while no {!append_tx} journal is
     outstanding. *)
-
-val restrict : t -> int list -> t
-(** [restrict t members] is a component-scoped view: the (shared,
-    always-visible) base segment plus only the pending tuples
-    contributed by a transaction in [members]. Transaction ids keep
-    their meaning, so worlds, [tx_rows] and clique members need no
-    translation. For every world [w ⊆ members], scans, lookups and
-    membership tests agree exactly with [t] under [w] — tuples outside
-    the view are invisible in such worlds anyway. Cloning a scoped view
-    costs O(|view|), which is what lets OptDCSat workers replicate a
-    component-sized slice instead of the whole database. Do not
-    {!append_tx} to a scoped view. [selectivity] and [cardinality]
-    answer with the parent's pending counts (frozen at restriction
-    time), so the join orders the evaluator picks — and therefore the
-    witness it returns — are identical to evaluating on the full
-    store. The view starts with no visible transactions. *)
 
 val tx_count : t -> int
 
 val uid : t -> int
-(** A process-unique id minted at creation ({!create}/{!clone}/
-    {!restrict} each get a fresh one). Lets weak tables keyed by
-    physical store identity hash in O(1) instead of walking the deep
-    mutable structure. *)
-
-val pending_epoch : t -> int
-(** Monotone stamp of the store's pending-set shape: bumped by every
-    {!append_tx} and {!undo}. Two reads returning the same value
-    bracket a window in which the loaded pending segment did not
-    change. Clones and scoped views start from the parent's value. *)
+(** A process-unique id minted at creation ({!create} and {!clone}
+    each get a fresh one). Lets weak tables keyed by physical store
+    identity hash in O(1) instead of walking the deep mutable
+    structure. *)
 
 val state_generation : t -> int
 (** The {!Relational.Database.generation} stamp of the database value's
@@ -77,12 +62,12 @@ val set_obs : t -> Obs.t -> unit
     world-epoch-switch and base-probe dictionary hit/miss
     (["segment.dict_hits"]/["segment.dict_miss"]) counters on it
     (defaults to {!Obs.null}, whose per-call cost is one branch).
-    {!clone} and {!restrict} inherit the parent's recorder. *)
+    {!clone} inherits the parent's recorder. *)
 
 val base_bytes : t -> int
 (** Estimated resident bytes of the base segments (column payloads).
-    Replicas made by {!clone}/{!restrict} share these bytes — sum the
-    figure across replicas and you count the same memory repeatedly. *)
+    Replicas made by {!clone} share these bytes — sum the figure
+    across replicas and you count the same memory repeatedly. *)
 
 val world : t -> Bcgraph.Bitset.t
 (** The active visibility (a copy; mutating it does not affect the

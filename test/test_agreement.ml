@@ -144,10 +144,10 @@ let backend_agreement =
       in
       agree (fun ~jobs -> Core.Dcsat.naive ~jobs session q)
       && agree (fun ~jobs -> Core.Dcsat.opt ~jobs session q)
-      (* With the pre-check off, the clique/component enumeration — and
-         with it the component-scoped store path — actually runs even
-         when R ∪ T already refutes q, which drives far more worlds
-         through the scoped-store views on both backends. *)
+      (* With the pre-check off, the clique/component enumeration
+         actually runs even when R ∪ T already refutes q, which drives
+         far more worlds through the primary store (jobs=1) and the
+         workers' replicas (jobs=3). *)
       && agree (fun ~jobs -> Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs session q)
       && agree (fun ~jobs -> Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs session q)
       && agree (fun ~jobs ->

@@ -136,11 +136,17 @@ let maximal_world_memo =
 
 (* --- Solver-level differential: delta on = off, across repeats --- *)
 
+let no_precheck = { Core.Dcsat.default with precheck = false }
+
 (* One session solves the same constraint three times with the delta
    machinery on (run 2 and 3 hit the world cache, the maximal-world
    memo, and — for Opt — the ind-component cache); a fresh session
-   solves once with everything off. All four outcomes must agree on the
-   verdict and the witness world. *)
+   solves once with delta off. All four outcomes must agree on the
+   verdict, the witness world and the witness. Through [Solver.solve]
+   the pre-check decides most instances; OptDCSat with the pre-check
+   off reaches the components, which at jobs=1 all evaluate on the
+   session's primary store and so also share that history with each
+   other. *)
 let solver_differential =
   QCheck.Test.make
     ~name:"solve: use_delta:true (repeated) = use_delta:false (fresh)"
@@ -150,24 +156,27 @@ let solver_differential =
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = parse qi in
-      let baseline_session = Core.Session.create db in
-      let baseline =
-        Core.Solver.solve ~jobs:par_jobs
-          ~config:{ Core.Dcsat.default with delta = false }
-          baseline_session q
+      let result r =
+        Result.map
+          (fun (o : Core.Dcsat.outcome) ->
+            (o.Core.Dcsat.verdict, o.Core.Dcsat.witness_world, o.Core.Dcsat.witness))
+          r
       in
-      let session = Core.Session.create db in
-      let agree run =
-        match (baseline, run) with
-        | Ok (b, _), Ok (o, _) ->
-            b.Core.Dcsat.satisfied = o.Core.Dcsat.satisfied
-            && b.Core.Dcsat.witness_world = o.Core.Dcsat.witness_world
-        | Error _, Error _ -> true
-        | _ -> false
+      let repeated solve config =
+        let fresh = Core.Session.create db in
+        let expected = result (solve { config with Core.Dcsat.delta = false } fresh) in
+        let session = Core.Session.create db in
+        List.for_all
+          (fun () -> result (solve config session) = expected)
+          [ (); (); () ]
       in
-      List.for_all
-        (fun () -> agree (Core.Solver.solve ~jobs:par_jobs session q))
-        [ (); (); () ])
+      repeated
+        (fun config s ->
+          Result.map fst (Core.Solver.solve ~jobs:par_jobs ~config s q))
+        Core.Dcsat.default
+      && repeated
+           (fun config s -> Core.Dcsat.opt ~config ~jobs:par_jobs s q)
+           no_precheck)
 
 (* --- Algorithm-level differentials over solver configs --- *)
 
@@ -197,8 +206,6 @@ let config_differential ~name ~reference configs =
       in
       agree (fun config s -> Core.Dcsat.naive ~config ~jobs:par_jobs s q)
       && agree (fun config s -> Core.Dcsat.opt ~config ~jobs:par_jobs s q))
-
-let no_precheck = { Core.Dcsat.default with precheck = false }
 
 let all_configs_differential =
   config_differential ~name:"naive/opt: every config = default"

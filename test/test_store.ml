@@ -150,78 +150,6 @@ let store_scan_prop =
       in
       List.equal R.Tuple.equal got expected)
 
-(* A component-scoped view ({!Tagged_store.restrict}) must answer
-   scans, indexed lookups and membership tests exactly like the full
-   store, for every world inside the component — including after
-   repeated world switches, which exercise the epoch-stamped caches of
-   visibility-filtered postings on both stores. *)
-let scoped_view_prop =
-  QCheck.Test.make
-    ~name:"scoped view = full store, on worlds inside the component"
-    ~count:100
-    QCheck.(
-      pair
-        (list_of_size (QCheck.Gen.int_bound 8) (pair (int_bound 4) (int_bound 4)))
-        (pair
-           (list_of_size (QCheck.Gen.int_bound 4)
-              (list_of_size (QCheck.Gen.int_bound 3)
-                 (pair (int_bound 4) (int_bound 4))))
-           (pair
-              (list_of_size (QCheck.Gen.int_bound 4) (int_bound 3))
-              (list_of_size (QCheck.Gen.int_bound 6)
-                 (list_of_size (QCheck.Gen.int_bound 4) (int_bound 3))))))
-    (fun (base, (pending, (component, worlds))) ->
-      QCheck.assume (List.for_all (fun tx -> tx <> []) pending);
-      let db =
-        mk
-          (List.map (fun (a, b) -> row a b) base)
-          (List.map (List.map (fun (a, b) -> row a b)) pending)
-      in
-      let store = Core.Tagged_store.create db in
-      let k = Core.Tagged_store.tx_count store in
-      let component =
-        List.sort_uniq compare (List.filter (fun i -> i < k) component)
-      in
-      let view = Core.Tagged_store.restrict store component in
-      let clone = Core.Tagged_store.clone view in
-      let worlds =
-        List.map (List.filter (fun i -> List.mem i component)) worlds
-      in
-      let values = List.init 5 (fun v -> V.Int v) in
-      let tuples =
-        List.concat_map (fun a -> List.map (fun b -> R.Tuple.make [ a; b ]) values) values
-      in
-      let agree w =
-        Core.Tagged_store.set_world_list store w;
-        Core.Tagged_store.set_world_list view w;
-        Core.Tagged_store.set_world_list clone w;
-        let full = Core.Tagged_store.source store in
-        List.for_all
-          (fun st ->
-            let scoped = Core.Tagged_store.source st in
-            let sorted s = List.sort R.Tuple.compare (List.of_seq s) in
-            List.equal R.Tuple.equal
-              (sorted (full.R.Source.scan "Rel"))
-              (sorted (scoped.R.Source.scan "Rel"))
-            && List.for_all
-                 (fun v ->
-                   List.equal R.Tuple.equal
-                     (sorted (full.R.Source.lookup "Rel" [ (0, v) ]))
-                     (sorted (scoped.R.Source.lookup "Rel" [ (0, v) ]))
-                   && List.equal R.Tuple.equal
-                        (sorted (full.R.Source.lookup "Rel" [ (1, v) ]))
-                        (sorted (scoped.R.Source.lookup "Rel" [ (1, v) ])))
-                 values
-            && List.for_all
-                 (fun t ->
-                   full.R.Source.mem "Rel" t = scoped.R.Source.mem "Rel" t)
-                 tuples)
-          [ view; clone ]
-      in
-      (* Each world twice: the second pass must be answered from the
-         epoch-cached postings and still agree. *)
-      List.for_all agree (worlds @ worlds))
-
 let () =
   Alcotest.run "store"
     [
@@ -234,6 +162,5 @@ let () =
           Alcotest.test_case "clone independence" `Quick
             test_clone_independence;
           QCheck_alcotest.to_alcotest store_scan_prop;
-          QCheck_alcotest.to_alcotest scoped_view_prop;
         ] );
     ]
