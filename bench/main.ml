@@ -287,32 +287,65 @@ let fig6b () =
 (* ------------------------------------------------------------------ *)
 (* Fig 6c/6d: number of pending transactions. *)
 
+(* Scaling gate on fig6d's NaiveDCSat series: from the 10-block to the
+   50-block point, the unsatisfied qp3 solve may grow at most with the
+   square of the pending count — the cost of writing the fd graph's
+   rows. Steeper growth means per-pair (or worse) bookkeeping in the
+   graph layer: the fd-graph pair loop, the degeneracy peel and the
+   pivot scan once made this series grow 49x for 4.6x the transactions. *)
+let naive_scaling_gate ~small:(n_small, t_small) ~large:(n_large, t_large) =
+  let bound = (float_of_int n_large /. float_of_int n_small) ** 2.0 in
+  let ratio = t_large /. t_small in
+  Printf.printf
+    "[fig6d] NaiveDCSat %d -> %d pending txs: %.1fx time (bound %.1fx)\n%!"
+    n_small n_large ratio bound;
+  if ratio > bound then
+    fail
+      "fig6d/qp3 (NaiveDCSat): %.1fx time from %d to %d pending txs (%s -> \
+       %s), over the quadratic bound %.1fx"
+      ratio n_small n_large (E.ms t_small) (E.ms t_large) bound
+
 let pending_sweep variant =
   let figure = match variant with Q.Satisfied -> "fig6c" | Q.Unsatisfied -> "fig6d" in
   let s = sim Sweep in
+  let points =
+    List.map
+      (fun take ->
+        let sess =
+          session Sweep ~pending_take:take ~contradictions:default_c ()
+        in
+        let q = Q.instantiate s (Q.Qp 3) variant in
+        let count =
+          W.Generator.pending_count s ~pending_take:take
+            ~contradictions:default_c
+        in
+        (* x: number of pending transactions, the figure's x-axis. *)
+        let x = float_of_int count in
+        let naive =
+          run_measure ~figure ~x ~session:sess ~label:"qp3" ~algo:E.Naive
+            ~variant q
+        in
+        let opt =
+          run_measure ~figure ~x ~session:sess ~label:"qp3" ~algo:E.Opt
+            ~variant q
+        in
+        (take, count, naive.E.seconds, opt.E.seconds))
+      [ 10; 20; 30; 40; 50 ]
+  in
+  if variant = Q.Unsatisfied then begin
+    let naive_at t =
+      List.find_map
+        (fun (take, count, naive, _) ->
+          if take = t then Some (count, naive) else None)
+        points
+      |> Option.get
+    in
+    naive_scaling_gate ~small:(naive_at 10) ~large:(naive_at 50)
+  end;
   List.map
-    (fun take ->
-      let sess = session Sweep ~pending_take:take ~contradictions:default_c () in
-      let q = Q.instantiate s (Q.Qp 3) variant in
-      let count =
-        W.Generator.pending_count s ~pending_take:take ~contradictions:default_c
-      in
-      (* x: number of pending transactions, the figure's x-axis. *)
-      let x = float_of_int count in
-      let naive =
-        run_measure ~figure ~x ~session:sess ~label:"qp3" ~algo:E.Naive
-          ~variant q
-      in
-      let opt =
-        run_measure ~figure ~x ~session:sess ~label:"qp3" ~algo:E.Opt ~variant q
-      in
-      [
-        string_of_int take;
-        string_of_int count;
-        E.ms naive.E.seconds;
-        E.ms opt.E.seconds;
-      ])
-    [ 10; 20; 30; 40; 50 ]
+    (fun (take, count, naive, opt) ->
+      [ string_of_int take; string_of_int count; E.ms naive; E.ms opt ])
+    points
 
 let fig6c () =
   E.print_table ~title:"Fig 6c: pending transactions (satisfied)"
@@ -1430,16 +1463,27 @@ let smoke () =
   let s = sim Sweep in
   let sess = session Sweep ~pending_take:10 ~contradictions:default_c () in
   let q = Q.instantiate s (Q.Qp 3) Q.Unsatisfied in
-  let x =
-    float_of_int
-      (W.Generator.pending_count s ~pending_take:10 ~contradictions:default_c)
+  let count take =
+    W.Generator.pending_count s ~pending_take:take ~contradictions:default_c
   in
-  let m ?jobs ?(x = x) ?summary figure algo =
-    ignore
-      (run_measure ~figure ~x ~repeats:2 ?summary ?jobs ~session:sess
-         ~label:"qp3" ~algo ~variant:Q.Unsatisfied q)
+  let x = float_of_int (count 10) in
+  let measure ?jobs ?(x = x) ?summary ?(session = sess) figure algo =
+    run_measure ~figure ~x ~repeats:2 ?summary ?jobs ~session ~label:"qp3"
+      ~algo ~variant:Q.Unsatisfied q
   in
-  m "fig6d" E.Naive;
+  let m ?jobs ?x ?summary figure algo =
+    ignore (measure ?jobs ?x ?summary figure algo)
+  in
+  (* fig6d's NaiveDCSat end points and their scaling gate. *)
+  let naive_small = measure "fig6d" E.Naive in
+  let naive_large =
+    measure ~x:(float_of_int (count 50))
+      ~session:(session Sweep ~pending_take:50 ~contradictions:default_c ())
+      "fig6d" E.Naive
+  in
+  naive_scaling_gate
+    ~small:(count 10, naive_small.E.seconds)
+    ~large:(count 50, naive_large.E.seconds);
   m "fig6d" E.Opt;
   m ~jobs:1 ~x:1.0 ~summary:`Min "fig6d-jobs" E.Opt;
   m ~jobs:2 ~x:2.0 ~summary:`Min "fig6d-jobs" E.Opt;

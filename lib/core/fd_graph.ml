@@ -1,5 +1,6 @@
 module R = Relational
 module Undirected = Bcgraph.Undirected
+module Bitset = Bcgraph.Bitset
 
 type t = {
   graph : Undirected.t;
@@ -83,6 +84,13 @@ let conflicts_of store id =
     (Bcdb.fds db);
   Hashtbl.fold (fun j () l -> j :: l) acc [] |> List.sort Int.compare
 
+(* One edge definition for [build] and [extend]: a valid node is
+   adjacent to every other valid node it does not conflict with. *)
+let valid_mask node_ok =
+  let mask = Bitset.create (Array.length node_ok) in
+  Array.iteri (fun i ok -> if ok then Bitset.add mask i) node_ok;
+  mask
+
 let extend g store =
   let k = Tagged_store.tx_count store in
   let id = k - 1 in
@@ -95,11 +103,9 @@ let extend g store =
   let conflicts =
     if not ok then g.conflicts
     else begin
-      let rival = Array.make id false in
-      List.iter (fun j -> rival.(j) <- true) conflicting;
-      for j = 0 to id - 1 do
-        if node_ok.(j) && not rival.(j) then Undirected.add_edge graph id j
-      done;
+      let row = valid_mask node_ok in
+      List.iter (Bitset.remove row) conflicting;
+      Undirected.add_edges graph id row;
       (* [id] tops every pair, so a merge keeps the list sorted. *)
       List.merge compare g.conflicts
         (List.filter_map
@@ -159,19 +165,14 @@ let build store =
           pairs entries)
         buckets)
     fds;
-  let graph = Undirected.create k in
-  for i = 0 to k - 1 do
-    if node_ok.(i) then
-      for j = i + 1 to k - 1 do
-        if node_ok.(j) && not (Hashtbl.mem conflict (i, j)) then
-          Undirected.add_edge graph i j
-      done
-  done;
   let conflicts =
     Hashtbl.fold
       (fun (i, j) () acc ->
         if node_ok.(i) && node_ok.(j) then (i, j) :: acc else acc)
       conflict []
     |> List.sort compare
+  in
+  let graph =
+    Undirected.of_non_edges k ~nodes:(valid_mask node_ok) ~non_edges:conflicts
   in
   { graph; node_ok; conflicts }

@@ -11,10 +11,13 @@
     reason. For schemas with fresh key values (like Bitcoin's) this
     coincides with the paper's [T ∪ T' |= I_fd].
 
-    Construction is near-linear: for each fd, pending rows are bucketed
-    by their lhs projection and only same-bucket pairs with differing rhs
-    conflict; the graph is the complement of the conflict relation over
-    valid nodes. *)
+    Construction costs what the conflicts cost, not the pairs: for each
+    fd, pending rows are bucketed by their lhs projection and only
+    same-bucket pairs with differing rhs conflict; the graph is the
+    complement of the conflict relation over valid nodes, built by
+    {!Bcgraph.Undirected.of_non_edges} — each valid row is a word copy
+    of the valid-node mask, then each conflict clears two bits:
+    O(k² / 32 + |conflicts|). *)
 
 type t = private {
   graph : Bcgraph.Undirected.t;
@@ -51,4 +54,6 @@ val extend : t -> Tagged_store.t -> t
     conflicts against the other pending transactions are found through
     the store's indexes ({!Tagged_store.union_source}, no world switch),
     without re-examining existing pairs; existing rows are copied a word
-    at a time. The steady-state maintenance of Section 6.3. *)
+    at a time. The new row is defined as in {!build}: the valid-node
+    mask minus the new node's rivals. The steady-state maintenance of
+    Section 6.3. *)

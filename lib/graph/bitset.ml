@@ -141,23 +141,37 @@ let iter_diff f a b =
    [cand], allocation-free: the score of each candidate is a direct
    word-loop popcount, and only a strictly better score displaces the
    current best, so ties resolve to the smallest member — the
-   deterministic pivot rule the clique enumerator relies on. *)
-let max_inter ~rows cand target =
+   deterministic pivot rule the clique enumerator relies on. The scan
+   stops at the first member whose score reaches [bound]: when [bound]
+   caps every score, that member is already the smallest argmax. *)
+let max_inter ~rows ~bound cand target =
   let nw = Array.length target.words in
   let best = ref (-1) and best_score = ref (-1) in
-  iter
-    (fun u ->
-      let ru = rows.(u) in
-      if ru.n <> target.n then invalid_arg "Bitset.max_inter: capacity mismatch";
-      let score = ref 0 in
-      for i = 0 to nw - 1 do
-        score := !score + popcount (ru.words.(i) land target.words.(i))
-      done;
-      if !score > !best_score then begin
+  let score u =
+    let ru = rows.(u) in
+    if ru.n <> target.n then invalid_arg "Bitset.max_inter: capacity mismatch";
+    let s = ref 0 in
+    for i = 0 to nw - 1 do
+      s := !s + popcount (ru.words.(i) land target.words.(i))
+    done;
+    !s
+  in
+  let w = ref 0 and stop = ref false in
+  while !w < Array.length cand.words && not !stop do
+    let x = ref cand.words.(!w) in
+    while !x <> 0 && not !stop do
+      let b = !x land - !x in
+      let u = (!w lsl 5) + popcount (b - 1) in
+      let s = score u in
+      if s > !best_score then begin
         best := u;
-        best_score := !score
-      end)
-    cand;
+        best_score := s
+      end;
+      stop := s >= bound;
+      x := !x lxor b
+    done;
+    incr w
+  done;
   (!best, !best_score)
 
 let fold f t acc =

@@ -38,14 +38,21 @@ val inter_cardinal : t -> t -> int
 (** [inter_cardinal a b] is [cardinal (inter a b)] without the
     intermediate allocation. *)
 
-val max_inter : rows:t array -> t -> t -> int * int
-(** [max_inter ~rows cand target] is [(u, score)] where [u] is the
-    member of [cand] maximizing [inter_cardinal rows.(u) target] and
+val max_inter : rows:t array -> bound:int -> t -> t -> int * int
+(** [max_inter ~rows ~bound cand target] is [(u, score)] where [u] is
+    the member of [cand] maximizing [inter_cardinal rows.(u) target] and
     [score] that maximum — the Tomita pivot score |P ∩ N(u)| when
     [target] is P and [rows] the adjacency rows. Ties resolve to the
-    smallest member; [(-1, -1)] when [cand] is empty. Allocation-free:
-    equivalent to the naive loop over {!inter_cardinal} but without any
-    intermediate bitsets. *)
+    smallest member; [(-1, -1)] when [cand] is empty.
+
+    The scan runs over [cand] in ascending order and stops at the first
+    member whose score reaches [bound], returning that member and its
+    score. When [bound] is an upper bound on every score (the clique
+    enumerator passes [|P| - 1] for members of P, [|P|] for members of
+    X), that member is the smallest argmax, so the result is exactly
+    the full scan's; the scan just ends as soon as the bound proves no
+    later member can do better. Allocation-free: no intermediate
+    bitsets. *)
 
 val iter : (int -> unit) -> t -> unit
 

@@ -16,7 +16,12 @@
    emitted in depth-first order.
 
    Pivot scoring runs through {!Bitset.max_inter} — a word-level argmax
-   over the borrowed adjacency rows, no intermediate bitsets. *)
+   over the borrowed adjacency rows, no intermediate bitsets — and each
+   scan stops at the first node whose score reaches its cap (|P| - 1 in
+   P, |P| in X), which is already the smallest argmax. On the nearly
+   complete fd graphs of Bitcoin data almost every node hits the cap, so
+   a level costs a few row scores instead of |P| of them, and the first
+   maximal clique costs O(n²/32) rather than O(n³/32). *)
 
 type prep = {
   n : int;
@@ -45,10 +50,16 @@ let root_px pr v =
 
 (* Branching set of a non-leaf node: P \ N(pivot), ascending. Empty
    when P is empty or an X-pivot dominates P (a dead end: no maximal
-   clique below). Precondition: P and X not both empty. *)
+   clique below). Precondition: P and X not both empty.
+
+   The two pivot scans are bounded: graphs have no self-loops, so a
+   member of P scores at most |P| - 1 and a member of X at most |P|,
+   and each scan stops at the first member reaching its cap — the
+   smallest argmax, the node the full scan would return. *)
 let branch_todo pr p x =
-  let bp, sp = Bitset.max_inter ~rows:pr.neigh p p in
-  let bx, sx = Bitset.max_inter ~rows:pr.neigh x p in
+  let np = Bitset.cardinal p in
+  let bp, sp = Bitset.max_inter ~rows:pr.neigh ~bound:(np - 1) p p in
+  let bx, sx = Bitset.max_inter ~rows:pr.neigh ~bound:np x p in
   let pivot = if sx > sp then bx else bp in
   let acc = ref [] in
   Bitset.iter_diff (fun j -> acc := j :: !acc) p pr.neigh.(pivot);

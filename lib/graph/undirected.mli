@@ -9,6 +9,15 @@ type t
 val create : int -> t
 (** [create n] is the edgeless graph on [n] nodes. *)
 
+val of_non_edges : int -> nodes:Bitset.t -> non_edges:(int * int) list -> t
+(** [of_non_edges n ~nodes ~non_edges] is the graph on [n] nodes in
+    which every two distinct members of [nodes] are adjacent except the
+    pairs in [non_edges]; nodes outside [nodes] are isolated, and a pair
+    with an endpoint outside [nodes] is ignored. Each row is one word
+    copy of [nodes], then one bit cleared per non-edge:
+    O(n² / 32 + |non_edges|). Out-of-range nodes raise
+    [Invalid_argument]. *)
+
 val node_count : t -> int
 
 val copy : t -> t
@@ -27,6 +36,12 @@ val isolate : t -> int -> unit
 
 val add_edge : t -> int -> int -> unit
 (** Self-loops are ignored. Out-of-range nodes raise [Invalid_argument]. *)
+
+val add_edges : t -> int -> Bitset.t -> unit
+(** [add_edges g i s] adds an edge between [i] and every member of [s]
+    other than [i], in place: one word-wise union into [i]'s row, then
+    one bit per member in the other rows. [s] must have capacity
+    [node_count g]. *)
 
 val remove_edge : t -> int -> int -> unit
 val connected : t -> int -> int -> bool
@@ -55,6 +70,9 @@ val degeneracy_order : t -> int array
     deterministic). Every node has at most [d] neighbours *later* in the
     order, where [d] is the graph's degeneracy, so rooting a clique
     search at each node with only its later neighbours as candidates
-    yields [n] subtrees of width at most [d]. O(n + m). *)
+    yields [n] subtrees of width at most [d]. Each removal updates the
+    smaller of its live neighbourhood and its live non-neighbourhood:
+    O(n² / 32 + Σ min(nbrs, non-nbrs) · log n), so a nearly complete
+    graph peels as cheaply as a sparse one. *)
 
 val pp : Format.formatter -> t -> unit

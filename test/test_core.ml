@@ -70,6 +70,73 @@ let test_fd_graph_cliques () =
     [ [ 0; 1; 2; 3 ]; [ 1; 2; 3; 4 ] ]
     cliques
 
+(* The row-filled construction against the pairwise definition: i–j is
+   an edge iff both nodes are valid and R ∪ T_i ∪ T_j satisfies the fds,
+   and [conflicts] lists exactly the valid pairs that are not adjacent.
+   Random Bitcoin-shaped mempools of more than 64 transactions (rows
+   span three 32-bit words) over the paper's state, with planted double
+   spends (two transactions spending one pending outpoint) and invalid
+   nodes (re-spending an output R already spent, or re-issuing an
+   output R holds with other values). *)
+let fd_graph_oracle_prop =
+  QCheck.Test.make ~name:"Fd_graph.build = pairwise fd definition (> 64 txs)"
+    ~count:20
+    QCheck.(pair (int_range 65 90) (int_bound 1_000_000))
+    (fun (k, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pending =
+        List.init k (fun i ->
+            let me = Printf.sprintf "n%d" i in
+            let spend =
+              if i = 0 || (i >= 3 && Random.State.int rng 10 = 0) then
+                Fixtures.in_row "1" 1 "U1Pk" 1.0 me "sig"
+              else
+                (* T1 and T2 always double-spend o0 *)
+                let o = if i < 3 then 0 else Random.State.int rng (2 * k) in
+                Fixtures.in_row (Printf.sprintf "o%d" o) 1 "pk" 1.0 me "sig"
+            in
+            let out =
+              if i >= 3 && Random.State.int rng 15 = 0 then
+                Fixtures.out_row "2" 2 "UxPk" 9.0
+              else Fixtures.out_row me 1 "pk" 1.0
+            in
+            [ spend; out ])
+      in
+      let db =
+        Core.Bcdb.create_unchecked ~state:(Fixtures.paper_state ())
+          ~constraints:Fixtures.constraints ~pending ()
+      in
+      let store = Core.Tagged_store.create db in
+      let fd = Core.Fd_graph.build store in
+      let fds = List.map (fun f -> R.Constr.Fd f) (Core.Bcdb.fds db) in
+      let consistent rows =
+        R.Check.batch_consistent (Core.Tagged_store.base_source store) fds rows
+      in
+      let rows = Core.Tagged_store.tx_rows store in
+      let valid = Array.init k (fun i -> consistent (rows i)) in
+      let pairs =
+        List.concat_map
+          (fun i -> List.init (k - i - 1) (fun d -> (i, i + 1 + d)))
+          (List.init k Fun.id)
+      in
+      let edge (i, j) = valid.(i) && valid.(j) && consistent (rows i @ rows j) in
+      let conflicts =
+        List.filter (fun (i, j) -> valid.(i) && valid.(j) && not (edge (i, j))) pairs
+      in
+      Array.exists not valid
+      && conflicts <> []
+      && Array.to_list fd.Core.Fd_graph.node_ok = Array.to_list valid
+      && List.for_all
+           (fun (i, j) ->
+             Bcgraph.Undirected.connected fd.Core.Fd_graph.graph i j = edge (i, j)
+             && Bcgraph.Undirected.connected fd.Core.Fd_graph.graph j i
+                = edge (i, j))
+           pairs
+      && List.for_all
+           (fun i -> not (Bcgraph.Undirected.connected fd.Core.Fd_graph.graph i i))
+           (List.init k Fun.id)
+      && fd.Core.Fd_graph.conflicts = conflicts)
+
 let test_get_maximal () =
   let db = Fixtures.paper_db () in
   let store = Core.Tagged_store.create db in
@@ -261,6 +328,7 @@ let () =
           Alcotest.test_case "cliques" `Quick test_fd_graph_cliques;
           Alcotest.test_case "getMaximal" `Quick test_get_maximal;
           Alcotest.test_case "maximal worlds" `Quick test_maximal_worlds;
+          QCheck_alcotest.to_alcotest fd_graph_oracle_prop;
         ] );
       ( "dcsat",
         [

@@ -142,6 +142,52 @@ let undirected_remove_node_prop =
               (fun (a, b) -> if a = j || b = j then None else Some (reid a, reid b))
               edges)))
 
+let undirected_of_non_edges_prop =
+  QCheck.Test.make ~name:"Undirected.of_non_edges = bit-by-bit build" ~count:200
+    (QCheck.make
+       ~print:(fun ((n, non), nodes) ->
+         Printf.sprintf "%s nodes=[%s]" (print_graph (n, non))
+           (String.concat ";" (List.map string_of_int nodes)))
+       QCheck.Gen.(
+         boundary_graph >>= fun (n, non) ->
+         map
+           (fun nodes -> ((n, non), if n = 0 then [] else nodes))
+           (list_size (int_bound 80) (int_bound (max 0 (n - 1))))))
+    (fun ((n, non_edges), nodes) ->
+      let member x = List.mem x nodes in
+      let non a b = List.mem (a, b) non_edges || List.mem (b, a) non_edges in
+      let edges =
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b ->
+                if a < b && member a && member b && not (non a b) then Some (a, b)
+                else None)
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      same_graph
+        (G.Undirected.of_non_edges n ~nodes:(G.Bitset.of_list n nodes) ~non_edges)
+        (graph_of n edges))
+
+let undirected_add_edges_prop =
+  QCheck.Test.make ~name:"Undirected.add_edges = one add_edge per member"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ((n, es), (i, s)) ->
+         Printf.sprintf "%s +%d~[%s]" (print_graph (n, es)) i
+           (String.concat ";" (List.map string_of_int s)))
+       QCheck.Gen.(
+         boundary_graph >>= fun (n, es) ->
+         let n = max n 1 in
+         map
+           (fun (i, s) -> ((n, es), (i, s)))
+           (pair (int_bound (n - 1)) (list_size (int_bound 80) (int_bound (n - 1))))))
+    (fun ((n, edges), (i, s)) ->
+      let g = graph_of n edges in
+      G.Undirected.add_edges g i (G.Bitset.of_list n s);
+      same_graph g (graph_of n (edges @ List.map (fun j -> (i, j)) s)))
+
 let components_add_node_prop =
   QCheck.Test.make ~name:"Components.add_node = of_graph of the grown graph"
     ~count:200
@@ -246,48 +292,149 @@ let brute_cliques g =
       (fun i -> List.for_all (fun j -> i = j || G.Undirected.connected g i j) s)
       s
   in
+  (* a clique [s] is extended by [v] iff [v] is adjacent to all of [s] *)
   let maximal s =
     is_clique s && s <> []
     && List.for_all
-         (fun v -> List.mem v s || not (is_clique (List.sort compare (v :: s))))
+         (fun v ->
+           List.mem v s
+           || List.exists (fun u -> not (G.Undirected.connected g u v)) s)
          nodes
   in
   List.filter maximal subsets |> List.sort_uniq compare
 
+(* A random graph from a node count and an edge list; out-of-range
+   endpoints and self-loops are dropped. *)
+let random_graph n edges =
+  let g = G.Undirected.create n in
+  List.iter
+    (fun (i, j) -> if i < n && j < n && i <> j then G.Undirected.add_edge g i j)
+    edges;
+  g
+
+(* A nearly complete graph: every pair adjacent except a short random
+   list of non-edges — the shape of Bitcoin fd graphs, where only double
+   spends lack an edge. Node counts up to [max_n] let rows cross 32-bit
+   word boundaries. At most 10 non-edges keep the clique count small (a
+   matching of m non-edges alone has 2^m maximal cliques). Built bit by
+   bit, not through {!G.Undirected.of_non_edges}. *)
+let near_complete_arb max_n =
+  QCheck.make
+    ~print:(fun (n, non) ->
+      Printf.sprintf "n=%d without {%s}" n
+        (String.concat ";"
+           (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) non)))
+    QCheck.Gen.(
+      int_range 1 max_n >>= fun n ->
+      map
+        (fun non -> (n, non))
+        (list_size (int_bound 10) (pair (int_bound (n - 1)) (int_bound (n - 1)))))
+
+let near_complete n non_edges =
+  let g = G.Undirected.complement (G.Undirected.create n) in
+  List.iter (fun (i, j) -> G.Undirected.remove_edge g i j) non_edges;
+  g
+
 (* The resumable generator must emit the same cliques, in the same
    order, as iter_maximal_cliques — the engine's jobs:1 determinism
    guarantee rests on this. *)
+let generator_agrees g =
+  let via_iter = ref [] in
+  G.Bron_kerbosch.iter_maximal_cliques g (fun c ->
+      via_iter := c :: !via_iter;
+      `Continue);
+  let next = G.Bron_kerbosch.generator g in
+  let rec drain acc =
+    match next () with Some c -> drain (c :: acc) | None -> acc
+  in
+  drain [] = !via_iter && next () = None
+
 let generator_matches_iter =
   QCheck.Test.make ~name:"clique generator = iterator, same order" ~count:80
     QCheck.(
       pair (int_range 1 9) (list_of_size (QCheck.Gen.int_bound 24) (pair (int_bound 8) (int_bound 8))))
-    (fun (n, edges) ->
-      let g = G.Undirected.create n in
-      List.iter
-        (fun (i, j) ->
-          if i < n && j < n && i <> j then G.Undirected.add_edge g i j)
-        edges;
-      let via_iter = ref [] in
-      G.Bron_kerbosch.iter_maximal_cliques g (fun c ->
-          via_iter := c :: !via_iter;
-          `Continue);
-      let next = G.Bron_kerbosch.generator g in
-      let rec drain acc =
-        match next () with Some c -> drain (c :: acc) | None -> acc
-      in
-      drain [] = !via_iter && next () = None)
+    (fun (n, edges) -> generator_agrees (random_graph n edges))
+
+let generator_matches_iter_near_complete =
+  QCheck.Test.make
+    ~name:"clique generator = iterator, same order (near-complete, n <= 80)"
+    ~count:60 (near_complete_arb 80)
+    (fun (n, non) -> generator_agrees (near_complete n non))
+
+let bk_agrees_brute g =
+  List.sort compare (G.Bron_kerbosch.maximal_cliques g) = brute_cliques g
 
 let bk_matches_brute =
   QCheck.Test.make ~name:"Bron–Kerbosch = brute force (n <= 8)" ~count:80
     QCheck.(
       pair (int_range 1 8) (list_of_size (QCheck.Gen.int_bound 20) (pair (int_bound 7) (int_bound 7))))
-    (fun (n, edges) ->
-      let g = G.Undirected.create n in
+    (fun (n, edges) -> bk_agrees_brute (random_graph n edges))
+
+let bk_matches_brute_near_complete =
+  QCheck.Test.make ~name:"Bron–Kerbosch = brute force (near-complete, n <= 14)"
+    ~count:40 (near_complete_arb 14)
+    (fun (n, non) -> bk_agrees_brute (near_complete n non))
+
+(* The canonical search tree written out with unbounded pivot scans:
+   degeneracy-order roots with R = {v}, P/X = later/earlier neighbours;
+   pivot = argmax |P ∩ N(u)| over P then X (smallest node on ties, X
+   only on strict improvement); branches over P \ N(pivot) ascending,
+   each moving its node from P to X. The generator's bounded scans must
+   pick the same pivots, hence emit the same cliques in the same order. *)
+let reference_cliques g =
+  let n = G.Undirected.node_count g in
+  let nb = G.Undirected.neighbours_bitset g in
+  let order = G.Undirected.degeneracy_order g in
+  let rank = Array.make n 0 in
+  Array.iteri (fun i v -> rank.(v) <- i) order;
+  let out = ref [] in
+  let argmax cand p =
+    List.fold_left
+      (fun (bu, bs) u ->
+        let s = G.Bitset.inter_cardinal (nb u) p in
+        if s > bs then (u, s) else (bu, bs))
+      (-1, -1) (G.Bitset.to_list cand)
+  in
+  let rec expand r p x =
+    if G.Bitset.is_empty p && G.Bitset.is_empty x then
+      out := List.sort compare r :: !out
+    else begin
+      let bp, sp = argmax p p and bx, sx = argmax x p in
+      let pivot = if sx > sp then bx else bp in
       List.iter
-        (fun (i, j) ->
-          if i < n && j < n && i <> j then G.Undirected.add_edge g i j)
-        edges;
-      List.sort compare (G.Bron_kerbosch.maximal_cliques g) = brute_cliques g)
+        (fun v ->
+          expand (v :: r) (G.Bitset.inter p (nb v)) (G.Bitset.inter x (nb v));
+          G.Bitset.remove p v;
+          G.Bitset.add x v)
+        (G.Bitset.to_list (G.Bitset.diff p (nb pivot)))
+    end
+  in
+  Array.iter
+    (fun v ->
+      let p = G.Bitset.create n and x = G.Bitset.create n in
+      G.Bitset.iter
+        (fun u -> G.Bitset.add (if rank.(u) > rank.(v) then p else x) u)
+        (nb v);
+      expand [ v ] p x)
+    order;
+  List.rev !out
+
+let bk_order_matches_reference =
+  QCheck.Test.make ~name:"Bron–Kerbosch order = full-scan reference" ~count:80
+    QCheck.(
+      pair (int_range 1 12)
+        (list_of_size (QCheck.Gen.int_bound 40) (pair (int_bound 11) (int_bound 11))))
+    (fun (n, edges) ->
+      let g = random_graph n edges in
+      G.Bron_kerbosch.maximal_cliques g = reference_cliques g)
+
+let bk_order_matches_reference_near_complete =
+  QCheck.Test.make
+    ~name:"Bron–Kerbosch order = full-scan reference (near-complete, n <= 80)"
+    ~count:60 (near_complete_arb 80)
+    (fun (n, non) ->
+      let g = near_complete n non in
+      G.Bron_kerbosch.maximal_cliques g = reference_cliques g)
 
 let induced_preserves_edges =
   QCheck.Test.make ~name:"induced subgraph preserves adjacency" ~count:80
@@ -317,13 +464,6 @@ let induced_preserves_edges =
 
 (* --- graph-layer helpers of the clique enumeration ---------------- *)
 
-let random_graph n edges =
-  let g = G.Undirected.create n in
-  List.iter
-    (fun (i, j) -> if i < n && j < n && i <> j then G.Undirected.add_edge g i j)
-    edges;
-  g
-
 let graph_arb =
   QCheck.(
     pair (int_range 1 10)
@@ -331,61 +471,74 @@ let graph_arb =
 
 (* --- Bitset.max_inter ------------------------------------------------ *)
 
+(* With a [~bound], the scan stops at the first ascending member whose
+   score reaches it; when none does, the result is the full argmax. *)
 let max_inter_matches_naive =
   QCheck.Test.make ~name:"max_inter = naive argmax over inter_cardinal"
-    ~count:200
+    ~count:300
     QCheck.(
-      triple
+      quad
         (list_of_size (QCheck.Gen.int_bound 12) (int_bound 19))
         (list_of_size (QCheck.Gen.int_bound 12) (int_bound 19))
         (array_of_size (QCheck.Gen.return 20)
-           (list_of_size (QCheck.Gen.int_bound 8) (int_bound 19))))
-    (fun (cand, target, rows_members) ->
+           (list_of_size (QCheck.Gen.int_bound 8) (int_bound 19)))
+        (int_range (-1) 10))
+    (fun (cand, target, rows_members, bound) ->
       let cand = G.Bitset.of_list 20 cand
       and target = G.Bitset.of_list 20 target in
       let rows = Array.map (G.Bitset.of_list 20) rows_members in
-      let naive =
-        List.fold_left
-          (fun (bu, bs) u ->
-            let s = G.Bitset.inter_cardinal rows.(u) target in
-            if s > bs then (u, s) else (bu, bs))
-          (-1, -1)
-          (G.Bitset.to_list cand)
+      let score u = G.Bitset.inter_cardinal rows.(u) target in
+      let members = G.Bitset.to_list cand in
+      let expect =
+        match List.find_opt (fun u -> score u >= bound) members with
+        | Some u -> (u, score u)
+        | None ->
+            List.fold_left
+              (fun (bu, bs) u -> if score u > bs then (u, score u) else (bu, bs))
+              (-1, -1) members
       in
-      G.Bitset.max_inter ~rows cand target = naive)
+      G.Bitset.max_inter ~rows ~bound cand target = expect)
 
 (* --- Undirected.degeneracy_order ------------------------------------ *)
 
+let greedy_min_peel g =
+  let n = G.Undirected.node_count g in
+  let order = G.Undirected.degeneracy_order g in
+  (* a permutation of 0..n-1 *)
+  List.sort compare (Array.to_list order) = List.init n Fun.id
+  &&
+  (* each removed node has minimum remaining degree, smallest id on
+     ties, against a naive simulation *)
+  let removed = Array.make n false in
+  let live_degree v =
+    List.length
+      (List.filter (fun u -> not removed.(u)) (G.Undirected.neighbours g v))
+  in
+  Array.for_all
+    (fun v ->
+      let dv = live_degree v in
+      let ok =
+        List.for_all
+          (fun u ->
+            removed.(u) || u = v
+            ||
+            let du = live_degree u in
+            du > dv || (du = dv && u > v))
+          (List.init n Fun.id)
+      in
+      removed.(v) <- true;
+      ok)
+    order
+
 let degeneracy_is_greedy_min_peel =
   QCheck.Test.make ~name:"degeneracy_order = greedy min-degree peel"
-    ~count:100 graph_arb (fun (n, edges) ->
-      let g = random_graph n edges in
-      let order = G.Undirected.degeneracy_order g in
-      (* a permutation of 0..n-1 *)
-      List.sort compare (Array.to_list order) = List.init n Fun.id
-      &&
-      (* each removed node has minimum remaining degree, smallest id on
-         ties, against a naive simulation *)
-      let removed = Array.make n false in
-      let live_degree v =
-        List.length
-          (List.filter (fun u -> not removed.(u)) (G.Undirected.neighbours g v))
-      in
-      Array.for_all
-        (fun v ->
-          let dv = live_degree v in
-          let ok =
-            List.for_all
-              (fun u ->
-                removed.(u) || u = v
-                ||
-                let du = live_degree u in
-                du > dv || (du = dv && u > v))
-              (List.init n Fun.id)
-          in
-          removed.(v) <- true;
-          ok)
-        order)
+    ~count:100 graph_arb (fun (n, edges) -> greedy_min_peel (random_graph n edges))
+
+let degeneracy_near_complete =
+  QCheck.Test.make
+    ~name:"degeneracy_order = greedy min-degree peel (near-complete, n <= 80)"
+    ~count:60 (near_complete_arb 80)
+    (fun (n, non) -> greedy_min_peel (near_complete n non))
 
 let () =
   Alcotest.run "graph"
@@ -406,6 +559,8 @@ let () =
           QCheck_alcotest.to_alcotest induced_preserves_edges;
           QCheck_alcotest.to_alcotest undirected_extend_prop;
           QCheck_alcotest.to_alcotest undirected_remove_node_prop;
+          QCheck_alcotest.to_alcotest undirected_of_non_edges_prop;
+          QCheck_alcotest.to_alcotest undirected_add_edges_prop;
           QCheck_alcotest.to_alcotest components_add_node_prop;
         ] );
       ( "bron-kerbosch",
@@ -414,11 +569,16 @@ let () =
           Alcotest.test_case "extremes" `Quick test_bron_kerbosch_extremes;
           Alcotest.test_case "early stop" `Quick test_early_stop;
           QCheck_alcotest.to_alcotest bk_matches_brute;
+          QCheck_alcotest.to_alcotest bk_matches_brute_near_complete;
           QCheck_alcotest.to_alcotest generator_matches_iter;
+          QCheck_alcotest.to_alcotest generator_matches_iter_near_complete;
+          QCheck_alcotest.to_alcotest bk_order_matches_reference;
+          QCheck_alcotest.to_alcotest bk_order_matches_reference_near_complete;
         ] );
       ( "helpers",
         [
           QCheck_alcotest.to_alcotest max_inter_matches_naive;
           QCheck_alcotest.to_alcotest degeneracy_is_greedy_min_peel;
+          QCheck_alcotest.to_alcotest degeneracy_near_complete;
         ] );
     ]
