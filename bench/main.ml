@@ -1459,6 +1459,36 @@ let servebench () =
 
 let smoke_json_path = "BENCH_dcsat.smoke.json"
 
+(* Structural gate: a jobs=1 NaiveDCSat solve of the Dense component
+   may switch the store's world once per evaluated world (the eval
+   itself), plus a constant per solve (the precheck's switch to R ∪ T
+   and back, the final restore). getMaximal reads the clique's own rows
+   and never switches; a world-switching closure would add one switch
+   per included transaction, about [pairs + 2] per world. A count, so
+   it holds on any host. *)
+let epoch_switch_gate ~pairs =
+  let per_solve = 4 in
+  let sess = dense_session pairs in
+  let obs = Bcobs.Obs.create () in
+  Core.Session.set_obs sess obs;
+  let solved =
+    Core.Dcsat.naive ~jobs:1 ~config:full_eval sess (W.Dense.query ())
+  in
+  Core.Session.set_obs sess Bcobs.Obs.null;
+  Bcobs.Obs.flush obs;
+  let worlds = Bcobs.Obs.counter obs "dcsat.worlds" in
+  let switches = Bcobs.Obs.counter obs "store.epoch_switch" in
+  Printf.printf "[smoke] dense-%dp jobs=1: %d store.epoch_switch over %d worlds\n%!"
+    pairs switches worlds;
+  if Result.is_error solved || worlds <> W.Dense.worlds ~pairs then
+    fail "smoke: dense-%dp jobs=1 did not enumerate its %d worlds (%d)" pairs
+      (W.Dense.worlds ~pairs) worlds;
+  if switches > worlds + per_solve then
+    fail
+      "smoke: dense-%dp jobs=1 switched the store's world %d times over %d \
+       worlds (bound: one per world + %d per solve)"
+      pairs switches worlds per_solve
+
 let smoke () =
   let s = sim Sweep in
   let sess = session Sweep ~pending_take:10 ~contradictions:default_c () in
@@ -1531,6 +1561,7 @@ let smoke () =
   then
     fail "smoke: dense component not exhaustively enumerated (%d worlds)"
       dm.E.stats.Core.Dcsat.worlds_checked;
+  epoch_switch_gate ~pairs:dpairs;
   (* Scenario library: every named instance must meet its scripted
      expectation and keep its verdict across a binary snapshot
      round-trip; one fixed-seed differential fuzz round rides along. *)

@@ -148,15 +148,15 @@ let eval_txs obs ev store txs =
     Obs.span obs ~cat:"dcsat" "eval" (fun () -> Inc_eval.eval_world ev store txs)
   else Inc_eval.eval_world ev store txs
 
-(* A clique work item: materialize its maximal world (memoized with the
-   evaluator's world cache — the closure is world-independent), then
-   evaluate. *)
+(* A clique work item: materialize its maximal world ({!Get_maximal}
+   reads the clique's own rows and never switches the store's world),
+   then evaluate. *)
 let eval_clique obs ev store members =
   let world =
     if Obs.enabled obs then
       Obs.span obs ~cat:"dcsat" "get_maximal" (fun () ->
-          Inc_eval.maximal_world ev store members)
-    else Inc_eval.maximal_world ev store members
+          Get_maximal.run_list store members)
+    else Get_maximal.run_list store members
   in
   eval_txs obs ev store (Bitset.to_list world)
 

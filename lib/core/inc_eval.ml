@@ -131,14 +131,9 @@ type state = {
          cached; catches in-place mutation of R behind an unchanged
          physical database value (the [serve] access pattern). *)
   mutable entries : entry list;  (* most recently used first, capped *)
-  mutable worlds : (Bitset.t * Bitset.t) list;
-      (* clique members -> its maximal world, both private copies; the
-         closure is world-independent, so memoized results replay across
-         solves (most recently used first, capped). *)
 }
 
 let max_entries = 4
-let max_worlds = 16
 
 (* States live in a global weak-keyed registry so they persist exactly
    as long as the store does: session stores and pooled replicas keep
@@ -175,7 +170,6 @@ let state_for store plan =
           for_db = Tagged_store.db store;
           for_state_gen = Tagged_store.state_generation store;
           entries = [];
-          worlds = [];
         }
       in
       states := (plan, st) :: !states;
@@ -222,8 +216,7 @@ let state_of t store =
   if st.for_db != Tagged_store.db store || st.for_state_gen <> gen then begin
     st.for_db <- Tagged_store.db store;
     st.for_state_gen <- gen;
-    st.entries <- [];
-    st.worlds <- []
+    st.entries <- []
   end;
   st
 
@@ -420,24 +413,6 @@ let eval_current t store =
 let eval_bool t store =
   let e = eval_current t store in
   e.matched
-
-(* Maximal-world closure ({!Get_maximal}) memoized per (store, plan):
-   the closure extends a clique starting from the empty world, so its
-   result depends only on the members and the database — never on the
-   store's current world — and repeated solves revisit the same cliques.
-   Both sides are kept and returned as private copies. *)
-let maximal_world t store members =
-  if not t.use_delta then Get_maximal.run_list store members
-  else begin
-    let st = state_of t store in
-    let key = Bitset.of_list (Tagged_store.tx_count store) members in
-    match List.find_opt (fun (k, _) -> Bitset.equal k key) st.worlds with
-    | Some (_, w) -> Bitset.copy w
-    | None ->
-        let w = Get_maximal.run_list store members in
-        st.worlds <- (key, Bitset.copy w) :: take (max_worlds - 1) st.worlds;
-        w
-  end
 
 let eval_world t store txs =
   Tagged_store.set_world_list store txs;

@@ -76,11 +76,3 @@ val eval_world : t -> Tagged_store.t -> int list -> Engine.evaluation
 val eval_bool : t -> Tagged_store.t -> bool
 (** Evaluate over the store's current world without switching it (the
     pre-check's [R ∪ T] instance). *)
-
-val maximal_world : t -> Tagged_store.t -> int list -> Bcgraph.Bitset.t
-(** The maximal world closing over the given clique members
-    ({!Get_maximal}), memoized in the same per-(store, plan) cache —
-    the closure starts from the empty world, so the result depends only
-    on the members and the database, and repeated solves revisit the
-    same cliques. With [use_delta:false] this is exactly
-    {!Get_maximal.run_list}. *)

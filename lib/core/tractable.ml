@@ -172,10 +172,19 @@ let solve_fd_conjunctive run body =
       outcome run false (Some members) (Some assignment)
   | None -> outcome run true None None
 
-let global_maximal run =
+(* The unique maximal world within [allowed] for the two ind-only cases.
+   {!Get_maximal} requires a clique of the fd graph; with no fds the
+   graph is complete, so any transaction set is one. That is the only
+   reason a non-clique [allowed] is valid here, hence the check. *)
+let ind_only_maximal run allowed =
   let store = Session.store run.session in
-  let k = Tagged_store.tx_count store in
-  Get_maximal.run store (Bitset.full k)
+  if Bcdb.fds (Tagged_store.db store) <> [] then
+    invalid_arg "Tractable: ind-only case over a database with fds";
+  Get_maximal.run store allowed
+
+let global_maximal run =
+  let k = Tagged_store.tx_count (Session.store run.session) in
+  ind_only_maximal run (Bitset.full k)
 
 let solve_ind_conjunctive run body =
   let store = Session.store run.session in
@@ -202,7 +211,7 @@ let solve_ind_conjunctive run body =
       | None ->
           let allowed = Bitset.full k in
           List.iter (Bitset.remove allowed) excluded;
-          let w = Get_maximal.run store allowed in
+          let w = ind_only_maximal run allowed in
           run.worlds <- run.worlds + 1;
           Hashtbl.replace memo excluded w;
           w

@@ -4,8 +4,8 @@
    identical verdicts, identical canonical witnesses — over arbitrary
    world sequences (including revisits, which exercise the replay path)
    and across repeated solver runs on one session (which exercise the
-   per-store world cache, the maximal-world memo, and the ind-component
-   cache). CI runs the suite with BCDB_TEST_JOBS=1 and =4. *)
+   per-store world cache and the ind-component cache). CI runs the
+   suite with BCDB_TEST_JOBS=1 and =4. *)
 
 module R = Relational
 module V = R.Value
@@ -110,29 +110,6 @@ let eval_world_differential =
           let b = Core.Inc_eval.eval_world full store world in
           a = b)
         steps)
-
-(* --- Maximal-world memo: cached closure = direct closure --- *)
-
-let maximal_world_memo =
-  QCheck.Test.make ~name:"maximal_world memo = Get_maximal.run_list"
-    ~count:100
-    QCheck.(pair (int_bound 100_000) (int_bound (List.length queries - 1)))
-    (fun (seed, qi) ->
-      let rng = Random.State.make [| seed |] in
-      let db = random_db rng in
-      let session = Core.Session.create db in
-      let store = Core.Session.store session in
-      let n = Core.Tagged_store.tx_count store in
-      let plan = Core.Session.plan session (parse qi) in
-      let inc = Core.Inc_eval.evaluator ~use_delta:true plan in
-      let members =
-        List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id)
-      in
-      let direct = Core.Get_maximal.run_list store members in
-      (* Twice: a miss that populates the memo, then the hit. *)
-      let first = Core.Inc_eval.maximal_world inc store members in
-      let second = Core.Inc_eval.maximal_world inc store members in
-      Bcgraph.Bitset.equal direct first && Bcgraph.Bitset.equal direct second)
 
 (* --- Solver-level differential: delta on = off, across repeats --- *)
 
@@ -319,7 +296,6 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest eval_world_differential;
-          QCheck_alcotest.to_alcotest maximal_world_memo;
           QCheck_alcotest.to_alcotest solver_differential;
           QCheck_alcotest.to_alcotest algo_differential;
           QCheck_alcotest.to_alcotest all_configs_differential;
