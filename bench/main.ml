@@ -1461,13 +1461,13 @@ let smoke_json_path = "BENCH_dcsat.smoke.json"
 
 (* Structural gate: a jobs=1 NaiveDCSat solve of the Dense component
    may switch the store's world once per evaluated world (the eval
-   itself), plus a constant per solve (the precheck's switch to R ∪ T
-   and back, the final restore). getMaximal reads the clique's own rows
-   and never switches; a world-switching closure would add one switch
-   per included transaction, about [pairs + 2] per world. A count, so
-   it holds on any host. *)
+   itself), plus one per solve (the final restore). The precheck reads
+   R ∪ T through the store's fixed union view and getMaximal reads the
+   clique's own rows, so neither switches; a world-switching getMaximal
+   would add one switch per included transaction, about [pairs + 2] per
+   world. A count, so it holds on any host. *)
 let epoch_switch_gate ~pairs =
-  let per_solve = 4 in
+  let per_solve = 1 in
   let sess = dense_session pairs in
   let obs = Bcobs.Obs.create () in
   Core.Session.set_obs sess obs;
@@ -1488,6 +1488,24 @@ let epoch_switch_gate ~pairs =
       "smoke: dense-%dp jobs=1 switched the store's world %d times over %d \
        worlds (bound: one per world + %d per solve)"
       pairs switches worlds per_solve
+
+(* Count gate: a solve the precheck decides never switches the store's
+   world — not to R ∪ T, and so not back either. *)
+let precheck_switch_gate sess q =
+  let obs = Bcobs.Obs.create () in
+  Core.Session.set_obs sess obs;
+  let solved = Core.Dcsat.opt ~jobs:1 sess q in
+  Core.Session.set_obs sess Bcobs.Obs.null;
+  Bcobs.Obs.flush obs;
+  let switches = Bcobs.Obs.counter obs "store.epoch_switch" in
+  Printf.printf "[smoke] precheck-decided opt: %d store.epoch_switch\n%!"
+    switches;
+  (match solved with
+  | Ok o when o.Core.Dcsat.stats.Core.Dcsat.precheck_decided -> ()
+  | _ -> fail "smoke: the precheck switch gate's solve was not precheck-decided");
+  if switches <> 0 then
+    fail "smoke: a precheck-decided solve switched the store's world %d times"
+      switches
 
 let smoke () =
   let s = sim Sweep in
@@ -1562,6 +1580,7 @@ let smoke () =
     fail "smoke: dense component not exhaustively enumerated (%d worlds)"
       dm.E.stats.Core.Dcsat.worlds_checked;
   epoch_switch_gate ~pairs:dpairs;
+  precheck_switch_gate sess (Q.instantiate s (Q.Qp 3) Q.Satisfied);
   (* Scenario library: every named instance must meet its scripted
      expectation and keep its verdict across a binary snapshot
      round-trip; one fixed-seed differential fuzz round rides along. *)

@@ -160,19 +160,15 @@ let eval_clique obs ev store members =
   in
   eval_txs obs ev store (Bitset.to_list world)
 
-(* The monotone pre-check: q false over R ∪ T implies satisfied. The
-   previously active world is restored afterwards. The full-visibility
-   world goes through the incremental evaluator too: on repeated solves
-   of one constraint it is a pure replay. *)
+(* The monotone pre-check: q false over R ∪ T implies satisfied. It
+   reads the fixed [R ∪ T] view, so the store's active world (its epoch
+   and posting caches) is never switched. *)
 let precheck session evaluators =
   let obs = Session.obs session in
   Obs.span obs ~cat:"dcsat" "precheck" @@ fun () ->
-  let store = Session.store session in
-  let saved = Tagged_store.world store in
-  Tagged_store.all_visible store;
-  let decided = not (Inc_eval.eval_bool (evaluators ()) store) in
-  Tagged_store.set_world store saved;
-  decided
+  not
+    (Inc_eval.eval_source (evaluators ())
+       (Tagged_store.union_source (Session.store session)))
 
 (* Fan the items of [source] out over the engine and fold the report
    back into the run's counters. Returns the run's violation (if any)

@@ -289,8 +289,8 @@ let delta_tuple_count p delta_fn =
 (* Delta evaluation is worth attempting when the transaction-level
    frontier is small next to the world: the seeded search costs
    O(|Δ-tuples| × join), a full search with early exit is often cheap,
-   and e.g. the hop from a small enumerated world back to the
-   pre-check's full-visibility world is better evaluated afresh. *)
+   and e.g. the hop from a small enumerated world to a much larger one
+   is better evaluated afresh. *)
 let worthwhile added_txs k = added_txs * 4 <= max 4 k
 
 let delta_boolean t store (e : entry) (d : Tagged_store.world_delta) =
@@ -413,6 +413,16 @@ let eval_current t store =
 let eval_bool t store =
   let e = eval_current t store in
   e.matched
+
+let eval_source t src =
+  count_full t;
+  let p = t.plan in
+  match (p.agg, native_of t) with
+  | None, Some nat ->
+      count_native t;
+      Q.Eval.native_exists nat src
+  | None, None -> Q.Eval.eval_boolean src p.body
+  | Some _, _ -> Q.Eval.eval_compiled src p.query p.body
 
 let eval_world t store txs =
   Tagged_store.set_world_list store txs;

@@ -4,7 +4,7 @@
     over a stream of worlds that differ by a handful of transactions
     (consecutive Bron–Kerbosch cliques share large prefixes) and — over
     a session's lifetime — revisits the same worlds again and again
-    (repeated solves, the pre-check's [R ∪ T] instance). A {!plan}
+    (repeated solves). A {!plan}
     compiles the constraint body once; an {!type-t} evaluator then keeps a
     small per-(store, plan) cache of recently evaluated worlds in a
     process-wide weak registry keyed by store identity, so the history
@@ -74,5 +74,13 @@ val eval_world : t -> Tagged_store.t -> int list -> Engine.evaluation
     witness on a boolean violation). *)
 
 val eval_bool : t -> Tagged_store.t -> bool
-(** Evaluate over the store's current world without switching it (the
-    pre-check's [R ∪ T] instance). *)
+(** Evaluate over the store's current world without switching it,
+    through the world cache. *)
+
+val eval_source : t -> Relational.Source.t -> bool
+(** Evaluate the plan once over a fixed source, outside the world cache
+    — the pre-check's [R ∪ T] instance, read through
+    {!Tagged_store.union_source} with no world switch. The native plan
+    decides boolean bodies when this evaluator may use it, the
+    interpreted join otherwise; aggregates fold the whole bag. Counted
+    as [eval.full] (and [eval.compiled_native]). *)

@@ -8,6 +8,9 @@ module Q = Bcquery
    the mempool to a recent partition still hits. *)
 let keep_window = 8
 
+(* A component's content signature: see [comp_signature]. *)
+type signature = { lo : int64; hi : int64; epoch : int }
+
 type tracked = {
   t_query : Q.Query.t;
   t_qthetas : Q.Theta.t list;
@@ -15,11 +18,16 @@ type tracked = {
          half of Θ is shared by every tracked query and maintained as
          [ind_base], so each query only probes its own Θq. *)
   mutable t_comps : int list list;
-  t_sat : (string, int) Hashtbl.t;
+  mutable t_sigs : (int list list * int * (int list * signature) array) option;
+      (* [t_comps] (physically) and the Live epoch the array was signed
+         at: each component's members and signature, by position in
+         [t_comps]. Stale once an event replaces the partition or bumps
+         the epoch; re-signed on the next check. *)
+  t_sat : (signature, int) Hashtbl.t;
       (* signature → check stamp of the last hit/solve; presence means
          the component's verdict is Satisfied at that content. Survives
          id re-packing: a Satisfied verdict names no ids. *)
-  t_viol : (string, int * Dcsat.comp_verdict) Hashtbl.t;
+  t_viol : (signature * int list, int * Dcsat.comp_verdict) Hashtbl.t;
       (* signature + member ids → (stamp, violated verdict with
          witness). The world and witness name transaction ids AND are
          canonical only relative to the whole database, so this table
@@ -29,7 +37,7 @@ type tracked = {
          embed the member ids: two {e twin} components with identical
          content share a signature, and replaying one twin's verdict
          for the other would report the wrong ids. *)
-  mutable t_suspect : string option;
+  mutable t_suspect : signature option;
       (* signature of the last violating component: scheduled first. *)
   mutable t_checks : int;
 }
@@ -80,8 +88,8 @@ let all_digests pending = Array.map tx_digest pending
    members do not cancel) — plus the state epoch. Equal signature ⇒
    equal member-row multiset and equal R ⇒ equal per-component verdict
    (the factorization argument of Proposition 2: a component's verdict
-   depends on nothing else). Probed every check for every component, so
-   it must stay far cheaper than the covers probe it short-circuits. *)
+   depends on nothing else). Computed once per partition and epoch, on
+   the first check after an event ([signatures]), not per check. *)
 let comp_signature t members =
   let a = ref 0L and b = ref 0L in
   List.iter
@@ -90,7 +98,7 @@ let comp_signature t members =
       a := Int64.add !a (String.get_int64_le d 0);
       b := Int64.add !b (String.get_int64_le d 8))
     members;
-  Printf.sprintf "%Lx.%Lx.%d" !a !b t.epoch
+  { lo = !a; hi = !b; epoch = t.epoch }
 
 (* Re-encode every relation of [state] into all-segment form (tails
    empty). [to_segment] is zero-cost for relations already in that form,
@@ -426,6 +434,7 @@ let track t q =
           t_query = q;
           t_qthetas = Q.Theta.of_query (Q.Query.body q);
           t_comps = comps;
+          t_sigs = None;
           t_sat = Hashtbl.create 64;
           t_viol = Hashtbl.create 8;
           t_suspect = None;
@@ -437,22 +446,38 @@ let track t q =
 
 let components t q = (track t q).t_comps
 
-(* Per-check hook closures over one tracked query. Signatures are
-   memoized per component index for the duration of the check — the
-   clean probe, the suspect probe and the solved callback all need
-   them. *)
+(* The members and signature of every component of [tr.t_comps], by
+   position: re-signed only when an event has replaced the partition or
+   bumped the epoch since the last check. Every event that changes a
+   digest (add, evict, confirm) also replaces the partition; reset drops
+   the tracking outright. *)
+let signatures t tr =
+  match tr.t_sigs with
+  | Some (comps, epoch, sigs) when comps == tr.t_comps && epoch = t.epoch ->
+      sigs
+  | _ ->
+      let sigs =
+        Array.of_list
+          (List.map (fun members -> (members, comp_signature t members)) tr.t_comps)
+      in
+      tr.t_sigs <- Some (tr.t_comps, t.epoch, sigs);
+      sigs
+
+(* Per-check hook closures over one tracked query — the clean probe,
+   the suspect probe and the solved callback all need a component's
+   signature. The solver's [~index] is the component's position in the
+   partition it solved; that partition is [tr.t_comps] when the solver
+   read back what Live seeded, which the members' physical identity
+   confirms. Any other partition is signed afresh. *)
 let make_hooks t tr =
   let obs = Session.obs t.session in
   tr.t_checks <- tr.t_checks + 1;
   t.checks <- t.checks + 1;
-  let sigs : (int, string) Hashtbl.t = Hashtbl.create 32 in
+  let sigs = signatures t tr in
   let signature index members =
-    match Hashtbl.find_opt sigs index with
-    | Some s -> s
-    | None ->
-        let s = comp_signature t members in
-        Hashtbl.add sigs index s;
-        s
+    if index < Array.length sigs && fst sigs.(index) == members then
+      snd sigs.(index)
+    else comp_signature t members
   in
   let hit () =
     t.hits <- t.hits + 1;
@@ -462,9 +487,6 @@ let make_hooks t tr =
      components (identical content, distinct transactions) share a
      signature, and a Satisfied verdict transfers between them — but a
      Violated one names ids, so each twin must replay only its own. *)
-  let viol_key s members =
-    s ^ "#" ^ String.concat "," (List.map string_of_int members)
-  in
   let comp_clean ~index members =
     let s = signature index members in
     if Hashtbl.mem tr.t_sat s then begin
@@ -473,7 +495,7 @@ let make_hooks t tr =
       Some Dcsat.Comp_satisfied
     end
     else
-      let vk = viol_key s members in
+      let vk = (s, members) in
       match Hashtbl.find_opt tr.t_viol vk with
       | Some (_, v) ->
           Hashtbl.replace tr.t_viol vk (tr.t_checks, v);
@@ -486,7 +508,7 @@ let make_hooks t tr =
   in
   let comp_suspect ~index members =
     match tr.t_suspect with
-    | Some s -> String.equal s (signature index members)
+    | Some s -> s = signature index members
     | None -> false
   in
   let comp_solved ~index members verdict =
@@ -496,7 +518,7 @@ let make_hooks t tr =
     match verdict with
     | Dcsat.Comp_satisfied -> Hashtbl.replace tr.t_sat s tr.t_checks
     | Dcsat.Comp_violated _ ->
-        Hashtbl.replace tr.t_viol (viol_key s members) (tr.t_checks, verdict);
+        Hashtbl.replace tr.t_viol (s, members) (tr.t_checks, verdict);
         tr.t_suspect <- Some s
     | Dcsat.Comp_unknown _ -> ()
   in

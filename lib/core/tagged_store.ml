@@ -417,12 +417,25 @@ let posting_visible t rs (p : posting) =
 let matches binds (tuple : R.Tuple.t) =
   List.for_all (fun (col, v) -> R.Value.equal tuple.(col) v) binds
 
-let scan t name =
+(* Which pending positions a view sees: those of the active world
+   ({!source}), every one ({!union_source}, the instance [R ∪ T]) or
+   none ({!base_source}, [R] alone). The two fixed views walk posting
+   [all] lists directly, so a probe through them never touches
+   [visible], [viscount] or [epoch] — the posting caches of the active
+   world survive it. Every view yields the same order (pending matches
+   by descending position, then base matches), so a fixed view answers
+   exactly what {!source} answers after {!all_visible}/{!base_only}. *)
+type view = World | Union | Base
+
+let pend_visible view rs i =
+  match view with World -> rs.viscount.(i) > 0 | Union -> true | Base -> false
+
+let scan t view name =
   let rs = rel_store t name in
-  let np = rs.len in
+  let np = match view with Base -> 0 | World | Union -> rs.len in
   let rec pend i () =
     if i >= np then Seq.Nil
-    else if rs.viscount.(i) > 0 then Seq.Cons (rs.entries.(i).tuple, pend (i + 1))
+    else if pend_visible view rs i then Seq.Cons (rs.entries.(i).tuple, pend (i + 1))
     else pend (i + 1) ()
   in
   Seq.append (R.Segment.tuple_seq rs.base.b_seg) (pend 0)
@@ -468,38 +481,49 @@ let probe rs binds =
       let residual = List.filter (fun b -> b != best) binds in
       (Vtbl.find_opt (ensure_index rs col) v, residual)
 
-let lookup t name binds =
+(* The pending positions (descending) a view sees for [binds], with the
+   residual binds still to filter them by. *)
+let pend_positions t view rs binds =
+  match view with
+  | Base -> ([], [])
+  | World | Union -> (
+      match probe rs binds with
+      | None, _ -> ([], [])
+      | Some p, residual ->
+          ( (match view with
+            | World -> posting_visible t rs p
+            | Union | Base -> p.all),
+            residual ))
+
+(* Exact base matches for [binds], with the slice's dictionary hits
+   recorded. *)
+let base_rows t rs binds =
+  let sl = base_slice rs binds in
+  if Obs.enabled t.obs then begin
+    let hits, misses = R.Segment.dict_hits sl in
+    if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
+    if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
+  end;
+  R.Segment.slice_rows rs.base.b_seg sl
+
+let lookup t view name binds =
   match binds with
-  | [] -> scan t name
+  | [] -> scan t view name
   | _ ->
       let rs = rel_store t name in
-      let pend_p, residual = probe rs binds in
       (* Pending matches first (descending position), then base matches
          (descending position): the same order the unsegmented store
          produced, since pending entries sat above the base prefix. *)
-      let pend =
-        match pend_p with
-        | None -> Seq.empty
-        | Some p ->
-            fun () ->
-              (List.to_seq (posting_visible t rs p)
-              |> Seq.filter_map (fun i ->
-                     let e = rs.entries.(i) in
-                     if matches residual e.tuple then Some e.tuple else None))
-                ()
+      let pend () =
+        let positions, residual = pend_positions t view rs binds in
+        (List.to_seq positions
+        |> Seq.filter_map (fun i ->
+               let e = rs.entries.(i) in
+               if matches residual e.tuple then Some e.tuple else None))
+          ()
       in
-      let base =
-        fun () ->
-          let sl = base_slice rs binds in
-          (if Obs.enabled t.obs then begin
-             let hits, misses = R.Segment.dict_hits sl in
-             if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
-             if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
-           end);
-          (Seq.map
-             (R.Segment.tuple rs.base.b_seg)
-             (R.Segment.slice_rows rs.base.b_seg sl))
-            ()
+      let base () =
+        Seq.map (R.Segment.tuple rs.base.b_seg) (base_rows t rs binds) ()
       in
       Seq.append pend base
 
@@ -507,7 +531,7 @@ let lookup t name binds =
    but driving the pending posting list and the base segment slice
    directly — no [Seq.t] nodes on the hot path. This is the entry point
    the closure-compiled evaluator's fused join loops run through. *)
-let fold_lookup t name binds f =
+let fold_lookup t view name binds f =
   match binds with
   | [] ->
       let rec go s =
@@ -515,32 +539,20 @@ let fold_lookup t name binds f =
         | Seq.Nil -> true
         | Seq.Cons (tu, rest) -> if f tu then go rest else false
       in
-      go (scan t name)
+      go (scan t view name)
   | _ ->
       let rs = rel_store t name in
-      let pend_p, residual = probe rs binds in
-      let pend_ok =
-        match pend_p with
-        | None -> true
-        | Some p ->
-            let rec go = function
-              | [] -> true
-              | i :: rest ->
-                  let e = rs.entries.(i) in
-                  if matches residual e.tuple then
-                    if f e.tuple then go rest else false
-                  else go rest
-            in
-            go (posting_visible t rs p)
+      let positions, residual = pend_positions t view rs binds in
+      let rec pend = function
+        | [] -> true
+        | i :: rest ->
+            let e = rs.entries.(i) in
+            if matches residual e.tuple then
+              if f e.tuple then pend rest else false
+            else pend rest
       in
-      pend_ok
+      pend positions
       &&
-      let sl = base_slice rs binds in
-      (if Obs.enabled t.obs then begin
-         let hits, misses = R.Segment.dict_hits sl in
-         if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
-         if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
-       end);
       let seg = rs.base.b_seg in
       let rec go s =
         match s () with
@@ -548,15 +560,15 @@ let fold_lookup t name binds f =
         | Seq.Cons (row, rest) ->
             if f (R.Segment.tuple seg row) then go rest else false
       in
-      go (R.Segment.slice_rows seg sl)
+      go (base_rows t rs binds)
 
-let mem t name tuple =
+let mem t view name tuple =
   let rs = rel_store t name in
-  if R.Segment.mem rs.base.b_seg tuple then true
-  else
-    match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
-    | None -> false
-    | Some i -> rs.viscount.(i) > 0
+  R.Segment.mem rs.base.b_seg tuple
+  ||
+  match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
+  | None -> false
+  | Some i -> pend_visible view rs i
 
 let cardinality t name =
   let rs = rel_store t name in
@@ -592,71 +604,20 @@ let selectivity t name binds =
           pend + base_count rs sorted
       | (col, v) :: _ -> pend_count_1 col v + base_count rs [ (col, v) ])
 
-let source t =
+let view_source t view =
   {
     R.Source.catalog = R.Database.catalog t.db.Bcdb.state;
-    scan = scan t;
-    lookup = lookup t;
-    fold_lookup = fold_lookup t;
-    mem = mem t;
+    scan = scan t view;
+    lookup = lookup t view;
+    fold_lookup = fold_lookup t view;
+    mem = mem t view;
     cardinality = cardinality t;
     selectivity = selectivity t;
   }
 
-(* Read-only sources fixed at one world, independent of the active
-   one: [R ∪ T] (every pending row) or [R] alone. They walk posting
-   [all] lists and the base slice directly, so a probe through them
-   never touches [visible], [viscount] or [epoch] — the posting caches
-   of the active world survive it. Tuples come in the same order as
-   {!source} under {!all_visible}/{!base_only}. *)
-let fixed_source t ~pending =
-  let pend_all rs =
-    Seq.init (if pending then rs.len else 0) (fun i -> rs.entries.(i).tuple)
-  in
-  let scan name =
-    let rs = rel_store t name in
-    Seq.append (R.Segment.tuple_seq rs.base.b_seg) (pend_all rs)
-  in
-  let base_rows rs binds =
-    Seq.map (R.Segment.tuple rs.base.b_seg)
-      (R.Segment.slice_rows rs.base.b_seg (base_slice rs binds))
-  in
-  let pend_rows rs binds =
-    if not pending then Seq.empty
-    else
-      match probe rs binds with
-      | None, _ -> Seq.empty
-      | Some p, residual ->
-          List.to_seq p.all
-          |> Seq.filter_map (fun i ->
-                 let e = rs.entries.(i) in
-                 if matches residual e.tuple then Some e.tuple else None)
-  in
-  let lookup name binds =
-    match binds with
-    | [] -> scan name
-    | _ ->
-        let rs = rel_store t name in
-        fun () -> Seq.append (pend_rows rs binds) (base_rows rs binds) ()
-  in
-  let fold_lookup name binds f = Seq.for_all f (lookup name binds) in
-  let mem name tuple =
-    let rs = rel_store t name in
-    R.Segment.mem rs.base.b_seg tuple
-    || (pending && R.Tuple.Tbl.mem rs.by_tuple tuple)
-  in
-  {
-    R.Source.catalog = R.Database.catalog t.db.Bcdb.state;
-    scan;
-    lookup;
-    fold_lookup;
-    mem;
-    cardinality = cardinality t;
-    selectivity = selectivity t;
-  }
-
-let union_source t = fixed_source t ~pending:true
-let base_source t = fixed_source t ~pending:false
+let source t = view_source t World
+let union_source t = view_source t Union
+let base_source t = view_source t Base
 let epoch t = t.epoch
 
 let tx_rows t id =

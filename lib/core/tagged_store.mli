@@ -79,8 +79,9 @@ val set_world : t -> Bcgraph.Bitset.t -> unit
 
 val set_world_list : t -> int list -> unit
 val all_visible : t -> unit
-(** The (usually inconsistent) instance [R ∪ T] used by the monotone
-    pre-check. *)
+(** Switch to the (usually inconsistent) instance [R ∪ T]. The monotone
+    pre-check reads it through {!union_source} instead, without a
+    switch. *)
 
 val base_only : t -> unit
 
@@ -92,7 +93,8 @@ val union_source : t -> Relational.Source.t
     whatever the active world. Answers what {!source} answers after
     {!all_visible}, in the same order, but never switches the world —
     the active world, its epoch and its posting caches are untouched.
-    The live layer's index probes for one transaction go through it. *)
+    The solver's pre-check and the live layer's index probes for one
+    transaction go through it. *)
 
 val base_source : t -> Relational.Source.t
 (** A read-only view fixed at [R] alone (what {!source} answers after

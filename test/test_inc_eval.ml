@@ -290,6 +290,56 @@ let native_solver_differential =
     ~reference:no_precheck
     [ { no_precheck with native = false } ]
 
+(* --- The [R ∪ T] pre-check reads a fixed view, never a world --- *)
+
+(* From an arbitrary active world, the pre-check's evaluation over
+   {!Core.Tagged_store.union_source} (native tier on and off) must agree
+   with evaluating the plan over the store's world source after
+   [all_visible], and must leave the active world and its epoch as they
+   were. A solve the pre-check decides must not move them either. *)
+let precheck_union_view =
+  QCheck.Test.make ~name:"precheck over union_source = eval after all_visible"
+    ~count:150
+    QCheck.(pair (int_bound 100_000) (int_bound (List.length queries - 1)))
+    (fun (seed, qi) ->
+      let rng = Random.State.make [| seed; 0x0AE |] in
+      let db = random_db rng in
+      let session = Core.Session.create db in
+      let store = Core.Session.store session in
+      let n = Core.Tagged_store.tx_count store in
+      let q = parse qi in
+      let plan = Core.Session.plan session q in
+      Core.Tagged_store.set_world_list store
+        (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id));
+      let unmoved (world, epoch) =
+        Bcgraph.Bitset.equal world (Core.Tagged_store.world store)
+        && epoch = Core.Tagged_store.epoch store
+      in
+      let before = (Core.Tagged_store.world store, Core.Tagged_store.epoch store) in
+      let matched =
+        List.map
+          (fun use_native ->
+            Core.Inc_eval.eval_source
+              (Core.Inc_eval.evaluator ~use_native plan)
+              (Core.Tagged_store.union_source store))
+          [ true; false ]
+      in
+      let views_unmoved = unmoved before in
+      let decided =
+        match Core.Dcsat.naive session q with
+        | Ok o -> Some o.Core.Dcsat.stats.Core.Dcsat.precheck_decided
+        | Error _ -> None
+      in
+      let solve_unmoved = decided <> Some true || unmoved before in
+      Core.Tagged_store.all_visible store;
+      let reference =
+        Q.Eval.eval_compiled (Core.Tagged_store.source store) q
+          (Core.Inc_eval.body plan)
+      in
+      views_unmoved && solve_unmoved
+      && List.for_all (fun m -> m = reference) matched
+      && (decided = None || decided = Some (not reference)))
+
 let () =
   Alcotest.run "inc_eval"
     [
@@ -299,6 +349,7 @@ let () =
           QCheck_alcotest.to_alcotest solver_differential;
           QCheck_alcotest.to_alcotest algo_differential;
           QCheck_alcotest.to_alcotest all_configs_differential;
+          QCheck_alcotest.to_alcotest precheck_union_view;
         ] );
       ( "native",
         [

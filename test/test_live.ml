@@ -207,6 +207,40 @@ let step_event rng lives m =
         m.pending <- m.pending @ [ (label, rows) ];
         List.iter (fun live -> Core.Live.reset live (model_db m)) lives
 
+(* A block mined elsewhere: rows that enter the state without ever
+   having been pending ({!Core.Live.append_state}), recorded in the model
+   as one more confirmed block. Only rows that keep R consistent are
+   kept — a node id neither R nor the block holds yet, an edge between
+   nodes R holds — so the state stays a valid instance. False when no drawn row
+   survives and no event was applied. It bumps Live's epoch but leaves
+   every tracked partition as it was. *)
+let append_state_event rng lives m =
+  let state_rows = m.base @ List.concat_map snd m.confirmed in
+  let node_ids rows =
+    List.filter_map
+      (function
+        | "Node", tuple -> Some tuple.(0)
+        | _ -> None)
+      rows
+  in
+  let rows =
+    List.fold_left
+      (fun acc ((rel, tuple) as row) ->
+        let ids = node_ids (state_rows @ acc) in
+        let has v = List.exists (V.equal v) ids in
+        match rel with
+        | "Node" when not (has tuple.(0)) -> acc @ [ row ]
+        | "Edge" when has tuple.(0) && has tuple.(1) -> acc @ [ row ]
+        | _ -> acc)
+      [] (random_rows rng)
+  in
+  rows <> []
+  && begin
+       m.confirmed <- (next_label (), rows) :: m.confirmed;
+       List.iter (fun live -> Core.Live.append_state live rows) lives;
+       true
+     end
+
 let differential ~jobs ~count =
   QCheck.Test.make
     ~name:
@@ -421,7 +455,11 @@ let cache_differential ~jobs ~count =
       in
       let ok = ref true in
       for step = 1 to steps do
-        step_event rng [ cached; uncached ] m;
+        if
+          not
+            (Random.State.int rng 100 < 20
+            && append_state_event rng [ cached; uncached ] m)
+        then step_event rng [ cached; uncached ] m;
         if step mod k = 0 then ok := !ok && agree step
       done;
       (* Two back-to-back checks of the final mempool: the second runs
