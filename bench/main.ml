@@ -1,10 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 7) over the synthetic Bitcoin economy, then runs a
-   Bechamel micro-benchmark with one Test.make per table/figure.
+   evaluation (Section 7) over the synthetic Bitcoin economy.
 
    Usage: main.exe [--smoke] [section ...] where a section is one of
    table1 fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h datasize
-   parallel dense evalbench ablation scenarios bechamel. With no arguments,
+   parallel dense evalbench ablation scenarios. With no arguments,
    everything runs; `--smoke` alone runs the fixed CI subset,
    `--smoke SECTION...` runs the named sections scaled down. *)
 
@@ -153,7 +152,7 @@ let write_bench_json path =
                    \"worker_util\": %.6f, \"eval_full\": %d, \
                    \"eval_delta\": %d, \"eval_delta_tuples\": %d, \
                    \"eval_delta_ratio\": %.6f, \"base_bytes\": %d, \
-                   \"dict_hits\": %d, \"eval_native\": %d}"
+                   \"dict_hits\": %d}"
                   figure m.E.label
                   (E.algo_name m.E.algo)
                   (variant_name m.E.variant)
@@ -166,7 +165,7 @@ let write_bench_json path =
                   m.E.cache_hit_ratio m.E.comp_cache_hit_ratio m.E.worker_util
                   m.E.eval_full
                   m.E.eval_delta m.E.eval_delta_tuples m.E.eval_delta_ratio
-                  m.E.base_bytes m.E.dict_hits m.E.eval_native));
+                  m.E.base_bytes m.E.dict_hits));
       Buffer.add_string buf "\n  ]\n}\n";
       let oc = open_out path in
       output_string oc (Buffer.contents buf);
@@ -189,7 +188,7 @@ let required_keys =
     "\"components\":"; "\"components_covered\":"; "\"precheck\":";
     "\"obs_worlds\":"; "\"cache_hit_ratio\":"; "\"worker_util\":";
     "\"eval_delta_ratio\":";
-    (* base_bytes/dict_hits/eval_native and comp_cache_hit_ratio are
+    (* base_bytes/dict_hits and comp_cache_hit_ratio are
        written but deliberately NOT required: committed series predate
        them and must keep validating. *)
   ]
@@ -726,19 +725,15 @@ let parallel () =
    >= 2x faster, but only on hosts with enough cores to make the bound
    physically meaningful (a single-core host cannot exhibit parallel
    speedup, only scheduler interleaving); on such hosts the sweep is
-   recorded and the gate logged as vacuous. The closure-compiled
-   evaluation gate (native <= interpreted at jobs=1) is single-threaded
-   and enforced on every full run. *)
+   recorded and the gate logged as vacuous. *)
 
 let dense_pairs () = if !smoke_flag then 12 else 20
-let dense_native_pairs () = if !smoke_flag then 10 else 16
 
 let dense_session pairs = E.session_of (W.Dense.db ~pairs)
 
-let dense_measure ?(repeats = 1) ?(config = full_eval) ~session ~figure ~x
-    ~jobs label =
-  run_measure ~figure ~x ~repeats ~summary:`Min ~jobs ~config ~session ~label
-    ~algo:E.Naive ~variant:Q.Satisfied (W.Dense.query ())
+let dense_measure ~session ~figure ~x ~jobs label =
+  run_measure ~figure ~x ~repeats:1 ~summary:`Min ~jobs ~config:full_eval
+    ~session ~label ~algo:E.Naive ~variant:Q.Satisfied (W.Dense.query ())
 
 (* worker_util = Σ item evaluation time / (jobs × runtime). One worker's
    items run one after another inside the solve, so their sum is at most
@@ -790,25 +785,6 @@ let dense () =
       fail "dense/%s: jobs=4 not >=2x faster than jobs=1 (%.4fs vs %.4fs)"
         label m4.E.seconds m1.E.seconds
   end;
-  (* Closure-compiled vs interpreted evaluation, solver end to end on a
-     smaller instance of the same shape (single-threaded, so the bound
-     holds on any host). *)
-  let npairs = dense_native_pairs () in
-  let nworlds = W.Dense.worlds ~pairs:npairs in
-  let nlabel = Printf.sprintf "dense-%dp" npairs in
-  let nsess = dense_session npairs in
-  let nmeasure native x =
-    dense_measure ~repeats:3 ~config:{ full_eval with native }
-      ~session:nsess ~figure:"dense-native" ~x ~jobs:1 nlabel
-  in
-  let interp = nmeasure false 0.0 in
-  let native = nmeasure true 1.0 in
-  if native.E.eval_native = 0 then
-    fail "dense/%s: native run took the closure-compiled path 0 times" nlabel;
-  if (not !smoke_flag) && native.E.seconds > interp.E.seconds then
-    fail "dense/%s: closure-compiled eval slower than interpreted (%.4fs vs \
-          %.4fs)"
-      nlabel native.E.seconds interp.E.seconds;
   (* The Opt contrast: component decomposition collapses the instance. *)
   let opt =
     run_measure ~figure:"dense" ~x:(float_of_int worlds) ~repeats:1
@@ -837,13 +813,8 @@ let dense () =
            ("sequential", m1);
            ("claim-lock", m2);
            ("claim-lock", m4);
-           (nlabel ^ "-interp", interp);
-           (nlabel ^ "-native", native);
            ("opt-contrast", opt);
-         ]);
-  if nworlds <> native.E.stats.Core.Dcsat.worlds_checked then
-    fail "dense/%s: native run visited %d worlds, expected %d" nlabel
-      native.E.stats.Core.Dcsat.worlds_checked nworlds
+         ])
 
 (* ------------------------------------------------------------------ *)
 (* Eval layer micro-benchmark (`make bench-eval`): the incremental
@@ -899,82 +870,7 @@ let evalbench () =
       "Eval layer: full re-evaluation vs incremental (warm, min of 5 runs)"
     ~columns:
       [ "workload"; "algo"; "full"; "incremental"; "speedup"; "delta/evals" ]
-    ~rows;
-  (* Closure-compiled plan vs the interpreter on the plan itself: a
-     micro-loop over the warm store's current world (R ∪ T), outside
-     the solver, isolating the two evaluation tiers on qp3-style
-     plans. Per-eval time is the min over batches; the compiled
-     closure must not lose to the interpreted backtracking join. The
-     recorded rows derive from a template solver measurement so every
-     schema key is present; their [seconds] is the time of one
-     [per]-eval batch — per-eval times are sub-microsecond and would
-     vanish in the JSON's %.6f seconds field. *)
-  let src = Core.Tagged_store.source (Core.Session.store sess) in
-  let batches = 5 and per = 2000 in
-  let batch_min run =
-    run ();
-    let ts =
-      List.init batches (fun _ ->
-          let t0 = Bcobs.Monotime.now () in
-          run ();
-          Bcobs.Monotime.elapsed ~since:t0)
-    in
-    List.fold_left min infinity ts
-  in
-  let micro_rows =
-    List.map
-      (fun (name, variant) ->
-        let q = Q.instantiate s (Q.Qp 3) variant in
-        let compiled = Bcquery.Eval.compile (Bcquery.Eval.body_of q) in
-        match Bcquery.Eval.compile_native compiled with
-        | None ->
-            fail "evalbench/%s: qp3 plan fell out of the closure tier" name;
-            [ name; "n/a"; "n/a"; "n/a" ]
-        | Some native ->
-            let interp_b =
-              batch_min (fun () ->
-                  for _ = 1 to per do
-                    ignore (Bcquery.Eval.eval_boolean src compiled)
-                  done)
-            in
-            let native_b =
-              batch_min (fun () ->
-                  for _ = 1 to per do
-                    ignore (Bcquery.Eval.native_exists native src)
-                  done)
-            in
-            let interp_s = interp_b /. float_of_int per
-            and native_s = native_b /. float_of_int per in
-            if native_s > interp_s then
-              fail
-                "evalbench/%s: closure-compiled eval slower than interpreted \
-                 (%.2fus vs %.2fus per eval)"
-                name (native_s *. 1e6) (interp_s *. 1e6);
-            let template =
-              E.run ~repeats:1 ~obs_sinks:(obs_sinks ()) ~session:sess
-                ~label:name ~algo:E.Naive ~variant q
-            in
-            let x_of = function Q.Satisfied -> 1.0 | Q.Unsatisfied -> 2.0 in
-            ignore
-              (record ~figure:"evalbench-native" ~x:(x_of variant)
-                 { template with E.label = name ^ "-interp"; seconds = interp_b });
-            ignore
-              (record ~figure:"evalbench-native" ~x:(x_of variant)
-                 { template with E.label = name ^ "-native"; seconds = native_b });
-            [
-              name;
-              Printf.sprintf "%.2f us" (interp_s *. 1e6);
-              Printf.sprintf "%.2f us" (native_s *. 1e6);
-              Printf.sprintf "%.2fx" (interp_s /. Float.max 1e-9 native_s);
-            ])
-      [ ("qp3-sat", Q.Satisfied); ("qp3-unsat", Q.Unsatisfied) ]
-  in
-  E.print_table
-    ~title:
-      "Eval tiers: interpreted join vs closure-compiled plan (per eval, R+T \
-       world)"
-    ~columns:[ "plan"; "interpreted"; "native"; "speedup" ]
-    ~rows:micro_rows
+    ~rows
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out, each toggled
@@ -1084,80 +980,6 @@ let ablation () =
           Printf.sprintf "%.1fx" (generic_time /. tractable_time);
         ];
       ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure. *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let mid_sess = session (Preset W.Datasets.Mid) ~contradictions:default_c () in
-  let sweep_sess = session Sweep ~pending_take:30 ~contradictions:default_c () in
-  let s_mid = sim (Preset W.Datasets.Mid) in
-  let s_sweep = sim Sweep in
-  let solve sess algo q () =
-    let result =
-      match algo with
-      | E.Naive -> Core.Dcsat.naive sess q
-      | E.Opt -> Core.Dcsat.opt sess q
-    in
-    match result with Ok o -> ignore o.Core.Dcsat.satisfied | Error _ -> ()
-  in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"bcdb"
-      [
-        mk "table1/encode-small" (fun () ->
-            ignore
-              (W.Generator.dataset (sim (Preset W.Datasets.Small))
-                 ~contradictions:default_c ()));
-        mk "fig6a/qp3-sat-opt"
-          (solve mid_sess E.Opt (Q.instantiate s_mid (Q.Qp 3) Q.Satisfied));
-        mk "fig6b/qp3-unsat-opt"
-          (solve mid_sess E.Opt (Q.instantiate s_mid (Q.Qp 3) Q.Unsatisfied));
-        mk "fig6c/qp3-sat-naive-30blk"
-          (solve sweep_sess E.Naive (Q.instantiate s_sweep (Q.Qp 3) Q.Satisfied));
-        mk "fig6d/qp3-unsat-naive-30blk"
-          (solve sweep_sess E.Naive
-             (Q.instantiate s_sweep (Q.Qp 3) Q.Unsatisfied));
-        mk "fig6e/qr3-sat-naive"
-          (solve mid_sess E.Naive (Q.instantiate s_mid (Q.Qr 3) Q.Satisfied));
-        mk "fig6f/qr3-unsat-naive"
-          (solve mid_sess E.Naive (Q.instantiate s_mid (Q.Qr 3) Q.Unsatisfied));
-        mk "fig6g/qp5-unsat-opt"
-          (solve mid_sess E.Opt (Q.instantiate s_mid (Q.Qp 5) Q.Unsatisfied));
-        mk "fig6h/qa-unsat-naive"
-          (solve mid_sess E.Naive (Q.instantiate s_mid Q.Qa Q.Unsatisfied));
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let est =
-          match Analyze.OLS.estimates result with
-          | Some (t :: _) -> E.ms (t /. 1e9)
-          | Some [] | None -> "n/a"
-        in
-        let r2 =
-          match Analyze.OLS.r_square result with
-          | Some r -> Printf.sprintf "%.4f" r
-          | None -> "n/a"
-        in
-        [ name; est; r2 ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  E.print_table ~title:"Bechamel micro-benchmarks (one per table/figure)"
-    ~columns:[ "benchmark"; "time/run"; "r²" ]
-    ~rows
 
 (* ------------------------------------------------------------------ *)
 (* Scenario attack library (examples/scenarios): solve every named
@@ -1544,22 +1366,19 @@ let smoke () =
   in
   if warm.E.eval_delta = 0 then
     fail "smoke: warm re-solve recorded no eval.delta (incremental layer inert)";
-  (* The converse: a config with both evaluation switches off must reach
-     Inc_eval, or every baseline row would silently measure the fast
-     path. *)
+  (* The converse: a config with delta off must never reach the
+     incremental layer, or every baseline row would silently measure
+     the fast path. *)
   let slow =
     run_measure ~figure:"evalbench" ~x ~repeats:2 ~session:sess
-      ~config:{ Core.Dcsat.default with delta = false; native = false }
-      ~label:"qp3-baseline" ~algo:E.Opt ~variant:Q.Unsatisfied q
+      ~config:full_eval ~label:"qp3-baseline" ~algo:E.Opt
+      ~variant:Q.Unsatisfied q
   in
-  if slow.E.eval_delta <> 0 || slow.E.eval_native <> 0 then
-    fail
-      "smoke: delta/native off still took the fast path (eval.delta %d, \
-       eval.compiled_native %d)"
-      slow.E.eval_delta slow.E.eval_native;
-  (* Dense parallel + closure-compiled smoke: the second pool worker and
-     the native evaluation tier must both actually engage at CI scale —
-     an inert fast path would otherwise pass silently. *)
+  if slow.E.eval_delta <> 0 then
+    fail "smoke: delta off still took the fast path (eval.delta %d)"
+      slow.E.eval_delta;
+  (* Dense parallel smoke: the second pool worker must actually engage
+     at CI scale — an inert pool would otherwise pass silently. *)
   let dpairs = 12 in
   let dm =
     dense_measure
@@ -1567,8 +1386,6 @@ let smoke () =
       ~figure:"dense-jobs" ~x:2.0 ~jobs:2
       (Printf.sprintf "dense-%dp" dpairs)
   in
-  if dm.E.eval_native = 0 then
-    fail "smoke: closure-compiled path never taken (eval.compiled_native = 0)";
   if not (second_worker_evaluated dm) then
     fail "smoke: jobs=2 dense run never evaluated on a second worker \
           (worker_util %.2f)"
@@ -1609,7 +1426,6 @@ let sections =
     ("serve", servebench);
     ("ablation", ablation);
     ("scenarios", scenarios_section);
-    ("bechamel", bechamel);
   ]
 
 let write_and_validate_trace () =

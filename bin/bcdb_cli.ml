@@ -96,10 +96,27 @@ let jobs =
            sequential engine backend, larger values fan candidate worlds \
            out over N parallel domains with identical results.")
 
+(* The budget values [Engine.Budget.create] accepts (a NaN timeout
+   would never expire); the flags and the serve directives refuse the
+   rest up front. *)
+let parse_timeout s =
+  match float_of_string_opt s with Some f when f >= 0.0 -> Some f | _ -> None
+
+let parse_max_worlds s =
+  match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None
+
+let budget_conv what parse print =
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Some v -> Ok v
+        | None -> Error (`Msg (Printf.sprintf "bad %s %S" what s))),
+      print )
+
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (budget_conv "timeout" parse_timeout Format.pp_print_float)) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
           "Wall-clock budget for the solve. When it expires before the \
@@ -109,7 +126,7 @@ let timeout_arg =
 let max_worlds_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (budget_conv "max-worlds" parse_max_worlds Format.pp_print_int)) None
     & info [ "max-worlds" ] ~docv:"N"
         ~doc:
           "Evaluate at most $(docv) candidate worlds. Exceeding the bound \
@@ -701,11 +718,11 @@ let request_directives words =
           let v = String.sub w (i + 1) (String.length w - i - 1) in
           match key with
           | "timeout" -> (
-              match float_of_string_opt v with
+              match parse_timeout v with
               | Some f -> Ok (Some f, mw, j)
               | None -> Error (Printf.sprintf "bad timeout %S" v))
           | "max-worlds" -> (
-              match int_of_string_opt v with
+              match parse_max_worlds v with
               | Some n -> Ok (t, Some n, j)
               | None -> Error (Printf.sprintf "bad max-worlds %S" v))
           | "jobs" -> (

@@ -3,6 +3,7 @@
 #   0 - solver verdict matches the (possibly overridden) expectation
 #   1 - verdict mismatch, or an unknown scenario name
 #   3 - the solve exhausted its budget (UNKNOWN)
+#   124 - a malformed flag, such as a budget outside its domain
 # Used by `make test-scenarios` and CI.
 set -u
 
@@ -42,6 +43,11 @@ expect_code 1 no-such-scenario
 # from the command line on an instance the precheck cannot settle.
 expect_code 3 auction-outbid-race/churn-starved
 expect_code 3 escrow-double-spend/double-spend --max-worlds 0
+
+# 124: budgets Engine.Budget.create refuses are usage errors, not a
+# crash or an instant UNKNOWN.
+expect_code 124 escrow-double-spend --max-worlds=-3
+expect_code 124 escrow-double-spend --timeout nan
 
 if [ "$fails" -gt 0 ]; then
   echo "$fails contract check(s) failed"

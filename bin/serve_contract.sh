@@ -49,7 +49,12 @@ TxOut("99", 1, "U8Pk", 2.5)'
 this is not datalog"
   # 12: stats keeps serving after the error: OK 0
   frame "stats"
-  # 13: clean shutdown: OK 0
+  # 13: a NaN timeout would never expire, so it is refused: ERROR 1
+  frame "check timeout=nan
+q() :- TxOut(t, s, \"U8Pk\", a)."
+  # 14: the next check is answered as before: UNSATISFIED 2
+  frame "$Q"
+  # 15: clean shutdown: OK 0
   frame "quit"
 } | "$BCDB" serve --paper 2>&1 )
 code=$?
@@ -63,7 +68,7 @@ fi
 got=$(printf '%s\n' "$out" \
   | grep -a -o 'UNSATISFIED 2\|SATISFIED 0\|UNKNOWN 3\|ERROR 1\|OK 0' \
   | tr '\n' ' ')
-want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 ERROR 1 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 OK 0 '
+want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 ERROR 1 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 ERROR 1 UNSATISFIED 2 OK 0 '
 
 if [ "$got" != "$want" ]; then
   echo "FAIL: status sequence mismatch"

@@ -125,9 +125,9 @@ let finish ~t0 ~precheck counters verdict =
       };
   }
 
-type config = { precheck : bool; delta : bool; native : bool }
+type config = { precheck : bool; delta : bool }
 
-let default = { precheck = true; delta = true; native = true }
+let default = { precheck = true; delta = true }
 
 (* The solve's evaluator constructor: each call instantiates one
    {!Inc_eval} evaluator over the session's compiled plan, so every
@@ -135,8 +135,7 @@ let default = { precheck = true; delta = true; native = true }
    themselves live with the store being evaluated on, which is also
    worker-private). *)
 let evaluators config session plan () =
-  Inc_eval.evaluator ~use_delta:config.delta ~use_native:config.native
-    ~obs:(Session.obs session) plan
+  Inc_eval.evaluator ~use_delta:config.delta ~obs:(Session.obs session) plan
 
 (* [obs] records the eval span — it runs on whatever domain evaluates,
    and per-domain buffering keeps concurrent evaluations from

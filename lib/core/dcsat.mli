@@ -135,17 +135,15 @@ val pp_refusal : Format.formatter -> refusal -> unit
 val verdict_name : verdict -> string
 (** ["SATISFIED"], ["UNSATISFIED"], or ["UNKNOWN (budget exhausted: …)"]. *)
 
-type config = { precheck : bool; delta : bool; native : bool }
-(** The solver's oracle switches, all on in {!default}. [precheck] runs
+type config = { precheck : bool; delta : bool }
+(** The solver's oracle switches, both on in {!default}. [precheck] runs
     the [R ∪ T] pre-check before {!naive} and {!opt} enumerate
     ({!brute_force} never pre-checks). [delta] is the incremental
     evaluation layer ({!Inc_eval}: per-store world caches, replay,
     delta-seeded search); off, every world pays a full backtracking
-    join. [native] is the closure-compiled evaluation tier
-    ({!Bcquery.Eval.compile_native}); off, full evaluations run the
-    interpreted join. Verdicts and witnesses are bit-identical under
-    every setting; only the work done differs. Tests use the other
-    settings as oracles, benchmarks as baselines. *)
+    join. Verdicts and witnesses are bit-identical under every setting;
+    only the work done differs. Tests use the other settings as
+    oracles, benchmarks as baselines. *)
 
 val default : config
 

@@ -39,7 +39,11 @@ module Budget = struct
 
   let create ?timeout_s ?max_worlds () =
     (match timeout_s with
+    | Some s when Float.is_nan s -> invalid_arg "Engine.Budget.create: NaN timeout"
     | Some s when s < 0.0 -> invalid_arg "Engine.Budget.create: negative timeout"
+    | _ -> ());
+    (match max_worlds with
+    | Some n when n < 0 -> invalid_arg "Engine.Budget.create: negative max_worlds"
     | _ -> ());
     {
       deadline = Option.map (fun s -> Monotime.now () +. s) timeout_s;

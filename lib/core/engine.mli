@@ -73,7 +73,9 @@ module Budget : sig
   (** [timeout_s] is a wall-clock allowance relative to {e now}
       (monotonic clock), converted to an absolute deadline immediately —
       create the budget right before the run it bounds. Raises
-      [Invalid_argument] on a negative timeout. *)
+      [Invalid_argument] on a NaN or negative timeout (a NaN deadline
+      would never pass, yet the budget would not be {!is_unlimited})
+      and on a negative [max_worlds]. *)
 
   val is_unlimited : t -> bool
 

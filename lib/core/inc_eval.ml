@@ -32,8 +32,6 @@ module Bitset = Bcgraph.Bitset
 type plan = {
   query : Q.Query.t;
   body : Q.Eval.compiled;
-  native : Q.Eval.native option;
-      (* closure-compiled second stage; None outside the tier *)
   monotone_body : bool;  (* no negated atoms: match set grows with tuples *)
   agg : Q.Query.aggregate option;
   incremental_agg : bool;  (* accumulator-maintainable aggregate kind *)
@@ -49,7 +47,6 @@ let plan query =
   {
     query;
     body;
-    native = Q.Eval.compile_native body;
     monotone_body = not (Q.Eval.has_negation body);
     agg;
     incremental_agg =
@@ -191,13 +188,12 @@ let remember st e =
 type t = {
   plan : plan;
   use_delta : bool;
-  use_native : bool;
   obs : Obs.t;
   mutable cached : (Tagged_store.t * state) option;  (* last store seen *)
 }
 
-let evaluator ?(use_delta = true) ?(use_native = true) ?(obs = Obs.null) plan =
-  { plan; use_delta; use_native; obs; cached = None }
+let evaluator ?(use_delta = true) ?(obs = Obs.null) plan =
+  { plan; use_delta; obs; cached = None }
 
 (* The evaluator's state for [store], with a one-slot physical-identity
    fast path (workers see one store for a whole engine run). A dry-run
@@ -228,47 +224,21 @@ let count_delta t tuples =
     if tuples > 0 then Obs.add t.obs "eval.delta_tuples" tuples
   end
 
-let count_native t = if Obs.enabled t.obs then Obs.add t.obs "eval.compiled_native" 1
-
-(* The closure-compiled plan when this evaluator may use it. *)
-let native_of t = if t.use_native then t.plan.native else None
-
 let full_entry t store =
   count_full t;
   let p = t.plan in
   let src = Tagged_store.source store in
   let world = Tagged_store.world store in
   match p.agg with
-  | None -> (
-      match native_of t with
-      | Some nat ->
-          (* Decide with the fused closure chain; only a violated world
-             (at most one per engine run) pays the interpreted search
-             again, to re-derive the canonical witness. *)
-          count_native t;
-          if Q.Eval.native_exists nat src then
-            let witness = Q.Eval.find_witness src p.body in
-            { world; matched = true; witness; acc = None }
-          else { world; matched = false; witness = None; acc = None }
-      | None ->
-          let witness = Q.Eval.find_witness src p.body in
-          { world; matched = witness <> None; witness; acc = None })
+  | None ->
+      let witness = Q.Eval.find_witness src p.body in
+      { world; matched = witness <> None; witness; acc = None }
   | Some a ->
       if p.incremental_agg then begin
         let acc = ref acc_empty in
-        (match native_of t with
-        | Some nat ->
-            (* Count/Sum/Max/Min are commutative: the native plan's
-               match order does not matter. (Cntd compiles natively too
-               but keeps the interpreted path — its dedup table
-               dominates, see [incremental_agg].) *)
-            count_native t;
-            Q.Eval.native_iter nat src (fun values ->
-                acc := acc_add p a !acc values)
-        | None ->
-            Q.Eval.iter_matches src p.body (fun values _ ->
-                acc := acc_add p a !acc values;
-                `Continue));
+        Q.Eval.iter_matches src p.body (fun values _ ->
+            acc := acc_add p a !acc values;
+            `Continue);
         { world; matched = acc_matched a !acc; witness = None; acc = Some !acc }
       end
       else
@@ -416,13 +386,7 @@ let eval_bool t store =
 
 let eval_source t src =
   count_full t;
-  let p = t.plan in
-  match (p.agg, native_of t) with
-  | None, Some nat ->
-      count_native t;
-      Q.Eval.native_exists nat src
-  | None, None -> Q.Eval.eval_boolean src p.body
-  | Some _, _ -> Q.Eval.eval_compiled src p.query p.body
+  Q.Eval.eval_compiled src t.plan.query t.plan.body
 
 let eval_world t store txs =
   Tagged_store.set_world_list store txs;

@@ -33,9 +33,7 @@
     engine's cross-backend determinism contract is preserved.
 
     Obs counters: [eval.full] (full evaluations), [eval.delta] (replays
-    and delta evaluations), [eval.delta_tuples] (Δ-tuples seeded),
-    [eval.compiled_native] (full evaluations served by the
-    closure-compiled plan).
+    and delta evaluations), [eval.delta_tuples] (Δ-tuples seeded).
     These are {e not} deterministic across backends — each store carries
     its own history. *)
 
@@ -56,17 +54,11 @@ type t
     cache lives with the store, not the evaluator). Not domain-safe;
     each worker builds its own. *)
 
-val evaluator : ?use_delta:bool -> ?use_native:bool -> ?obs:Obs.t -> plan -> t
+val evaluator : ?use_delta:bool -> ?obs:Obs.t -> plan -> t
 (** [use_delta] (default true) turns the world cache and delta paths
     off entirely — every evaluation is a full search (the baseline the
-    benchmarks compare against). [use_native] (default true) selects the
-    closure-compiled plan ({!Bcquery.Eval.compile_native}) for full
-    boolean evaluations and incremental-aggregate accumulation when the
-    body is inside the tier; violated worlds re-derive their witness
-    with the interpreted search, so answers and witnesses are identical
-    either way. Counted as [eval.compiled_native] per native
-    evaluation. [obs] (default {!Obs.null}) receives the [eval.*]
-    counters. *)
+    benchmarks compare against). [obs] (default {!Obs.null}) receives
+    the [eval.*] counters. *)
 
 val eval_world : t -> Tagged_store.t -> int list -> Engine.evaluation
 (** Switch the store to the world of the given transactions and
@@ -80,7 +72,6 @@ val eval_bool : t -> Tagged_store.t -> bool
 val eval_source : t -> Relational.Source.t -> bool
 (** Evaluate the plan once over a fixed source, outside the world cache
     — the pre-check's [R ∪ T] instance, read through
-    {!Tagged_store.union_source} with no world switch. The native plan
-    decides boolean bodies when this evaluator may use it, the
-    interpreted join otherwise; aggregates fold the whole bag. Counted
-    as [eval.full] (and [eval.compiled_native]). *)
+    {!Tagged_store.union_source} with no world switch. Boolean bodies
+    stop at the first match; aggregates fold the whole bag. Counted as
+    [eval.full]. *)

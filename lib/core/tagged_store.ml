@@ -527,41 +527,6 @@ let lookup t view name binds =
       in
       Seq.append pend base
 
-(* Early-exit fold over exactly the tuples (and order) of [lookup],
-   but driving the pending posting list and the base segment slice
-   directly — no [Seq.t] nodes on the hot path. This is the entry point
-   the closure-compiled evaluator's fused join loops run through. *)
-let fold_lookup t view name binds f =
-  match binds with
-  | [] ->
-      let rec go s =
-        match s () with
-        | Seq.Nil -> true
-        | Seq.Cons (tu, rest) -> if f tu then go rest else false
-      in
-      go (scan t view name)
-  | _ ->
-      let rs = rel_store t name in
-      let positions, residual = pend_positions t view rs binds in
-      let rec pend = function
-        | [] -> true
-        | i :: rest ->
-            let e = rs.entries.(i) in
-            if matches residual e.tuple then
-              if f e.tuple then pend rest else false
-            else pend rest
-      in
-      pend positions
-      &&
-      let seg = rs.base.b_seg in
-      let rec go s =
-        match s () with
-        | Seq.Nil -> true
-        | Seq.Cons (row, rest) ->
-            if f (R.Segment.tuple seg row) then go rest else false
-      in
-      go (base_rows t rs binds)
-
 let mem t view name tuple =
   let rs = rel_store t name in
   R.Segment.mem rs.base.b_seg tuple
@@ -609,7 +574,6 @@ let view_source t view =
     R.Source.catalog = R.Database.catalog t.db.Bcdb.state;
     scan = scan t view;
     lookup = lookup t view;
-    fold_lookup = fold_lookup t view;
     mem = mem t view;
     cardinality = cardinality t;
     selectivity = selectivity t;

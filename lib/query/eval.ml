@@ -38,7 +38,6 @@ let compile (q : Cq.t) =
   }
 
 let has_negation c = Array.length c.neg > 0
-let var_names c = c.var_names
 let positive_relations c = Array.to_list (Array.map (fun a -> a.rel) c.pos)
 
 (* Binding environment: None = unbound. *)
@@ -240,185 +239,6 @@ let find_witness src c =
   Option.map
     (fun values -> List.combine (Array.to_list c.var_names) (Array.to_list values))
     !witness
-
-(* --- closure-compiled plans ------------------------------------------
-
-   A second compilation stage: specialize a [compiled] body into a chain
-   of OCaml closures, one per join step, fixed at compile time — the
-   static greedy join order replaces the per-depth [pick] scan, argument
-   classification (constant / already-bound variable / fresh variable)
-   is decided once instead of per tuple, and enumeration runs through
-   [Source.fold_lookup] with no [Seq.t] nodes or option-boxed bindings
-   on the hot path. The environment is a plain [Value.t array]: which
-   slots are live at each step is static, so there is no unbound
-   marker and no undo list — the next tuple simply overwrites.
-
-   Fallbacks keep the tier an optimization, never a semantic fork:
-   negated atoms and bodies that leave a variable unbound compile to
-   [None] and run on the interpreter. *)
-
-(* A step receives the source and the environment and returns [false]
-   iff the continuation asked to stop the whole enumeration. *)
-type kont = Source.t -> Value.t array -> bool
-
-type native = { n_nvars : int; n_chain : kont -> kont }
-
-let native_exists n (src : Source.t) =
-  let env = Array.make n.n_nvars Value.Null in
-  (* terminal continuation: stop at the first satisfying assignment *)
-  not (n.n_chain (fun _ _ -> false) src env)
-
-let native_iter n (src : Source.t) f =
-  let env = Array.make n.n_nvars Value.Null in
-  ignore
-    (n.n_chain
-       (fun _ env ->
-         f env;
-         true)
-       src env)
-
-let compile_native (c : compiled) =
-  if Array.length c.neg > 0 then None (* interpreter handles negation *)
-  else begin
-    let natoms = Array.length c.pos in
-    (* Static greedy join order: repeatedly take the atom with the most
-       statically-bound argument positions (constants, or variables
-       bound by an earlier atom); ties go to the lower atom index. *)
-    let bound = Array.make c.nvars false in
-    let used = Array.make natoms false in
-    let score i =
-      Array.fold_left
-        (fun n -> function
-          | C _ -> n + 1
-          | V id -> if bound.(id) then n + 1 else n)
-        0 c.pos.(i).cargs
-    in
-    let order = Array.make natoms 0 in
-    for k = 0 to natoms - 1 do
-      let best = ref (-1) and best_score = ref (-1) in
-      for i = 0 to natoms - 1 do
-        if not used.(i) then begin
-          let s = score i in
-          if s > !best_score then begin
-            best := i;
-            best_score := s
-          end
-        end
-      done;
-      used.(!best) <- true;
-      order.(k) <- !best;
-      Array.iter
-        (function V id -> bound.(id) <- true | C _ -> ())
-        c.pos.(!best).cargs
-    done;
-    (* [bind_step.(id)]: index in [order] after which variable [id] is
-       bound (unbound variables keep [natoms]). *)
-    let bind_step = Array.make c.nvars natoms in
-    let b2 = Array.make c.nvars false in
-    Array.iteri
-      (fun k ai ->
-        Array.iter
-          (function
-            | V id when not b2.(id) ->
-                b2.(id) <- true;
-                bind_step.(id) <- k
-            | _ -> ())
-          c.pos.(ai).cargs)
-      order;
-    let arg_step = function C _ -> -1 | V id -> bind_step.(id) in
-    (* Pin each comparison at the earliest step where both sides are
-       bound; fold both-constant ones now. A comparison over a variable
-       no atom ever binds is vacuously true in the interpreter's leaf
-       check — dropping it here matches that. *)
-    let const_false = ref false in
-    let cmp_at = Array.make natoms [] in
-    Array.iter
-      (fun ((lhs, op, rhs) as cmp) ->
-        let s = max (arg_step lhs) (arg_step rhs) in
-        if s < 0 then begin
-          match (lhs, rhs) with
-          | C a, C b -> if not (Cq.cmp op a b) then const_false := true
-          | _ -> assert false
-        end
-        else if s < natoms then cmp_at.(s) <- cmp :: cmp_at.(s))
-      c.cmps;
-    let all_vars_bound = Array.for_all Fun.id b2 || c.nvars = 0 in
-    if (not all_vars_bound) && c.nvars > 0 then None
-    else if !const_false then Some { n_nvars = c.nvars; n_chain = (fun _ _ _ -> true) }
-    else begin
-      (* One closure per atom (plus its due comparisons), composed
-         right-to-left into a single fused loop nest. *)
-      let prebound = Array.make c.nvars false in
-      let atom_step ai =
-        let a = c.pos.(ai) in
-        let consts = ref [] and prev = ref [] and news = ref [] and dups = ref [] in
-        let fresh = Array.make c.nvars false in
-        Array.iteri
-          (fun i arg ->
-            match arg with
-            | C v -> consts := (i, v) :: !consts
-            | V id ->
-                if prebound.(id) then prev := (i, id) :: !prev
-                else if fresh.(id) then dups := (i, id) :: !dups
-                else begin
-                  fresh.(id) <- true;
-                  news := (i, id) :: !news
-                end)
-          a.cargs;
-        Array.iter (function V id -> prebound.(id) <- true | C _ -> ()) a.cargs;
-        let consts = List.rev !consts
-        and prev = List.rev !prev
-        and news = List.rev !news
-        and dups = List.rev !dups in
-        let rel = a.rel in
-        if news = [] then begin
-          (* Every position is determined: a membership probe. *)
-          let ar = Array.length a.cargs in
-          fun (k : kont) src env ->
-            let tu = Array.make ar Value.Null in
-            List.iter (fun (i, v) -> tu.(i) <- v) consts;
-            List.iter (fun (i, id) -> tu.(i) <- env.(id)) prev;
-            if src.Source.mem rel tu then k src env else true
-        end
-        else
-          (* Indexed enumeration: [fold_lookup] already filters the
-             constant and previously-bound positions; only fresh
-             bindings and intra-atom duplicates remain. *)
-          fun (k : kont) src env ->
-            let key =
-              List.rev_append
-                (List.rev_map (fun (i, id) -> (i, env.(id))) prev)
-                consts
-            in
-            src.Source.fold_lookup rel key (fun tuple ->
-                List.iter (fun (i, id) -> env.(id) <- tuple.(i)) news;
-                if
-                  List.for_all
-                    (fun (i, id) -> Value.equal env.(id) tuple.(i))
-                    dups
-                then k src env
-                else true)
-      in
-      let cmp_step (lhs, op, rhs) =
-        let getter = function C v -> (fun _ -> v) | V id -> (fun env -> env.(id)) in
-        let ga = getter lhs and gb = getter rhs in
-        fun (k : kont) src env ->
-          if Cq.cmp op (ga env) (gb env) then k src env else true
-      in
-      let steps = ref [] in
-      Array.iteri
-        (fun k ai ->
-          steps := atom_step ai :: !steps;
-          List.iter (fun cmp -> steps := cmp_step cmp :: !steps) cmp_at.(k))
-        order;
-      let chain =
-        List.fold_left
-          (fun acc step -> fun k -> step (acc k))
-          Fun.id !steps
-      in
-      Some { n_nvars = c.nvars; n_chain = chain }
-    end
-  end
 
 let project_compiled (c : compiled) (agg_args : Term.t array) values =
   let index v =

@@ -29,42 +29,8 @@ val has_negation : compiled -> bool
 (** The body contains negated atoms — evaluating it is not monotone in
     the source, so delta seeding ({!run_delta}) is unsound for it. *)
 
-val var_names : compiled -> string array
-(** The body's variables, in [q.vars] order. *)
-
 val positive_relations : compiled -> string list
 (** Relation of each positive atom, in atom order (with duplicates). *)
-
-type native
-(** A closure-compiled plan: the body's backtracking join specialized to
-    a chain of OCaml closures with a static greedy join order, constant/
-    variable argument classification decided at compile time, and
-    enumeration driven through {!Relational.Source.t}[.fold_lookup] —
-    no per-depth atom picking, no [Seq.t] nodes, no option-boxed
-    bindings. Like {!compiled}, immutable and safe to share across
-    domains (each run allocates its own environment). *)
-
-val compile_native : compiled -> native option
-(** [None] when the body is outside the tier — it has negated atoms, or
-    leaves a variable unbound ({e unsafe} bodies) — in which case the
-    caller keeps the interpreted plan. Compile-time-decidable
-    comparisons (both sides constant) are folded away here. *)
-
-val native_exists : native -> Relational.Source.t -> bool
-(** True when at least one satisfying assignment exists (stops at the
-    first match). Agrees exactly with {!eval_boolean} on the
-    plan it was compiled from. *)
-
-val native_iter :
-  native -> Relational.Source.t -> (Relational.Value.t array -> unit) -> unit
-(** Calls the callback once per satisfying assignment with the values of
-    [q.vars] (in {!var_names} order). The array is reused between
-    calls — copy it to retain. Matches are the same bag
-    {!iter_matches} enumerates, in the native plan's order; use
-    it only for order-insensitive (commutative) accumulation. *)
-
-val eval_boolean : Relational.Source.t -> compiled -> bool
-(** True when at least one satisfying assignment exists (early exit). *)
 
 val find_witness :
   Relational.Source.t -> compiled -> (string * Relational.Value.t) list option
@@ -117,7 +83,7 @@ val project_compiled :
   Relational.Value.t array ->
   Relational.Value.t array
 (** [h(x̄)]: the aggregate's argument terms under an assignment (values
-    of the body variables in [var_names] order). *)
+    of the body variables in [q.vars] order). *)
 
 val theta_holds :
   Query.theta -> Relational.Value.t -> Relational.Value.t -> bool

@@ -112,17 +112,6 @@ let lookup t name binds =
             tail
       | None -> tail)
 
-(* Early-exit fold over [lookup]'s stream. The plain database is the
-   cold path (sessions evaluate on tagged stores), so a Seq wrapper is
-   fine here; the tagged store iterates its indexes directly. *)
-let fold_lookup t name binds f =
-  let rec go s =
-    match s () with
-    | Seq.Nil -> true
-    | Seq.Cons (tu, rest) -> if f tu then go rest else false
-  in
-  go (lookup t name binds)
-
 let mem t name tu =
   (match Smap.find_opt name t.segs with
   | Some seg -> Segment.mem seg tu
@@ -145,7 +134,6 @@ let source t =
     Source.catalog = t.catalog;
     scan = scan t;
     lookup = lookup t;
-    fold_lookup = fold_lookup t;
     mem = mem t;
     cardinality = cardinality t;
     selectivity = selectivity t;

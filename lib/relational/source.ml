@@ -2,7 +2,6 @@ type t = {
   catalog : Schema.t;
   scan : string -> Tuple.t Seq.t;
   lookup : string -> (int * Value.t) list -> Tuple.t Seq.t;
-  fold_lookup : string -> (int * Value.t) list -> (Tuple.t -> bool) -> bool;
   mem : string -> Tuple.t -> bool;
   cardinality : string -> int;
   selectivity : string -> (int * Value.t) list -> int;

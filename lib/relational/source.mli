@@ -15,13 +15,6 @@ type t = {
           to cache the visibility-filtered posting per world — the core
           tagged store stamps each cached filter with a world epoch and
           reuses it until the world actually changes. *)
-  fold_lookup : string -> (int * Value.t) list -> (Tuple.t -> bool) -> bool;
-      (** [fold_lookup rel binds f] calls [f] on each tuple {!lookup}
-          would yield, in the same order, until [f] returns [false];
-          returns [false] iff the iteration was stopped early. The
-          closure-compiled evaluator drives its fused join loops through
-          this entry point — implementations should iterate their
-          indexes directly rather than materializing a [Seq.t]. *)
   mem : string -> Tuple.t -> bool;
       (** Visible membership test (used for negated atoms). *)
   cardinality : string -> int;

@@ -23,7 +23,6 @@ type measurement = {
   eval_delta_ratio : float;
   base_bytes : int;
   dict_hits : int;
-  eval_native : int;
 }
 
 let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
@@ -125,7 +124,6 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
     eval_delta_ratio;
     base_bytes = Core.Tagged_store.base_bytes (Core.Session.store session);
     dict_hits = Bcobs.Obs.counter obs "segment.dict_hits";
-    eval_native = Bcobs.Obs.counter obs "eval.compiled_native";
   }
 
 let session_of db =

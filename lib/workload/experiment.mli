@@ -52,9 +52,6 @@ type measurement = {
   dict_hits : int;
       (** Base-segment dictionary probes that found their string/bool
           key, from the instrumented run (["segment.dict_hits"]). *)
-  eval_native : int;
-      (** Full evaluations served by the closure-compiled plan in the
-          instrumented run (["eval.compiled_native"]). *)
 }
 
 val run :

@@ -31,7 +31,13 @@ let test_budget_create () =
     (Engine.Budget.is_unlimited (Engine.Budget.create ~max_worlds:5 ()));
   Alcotest.check_raises "negative timeout"
     (Invalid_argument "Engine.Budget.create: negative timeout") (fun () ->
-      ignore (Engine.Budget.create ~timeout_s:(-1.0) ()))
+      ignore (Engine.Budget.create ~timeout_s:(-1.0) ()));
+  Alcotest.check_raises "NaN timeout"
+    (Invalid_argument "Engine.Budget.create: NaN timeout") (fun () ->
+      ignore (Engine.Budget.create ~timeout_s:Float.nan ()));
+  Alcotest.check_raises "negative max_worlds"
+    (Invalid_argument "Engine.Budget.create: negative max_worlds") (fun () ->
+      ignore (Engine.Budget.create ~max_worlds:(-3) ()))
 
 let test_budget_trips_sticky () =
   Alcotest.(check bool) "under the world limit" true

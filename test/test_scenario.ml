@@ -1,7 +1,7 @@
 (* Scenario differential harness: every named scenario instance must
    produce its scripted verdict under every solver (auto dispatch,
-   NaiveDCSat, OptDCSat, brute force), at jobs 1 and 4, across the
-   delta / native evaluation toggles. The qcheck generator is
+   NaiveDCSat, OptDCSat, brute force), at jobs 1 and 4, with the delta
+   evaluation layer on and off. The qcheck generator is
    fuzzed at fixed, replayable seeds against a solver-vs-brute-force
    oracle, and the shrinker is shown to minimize an injected failing
    trace to a single zeroed payment step.
@@ -20,11 +20,11 @@ let jobs_env =
 
 let jobs_list = if List.mem jobs_env [ 1; 4 ] then [ 1; 4 ] else [ 1; 4; jobs_env ]
 
-(* Every {delta, native} pair, pre-check on. *)
+(* Both delta settings, pre-check on. *)
 let configs =
   List.map
-    (fun (delta, native) -> { Bccore.Dcsat.default with delta; native })
-    [ (false, false); (true, false); (false, true); (true, true) ]
+    (fun delta -> { Bccore.Dcsat.default with delta })
+    [ false; true ]
 
 let engines = [ S.Auto; S.Naive; S.Opt; S.Brute ]
 
@@ -58,9 +58,9 @@ let test_differential () =
                           | Ok () -> ()
                           | Error msg ->
                               Alcotest.failf
-                                "%s [%s jobs=%d delta=%b native=%b]: %s"
+                                "%s [%s jobs=%d delta=%b]: %s"
                                 inst.S.name (S.engine_name engine) jobs
-                                config.delta config.native msg))
+                                config.delta msg))
                     jobs_list)
                 configs)
             engines)
