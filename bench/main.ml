@@ -3,7 +3,7 @@
 
    Usage: main.exe [--smoke] [section ...] where a section is one of
    table1 fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h datasize
-   parallel dense evalbench ablation scenarios. With no arguments,
+   parallel dense dense-groups evalbench serve ablation scenarios. With no arguments,
    everything runs; `--smoke` alone runs the fixed CI subset,
    `--smoke SECTION...` runs the named sections scaled down. *)
 
@@ -591,9 +591,10 @@ let datasize () =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel engine: jobs=1 vs jobs=2 on the unsatisfied-constraint
-   figures, where the clique stream is long enough to fan out, plus a
-   wider jobs sweep on the largest series from which the recommended
-   worker count is recomputed.
+   figures (OptDCSat spreads its covered components; NaiveDCSat is one
+   group on one worker at any jobs), plus a wider jobs sweep on the
+   largest series from which the recommended worker count is
+   recomputed.
 
    The parallel backend's fixed overhead (waking one parked helper,
    joining it) is far below scheduler noise on these solve times, so
@@ -711,21 +712,19 @@ let parallel () =
 (* ------------------------------------------------------------------ *)
 (* Dense-component worst case: one cocktail-party compatibility graph
    K_{pairs x 2} whose 2^pairs maximal worlds all live in a single
-   component, so every world comes out of one clique enumerator behind
-   the claim lock. NaiveDCSat must grind through every world
-   (the query is true over R ∪ T but false in each world), so the jobs
-   sweep here measures the claim-lock pool end to end; worker_util is
-   recorded per row.
+   component. NaiveDCSat must grind through every world (the query is
+   true over R ∪ T but false in each world), and all of them form one
+   engine group walked by one worker: the engine never splits a clique
+   stream between workers, because that did not pay (EXPERIMENTS.md,
+   "Where parallelism pays"). The jobs rows record what the idle
+   helpers cost, with worker_util per row; the jobs gates live on
+   [dense-groups], where jobs can win.
 
    OptDCSat dissolves this workload outright — its component split
    yields one 2-clique component per pair, 2·pairs worlds instead of
-   2^pairs — so one Opt row is recorded as the contrast, not raced.
-
-   Gates: jobs=2 must not be slower than jobs=1, and jobs=4 must be
-   >= 2x faster, but only on hosts with enough cores to make the bound
-   physically meaningful (a single-core host cannot exhibit parallel
-   speedup, only scheduler interleaving); on such hosts the sweep is
-   recorded and the gate logged as vacuous. *)
+   2^pairs — so one Opt row is recorded as the contrast, not raced. It
+   is measured first, as the minimum of 5 solves: after the 2^pairs
+   world solves its sub-millisecond time would measure their heap. *)
 
 let dense_pairs () = if !smoke_flag then 12 else 20
 
@@ -735,10 +734,10 @@ let dense_measure ~session ~figure ~x ~jobs label =
   run_measure ~figure ~x ~repeats:1 ~summary:`Min ~jobs ~config:full_eval
     ~session ~label ~algo:E.Naive ~variant:Q.Satisfied (W.Dense.query ())
 
-(* worker_util = Σ item evaluation time / (jobs × runtime). One worker's
-   items run one after another inside the solve, so their sum is at most
-   the runtime: a jobs=2 run whose utilization exceeds 1/2 evaluated on
-   both workers. *)
+(* worker_util = Σ world evaluation time / (jobs × runtime). One worker's
+   worlds run one after another inside the solve, so their sum is at
+   most the runtime: a jobs=2 run whose utilization exceeds 1/2
+   evaluated on both workers. *)
 let second_worker_evaluated (m : E.measurement) =
   m.E.jobs = 2 && m.E.worker_util > 0.5
 
@@ -747,6 +746,11 @@ let dense () =
   let worlds = W.Dense.worlds ~pairs in
   let label = Printf.sprintf "dense-%dp" pairs in
   let sess = dense_session pairs in
+  let opt =
+    run_measure ~figure:"dense" ~x:(float_of_int worlds) ~repeats:5
+      ~summary:`Min ~config:full_eval ~session:sess ~label ~algo:E.Opt
+      ~variant:Q.Satisfied (W.Dense.query ())
+  in
   let check_exhaustive (m : E.measurement) =
     if (not m.E.satisfied) || m.E.stats.Core.Dcsat.worlds_checked <> worlds
     then
@@ -764,33 +768,6 @@ let dense () =
   let m1 = measure 1 in
   let m2 = measure 2 in
   let m4 = measure 4 in
-  let cores = Domain.recommended_domain_count () in
-  if !smoke_flag then begin
-    if not (second_worker_evaluated m2) then
-      fail "dense/%s: jobs=2 run never evaluated on a second worker \
-            (worker_util %.2f)"
-        label m2.E.worker_util
-  end
-  else if cores < 2 then
-    Printf.printf
-      "[dense] single-core host (%d): jobs gates vacuous (jobs=1 %s, jobs=2 \
-       %s, jobs=4 %s)\n\
-       %!"
-      cores (E.ms m1.E.seconds) (E.ms m2.E.seconds) (E.ms m4.E.seconds)
-  else begin
-    if m2.E.seconds > m1.E.seconds then
-      fail "dense/%s: jobs=2 slower than jobs=1 (%.4fs vs %.4fs)" label
-        m2.E.seconds m1.E.seconds;
-    if cores >= 4 && m4.E.seconds > m1.E.seconds /. 2.0 then
-      fail "dense/%s: jobs=4 not >=2x faster than jobs=1 (%.4fs vs %.4fs)"
-        label m4.E.seconds m1.E.seconds
-  end;
-  (* The Opt contrast: component decomposition collapses the instance. *)
-  let opt =
-    run_measure ~figure:"dense" ~x:(float_of_int worlds) ~repeats:1
-      ~summary:`Min ~config:full_eval ~session:sess ~label ~algo:E.Opt
-      ~variant:Q.Satisfied (W.Dense.query ())
-  in
   E.print_table
     ~title:
       (Printf.sprintf
@@ -810,11 +787,92 @@ let dense () =
              Printf.sprintf "%.2f" m.E.worker_util;
            ])
          [
-           ("sequential", m1);
-           ("claim-lock", m2);
-           ("claim-lock", m4);
            ("opt-contrast", opt);
+           ("one group", m1);
+           ("one group", m2);
+           ("one group", m4);
          ])
+
+(* ------------------------------------------------------------------ *)
+(* Grouped dense components (Dense.grouped): [groups] satisfied
+   components of 2^pairs worlds each, so OptDCSat walks every world of
+   every component, and each component is one engine group — the regime
+   where workers share the work. Default config, min of 3 solves, and a
+   fresh session per jobs value, so that no run replays the world
+   caches of another.
+
+   Gates: jobs=2 must not be slower than jobs=1, and jobs=4 must be
+   >= 2x faster, but only on hosts with enough cores to make the bound
+   physically meaningful (a single-core host cannot exhibit parallel
+   speedup, only scheduler interleaving); on such hosts the sweep is
+   recorded and the gate logged as vacuous. At smoke scale only the
+   second worker must engage. *)
+
+let dense_groups_shape () = if !smoke_flag then (8, 9) else (8, 13)
+
+let dense_groups_measure ~jobs =
+  let groups, pairs = dense_groups_shape () in
+  let label = Printf.sprintf "dense-groups-%dx%dp" groups pairs in
+  let worlds = W.Dense.grouped_worlds ~groups ~pairs in
+  let m =
+    run_measure ~figure:"dense-groups" ~x:(float_of_int jobs) ~repeats:3
+      ~summary:`Min ~jobs
+      ~session:(E.session_of (W.Dense.grouped ~groups ~pairs))
+      ~label ~algo:E.Opt ~variant:Q.Satisfied
+      (W.Dense.grouped_query ())
+  in
+  if (not m.E.satisfied) || m.E.stats.Core.Dcsat.worlds_checked <> worlds then
+    fail "dense-groups/%s (jobs=%d): expected SATISFIED over %d worlds, got %s/%d"
+      label jobs worlds
+      (if m.E.satisfied then "SATISFIED" else "not-satisfied")
+      m.E.stats.Core.Dcsat.worlds_checked;
+  m
+
+let dense_groups () =
+  let m1 = dense_groups_measure ~jobs:1 in
+  let m2 = dense_groups_measure ~jobs:2 in
+  let label = m2.E.label in
+  if !smoke_flag then begin
+    if not (second_worker_evaluated m2) then
+      fail "dense-groups/%s: jobs=2 run never evaluated on a second worker \
+            (worker_util %.2f)"
+        label m2.E.worker_util
+  end
+  else begin
+    let m4 = dense_groups_measure ~jobs:4 in
+    let cores = Domain.recommended_domain_count () in
+    if cores < 2 then
+      Printf.printf
+        "[dense-groups] single-core host (%d): jobs gates vacuous (jobs=1 \
+         %s, jobs=2 %s, jobs=4 %s)\n\
+         %!"
+        cores (E.ms m1.E.seconds) (E.ms m2.E.seconds) (E.ms m4.E.seconds)
+    else begin
+      if m2.E.seconds > m1.E.seconds then
+        fail "dense-groups/%s: jobs=2 slower than jobs=1 (%.4fs vs %.4fs)"
+          label m2.E.seconds m1.E.seconds;
+      if cores >= 4 && m4.E.seconds > m1.E.seconds /. 2.0 then
+        fail
+          "dense-groups/%s: jobs=4 not >=2x faster than jobs=1 (%.4fs vs \
+           %.4fs)"
+          label m4.E.seconds m1.E.seconds
+    end;
+    E.print_table
+      ~title:
+        (Printf.sprintf "Grouped dense components (%s, OptDCSat, min of 3)"
+           label)
+      ~columns:[ "jobs"; "seconds"; "worlds"; "util" ]
+      ~rows:
+        (List.map
+           (fun (m : E.measurement) ->
+             [
+               string_of_int m.E.jobs;
+               E.ms m.E.seconds;
+               string_of_int m.E.stats.Core.Dcsat.worlds_checked;
+               Printf.sprintf "%.2f" m.E.worker_util;
+             ])
+           [ m1; m2; m4 ])
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Eval layer micro-benchmark (`make bench-eval`): the incremental
@@ -829,8 +887,7 @@ let evalbench () =
   let sess = session Sweep ~pending_take:50 ~contradictions:default_c () in
   let s_mid = sim (Preset W.Datasets.Mid) in
   let mid_sess = session (Preset W.Datasets.Mid) ~contradictions:default_c () in
-  let row ~label ~sim:s ~session:sess ~algo ~variant family =
-    let q = Q.instantiate s family variant in
+  let row ?(precheck = false) ~label ~session:sess ~algo ~variant q =
     let measure delta x =
       run_measure ~figure:"evalbench" ~x ~repeats:5 ~warmup:1 ~summary:`Min
         ~config:{ Core.Dcsat.default with delta } ~session:sess ~label ~algo
@@ -840,7 +897,21 @@ let evalbench () =
        worlds — each measure's warmup run warms its own caches. *)
     let full = measure false 0.0 in
     let inc = measure true 1.0 in
-    if inc.E.eval_delta = 0 then
+    let st = inc.E.stats in
+    (* A precheck-decided row reads R ∪ T outside the world cache, so it
+       can record no eval.delta: it must stay decided that way instead.
+       Every row that evaluates a world must replay or delta-seed. *)
+    if precheck then begin
+      if
+        (not st.Core.Dcsat.precheck_decided) || st.Core.Dcsat.worlds_checked <> 0
+      then
+        fail
+          "evalbench/%s (%s): expected a precheck-decided row with 0 worlds, \
+           got precheck=%b worlds=%d"
+          label (E.algo_name algo) st.Core.Dcsat.precheck_decided
+          st.Core.Dcsat.worlds_checked
+    end
+    else if st.Core.Dcsat.worlds_checked >= 1 && inc.E.eval_delta = 0 then
       fail "evalbench/%s (%s): incremental run recorded no eval.delta" label
         (E.algo_name algo);
     [
@@ -853,16 +924,21 @@ let evalbench () =
         (inc.E.eval_full + inc.E.eval_delta);
     ]
   in
+  let groups, pairs = (8, 9) in
   let rows =
     [
-      row ~label:"qp3-unsat-50blk" ~sim:s ~session:sess ~algo:E.Naive
-        ~variant:Q.Unsatisfied (Q.Qp 3);
-      row ~label:"qp3-unsat-50blk" ~sim:s ~session:sess ~algo:E.Opt
-        ~variant:Q.Unsatisfied (Q.Qp 3);
-      row ~label:"qp3-sat-mid" ~sim:s_mid ~session:mid_sess ~algo:E.Opt
-        ~variant:Q.Satisfied (Q.Qp 3);
-      row ~label:"qa-sat-mid" ~sim:s_mid ~session:mid_sess ~algo:E.Naive
-        ~variant:Q.Satisfied Q.Qa;
+      row ~label:"qp3-unsat-50blk" ~session:sess ~algo:E.Naive
+        ~variant:Q.Unsatisfied (Q.instantiate s (Q.Qp 3) Q.Unsatisfied);
+      row ~label:"qp3-unsat-50blk" ~session:sess ~algo:E.Opt
+        ~variant:Q.Unsatisfied (Q.instantiate s (Q.Qp 3) Q.Unsatisfied);
+      row ~precheck:true ~label:"qp3-sat-mid" ~session:mid_sess ~algo:E.Opt
+        ~variant:Q.Satisfied (Q.instantiate s_mid (Q.Qp 3) Q.Satisfied);
+      row ~precheck:true ~label:"qa-sat-mid" ~session:mid_sess ~algo:E.Naive
+        ~variant:Q.Satisfied (Q.instantiate s_mid Q.Qa Q.Satisfied);
+      row
+        ~label:(Printf.sprintf "dense-groups-%dx%dp" groups pairs)
+        ~session:(E.session_of (W.Dense.grouped ~groups ~pairs))
+        ~algo:E.Opt ~variant:Q.Satisfied (W.Dense.grouped_query ());
     ]
   in
   E.print_table
@@ -1377,8 +1453,8 @@ let smoke () =
   if slow.E.eval_delta <> 0 then
     fail "smoke: delta off still took the fast path (eval.delta %d)"
       slow.E.eval_delta;
-  (* Dense parallel smoke: the second pool worker must actually engage
-     at CI scale — an inert pool would otherwise pass silently. *)
+  (* Dense smoke: NaiveDCSat must enumerate every world of the one
+     dense component, here at jobs=2. *)
   let dpairs = 12 in
   let dm =
     dense_measure
@@ -1386,16 +1462,16 @@ let smoke () =
       ~figure:"dense-jobs" ~x:2.0 ~jobs:2
       (Printf.sprintf "dense-%dp" dpairs)
   in
-  if not (second_worker_evaluated dm) then
-    fail "smoke: jobs=2 dense run never evaluated on a second worker \
-          (worker_util %.2f)"
-      dm.E.worker_util;
   if
     (not dm.E.satisfied)
     || dm.E.stats.Core.Dcsat.worlds_checked <> W.Dense.worlds ~pairs:dpairs
   then
     fail "smoke: dense component not exhaustively enumerated (%d worlds)"
       dm.E.stats.Core.Dcsat.worlds_checked;
+  (* Grouped smoke: the second pool worker must actually engage where
+     there are groups to share — an inert pool would otherwise pass
+     silently. *)
+  dense_groups ();
   epoch_switch_gate ~pairs:dpairs;
   precheck_switch_gate sess (Q.instantiate s (Q.Qp 3) Q.Satisfied);
   (* Scenario library: every named instance must meet its scripted
@@ -1422,6 +1498,7 @@ let sections =
     ("datasize", datasize);
     ("parallel", parallel);
     ("dense", dense);
+    ("dense-groups", dense_groups);
     ("evalbench", evalbench);
     ("serve", servebench);
     ("ablation", ablation);

@@ -92,15 +92,17 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for world evaluation: 1 (default) runs the \
-           sequential engine backend, larger values fan candidate worlds \
-           out over N parallel domains with identical results.")
+          "Worker domains for world evaluation: 1 (default) evaluates on \
+           the calling domain alone; larger values fan OptDCSat's covered \
+           components out over N parallel domains, with identical results.")
 
-(* The budget values [Engine.Budget.create] accepts (a NaN timeout
-   would never expire); the flags and the serve directives refuse the
-   rest up front. *)
+(* The budget values [Engine.Budget.create] accepts (a NaN or infinite
+   timeout would never expire); the flags and the serve directives
+   refuse the rest up front. *)
 let parse_timeout s =
-  match float_of_string_opt s with Some f when f >= 0.0 -> Some f | _ -> None
+  match float_of_string_opt s with
+  | Some f when f >= 0.0 && Float.is_finite f -> Some f
+  | _ -> None
 
 let parse_max_worlds s =
   match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None

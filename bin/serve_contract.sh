@@ -54,7 +54,12 @@ this is not datalog"
 q() :- TxOut(t, s, \"U8Pk\", a)."
   # 14: the next check is answered as before: UNSATISFIED 2
   frame "$Q"
-  # 15: clean shutdown: OK 0
+  # 15: an infinite timeout would never expire either: ERROR 1
+  frame "check timeout=inf
+q() :- TxOut(t, s, \"U8Pk\", a)."
+  # 16: and the next check is still answered normally: UNSATISFIED 2
+  frame "$Q"
+  # 17: clean shutdown: OK 0
   frame "quit"
 } | "$BCDB" serve --paper 2>&1 )
 code=$?
@@ -68,7 +73,7 @@ fi
 got=$(printf '%s\n' "$out" \
   | grep -a -o 'UNSATISFIED 2\|SATISFIED 0\|UNKNOWN 3\|ERROR 1\|OK 0' \
   | tr '\n' ' ')
-want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 ERROR 1 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 ERROR 1 UNSATISFIED 2 OK 0 '
+want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 ERROR 1 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 ERROR 1 UNSATISFIED 2 ERROR 1 UNSATISFIED 2 OK 0 '
 
 if [ "$got" != "$want" ]; then
   echo "FAIL: status sequence mismatch"

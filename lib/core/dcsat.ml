@@ -49,19 +49,17 @@ type comp_verdict =
       world : int list;
       witness : (string * R.Value.t) list option;
     }
-  | Comp_unknown of Engine.Budget.reason
 
 type comp_hooks = {
   comp_clean : index:int -> int list -> comp_verdict option;
-      (* [Some v]: verdict known for unchanged content — skip entirely,
-         [v] stands in for a fresh solve. Replaying [Comp_violated]
-         additionally requires un-re-packed ids (world/witness name
-         transaction ids). *)
-  comp_suspect : index:int -> int list -> bool;
-      (* Violated last check: schedule first. *)
+      (* [Some v]: verdict known for unchanged content — [v] stands in
+         for a fresh solve. Replaying [Comp_violated] additionally
+         requires un-re-packed ids (world/witness name transaction
+         ids). *)
   comp_solved : index:int -> int list -> comp_verdict -> unit;
-      (* Fired once per solved dirty component, in ascending component
-         index, after the enumeration ends. *)
+      (* Fired for each component decided up to the winner
+         (Covers-skipped ones as [Comp_satisfied]), in ascending
+         component index, after the enumeration ends. *)
 }
 
 let pp_refusal ppf = function
@@ -95,9 +93,9 @@ let fresh_counters () = { worlds = 0; cliques = 0; comps = 0; covered = 0 }
    exhaustion is a sound counterexample (Violated wins); a clean, fully
    enumerated run is Satisfied; a budget-cut run without a witness is
    Unknown — the unexplored suffix could hide a violation. *)
-let verdict_of ~violation ~exhausted =
+let verdict_of ~(violation : Engine.violation option) ~exhausted =
   match (violation, exhausted) with
-  | Some (world, witness), _ -> Violated { world; witness }
+  | Some { Engine.world; witness }, _ -> Violated { world; witness }
   | None, Some reason -> Unknown reason
   | None, None -> Satisfied
 
@@ -169,38 +167,31 @@ let precheck session evaluators =
     (Inc_eval.eval_source (evaluators ())
        (Tagged_store.union_source (Session.store session)))
 
-(* Fan the items of [source] out over the engine and fold the report
-   back into the run's counters. Returns the run's violation (if any)
-   and the budget-exhaustion reason (if the budget tripped). *)
-let run_worlds ~jobs ~budget ~on_event ~count_cliques session counters ~eval
-    source =
-  let store = Session.store session in
+(* Run [groups] on the engine and fold its report into the run's
+   counters; when [count_cliques], every world is one clique. *)
+let run_groups ~jobs ~budget ~on_event ~count_cliques session counters
+    ~groups ~worlds ~eval =
   let obs = Session.obs session in
+  let on_world candidate (ev : Engine.evaluation) =
+    if count_cliques then on_event (Clique_found candidate);
+    on_event (World_evaluated (ev.Engine.world, ev.Engine.violation <> None))
+  in
   let report =
-    Engine.run ~obs ~budget ~jobs ~store
+    Engine.run ~obs ~budget ~on_world ~jobs ~store:(Session.store session)
       ~replicate:(fun () -> Session.borrow_replica session)
       ~release:(Session.return_replica session)
-      ~source ~eval
-      ~on_item:(fun members ->
-        if count_cliques then on_event (Clique_found members))
-      ~on_evaluated:(fun ev ->
-        on_event
-          (World_evaluated (ev.Engine.world, ev.Engine.violation <> None)))
-      ()
+      ~groups ~worlds ~eval ()
   in
-  if count_cliques then
-    counters.cliques <- counters.cliques + report.Engine.pulled;
-  counters.worlds <- counters.worlds + report.Engine.evaluated;
-  (* The engine clamps both counts to the winning index, so these obs
-     counters are deterministic across backends and job counts. *)
+  let n = report.Engine.evaluated in
+  counters.worlds <- counters.worlds + n;
+  if count_cliques then counters.cliques <- counters.cliques + n;
+  (* The engine counts only up to the winning group, so these obs
+     counters are deterministic across job counts. *)
   if Obs.enabled obs then begin
-    if count_cliques then Obs.add obs "dcsat.cliques" report.Engine.pulled;
-    Obs.add obs "dcsat.worlds" report.Engine.evaluated
+    if count_cliques then Obs.add obs "dcsat.cliques" n;
+    Obs.add obs "dcsat.worlds" n
   end;
-  ( Option.map
-      (fun (v : Engine.violation) -> (v.Engine.world, v.witness))
-      report.Engine.hit,
-    report.Engine.exhausted )
+  report
 
 (* The maximal cliques of the fd graph restricted to [nodes], as
    candidate sets in original transaction ids. [interrupt] (a budget's
@@ -212,191 +203,17 @@ let clique_source ?interrupt obs fd nodes =
   if not (Obs.enabled obs) then next
   else fun () -> Obs.span obs ~cat:"dcsat" "bk_yield" next
 
-let budget_interrupt budget =
-  if Engine.Budget.is_unlimited budget then None
-  else Some (Engine.Budget.interrupt budget)
-
-(* OptDCSat's component loop (Fig. 5), with or without [hooks] (see
-   {!opt} in the interface). Every covered component is one work item of
-   a single engine run; its worker enumerates the component's cliques in
-   Bron–Kerbosch order and stops at the component's first violation.
-   The source walks the components lazily under the claim lock, checking
-   the budget and running Covers, so no component is entered after a
-   trip. [lock] serializes every budget check and every [on_event] call;
-   the engine run's own budget stays unlimited, as it would count
-   components, the wrong unit. The lowest-index violation wins, and
-   without [hooks] work is counted only up to it. *)
-let run_components ~jobs ~budget ~on_event ~hooks session q evaluators counters
-    components =
-  let store = Session.store session in
+(* Walk the maximal cliques of the given transactions (Fig. 4's loop);
+   [groups] yields the transaction sets with [members] projecting them. *)
+let run_cliques ~jobs ~budget ~on_event session counters evaluators ~members
+    groups =
   let obs = Session.obs session in
   (* Forced here: workers must not race on the session's lazy graph. *)
   let fd = Session.fd_graph session in
-  let comps = Array.of_list components in
-  let n = Array.length comps in
-  (* Per component index: verdict plus its clique/world work counts. *)
-  let results : (comp_verdict * int * int) option array = Array.make n None in
-  let entered = Array.make n false in
-  (* Cache hits land in [results] but must not re-fire [comp_solved]. *)
-  let from_cache = Array.make n false in
-  let order =
-    match hooks with
-    | None -> List.init n Fun.id
-    | Some hooks ->
-        let dirty =
-          List.filter
-            (fun i ->
-              match hooks.comp_clean ~index:i comps.(i) with
-              | Some v ->
-                  results.(i) <- Some (v, 0, 0);
-                  from_cache.(i) <- true;
-                  false
-              | None -> true)
-            (List.init n Fun.id)
-        in
-        (* Suspects first, then largest first. *)
-        let key i =
-          ( not (hooks.comp_suspect ~index:i comps.(i)),
-            -List.length comps.(i),
-            i )
-        in
-        List.map (fun (_, _, i) -> i) (List.sort compare (List.map key dirty))
-  in
-  (* Components are disjoint and non-empty: the first member names one. *)
-  let index_of = Hashtbl.create 16 in
-  List.iter (fun i -> Hashtbl.replace index_of (List.hd comps.(i)) i) order;
-  let lock = Mutex.create () in
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-  in
-  let worlds = ref 0 in
-  let check_budget () =
-    locked (fun () -> Engine.Budget.check budget ~evaluated:!worlds)
-  in
-  let remaining = ref order in
-  let source () =
-    let rec next () =
-      match !remaining with
-      | [] -> None
-      | i :: tl ->
-          remaining := tl;
-          let c = comps.(i) in
-          if
-            Obs.span obs ~cat:"dcsat" "covers" (fun () ->
-                Covers.covers store c q)
-          then begin
-            entered.(i) <- true;
-            locked (fun () -> on_event (Component_entered c));
-            Some c
-          end
-          else begin
-            (* Cacheably satisfied without enumeration. *)
-            locked (fun () ->
-                results.(i) <- Some (Comp_satisfied, 0, 0);
-                on_event (Component_skipped c));
-            next ()
-          end
-    in
-    if check_budget () <> None then None else next ()
-  in
-  let eval_comp () =
-    let ev = evaluators () in
-    fun store members ->
-      let i = Hashtbl.find index_of (List.hd members) in
-      let cut = ref None in
-      let interrupt =
-        Option.map
-          (fun stop () ->
-            locked (fun () ->
-                let stopped = stop () in
-                if stopped then cut := Engine.Budget.tripped budget;
-                stopped))
-          (budget_interrupt budget)
-      in
-      let next = clique_source ?interrupt obs fd members in
-      let cliques = ref 0 and comp_worlds = ref 0 in
-      let rec go () =
-        match check_budget () with
-        | Some reason -> Comp_unknown reason
-        | None -> (
-            match next () with
-            | None -> (
-                match !cut with
-                | Some reason -> Comp_unknown reason
-                | None -> Comp_satisfied)
-            | Some clique -> (
-                incr cliques;
-                locked (fun () -> on_event (Clique_found clique));
-                let ev = eval_clique obs ev store clique in
-                incr comp_worlds;
-                locked (fun () ->
-                    incr worlds;
-                    on_event
-                      (World_evaluated
-                         (ev.Engine.world, ev.Engine.violation <> None)));
-                match ev.Engine.violation with
-                | Some { Engine.world; witness } ->
-                    Comp_violated { world; witness }
-                | None -> go ()))
-      in
-      let verdict = go () in
-      locked (fun () -> results.(i) <- Some (verdict, !cliques, !comp_worlds));
-      {
-        Engine.world = members;
-        violation =
-          (match verdict with
-          | Comp_violated { world; witness } -> Some { Engine.world; witness }
-          | Comp_satisfied | Comp_unknown _ -> None);
-      }
-  in
-  if order <> [] then
-    ignore
-      (Engine.run ~obs ~jobs ~store ~stop_on_hit:(Option.is_none hooks)
-         ~replicate:(fun () -> Session.borrow_replica session)
-         ~release:(Session.return_replica session)
-         ~source ~eval:eval_comp ~on_item:ignore ~on_evaluated:ignore ()
-        : Engine.report);
-  let rec first_violation i =
-    if i >= n then None
-    else
-      match results.(i) with
-      | Some (Comp_violated { world; witness }, _, _) ->
-          Some (i, (world, witness))
-      | _ -> first_violation (i + 1)
-  in
-  let violation = first_violation 0 in
-  let counted =
-    match (hooks, violation) with
-    | None, Some (winner, _) -> winner + 1
-    | _ -> n
-  in
-  let cliques = ref 0 and comp_worlds = ref 0 in
-  for i = 0 to counted - 1 do
-    (match results.(i) with
-    | Some (_, c, w) ->
-        cliques := !cliques + c;
-        comp_worlds := !comp_worlds + w
-    | None -> ());
-    if entered.(i) then counters.covered <- counters.covered + 1
-  done;
-  counters.cliques <- counters.cliques + !cliques;
-  counters.worlds <- counters.worlds + !comp_worlds;
-  if Obs.enabled obs then begin
-    Obs.add obs "dcsat.cliques" !cliques;
-    Obs.add obs "dcsat.worlds" !comp_worlds
-  end;
-  Option.iter
-    (fun hooks ->
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Some (verdict, _, _) when not from_cache.(i) ->
-              hooks.comp_solved ~index:i comps.(i) verdict
-          | Some _ | None -> ())
-        results)
-    hooks;
-  (Option.map snd violation, Engine.Budget.tripped budget)
+  run_groups ~jobs ~budget ~on_event ~count_cliques:true session counters
+    ~groups
+    ~worlds:(fun ?interrupt _ g -> clique_source ?interrupt obs fd (members g))
+    ~eval:(fun () -> eval_clique obs (evaluators ()))
 
 (* Restore the store's active world on every exit path: neither a
    refusal, nor a pre-check decision, nor a full enumeration may leave
@@ -406,22 +223,27 @@ let with_world_restored session k =
   let saved = Tagged_store.world store in
   Fun.protect ~finally:(fun () -> Tagged_store.set_world store saved) k
 
-let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
+(* NaiveDCSat and brute force are one group each: a second worker would
+   only idle, and its idle domain still costs (Dense-18 NaiveDCSat ran
+   about a fifth slower with one), so they always run on one. *)
+let brute_force ?jobs:_ ?(budget = Engine.Budget.unlimited)
     ?(config = default) session q =
   with_world_restored session @@ fun () ->
   let t0 = Monotime.now () in
   let counters = fresh_counters () in
   let evaluators = evaluators config session (Session.plan session q) in
   let obs = Session.obs session in
-  let next = Poss.generator (Session.store session) in
-  let source () = Option.map Bitset.to_list (next ()) in
-  let violation, exhausted =
-    run_worlds ~jobs ~budget ~on_event:ignore ~count_cliques:false session
+  let report =
+    run_groups ~jobs:1 ~budget ~on_event:ignore ~count_cliques:false session
       counters
+      ~groups:(Engine.Work_source.of_list [ () ])
+      ~worlds:(fun ?interrupt:_ store () ->
+        let next = Poss.generator store in
+        fun () -> Option.map Bitset.to_list (next ()))
       ~eval:(fun () -> eval_txs obs (evaluators ()))
-      source
   in
-  finish ~t0 ~precheck:false counters (verdict_of ~violation ~exhausted)
+  finish ~t0 ~precheck:false counters
+    (verdict_of ~violation:report.Engine.hit ~exhausted:report.Engine.exhausted)
 
 let require_monotone q k =
   match Q.Monotone.analyze q with
@@ -448,25 +270,23 @@ let solve_monotone ~config ~on_event session q enumerate =
         counters.worlds <- counters.worlds + 1;
         if Obs.enabled obs then Obs.add obs "dcsat.worlds" 1;
         let ev = eval_txs obs (evaluators ()) (Session.store session) [] in
-        ( Option.map
-            (fun (v : Engine.violation) -> (v.Engine.world, v.witness))
-            ev.Engine.violation,
-          None )
+        (ev.Engine.violation, None)
       end
       else enumerate k counters evaluators
     in
     Ok (finish ~t0 ~precheck:false counters (verdict_of ~violation ~exhausted))
   end
 
-let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(config = default)
+let naive ?jobs:_ ?(budget = Engine.Budget.unlimited) ?(config = default)
     ?(on_event = ignore) session q =
   require_monotone q @@ fun () ->
   solve_monotone ~config ~on_event session q @@ fun k counters evaluators ->
-  let obs = Session.obs session in
-  run_worlds ~jobs ~budget ~on_event ~count_cliques:true session counters
-    ~eval:(fun () -> eval_clique obs (evaluators ()))
-    (clique_source ?interrupt:(budget_interrupt budget) obs
-       (Session.fd_graph session) (List.init k Fun.id))
+  let report =
+    run_cliques ~jobs:1 ~budget ~on_event session counters evaluators
+      ~members:Fun.id
+      (Engine.Work_source.of_list [ List.init k Fun.id ])
+  in
+  (report.Engine.hit, report.Engine.exhausted)
 
 let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(config = default)
     ?(on_event = ignore) ?comp_hooks session q =
@@ -477,14 +297,83 @@ let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(config = default)
       Error `Not_connected
   | Q.Query.Boolean _ ->
       solve_monotone ~config ~on_event session q @@ fun _ counters evaluators ->
+      let store = Session.store session in
       let obs = Session.obs session in
-      let components =
-        Obs.span obs ~cat:"dcsat" "ind_graph" (fun () ->
-            Session.ind_components session q)
+      let comps =
+        Array.of_list
+          (Obs.span obs ~cat:"dcsat" "ind_graph" (fun () ->
+               Session.ind_components session q))
       in
-      let n = List.length components in
+      let n = Array.length comps in
       counters.comps <- n;
       if Obs.enabled obs then Obs.add obs "dcsat.components" n;
       on_event (Components_found n);
-      run_components ~jobs ~budget ~on_event ~hooks:comp_hooks session q
-        evaluators counters components
+      (* The claim path (Fig. 5's loop), in component index order: a
+         cached Satisfied component is skipped, a cached Violated one
+         ends the claims (it wins unless a lower-index group violates),
+         a dirty one is Covers-tested and, if covered, claimed. *)
+      let next = ref 0 and skipped = ref [] and cached = ref None in
+      let rec groups () =
+        if !next >= n || Option.is_some !cached then None
+        else begin
+          let i = !next in
+          incr next;
+          let c = comps.(i) in
+          match Option.bind comp_hooks (fun h -> h.comp_clean ~index:i c) with
+          | Some Comp_satisfied -> groups ()
+          | Some (Comp_violated { world; witness }) ->
+              cached := Some (i, { Engine.world; witness });
+              None
+          | None ->
+              if
+                Obs.span obs ~cat:"dcsat" "covers" (fun () ->
+                    Covers.covers store c q)
+              then begin
+                on_event (Component_entered c);
+                Some (i, c)
+              end
+              else begin
+                (* Satisfied without enumeration. *)
+                on_event (Component_skipped c);
+                skipped := i :: !skipped;
+                groups ()
+              end
+        end
+      in
+      let report =
+        run_cliques ~jobs:(min jobs n) ~budget ~on_event session counters
+          evaluators ~members:snd groups
+      in
+      counters.covered <- List.length report.Engine.groups;
+      (* The winning component: an engine winner is the last counted
+         group, and it beats a cached violation (claims stopped there). *)
+      let winner =
+        match (report.Engine.hit, !cached) with
+        | Some v, _ ->
+            let (i, _), _ = List.hd (List.rev report.Engine.groups) in
+            Some (i, v)
+        | None, cached -> cached
+      in
+      Option.iter
+        (fun hooks ->
+          (* Every component decided below the winner: Covers-skipped
+             ones and solved groups; budget-cut groups stay uncached. *)
+          let limit = match winner with Some (i, _) -> i | None -> n in
+          let solved =
+            List.filter_map
+              (fun ((i, _), verdict) ->
+                match verdict with
+                | Engine.Satisfied -> Some (i, Comp_satisfied)
+                | Engine.Violated { Engine.world; witness } ->
+                    Some (i, Comp_violated { world; witness })
+                | Engine.Unknown _ -> None)
+              report.Engine.groups
+            @ List.filter_map
+                (fun i -> if i < limit then Some (i, Comp_satisfied) else None)
+                !skipped
+          in
+          List.iter
+            (fun (i, verdict) -> hooks.comp_solved ~index:i comps.(i) verdict)
+            (List.sort (fun (a, _) (b, _) -> Int.compare a b) solved))
+        comp_hooks;
+      (Option.map snd winner, report.Engine.exhausted)

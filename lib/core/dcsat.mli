@@ -22,13 +22,15 @@
     makes it false over every possible world, and the constraint is
     satisfied without any enumeration.
 
-    All solvers run on the {!Engine}: candidate worlds stream from a
-    pull-based work source and are evaluated by a backend selected with
-    [?jobs]. The default [jobs:1] is the sequential backend —
-    bit-for-bit the historical behaviour; [jobs:n] with [n > 1] fans the
-    per-world work out over [n] OCaml domains, each on a private store
-    replica, with identical results and work counts (see the engine's
-    determinism contract). Every solver restores the session store's
+    All solvers run the one enumeration loop of the {!Engine}: groups of
+    transactions, each walked one candidate world at a time up to its
+    first violation. NaiveDCSat is one group (all of [T]), OptDCSat one
+    group per covered component, brute force one group of every possible
+    world. Only OptDCSat has several groups to share: with [jobs:n],
+    [n > 1], up to [n] OCaml domains share its covered components, each
+    on a private store replica, with identical results and work counts
+    (see the engine's determinism contract); NaiveDCSat and brute force
+    always walk their one group on the session's store. Every solver restores the session store's
     active world on exit, whatever the outcome.
 
     Every solver accepts an {!Engine.Budget.t}: when the budget trips
@@ -98,34 +100,30 @@ type comp_verdict =
     }
       (** The component's first violating maximal world in serial
           enumeration order, with its witness. *)
-  | Comp_unknown of Engine.Budget.reason
-      (** The budget cut this component's enumeration short. *)
 
 type comp_hooks = {
   comp_clean : index:int -> int list -> comp_verdict option;
       (** [comp_clean ~index members] — [Some v] when the caller {e
           knows} this component's verdict is [v] with unchanged content
-          (a verdict-cache hit): the component is skipped wholesale and
-          [v] stands in for a fresh solve. The claim must be sound — a
-          component's verdict depends only on its members' rows, the
-          confirmed state and the query (Proposition 2), so an unchanged
-          content signature suffices for [Comp_satisfied]; replaying a
-          [Comp_violated] additionally requires that the {e database}
-          has not changed at all since the verdict was solved — its
-          world and witness name transaction ids, and the witness is
-          canonical only relative to the whole database (plan choice
-          and row order are global, so even a mutation outside the
-          component can shift it). [None] marks the component dirty:
-          it is re-solved. *)
-  comp_suspect : index:int -> int list -> bool;
-      (** [true] schedules the component first (the last-violating
-          component is the likeliest to still violate). A heuristic:
-          answers may be wrong without affecting correctness. *)
+          (a verdict-cache hit): [v] stands in for a fresh solve. The
+          claim must be sound — a component's verdict depends only on
+          its members' rows, the confirmed state and the query
+          (Proposition 2), so an unchanged content signature suffices
+          for [Comp_satisfied]; replaying a [Comp_violated] additionally
+          requires that the {e database} has not changed at all since
+          the verdict was solved — its world and witness name
+          transaction ids, and the witness is canonical only relative to
+          the whole database (plan choice and row order are global, so
+          even a mutation outside the component can shift it). [None]
+          marks the component dirty: it is solved. Probed on the claim
+          path, in component index order, only until the claims stop. *)
   comp_solved : index:int -> int list -> comp_verdict -> unit;
-      (** Fired once per freshly solved dirty component — in ascending
-          component index, after the enumeration ends — so the caller
-          can (re)fill its cache. Skipped components (clean hits, or
-          left unsolved after a budget trip) get no callback. *)
+      (** Fired for each component decided by this solve below the
+          winning one, and for the winner itself when it was solved —
+          Covers-skipped components as [Comp_satisfied] — in ascending
+          component index, after the enumeration ends, so the caller
+          can (re)fill its cache. Cache hits, components past the winner
+          and budget-cut ones get no callback. *)
 }
 (** The per-component verdict-cache protocol of {!opt} (the live
     layer's warm-check fast path). See [?comp_hooks] in {!opt}. *)
@@ -154,7 +152,8 @@ val brute_force :
   Session.t ->
   Bcquery.Query.t ->
   outcome
-(** Raises [Invalid_argument] beyond 24 pending transactions. *)
+(** Raises [Invalid_argument] beyond 24 pending transactions. [jobs] is
+    ignored, as in {!naive}. *)
 
 val naive :
   ?jobs:int ->
@@ -164,11 +163,13 @@ val naive :
   Session.t ->
   Bcquery.Query.t ->
   (outcome, refusal) result
-(** [jobs] (default 1) selects the engine backend; with [jobs > 1],
-    [on_event] callbacks are serialized but their order is
-    nondeterministic. [budget] (default {!Engine.Budget.unlimited})
-    bounds the enumeration; the pre-check is never budgeted (it is a
-    single query evaluation). [config] defaults to {!default}. *)
+(** [jobs] is accepted for a uniform interface and ignored: NaiveDCSat
+    is one group, walked by one worker on the session's store: a second
+    worker would only idle, and its idle domain still slowed Dense-18 by
+    about a fifth on a 2-core host. [budget] (default
+    {!Engine.Budget.unlimited}) bounds the enumeration; the pre-check is
+    never budgeted (it is a single query evaluation). [config] defaults
+    to {!default}. *)
 
 val opt :
   ?jobs:int ->
@@ -181,28 +182,27 @@ val opt :
   (outcome, refusal) result
 (** [jobs], [budget] and [config] as in {!naive}.
 
-    Every covered component is one work item of a single engine run:
-    its worker enumerates the component's cliques in Bron–Kerbosch
-    order and stops at the component's first violation. Covers runs
-    lazily as components are claimed, and the budget is checked before
-    each claim and before each clique, at cumulative world counts; no
-    component is entered after a trip. Without [comp_hooks], components
-    go in index order, the first violation stops the run, and the stats
-    count only the components up to the lowest-index violating one, so
-    they are identical at every [jobs]. At [jobs:1] a [max_worlds]
-    budget of [k] cuts the unbudgeted run right after its [k]-th world.
+    Every covered component is one engine group: its worker enumerates
+    the component's cliques in Bron–Kerbosch order and stops at the
+    component's first violation. Components are claimed in index order;
+    Covers runs lazily on the claim path, the budget is checked before
+    each claim and before each world, at cumulative world counts, and no
+    component is claimed after a trip or after a violation. The
+    lowest-index violation wins, and the stats count only the
+    components up to it, so they are identical at every [jobs]. At
+    [jobs:1] a [max_worlds] budget of [k] cuts the unbudgeted run right
+    after its [k]-th world.
 
-    With [comp_hooks], components reported clean by [comp_clean] are
-    skipped (their cached verdict standing in), and the dirty remainder
-    is solved {e exhaustively} — no cross-component early exit, so every
-    dirty component's verdict reaches [comp_solved] and the caller's
-    cache — ordered suspects-first then largest-first. Stats then count
-    all the work actually done (clean components are never re-counted).
-
-    In both modes the lowest-component-index violation wins, which is
-    the serial early-exit verdict and witness bit for bit (clean
-    components cannot violate; each component's own winner is its
-    serial-order first). With [jobs > 1], [on_event] callbacks are
-    serialized under one lock but unordered across components. *)
+    [comp_hooks] plugs a verdict cache into the same schedule:
+    [comp_clean] is probed on the claim path in index order; a cached
+    [Comp_satisfied] component is skipped, and a cached [Comp_violated]
+    one ends the claims — it wins unless a lower-index component
+    violates. Dirty components are solved exactly as without hooks, and
+    [comp_solved] then reports every component decided up to the winner
+    (see {!comp_hooks}). Verdict and witness are bit-identical with and
+    without hooks: clean components cannot violate, and each
+    component's own winner is its serial-order first. With [jobs > 1],
+    [on_event] callbacks are serialized under the engine lock but
+    unordered across components. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,5 +1,5 @@
 module Work_source = struct
-  type t = unit -> int list option
+  type 'a t = unit -> 'a option
 
   let of_list items =
     let remaining = ref items in
@@ -15,17 +15,13 @@ module Work_source = struct
     fun () -> Option.map (List.map (fun i -> back.(i))) (next ())
 end
 
-(* Cooperative cancellation: a budget is checked on the claim path (the
-   single point every backend funnels work through) and, via
-   {!Budget.interrupt}, inside Bron–Kerbosch branching steps. A budget
-   never interrupts an evaluation in flight — limits are enforced at
-   work-item granularity, so [max_worlds] may be overshot by up to
-   [jobs - 1] in-flight items. Tripping is sticky: the first reason
-   observed is the one reported. All mutation happens on the claim path
-   (under the engine lock in the parallel backend) or inside source
-   pulls, which run under that same lock; OptDCSat, which checks a
-   budget per clique inside its workers, serializes those checks under
-   its own lock. *)
+(* Cooperative cancellation: a budget is checked before every claim and
+   every world (under the engine lock, at cumulative world counts) and,
+   via {!Budget.interrupt}, inside Bron–Kerbosch branching steps. A
+   budget never interrupts an evaluation in flight, so [max_worlds] may
+   be overshot by up to [jobs - 1] in-flight worlds. Tripping is sticky:
+   the first reason observed is the one reported. Every mutation happens
+   under the engine lock. *)
 module Budget = struct
   type reason = Deadline | Max_worlds
 
@@ -40,6 +36,8 @@ module Budget = struct
   let create ?timeout_s ?max_worlds () =
     (match timeout_s with
     | Some s when Float.is_nan s -> invalid_arg "Engine.Budget.create: NaN timeout"
+    | Some s when s = Float.infinity ->
+        invalid_arg "Engine.Budget.create: infinite timeout"
     | Some s when s < 0.0 -> invalid_arg "Engine.Budget.create: negative timeout"
     | _ -> ());
     (match max_worlds with
@@ -88,17 +86,19 @@ type violation = {
 
 type evaluation = { world : int list; violation : violation option }
 
-type report = {
+type verdict = Satisfied | Violated of violation | Unknown of Budget.reason
+
+type 'g report = {
   hit : violation option;
-  pulled : int;
   evaluated : int;
   exhausted : Budget.reason option;
+  groups : ('g * verdict) list;
 }
 
-(* Upper bound on the worker count of one parallel run. *)
+(* Upper bound on the worker count of one run. *)
 let max_jobs = 64
 
-(* Per-item evaluation time feeds the "engine.busy_s" histogram (its sum
+(* Per-world evaluation time feeds the "engine.busy_s" histogram (its sum
    over jobs × wall time is the worker-utilization headline number). *)
 let eval_timed obs eval store members =
   if Obs.enabled obs then begin
@@ -108,39 +108,6 @@ let eval_timed obs eval store members =
     ev
   end
   else eval store members
-
-let run_sequential ~obs ~budget ~stop_on_hit ~store ~source ~eval ~on_item
-    ~on_evaluated =
-  (* [eval] is a factory: one evaluator instance per worker, so stateful
-     evaluators (incremental world caches) are never shared between
-     domains. The sequential backend is its own single worker, and its
-     store is the primary one. *)
-  let eval = eval () in
-  let pulled = ref 0 and evaluated = ref 0 in
-  let hit = ref None in
-  let rec go () =
-    if Budget.check budget ~evaluated:!evaluated <> None then ()
-    else
-      match source () with
-      | None -> ()
-      | Some members ->
-          incr pulled;
-          on_item members;
-          let ev = eval_timed obs eval store members in
-          incr evaluated;
-          on_evaluated ev;
-          (match ev.violation with
-          | Some _ when !hit = None -> hit := ev.violation
-          | _ -> ());
-          if !hit = None || not stop_on_hit then go ()
-  in
-  go ();
-  {
-    hit = !hit;
-    pulled = !pulled;
-    evaluated = !evaluated;
-    exhausted = Budget.tripped budget;
-  }
 
 (* A pool of parked helper domains, reused across engine runs.
    [Domain.spawn] costs milliseconds — often more than an entire small
@@ -166,10 +133,10 @@ module Pool = struct
     let job = match slot.job with Some j -> j | None -> assert false in
     Mutex.unlock slot.m;
     (* Backstop only: submitted jobs are exception-safe wrappers (see
-       [guarded] in [run_parallel]) that record failures and signal
-       completion themselves. Swallowing here merely keeps a buggy future
-       caller from killing a parked domain; it must never be the place a
-       worker failure is "handled", or the submitter's join deadlocks. *)
+       [guarded] in [run]) that record failures and signal completion
+       themselves. Swallowing here merely keeps a buggy future caller
+       from killing a parked domain; it must never be the place a worker
+       failure is "handled", or the submitter's join deadlocks. *)
     (try job () with _ -> ());
     Mutex.lock slot.m;
     slot.job <- None;
@@ -203,158 +170,188 @@ module Pool = struct
     Mutex.unlock slot.m
 end
 
-(* Parallel backend. Work items are claimed from the source in index
-   order under a single lock — the source itself may touch the primary
-   store (Covers tests, can-append checks), which is safe because only
-   the claim path ever does. The calling domain is one of the [jobs]
-   workers (so [jobs = 2] parks only one helper, and a helper that never
-   gets scheduled costs nothing); the rest come from the persistent
-   {!Pool}. Each worker evaluates every item it claims on the one
-   private full replica it owns, borrowed lazily (and under the lock,
-   since replication reads the primary store) when the worker claims its
-   first item — a worker that never claims one never pays for a clone.
-   No store is ever shared between worker domains. Once any violation
-   is recorded, claiming stops: unclaimed items all carry higher indexes
-   than every claimed one, so none of them can beat the recorded
-   violation; workers finish the items they already hold, and the
-   lowest-index violation wins. That makes the returned witness — and,
-   after clamping the work counters to the winning index, the reported
-   stats — deterministic and equal to the sequential backend's. *)
-let run_parallel ~obs ~jobs ~budget ~stop_on_hit ~replicate ~release ~source
-    ~eval ~on_item ~on_evaluated =
+(* The one enumeration loop. [jobs] workers — the calling domain plus
+   [jobs - 1] helpers from the {!Pool} — claim groups from [groups] in
+   index order under one lock (the source may touch the primary store:
+   Covers tests run there). A worker walks the candidate stream of the
+   group it claims one world at a time, on its own store: the primary
+   one when it is the only worker, otherwise a full replica borrowed
+   (under the lock, since cloning reads the primary store) when it
+   claims its first group. No store is ever shared between domains.
+
+   Every shared counter lives under the lock. Before each world the
+   worker checks, under it, whether a lower-index group has already
+   violated (then this group can never be counted, and it is dropped)
+   and whether the budget has tripped at the cumulative world count
+   (then the group ends [Unknown]). A group ends at its first violation;
+   once one is recorded, no further group is claimed. Unclaimed groups
+   all carry higher indexes than every claimed one, so the lowest-index
+   violation is the one the single-worker run finds first, and counting
+   work only over the groups up to it makes every count independent of
+   [jobs]. *)
+let run ?(obs = Obs.null) ?(budget = Budget.unlimited)
+    ?(on_world = fun _ _ -> ()) ~jobs ~store ~replicate ?(release = ignore)
+    ~groups ~worlds ~eval () =
+  let helpers = max 1 (min jobs max_jobs) - 1 in
   let lock = Mutex.create () in
-  let locked f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-  in
-  let stop = Atomic.make false in
-  let best = ref None in
+  let locked f = Mutex.protect lock f in
+  let claims_open = ref true in
   let next_index = ref 0 in
-  let eval_count = Atomic.make 0 in
+  let evaluated = ref 0 in
+  let best = ref max_int (* index of the lowest violating group *) in
+  let results = ref [] (* (index, group, verdict, worlds) *) in
+  let failure = ref None in
   let borrowed = ref [] in
+  let interrupt =
+    if Budget.is_unlimited budget then None
+    else Some (fun () -> locked (Budget.interrupt budget))
+  in
   let claim_raw () =
     locked (fun () ->
-        if Atomic.get stop then None
-        else if Budget.check budget ~evaluated:(Atomic.get eval_count) <> None
+        if
+          (not !claims_open)
+          || Budget.check budget ~evaluated:!evaluated <> None
         then None
         else
-          match source () with
-          | None -> None
-          | Some members ->
+          match groups () with
+          | None ->
+              claims_open := false;
+              None
+          | Some g ->
               let i = !next_index in
               incr next_index;
-              on_item members;
-              Some (i, members))
+              Some (i, g))
   in
   let claim () =
     (* The claim span covers lock acquisition plus the pull itself, so a
-       trace shows contention on the claim path as wide "claim" slices.
-       One claim per item: no span closure unless recording. *)
+       trace shows contention on the claim path as wide "claim" slices. *)
     if Obs.enabled obs then Obs.span obs ~cat:"engine" "claim" claim_raw
     else claim_raw ()
   in
-  let record i v =
+  let finish i g verdict worlds =
     locked (fun () ->
-        (match !best with
-        | Some (bi, _) when bi <= i -> ()
-        | _ -> best := Some (i, v));
-        (* [stop_on_hit:false] drains the source despite violations (the
-           dirty-component scheduler wants every item solved); the
-           lowest-claim-index violation still wins. *)
-        if stop_on_hit then Atomic.set stop true)
+        results := (i, g, verdict, worlds) :: !results;
+        match verdict with
+        | Violated _ ->
+            claims_open := false;
+            best := min !best i
+        | Satisfied | Unknown _ -> ())
+  in
+  (* Under the lock, before each world of group [i]: drop the group if
+     it can no longer be counted (a lower-index group violated, or a
+     worker failed), end it if the budget tripped, else go on. *)
+  let gate i =
+    if !failure <> None || !best < i then `Drop
+    else
+      match Budget.check budget ~evaluated:!evaluated with
+      | Some reason -> `Cut reason
+      | None -> `Next
+  in
+  let walk eval store (i, g) =
+    let next = worlds ?interrupt store g in
+    let rec go n = function
+      | `Drop -> ()
+      | `Cut reason -> finish i g (Unknown reason) n
+      | `Next -> (
+          match next () with
+          | None ->
+              (* The stream also ends when the deadline interrupt fires. *)
+              let verdict =
+                match locked (fun () -> Budget.tripped budget) with
+                | Some reason -> Unknown reason
+                | None -> Satisfied
+              in
+              finish i g verdict n
+          | Some candidate -> (
+              let ev = eval_timed obs eval store candidate in
+              (* One lock per world: count it, report it, gate the next. *)
+              let step =
+                locked (fun () ->
+                    incr evaluated;
+                    on_world candidate ev;
+                    gate i)
+              in
+              match ev.violation with
+              | Some v -> finish i g (Violated v) (n + 1)
+              | None -> go (n + 1) step))
+    in
+    go 0 (locked (fun () -> gate i))
   in
   let worker () =
     let eval = eval () in
     let replica = ref None in
-    let store () =
-      match !replica with
-      | Some store -> store
-      | None ->
-          let store =
-            locked (fun () ->
-                let store = replicate () in
-                borrowed := store :: !borrowed;
-                store)
-          in
-          replica := Some store;
-          store
+    let store_of () =
+      if helpers = 0 then store
+      else
+        match !replica with
+        | Some r -> r
+        | None ->
+            let r =
+              locked (fun () ->
+                  let r = replicate () in
+                  borrowed := r :: !borrowed;
+                  r)
+            in
+            replica := Some r;
+            r
     in
-    let claimed = ref [] in
-    let rec go () =
+    let rec loop () =
       match claim () with
       | None -> ()
-      | Some (i, members) ->
-          let ev = eval_timed obs eval (store ()) members in
-          Atomic.incr eval_count;
-          claimed := i :: !claimed;
-          locked (fun () -> on_evaluated ev);
-          (match ev.violation with Some v -> record i v | None -> ());
-          go ()
+      | Some item ->
+          walk eval (store_of ()) item;
+          loop ()
     in
-    Obs.span obs ~cat:"engine" "worker" go;
-    !claimed
+    Obs.span obs ~cat:"engine" "worker" loop
   in
-  (* Exception safety. A worker body may raise (a broken [eval], an
+  (* Exception safety. A worker may raise (a broken [eval], an
      interrupted replica clone): the raise must not strand [finished] —
      that deadlocks the join — and must not leak borrowed replicas. Each
      worker runs under a catch-all that records the first failure (with
-     its backtrace), flips [stop] so the other workers drain quickly, and
-     still counts itself finished; after the join, every borrowed replica
-     is released and the recorded exception is re-raised to the caller.
-     The pool's parked domains never see the exception, so the pool stays
-     reusable for the next run. *)
-  let failure = ref None in
-  let guarded w =
-    match w () with
-    | claimed -> claimed
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        locked (fun () -> if !failure = None then failure := Some (e, bt));
-        Atomic.set stop true;
-        []
+     its backtrace) and closes the claims, so the other workers drop
+     their groups at the next world; after the join, every borrowed
+     replica is released and the recorded exception is re-raised to the
+     caller. The pool's parked domains never see the exception, so the
+     pool stays reusable for the next run. *)
+  let guarded () =
+    try worker ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      locked (fun () ->
+          if !failure = None then failure := Some (e, bt);
+          claims_open := false)
   in
   let done_m = Mutex.create () and done_cv = Condition.create () in
-  let helpers = jobs - 1 in
   let finished = ref 0 in
-  let helper_claims = ref [] in
   for _ = 1 to helpers do
     Pool.submit (Pool.take ()) (fun () ->
-        let claimed = guarded worker in
+        guarded ();
         Mutex.lock done_m;
-        helper_claims := claimed @ !helper_claims;
         incr finished;
         Condition.signal done_cv;
         Mutex.unlock done_m)
   done;
-  let mine = guarded worker in
-  Obs.span obs ~cat:"engine" "join" (fun () ->
-      Mutex.lock done_m;
-      while !finished < helpers do
-        Condition.wait done_cv done_m
-      done;
-      Mutex.unlock done_m);
-  let claimed = mine @ !helper_claims in
+  guarded ();
+  if helpers > 0 then
+    Obs.span obs ~cat:"engine" "join" (fun () ->
+        Mutex.lock done_m;
+        while !finished < helpers do
+          Condition.wait done_cv done_m
+        done;
+        Mutex.unlock done_m);
   List.iter release !borrowed;
-  (match !failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  let win, hit =
-    match !best with None -> (max_int, None) | Some (i, v) -> (i, Some v)
-  in
-  (* On an early stop, counts are clamped to the winning index (the
-     determinism contract); a drained run reports full counts. *)
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
   let counted =
-    if stop_on_hit then List.length (List.filter (fun i -> i <= win) claimed)
-    else List.length claimed
+    List.sort
+      (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
+      (List.filter (fun (i, _, _, _) -> i <= !best) !results)
   in
-  { hit; pulled = counted; evaluated = counted; exhausted = Budget.tripped budget }
-
-let run ?(obs = Obs.null) ?(budget = Budget.unlimited) ?(stop_on_hit = true)
-    ~jobs ~store ~replicate ?(release = ignore) ~source ~eval ~on_item
-    ~on_evaluated () =
-  if jobs <= 1 then
-    run_sequential ~obs ~budget ~stop_on_hit ~store ~source ~eval ~on_item
-      ~on_evaluated
-  else
-    run_parallel ~obs ~jobs:(min jobs max_jobs) ~budget ~stop_on_hit
-      ~replicate ~release ~source ~eval ~on_item ~on_evaluated
+  {
+    hit =
+      List.find_map
+        (function _, _, Violated v, _ -> Some v | _ -> None)
+        counted;
+    evaluated = List.fold_left (fun acc (_, _, _, n) -> acc + n) 0 counted;
+    exhausted = Budget.tripped budget;
+    groups = List.map (fun (_, g, verdict, _) -> (g, verdict)) counted;
+  }

@@ -24,9 +24,10 @@ val run :
   (report, string) result
 (** Solve through {!Solver.solve} (tracing only applies to the
     Naive/Opt paths; tractable and brute-force runs yield an empty
-    trace). [max_events] defaults to 50. [jobs] selects the engine
-    backend (default 1); with [jobs > 1] the trace's event order is
-    nondeterministic. [budget] bounds the enumerating solvers as in
+    trace). [max_events] defaults to 50. [jobs] (default 1) is
+    OptDCSat's worker count; with [jobs > 1] the trace's event order
+    across components is nondeterministic, and it may show components
+    past the winning one. [budget] bounds the enumerating solvers as in
     {!Solver.solve}; an exhausted budget reports an UNKNOWN result. *)
 
 val pp_event : labels:(int -> string) -> Format.formatter -> Dcsat.event -> unit

@@ -37,8 +37,6 @@ type tracked = {
          embed the member ids: two {e twin} components with identical
          content share a signature, and replaying one twin's verdict
          for the other would report the wrong ids. *)
-  mutable t_suspect : signature option;
-      (* signature of the last violating component: scheduled first. *)
   mutable t_checks : int;
 }
 
@@ -437,7 +435,6 @@ let track t q =
           t_sigs = None;
           t_sat = Hashtbl.create 64;
           t_viol = Hashtbl.create 8;
-          t_suspect = None;
           t_checks = 0;
         }
       in
@@ -463,12 +460,12 @@ let signatures t tr =
       tr.t_sigs <- Some (tr.t_comps, t.epoch, sigs);
       sigs
 
-(* Per-check hook closures over one tracked query — the clean probe,
-   the suspect probe and the solved callback all need a component's
-   signature. The solver's [~index] is the component's position in the
-   partition it solved; that partition is [tr.t_comps] when the solver
-   read back what Live seeded, which the members' physical identity
-   confirms. Any other partition is signed afresh. *)
+(* Per-check hook closures over one tracked query — the clean probe
+   and the solved callback both need a component's signature. The
+   solver's [~index] is the component's position in the partition it
+   solved; that partition is [tr.t_comps] when the solver read back what
+   Live seeded, which the members' physical identity confirms. Any
+   other partition is signed afresh. *)
 let make_hooks t tr =
   let obs = Session.obs t.session in
   tr.t_checks <- tr.t_checks + 1;
@@ -506,11 +503,6 @@ let make_hooks t tr =
           if Obs.enabled obs then Obs.add obs "live.comp_cache_miss" 1;
           None
   in
-  let comp_suspect ~index members =
-    match tr.t_suspect with
-    | Some s -> s = signature index members
-    | None -> false
-  in
   let comp_solved ~index members verdict =
     let s = signature index members in
     t.dirty <- t.dirty + 1;
@@ -518,11 +510,9 @@ let make_hooks t tr =
     match verdict with
     | Dcsat.Comp_satisfied -> Hashtbl.replace tr.t_sat s tr.t_checks
     | Dcsat.Comp_violated _ ->
-        Hashtbl.replace tr.t_viol (s, members) (tr.t_checks, verdict);
-        tr.t_suspect <- Some s
-    | Dcsat.Comp_unknown _ -> ()
+        Hashtbl.replace tr.t_viol (s, members) (tr.t_checks, verdict)
   in
-  { Dcsat.comp_clean; comp_suspect; comp_solved }
+  { Dcsat.comp_clean; comp_solved }
 
 let prune tr =
   if tr.t_checks mod keep_window = 0 then begin

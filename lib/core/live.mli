@@ -44,16 +44,16 @@
     {2 The per-(query, component) verdict cache}
 
     On top of the maintained partition sits a content-addressed verdict
-    cache (the tentpole of PR 10). Each pending transaction gets a
+    cache. Each pending transaction gets a
     content digest of its rows at arrival; each component's {e
     signature} is an order-independent digest of its members' digests
     plus Live's state epoch. By the factorization argument behind
     OptDCSat (components are mutually independent), equal signature
     implies equal per-component verdict — so a warm {!check} hands
     {!Dcsat.opt} hooks that skip every component whose signature is
-    cached as [Satisfied] and re-solves only the dirty ones (the
-    scheduled path of {!Dcsat.opt}: largest-first, last-violator-first,
-    deterministic lowest-index violation). Verdicts and witnesses are
+    cached as [Satisfied] and re-solve only the dirty ones, in the one
+    schedule of {!Dcsat.opt}: index order, stopping at the first
+    violation, lowest-index violation wins. Verdicts and witnesses are
     bit-identical with the cache on or off, at any job count.
 
     [Satisfied] verdicts survive any event that leaves the component's
@@ -65,9 +65,10 @@
     checks of an unchanged mempool — {e every} mutation event empties
     them — and their cache keys additionally embed the member ids:
     {e twin} components with identical content share a signature, and
-    a twin may only replay its own witness, never its sibling's. The
-    last violator is also scheduled first as the {e suspect} when it
-    does go dirty. Budget-cut ([Unknown]) components are never cached.
+    a twin may only replay its own witness, never its sibling's. A
+    component is cached only when a solve decided it: components past
+    the winning violation stay unprobed and uncached, and so do
+    budget-cut ones.
     The cache is always on in production; only a differential oracle
     passes [~use_cache:false]. Hits, misses, and dirty re-solves are surfaced as the [live.comp_cache_hit] /
     [live.comp_cache_miss] / [live.comp_dirty] {!Obs} counters and via
@@ -86,8 +87,8 @@ type t
 
 type cache_stats = {
   cache_hits : int;  (** components skipped: signature cached Satisfied *)
-  cache_misses : int;  (** signature probes that missed (scheduled dirty) *)
-  cache_dirty : int;  (** components actually re-solved (includes covers) *)
+  cache_misses : int;  (** signature probes that missed (dirty) *)
+  cache_dirty : int;  (** components decided afresh (includes covers) *)
   cache_checks : int;  (** cache-eligible checks run *)
   cache_entries : int;  (** live cached signatures across tracked queries *)
 }

@@ -26,17 +26,17 @@ val solve :
   (Dcsat.outcome * strategy, string) result
 (** [Error] only when the constraint is non-monotone {e and} the pending
     set is too large for exhaustive enumeration (> 24 transactions).
-    [jobs] selects the engine backend for the Naive/Opt/brute-force
-    paths (default 1, sequential — bit-identical to the pre-engine
-    solvers); [jobs > 1] runs the calling domain plus pooled helper
-    domains, each evaluating on one session-pooled replica (see
-    {!Engine}). [budget] bounds those enumerating
-    paths; an exhausted budget yields [verdict = Unknown] in the
+    [jobs] (default 1, the calling domain alone) is OptDCSat's worker
+    count: [jobs > 1] adds pooled helper domains, each evaluating on one
+    session-pooled replica, that share its covered components (see
+    {!Engine}); the Naive and brute-force paths walk their one group on
+    one worker. [budget] bounds the enumerating paths; an exhausted
+    budget yields [verdict = Unknown] in the
     outcome. The tractable procedures are PTIME and always run inline,
     unbudgeted — they terminate promptly by construction. [config] (see
     {!Dcsat.config}) reaches the same paths; [on_event] observes the
-    Naive/Opt paths (see {!Explain}). [comp_hooks] enables OptDCSat's
-    per-component verdict-cache path (see
+    Naive/Opt paths (see {!Explain}). [comp_hooks] plugs a
+    per-component verdict cache into OptDCSat (see
     {!Dcsat.opt}); the tractable, naive and brute-force strategies
     ignore it — only the component-factorized algorithm has cacheable
     per-component verdicts. *)

@@ -30,7 +30,7 @@ type measurement = {
           batch paths, which never consult the per-component cache —
           populated by the serve benchmark's warm-check rows. *)
   worker_util : float;
-      (** Σ per-item evaluation time / (jobs × runtime) of the
+      (** Σ per-world evaluation time / (jobs × runtime) of the
           instrumented run — the fraction of worker-domain capacity
           spent evaluating worlds. *)
   eval_full : int;
@@ -74,8 +74,8 @@ val run :
     the wall-clock time — the mean by default, or the minimum with
     [~summary:`Min] (the right statistic when comparing backends whose
     difference is smaller than scheduler noise). Times are read from the
-    solver's monotonic-clock stats. [jobs] (default 1) selects the
-    engine backend. [config] ({!Bccore.Dcsat.config}) selects the
+    solver's monotonic-clock stats. [jobs] (default 1) is the engine's
+    worker count (OptDCSat only; NaiveDCSat runs on one). [config] ({!Bccore.Dcsat.config}) selects the
     solver's switches: turn [delta] off to measure the full-evaluation
     baseline, or when comparing backends whose runs would otherwise
     replay each other's cached worlds. [timeout_s]/[max_worlds] bound

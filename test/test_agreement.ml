@@ -63,6 +63,26 @@ let queries =
     {| q(max(i)) :- Node(i, c) | > 5. |};
   ]
 
+let agrees session q =
+  let brute = (Core.Dcsat.brute_force session q).Core.Dcsat.satisfied in
+  let naive_ok =
+    match Core.Dcsat.naive session q with
+    | Ok o -> o.Core.Dcsat.satisfied = brute
+    | Error _ -> false
+  in
+  let opt_ok =
+    match Core.Dcsat.opt session q with
+    | Ok o -> o.Core.Dcsat.satisfied = brute
+    | Error `Not_connected -> true (* aggregates / disconnected *)
+    | Error (`Not_monotone _) -> false
+  in
+  let solver_ok =
+    match Core.Solver.solve session q with
+    | Ok (o, _) -> o.Core.Dcsat.satisfied = brute
+    | Error _ -> false
+  in
+  naive_ok && opt_ok && solver_ok
+
 let agreement =
   QCheck.Test.make
     ~name:"naive = opt = brute on random mixed-constraint databases"
@@ -72,25 +92,16 @@ let agreement =
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let session = Core.Session.create db in
-      let q = Q.Parser.parse_exn ~catalog:cat (List.nth queries qi) in
-      let brute = (Core.Dcsat.brute_force session q).Core.Dcsat.satisfied in
-      let naive_ok =
-        match Core.Dcsat.naive session q with
-        | Ok o -> o.Core.Dcsat.satisfied = brute
-        | Error _ -> false
-      in
-      let opt_ok =
-        match Core.Dcsat.opt session q with
-        | Ok o -> o.Core.Dcsat.satisfied = brute
-        | Error `Not_connected -> true (* aggregates / disconnected *)
-        | Error (`Not_monotone _) -> false
-      in
-      let solver_ok =
-        match Core.Solver.solve session q with
-        | Ok (o, _) -> o.Core.Dcsat.satisfied = brute
-        | Error _ -> false
-      in
-      naive_ok && opt_ok && solver_ok)
+      agrees session (Q.Parser.parse_exn ~catalog:cat (List.nth queries qi)))
+
+(* Three satisfied components of 8 worlds each (18 transactions, 3^9
+   possible worlds): OptDCSat must walk every component to agree. *)
+let grouped_agreement () =
+  let session =
+    Core.Session.create (Workload.Dense.grouped ~groups:3 ~pairs:3)
+  in
+  Alcotest.(check bool) "naive = opt = brute" true
+    (agrees session (Workload.Dense.grouped_query ()))
 
 (* Witness worlds returned on violation must be genuine possible worlds
    over which the query is true. *)
@@ -163,5 +174,7 @@ let () =
           QCheck_alcotest.to_alcotest agreement;
           QCheck_alcotest.to_alcotest witness_soundness;
           QCheck_alcotest.to_alcotest backend_agreement;
+          Alcotest.test_case "naive = opt = brute on Dense.grouped" `Quick
+            grouped_agreement;
         ] );
     ]

@@ -1,10 +1,12 @@
-(* Engine robustness: cooperative budgets (deadline / max-worlds)
+(* The engine's group loop: cooperative budgets (deadline / max-worlds)
    surfacing as three-valued verdicts, the clique generator's interrupt
-   hook, and exception safety of both backends — a raising eval must
+   hook, the lowest-index winner and its work count, and exception
+   safety at every job count — a raising eval or replicate must
    propagate to the caller, release every borrowed replica, and leave
    the helper-domain pool reusable — plus solver-level differentials:
-   the jobs=4 pool against jobs=1, OptDCSat's budget prefixes, and its
-   verdict-cache hooks against the hook-free run. *)
+   the jobs=4 pool against jobs=1, NaiveDCSat's and OptDCSat's budget
+   prefixes, and OptDCSat's verdict-cache hooks against the hook-free
+   run. *)
 
 module Core = Bccore
 module Engine = Core.Engine
@@ -35,6 +37,9 @@ let test_budget_create () =
   Alcotest.check_raises "NaN timeout"
     (Invalid_argument "Engine.Budget.create: NaN timeout") (fun () ->
       ignore (Engine.Budget.create ~timeout_s:Float.nan ()));
+  Alcotest.check_raises "infinite timeout"
+    (Invalid_argument "Engine.Budget.create: infinite timeout") (fun () ->
+      ignore (Engine.Budget.create ~timeout_s:Float.infinity ()));
   Alcotest.check_raises "negative max_worlds"
     (Invalid_argument "Engine.Budget.create: negative max_worlds") (fun () ->
       ignore (Engine.Budget.create ~max_worlds:(-3) ()))
@@ -157,71 +162,138 @@ let test_violation_beats_exhaustion jobs () =
           Alcotest.failf "expected Violated, got %s"
             (Core.Dcsat.verdict_name v))
 
-(* --- exception safety --- *)
+(* --- the group loop --- *)
 
 exception Boom
 
-let run_with_failing_eval ~jobs ~store ~replicate ~release items ~fail_on =
-  Engine.run ~jobs ~store ~replicate ~release
-    ~source:(Engine.Work_source.of_list items)
+(* Groups given as lists of candidate worlds; [violates] and [fail_on]
+   pick the worlds that violate and the one whose evaluation raises. *)
+let run_lists ?budget ?on_world ~jobs ~store ~replicate ?release
+    ?(violates = fun _ -> false) ?(fail_on = []) groups =
+  Engine.run ?budget ?on_world ~jobs ~store ~replicate ?release
+    ~groups:(Engine.Work_source.of_list groups)
+    ~worlds:(fun ?interrupt:_ _store g -> Engine.Work_source.of_list g)
     ~eval:(fun () _store members ->
       if members = fail_on then raise Boom
-      else { Engine.world = members; violation = None })
-    ~on_item:ignore ~on_evaluated:ignore ()
+      else
+        {
+          Engine.world = members;
+          violation =
+            (if violates members then
+               Some { Engine.world = members; witness = None }
+             else None);
+        })
+    ()
+
+let paper_store () = Core.Tagged_store.create (Fixtures.paper_db ())
+
+(* Groups 1 and 3 violate (at worlds [11] and [30]); group 1 wins at
+   every job count, and work is counted over groups 0 and 1 only: all
+   three worlds of group 0 and group 1 up to its violation. *)
+let test_lowest_index_winner jobs () =
+  let store = paper_store () in
+  let groups =
+    [
+      [ [ 0 ]; [ 1 ]; [ 2 ] ];
+      [ [ 10 ]; [ 11 ]; [ 12 ] ];
+      [ [ 20 ]; [ 21 ] ];
+      [ [ 30 ] ];
+    ]
+  in
+  let seen = ref [] in
+  let report =
+    run_lists ~jobs ~store
+      ~replicate:(fun () -> Core.Tagged_store.clone store)
+      ~on_world:(fun c _ -> seen := c :: !seen)
+      ~violates:(fun w -> w = [ 11 ] || w = [ 30 ])
+      groups
+  in
+  Alcotest.(check (option (list int)))
+    "lowest-index violation" (Some [ 11 ])
+    (Option.map (fun (v : Engine.violation) -> v.Engine.world) report.Engine.hit);
+  Alcotest.(check int) "worlds up to the winner" 5 report.Engine.evaluated;
+  Alcotest.(check bool) "groups up to the winner" true
+    (List.map fst report.Engine.groups = [ List.nth groups 0; List.nth groups 1 ]);
+  Alcotest.(check bool) "their verdicts" true
+    (match List.map snd report.Engine.groups with
+    | [ Engine.Satisfied; Engine.Violated { Engine.world = [ 11 ]; _ } ] -> true
+    | _ -> false);
+  if jobs = 1 then
+    Alcotest.(check (list (list int)))
+      "on_world follows the enumeration"
+      [ [ 0 ]; [ 1 ]; [ 2 ]; [ 10 ]; [ 11 ] ]
+      (List.rev !seen)
+
+(* A max-worlds budget of 4 over groups of 3 satisfied worlds: at
+   jobs=1 the run stops right after its 4th world, in the second group,
+   which ends Unknown. More workers may overshoot by one world each. *)
+let test_budget_trip jobs () =
+  let store = paper_store () in
+  let groups = List.init 4 (fun g -> List.init 3 (fun w -> [ (10 * g) + w ])) in
+  let budget = Engine.Budget.create ~max_worlds:4 () in
+  let report =
+    run_lists ~budget ~jobs ~store
+      ~replicate:(fun () -> Core.Tagged_store.clone store)
+      groups
+  in
+  Alcotest.(check bool) "exhausted" true
+    (report.Engine.exhausted = Some Engine.Budget.Max_worlds);
+  Alcotest.(check bool) "no hit" true (report.Engine.hit = None);
+  Alcotest.(check bool) "some group cut" true
+    (List.exists
+       (fun (_, v) -> v = Engine.Unknown Engine.Budget.Max_worlds)
+       report.Engine.groups);
+  if jobs = 1 then begin
+    Alcotest.(check int) "cut right after world 4" 4 report.Engine.evaluated;
+    Alcotest.(check bool) "group 0 done, group 1 cut" true
+      (List.map snd report.Engine.groups
+      = [ Engine.Satisfied; Engine.Unknown Engine.Budget.Max_worlds ])
+  end
+  else
+    Alcotest.(check bool) "overshoot below jobs" true
+      (report.Engine.evaluated >= 4 && report.Engine.evaluated < 4 + jobs)
 
 let test_eval_raise_propagates jobs () =
-  let store = Core.Tagged_store.create (Fixtures.paper_db ()) in
+  let store = paper_store () in
   let borrowed = ref 0 and released = ref 0 in
   let replicate () =
     incr borrowed;
     Core.Tagged_store.clone store
   in
   let release _ = incr released in
-  let items = [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ] in
-  (match
-     run_with_failing_eval ~jobs ~store ~replicate ~release items
-       ~fail_on:[ 2 ]
-   with
-  | (_ : Engine.report) -> Alcotest.fail "expected the eval's exception"
+  let groups = [ [ [ 0 ]; [ 1 ] ]; [ [ 2 ]; [ 3 ] ]; [ [ 4 ] ] ] in
+  (match run_lists ~jobs ~store ~replicate ~release ~fail_on:[ 2 ] groups with
+  | (_ : _ Engine.report) -> Alcotest.fail "expected the eval's exception"
   | exception Boom -> ());
   Alcotest.(check int) "every borrowed replica released" !borrowed !released;
   (* The engine (and its helper-domain pool) must stay usable: a clean
      run right after the failed one completes with full counts. *)
-  let report =
-    Engine.run ~jobs ~store ~replicate ~release
-      ~source:(Engine.Work_source.of_list items)
-      ~eval:(fun () _store members -> { Engine.world = members; violation = None })
-      ~on_item:ignore ~on_evaluated:ignore ()
-  in
+  let report = run_lists ~jobs ~store ~replicate ~release groups in
   Alcotest.(check int) "clean rerun evaluates everything" 5
     report.Engine.evaluated;
+  Alcotest.(check int) "and reports every group" 3
+    (List.length report.Engine.groups);
   Alcotest.(check bool) "no violation" true (report.Engine.hit = None);
   Alcotest.(check bool) "no exhaustion" true (report.Engine.exhausted = None);
   Alcotest.(check int) "rerun replicas also released" !borrowed !released
 
 let test_replicate_raise_propagates jobs () =
   (* Failures in replicate (not just eval) must unwind the same way. *)
-  let store = Core.Tagged_store.create (Fixtures.paper_db ()) in
+  let store = paper_store () in
   let released = ref 0 in
   let replicate () = raise Boom in
   let release _ = incr released in
+  let groups = [ [ [ 0 ] ]; [ [ 1 ] ] ] in
   if jobs <= 1 then begin
-    (* The sequential backend evaluates on the primary store and never
+    (* A single worker evaluates on the primary store and never
        replicates, so a poisoned replicate is simply unused. *)
-    let report =
-      run_with_failing_eval ~jobs ~store ~replicate ~release
-        [ [ 0 ]; [ 1 ] ]
-        ~fail_on:[ 99 ]
-    in
-    Alcotest.(check int) "sequential run unaffected" 2 report.Engine.evaluated
+    let report = run_lists ~jobs ~store ~replicate ~release groups in
+    Alcotest.(check int) "single-worker run unaffected" 2
+      report.Engine.evaluated
   end
   else begin
-    (match
-       run_with_failing_eval ~jobs ~store ~replicate ~release
-         [ [ 0 ]; [ 1 ] ]
-         ~fail_on:[ 99 ]
-     with
-    | (_ : Engine.report) -> Alcotest.fail "expected replicate's exception"
+    (match run_lists ~jobs ~store ~replicate ~release groups with
+    | (_ : _ Engine.report) -> Alcotest.fail "expected replicate's exception"
     | exception Boom -> ());
     Alcotest.(check int) "nothing to release" 0 !released
   end
@@ -281,6 +353,24 @@ let same_outcome (a : Core.Dcsat.outcome) (b : Core.Dcsat.outcome) =
   && sa.Core.Dcsat.components_covered = sb.Core.Dcsat.components_covered
   && sa.Core.Dcsat.precheck_decided = sb.Core.Dcsat.precheck_decided
 
+(* no precheck: force the enumeration on every instance *)
+let jobs_agree session q =
+  let naive ~jobs =
+    match Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs session q with
+    | Ok o -> o
+    | Error _ -> QCheck.assume_fail ()
+  in
+  let naive_ok = same_outcome (naive ~jobs:1) (naive ~jobs:4) in
+  let opt_ok =
+    match Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs:1 session q with
+    | Error _ -> true (* disconnected: Naive covers it *)
+    | Ok base -> (
+        match Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs:4 session q with
+        | Ok o -> same_outcome base o
+        | Error _ -> false)
+  in
+  naive_ok && opt_ok
+
 let pool_matches_sequential =
   QCheck.Test.make
     ~name:"naive/opt: jobs=4 pool = jobs=1 (verdict/witness/stats)"
@@ -290,23 +380,17 @@ let pool_matches_sequential =
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let session = Core.Session.create db in
-      let q = Q.Parser.parse_exn ~catalog:cat (List.nth queries qi) in
-      (* no precheck: force the enumeration on every instance *)
-      let naive ~jobs =
-        match Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs session q with
-        | Ok o -> o
-        | Error _ -> QCheck.assume_fail ()
-      in
-      let naive_ok = same_outcome (naive ~jobs:1) (naive ~jobs:4) in
-      let opt_ok =
-        match Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs:1 session q with
-        | Error _ -> true (* disconnected: Naive covers it *)
-        | Ok base -> (
-            match Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs:4 session q with
-            | Ok o -> same_outcome base o
-            | Error _ -> false)
-      in
-      naive_ok && opt_ok)
+      jobs_agree session
+        (Q.Parser.parse_exn ~catalog:cat (List.nth queries qi)))
+
+(* The grouped instance: three covered components that the jobs=4 pool
+   solves on different workers. *)
+let pool_matches_sequential_grouped () =
+  let session =
+    Core.Session.create (Workload.Dense.grouped ~groups:3 ~pairs:3)
+  in
+  Alcotest.(check bool) "jobs=4 = jobs=1" true
+    (jobs_agree session (Workload.Dense.grouped_query ()))
 
 (* A tripped budget must surface as Unknown and leave the session
    reusable: borrowed replicas handed back, a follow-up unbudgeted solve
@@ -345,40 +429,44 @@ let budget_trips_to_unknown () =
     | Error _ -> Alcotest.fail "refused"
   done
 
-(* --- OptDCSat: budget prefixes and the verdict-cache hooks --- *)
+(* --- budget prefixes and the verdict-cache hooks --- *)
 
-let opt_traced ?budget ?comp_hooks ~jobs session q =
+let traced ?budget ?comp_hooks ~algo ~jobs session q =
   let events = ref [] in
+  let on_event e = events := e :: !events in
+  let config = Fixtures.no_precheck in
   match
-    Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs ?budget ?comp_hooks
-      ~on_event:(fun e -> events := e :: !events)
-      session q
+    match algo with
+    | `Naive -> Core.Dcsat.naive ~config ~jobs ?budget ~on_event session q
+    | `Opt ->
+        Core.Dcsat.opt ~config ~jobs ?budget ?comp_hooks ~on_event session q
   with
   | Ok o -> Some (o, List.rev !events)
   | Error _ -> None
 
 (* The events up to and including the [k]-th World_evaluated; for
-   [k = 0], up to and including Components_found (nothing is pulled). *)
+   [k = 0], only Components_found (nothing is claimed). *)
 let rec cut_after_worlds k = function
   | [] -> []
-  | (Core.Dcsat.Components_found _ as e) :: _ when k = 0 -> [ e ]
   | (Core.Dcsat.World_evaluated _ as e) :: tl ->
       if k = 1 then [ e ] else e :: cut_after_worlds (k - 1) tl
+  | (Core.Dcsat.Components_found _ as e) :: tl -> e :: cut_after_worlds k tl
+  | _ :: _ when k = 0 -> []
   | e :: tl -> e :: cut_after_worlds k tl
 
 (* A max-worlds budget of [k] cuts the jobs=1 run right after its [k]-th
    world: same events up to there, same counts, and [Unknown Max_worlds]
    exactly when the cut prefix holds no violation and the enumeration
    did not finish first. *)
-let budget_prefix_holds session q =
-  match opt_traced ~jobs:1 session q with
+let budget_prefix_holds ~algo session q =
+  match traced ~algo ~jobs:1 session q with
   | None -> true
   | Some (full, events) ->
       let total = full.Core.Dcsat.stats.Core.Dcsat.worlds_checked in
       List.for_all
         (fun k ->
           let budget = Engine.Budget.create ~max_worlds:k () in
-          match opt_traced ~budget ~jobs:1 session q with
+          match traced ~algo ~budget ~jobs:1 session q with
           | None -> false
           | Some (o, got) ->
               let prefix = cut_after_worlds k events in
@@ -407,42 +495,102 @@ let budget_prefix_holds session q =
               && o.Core.Dcsat.verdict = expected_verdict)
         (List.init (total + 2) Fun.id)
 
-(* Hooks that never report a component clean re-solve everything: the
-   scheduled run must answer exactly as the hook-free one, and report
-   every component back once, in ascending index order. *)
+(* Hooks that never report a component clean solve every component in
+   the hook-free schedule: the answer and stats equal the hook-free
+   run's, and [comp_solved] fires exactly for the components that run
+   reached — those up to the winner, all of them when satisfied — in
+   ascending index order. *)
 let all_dirty_matches_no_hooks session q =
-  match opt_traced ~jobs:1 session q with
+  match traced ~algo:`Opt ~jobs:1 session q with
   | None -> true
-  | Some (base, _) ->
+  | Some (base, events) ->
+      let reached =
+        List.length
+          (List.filter
+             (function
+               | Core.Dcsat.Component_entered _ | Core.Dcsat.Component_skipped _
+                 ->
+                   true
+               | _ -> false)
+             events)
+      in
       List.for_all
         (fun jobs ->
           let solved = ref [] in
           let comp_hooks =
             {
               Core.Dcsat.comp_clean = (fun ~index:_ _ -> None);
-              comp_suspect = (fun ~index _ -> index mod 3 = 2);
               comp_solved = (fun ~index _ _ -> solved := index :: !solved);
             }
           in
-          match opt_traced ~comp_hooks ~jobs session q with
+          match traced ~algo:`Opt ~comp_hooks ~jobs session q with
           | None -> false
           | Some (o, _) ->
-              o.Core.Dcsat.verdict = base.Core.Dcsat.verdict
-              && o.Core.Dcsat.witness_world = base.Core.Dcsat.witness_world
-              && o.Core.Dcsat.witness = base.Core.Dcsat.witness
-              && List.rev !solved
-                 = List.init
-                     base.Core.Dcsat.stats.Core.Dcsat.components_total
-                     Fun.id)
+              same_outcome base o && List.rev !solved = List.init reached Fun.id)
         [ 1; 4 ]
 
-(* Dense 8 pairs (8 components, 16 worlds under Opt) plus random
-   instances under every query ([opt_traced] skips disconnected ones). *)
+(* A cached violation at component [j] closes the claims: it wins
+   unless a lower-index component violates, and [comp_solved] reports
+   only the components below the winner (and the winner when it was
+   solved). A fake world ([-1]) marks the cached verdict. *)
+let cached_violation_wins_unless_lower session q =
+  match traced ~algo:`Opt ~jobs:1 session q with
+  | None -> true
+  | Some (base, events) ->
+      let reached =
+        List.length
+          (List.filter
+             (function
+               | Core.Dcsat.Component_entered _ | Core.Dcsat.Component_skipped _
+                 ->
+                   true
+               | _ -> false)
+             events)
+      in
+      let n = base.Core.Dcsat.stats.Core.Dcsat.components_total in
+      let fake = Core.Dcsat.Violated { world = [ -1 ]; witness = None } in
+      List.for_all
+        (fun (j, jobs) ->
+          let solved = ref [] in
+          let comp_hooks =
+            {
+              Core.Dcsat.comp_clean =
+                (fun ~index _ ->
+                  if index = j then
+                    Some (Core.Dcsat.Comp_violated { world = [ -1 ]; witness = None })
+                  else None);
+              comp_solved = (fun ~index _ _ -> solved := index :: !solved);
+            }
+          in
+          let lower_wins =
+            (match base.Core.Dcsat.verdict with
+            | Core.Dcsat.Violated _ -> true
+            | _ -> false)
+            && reached - 1 < j
+          in
+          match traced ~algo:`Opt ~comp_hooks ~jobs session q with
+          | None -> false
+          | Some (o, _) ->
+              if lower_wins then
+                o.Core.Dcsat.verdict = base.Core.Dcsat.verdict
+                && List.rev !solved = List.init reached Fun.id
+              else
+                o.Core.Dcsat.verdict = fake
+                && List.rev !solved = List.init j Fun.id)
+        (List.concat_map (fun j -> [ (j, 1); (j, 4) ]) (List.init n Fun.id))
+
+(* Dense 8 pairs (8 components, 16 worlds under Opt), the grouped
+   instance (3 components of 8 worlds) and random instances under every
+   query ([traced] skips disconnected ones for Opt). *)
 let opt_cases name holds =
   Alcotest.test_case name `Quick (fun () ->
       let dense =
         ( Core.Session.create (Workload.Dense.db ~pairs:8),
           Workload.Dense.query () )
+      in
+      let grouped =
+        ( Core.Session.create (Workload.Dense.grouped ~groups:3 ~pairs:3),
+          Workload.Dense.grouped_query () )
       in
       let random seed =
         let db = random_db (Random.State.make [| seed |]) in
@@ -451,7 +599,7 @@ let opt_cases name holds =
       in
       List.iter
         (fun (session, q) -> Alcotest.(check bool) name true (holds session q))
-        (dense :: List.concat_map random (List.init 30 Fun.id)))
+        (dense :: grouped :: List.concat_map random (List.init 30 Fun.id)))
 
 let () =
   Alcotest.run "engine"
@@ -483,8 +631,17 @@ let () =
           Alcotest.test_case "budget trips to Unknown" `Quick
             budget_trips_to_unknown;
           opt_cases "opt: max-worlds k = unbudgeted run cut at world k"
-            budget_prefix_holds;
+            (budget_prefix_holds ~algo:`Opt);
           opt_cases "opt: all-dirty hooks = no hooks (jobs 1 and 4)"
             all_dirty_matches_no_hooks;
+          Alcotest.test_case "naive/opt: jobs=4 pool = jobs=1 on Dense.grouped"
+            `Quick pool_matches_sequential_grouped;
+          opt_cases "naive: max-worlds k = unbudgeted run cut at world k"
+            (budget_prefix_holds ~algo:`Naive);
+          opt_cases "opt: a cached violation wins unless a lower one does"
+            cached_violation_wins_unless_lower;
         ] );
+      ( "groups",
+        jobs_cases "lowest-index winner" test_lowest_index_winner
+        @ jobs_cases "budget trip" test_budget_trip );
     ]
