@@ -1387,6 +1387,37 @@ let epoch_switch_gate ~pairs =
        worlds (bound: one per world + %d per solve)"
       pairs switches worlds per_solve
 
+(* Allocation gate: minor words allocated per world by a Dense-12
+   NaiveDCSat solve (jobs 1, delta off) on a session whose fd graph is
+   already built. The count is deterministic — no timing, no second
+   domain — so the bound is the figure measured when the gate was set
+   (1411 words per world; 5147 before probes were prepared once) plus
+   25%: a probe path that starts allocating per call again fails it. *)
+let alloc_words_per_world = 1411.0
+
+let alloc_gate ~pairs =
+  let sess = dense_session pairs in
+  ignore (Core.Session.fd_graph sess);
+  let before = Gc.minor_words () in
+  let solved =
+    Core.Dcsat.naive ~jobs:1 ~config:full_eval sess (W.Dense.query ())
+  in
+  let words = Gc.minor_words () -. before in
+  let worlds = W.Dense.worlds ~pairs in
+  let per_world = words /. float_of_int worlds in
+  let bound = alloc_words_per_world *. 1.25 in
+  Printf.printf
+    "[smoke] dense-%dp jobs=1: %.1f minor words per world (bound %.1f)\n%!"
+    pairs per_world bound;
+  (match solved with
+  | Ok o when o.Core.Dcsat.stats.Core.Dcsat.worlds_checked = worlds -> ()
+  | _ -> fail "smoke: the allocation gate's solve did not enumerate its worlds");
+  if per_world > bound then
+    fail
+      "smoke: dense-%dp NaiveDCSat allocated %.1f minor words per world \
+       (bound %.1f = %.0f + 25%%)"
+      pairs per_world bound alloc_words_per_world
+
 (* Count gate: a solve the precheck decides never switches the store's
    world — not to R ∪ T, and so not back either. *)
 let precheck_switch_gate sess q =
@@ -1473,6 +1504,7 @@ let smoke () =
      silently. *)
   dense_groups ();
   epoch_switch_gate ~pairs:dpairs;
+  alloc_gate ~pairs:dpairs;
   precheck_switch_gate sess (Q.instantiate s (Q.Qp 3) Q.Satisfied);
   (* Scenario library: every named instance must meet its scripted
      expectation and keep its verdict across a binary snapshot

@@ -94,7 +94,8 @@ let jobs =
         ~doc:
           "Worker domains for world evaluation: 1 (default) evaluates on \
            the calling domain alone; larger values fan OptDCSat's covered \
-           components out over N parallel domains, with identical results.")
+           components out over N parallel domains, at most one per core, \
+           with identical results.")
 
 (* The budget values [Engine.Budget.create] accepts (a NaN or infinite
    timeout would never expire); the flags and the serve directives

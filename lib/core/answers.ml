@@ -25,7 +25,7 @@ let distinct_answers src body vars =
   let project = projection body vars in
   let seen = R.Tuple.Tbl.create 64 in
   let acc = ref [] in
-  Q.Eval.iter_matches src (Q.Eval.compile body) (fun values _support ->
+  Q.Eval.iter_matches src Q.Eval.(evaluator (compile body)) (fun values _support ->
       let t = project values in
       if not (R.Tuple.Tbl.mem seen t) then begin
         R.Tuple.Tbl.replace seen t ();

@@ -8,7 +8,9 @@ let covers store component q =
   let atom_covered (a : Q.Atom.t) =
     match Q.Atom.constants a with
     | [] -> true
-    | binds -> not (Seq.is_empty (src.Relational.Source.lookup a.Q.Atom.rel binds))
+    | binds ->
+        Option.is_some
+          (Relational.Source.find_binds src a.Q.Atom.rel binds (fun _ -> true))
   in
   let ok = List.for_all atom_covered body.Q.Cq.positive in
   Tagged_store.set_world store saved;

@@ -98,6 +98,12 @@ type 'g report = {
 (* Upper bound on the worker count of one run. *)
 let max_jobs = 64
 
+(* More workers than cores only time-slice: on a 2-core host the
+   8-component dense-groups instance took 2.50 s at jobs=4 against
+   1.21 s at jobs=2. *)
+let workers ?(cores = Domain.recommended_domain_count ()) jobs =
+  max 1 (min jobs (min max_jobs cores))
+
 (* Per-world evaluation time feeds the "engine.busy_s" histogram (its sum
    over jobs × wall time is the worker-utilization headline number). *)
 let eval_timed obs eval store members =
@@ -192,7 +198,7 @@ end
 let run ?(obs = Obs.null) ?(budget = Budget.unlimited)
     ?(on_world = fun _ _ -> ()) ~jobs ~store ~replicate ?(release = ignore)
     ~groups ~worlds ~eval () =
-  let helpers = max 1 (min jobs max_jobs) - 1 in
+  let helpers = workers jobs - 1 in
   let lock = Mutex.create () in
   let locked f = Mutex.protect lock f in
   let claims_open = ref true in

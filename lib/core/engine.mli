@@ -10,11 +10,11 @@
     component, brute force one group whose stream is every possible
     world.
 
-    [jobs] workers share the groups: the calling domain plus [jobs - 1]
-    helpers from a persistent pool of parked domains (spawning a domain
+    {!workers}[ jobs] workers (at most one per core) share the groups:
+    the calling domain plus the rest as helpers from a persistent pool of parked domains (spawning a domain
     costs milliseconds, often more than a whole solve, so helpers are
     reused across runs and sleep on a condition variable in between).
-    The only worker of a [jobs = 1] run evaluates on the primary store;
+    The only worker of a one-worker run evaluates on the primary store;
     with more, each worker borrows one full replica via [replicate] when
     it claims its first group and hands it back through [release] after
     the join — no store is ever shared between domains. A group is never
@@ -119,6 +119,13 @@ type 'g report = {
           there is none), in ascending index order, with its verdict. *)
 }
 
+val workers : ?cores:int -> int -> int
+(** [workers jobs]: how many workers a run asked for [jobs] starts —
+    [jobs], but at least 1 and at most [cores] (default
+    [Domain.recommended_domain_count ()]) and 64. Every caller's [jobs],
+    a [bcdb serve] request's [jobs=N] directive included, goes through
+    this cap; results are identical at every job count. *)
+
 val run :
   ?obs:Obs.t ->
   ?budget:Budget.t ->
@@ -137,8 +144,9 @@ val run :
   unit ->
   'g report
 (** Claim [groups] until the source ends, a violation is recorded or
-    the budget trips. For each claimed group [g], its worker opens
-    [worlds ?interrupt store g] on its own store (the budget's deadline
+    the budget trips, with {!workers}[ jobs] workers. For each claimed
+    group [g], its worker opens [worlds ?interrupt store g] on its own
+    store (the budget's deadline
     hook as [interrupt], unless the budget is unlimited) and evaluates
     each candidate with [eval] on that store, up to the group's first
     violation. [eval] is a {e factory}: each worker calls it once at
@@ -155,8 +163,9 @@ val run :
     [claim], [join], cat ["engine"]) and per-world evaluation times (the
     ["engine.busy_s"] histogram) — each worker domain writes to its own
     buffer, so instrumentation adds no cross-domain contention.
-    [replicate] is called only when [jobs > 1], at most once per worker
-    and under the engine lock (it reads the primary store); every store
+    [replicate] is called only with more than one worker, at most once
+    per worker and under the engine lock (it reads the primary store);
+    every store
     it returns is passed to [release] after the workers have joined (the
     default [release] drops it).
 

@@ -67,19 +67,21 @@ let conflicts_of store id =
   let acc = Hashtbl.create 8 in
   List.iter
     (fun (f : R.Constr.fd) ->
+      let probe =
+        R.Source.probe_from src f.R.Constr.frel ~cols:f.R.Constr.lhs
+          ~from:f.R.Constr.lhs
+      in
       List.iter
         (fun tuple ->
-          let binds = List.map (fun col -> (col, tuple.(col))) f.R.Constr.lhs in
           let rhs = R.Tuple.project tuple f.R.Constr.rhs in
-          src.R.Source.lookup f.R.Constr.frel binds
-          |> Seq.iter (fun other ->
-                 if not (R.Tuple.equal (R.Tuple.project other f.R.Constr.rhs) rhs)
-                 then
-                   List.iter
-                     (fun origin ->
-                       if origin >= 0 && origin <> id then
-                         Hashtbl.replace acc origin ())
-                     (Tagged_store.origins store f.R.Constr.frel other)))
+          probe tuple (fun other ->
+              if not (R.Tuple.equal (R.Tuple.project other f.R.Constr.rhs) rhs)
+              then
+                List.iter
+                  (fun origin ->
+                    if origin >= 0 && origin <> id then
+                      Hashtbl.replace acc origin ())
+                  (Tagged_store.origins store f.R.Constr.frel other)))
         (Pending.rows_for tx f.R.Constr.frel))
     (Bcdb.fds db);
   Hashtbl.fold (fun j () l -> j :: l) acc [] |> List.sort Int.compare
@@ -118,18 +120,10 @@ let extend g store =
 let build store =
   let db = Tagged_store.db store in
   let fds = Bcdb.fds db in
-  let fd_constraints = List.map (fun f -> R.Constr.Fd f) fds in
   let k = Tagged_store.tx_count store in
-  (* Node validity: R ∪ T_i satisfies the fds. *)
-  let saved = Tagged_store.world store in
-  Tagged_store.base_only store;
-  let base_src = Tagged_store.source store in
-  let node_ok =
-    Array.init k (fun id ->
-        R.Check.batch_consistent base_src fd_constraints
-          (Tagged_store.tx_rows store id))
-  in
-  Tagged_store.set_world store saved;
+  (* Node validity: R ∪ T_i satisfies the fds, read through the fixed
+     [R] view without switching the store's world. *)
+  let node_ok = Array.init k (node_valid store) in
   (* Pairwise conflicts: bucket pending rows by fd-lhs projection. *)
   let conflict = Hashtbl.create 64 in
   let record i j =

@@ -34,7 +34,7 @@ let propagate store inds ids =
               | None -> R.Tuple.Tbl.replace tbl key [ li ])
             (Pending.rows_for (tx li) ind.R.Constr.sup_rel)
         done;
-        (ind, tbl))
+        (ind, tbl, R.Check.ind_supported base ind))
       inds
   in
   let open_count = Array.make n 0 in
@@ -42,14 +42,14 @@ let propagate store inds ids =
   for li = 0 to n - 1 do
     let includable =
       List.for_all
-        (fun ((ind : R.Constr.ind), tbl) ->
+        (fun ((ind : R.Constr.ind), tbl, base_supported) ->
           List.for_all
             (fun row ->
               match
                 R.Tuple.Tbl.find_opt tbl (R.Tuple.project row ind.R.Constr.sub_attrs)
               with
               | Some ls when List.mem li ls -> true
-              | _ when R.Check.ind_supported base ind row -> true
+              | _ when base_supported row -> true
               | None -> false
               | Some ls ->
                   let r = { owner = li; unmet = true } in

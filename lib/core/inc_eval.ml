@@ -187,13 +187,14 @@ let remember st e =
 
 type t = {
   plan : plan;
+  ev : Q.Eval.evaluator;  (* this evaluator's prepared probes *)
   use_delta : bool;
   obs : Obs.t;
   mutable cached : (Tagged_store.t * state) option;  (* last store seen *)
 }
 
 let evaluator ?(use_delta = true) ?(obs = Obs.null) plan =
-  { plan; use_delta; obs; cached = None }
+  { plan; ev = Q.Eval.evaluator plan.body; use_delta; obs; cached = None }
 
 (* The evaluator's state for [store], with a one-slot physical-identity
    fast path (workers see one store for a whole engine run). A dry-run
@@ -231,12 +232,12 @@ let full_entry t store =
   let world = Tagged_store.world store in
   match p.agg with
   | None ->
-      let witness = Q.Eval.find_witness src p.body in
+      let witness = Q.Eval.find_witness src t.ev in
       { world; matched = witness <> None; witness; acc = None }
   | Some a ->
       if p.incremental_agg then begin
         let acc = ref acc_empty in
-        Q.Eval.iter_matches src p.body (fun values _ ->
+        Q.Eval.iter_matches src t.ev (fun values _ ->
             acc := acc_add p a !acc values;
             `Continue);
         { world; matched = acc_matched a !acc; witness = None; acc = Some !acc }
@@ -244,7 +245,7 @@ let full_entry t store =
       else
         {
           world;
-          matched = Q.Eval.eval_compiled src p.query p.body;
+          matched = Q.Eval.eval_compiled src p.query t.ev;
           witness = None;
           acc = None;
         }
@@ -269,7 +270,7 @@ let delta_boolean t store (e : entry) (d : Tagged_store.world_delta) =
   let delta_fn = Lazy.force d.Tagged_store.added in
   count_delta t (delta_tuple_count p delta_fn);
   let found = ref false in
-  Q.Eval.run_delta src p.body ~delta:delta_fn (fun _ _ ->
+  Q.Eval.run_delta src t.ev ~delta:delta_fn (fun _ _ ->
       found := true;
       `Stop);
   ignore e;
@@ -280,7 +281,7 @@ let delta_boolean t store (e : entry) (d : Tagged_store.world_delta) =
        search, so delta and from-scratch evaluation return the identical
        canonical assignment. This runs at most once per solve — the
        engine stops at the first violation. *)
-    let witness = Q.Eval.find_witness src p.body in
+    let witness = Q.Eval.find_witness src t.ev in
     { world; matched = true; witness; acc = None }
 
 let delta_aggregate t store a (acc0 : acc) (d : Tagged_store.world_delta) =
@@ -297,7 +298,7 @@ let delta_aggregate t store a (acc0 : acc) (d : Tagged_store.world_delta) =
   let acc = ref acc0 in
   let early = theta_early_exit a in
   let complete = ref true in
-  Q.Eval.run_delta src p.body ~delta:delta_fn (fun values _ ->
+  Q.Eval.run_delta src t.ev ~delta:delta_fn (fun values _ ->
       if R.Tuple.Tbl.mem seen values then `Continue
       else begin
         R.Tuple.Tbl.replace seen values ();
@@ -386,7 +387,7 @@ let eval_bool t store =
 
 let eval_source t src =
   count_full t;
-  Q.Eval.eval_compiled src t.plan.query t.plan.body
+  Q.Eval.eval_compiled src t.plan.query t.ev
 
 let eval_world t store txs =
   Tagged_store.set_world_list store txs;

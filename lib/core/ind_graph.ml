@@ -64,13 +64,13 @@ let edges_for_tx store thetas id =
      rrel rows (via index lookup on the projection columns) and vice
      versa. *)
   let probe ~my_attrs ~my_rel ~other_rel ~other_attrs =
+    let matches =
+      R.Source.probe_from src other_rel ~cols:other_attrs ~from:my_attrs
+    in
     List.iter
       (fun tuple ->
-        let proj = R.Tuple.project tuple my_attrs in
-        let binds = List.map2 (fun col v -> (col, v)) other_attrs (Array.to_list proj) in
-        src.R.Source.lookup other_rel binds
-        |> Seq.iter (fun other ->
-               List.iter record (Tagged_store.origins store other_rel other)))
+        matches tuple (fun other ->
+            List.iter record (Tagged_store.origins store other_rel other)))
       (Pending.rows_for tx my_rel)
   in
   List.iter

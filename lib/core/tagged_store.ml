@@ -64,6 +64,10 @@ type rel_store = {
   overlay : (int, int array) Hashtbl.t;
       (** Base-position -> origin set extended by an outstanding dry-run
           journal; affects {!origins} only (base rows stay visible). *)
+  probes : (int array, R.Source.probe) Hashtbl.t array;
+      (** Prepared probes per view ([World], [Union], [Base]) and bound
+          columns. They hold this store's pending tables, so clones start
+          empty. *)
 }
 
 module Smap = Map.Make (String)
@@ -76,6 +80,8 @@ type t = {
   mutable visible : Bitset.t;
   mutable epoch : int;
   mutable obs : Obs.t;
+  mutable views : R.Source.t array;
+      (* the [World], [Union] and [Base] sources, built once per store *)
 }
 
 (* Every store — created or cloned — gets a fresh uid, so a
@@ -86,12 +92,8 @@ let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
 let base_origin = -1
 
-let seq_first seq = match seq () with Seq.Nil -> None | Seq.Cons (x, _) -> Some x
-
-(* Position of [tuple] in the base segment, if present. Base segments
-   are duplicate-free by construction, so the first (highest) position
-   is the only one. *)
-let base_find bs tuple = seq_first (R.Segment.find bs.b_seg tuple)
+(* Position of [tuple] in the base segment, or -1. *)
+let base_find bs tuple = R.Segment.find bs.b_seg tuple
 
 let fresh_rel base entries =
   let np = Array.length entries in
@@ -118,6 +120,7 @@ let fresh_rel base entries =
     by_origin;
     viscount = Array.make (max 1 np) 0;
     overlay = Hashtbl.create 4;
+    probes = Array.init 3 (fun _ -> Hashtbl.create 8);
   }
 
 let build_rel seg rows =
@@ -134,13 +137,13 @@ let build_rel seg rows =
   List.iter
     (fun (origin, tuple) ->
       match base_find bs tuple with
-      | Some bpos ->
+      | bpos when bpos >= 0 ->
           let prev =
             Option.value (Hashtbl.find_opt b_extra bpos) ~default:[| base_origin |]
           in
           if not (Array.exists (fun o -> o = origin) prev) then
             Hashtbl.replace b_extra bpos (Array.append prev [| origin |])
-      | None -> (
+      | _ -> (
           match R.Tuple.Tbl.find_opt scratch tuple with
           | Some origins -> (
               match !origins with
@@ -160,7 +163,7 @@ let build_rel seg rows =
   in
   fresh_rel bs pending
 
-let create (db : Bcdb.t) =
+let create_store (db : Bcdb.t) =
   let catalog = R.Database.catalog db.Bcdb.state in
   let rows_by_rel = Hashtbl.create 8 in
   let push rel row =
@@ -194,6 +197,7 @@ let create (db : Bcdb.t) =
     visible = Bitset.create k;
     epoch = 0;
     obs = Obs.null;
+    views = [||];
   }
 
 let clone_rel rs =
@@ -231,9 +235,10 @@ let clone_rel rs =
     by_origin = Hashtbl.copy rs.by_origin;
     viscount = Array.copy rs.viscount;
     overlay = Hashtbl.copy rs.overlay;
+    probes = Array.init 3 (fun _ -> Hashtbl.create 8);
   }
 
-let clone t =
+let clone_store t =
   {
     uid = fresh_uid ();
     db = t.db;
@@ -242,6 +247,7 @@ let clone t =
     visible = Bitset.copy t.visible;
     epoch = t.epoch;
     obs = t.obs;
+    views = [||];
   }
 
 let db t = t.db
@@ -360,15 +366,6 @@ let base_index rs cols =
       Hashtbl.replace rs.bmemo cols idx;
       idx
 
-(* Exact matches for [binds] in the base segment (collision-filtered
-   positions, descending). *)
-let base_slice rs binds =
-  let cols = List.sort_uniq Int.compare (List.map fst binds) in
-  let idx = base_index rs cols in
-  R.Segment.slice rs.base.b_seg idx (R.Segment.compile rs.base.b_seg binds)
-
-let base_count rs binds = R.Segment.slice_count (base_slice rs binds)
-
 (* --- pending-segment indexes (private, incremental) --- *)
 
 let ensure_index rs col =
@@ -404,6 +401,15 @@ let ensure_composite rs cols =
       Hashtbl.replace rs.composite cols idx;
       idx
 
+(* The posting a probe finds when its key has none; never mutated. *)
+let no_posting = { all = []; count = 0; cepoch = -1; cvis = [] }
+
+let find_single tbl v =
+  match Vtbl.find tbl v with p -> p | exception Not_found -> no_posting
+
+let find_composite tbl keys =
+  match R.Tuple.Tbl.find tbl keys with p -> p | exception Not_found -> no_posting
+
 (* Visible pending positions of a posting, cached per epoch. *)
 let posting_visible t rs (p : posting) =
   if p.cepoch <> t.epoch then begin
@@ -414,9 +420,6 @@ let posting_visible t rs (p : posting) =
   else if Obs.enabled t.obs then Obs.add t.obs "store.vis_hit" 1;
   p.cvis
 
-let matches binds (tuple : R.Tuple.t) =
-  List.for_all (fun (col, v) -> R.Value.equal tuple.(col) v) binds
-
 (* Which pending positions a view sees: those of the active world
    ({!source}), every one ({!union_source}, the instance [R ∪ T]) or
    none ({!base_source}, [R] alone). The two fixed views walk posting
@@ -426,6 +429,8 @@ let matches binds (tuple : R.Tuple.t) =
    by descending position, then base matches), so a fixed view answers
    exactly what {!source} answers after {!all_visible}/{!base_only}. *)
 type view = World | Union | Base
+
+let view_slot = function World -> 0 | Union -> 1 | Base -> 2
 
 let pend_visible view rs i =
   match view with World -> rs.viscount.(i) > 0 | Union -> true | Base -> false
@@ -440,92 +445,99 @@ let scan t view name =
   in
   Seq.append (R.Segment.tuple_seq rs.base.b_seg) (pend 0)
 
-(* Probe the pending segment for [binds]: the posting to walk and the
-   residual binds an over-wide probe still has to filter by. The base
-   segment always answers with an exact multi-column slice, so only the
-   pending side ever needs residual filtering. *)
-let probe rs binds =
-  match binds with
-  | [] -> invalid_arg "probe: no binds"
-  | [ (col, v) ] -> (Vtbl.find_opt (ensure_index rs col) v, [])
-  | _ when List.length binds <= 3 ->
-      (* Exact composite index: no residual filtering needed. *)
-      let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) binds in
-      let cols = List.map fst sorted in
-      let key = Array.of_list (List.map snd sorted) in
-      (R.Tuple.Tbl.find_opt (ensure_composite rs cols) key, [])
-  | _ ->
-      (* Over-wide probe (no exact composite): use the single-column
-         index of the {e most selective} bound column — the one whose
-         posting (pending + base) is shortest — and filter the rest as
-         residual binds. Any bound column yields the same matching
-         position set in the same (descending) order, so the choice
-         changes only how many candidates the residual filter touches,
-         never the results. *)
-      let count ((col, v) as bind) =
-        (match Vtbl.find_opt (ensure_index rs col) v with
-        | Some p -> p.count
-        | None -> 0)
-        + base_count rs [ bind ]
-      in
-      let best =
-        List.fold_left
-          (fun (bbind, bcost) bind ->
-            let cost = count bind in
-            if cost < bcost then (bind, cost) else (bbind, bcost))
-          (List.hd binds, count (List.hd binds))
-          (List.tl binds)
-        |> fst
-      in
-      let col, v = best in
-      let residual = List.filter (fun b -> b != best) binds in
-      (Vtbl.find_opt (ensure_index rs col) v, residual)
+let rec emit rs f = function
+  | [] -> ()
+  | i :: rest ->
+      f rs.entries.(i).tuple;
+      emit rs f rest
 
-(* The pending positions (descending) a view sees for [binds], with the
-   residual binds still to filter them by. *)
-let pend_positions t view rs binds =
-  match view with
-  | Base -> ([], [])
-  | World | Union -> (
-      match probe rs binds with
-      | None, _ -> ([], [])
-      | Some p, residual ->
-          ( (match view with
-            | World -> posting_visible t rs p
-            | Union | Base -> p.all),
-            residual ))
+(* Resolved on first use, then kept: a probe the evaluator only costs
+   never builds the indexes only iterating needs, and vice versa. *)
+let memo f =
+  let cell = ref None in
+  fun () ->
+    match !cell with
+    | Some x -> x
+    | None ->
+        let x = f () in
+        cell := Some x;
+        x
 
-(* Exact base matches for [binds], with the slice's dictionary hits
-   recorded. *)
-let base_rows t rs binds =
-  let sl = base_slice rs binds in
-  if Obs.enabled t.obs then begin
-    let hits, misses = R.Segment.dict_hits sl in
-    if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
-    if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
-  end;
-  R.Segment.slice_rows rs.base.b_seg sl
+(* The probe of one view, relation and bound-column set. [iter] yields
+   pending matches (descending position), then base matches (descending
+   position). [count] is world-independent by design: memoized pending
+   posting counts plus the base hash-range width (an upper bound —
+   collisions are not filtered out, which is fine for a cost estimate
+   and identical across every store sharing the segment, so the primary
+   store and its replicas pick the same join orders). With more than 3
+   bound columns it estimates from the lowest column alone; iterating
+   goes through an exact composite posting table instead, so no other
+   single-column index is built. The pending tables are the store's
+   own, maintained in place by {!append_tx}/{!undo}, so the handle
+   outlives both. *)
+let make_probe t view rs cols =
+  let seg = rs.base.b_seg in
+  let n = Array.length cols in
+  if n = 0 then
+    {
+      R.Source.count = (fun _ -> R.Segment.length seg + rs.len);
+      iter =
+        (fun _ f ->
+          for row = 0 to R.Segment.length seg - 1 do
+            f (R.Segment.tuple seg row)
+          done;
+          if view <> Base then
+            for i = 0 to rs.len - 1 do
+              if pend_visible view rs i then f rs.entries.(i).tuple
+            done);
+    }
+  else
+    let col_list = Array.to_list cols in
+    let single = memo (fun () -> ensure_index rs cols.(0)) in
+    let pend =
+      if n = 1 then fun keys -> find_single (single ()) keys.(0)
+      else
+        let composite = memo (fun () -> ensure_composite rs col_list) in
+        fun keys -> find_composite (composite ()) keys
+    in
+    let base = memo (fun () -> base_index rs col_list) in
+    let count =
+      if n <= 3 then fun keys ->
+        (pend keys).count + R.Segment.probe_count seg (base ()) keys
+      else
+        let base_first = memo (fun () -> base_index rs [ cols.(0) ]) in
+        let first = [| R.Value.Null |] in
+        fun keys ->
+          first.(0) <- keys.(0);
+          (find_single (single ()) keys.(0)).count
+          + R.Segment.probe_count seg (base_first ()) first
+    in
+    let iter keys f =
+      (match view with
+      | Base -> ()
+      | Union -> emit rs f (pend keys).all
+      | World ->
+          let p = pend keys in
+          if p != no_posting then emit rs f (posting_visible t rs p));
+      let idx = base () in
+      if Obs.enabled t.obs then begin
+        let hits, misses = R.Segment.dict_probe seg idx keys in
+        if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
+        if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
+      end;
+      R.Segment.probe_iter seg idx keys f
+    in
+    { R.Source.count; iter }
 
-let lookup t view name binds =
-  match binds with
-  | [] -> scan t view name
-  | _ ->
-      let rs = rel_store t name in
-      (* Pending matches first (descending position), then base matches
-         (descending position): the same order the unsegmented store
-         produced, since pending entries sat above the base prefix. *)
-      let pend () =
-        let positions, residual = pend_positions t view rs binds in
-        (List.to_seq positions
-        |> Seq.filter_map (fun i ->
-               let e = rs.entries.(i) in
-               if matches residual e.tuple then Some e.tuple else None))
-          ()
-      in
-      let base () =
-        Seq.map (R.Segment.tuple rs.base.b_seg) (base_rows t rs binds) ()
-      in
-      Seq.append pend base
+let prepare t view name cols =
+  let rs = rel_store t name in
+  let tbl = rs.probes.(view_slot view) in
+  match Hashtbl.find_opt tbl cols with
+  | Some p -> p
+  | None ->
+      let p = make_probe t view rs cols in
+      Hashtbl.replace tbl (Array.copy cols) p;
+      p
 
 let mem t view name tuple =
   let rs = rel_store t name in
@@ -539,49 +551,24 @@ let cardinality t name =
   let rs = rel_store t name in
   R.Segment.length rs.base.b_seg + rs.len
 
-(* World-independent by design (and by the pre-segmentation semantics):
-   memoized pending counts plus the base hash-range width (an upper
-   bound — collisions are not filtered out, which is fine for a cost
-   estimate and identical across every store sharing the segment, so
-   the primary store and its replicas pick the same join orders). *)
-let selectivity t name binds =
-  match binds with
-  | [] -> cardinality t name
-  | _ -> (
-      let rs = rel_store t name in
-      let pend_count_1 col v =
-        match Vtbl.find_opt (ensure_index rs col) v with
-        | Some p -> p.count
-        | None -> 0
-      in
-      match binds with
-      | [] -> assert false
-      | [ (col, v) ] -> pend_count_1 col v + base_count rs binds
-      | _ when List.length binds <= 3 ->
-          let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) binds in
-          let cols = List.map fst sorted in
-          let key = Array.of_list (List.map snd sorted) in
-          let pend =
-            match R.Tuple.Tbl.find_opt (ensure_composite rs cols) key with
-            | Some p -> p.count
-            | None -> 0
-          in
-          pend + base_count rs sorted
-      | (col, v) :: _ -> pend_count_1 col v + base_count rs [ (col, v) ])
-
 let view_source t view =
   {
     R.Source.catalog = R.Database.catalog t.db.Bcdb.state;
     scan = scan t view;
-    lookup = lookup t view;
+    prepare = prepare t view;
     mem = mem t view;
     cardinality = cardinality t;
-    selectivity = selectivity t;
   }
 
-let source t = view_source t World
-let union_source t = view_source t Union
-let base_source t = view_source t Base
+let with_views t =
+  t.views <- Array.map (view_source t) [| World; Union; Base |];
+  t
+
+let create db = with_views (create_store db)
+let clone t = with_views (clone_store t)
+let source t = t.views.(view_slot World)
+let union_source t = t.views.(view_slot Union)
+let base_source t = t.views.(view_slot Base)
 let epoch t = t.epoch
 
 let tx_rows t id =
@@ -593,14 +580,14 @@ let tx_rows t id =
 let origins t name tuple =
   let rs = rel_store t name in
   match base_find rs.base tuple with
-  | Some bpos -> (
+  | bpos when bpos >= 0 -> (
       match Hashtbl.find_opt rs.overlay bpos with
       | Some o -> Array.to_list o
       | None -> (
           match Hashtbl.find_opt rs.base.b_extra bpos with
           | Some o -> Array.to_list o
           | None -> [ base_origin ]))
-  | None -> (
+  | _ -> (
       match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
       | Some i -> Array.to_list rs.entries.(i).origins
       | None -> [])
@@ -666,7 +653,7 @@ let append_tx t (db' : Bcdb.t) =
           (fun (rel, tuple) ->
             let rs = rel_store t rel in
             match base_find rs.base tuple with
-            | Some bpos ->
+            | bpos when bpos >= 0 ->
                 (* Base rows are always visible; the new origin only has
                    to show up in [origins], via the overlay. *)
                 let prev = Hashtbl.find_opt rs.overlay bpos in
@@ -680,7 +667,7 @@ let append_tx t (db' : Bcdb.t) =
                 in
                 Hashtbl.replace rs.overlay bpos (Array.append before [| id |]);
                 Overlay_set (rel, bpos, prev)
-            | None -> (
+            | _ -> (
                 match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
                 | Some i ->
                     let prev = rs.entries.(i) in

@@ -37,10 +37,11 @@ val clone : t -> t
     or building indexes on the clone never affects the parent and vice
     versa — this is what lets each parallel engine worker evaluate
     worlds on the one replica it owns ({!Engine}). A clone answers
-    [cardinality]/[selectivity] exactly as its parent does, so the
+    [cardinality] and probe counts exactly as its parent does, so the
     evaluator picks the same join orders, and returns the same
-    witnesses, on either. Clone while no {!append_tx} journal is
-    outstanding. *)
+    witnesses, on either. A clone starts with no prepared probe: the
+    parent's handles hold the parent's pending tables and are never
+    shared. Clone while no {!append_tx} journal is outstanding. *)
 
 val tx_count : t -> int
 
@@ -86,7 +87,22 @@ val all_visible : t -> unit
 val base_only : t -> unit
 
 val source : t -> Relational.Source.t
-(** A live view: reflects subsequent [set_world] calls. *)
+(** A live view: reflects subsequent [set_world] calls. The same record
+    on every call ({!union_source} and {!base_source} likewise), so a
+    caller may key per-source state on it physically.
+
+    [prepare rel cols] resolves the relation's pending posting table
+    (single-column for one bound column, an exact composite over the
+    bound columns otherwise) and its base segment index once, on first
+    use, and caches the probe per store, view, relation and columns:
+    a second [prepare] returns the same handle. [iter] yields the
+    visible pending matches by descending position, then the base
+    matches by descending position. [count] is world-independent: the
+    pending posting count plus the base hash-range width, from the
+    lowest bound column alone when more than 3 are bound. Handles stay
+    valid across world switches, {!append_tx} and {!undo}, which update
+    the tables in place. A store — and so its handles — belongs to one
+    domain at a time. *)
 
 val union_source : t -> Relational.Source.t
 (** A read-only view fixed at [R ∪ T]: every pending row visible,

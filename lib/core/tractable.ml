@@ -152,7 +152,7 @@ let solve_fd_conjunctive run body =
   Tagged_store.all_visible store;
   let src = Tagged_store.source store in
   let found = ref None in
-  Q.Eval.iter_matches src (Q.Eval.compile qpos) (fun values support ->
+  Q.Eval.iter_matches src Q.Eval.(evaluator (compile qpos)) (fun values support ->
       let candidates = support_choices store support in
       let viable members =
         fd_consistent_set run.session members
@@ -193,7 +193,7 @@ let solve_ind_conjunctive run body =
     run.worlds <- run.worlds + 1;
     Tagged_store.set_world store world;
     match
-      Q.Eval.find_witness (Tagged_store.source store) (Q.Eval.compile body)
+      Q.Eval.find_witness (Tagged_store.source store) Q.Eval.(evaluator (compile body))
     with
     | Some assignment ->
         outcome run false (Some (Bitset.to_list world)) (Some assignment)
@@ -219,7 +219,7 @@ let solve_ind_conjunctive run body =
     let found = ref None in
     Tagged_store.all_visible store;
     let src = Tagged_store.source store in
-    Q.Eval.iter_matches src (Q.Eval.compile qpos) (fun values support ->
+    Q.Eval.iter_matches src Q.Eval.(evaluator (compile qpos)) (fun values support ->
         Tagged_store.all_visible store;
         let negated_ground =
           List.map
@@ -265,11 +265,14 @@ let solve_ind_conjunctive run body =
 let solve_fd_aggregate run (a : Q.Query.aggregate) =
   let store = Session.store run.session in
   let body = Q.Eval.compile a.Q.Query.body in
+  (* The per-world evaluation runs inside the enumeration's callback, so
+     it needs an evaluator of its own. *)
+  let outer = Q.Eval.evaluator body and inner = Q.Eval.evaluator body in
   let tested = Hashtbl.create 64 in
   let found = ref None in
   Tagged_store.all_visible store;
   let src = Tagged_store.source store in
-  Q.Eval.iter_matches src body (fun _values support ->
+  Q.Eval.iter_matches src outer (fun _values support ->
       let candidates = support_choices store support in
       let test members =
         if Hashtbl.mem tested members then false
@@ -281,7 +284,7 @@ let solve_fd_aggregate run (a : Q.Query.aggregate) =
             Tagged_store.set_world_list store members;
             let world_src = Tagged_store.source store in
             let result =
-              Q.Eval.eval_compiled world_src (Q.Query.Aggregate a) body
+              Q.Eval.eval_compiled world_src (Q.Query.Aggregate a) inner
             in
             Tagged_store.all_visible store;
             result

@@ -2,8 +2,8 @@
 
     The evaluator runs a backtracking join: at every depth it picks the
     cheapest remaining positive atom (most bound argument positions,
-    smallest index-estimated result), enumerates matching tuples through
-    the source's index lookups, and prunes with negated atoms and
+    smallest estimated result), enumerates matching tuples through the
+    source's prepared probes, and prunes with negated atoms and
     comparisons as soon as their variables are bound.
 
     An assignment [h] maps each body variable to a value; because every
@@ -13,9 +13,12 @@
 
     Compilation (variable numbering, atom/comparison lowering) is split
     from execution so a solver session can compile each constraint once
-    and evaluate the plan over thousands of worlds: the entry points
-    below take the reusable plan, except the one-shot {!eval} and
-    {!count_matches}. *)
+    and evaluate the plan over thousands of worlds. The entry points
+    below take an {!type-evaluator} over the plan, except the one-shot
+    {!eval} and {!count_matches}: it keeps one prepared
+    {!Relational.Source.probe} and one scratch key array per (positive
+    atom, set of bound positions), so after the first world a probe
+    resolves no index and builds no key. *)
 
 type compiled
 (** A compiled conjunctive-query body: variables numbered, atoms and
@@ -25,6 +28,16 @@ type compiled
 
 val compile : Cq.t -> compiled
 
+type evaluator
+(** A plan plus its prepared probes. The probes belong to one source at
+    a time: evaluating over a different source (compared physically)
+    re-prepares them, so keep one evaluator per source, e.g. per engine
+    worker and store. Mutable and not domain-safe — unlike the plan,
+    which engine workers share, each worker needs its own. Not
+    re-entrant: do not evaluate with it from inside its own callback. *)
+
+val evaluator : compiled -> evaluator
+
 val has_negation : compiled -> bool
 (** The body contains negated atoms — evaluating it is not monotone in
     the source, so delta seeding ({!run_delta}) is unsound for it. *)
@@ -33,12 +46,12 @@ val positive_relations : compiled -> string list
 (** Relation of each positive atom, in atom order (with duplicates). *)
 
 val find_witness :
-  Relational.Source.t -> compiled -> (string * Relational.Value.t) list option
+  Relational.Source.t -> evaluator -> (string * Relational.Value.t) list option
 (** A satisfying assignment, as variable bindings in [q.vars] order. *)
 
 val iter_matches :
   Relational.Source.t ->
-  compiled ->
+  evaluator ->
   (Relational.Value.t array ->
   (string * Relational.Tuple.t) list ->
   [ `Continue | `Stop ]) ->
@@ -50,7 +63,7 @@ val iter_matches :
 
 val run_delta :
   Relational.Source.t ->
-  compiled ->
+  evaluator ->
   delta:(string -> Relational.Tuple.t list) ->
   (Relational.Value.t array ->
   (string * Relational.Tuple.t) list ->
@@ -72,7 +85,7 @@ val run_delta :
     must deduplicate assignments. *)
 
 val aggregate_value :
-  Relational.Source.t -> compiled -> Query.aggregate -> Relational.Value.t option
+  Relational.Source.t -> evaluator -> Query.aggregate -> Relational.Value.t option
 (** [α(B)] where [B] is the bag of [h(x̄)] over all satisfying
     assignments of the precompiled body ([compile a.body]); [None] when
     the bag is empty. *)
@@ -93,7 +106,7 @@ val eval : Relational.Source.t -> Query.t -> bool
 (** Full denial-constraint body evaluation over one world. For aggregates
     an empty bag makes the comparison false (footnote 9 semantics). *)
 
-val eval_compiled : Relational.Source.t -> Query.t -> compiled -> bool
+val eval_compiled : Relational.Source.t -> Query.t -> evaluator -> bool
 (** Same, over the precompiled body of [q] (its CQ part: the boolean body
     or the aggregate's body). *)
 

@@ -48,19 +48,32 @@ let first_violation src cs = List.find_map (check_one src) cs
 let satisfies src cs = Option.is_none (first_violation src cs)
 let violations src cs = List.filter_map (check_one src) cs
 
-let fd_conflict (src : Source.t) (f : Constr.fd) (t : Tuple.t) =
-  let binds = List.map (fun col -> (col, t.(col))) f.Constr.lhs in
-  let rhs = Tuple.project t f.Constr.rhs in
-  src.Source.lookup f.Constr.frel binds
-  |> Seq.find (fun t' -> not (Tuple.equal (Tuple.project t' f.Constr.rhs) rhs))
+exception Conflict of Tuple.t
+exception Supported
 
-let ind_supported (src : Source.t) (i : Constr.ind) (t : Tuple.t) =
-  let binds =
-    List.map2
-      (fun sup_col sub_col -> (sup_col, t.(sub_col)))
-      i.Constr.sup_attrs i.Constr.sub_attrs
+let fd_conflict (src : Source.t) (f : Constr.fd) =
+  let probe =
+    Source.probe_from src f.Constr.frel ~cols:f.Constr.lhs ~from:f.Constr.lhs
   in
-  not (Seq.is_empty (src.Source.lookup i.Constr.sup_rel binds))
+  fun (t : Tuple.t) ->
+    let rhs = Tuple.project t f.Constr.rhs in
+    try
+      probe t (fun t' ->
+          if not (Tuple.equal (Tuple.project t' f.Constr.rhs) rhs) then
+            raise_notrace (Conflict t'));
+      None
+    with Conflict t' -> Some t'
+
+let ind_supported (src : Source.t) (i : Constr.ind) =
+  let probe =
+    Source.probe_from src i.Constr.sup_rel ~cols:i.Constr.sup_attrs
+      ~from:i.Constr.sub_attrs
+  in
+  fun (t : Tuple.t) ->
+    try
+      probe t (fun _ -> raise_notrace Supported);
+      false
+    with Supported -> true
 
 let batch_consistent (src : Source.t) cs rows =
   let batch_of rel =
@@ -72,9 +85,10 @@ let batch_consistent (src : Source.t) cs rows =
     fresh = []
     ||
     let seen = Tuple.Tbl.create 16 in
+    let conflict = fd_conflict src f in
     List.for_all
       (fun t ->
-        if Option.is_some (fd_conflict src f t) then false
+        if Option.is_some (conflict t) then false
         else
           let lhs = Tuple.project t f.Constr.lhs in
           let rhs = Tuple.project t f.Constr.rhs in
@@ -94,10 +108,11 @@ let batch_consistent (src : Source.t) cs rows =
       (fun t ->
         Tuple.Tbl.replace fresh_sup (Tuple.project t i.Constr.sup_attrs) ())
       (batch_of i.Constr.sup_rel);
+    let supported = ind_supported src i in
     List.for_all
       (fun t ->
         Tuple.Tbl.mem fresh_sup (Tuple.project t i.Constr.sub_attrs)
-        || ind_supported src i t)
+        || supported t)
       fresh_sub
   in
   List.for_all

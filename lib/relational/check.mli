@@ -25,11 +25,13 @@ val violations : Source.t -> Constr.t list -> violation list
 val fd_conflict : Source.t -> Constr.fd -> Tuple.t -> Tuple.t option
 (** [fd_conflict src f t] is a visible tuple of [f.frel] agreeing with [t]
     on the lhs of [f] but differing on the rhs, if any. [t] itself need
-    not be visible. *)
+    not be visible. Partially applied to [src] and [f], it prepares one
+    probe (on first use) and reuses it for every tuple. *)
 
 val ind_supported : Source.t -> Constr.ind -> Tuple.t -> bool
 (** Whether a (hypothetical) sub-relation tuple's projection is present in
-    the visible sup relation. *)
+    the visible sup relation. Prepares its probe once per partial
+    application to [src] and [i], like {!fd_conflict}. *)
 
 val batch_consistent :
   Source.t -> Constr.t list -> (string * Tuple.t list) list -> bool

@@ -33,11 +33,6 @@ type dict = {
 
 type t = Ints of int_ba | Floats of float_ba | Dict of dict
 
-(* A probe value encoded against one column. [Knone] means the value
-   cannot occur in the column at all (wrong type for an unboxed column,
-   or absent from the dictionary), so any probe for it is empty. *)
-type key = Kint of int | Kfloat of float | Kcode of int | Knone
-
 let length = function
   | Ints a -> Bigarray.Array1.dim a
   | Floats a -> Bigarray.Array1.dim a
@@ -61,21 +56,14 @@ let get t row =
 
 let is_dict = function Dict _ -> true | Ints _ | Floats _ -> false
 
-let key t v =
+(* Can [v] occur in the column at all? False for the wrong type of an
+   unboxed column and for a value absent from the dictionary: a probe
+   for it is empty. *)
+let admits t v =
   match (t, v) with
-  | Ints _, Value.Int i -> Kint i
-  | Floats _, Value.Float f -> Kfloat f
-  | Dict d, _ -> (
-      match Vtbl.find_opt d.by_value v with Some c -> Kcode c | None -> Knone)
-  | (Ints _ | Floats _), _ -> Knone
-
-let matches t row k =
-  match (t, k) with
-  | _, Knone -> false
-  | Ints a, Kint i -> Bigarray.Array1.unsafe_get a row = i
-  | Floats a, Kfloat f -> Float.compare (Bigarray.Array1.unsafe_get a row) f = 0
-  | Dict d, Kcode c -> code d row = c
-  | _ -> false
+  | Ints _, Value.Int _ | Floats _, Value.Float _ -> true
+  | Dict d, _ -> Vtbl.mem d.by_value v
+  | (Ints _ | Floats _), _ -> false
 
 (* [hash_at t row = Value.hash (get t row)] without boxing the value,
    so positional index builds hash exactly like probe keys do. *)

@@ -11,22 +11,15 @@ type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t
 
-type key = Kint of int | Kfloat of float | Kcode of int | Knone
-(** A probe value encoded against one column. [Knone] means the value
-    cannot occur in the column (wrong type for an unboxed column, or
-    absent from the dictionary): any probe for it is empty. *)
-
 val length : t -> int
 val get : t -> int -> Value.t
 val is_dict : t -> bool
 
-val key : t -> Value.t -> key
-(** Encode a probe value. O(1) for unboxed columns, one hash lookup for
-    dictionary columns. *)
-
-val matches : t -> int -> key -> bool
-(** [matches c row k] — does the row's value equal the encoded probe?
-    Always [false] for [Knone]. *)
+val admits : t -> Value.t -> bool
+(** Can the value occur in the column at all? [false] for the wrong type
+    of an unboxed column and for a value absent from the dictionary —
+    any probe for it is empty. O(1) for unboxed columns, one hash lookup
+    for dictionary columns. *)
 
 val hash_at : t -> int -> int
 (** [hash_at c row = Value.hash (get c row)], computed without boxing

@@ -99,19 +99,6 @@ let scan t name =
   | Some seg -> Seq.append (Segment.tuple_seq seg) (Relation.scan (relation t name))
   | None -> Relation.scan (relation t name)
 
-let lookup t name binds =
-  match binds with
-  | [] -> scan t name
-  | _ ->
-      let tail = Relation.lookup (relation t name) binds in
-      (match Smap.find_opt name t.segs with
-      | Some seg ->
-          let sl = Segment.lookup seg (List.map fst binds) binds in
-          Seq.append
-            (Seq.map (Segment.tuple seg) (Segment.slice_rows seg sl))
-            tail
-      | None -> tail)
-
 let mem t name tu =
   (match Smap.find_opt name t.segs with
   | Some seg -> Segment.mem seg tu
@@ -120,23 +107,37 @@ let mem t name tu =
 
 let cardinality t name = seg_len t name + Relation.cardinality (relation t name)
 
-let selectivity t name binds =
-  let tail = Relation.lookup_count_estimate (relation t name) binds in
-  match (binds, Smap.find_opt name t.segs) with
-  | [], Some seg -> Segment.length seg + tail
-  | _ :: _, Some seg ->
-      let sl = Segment.lookup seg (List.map fst binds) binds in
-      Segment.slice_count sl + tail
-  | _, None -> tail
+(* Segment matches first (descending position), then the tail's. *)
+let prepare t name cols =
+  let tail = Relation.prepare (relation t name) cols in
+  match Smap.find_opt name t.segs with
+  | None -> tail
+  | Some seg when Array.length cols = 0 ->
+      {
+        Source.count = (fun keys -> Segment.length seg + tail.Source.count keys);
+        iter =
+          (fun keys f ->
+            Seq.iter f (Segment.tuple_seq seg);
+            tail.Source.iter keys f);
+      }
+  | Some seg ->
+      let idx = Segment.index seg (Array.to_list cols) in
+      {
+        Source.count =
+          (fun keys -> Segment.probe_count seg idx keys + tail.Source.count keys);
+        iter =
+          (fun keys f ->
+            Segment.probe_iter seg idx keys f;
+            tail.Source.iter keys f);
+      }
 
 let source t =
   {
     Source.catalog = t.catalog;
     scan = scan t;
-    lookup = lookup t;
+    prepare = prepare t;
     mem = mem t;
     cardinality = cardinality t;
-    selectivity = selectivity t;
   }
 
 let pp ppf t =

@@ -77,26 +77,37 @@ let ensure_index r col =
       Hashtbl.replace r.indexes col idx;
       idx
 
-let matches binds (t : Tuple.t) =
-  List.for_all (fun (col, v) -> Value.equal t.(col) v) binds
-
-let lookup r binds =
-  match binds with
-  | [] -> scan r
-  | (col, v) :: rest ->
-      let idx = ensure_index r col in
-      let positions = Option.value (Vtbl.find_opt idx v) ~default:[] in
-      let tuples = r.tuples in
-      List.to_seq positions
-      |> Seq.map (fun i -> tuples.(i))
-      |> Seq.filter (matches rest)
-
-let lookup_count_estimate r binds =
-  match binds with
-  | [] -> r.len
-  | (col, v) :: _ ->
-      let idx = ensure_index r col in
-      List.length (Option.value (Vtbl.find_opt idx v) ~default:[])
+(* One access path over the tail: the index of the lowest bound column
+   (positions most recent first) filtered by the other bound columns. *)
+let prepare r cols =
+  if Array.length cols = 0 then
+    {
+      Source.count = (fun _ -> r.len);
+      iter =
+        (fun _ f ->
+          for i = 0 to r.len - 1 do
+            f r.tuples.(i)
+          done);
+    }
+  else
+    let idx = ensure_index r cols.(0) in
+    let positions keys =
+      match Vtbl.find idx keys.(0) with l -> l | exception Not_found -> []
+    in
+    let rec matches (t : Tuple.t) keys i =
+      i >= Array.length cols
+      || Value.equal t.(cols.(i)) keys.(i) && matches t keys (i + 1)
+    in
+    {
+      Source.count = (fun keys -> List.length (positions keys));
+      iter =
+        (fun keys f ->
+          List.iter
+            (fun i ->
+              let t = r.tuples.(i) in
+              if matches t keys 1 then f t)
+            (positions keys));
+    }
 
 let fold f r acc =
   let acc = ref acc in

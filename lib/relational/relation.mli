@@ -21,14 +21,13 @@ val insert : t -> Tuple.t -> bool
 val mem : t -> Tuple.t -> bool
 val scan : t -> Tuple.t Seq.t
 
-val lookup : t -> (int * Value.t) list -> Tuple.t Seq.t
-(** [lookup r binds] yields every tuple agreeing with all [(position,
-    value)] pairs in [binds], using (and if needed building) a hash index
-    on the first bound position. [lookup r []] is {!scan}. *)
-
-val lookup_count_estimate : t -> (int * Value.t) list -> int
-(** Upper bound on [lookup] result size from the index on the first bound
-    position; used by the query planner for join ordering. *)
+val prepare : t -> int array -> Source.probe
+(** The {!Source.probe} for the given strictly ascending bound columns:
+    it iterates the tuples agreeing with every key, most recent first,
+    through (and if needed builds) a hash index on the lowest bound
+    column; its count is that index's posting length, an upper bound.
+    Over no column it counts {!cardinality} and iterates in insertion
+    order. The handle stays valid across later inserts. *)
 
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit

@@ -6,12 +6,12 @@
    indexed columns in ascending order), so a probe key computed from
    boxed values lands in the same bucket as rows hashed positionally.
 
-   The permutation is built by an LSD radix sort (16-bit digits) seeded
-   with rows in descending order; the sort is stable, so rows with equal
-   hashes stay in descending position order — the ordering contract
-   [Tagged_store.lookup] exposes. Lookups binary-search the sorted hash
-   array; the resulting range is an upper bound (hash collisions), and
-   [slice_rows] filters collisions out by positional comparison. *)
+   The permutation is built by an LSD radix sort seeded with rows in
+   descending order; the sort is stable, so rows with equal hashes stay
+   in descending position order — the ordering contract the tagged
+   store's probes expose. Probes binary-search the sorted hash array;
+   the resulting range is an upper bound (hash collisions), and
+   [probe_iter] filters collisions out by positional comparison. *)
 
 type int_ba = Column.int_ba
 
@@ -22,9 +22,17 @@ type t = {
   n : int;
   icache : (int list, index) Hashtbl.t;  (* shared by all referents *)
   ilock : Mutex.t;  (* guards [icache]; indexes themselves are immutable *)
+  whole : index option Atomic.t;  (* the all-columns index, once built *)
 }
 
-let make cols n = { cols; n; icache = Hashtbl.create 8; ilock = Mutex.create () }
+let make cols n =
+  {
+    cols;
+    n;
+    icache = Hashtbl.create 8;
+    ilock = Mutex.create ();
+    whole = Atomic.make None;
+  }
 
 let length s = s.n
 let arity s = Array.length s.cols
@@ -41,57 +49,6 @@ let bytes s = Array.fold_left (fun acc c -> acc + Column.bytes c) 0 s.cols
 let dict_size s = Array.fold_left (fun acc c -> acc + Column.dict_size c) 0 s.cols
 
 (* ------------------------------------------------------------------ *)
-(* Probe keys *)
-
-(* Binds compiled against this segment's columns: kept in ascending
-   column order, with dictionary hit/miss counts from the encoding. *)
-type keys = {
-  kcols : int array;
-  kkeys : Column.key array;
-  khash : int;  (* projection hash; meaningless if [kempty] *)
-  kempty : bool;  (* some key is [Knone]: no row can match *)
-  dhits : int;
-  dmisses : int;
-}
-
-let compile s binds =
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) binds in
-  (* Collapse duplicate columns. Two different values bound to the same
-     column can never both hold, so the probe is empty. *)
-  let conflict = ref false in
-  let rec uniq = function
-    | (c1, v1) :: ((c2, v2) :: _ as rest) when c1 = c2 ->
-        if not (Value.equal v1 v2) then conflict := true;
-        uniq rest
-    | b :: rest -> b :: uniq rest
-    | [] -> []
-  in
-  let binds = uniq sorted in
-  let kcols = Array.of_list (List.map fst binds) in
-  let vals = Array.of_list (List.map snd binds) in
-  let kkeys = Array.map2 (fun c v -> Column.key s.cols.(c) v) kcols vals in
-  let kempty = !conflict || Array.exists (fun k -> k = Column.Knone) kkeys in
-  let dhits = ref 0 and dmisses = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if Column.is_dict s.cols.(c) then
-        match kkeys.(i) with
-        | Column.Knone -> incr dmisses
-        | _ -> incr dhits)
-    kcols;
-  let khash =
-    Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 vals land max_int
-  in
-  { kcols; kkeys; khash; kempty; dhits = !dhits; dmisses = !dmisses }
-
-let keys_match s k row =
-  let rec go i =
-    i >= Array.length k.kcols
-    || (Column.matches s.cols.(k.kcols.(i)) row k.kkeys.(i) && go (i + 1))
-  in
-  (not k.kempty) && go 0
-
-(* ------------------------------------------------------------------ *)
 (* Hash-permutation indexes *)
 
 let row_hash s icols row =
@@ -101,6 +58,14 @@ let row_hash s icols row =
     icols;
   !acc land max_int
 
+(* Radix digit width: about log2 n, within [8, 16]. Each pass clears and
+   prefix-sums [2^bits] counters, so a fixed 16-bit digit made every
+   build of a few thousand rows pay for 65,536 counters per pass. The
+   digit width changes the pass count, never the resulting order. *)
+let digit_bits n =
+  let rec bits b = if b >= 16 || 1 lsl b >= n then b else bits (b + 1) in
+  bits 8
+
 let build_index s icols =
   let n = s.n in
   let h = Array.init n (fun row -> row_hash s icols row) in
@@ -109,30 +74,33 @@ let build_index s icols =
   let perm = ref (Array.init n (fun k -> n - 1 - k)) in
   let scratch = ref (Array.make n 0) in
   let hmax = Array.fold_left max 0 (if n = 0 then [| 0 |] else h) in
-  let count = Array.make 0x10000 0 in
+  let bits = digit_bits n in
+  let radix = 1 lsl bits in
+  let mask = radix - 1 in
+  let count = Array.make radix 0 in
   let shift = ref 0 in
   while !shift < 63 && hmax lsr !shift > 0 do
-    Array.fill count 0 0x10000 0;
+    Array.fill count 0 radix 0;
     let src = !perm and dst = !scratch in
     for k = 0 to n - 1 do
-      let d = (h.(src.(k)) lsr !shift) land 0xffff in
+      let d = (h.(src.(k)) lsr !shift) land mask in
       count.(d) <- count.(d) + 1
     done;
     let acc = ref 0 in
-    for d = 0 to 0xffff do
+    for d = 0 to mask do
       let c = count.(d) in
       count.(d) <- !acc;
       acc := !acc + c
     done;
     for k = 0 to n - 1 do
       let row = src.(k) in
-      let d = (h.(row) lsr !shift) land 0xffff in
+      let d = (h.(row) lsr !shift) land mask in
       dst.(count.(d)) <- row;
       count.(d) <- count.(d) + 1
     done;
     perm := dst;
     scratch := src;
-    shift := !shift + 16
+    shift := !shift + bits
   done;
   let perm = !perm in
   let hashes_ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
@@ -162,69 +130,97 @@ let index s cols =
           Hashtbl.replace s.icache cols idx;
           idx)
 
+let index_order idx =
+  Array.init (Bigarray.Array1.dim idx.perm) (Bigarray.Array1.get idx.perm)
+
+(* The all-columns index, fetched once per segment: whole-tuple probes
+   ([find], [mem]) then skip the index cache's lock. *)
+let whole s =
+  match Atomic.get s.whole with
+  | Some idx -> idx
+  | None ->
+      let idx = index s (List.init (arity s) Fun.id) in
+      Atomic.set s.whole (Some idx);
+      idx
+
 (* ------------------------------------------------------------------ *)
-(* Lookups *)
+(* Value-array probes: [keys.(i)] is the value of column [icols.(i)]. *)
 
-type slice = { slo : int; shi : int; sidx : index; skeys : keys }
+let key_hash keys =
+  let acc = ref 17 in
+  for i = 0 to Array.length keys - 1 do
+    acc := (!acc * 31) + Value.hash (Array.unsafe_get keys i)
+  done;
+  !acc land max_int
 
-let empty_slice idx k = { slo = 0; shi = 0; sidx = idx; skeys = k }
+(* First k with hashes.(k) >= target (resp. > target when [strict]). *)
+let bound hashes target ~strict =
+  let lo = ref 0 and hi = ref (Bigarray.Array1.dim hashes) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let h = Bigarray.Array1.unsafe_get hashes mid in
+    if h < target || (strict && h = target) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let slice s idx (k : keys) =
-  if k.kempty then empty_slice idx k
-  else begin
-    let hashes = idx.hashes in
-    let n = Bigarray.Array1.dim hashes in
-    let target = k.khash in
-    (* lower bound: first k with hashes.(k) >= target *)
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Bigarray.Array1.unsafe_get hashes mid < target then lo := mid + 1
-      else hi := mid
-    done;
-    let first = !lo in
-    let lo = ref first and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Bigarray.Array1.unsafe_get hashes mid <= target then lo := mid + 1
-      else hi := mid
-    done;
-    ignore s;
-    { slo = first; shi = !lo; sidx = idx; skeys = k }
-  end
+let row_matches s idx keys row =
+  let icols = idx.icols in
+  let rec go i =
+    i >= Array.length icols
+    || Column.equal_at s.cols.(icols.(i)) row keys.(i) && go (i + 1)
+  in
+  go 0
 
 (* Upper bound: range width counts hash collisions too. Callers use it
    as a selectivity estimate, never as an exact cardinality. *)
-let slice_count sl = sl.shi - sl.slo
-
-let slice_rows s sl =
-  let perm = sl.sidx.perm in
-  let k = sl.skeys in
-  let rec go i () =
-    if i >= sl.shi then Seq.Nil
-    else
-      let row = Bigarray.Array1.unsafe_get perm i in
-      if keys_match s k row then Seq.Cons (row, go (i + 1)) else go (i + 1) ()
+let probe_count s idx keys =
+  let icols = idx.icols in
+  let rec admitted i =
+    i >= Array.length icols
+    || Column.admits s.cols.(icols.(i)) keys.(i) && admitted (i + 1)
   in
-  go sl.slo
-
-let dict_hits sl = (sl.skeys.dhits, sl.skeys.dmisses)
-
-let lookup s cols binds =
-  let idx = index s cols in
-  slice s idx (compile s binds)
-
-(* Whole-tuple membership via the all-columns index. *)
-let all_cols s = List.init (arity s) Fun.id
-
-let find s t =
-  if Array.length t <> arity s then Seq.empty
+  if not (admitted 0) then 0
   else
-    let binds = Array.to_list (Array.mapi (fun c v -> (c, v)) t) in
-    let sl = lookup s (all_cols s) binds in
-    slice_rows s sl
+    let target = key_hash keys in
+    bound idx.hashes target ~strict:true - bound idx.hashes target ~strict:false
 
-let mem s t = not (Seq.is_empty (find s t))
+let probe_iter s idx keys f =
+  let target = key_hash keys in
+  let first = bound idx.hashes target ~strict:false in
+  let last = bound idx.hashes target ~strict:true in
+  for k = first to last - 1 do
+    let row = Bigarray.Array1.unsafe_get idx.perm k in
+    if row_matches s idx keys row then f (tuple s row)
+  done
+
+let dict_probe s idx keys =
+  let hits = ref 0 and misses = ref 0 in
+  Array.iteri
+    (fun i c ->
+      let col = s.cols.(c) in
+      if Column.is_dict col then
+        if Column.admits col keys.(i) then incr hits else incr misses)
+    idx.icols;
+  (!hits, !misses)
+
+(* Whole-tuple membership via the all-columns index. Segments built from
+   relations are duplicate-free, so the first (highest) position is the
+   only one. *)
+let find s t =
+  if Array.length t <> arity s then -1
+  else
+    let idx = whole s in
+    let target = key_hash t in
+    let last = bound idx.hashes target ~strict:true in
+    let rec go k =
+      if k >= last then -1
+      else
+        let row = Bigarray.Array1.unsafe_get idx.perm k in
+        if row_matches s idx t row then row else go (k + 1)
+    in
+    go (bound idx.hashes target ~strict:false)
+
+let mem s t = find s t >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Building and bridging *)

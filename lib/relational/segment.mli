@@ -6,9 +6,9 @@
     scheme over the indexed columns in ascending order). The sort is a
     stable LSD radix sort seeded with rows in descending order, so rows
     with equal hashes stay in {e descending} position order — the
-    ordering contract the tagged store's [lookup] exposes. Probes
+    ordering contract the tagged store's probes expose. Probes
     binary-search the hash array; ranges over-approximate (collisions)
-    and {!slice_rows} filters the false positives out positionally. *)
+    and {!probe_iter} filters the false positives out positionally. *)
 
 type t
 
@@ -30,42 +30,36 @@ val bytes : t -> int
 val dict_size : t -> int
 (** Total interned dictionary values across columns. *)
 
-(** {2 Probing} *)
+(** {2 Probing}
 
-type keys
-(** Binds compiled against this segment's columns. *)
-
-val compile : t -> (int * Value.t) list -> keys
-val keys_match : t -> keys -> int -> bool
-(** [keys_match s k row] — positional equality on every bound column. *)
+    A probe passes one value per indexed column, in the index's
+    (ascending) column order, as a [Value.t array]: no bind list, no
+    encoded key record, no [Seq]. *)
 
 type index
 
 val index : t -> int list -> index
-(** Cached; built on first use under the segment's lock. The returned
+(** The index over the given columns (sorted and deduplicated first).
+    Cached; built on first use under the segment's lock. The returned
     index is immutable — memoize it per store for lock-free probing. *)
 
-type slice
+val probe_count : t -> index -> Value.t array -> int
+(** Upper bound on matching rows: the width of the probe hash's range,
+    collisions included, or 0 when some value cannot occur in its
+    column ({!Column.admits}). A selectivity estimate only. *)
 
-val slice : t -> index -> keys -> slice
+val probe_iter : t -> index -> Value.t array -> (Tuple.t -> unit) -> unit
+(** Calls [f] on exactly the matching rows, materialized, by descending
+    position. The keys are read while iterating: do not mutate them
+    until it returns. *)
 
-val slice_count : slice -> int
-(** Upper bound on matching rows (hash-range width, collisions
-    included). Use as a selectivity estimate only. *)
+val dict_probe : t -> index -> Value.t array -> int * int
+(** [(hits, misses)] over the probe's dictionary-encoded columns — a
+    miss means the value is absent from the column's dictionary. *)
 
-val slice_rows : t -> slice -> int Seq.t
-(** Exactly the matching row positions, descending. *)
-
-val dict_hits : slice -> int * int
-(** [(hits, misses)] of dictionary-encoded probe columns — a miss means
-    the probe value is absent from the column's dictionary. *)
-
-val lookup : t -> int list -> (int * Value.t) list -> slice
-(** [slice] over [index s cols] with [compile s binds]. *)
-
-val find : t -> Tuple.t -> int Seq.t
-(** Positions holding exactly this tuple (via the all-columns index),
-    descending. *)
+val find : t -> Tuple.t -> int
+(** The position holding exactly this tuple (via the all-columns index,
+    fetched once per segment), or [-1]. *)
 
 val mem : t -> Tuple.t -> bool
 
@@ -92,3 +86,9 @@ val serialize : Buffer.t -> t -> unit
 
 val deserialize : string -> int ref -> t
 (** Raises {!Column.Corrupt} on malformed input. *)
+
+(**/**)
+
+val index_order : index -> int array
+(** The index's row permutation: positions by ascending hash, ties by
+    descending position (testing). *)

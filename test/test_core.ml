@@ -159,7 +159,7 @@ let test_maximal_worlds () =
      (T3) = 4. *)
   let sum_u4 (src : R.Source.t) =
     (match Fixtures.parse {| q(sum(a)) :- TxOut(t, s, "U4Pk", a) | > 0. |} with
-    | Q.Query.Aggregate a -> Q.Eval.aggregate_value src (Q.Eval.compile a.Q.Query.body) a
+    | Q.Query.Aggregate a -> Q.Eval.aggregate_value src Q.Eval.(evaluator (compile a.Q.Query.body)) a
     | Q.Query.Boolean _ -> assert false)
     |> Option.value ~default:(R.Value.Int 0)
   in

@@ -22,6 +22,22 @@ let par_jobs =
   | Some s -> (try max 1 (int_of_string s) with _ -> 4)
   | None -> 4
 
+(* --- Worker cap --- *)
+
+(* Computed without starting a run, so no domain is spawned. *)
+let test_workers_cap () =
+  let check msg want got = Alcotest.(check int) msg want got in
+  check "jobs=4 on 2 cores" 2 (Engine.workers ~cores:2 4);
+  check "jobs=2 on 2 cores" 2 (Engine.workers ~cores:2 2);
+  check "jobs=4 on 1 core" 1 (Engine.workers ~cores:1 4);
+  check "jobs=3 on 8 cores" 3 (Engine.workers ~cores:8 3);
+  check "jobs=0 still runs one" 1 (Engine.workers ~cores:8 0);
+  check "negative jobs still run one" 1 (Engine.workers ~cores:8 (-5));
+  check "never more than 64" 64 (Engine.workers ~cores:256 1000);
+  check "defaults to the recommended domain count"
+    (min 1000 (min 64 (Domain.recommended_domain_count ())))
+    (Engine.workers 1000)
+
 (* --- Budget unit tests --- *)
 
 let test_budget_create () =
@@ -284,7 +300,7 @@ let test_replicate_raise_propagates jobs () =
   let replicate () = raise Boom in
   let release _ = incr released in
   let groups = [ [ [ 0 ] ]; [ [ 1 ] ] ] in
-  if jobs <= 1 then begin
+  if Engine.workers jobs <= 1 then begin
     (* A single worker evaluates on the primary store and never
        replicates, so a poisoned replicate is simply unused. *)
     let report = run_lists ~jobs ~store ~replicate ~release groups in
@@ -611,6 +627,9 @@ let () =
           Alcotest.test_case "deadline interrupt" `Quick
             test_budget_deadline_interrupt;
         ] );
+      ( "workers",
+        [ Alcotest.test_case "capped at the core count" `Quick test_workers_cap ]
+      );
       ( "generator",
         [ Alcotest.test_case "interrupt hook" `Quick test_generator_interrupt ]
       );

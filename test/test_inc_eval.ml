@@ -213,9 +213,9 @@ let grow rng state rows =
       if R.Database.insert state rel tuple then Some (rel, tuple) else None)
     (List.init rows Fun.id)
 
-let matches src c =
+let matches src ev =
   let acc = ref [] in
-  Q.Eval.iter_matches src c (fun values support ->
+  Q.Eval.iter_matches src ev (fun values support ->
       acc := (Array.copy values, support) :: !acc;
       `Continue);
   !acc
@@ -239,7 +239,7 @@ let entry_points_agree =
       let src = R.Database.source state in
       let q = parse qi in
       let body = Q.Eval.body_of q in
-      let c = Q.Eval.compile body in
+      let c = Q.Eval.evaluator (Q.Eval.compile body) in
       let bag = List.map fst (matches src c) in
       let witness_ok =
         match Q.Eval.find_witness src c with
@@ -274,16 +274,17 @@ let run_delta_semi_naive =
       R.Database.insert_all state [ node_row 0 "red"; edge_row 0 1 ];
       ignore (grow rng state (Random.State.int rng 10));
       let c = Q.Eval.compile (Q.Eval.body_of (parse qi)) in
-      let before = List.map fst (matches (R.Database.source state) c) in
+      let ev = Q.Eval.evaluator c in
+      let before = List.map fst (matches (R.Database.source state) ev) in
       let added = grow rng state (1 + Random.State.int rng 8) in
       let src = R.Database.source state in
-      let after = List.map fst (matches src c) in
+      let after = List.map fst (matches src ev) in
       let delta rel =
         List.filter_map (fun (r, t) -> if r = rel then Some t else None) added
       in
       let seeded = ref [] in
       let seeded_ok = ref true in
-      Q.Eval.run_delta src c ~delta (fun values support ->
+      Q.Eval.run_delta src ev ~delta (fun values support ->
           seeded := Array.copy values :: !seeded;
           if not (List.exists (fun rt -> List.mem rt added) support) then
             seeded_ok := false;
@@ -333,7 +334,7 @@ let eval_bool_differential =
           let current = Core.Tagged_store.world store in
           let reference =
             Q.Eval.eval_compiled (Core.Tagged_store.source store) q
-              (Core.Inc_eval.body plan)
+              (Q.Eval.evaluator (Core.Inc_eval.body plan))
           in
           let cached = Core.Inc_eval.eval_bool inc store in
           Bcgraph.Bitset.equal current (Core.Tagged_store.world store)
@@ -385,7 +386,7 @@ let precheck_union_view =
       Core.Tagged_store.all_visible store;
       let reference =
         Q.Eval.eval_compiled (Core.Tagged_store.source store) q
-          (Core.Inc_eval.body plan)
+          (Q.Eval.evaluator (Core.Inc_eval.body plan))
       in
       views_unmoved && solve_unmoved
       && matched = reference

@@ -323,6 +323,47 @@ let test_trace_validator_rejects_garbage () =
   | Ok _ -> Alcotest.fail "validator accepted an event without name/dur"
   | Error _ -> ()
 
+(* The store's probe counters fire through prepared probes, over a
+   generated Bitcoin-shaped economy. A traced cold precheck that
+   decides its query (the plan evaluated once over R ∪ T) probes a base
+   dictionary for a value it lacks; a traced cold solve the precheck
+   cannot decide records dictionary hits and misses and, evaluating
+   worlds, posting-visibility cache hits and misses. *)
+let test_probe_counters_fire () =
+  let module W = Workload in
+  let sim = W.Generator.generate (W.Datasets.params W.Datasets.Small) in
+  let db = W.Generator.dataset sim ~contradictions:5 () in
+  let query = W.Queries.instantiate sim (W.Queries.Qr 3) in
+  let traced () =
+    let obs = Obs.create () in
+    (obs, Core.Session.create ~obs db)
+  in
+  let obs, session = traced () in
+  let precheck_ev =
+    Core.Inc_eval.evaluator (Core.Session.plan session (query W.Queries.Satisfied))
+  in
+  let decided =
+    not
+      (Core.Inc_eval.eval_source precheck_ev
+         (Core.Tagged_store.union_source (Core.Session.store session)))
+  in
+  Obs.flush obs;
+  Alcotest.(check bool) "the precheck decides the satisfied query" true decided;
+  Alcotest.(check bool) "precheck: a dictionary miss" true
+    (Obs.counter obs "segment.dict_miss" > 0);
+  let obs, session = traced () in
+  (match Core.Dcsat.opt session (query W.Queries.Unsatisfied) with
+  | Ok o ->
+      Alcotest.(check bool) "violated" false o.Core.Dcsat.satisfied;
+      Alcotest.(check bool) "past the precheck" false
+        o.Core.Dcsat.stats.Core.Dcsat.precheck_decided
+  | Error r -> Alcotest.failf "opt refused: %a" Core.Dcsat.pp_refusal r);
+  Obs.flush obs;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " recorded") true (Obs.counter obs name > 0))
+    [ "segment.dict_hits"; "segment.dict_miss"; "store.vis_hit"; "store.vis_miss" ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -351,5 +392,10 @@ let () =
           QCheck_alcotest.to_alcotest random_dbs_counters_agree;
           Alcotest.test_case "tracing preserves outcomes" `Quick
             test_tracing_preserves_outcome;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "probe counters fire" `Quick
+            test_probe_counters_fire;
         ] );
     ]

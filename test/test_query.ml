@@ -203,7 +203,7 @@ let test_eval_witness () =
   let src = R.Database.source (eval_db ()) in
   match parse {| q() :- TxOut(t, s, "B", a). |} with
   | Q.Query.Boolean body -> (
-      match Q.Eval.find_witness src (Q.Eval.compile body) with
+      match Q.Eval.find_witness src Q.Eval.(evaluator (compile body)) with
       | Some bindings ->
           Alcotest.(check bool) "t bound" true
             (List.exists
@@ -344,7 +344,7 @@ let eval_matches_reference =
       in
       let src = R.Database.source db in
       let fast = ref [] in
-      Q.Eval.iter_matches src (Q.Eval.compile body) (fun values _ ->
+      Q.Eval.iter_matches src Q.Eval.(evaluator (compile body)) (fun values _ ->
           fast := Array.to_list values :: !fast;
           `Continue);
       List.sort compare !fast = reference_matches src body)

@@ -87,21 +87,31 @@ let test_relation_set_semantics () =
   Alcotest.(check int) "cardinality" 1 (R.Relation.cardinality r);
   Alcotest.(check bool) "mem" true (R.Relation.mem r t1)
 
+(* Every tuple a prepared probe yields, in its order. *)
+let probe_list (p : R.Source.probe) keys =
+  let acc = ref [] in
+  p.R.Source.iter keys (fun t -> acc := t :: !acc);
+  List.rev !acc
+
 let test_relation_lookup () =
   let r = R.Relation.create (R.Schema.relation "R" [ "a"; "b" ]) in
   for i = 1 to 100 do
     ignore (R.Relation.insert r (R.Tuple.make [ V.Int (i mod 10); V.Int i ]))
   done;
-  let hits = List.of_seq (R.Relation.lookup r [ (0, V.Int 3) ]) in
+  let on_a = R.Relation.prepare r [| 0 |] in
+  let hits = probe_list on_a [| V.Int 3 |] in
   Alcotest.(check int) "index lookup size" 10 (List.length hits);
   Alcotest.(check bool) "all match" true
     (List.for_all (fun t -> V.equal (R.Tuple.get t 0) (V.Int 3)) hits);
-  let narrowed = List.of_seq (R.Relation.lookup r [ (0, V.Int 3); (1, V.Int 13) ]) in
+  let narrowed =
+    probe_list (R.Relation.prepare r [| 0; 1 |]) [| V.Int 3; V.Int 13 |]
+  in
   Alcotest.(check int) "two binds" 1 (List.length narrowed);
-  (* Index stays correct across later inserts. *)
+  (* Index (and the probe prepared over it) stays correct across later
+     inserts. *)
   ignore (R.Relation.insert r (R.Tuple.make [ V.Int 3; V.Int 1000 ]));
   Alcotest.(check int) "incremental index" 11
-    (List.length (List.of_seq (R.Relation.lookup r [ (0, V.Int 3) ])))
+    (List.length (probe_list on_a [| V.Int 3 |]))
 
 let lookup_agrees_with_scan =
   QCheck.Test.make ~name:"lookup equals filtered scan" ~count:50
@@ -114,7 +124,7 @@ let lookup_agrees_with_scan =
       List.for_all
         (fun key ->
           let via_lookup =
-            List.of_seq (R.Relation.lookup r [ (0, V.Int key) ])
+            probe_list (R.Relation.prepare r [| 0 |]) [| V.Int key |]
             |> List.sort R.Tuple.compare
           in
           let via_scan =

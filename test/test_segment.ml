@@ -37,6 +37,12 @@ let relation_of rows =
 
 let sorted_list r = List.sort compare (R.Relation.to_list r)
 
+(* Every tuple a prepared source probe yields, in its order. *)
+let probe_list (s : R.Source.t) rel cols keys =
+  let acc = ref [] in
+  (s.R.Source.prepare rel cols).R.Source.iter keys (fun t -> acc := t :: !acc);
+  List.rev !acc
+
 let segment_relation_roundtrip =
   QCheck.Test.make ~name:"Segment.of_relation |> to_relation is identity"
     ~count:200 rows_arb (fun rows ->
@@ -73,13 +79,12 @@ let probe_agreement =
         |> List.sort compare
       in
       let got binds =
-        let slice =
-          R.Segment.lookup seg (List.map fst binds |> List.sort_uniq compare)
-            binds
-        in
-        R.Segment.slice_rows seg slice
-        |> Seq.map (R.Segment.tuple seg)
-        |> List.of_seq |> List.sort compare
+        let binds = List.sort compare binds in
+        let idx = R.Segment.index seg (List.map fst binds) in
+        let keys = Array.of_list (List.map snd binds) in
+        let acc = ref [] in
+        R.Segment.probe_iter seg idx keys (fun t -> acc := t :: !acc);
+        List.sort compare !acc
       in
       let probes =
         (match tuples with
@@ -93,6 +98,57 @@ let probe_agreement =
         @ [ [ (0, V.Str "never-interned") ]; [ (1, V.Int 123456) ] ]
       in
       List.for_all (fun binds -> expected binds = got binds) probes)
+
+(* Index permutations match a reference sort by (projection hash
+   ascending, position descending), whatever the segment size — the
+   radix digit width follows the row count, the order must not. Sizes
+   range over every digit width, values over unboxed and dictionary
+   columns. *)
+let index_order_prop =
+  QCheck.Test.make ~name:"Segment index order = sort by (hash, -position)"
+    ~count:40 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n =
+        match Random.State.int rng 4 with
+        | 0 -> Random.State.int rng 300
+        | 1 -> Random.State.int rng 5_000
+        | 2 -> 200 + Random.State.int rng 40_000
+        | _ -> 65_536 + Random.State.int rng 2_000
+      in
+      let spread = 1 + Random.State.int rng (max 1 n) in
+      let b = R.Segment.Builder.create ~arity:3 in
+      for _ = 1 to n do
+        R.Segment.Builder.add b
+          [|
+            V.Int (Random.State.int rng spread);
+            V.Str (Printf.sprintf "k%d" (Random.State.int rng 50));
+            (if Random.State.bool rng then V.Int (Random.State.int rng 7)
+             else V.Float 0.25);
+          |]
+      done;
+      let seg = R.Segment.Builder.finish b in
+      let cols =
+        match List.filter (fun _ -> Random.State.bool rng) [ 0; 1; 2 ] with
+        | [] -> [ Random.State.int rng 3 ]
+        | l -> l
+      in
+      let hash row =
+        List.fold_left
+          (fun acc c -> (acc * 31) + V.hash (R.Segment.get seg row c))
+          17 cols
+        land max_int
+      in
+      let hashes = Array.init n hash in
+      let reference =
+        List.sort
+          (fun a b ->
+            match Int.compare hashes.(a) hashes.(b) with
+            | 0 -> Int.compare b a
+            | c -> c)
+          (List.init n Fun.id)
+      in
+      Array.to_list (R.Segment.index_order (R.Segment.index seg cols)) = reference)
 
 (* ------------------------------------------------------------------ *)
 (* Row-built vs snapshot-restored databases must be indistinguishable
@@ -168,9 +224,8 @@ let test_row_columnar_store () =
         (fun t ->
           Alcotest.(check bool) (name ^ " mem agrees") true
             (src'.R.Source.mem name t);
-          let binds = [ (0, R.Tuple.get t 0) ] in
           let l (s : R.Source.t) =
-            s.R.Source.lookup name binds |> List.of_seq |> List.sort compare
+            probe_list s name [| 0 |] [| R.Tuple.get t 0 |] |> List.sort compare
           in
           Alcotest.(check bool) (name ^ " lookup agrees") true (l src = l src'))
         (sorted src))
@@ -218,8 +273,7 @@ let test_clone_cost () =
     (Core.Tagged_store.base_bytes store > 5_000_000);
   (* Warm one probe so lazily built structures don't bill to the clone. *)
   ignore
-    ((Core.Tagged_store.source store).R.Source.lookup "TxOut" [ (0, V.Int 0) ]
-    |> List.of_seq);
+    (probe_list (Core.Tagged_store.source store) "TxOut" [| 0 |] [| V.Int 0 |]);
   let before = Gc.allocated_bytes () in
   let clone = Core.Tagged_store.clone store in
   let allocated = Gc.allocated_bytes () -. before in
@@ -259,6 +313,7 @@ let () =
           QCheck_alcotest.to_alcotest segment_relation_roundtrip;
           QCheck_alcotest.to_alcotest segment_binary_roundtrip;
           QCheck_alcotest.to_alcotest probe_agreement;
+          QCheck_alcotest.to_alcotest index_order_prop;
         ] );
       ( "agreement",
         [

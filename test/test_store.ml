@@ -10,6 +10,15 @@ let abc = R.Schema.relation "Rel" [ "a"; "b" ]
 let cat = R.Schema.of_list [ abc ]
 let row a b = ("Rel", R.Tuple.make [ V.Int a; V.Int b ])
 
+(* Every tuple a prepared probe yields, in its order. *)
+let probe_order (p : R.Source.probe) keys =
+  let acc = ref [] in
+  p.R.Source.iter keys (fun t -> acc := t :: !acc);
+  List.rev !acc
+
+let probe_list (s : R.Source.t) rel cols keys =
+  probe_order (s.R.Source.prepare rel cols) keys
+
 let mk state pending =
   let db = R.Database.create cat in
   R.Database.insert_all db state;
@@ -53,7 +62,7 @@ let test_lookup_respects_visibility () =
   let store = Core.Tagged_store.create db in
   let src = Core.Tagged_store.source store in
   Core.Tagged_store.set_world_list store [ 1 ];
-  let hits = List.of_seq (src.R.Source.lookup "Rel" [ (0, V.Int 5) ]) in
+  let hits = probe_list src "Rel" [| 0 |] [| V.Int 5 |] in
   Alcotest.(check int) "lookup filtered" 2 (List.length hits);
   Alcotest.(check bool) "right tuples" true
     (List.for_all
@@ -103,7 +112,7 @@ let test_clone_independence () =
   Alcotest.(check int) "parent unchanged" 2 (count store);
   let lookup st a =
     let src = Core.Tagged_store.source st in
-    List.length (List.of_seq (src.R.Source.lookup "Rel" [ (0, V.Int a) ]))
+    List.length (probe_list src "Rel" [| 0 |] [| V.Int a |])
   in
   Alcotest.(check int) "clone lookup sees T1" 1 (lookup replica 3);
   Alcotest.(check int) "parent lookup does not" 0 (lookup store 3);
@@ -150,6 +159,241 @@ let store_scan_prop =
       in
       List.equal R.Tuple.equal got expected)
 
+(* ------------------------------------------------------------------ *)
+(* Prepared probes against reference filters. For every view, relation
+   and bound-column subset, [iter] must yield exactly the tuples a
+   filter over the view's scan yields — pending matches by descending
+   position, then base matches by descending position (a scan lists
+   base rows then pending entries, both ascending) — and [count] must
+   equal the estimate the store's join ordering has always used,
+   recomputed here from scratch. Handles are prepared once and must
+   stay right across [append_tx] and [undo]. *)
+
+let pair = R.Schema.relation "Pair" [ "a"; "b" ]
+let wide = R.Schema.relation "Wide" [ "a"; "b"; "c"; "d"; "e" ]
+let probe_cat = R.Schema.of_list [ pair; wide ]
+
+(* Per-column value pools: unboxed Int columns, dictionary columns, and
+   one mixed column. *)
+let col_value rng rel c =
+  let small () = Random.State.int rng 3 in
+  match (rel, c) with
+  | "Pair", 0 | "Wide", (0 | 2 | 3) -> V.Int (small ())
+  | "Pair", 1 | "Wide", 1 -> V.Str (Printf.sprintf "s%d" (small ()))
+  | _ ->
+      if Random.State.bool rng then V.Int (small ())
+      else V.Str (Printf.sprintf "s%d" (small ()))
+
+let random_row rng =
+  let schema = if Random.State.bool rng then pair else wide in
+  let name = schema.R.Schema.name in
+  (name, Array.init (R.Schema.arity schema) (col_value rng name))
+
+let subsets n =
+  List.init (1 lsl n) (fun mask ->
+      Array.of_list
+        (List.filter (fun c -> mask land (1 lsl c) <> 0) (List.init n Fun.id)))
+
+let project (t : R.Tuple.t) cols = Array.map (fun c -> t.(c)) cols
+
+let agrees cols keys (t : R.Tuple.t) =
+  let ok = ref true in
+  Array.iteri (fun i c -> if not (V.equal t.(c) keys.(i)) then ok := false) cols;
+  !ok
+
+let count_where p l = List.length (List.filter p l)
+
+(* The base segment's estimate: rows whose projection hashes like the
+   keys (collisions included), or 0 when a key cannot occur in its
+   column — the wrong type for an all-Int column, or a value missing
+   from a dictionary column. *)
+let hash_of vals =
+  Array.fold_left (fun acc v -> (acc * 31) + V.hash v) 17 vals land max_int
+
+let base_width rows cols keys =
+  let admits i c =
+    let vals = List.map (fun (t : R.Tuple.t) -> t.(c)) rows in
+    let all p = vals <> [] && List.for_all p vals in
+    if all (function V.Int _ -> true | _ -> false) then
+      match keys.(i) with V.Int _ -> true | _ -> false
+    else if all (function V.Float _ -> true | _ -> false) then
+      match keys.(i) with V.Float _ -> true | _ -> false
+    else List.exists (V.equal keys.(i)) vals
+  in
+  let ok = ref true in
+  Array.iteri (fun i c -> if not (admits i c) then ok := false) cols;
+  if not !ok then 0
+  else
+    let h = hash_of keys in
+    count_where (fun t -> hash_of (project t cols) = h) rows
+
+(* The estimate a store's probe must report (it ignores the view). *)
+let store_count ~base ~pending cols keys =
+  let n = Array.length cols in
+  if n = 0 then List.length base + List.length pending
+  else
+    let cols, keys =
+      if n > 3 then ([| cols.(0) |], [| keys.(0) |]) else (cols, keys)
+    in
+    count_where (agrees cols keys) pending + base_width base cols keys
+
+(* A plain database's: the tail's posting on the lowest bound column
+   plus the segment's width over every bound column. *)
+let database_count ~seg ~tail cols keys =
+  if Array.length cols = 0 then List.length seg + List.length tail
+  else
+    count_where (agrees [| cols.(0) |] [| keys.(0) |]) tail
+    + base_width seg cols keys
+
+let drop n l = List.filteri (fun i _ -> i >= n) l
+
+(* Key arrays for one column subset: projections of present tuples, and
+   values absent from every column (dictionary and type misses). *)
+let keys_for rng tuples cols =
+  let present = List.filteri (fun i _ -> i < 6) tuples in
+  let miss () =
+    Array.map
+      (fun _ ->
+        match Random.State.int rng 3 with
+        | 0 -> V.Int 99
+        | 1 -> V.Str "absent"
+        | _ -> V.Float 0.5)
+      cols
+  in
+  List.map (fun t -> project t cols) present @ [ miss (); miss () ]
+
+let store_probes_prop =
+  QCheck.Test.make ~name:"Tagged_store probes = reference filter, old estimate"
+    ~count:60 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let state = R.Database.create probe_cat in
+      List.iter
+        (fun _ ->
+          let rel, t = random_row rng in
+          ignore (R.Database.insert state rel t))
+        (List.init (Random.State.int rng 25) Fun.id);
+      let tx () = List.init (1 + Random.State.int rng 4) (fun _ -> random_row rng) in
+      let pending = List.init (1 + Random.State.int rng 5) (fun _ -> tx ()) in
+      let db = Core.Bcdb.create_exn ~state ~constraints:[] ~pending () in
+      let store = Core.Tagged_store.create db in
+      let k = Core.Tagged_store.tx_count store in
+      Core.Tagged_store.set_world_list store
+        (List.filter (fun _ -> Random.State.bool rng) (List.init k Fun.id));
+      let views =
+        [
+          Core.Tagged_store.source store;
+          Core.Tagged_store.union_source store;
+          Core.Tagged_store.base_source store;
+        ]
+      in
+      (* Every handle, prepared once up front. *)
+      let handles =
+        List.concat_map
+          (fun (src : R.Source.t) ->
+            List.concat_map
+              (fun (schema : R.Schema.relation) ->
+                let rel = schema.R.Schema.name in
+                List.map
+                  (fun cols -> (src, rel, cols, src.R.Source.prepare rel cols))
+                  (subsets (R.Schema.arity schema)))
+              [ pair; wide ])
+          views
+      in
+      let check () =
+        List.for_all
+          (fun ((src : R.Source.t), rel, cols, probe) ->
+            let scan (s : R.Source.t) = List.of_seq (s.R.Source.scan rel) in
+            let base = scan (Core.Tagged_store.base_source store) in
+            let nb = List.length base in
+            let pending_all = drop nb (scan (Core.Tagged_store.union_source store)) in
+            let visible = drop nb (scan src) in
+            let expected keys =
+              if Array.length cols = 0 then base @ visible
+              else
+                List.rev (List.filter (agrees cols keys) visible)
+                @ List.rev (List.filter (agrees cols keys) base)
+            in
+            src.R.Source.prepare rel cols == probe
+            && List.for_all
+                 (fun keys ->
+                   probe_order probe keys = expected keys
+                   && probe.R.Source.count keys
+                      = store_count ~base ~pending:pending_all cols keys)
+                 (keys_for rng (base @ pending_all) cols))
+          handles
+      in
+      let before = check () in
+      let db' = Core.Bcdb.with_pending db (tx ()) in
+      let journal = Core.Tagged_store.append_tx store db' in
+      let appended = check () in
+      Core.Tagged_store.set_world_list store
+        (k :: List.filter (fun _ -> Random.State.bool rng) (List.init k Fun.id));
+      let visible_new = check () in
+      Core.Tagged_store.undo store journal;
+      before && appended && visible_new && check ())
+
+let database_probes_prop =
+  QCheck.Test.make ~name:"Database probes = reference filter, old estimate"
+    ~count:60 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rows () =
+        List.init (Random.State.int rng 20) (fun _ -> random_row rng)
+      in
+      let of_rel rel l =
+        List.filter_map (fun (r, t) -> if r = rel then Some t else None) l
+      in
+      (* Half the relations' rows in an immutable segment, the rest in
+         the mutable tail. *)
+      let seg_rows = rows () in
+      let segs =
+        List.map
+          (fun (schema : R.Schema.relation) ->
+            let name = schema.R.Schema.name in
+            let r = R.Relation.create schema in
+            List.iter (fun t -> ignore (R.Relation.insert r t)) (of_rel name seg_rows);
+            (name, R.Segment.of_relation r))
+          [ pair; wide ]
+      in
+      let plain = R.Database.create probe_cat in
+      let columnar = R.Database.of_segments probe_cat segs in
+      let tail_rows = rows () in
+      R.Database.insert_all plain (seg_rows @ tail_rows);
+      R.Database.insert_all columnar tail_rows;
+      List.for_all
+        (fun (db, with_seg) ->
+          let src = R.Database.source db in
+          List.for_all
+            (fun (schema : R.Schema.relation) ->
+              let rel = schema.R.Schema.name in
+              let seg =
+                match (with_seg, R.Database.segment db rel) with
+                | true, Some s -> List.init (R.Segment.length s) (R.Segment.tuple s)
+                | _ -> []
+              in
+              let tail =
+                R.Relation.to_list (R.Database.relation db rel)
+              in
+              List.for_all
+                (fun cols ->
+                  let probe = src.R.Source.prepare rel cols in
+                  List.for_all
+                    (fun keys ->
+                      let expected =
+                        if Array.length cols = 0 then seg @ tail
+                        else
+                          List.rev (List.filter (agrees cols keys) seg)
+                          @ List.rev (List.filter (agrees cols keys) tail)
+                      in
+                      probe_order probe keys = expected
+                      && probe.R.Source.count keys
+                         = database_count ~seg ~tail cols keys)
+                    (keys_for rng (seg @ tail) cols))
+                (subsets (R.Schema.arity schema)))
+            [ pair; wide ])
+        [ (plain, false); (columnar, true) ])
+
 let () =
   Alcotest.run "store"
     [
@@ -162,5 +406,10 @@ let () =
           Alcotest.test_case "clone independence" `Quick
             test_clone_independence;
           QCheck_alcotest.to_alcotest store_scan_prop;
+        ] );
+      ( "probes",
+        [
+          QCheck_alcotest.to_alcotest store_probes_prop;
+          QCheck_alcotest.to_alcotest database_probes_prop;
         ] );
     ]
