@@ -3,7 +3,8 @@
 
    Usage: main.exe [--smoke] [section ...] where a section is one of
    table1 fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h datasize
-   parallel dense dense-groups evalbench serve ablation scenarios. With no arguments,
+   parallel dense dense-groups evalbench serve ablation scenarios
+   live-create. With no arguments,
    everything runs; `--smoke` alone runs the fixed CI subset,
    `--smoke SECTION...` runs the named sections scaled down. *)
 
@@ -123,10 +124,61 @@ let variant_name = function
   | Q.Satisfied -> "satisfied"
   | Q.Unsatisfied -> "unsatisfied"
 
+(* ------------------------------------------------------------------ *)
+(* Phase rows: one start-up path split into named phases, each timed
+   over repeats, with the host (nproc, OCaml version, git revision)
+   recorded next to the figures. Written to the results JSON under
+   "phase_rows", apart from the per-solve series. *)
+
+type phase_row = {
+  prow : string;
+  plabel : string;
+  px : int;
+  prepeats : int;
+  phases : (string * float array) list;  (* seconds, one per repeat *)
+}
+
+let phase_rows : phase_row list ref = ref []
+
+(* The checkout's revision, marked "+modified" when lib/, bin/ or
+   bench/ differ from it; "none" outside a git checkout. *)
+let git_rev () =
+  let run cmd =
+    let ic = Unix.open_process_in cmd in
+    let out = String.trim (In_channel.input_all ic) in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED code -> (code, out)
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (-1, out)
+  in
+  match run "git rev-parse HEAD 2>/dev/null" with
+  | 0, rev when rev <> "" ->
+      if fst (run "git diff --quiet HEAD -- lib bin bench 2>/dev/null") = 0
+      then rev
+      else rev ^ "+modified"
+  | _ -> "none"
+
+let phase_row_json (r : phase_row) =
+  let phase (name, samples) =
+    Printf.sprintf "%S: {\"min\": %.6f, \"median\": %.6f}" name
+      (W.Poisson.percentile samples 0.0)
+      (W.Poisson.percentile samples 0.5)
+  in
+  Printf.sprintf
+    "    {\"row\": %S, \"label\": %S, \"x\": %d, \"repeats\": %d, \
+     \"nproc\": %d, \"ocaml\": %S, \"git_rev\": %S, \"phases\": {%s}}"
+    r.prow r.plabel r.px r.prepeats
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (git_rev ())
+    (String.concat ", " (List.map phase r.phases))
+
+let phase_required_keys =
+  [ "\"label\":"; "\"x\":"; "\"repeats\":"; "\"nproc\":"; "\"ocaml\":";
+    "\"git_rev\":"; "\"phases\":"; "\"min\":"; "\"median\":" ]
+
 let write_bench_json path =
-  match !recorded with
-  | [] -> ()
-  | entries ->
+  match (!recorded, !phase_rows) with
+  | [], [] -> ()
+  | entries, prows ->
       let buf = Buffer.create 4096 in
       Buffer.add_string buf "{\n";
       Buffer.add_string buf
@@ -166,12 +218,15 @@ let write_bench_json path =
                   m.E.eval_full
                   m.E.eval_delta m.E.eval_delta_tuples m.E.eval_delta_ratio
                   m.E.base_bytes m.E.dict_hits));
+      Buffer.add_string buf "\n  ],\n  \"phase_rows\": [\n";
+      Buffer.add_string buf
+        (String.concat ",\n" (List.rev_map phase_row_json prows));
       Buffer.add_string buf "\n  ]\n}\n";
       let oc = open_out path in
       output_string oc (Buffer.contents buf);
       close_out oc;
       Printf.printf "\n[json] wrote %s (%d measurements)\n" path
-        (List.length entries)
+        (List.length entries + List.length prows)
 
 (* Schema smoke-check over a written results file: shape-validates the
    JSON the same way downstream tooling consumes it (one series object
@@ -204,7 +259,16 @@ let validate_bench_json path =
     if not (List.exists (fun l -> contains l "\"recommended_domains\":") lines)
     then err "%s: no recommended_domains field" path;
     let rows = List.filter (fun l -> contains l "{\"figure\":") lines in
-    if rows = [] then err "%s: no series rows" path;
+    let prows = List.filter (fun l -> contains l "{\"row\":") lines in
+    if rows = [] && prows = [] then err "%s: no series rows" path;
+    List.iteri
+      (fun i row ->
+        List.iter
+          (fun key ->
+            if not (contains row key) then
+              err "%s: phase row %d lacks %s" path i key)
+          phase_required_keys)
+      prows;
     List.iteri
       (fun i row ->
         List.iter
@@ -1349,6 +1413,145 @@ let servebench () =
     cache_speedup comp_ratio dirty_delta comps_total
 
 (* ------------------------------------------------------------------ *)
+(* Live.create's start-up phases on the serve-read economy (47 sweep
+   blocks plus 20 double spends, 1680 pending; 10 blocks at smoke
+   scale), loaded from a binary snapshot as `bcdb serve` loads it. Each
+   repeat loads the snapshot twice: one copy goes through Live.create
+   end to end ("total"), the other phase by phase, in Live.create's
+   order, so the phases reuse no segment index the end-to-end copy
+   built. "validity" is the one sweep of the store's prepared checker
+   that yields both node validity and includability. *)
+
+let live_create_take () = if !smoke_flag then 10 else 47
+
+let live_create_db () =
+  W.Generator.dataset (sim Sweep) ~pending_take:(live_create_take ())
+    ~contradictions:20 ()
+
+(* One consolidation transaction over [db]'s state: a TxIn row for each
+   of up to [inputs] unspent state outputs, then self-spent TxOut/TxIn
+   pairs (supported by the transaction's own rows) up to [inputs]
+   inputs, and one TxOut. Nothing bounds a transaction's row count —
+   `bcdb serve`'s add takes any — so start-up must stay linear in it. *)
+let consolidation (db : Core.Bcdb.t) ~inputs =
+  let module R = Relational in
+  let module V = R.Value in
+  let spent = Hashtbl.create 1024 in
+  let spend (t : R.Tuple.t) = Hashtbl.replace spent (t.(0), t.(1)) () in
+  R.Database.iter_tuples db.Core.Bcdb.state "TxIn" spend;
+  Array.iter
+    (fun (p : Core.Pending.t) ->
+      List.iter (fun (rel, t) -> if rel = "TxIn" then spend t) p.Core.Pending.rows)
+    db.Core.Bcdb.pending;
+  let unspent = ref [] and n_unspent = ref 0 in
+  R.Database.iter_tuples db.Core.Bcdb.state "TxOut" (fun t ->
+      if !n_unspent < inputs && not (Hashtbl.mem spent (t.(0), t.(1))) then begin
+        unspent := t :: !unspent;
+        incr n_unspent
+      end);
+  let txin prev_id prev_ser pk amount =
+    ("TxIn", R.Tuple.make [ prev_id; prev_ser; pk; amount; V.Str "CONSOLIDATE"; V.Str "sig" ])
+  in
+  let own =
+    List.concat
+      (List.init (inputs - !n_unspent) (fun k ->
+           [
+             ("TxOut", R.Tuple.make [ V.Str "CONSOLIDATE"; V.Int (k + 1); V.Str "pk"; V.Int 1 ]);
+             txin (V.Str "CONSOLIDATE") (V.Int (k + 1)) (V.Str "pk") (V.Int 1);
+           ]))
+  in
+  ("TxOut", R.Tuple.make [ V.Str "CONSOLIDATE"; V.Int 0; V.Str "pk"; V.Int 1 ])
+  :: List.rev_map (fun (t : R.Tuple.t) -> txin t.(0) t.(1) t.(2) t.(3)) !unspent
+  @ own
+
+let live_create_row ~label (db : Core.Bcdb.t) =
+  let path = Filename.temp_file "bcdb-live-create" ".snap" in
+  (match Core.Bcdb_file.save_binary path db with
+  | Ok () -> ()
+  | Error e -> failwith ("live-create: saving the snapshot: " ^ e));
+  let load () =
+    match Core.Bcdb_file.load_binary path with
+    | Ok db -> db
+    | Error e -> failwith ("live-create: loading the snapshot: " ^ e)
+  in
+  let timed f =
+    let t0 = Bcobs.Monotime.now () in
+    let r = f () in
+    (r, Bcobs.Monotime.elapsed ~since:t0)
+  in
+  let repeats = 5 in
+  let names =
+    [ "load"; "store"; "validity"; "fd_conflicts"; "ind_edges"; "digests"; "total" ]
+  in
+  let samples = List.map (fun n -> (n, Array.make repeats 0.0)) names in
+  let put name r v = (List.assoc name samples).(r) <- v in
+  for r = 0 to repeats - 1 do
+    Gc.compact ();
+    let db1, load_s = timed load in
+    put "load" r load_s;
+    put "total" r (snd (timed (fun () -> Core.Live.create db1)));
+    let db2 = load () in
+    Gc.compact ();
+    let store, store_s =
+      timed (fun () -> Core.Session.store (Core.Session.create db2))
+    in
+    put "store" r store_s;
+    let pending = db2.Core.Bcdb.pending in
+    let (node_ok, _), valid_s =
+      timed (fun () -> Core.Tagged_store.validity store)
+    in
+    put "validity" r valid_s;
+    put "fd_conflicts" r
+      (snd (timed (fun () -> ignore (Core.Fd_graph.build store ~node_ok))));
+    put "ind_edges" r
+      (snd (timed (fun () -> ignore (Core.Ind_graph.base_edges store))));
+    put "digests" r
+      (snd (timed (fun () -> ignore (Array.map Core.Live.tx_digest pending))))
+  done;
+  Sys.remove path;
+  let pending = Array.length db.Core.Bcdb.pending in
+  phase_rows :=
+    {
+      prow = "live-create";
+      plabel = label;
+      px = pending;
+      prepeats = repeats;
+      phases = samples;
+    }
+    :: !phase_rows;
+  E.print_table
+    ~title:
+      (Printf.sprintf "Live.create phases, %s: %d pending (%d repeats)" label
+         pending repeats)
+    ~columns:[ "phase"; "min"; "median" ]
+    ~rows:
+      (List.map
+         (fun (n, a) ->
+           [
+             n;
+             E.ms (W.Poisson.percentile a 0.0);
+             E.ms (W.Poisson.percentile a 0.5);
+           ])
+         samples)
+
+(* The serve-read economy as loaded, then with one consolidation
+   transaction of about 5,000 inputs (1,000 at smoke scale) pending. *)
+let live_create_bench () =
+  let db = live_create_db () in
+  let base = Printf.sprintf "sweep-%dblk" (live_create_take ()) in
+  live_create_row ~label:base db;
+  let inputs = if !smoke_flag then 1_000 else 5_000 in
+  let big = consolidation db ~inputs in
+  let db_big = Core.Bcdb.with_pending db ~label:"consolidation" big in
+  (* The row measures the whole check: every constraint holds. *)
+  let includable = Core.Session.includable (Core.Session.create db_big) in
+  if not includable.(Array.length includable - 1) then
+    fail "live-create: the consolidation transaction is not includable";
+  live_create_row
+    ~label:(Printf.sprintf "%s+consolidation-%drows" base (List.length big))
+    db_big
+
+(* ------------------------------------------------------------------ *)
 (* Smoke mode (--smoke): a minutes-scale subset that exercises the full
    record → JSON → validate pipeline. It writes to a scratch path (the
    committed BENCH_dcsat.json only comes from full runs) but
@@ -1417,6 +1620,40 @@ let alloc_gate ~pairs =
       "smoke: dense-%dp NaiveDCSat allocated %.1f minor words per world \
        (bound %.1f = %.0f + 25%%)"
       pairs per_world bound alloc_words_per_world
+
+(* Allocation gate: minor words per pending transaction of the validity
+   pass — the one sweep of the store's prepared checker that gives node
+   validity and includability — forced through a fresh session as
+   Live.create forces it, over the smoke-scale serve-read economy
+   (live-create's database). The count is deterministic, so the bound is
+   the figure measured when the gate was set plus 25% (178 words per
+   transaction, the checker's preparation and its segment indexes
+   included; 2424 for the per-transaction batch checks it replaced): a
+   pass that builds lists, tables or probes per transaction again fails
+   it. *)
+let validity_words_per_tx = 178.0
+
+let validity_alloc_gate () =
+  let db = live_create_db () in
+  let sess = Core.Session.create db in
+  let k = Array.length db.Core.Bcdb.pending in
+  let before = Gc.minor_words () in
+  let includable = Core.Session.includable sess in
+  let words = Gc.minor_words () -. before in
+  let per_tx = words /. float_of_int k in
+  let bound = validity_words_per_tx *. 1.25 in
+  Printf.printf
+    "[smoke] validity pass over %d pending: %.1f minor words per transaction \
+     (bound %.1f)\n%!"
+    k per_tx bound;
+  if Array.length includable <> k then
+    fail "smoke: the validity pass judged %d of %d transactions"
+      (Array.length includable) k;
+  if per_tx > bound then
+    fail
+      "smoke: the validity pass allocated %.1f minor words per pending \
+       transaction (bound %.1f = %.0f + 25%%)"
+      per_tx bound validity_words_per_tx
 
 (* Count gate: a solve the precheck decides never switches the store's
    world — not to R ∪ T, and so not back either. *)
@@ -1505,6 +1742,8 @@ let smoke () =
   dense_groups ();
   epoch_switch_gate ~pairs:dpairs;
   alloc_gate ~pairs:dpairs;
+  validity_alloc_gate ();
+  live_create_bench ();
   precheck_switch_gate sess (Q.instantiate s (Q.Qp 3) Q.Satisfied);
   (* Scenario library: every named instance must meet its scripted
      expectation and keep its verdict across a binary snapshot
@@ -1535,6 +1774,7 @@ let sections =
     ("serve", servebench);
     ("ablation", ablation);
     ("scenarios", scenarios_section);
+    ("live-create", live_create_bench);
   ]
 
 let write_and_validate_trace () =
@@ -1552,7 +1792,8 @@ let write_and_validate_trace () =
 let finish_with ~json_path ~check_committed =
   write_bench_json json_path;
   let errors =
-    (if !recorded <> [] then validate_bench_json json_path else [])
+    (if !recorded <> [] || !phase_rows <> [] then validate_bench_json json_path
+     else [])
     @ write_and_validate_trace ()
     @
     if check_committed && Sys.file_exists bench_json_path then

@@ -60,6 +60,8 @@ let with_pending t ?label rows =
   let tx = Pending.make ~id ?label rows in
   { t with pending = Array.append t.pending [| tx |] }
 
+let with_state t state = { t with state }
+
 let remove_pending ?state t id =
   let n = Array.length t.pending in
   if id < 0 || id >= n then invalid_arg "Bcdb.remove_pending: no such transaction";
@@ -75,14 +77,9 @@ let append_to_state t id =
   if id < 0 || id >= Array.length t.pending then Error "no such transaction"
   else
     let tx = t.pending.(id) in
-    let grouped =
-      List.map (fun rel -> (rel, Pending.rows_for tx rel)) (Pending.relations tx)
-    in
-    if
-      not
-        (R.Check.batch_consistent (R.Database.source t.state) t.constraints
-           grouped)
-    then Error "appending this transaction would violate the constraints"
+    let checker = R.Check.checker (R.Database.source t.state) t.constraints in
+    if R.Check.outcome checker tx.Pending.rows <> R.Check.Satisfied then
+      Error "appending this transaction would violate the constraints"
     else begin
       let state = R.Database.copy t.state in
       R.Database.insert_all state tx.Pending.rows;

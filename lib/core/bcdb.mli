@@ -59,6 +59,13 @@ val with_pending :
     transaction, Example 4). The state and existing transactions are
     shared. *)
 
+val with_state : t -> Relational.Database.t -> t
+(** [with_state t state] replaces the state and keeps the constraints
+    and the pending transactions as they are — unchecked, like
+    {!create_unchecked}. For a re-encoding of the same state (or a
+    trusted extension of it) that leaves every pending transaction and
+    its id in place. *)
+
 val remove_pending : ?state:Relational.Database.t -> t -> int -> t
 (** [remove_pending t id] drops pending transaction [id]; later ids
     shift down by one, labels and rows are kept. [state] (default: [t]'s)

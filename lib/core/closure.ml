@@ -6,7 +6,8 @@ let run store ~constraints ~candidates =
   let k = Tagged_store.tx_count store in
   let included = Bitset.create k in
   Tagged_store.set_world store included;
-  let src = Tagged_store.source store in
+  let checker = R.Check.checker (Tagged_store.source store) constraints in
+  let pending = (Tagged_store.db store).Bcdb.pending in
   let remaining = ref (Bitset.to_list candidates) in
   let progress = ref true in
   while !progress && !remaining <> [] do
@@ -14,8 +15,10 @@ let run store ~constraints ~candidates =
     remaining :=
       List.filter
         (fun id ->
-          let rows = Tagged_store.tx_rows store id in
-          if R.Check.batch_consistent src constraints rows then begin
+          if
+            R.Check.outcome checker pending.(id).Pending.rows
+            = R.Check.Satisfied
+          then begin
             Bitset.add included id;
             Tagged_store.set_world store included;
             progress := true;

@@ -30,23 +30,8 @@ let conflicts_on_fd session id rows =
     (Bcdb.fds db)
 
 let includable_from_base session rows =
-  let store = Session.store session in
-  let db = Session.db session in
-  let saved = Tagged_store.world store in
-  Tagged_store.base_only store;
-  let grouped =
-    List.fold_left
-      (fun acc (rel, tuple) ->
-        let prev = Option.value (List.assoc_opt rel acc) ~default:[] in
-        (rel, tuple :: prev) :: List.remove_assoc rel acc)
-      [] rows
-  in
-  let ok =
-    R.Check.batch_consistent (Tagged_store.source store) db.Bcdb.constraints
-      grouped
-  in
-  Tagged_store.set_world store saved;
-  ok
+  R.Check.outcome (Tagged_store.checker (Session.store session)) rows
+  = R.Check.Satisfied
 
 (* Candidate rhs values to rename: for each fd over a relation the target
    touches, each row's value at an rhs position outside the lhs. *)

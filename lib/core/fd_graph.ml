@@ -51,12 +51,6 @@ let invalidate g ~node_ok =
           List.filter (fun (a, b) -> node_ok.(a) && node_ok.(b)) g.conflicts;
       }
 
-let node_valid store id =
-  let db = Tagged_store.db store in
-  R.Check.batch_consistent (Tagged_store.base_source store)
-    (List.map (fun f -> R.Constr.Fd f) (Bcdb.fds db))
-    (Tagged_store.tx_rows store id)
-
 (* Pending transactions whose rows collide with transaction [id] on some
    fd (same lhs projection, different rhs), found through the store's
    indexes over R ∪ T. *)
@@ -93,12 +87,11 @@ let valid_mask node_ok =
   Array.iteri (fun i ok -> if ok then Bitset.add mask i) node_ok;
   mask
 
-let extend g store =
+let extend g store ~valid:ok =
   let k = Tagged_store.tx_count store in
   let id = k - 1 in
   if Array.length g.node_ok <> id then
     invalid_arg "Fd_graph.extend: store is not one transaction ahead";
-  let ok = node_valid store id in
   let conflicting = conflicts_of store id in
   let graph = Undirected.extend g.graph 1 in
   let node_ok = Array.append g.node_ok [| ok |] in
@@ -117,13 +110,12 @@ let extend g store =
   in
   { graph; node_ok; conflicts }
 
-let build store =
+let build store ~node_ok =
   let db = Tagged_store.db store in
   let fds = Bcdb.fds db in
   let k = Tagged_store.tx_count store in
-  (* Node validity: R ∪ T_i satisfies the fds, read through the fixed
-     [R] view without switching the store's world. *)
-  let node_ok = Array.init k (node_valid store) in
+  if Array.length node_ok <> k then
+    invalid_arg "Fd_graph.build: node_ok length mismatch";
   (* Pairwise conflicts: bucket pending rows by fd-lhs projection. *)
   let conflict = Hashtbl.create 64 in
   let record i j =

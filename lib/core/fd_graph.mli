@@ -25,13 +25,12 @@ type t = private {
   conflicts : (int * int) list;  (** Conflicting valid pairs found. *)
 }
 
-val build : Tagged_store.t -> t
-val conflict_count : t -> int
+val build : Tagged_store.t -> node_ok:bool array -> t
+(** [node_ok] is the nodes' fd validity, the first half of
+    {!Tagged_store.validity} ({!Session} sweeps it together with
+    includability). *)
 
-val node_valid : Tagged_store.t -> int -> bool
-(** [R ∪ T_id |= I_fd], checked through the store's indexes over the
-    base state alone ({!Tagged_store.base_source}: the active world is
-    not switched). What {!build} computes for every node at once. *)
+val conflict_count : t -> int
 
 val remove : t -> int -> t
 (** [remove g j] drops node [j] and densely re-ids the survivors (ids
@@ -48,12 +47,14 @@ val invalidate : t -> node_ok:bool array -> t
     so a [node_ok] naming a node [g] has invalid raises
     [Invalid_argument]. *)
 
-val extend : t -> Tagged_store.t -> t
-(** [extend g store] incrementally adds the store's newest transaction
-    (id = [tx_count - 1]) as one more node: its validity and its
-    conflicts against the other pending transactions are found through
-    the store's indexes ({!Tagged_store.union_source}, no world switch),
-    without re-examining existing pairs; existing rows are copied a word
-    at a time. The new row is defined as in {!build}: the valid-node
-    mask minus the new node's rivals. The steady-state maintenance of
-    Section 6.3. *)
+val extend : t -> Tagged_store.t -> valid:bool -> t
+(** [extend g store ~valid] incrementally adds the store's newest
+    transaction (id = [tx_count - 1]) as one more node, valid iff
+    [valid] (its {!Relational.Check.outcome} on {!Tagged_store.checker}
+    is not [Fd_violated]). Its conflicts against the other pending
+    transactions are found through the store's indexes
+    ({!Tagged_store.union_source}, no world switch), without
+    re-examining existing pairs; existing rows are copied a word at a
+    time. The new row is defined as in {!build}: the valid-node mask
+    minus the new node's rivals. The steady-state maintenance of Section
+    6.3. *)

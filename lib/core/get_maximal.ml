@@ -81,8 +81,15 @@ let propagate store inds ids =
 
 let run store candidates =
   match Bitset.to_list candidates with
-  | [ i ] when not (Fd_graph.node_valid store i) ->
-      Bitset.create (Tagged_store.tx_count store)
+  | [ i ] ->
+      (* A singleton may be an isolated invalid node: it is its own world
+         iff [R ∪ T_i |= I]. *)
+      let world = Bitset.create (Tagged_store.tx_count store) in
+      let tx = (Tagged_store.db store).Bcdb.pending.(i) in
+      (match R.Check.outcome (Tagged_store.checker store) tx.Pending.rows with
+      | R.Check.Satisfied -> Bitset.add world i
+      | R.Check.Fd_violated | R.Check.Ind_violated -> ());
+      world
   | ids -> (
       match Bcdb.inds (Tagged_store.db store) with
       | [] -> Bitset.copy candidates

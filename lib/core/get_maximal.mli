@@ -13,7 +13,9 @@
     members holds valid nodes only, and every fd violation involves two
     tuples, which node validity (against [R]) or the clique's edges
     (between members) rule out. Only a singleton [{i}] may be an
-    isolated invalid node; it is kept iff {!Fd_graph.node_valid}.
+    isolated invalid node; it is kept iff its
+    {!Relational.Check.outcome} on {!Tagged_store.checker} is
+    [Satisfied].
 
     {b Cost.} Without inds the world is the clique itself: O(|clique|).
     Otherwise the inds are propagated over the clique's own rows with

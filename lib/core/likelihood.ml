@@ -34,7 +34,7 @@ let repair session model proposal =
   let k = Tagged_store.tx_count store in
   let included = Bitset.create k in
   Tagged_store.set_world store included;
-  let src = Tagged_store.source store in
+  let checker = R.Check.checker (Tagged_store.source store) db.Bcdb.constraints in
   let remaining = ref order in
   let progress = ref true in
   while !progress && !remaining <> [] do
@@ -42,8 +42,10 @@ let repair session model proposal =
     remaining :=
       List.filter
         (fun id ->
-          let rows = Tagged_store.tx_rows store id in
-          if R.Check.batch_consistent src db.Bcdb.constraints rows then begin
+          if
+            R.Check.outcome checker db.Bcdb.pending.(id).Pending.rows
+            = R.Check.Satisfied
+          then begin
             Bitset.add included id;
             Tagged_store.set_world store included;
             progress := true;

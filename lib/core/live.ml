@@ -123,15 +123,8 @@ let compact_with state rows =
   R.Database.insert_all tmp rows;
   compact tmp
 
-let rebuild_db state db pending =
-  Bcdb.create_unchecked ~state ~constraints:db.Bcdb.constraints
-    ~pending:(List.map (fun tx -> tx.Pending.rows) pending)
-    ~labels:(List.map (fun tx -> tx.Pending.label) pending)
-    ()
-
 let create ?(obs = Obs.null) db =
-  let state = compact db.Bcdb.state in
-  let db = rebuild_db state db (Array.to_list db.Bcdb.pending) in
+  let db = Bcdb.with_state db (compact db.Bcdb.state) in
   let session = Session.create ~obs db in
   Session.warm session;
   {
@@ -178,9 +171,6 @@ let find t label =
   go 0
 
 let same_query q' q = q' == q || Stdlib.compare q' q = 0
-
-let grouped_rows tx =
-  List.map (fun rel -> (rel, Pending.rows_for tx rel)) (Pending.relations tx)
 
 (* Drop edges incident to [id] and re-pack ids above it — the edge-set
    mirror of [Bcdb.create_unchecked]'s dense re-identification. *)
@@ -233,17 +223,20 @@ let try_add t ?label rows =
       (* A permanent extension: the journal is deliberately dropped — the
          arrival is never rolled back (an eviction re-packs instead). *)
       ignore (Tagged_store.append_tx store db' : Tagged_store.journal);
-      let fd = span t "fd" (fun () -> Fd_graph.extend t.fd store) in
       (* The new transaction's ΘI edges, probed once and shared by the
          session's ΘI edge set and every tracked query's merge. *)
       let ind_new =
         span t "ind_edges" (fun () ->
             Ind_graph.edges_for_tx store (Q.Theta.of_inds (Bcdb.inds db')) id)
       in
-      let session' = Session.extended ~fd_graph:fd ~ind_edges:ind_new t.session in
+      (* The extension judges the arrival's validity and includability
+         once and adds its fd-graph node. *)
+      let session' =
+        span t "fd" (fun () -> Session.extended ~ind_edges:ind_new t.session)
+      in
       t.db <- db';
       t.session <- session';
-      t.fd <- fd;
+      t.fd <- Session.fd_graph session';
       t.ind_base <- Session.ind_base_edges session';
       t.includable <- Session.includable session';
       t.digests <- Array.append t.digests [| tx_digest db'.Bcdb.pending.(id) |];
@@ -309,27 +302,21 @@ let retrack_after_removal t id =
     t.tracked
 
 (* Node validity and includability against a {e grown} state: one
-   indexed batch check per survivor, through the plain database source
-   (the state is all-segment, so lookups hit segment indexes). Nodes
-   that turned invalid are isolated in [fd]; validity is never
-   regained, so no other edge changes. *)
+   sweep of a checker prepared on the new state's plain database source
+   (the state is all-segment, so its probes hit segment indexes, which
+   the store reload then shares). Nodes that turned invalid are
+   isolated in [fd]; validity is never regained, so no other edge
+   changes. *)
 let install_after_state_change t db' ~fd ~ind_base =
-  let src = R.Database.source db'.Bcdb.state in
-  let fd =
+  let fd, includable =
     span t "fd" (fun () ->
-        let fd_constraints = List.map (fun f -> R.Constr.Fd f) (Bcdb.fds db') in
-        Fd_graph.invalidate fd
-          ~node_ok:
-            (Array.map
-               (fun tx ->
-                 R.Check.batch_consistent src fd_constraints (grouped_rows tx))
-               db'.Bcdb.pending))
-  in
-  let includable =
-    Array.map
-      (fun tx ->
-        R.Check.batch_consistent src db'.Bcdb.constraints (grouped_rows tx))
-      db'.Bcdb.pending
+        let node_ok, includable =
+          R.Check.sweep
+            (R.Check.checker (R.Database.source db'.Bcdb.state)
+               db'.Bcdb.constraints)
+            (Array.map (fun (tx : Pending.t) -> tx.Pending.rows) db'.Bcdb.pending)
+        in
+        (Fd_graph.invalidate fd ~node_ok, includable))
   in
   let session' =
     span t "store" (fun () ->
@@ -394,8 +381,7 @@ let confirm t label =
       Ok ()
 
 let append_state t rows =
-  let state = compact_with t.db.Bcdb.state rows in
-  let db' = rebuild_db state t.db (Array.to_list t.db.Bcdb.pending) in
+  let db' = Bcdb.with_state t.db (compact_with t.db.Bcdb.state rows) in
   install_after_state_change t db' ~fd:t.fd ~ind_base:t.ind_base;
   t.epoch <- t.epoch + 1;
   (* Ids did not move and Θ edges ignore R: tracked components hold. *)
@@ -405,8 +391,7 @@ let append_state t rows =
 
 let reset t db =
   span t "reset" @@ fun () ->
-  let state = compact db.Bcdb.state in
-  let db' = rebuild_db state db (Array.to_list db.Bcdb.pending) in
+  let db' = Bcdb.with_state db (compact db.Bcdb.state) in
   let session' = Session.reseed t.session db' in
   Session.warm session';
   t.db <- db';

@@ -27,8 +27,9 @@
       for the component the node leaves (a removal can split nothing
       else); every other part is re-id'd and keeps its cached verdict.
     - {b confirm} ({!confirm}): the transaction's rows join [R], so node
-      validity and includability are recomputed per survivor (one
-      indexed probe each) and survivors that turned invalid are
+      validity and includability are recomputed for every survivor in
+      one sweep of a checker prepared on the new state
+      ({!Relational.Check.sweep}) and survivors that turned invalid are
       isolated ({!Fd_graph.invalidate}) in the word-shifted graph; the
       pairwise conflict relation and the ΘI edges depend only on
       pending rows and are reused re-id'd. The
@@ -114,6 +115,11 @@ val includable : t -> bool array
 val components : t -> Bcquery.Query.t -> int list list
 (** The ind-q components for [q], maintained incrementally once [q] has
     been seen (first call computes and starts tracking). *)
+
+val tx_digest : Pending.t -> string
+(** The content digest of one transaction's rows (order-independent)
+    that component signatures are built from; computed once per
+    transaction, at {!create} or on arrival. *)
 
 val cache_stats : t -> cache_stats
 (** Cumulative verdict-cache counters since {!create}. *)

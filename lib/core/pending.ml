@@ -29,17 +29,6 @@ let rows_for t rel =
     (fun (r, tuple) -> if String.equal r rel then Some tuple else None)
     t.rows
 
-let relations t =
-  let seen = Hashtbl.create 4 in
-  List.filter_map
-    (fun (r, _) ->
-      if Hashtbl.mem seen r then None
-      else begin
-        Hashtbl.replace seen r ();
-        Some r
-      end)
-    t.rows
-
 let size t = List.length t.rows
 
 let pp ppf t =

@@ -21,8 +21,5 @@ val reid : t -> int -> t
 val rows_for : t -> string -> Relational.Tuple.t list
 (** The tuples this transaction inserts into the named relation. *)
 
-val relations : t -> string list
-(** Distinct relation names touched, in first-occurrence order. *)
-
 val size : t -> int
 val pp : Format.formatter -> t -> unit

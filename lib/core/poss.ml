@@ -45,6 +45,8 @@ let generator store =
     done;
     set
   in
+  let db = Tagged_store.db store in
+  let checker = R.Check.checker (Tagged_store.source store) db.Bcdb.constraints in
   let visited = Hashtbl.create 256 in
   let frontier = Queue.create () in
   let to_emit = Queue.create () in
@@ -69,10 +71,10 @@ let generator store =
             (* One can-append step: the extended instance must satisfy I. *)
             let saved = Tagged_store.world store in
             Tagged_store.set_world store world;
-            let src = Tagged_store.source store in
-            let rows = Tagged_store.tx_rows store id in
-            let db = Tagged_store.db store in
-            let ok = R.Check.batch_consistent src db.Bcdb.constraints rows in
+            let ok =
+              R.Check.outcome checker db.Bcdb.pending.(id).Pending.rows
+              = R.Check.Satisfied
+            in
             Tagged_store.set_world store saved;
             if ok then visit next_bits
           end

@@ -30,21 +30,17 @@ type t = {
   components_lock : Mutex.t;
 }
 
-let compute_includable store constraints =
-  let saved = Tagged_store.world store in
-  Tagged_store.base_only store;
-  let src = Tagged_store.source store in
-  let result =
-    Array.init (Tagged_store.tx_count store) (fun id ->
-        R.Check.batch_consistent src constraints (Tagged_store.tx_rows store id))
-  in
-  Tagged_store.set_world store saved;
-  result
-
-let build_caches obs db store =
+(* Node validity and includability come from one sweep over the fixed
+   [R] view, shared by the two lazies: includability is validity plus
+   the inds, so the fd work is done once, and the active world is never
+   switched. *)
+let build_caches obs store =
+  let validity = lazy (Tagged_store.validity store) in
   {
     fd_graph =
-      lazy (Obs.span !obs ~cat:"session" "fd_graph" (fun () -> Fd_graph.build store));
+      lazy
+        (Obs.span !obs ~cat:"session" "fd_graph" (fun () ->
+             Fd_graph.build store ~node_ok:(fst (Lazy.force validity))));
     ind_base_edges =
       lazy
         (Obs.span !obs ~cat:"session" "ind_base_edges" (fun () ->
@@ -52,7 +48,7 @@ let build_caches obs db store =
     includable =
       lazy
         (Obs.span !obs ~cat:"session" "includable" (fun () ->
-             compute_includable store db.Bcdb.constraints));
+             snd (Lazy.force validity)));
   }
 
 let create ?(obs = Obs.null) db =
@@ -64,7 +60,7 @@ let create ?(obs = Obs.null) db =
     store;
     state_gen = R.Database.generation db.Bcdb.state;
     obs;
-    caches = build_caches obs db store;
+    caches = build_caches obs store;
     valid_lock = Mutex.create ();
     pool = ref [];
     pool_lock = Mutex.create ();
@@ -90,7 +86,7 @@ let revalidate t =
     if gen <> t.state_gen then begin
       let store = Tagged_store.create t.db in
       Tagged_store.set_obs store !(t.obs);
-      t.caches <- build_caches t.obs t.db store;
+      t.caches <- build_caches t.obs store;
       t.store <- store;
       t.state_gen <- gen;
       Mutex.lock t.pool_lock;
@@ -226,19 +222,25 @@ let return_replica t r =
     Mutex.unlock t.pool_lock
   end
 
-let extended ?fd_graph ?ind_edges t =
+let extended ?ind_edges t =
   let store = t.store in
   let db' = Tagged_store.db store in
   let id = Tagged_store.tx_count store - 1 in
   if Array.length db'.Bcdb.pending <> Array.length t.db.Bcdb.pending + 1 then
     invalid_arg "Session.extended: store is not one transaction ahead";
+  (* Structures the old session never forced are swept afresh, once. *)
+  let fresh = build_caches t.obs store in
+  let outcome =
+    lazy
+      (R.Check.outcome (Tagged_store.checker store)
+         db'.Bcdb.pending.(id).Pending.rows)
+  in
   let fd_graph =
-    match fd_graph with
-    | Some g -> Lazy.from_val g
-    | None ->
-        if Lazy.is_val t.caches.fd_graph then
-          Lazy.from_val (Fd_graph.extend (Lazy.force t.caches.fd_graph) store)
-        else lazy (Fd_graph.build store)
+    if Lazy.is_val t.caches.fd_graph then
+      Lazy.from_val
+        (Fd_graph.extend (Lazy.force t.caches.fd_graph) store
+           ~valid:(Lazy.force outcome <> R.Check.Fd_violated))
+    else fresh.fd_graph
   in
   let ind_base_edges =
     if Lazy.is_val t.caches.ind_base_edges then
@@ -251,20 +253,15 @@ let extended ?fd_graph ?ind_edges t =
             Ind_graph.edges_for_tx store
               (Bcquery.Theta.of_inds (Bcdb.inds db'))
               id)
-    else lazy (Ind_graph.base_edges store)
+    else fresh.ind_base_edges
   in
   let includable =
     if Lazy.is_val t.caches.includable then
       Lazy.from_val
         (Array.append
            (Lazy.force t.caches.includable)
-           [|
-             R.Check.batch_consistent
-               (Tagged_store.base_source store)
-               db'.Bcdb.constraints
-               (Tagged_store.tx_rows store id);
-           |])
-    else lazy (compute_includable store db'.Bcdb.constraints)
+           [| Lazy.force outcome = R.Check.Satisfied |])
+    else fresh.includable
   in
   {
     db = db';
@@ -291,7 +288,7 @@ let extended ?fd_graph ?ind_edges t =
 let reseed t ?fd_graph ?ind_base_edges ?includable db =
   let store = Tagged_store.create db in
   Tagged_store.set_obs store !(t.obs);
-  let fresh = build_caches t.obs db store in
+  let fresh = build_caches t.obs store in
   let seeded v fallback =
     match v with Some x -> Lazy.from_val x | None -> fallback
   in

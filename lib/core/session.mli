@@ -77,18 +77,18 @@ val return_replica : t -> Tagged_store.t -> unit
 (** Hand a borrowed replica back for reuse. Replicas whose database no
     longer matches the session's are silently dropped. *)
 
-val extended :
-  ?fd_graph:Fd_graph.t -> ?ind_edges:(int * int) list -> t -> t
+val extended : ?ind_edges:(int * int) list -> t -> t
 (** A session over the same store after the store has been extended with
     one hypothetical transaction ({!Tagged_store.append_tx}): every
     already-computed structure is updated incrementally (one new graph
     node, its edges found via indexes that never switch the store's
     world) instead of rebuilt. Used by {!Dry_run} and by {!Live} on
     transaction arrival; when the extension is rolled back, the extended
-    session must not outlive the rollback. A caller that already
-    extended the fd graph, or probed the new transaction's ΘI edges,
-    passes them as [fd_graph] / [ind_edges] instead of having them
-    recomputed. *)
+    session must not outlive the rollback. The new transaction's
+    validity and includability come from one
+    {!Relational.Check.outcome} on {!Tagged_store.checker}. A caller
+    that already probed its ΘI edges passes them as [ind_edges] instead
+    of having them recomputed. *)
 
 val reseed :
   t ->

@@ -82,6 +82,8 @@ type t = {
   mutable obs : Obs.t;
   mutable views : R.Source.t array;
       (* the [World], [Union] and [Base] sources, built once per store *)
+  mutable checker : R.Check.checker option;
+      (* the constraints prepared on the [Base] view, on first use *)
 }
 
 (* Every store — created or cloned — gets a fresh uid, so a
@@ -198,6 +200,7 @@ let create_store (db : Bcdb.t) =
     epoch = 0;
     obs = Obs.null;
     views = [||];
+    checker = None;
   }
 
 let clone_rel rs =
@@ -248,6 +251,7 @@ let clone_store t =
     epoch = t.epoch;
     obs = t.obs;
     views = [||];
+    checker = None;
   }
 
 let db t = t.db
@@ -571,11 +575,17 @@ let union_source t = t.views.(view_slot Union)
 let base_source t = t.views.(view_slot Base)
 let epoch t = t.epoch
 
-let tx_rows t id =
-  let tx = t.db.Bcdb.pending.(id) in
-  List.map
-    (fun rel -> (rel, Pending.rows_for tx rel))
-    (Pending.relations tx)
+let checker t =
+  match t.checker with
+  | Some c -> c
+  | None ->
+      let c = R.Check.checker (base_source t) t.db.Bcdb.constraints in
+      t.checker <- Some c;
+      c
+
+let validity t =
+  R.Check.sweep (checker t)
+    (Array.map (fun (tx : Pending.t) -> tx.Pending.rows) t.db.Bcdb.pending)
 
 let origins t name tuple =
   let rs = rel_store t name in

@@ -117,6 +117,19 @@ val base_source : t -> Relational.Source.t
     {!base_only}), with the same no-world-switch guarantee as
     {!union_source}. *)
 
+val checker : t -> Relational.Check.checker
+(** The database's constraints prepared on {!base_source} ([R] alone):
+    {!Relational.Check.outcome} of a transaction's rows is its node
+    validity and includability, read without switching the active
+    world. Built on first use and kept; the constraints and [R] never
+    change under {!append_tx}, so it outlives it. {!clone} starts
+    without one. *)
+
+val validity : t -> bool array * bool array
+(** [(node_ok, includable)]: per pending transaction, [R ∪ T_i |= I_fd]
+    and [R ∪ T_i |= I], both from one {!Relational.Check.sweep} of
+    {!checker}. The active world and its epoch are untouched. *)
+
 val epoch : t -> int
 (** Monotone stamp of the active world: bumped by every world switch
     that changes the visible set (and by {!undo}). Probes through
@@ -140,9 +153,6 @@ val world_delta : t -> prev:Bcgraph.Bitset.t -> world_delta
     the last switch). Transaction-level counts are computed eagerly in
     O(k / word_size); the added-tuple sets are lazy. Capacity of [prev]
     must equal {!tx_count}. *)
-
-val tx_rows : t -> int -> (string * Relational.Tuple.t list) list
-(** Rows of one pending transaction, grouped by relation. *)
 
 val origins : t -> string -> Relational.Tuple.t -> int list
 (** All origins of a tuple ([-1] is the base state); [[]] if the store

@@ -48,73 +48,195 @@ let first_violation src cs = List.find_map (check_one src) cs
 let satisfies src cs = Option.is_none (first_violation src cs)
 let violations src cs = List.filter_map (check_one src) cs
 
-exception Conflict of Tuple.t
+exception Conflict
 exception Supported
-
-let fd_conflict (src : Source.t) (f : Constr.fd) =
-  let probe =
-    Source.probe_from src f.Constr.frel ~cols:f.Constr.lhs ~from:f.Constr.lhs
-  in
-  fun (t : Tuple.t) ->
-    let rhs = Tuple.project t f.Constr.rhs in
-    try
-      probe t (fun t' ->
-          if not (Tuple.equal (Tuple.project t' f.Constr.rhs) rhs) then
-            raise_notrace (Conflict t'));
-      None
-    with Conflict t' -> Some t'
 
 let ind_supported (src : Source.t) (i : Constr.ind) =
   let probe =
     Source.probe_from src i.Constr.sup_rel ~cols:i.Constr.sup_attrs
       ~from:i.Constr.sub_attrs
   in
+  let on_match _ = raise_notrace Supported in
   fun (t : Tuple.t) ->
-    try
-      probe t (fun _ -> raise_notrace Supported);
-      false
-    with Supported -> true
+    match probe t on_match with () -> false | exception Supported -> true
 
-let batch_consistent (src : Source.t) cs rows =
-  let batch_of rel =
-    List.concat_map (fun (name, ts) -> if String.equal name rel then ts else [])
-      rows
+(* Whether [a] at positions [pa] equals [b] at positions [pb]. *)
+let rec agree (a : Tuple.t) pa (b : Tuple.t) pb i =
+  i >= Array.length pa
+  || (Value.equal a.(pa.(i)) b.(pb.(i)) && agree a pa b pb (i + 1))
+
+(* The batch's own rows, hashed in place on given columns: a scratch
+   open-addressing table that lives with the checker, is emptied by
+   bumping [gen] and grows only for a batch larger than any before it,
+   so one batch costs linear time and, once grown, allocates nothing. *)
+type scratch = {
+  mutable keys : Tuple.t array;
+  mutable stamp : int array;
+  mutable gen : int;
+}
+
+(* [Value.hash] boxes its tag pair; this one does not. Both agree with
+   [Value.equal], which is all the table needs. *)
+let hash_value : Value.t -> int = function
+  | Null -> 0
+  | Bool b -> if b then 1 else 2
+  | Int i -> Hashtbl.hash i
+  | Float f -> Hashtbl.hash f
+  | Str s -> Hashtbl.hash s
+
+let rec hash_at (t : Tuple.t) pos i h =
+  if i >= Array.length pos then h
+  else hash_at t pos (i + 1) ((h * 31) + hash_value t.(pos.(i)))
+
+(* Empty [s], with room for [n] keys at load at most 1/2. *)
+let reset s n =
+  if Array.length s.keys < 2 * n then begin
+    let cap = ref 16 in
+    while !cap < 2 * n do
+      cap := 2 * !cap
+    done;
+    s.keys <- Array.make !cap [||];
+    s.stamp <- Array.make !cap 0
+  end;
+  s.gen <- s.gen + 1
+
+(* The slot of the key that agrees at [kpos] with [t] at [pos], or the
+   empty slot where such a key goes. *)
+let rec probe_slot s kpos (t : Tuple.t) pos i =
+  if s.stamp.(i) <> s.gen || agree s.keys.(i) kpos t pos 0 then i
+  else probe_slot s kpos t pos ((i + 1) land (Array.length s.keys - 1))
+
+let slot s kpos t pos =
+  probe_slot s kpos t pos (hash_at t pos 0 17 land (Array.length s.keys - 1))
+
+let occupied s i = s.stamp.(i) = s.gen
+
+let fill s i t =
+  s.keys.(i) <- t;
+  s.stamp.(i) <- s.gen
+
+(* One constraint prepared against the source. [conflicts_base t]: a
+   visible tuple agrees with [t] on the lhs and not on the rhs;
+   [supported_base t]: a visible sup tuple matches [t]'s sub columns. *)
+type fd_check = {
+  frel : string;
+  lhs : int array;
+  rhs : int array;
+  conflicts_base : Tuple.t -> bool;
+}
+
+type ind_check = {
+  sub_rel : string;
+  sup_rel : string;
+  sub : int array;
+  sup : int array;
+  supported_base : Tuple.t -> bool;
+}
+
+type checker = {
+  fds : fd_check array;
+  inds : ind_check array;
+  scratch : scratch;
+}
+
+(* The probe's callback is built once and reads the tuple under test
+   from [cur], so a call allocates nothing. *)
+let fd_check src (f : Constr.fd) =
+  let rhs = Array.of_list f.Constr.rhs in
+  let probe =
+    Source.probe_from src f.Constr.frel ~cols:f.Constr.lhs ~from:f.Constr.lhs
   in
-  let fd_ok (f : Constr.fd) =
-    let fresh = batch_of f.Constr.frel in
-    fresh = []
-    ||
-    let seen = Tuple.Tbl.create 16 in
-    let conflict = fd_conflict src f in
-    List.for_all
+  let cur = ref [||] in
+  let on_match t' = if not (agree !cur rhs t' rhs 0) then raise_notrace Conflict in
+  {
+    frel = f.Constr.frel;
+    lhs = Array.of_list f.Constr.lhs;
+    rhs;
+    conflicts_base =
       (fun t ->
-        if Option.is_some (conflict t) then false
-        else
-          let lhs = Tuple.project t f.Constr.lhs in
-          let rhs = Tuple.project t f.Constr.rhs in
-          match Tuple.Tbl.find_opt seen lhs with
-          | Some rhs' -> Tuple.equal rhs rhs'
-          | None ->
-              Tuple.Tbl.replace seen lhs rhs;
-              true)
-      fresh
-  in
-  let ind_ok (i : Constr.ind) =
-    let fresh_sub = batch_of i.Constr.sub_rel in
-    fresh_sub = []
-    ||
-    let fresh_sup = Tuple.Tbl.create 16 in
-    List.iter
-      (fun t ->
-        Tuple.Tbl.replace fresh_sup (Tuple.project t i.Constr.sup_attrs) ())
-      (batch_of i.Constr.sup_rel);
-    let supported = ind_supported src i in
-    List.for_all
-      (fun t ->
-        Tuple.Tbl.mem fresh_sup (Tuple.project t i.Constr.sub_attrs)
-        || supported t)
-      fresh_sub
-  in
-  List.for_all
-    (function Constr.Fd f -> fd_ok f | Constr.Ind i -> ind_ok i)
-    cs
+        cur := t;
+        match probe t on_match with () -> false | exception Conflict -> true);
+  }
+
+let checker src cs =
+  {
+    fds = Array.of_list (List.map (fd_check src) (Constr.fds cs));
+    inds =
+      Array.of_list
+        (List.map
+           (fun (i : Constr.ind) ->
+             {
+               sub_rel = i.Constr.sub_rel;
+               sup_rel = i.Constr.sup_rel;
+               sub = Array.of_list i.Constr.sub_attrs;
+               sup = Array.of_list i.Constr.sup_attrs;
+               supported_base = ind_supported src i;
+             })
+           (Constr.inds cs));
+    scratch = { keys = [||]; stamp = [||]; gen = 0 };
+  }
+
+(* Each row of [c.frel] agrees on the rhs with the first batch row of
+   its lhs and meets no conflict in the source. *)
+let rec fd_holds s c = function
+  | [] -> true
+  | (rel, t) :: rest ->
+      (if not (String.equal rel c.frel) then true
+       else if c.conflicts_base t then false
+       else
+         let i = slot s c.lhs t c.lhs in
+         if occupied s i then agree t c.rhs s.keys.(i) c.rhs 0
+         else (
+           fill s i t;
+           true))
+      && fd_holds s c rest
+
+let rec add_sups s c = function
+  | [] -> ()
+  | (rel, t) :: rest ->
+      (if String.equal rel c.sup_rel then
+         let i = slot s c.sup t c.sup in
+         if not (occupied s i) then fill s i t);
+      add_sups s c rest
+
+let rec subs_supported s c = function
+  | [] -> true
+  | (rel, t) :: rest ->
+      ((not (String.equal rel c.sub_rel))
+      || occupied s (slot s c.sup t c.sub)
+      || c.supported_base t)
+      && subs_supported s c rest
+
+let rec fds_hold s n fds rows i =
+  i >= Array.length fds
+  || (reset s n;
+      fd_holds s fds.(i) rows)
+     && fds_hold s n fds rows (i + 1)
+
+let rec inds_hold s n inds rows i =
+  i >= Array.length inds
+  || (reset s n;
+      add_sups s inds.(i) rows;
+      subs_supported s inds.(i) rows)
+     && inds_hold s n inds rows (i + 1)
+
+type outcome = Fd_violated | Ind_violated | Satisfied
+
+let outcome c rows =
+  let n = List.length rows in
+  if not (fds_hold c.scratch n c.fds rows 0) then Fd_violated
+  else if not (inds_hold c.scratch n c.inds rows 0) then Ind_violated
+  else Satisfied
+
+let sweep c batches =
+  let n = Array.length batches in
+  let fd_ok = Array.make n false and ok = Array.make n false in
+  for i = 0 to n - 1 do
+    match outcome c batches.(i) with
+    | Fd_violated -> ()
+    | Ind_violated -> fd_ok.(i) <- true
+    | Satisfied ->
+        fd_ok.(i) <- true;
+        ok.(i) <- true
+  done;
+  (fd_ok, ok)

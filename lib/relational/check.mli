@@ -22,19 +22,42 @@ val first_violation : Source.t -> Constr.t list -> violation option
 val satisfies : Source.t -> Constr.t list -> bool
 val violations : Source.t -> Constr.t list -> violation list
 
-val fd_conflict : Source.t -> Constr.fd -> Tuple.t -> Tuple.t option
-(** [fd_conflict src f t] is a visible tuple of [f.frel] agreeing with [t]
-    on the lhs of [f] but differing on the rhs, if any. [t] itself need
-    not be visible. Partially applied to [src] and [f], it prepares one
-    probe (on first use) and reuses it for every tuple. *)
-
 val ind_supported : Source.t -> Constr.ind -> Tuple.t -> bool
 (** Whether a (hypothetical) sub-relation tuple's projection is present in
-    the visible sup relation. Prepares its probe once per partial
-    application to [src] and [i], like {!fd_conflict}. *)
+    the visible sup relation. Partially applied to [src] and [i], it
+    prepares one probe (on first use) and reuses it for every tuple. *)
 
-val batch_consistent :
-  Source.t -> Constr.t list -> (string * Tuple.t list) list -> bool
-(** [batch_consistent src cs rows] decides whether the visible source
-    extended with [rows] (grouped by relation name) still satisfies [cs].
-    Runs in time proportional to the batch, not the source. *)
+(** {2 The prepared checker}
+
+    Whether the visible source extended with one batch of rows still
+    satisfies the constraints, for many batches against one source:
+    the paper's node validity ([R ∪ T_i |= I_fd]) and includability
+    ([R ∪ T_i |= I]) of every pending transaction. Each constraint's
+    probe is prepared once per checker; a batch then costs its own rows
+    — one pass over them per constraint, hashing them in place into a
+    scratch table the checker keeps, plus one probe per row of a
+    constrained relation — and allocates nothing once that table has
+    grown to the largest batch. *)
+
+type checker
+
+val checker : Source.t -> Constr.t list -> checker
+(** Prepare [cs] against [src]. Probes resolve on first use, so a
+    constraint no batch touches builds no index. Not re-entrant: one
+    checker serves one caller at a time. *)
+
+type outcome =
+  | Fd_violated  (** Some fd fails on the source plus the batch. *)
+  | Ind_violated  (** Every fd holds, some ind fails. *)
+  | Satisfied  (** Every constraint holds. *)
+
+val outcome : checker -> (string * Tuple.t) list -> outcome
+(** [outcome c rows] judges the visible source extended with [rows]
+    (relation name, tuple; any order). Fds are judged before inds, so
+    [outcome <> Fd_violated] is fd validity and [outcome = Satisfied]
+    includability. *)
+
+val sweep : checker -> (string * Tuple.t) list array -> bool array * bool array
+(** [sweep c batches] is [(fd_ok, ok)]: per batch, whether the fds hold
+    and whether every constraint holds, both from one {!outcome} call
+    per batch. *)

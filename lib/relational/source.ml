@@ -36,23 +36,34 @@ let find_binds t rel binds pred =
         None
       with Found tu -> Some tu)
 
+(* Whether [tu] agrees with itself on every pair of positions in
+   [same]: a column bound from two positions needs equal values there. *)
+let rec self_consistent (tu : Tuple.t) same i =
+  i >= Array.length same
+  ||
+  let a, b = same.(i) in
+  Value.equal tu.(a) tu.(b) && self_consistent tu same (i + 1)
+
 let probe_from t rel ~cols ~from =
   let pairs = List.sort_uniq compare (List.combine cols from) in
   let ucols = Array.of_list (List.sort_uniq Int.compare cols) in
-  (* Per bound column, the tuple positions that supply its value. *)
-  let froms =
-    Array.map
-      (fun c -> List.filter_map (fun (c', f) -> if c = c' then Some f else None) pairs)
-      ucols
+  (* Per bound column, the lowest tuple position that supplies its value;
+     every other position bound to the same column must agree with it. *)
+  let first = Array.map (fun c -> List.assoc c pairs) ucols in
+  let same =
+    Array.of_list
+      (List.filter_map
+         (fun (c, f) ->
+           let f0 = List.assoc c pairs in
+           if f = f0 then None else Some (f0, f))
+         pairs)
   in
+  let keys = Array.make (Array.length ucols) Value.Null in
   let probe = lazy (t.prepare rel ucols) in
   fun (tu : Tuple.t) f ->
-    let consistent =
-      Array.for_all
-        (function
-          | f0 :: rest -> List.for_all (fun f' -> Value.equal tu.(f0) tu.(f')) rest
-          | [] -> true)
-        froms
-    in
-    if consistent then
-      (Lazy.force probe).iter (Array.map (fun fs -> tu.(List.hd fs)) froms) f
+    if self_consistent tu same 0 then begin
+      for i = 0 to Array.length first - 1 do
+        keys.(i) <- tu.(first.(i))
+      done;
+      (Lazy.force probe).iter keys f
+    end

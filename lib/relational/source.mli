@@ -61,4 +61,6 @@ val probe_from :
     of the tuple it is then applied to, and iterates the matches like
     {!probe.iter}. Columns may come in any order and repeat; a column
     bound from two positions holding different values matches nothing.
-    Apply it once per constraint and reuse it for every tuple. *)
+    Apply it once per constraint and reuse it for every tuple: a call
+    allocates nothing. The applied probe fills one scratch key array, so
+    it must not be re-entered from its own callback. *)

@@ -571,7 +571,10 @@ let test_encoding_double_spend_conflict () =
     | Error msg -> Alcotest.fail msg
   in
   let store = Bccore.Tagged_store.create db in
-  let fd = Bccore.Fd_graph.build store in
+  let fd =
+    Bccore.Fd_graph.build store
+      ~node_ok:(fst (Bccore.Tagged_store.validity store))
+  in
   (* The double spend is an fd contradiction: TxIn key (prevTxId,
      prevSer). *)
   Alcotest.(check (list (pair int int)))

@@ -54,7 +54,10 @@ let test_recognition () =
 let test_fd_graph_cliques () =
   let db = Fixtures.paper_db () in
   let store = Core.Tagged_store.create db in
-  let fd = Core.Fd_graph.build store in
+  let fd =
+    Core.Fd_graph.build store
+      ~node_ok:(fst (Core.Tagged_store.validity store))
+  in
   Alcotest.(check (list bool))
     "all five transactions are individually consistent"
     [ true; true; true; true; true ]
@@ -69,6 +72,28 @@ let test_fd_graph_cliques () =
     "maximal cliques match Section 6.1"
     [ [ 0; 1; 2; 3 ]; [ 1; 2; 3; 4 ] ]
     cliques
+
+(* Node validity and includability are read through the store's fixed
+   [R] view: forcing them leaves the active world and its epoch as they
+   were, whatever world was active. *)
+let test_validity_keeps_world () =
+  let session = Core.Session.create (Fixtures.paper_db ()) in
+  let store = Core.Session.store session in
+  Core.Tagged_store.set_world_list store [ 0; 2; 4 ];
+  let world = Bitset.to_list (Core.Tagged_store.world store) in
+  let epoch = Core.Tagged_store.epoch store in
+  (* T2 spends T1's output and T4 spends T2's and T3's: not includable
+     from R alone, whereas the world holds T1. *)
+  Alcotest.(check (list bool))
+    "includable from R" [ true; false; true; false; true ]
+    (Array.to_list (Core.Session.includable session));
+  Alcotest.(check (list bool))
+    "every node valid" [ true; true; true; true; true ]
+    (Array.to_list (Core.Session.fd_graph session).Core.Fd_graph.node_ok);
+  Alcotest.(check (list int))
+    "world unchanged" world
+    (Bitset.to_list (Core.Tagged_store.world store));
+  Alcotest.(check int) "epoch unchanged" epoch (Core.Tagged_store.epoch store)
 
 (* The row-filled construction against the pairwise definition: i–j is
    an edge iff both nodes are valid and R ∪ T_i ∪ T_j satisfies the fds,
@@ -107,12 +132,18 @@ let fd_graph_oracle_prop =
           ~constraints:Fixtures.constraints ~pending ()
       in
       let store = Core.Tagged_store.create db in
-      let fd = Core.Fd_graph.build store in
-      let fds = List.map (fun f -> R.Constr.Fd f) (Core.Bcdb.fds db) in
-      let consistent rows =
-        R.Check.batch_consistent (Core.Tagged_store.base_source store) fds rows
+      let fd =
+        Core.Fd_graph.build store
+          ~node_ok:(fst (Core.Tagged_store.validity store))
       in
-      let rows = Core.Tagged_store.tx_rows store in
+      let fds = List.map (fun f -> R.Constr.Fd f) (Core.Bcdb.fds db) in
+      (* The fds over a materialized R ∪ rows. *)
+      let consistent rows =
+        let inst = R.Database.copy db.Core.Bcdb.state in
+        R.Database.insert_all inst rows;
+        R.Check.satisfies (R.Database.source inst) fds
+      in
+      let rows i = db.Core.Bcdb.pending.(i).Core.Pending.rows in
       let valid = Array.init k (fun i -> consistent (rows i)) in
       let pairs =
         List.concat_map
@@ -326,6 +357,8 @@ let () =
       ( "fd-graph",
         [
           Alcotest.test_case "cliques" `Quick test_fd_graph_cliques;
+          Alcotest.test_case "validity keeps the world" `Quick
+            test_validity_keeps_world;
           Alcotest.test_case "getMaximal" `Quick test_get_maximal;
           Alcotest.test_case "maximal worlds" `Quick test_maximal_worlds;
           QCheck_alcotest.to_alcotest fd_graph_oracle_prop;

@@ -107,7 +107,10 @@ let max_cliques = 200
    Returns the number of cliques checked. *)
 let agrees_on_cliques (db : Core.Bcdb.t) =
   let store = Core.Tagged_store.create db in
-  let fd = Core.Fd_graph.build store in
+  let fd =
+    Core.Fd_graph.build store
+      ~node_ok:(fst (Core.Tagged_store.validity store))
+  in
   let seen = ref 0 in
   let bad = ref None in
   Bcgraph.Bron_kerbosch.iter_maximal_cliques fd.Core.Fd_graph.graph

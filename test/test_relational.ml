@@ -183,30 +183,56 @@ let test_ind_check () =
   | Some (R.Check.Ind_violation _) -> ()
   | Some (R.Check.Fd_violation _) | None -> Alcotest.fail "expected ind violation"
 
-let test_batch_consistent () =
+let outcome =
+  Alcotest.testable
+    (fun ppf o ->
+      Format.pp_print_string ppf
+        (match o with
+        | R.Check.Fd_violated -> "Fd_violated"
+        | R.Check.Ind_violated -> "Ind_violated"
+        | R.Check.Satisfied -> "Satisfied"))
+    ( = )
+
+let test_checker_outcome () =
   let fd = R.Constr.fd abc [ "a" ] [ "b" ] in
   let ind = R.Constr.ind ~sub:s_rel [ "x" ] ~sup:abc [ "a" ] in
   let db = mk [ (1, 2, 3) ] [ (1, 9) ] in
-  let src = R.Database.source db in
-  let batch rows srows =
-    List.map (fun (a, b, c) -> ("R", R.Tuple.make [ V.Int a; V.Int b; V.Int c ])) rows
-    @ List.map (fun (x, y) -> ("S", R.Tuple.make [ V.Int x; V.Int y ])) srows
-    |> List.map (fun (n, t) -> (n, [ t ]))
+  let c = R.Check.checker (R.Database.source db) [ fd; ind ] in
+  let judge rows srows =
+    R.Check.outcome c
+      (List.map (fun (a, b, c) -> ("R", R.Tuple.make [ V.Int a; V.Int b; V.Int c ])) rows
+      @ List.map (fun (x, y) -> ("S", R.Tuple.make [ V.Int x; V.Int y ])) srows)
   in
-  Alcotest.(check bool) "compatible batch" true
-    (R.Check.batch_consistent src [ fd; ind ] (batch [ (2, 0, 0) ] [ (2, 1) ]));
-  Alcotest.(check bool) "fd conflict with state" false
-    (R.Check.batch_consistent src [ fd; ind ] (batch [ (1, 7, 0) ] []));
-  Alcotest.(check bool) "internal fd conflict" false
-    (R.Check.batch_consistent src [ fd; ind ]
-       (batch [ (5, 1, 0); (5, 2, 0) ] []));
-  Alcotest.(check bool) "unsupported ind" false
-    (R.Check.batch_consistent src [ fd; ind ] (batch [] [ (9, 9) ]));
-  Alcotest.(check bool) "ind supported within batch" true
-    (R.Check.batch_consistent src [ fd; ind ] (batch [ (4, 0, 0) ] [ (4, 2) ]))
+  Alcotest.check outcome "compatible batch" R.Check.Satisfied
+    (judge [ (2, 0, 0) ] [ (2, 1) ]);
+  Alcotest.check outcome "fd conflict with state" R.Check.Fd_violated
+    (judge [ (1, 7, 0) ] []);
+  Alcotest.check outcome "internal fd conflict" R.Check.Fd_violated
+    (judge [ (5, 1, 0); (5, 2, 0) ] []);
+  Alcotest.check outcome "fd judged before ind" R.Check.Fd_violated
+    (judge [ (1, 7, 0) ] [ (9, 9) ]);
+  Alcotest.check outcome "unsupported ind" R.Check.Ind_violated
+    (judge [] [ (9, 9) ]);
+  Alcotest.check outcome "ind supported within batch" R.Check.Satisfied
+    (judge [ (4, 0, 0) ] [ (4, 2) ]);
+  Alcotest.check outcome "ind supported by the state" R.Check.Satisfied
+    (judge [] [ (1, 5) ]);
+  (* Batches far larger than the checker's first scratch table, then a
+     small one on the grown table. *)
+  let n = 5000 in
+  let big = List.init n (fun i -> (i + 10, 0, 0)) in
+  Alcotest.check outcome "large batch" R.Check.Satisfied
+    (judge big (List.init n (fun i -> (i + 10, 0))));
+  Alcotest.check outcome "large batch, last row clashes" R.Check.Fd_violated
+    (judge (big @ [ (10, 1, 0) ]) []);
+  Alcotest.check outcome "large batch, last sub unsupported"
+    R.Check.Ind_violated
+    (judge big (List.init n (fun i -> (i + 11, 0))));
+  Alcotest.check outcome "small batch after large" R.Check.Fd_violated
+    (judge [ (5, 1, 0); (5, 2, 0) ] [])
 
-let batch_equals_full_check =
-  QCheck.Test.make ~name:"batch_consistent = full recheck" ~count:100
+let checker_equals_full_check =
+  QCheck.Test.make ~name:"Check.outcome fd validity = full recheck" ~count:100
     QCheck.(
       pair
         (list_of_size (QCheck.Gen.int_bound 8) (triple (int_bound 3) (int_bound 3) (int_bound 3)))
@@ -216,19 +242,131 @@ let batch_equals_full_check =
       let base = mk base_rows [] in
       QCheck.assume (R.Check.satisfies (R.Database.source base) [ fd ]);
       let batch =
-        [
-          ( "R",
-            List.map
-              (fun (a, b, c) -> R.Tuple.make [ V.Int a; V.Int b; V.Int c ])
-              batch_rows );
-        ]
+        List.map
+          (fun (a, b, c) -> ("R", R.Tuple.make [ V.Int a; V.Int b; V.Int c ]))
+          batch_rows
       in
       let incremental =
-        R.Check.batch_consistent (R.Database.source base) [ fd ] batch
+        R.Check.outcome (R.Check.checker (R.Database.source base) [ fd ]) batch
+        = R.Check.Satisfied
       in
       let merged = mk (base_rows @ batch_rows) [] in
       let full = R.Check.satisfies (R.Database.source merged) [ fd ] in
       incremental = full)
+
+(* --- the one-pass validity sweep against a materialized oracle --- *)
+
+(* R(a, b, c) with a -> b; S[x] ⊆ R[a]; P[u, v] ⊆ R[c, a] (sup columns
+   out of order); P[u, w] ⊆ S[y, y] (one sup column bound twice: u and w
+   must both equal one S.y); P: (w, u) -> v (lhs out of order). U is
+   unconstrained. *)
+let p_rel = R.Schema.relation "P" [ "u"; "v"; "w" ]
+let u_rel = R.Schema.relation "U" [ "p" ]
+let sweep_cat = R.Schema.of_list [ abc; s_rel; p_rel; u_rel ]
+
+let sweep_constraints =
+  [
+    R.Constr.fd abc [ "a" ] [ "b" ];
+    R.Constr.ind ~sub:s_rel [ "x" ] ~sup:abc [ "a" ];
+    R.Constr.ind ~sub:p_rel [ "u"; "v" ] ~sup:abc [ "c"; "a" ];
+    R.Constr.ind ~sub:p_rel [ "u"; "w" ] ~sup:s_rel [ "y"; "y" ];
+    R.Constr.fd p_rel [ "w"; "u" ] [ "v" ];
+  ]
+
+let ints l = R.Tuple.make (List.map (fun i -> V.Int i) l)
+
+(* The state: R rows with b = a mod 2 (the fd holds), S rows citing
+   some R row's a, no P row. *)
+let sweep_base_gen =
+  let open QCheck.Gen in
+  let* r = list_size (int_range 1 4) (pair (int_bound 3) (int_bound 3)) in
+  let r = List.map (fun (a, c) -> [ a; a mod 2; c ]) r in
+  let+ s =
+    list_size (int_bound 3)
+      (pair (oneofl (List.map List.hd r)) (int_bound 3))
+  in
+  List.map (fun t -> ("R", ints t)) r @ List.map (fun (x, y) -> ("S", ints [ x; y ])) s
+
+(* One pending transaction: one to four pieces, each of a kind that the
+   property must meet — a row that may clash with R, an intra-batch fd
+   conflict, an S row supported by the transaction's own R row, an S or
+   P row that R, the batch or nothing supports, a P pair clashing on
+   the out-of-order fd, rows of the unconstrained U, and a run of many
+   rows that grows the checker's scratch table. *)
+let sweep_tx_gen =
+  let open QCheck.Gen in
+  let v = int_bound 3 in
+  let piece =
+    oneof
+      [
+        map (fun (a, b, c) -> [ ("R", ints [ a; b; c ]) ]) (triple v v v);
+        map
+          (fun (a, c) -> [ ("R", ints [ a; 0; c ]); ("R", ints [ a; 1; c ]) ])
+          (pair v v);
+        map
+          (fun (a, y) -> [ ("R", ints [ a + 4; 0; 0 ]); ("S", ints [ a + 4; y ]) ])
+          (pair v v);
+        map (fun (x, y) -> [ ("S", ints [ x; y ]) ]) (pair v v);
+        map (fun (u, v', w) -> [ ("P", ints [ u; v'; w ]) ]) (triple v v v);
+        map
+          (fun (u, w) -> [ ("P", ints [ u; 0; w ]); ("P", ints [ u; 1; w ]) ])
+          (pair v v);
+        map (fun p -> [ ("U", ints [ p ]) ]) v;
+        (* Many rows: R rows with fresh keys, each cited by an S row. *)
+        map
+          (fun n ->
+            List.concat
+              (List.init n (fun i ->
+                   [ ("R", ints [ i + 8; i mod 2; 0 ]); ("S", ints [ i + 8; 0 ]) ])))
+          (int_range 10 40);
+      ]
+  in
+  map List.concat (list_size (int_range 1 4) piece)
+
+let sweep_equals_materialized =
+  QCheck.Test.make
+    ~name:"one-pass validity and includability = satisfies over R ∪ T_i"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (base, txs) ->
+         let rows rs =
+           String.concat " "
+             (List.map
+                (fun (rel, t) -> rel ^ Format.asprintf "%a" R.Tuple.pp t)
+                rs)
+         in
+         rows base ^ " | " ^ String.concat " | " (List.map rows txs))
+       QCheck.Gen.(pair sweep_base_gen (list_size (int_range 1 8) sweep_tx_gen)))
+    (fun (base_rows, txs) ->
+      let base = R.Database.create sweep_cat in
+      R.Database.insert_all base base_rows;
+      QCheck.assume (R.Check.satisfies (R.Database.source base) sweep_constraints);
+      let fds = List.filter (function R.Constr.Fd _ -> true | _ -> false) sweep_constraints in
+      let expected rows =
+        let inst = R.Database.copy base in
+        R.Database.insert_all inst rows;
+        let src = R.Database.source inst in
+        (R.Check.satisfies src fds, R.Check.satisfies src sweep_constraints)
+      in
+      let fd_exp, ok_exp = List.split (List.map expected txs) in
+      (* Over the plain database source. *)
+      let fd_db, ok_db =
+        R.Check.sweep
+          (R.Check.checker (R.Database.source base) sweep_constraints)
+          (Array.of_list txs)
+      in
+      (* And as a session computes them: the tagged store's R view. *)
+      let db =
+        Bccore.Bcdb.create_unchecked ~state:base ~constraints:sweep_constraints
+          ~pending:txs ()
+      in
+      let session = Bccore.Session.create db in
+      let fd_sess = (Bccore.Session.fd_graph session).Bccore.Fd_graph.node_ok in
+      let ok_sess = Bccore.Session.includable session in
+      Array.to_list fd_db = fd_exp
+      && Array.to_list ok_db = ok_exp
+      && Array.to_list fd_sess = fd_exp
+      && Array.to_list ok_sess = ok_exp)
 
 let () =
   Alcotest.run "relational"
@@ -257,7 +395,8 @@ let () =
           Alcotest.test_case "fd" `Quick test_fd_check;
           Alcotest.test_case "key" `Quick test_key_is_fd;
           Alcotest.test_case "ind" `Quick test_ind_check;
-          Alcotest.test_case "batch" `Quick test_batch_consistent;
-          QCheck_alcotest.to_alcotest batch_equals_full_check;
+          Alcotest.test_case "checker outcome" `Quick test_checker_outcome;
+          QCheck_alcotest.to_alcotest checker_equals_full_check;
+          QCheck_alcotest.to_alcotest sweep_equals_materialized;
         ] );
     ]

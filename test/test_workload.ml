@@ -45,7 +45,9 @@ let test_contradictions_are_conflicts () =
   let with_c = W.Generator.dataset sim ~contradictions:3 () in
   let conflicts db =
     let store = Core.Tagged_store.create db in
-    Core.Fd_graph.conflict_count (Core.Fd_graph.build store)
+    Core.Fd_graph.conflict_count
+      (Core.Fd_graph.build store
+         ~node_ok:(fst (Core.Tagged_store.validity store)))
   in
   Alcotest.(check int) "no injected conflicts" 0 (conflicts base);
   Alcotest.(check int) "three injected conflicts" 3 (conflicts with_c)
