@@ -3,8 +3,10 @@
 # against the paper database covering every response status —
 #   SATISFIED 0 / UNSATISFIED 2 / UNKNOWN 3 (budget) / OK 0 / ERROR 1
 # — interleaved with live mutations (evict, confirm, add) whose effect
-# the following checks must observe, and a duplicate-label add that
-# must be refused without a trace. Used by `make test-serve` and CI.
+# the following checks must observe, a duplicate-label add that must be
+# refused without a trace, and confirms of transactions that are not
+# includable, refused with the state unchanged. Used by `make
+# test-serve` and CI.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -59,7 +61,25 @@ q() :- TxOut(t, s, \"U8Pk\", a)."
 q() :- TxOut(t, s, \"U8Pk\", a)."
   # 16: and the next check is still answered normally: UNSATISFIED 2
   frame "$Q"
-  # 17: clean shutdown: OK 0
+  # 17: an arrival whose output re-keys an output of R: OK 0 ...
+  frame 'add BAD2
+TxOut("1", 1, "U9Pk", 3.0)'
+  # 18: stats before confirming it: OK 0
+  frame "stats"
+  # 19: ... but it is not includable (the key fails against R), so it
+  #     cannot be confirmed: ERROR 1
+  frame "confirm BAD2"
+  # 20: the state is unchanged — same pending and state_rows as 18: OK 0
+  frame "stats"
+  # 21: the key still holds inside R: SATISFIED 0
+  frame 'check
+q() :- TxOut("1", 1, p, a), TxOut("1", 1, p2, a2), p != p2.'
+  # 22: an input spending an output nobody holds: OK 0 ...
+  frame 'add DANGLING
+TxIn("nope", 7, "U1Pk", 1.0, "10", "U1Sig")'
+  # 23: ... cannot be confirmed either: ERROR 1
+  frame "confirm DANGLING"
+  # 24: clean shutdown: OK 0
   frame "quit"
 } | "$BCDB" serve --paper 2>&1 )
 code=$?
@@ -73,12 +93,23 @@ fi
 got=$(printf '%s\n' "$out" \
   | grep -a -o 'UNSATISFIED 2\|SATISFIED 0\|UNKNOWN 3\|ERROR 1\|OK 0' \
   | tr '\n' ' ')
-want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 ERROR 1 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 ERROR 1 UNSATISFIED 2 ERROR 1 UNSATISFIED 2 OK 0 '
+want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 ERROR 1 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 ERROR 1 UNSATISFIED 2 ERROR 1 UNSATISFIED 2 OK 0 OK 0 ERROR 1 OK 0 SATISFIED 0 OK 0 ERROR 1 OK 0 '
 
 if [ "$got" != "$want" ]; then
   echo "FAIL: status sequence mismatch"
   echo "  got:  $got"
   echo "  want: $want"
+  printf '%s\n' "$out"
+  exit 1
+fi
+# The refused confirm (19) left the stats of 18 as they were (20).
+stats=$(printf '%s\n' "$out" | grep -a '^pending=')
+before=$(printf '%s\n' "$stats" | sed -n 2p)
+after=$(printf '%s\n' "$stats" | sed -n 3p)
+if [ -z "$before" ] || [ "$before" != "$after" ]; then
+  echo "FAIL: a refused confirm changed the stats"
+  echo "  before: $before"
+  echo "  after:  $after"
   printf '%s\n' "$out"
   exit 1
 fi

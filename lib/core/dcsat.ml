@@ -158,8 +158,8 @@ let eval_clique obs ev store members =
   eval_txs obs ev store (Bitset.to_list world)
 
 (* The monotone pre-check: q false over R ∪ T implies satisfied. It
-   reads the fixed [R ∪ T] view, so the store's active world (its epoch
-   and posting caches) is never switched. *)
+   reads the fixed [R ∪ T] view, so the store's active world (and its
+   epoch) is never switched. *)
 let precheck session evaluators =
   let obs = Session.obs session in
   Obs.span obs ~cat:"dcsat" "precheck" @@ fun () ->

@@ -361,6 +361,10 @@ let confirm t label =
   span t "confirm" @@ fun () ->
   match find t label with
   | None -> Error (Printf.sprintf "confirm: no pending transaction %S" label)
+  | Some id when not t.includable.(id) ->
+      (* [R ∪ T_id] violates a constraint: the rows would break [R]
+         itself. Refused before any structure changes. *)
+      Error (Printf.sprintf "confirm: transaction %S is not includable" label)
   | Some id ->
       let db' =
         span t "store" (fun () ->

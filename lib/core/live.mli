@@ -155,7 +155,10 @@ val confirm : t -> string -> (unit, string) result
 (** The labeled transaction is mined: its rows join the state, it leaves
     the pending set. The state is re-compacted (O(|R|) — once per block,
     keeping every subsequent store reload O(pending)). Conservatively
-    dirties every cached verdict (the epoch bump). *)
+    dirties every cached verdict (the epoch bump). [Error], with nothing
+    changed, if no pending transaction carries the label or the
+    transaction is not includable ([R ∪ T] would violate a
+    constraint). *)
 
 val append_state : t -> (string * Relational.Tuple.t) list -> unit
 (** Rows enter the state without ever having been pending (coinbase

@@ -1,13 +1,6 @@
 module R = Relational
 module Bitset = Bcgraph.Bitset
 
-module Vtbl = Hashtbl.Make (struct
-  type t = R.Value.t
-
-  let equal = R.Value.equal
-  let hash = R.Value.hash
-end)
-
 type entry = { tuple : R.Tuple.t; origins : int array }
 
 (* The store is segmented per relation:
@@ -20,7 +13,8 @@ type entry = { tuple : R.Tuple.t; origins : int array }
      Indexes are built on demand under the segment's own lock and
      memoized per store, so steady-state probes never touch the lock.
      The rare base tuple that is *also* written by pending transactions
-     carries its merged origin set in the sparse [b_extra] side table.
+     carries its merged origin set in the sparse per-store [b_extra]
+     side table.
 
    - the {e pending segment} holds tuples contributed only by pending
      transactions; their visibility depends on the active world. It is
@@ -28,42 +22,33 @@ type entry = { tuple : R.Tuple.t; origins : int array }
      each pending position carries a visible-origin refcount
      ([viscount]) maintained incrementally by world *deltas*: switching
      worlds flips only the transactions whose membership changed
-     (O(|delta|)), not O(k). A store-wide [epoch] stamps each world;
-     per-posting filtered-visibility caches are valid only for the epoch
-     they were computed at, which is the entire invalidation rule. *)
-
-type base = {
-  b_seg : R.Segment.t;  (* shared: immutable columns + lock-guarded index cache *)
-  b_extra : (int, int array) Hashtbl.t;
-      (* base position -> merged origins [|-1; tx...|]; only positions
-         some pending transaction also contributes. Immutable after
-         [create], hence shared. *)
-}
+     (O(|delta|)), not O(k). A probe walks a posting list and tests
+     [viscount] inline. *)
 
 type posting = {
   mutable all : int list;  (* pending positions, descending *)
   mutable count : int;  (* memoized [List.length all] *)
-  mutable cepoch : int;  (* epoch [cvis] was computed at; -1 = never *)
-  mutable cvis : int list;  (* visible subset of [all] at [cepoch] *)
 }
 
 type rel_store = {
-  base : base;  (* shared with clones *)
+  seg : R.Segment.t;
+      (* the base state; shared with clones: immutable columns +
+         lock-guarded index cache *)
+  b_extra : (int, int array) Hashtbl.t;
+      (* base position -> merged origins [|-1; tx...|]; only positions
+         some pending transaction also contributes. At most as large as
+         the pending rows; copied on clone, extended by {!append_tx}. *)
   bmemo : (int list, R.Segment.index) Hashtbl.t;
       (* per-store memo of base indexes already fetched: lock-free *)
   mutable entries : entry array;  (* pending segment, valid up to [len] *)
   mutable len : int;
   by_tuple : int R.Tuple.Tbl.t;  (* pending tuples only *)
-  indexes : (int, posting Vtbl.t) Hashtbl.t;
-  composite : (int list, posting R.Tuple.Tbl.t) Hashtbl.t;
-      (** Multi-column hash indexes, keyed by the (sorted) column list;
-          the inner table maps a projection to pending positions. Built
-          on demand for the column sets the evaluator actually probes. *)
+  postings : (int list, posting R.Tuple.Tbl.t) Hashtbl.t;
+      (** Pending hash indexes, keyed by the (sorted) column list; the
+          inner table maps a projection to pending positions. Built on
+          demand for the column sets the evaluator actually probes. *)
   by_origin : (int, int list) Hashtbl.t;  (* tx id -> pending positions *)
   mutable viscount : int array;  (* per pending position *)
-  overlay : (int, int array) Hashtbl.t;
-      (** Base-position -> origin set extended by an outstanding dry-run
-          journal; affects {!origins} only (base rows stay visible). *)
   probes : (int array, R.Source.probe) Hashtbl.t array;
       (** Prepared probes per view ([World], [Union], [Base]) and bound
           columns. They hold this store's pending tables, so clones start
@@ -94,10 +79,7 @@ let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
 let base_origin = -1
 
-(* Position of [tuple] in the base segment, or -1. *)
-let base_find bs tuple = R.Segment.find bs.b_seg tuple
-
-let fresh_rel base entries =
+let fresh_rel seg b_extra entries =
   let np = Array.length entries in
   let by_tuple = R.Tuple.Tbl.create (max 16 np) in
   Array.iteri (fun i (e : entry) -> R.Tuple.Tbl.replace by_tuple e.tuple i) entries;
@@ -112,16 +94,15 @@ let fresh_rel base entries =
         e.origins)
     entries;
   {
-    base;
+    seg;
+    b_extra;
     bmemo = Hashtbl.create 4;
     entries;
     len = np;
     by_tuple;
-    indexes = Hashtbl.create 4;
-    composite = Hashtbl.create 4;
+    postings = Hashtbl.create 4;
     by_origin;
     viscount = Array.make (max 1 np) 0;
-    overlay = Hashtbl.create 4;
     probes = Array.init 3 (fun _ -> Hashtbl.create 8);
   }
 
@@ -135,10 +116,9 @@ let build_rel seg rows =
   let b_extra = Hashtbl.create 4 in
   let scratch = R.Tuple.Tbl.create (max 64 (List.length rows)) in
   let order = ref [] in
-  let bs = { b_seg = seg; b_extra } in
   List.iter
     (fun (origin, tuple) ->
-      match base_find bs tuple with
+      match R.Segment.find seg tuple with
       | bpos when bpos >= 0 ->
           let prev =
             Option.value (Hashtbl.find_opt b_extra bpos) ~default:[| base_origin |]
@@ -163,7 +143,7 @@ let build_rel seg rows =
            { tuple; origins = Array.of_list (List.sort_uniq Int.compare origins) })
          !order)
   in
-  fresh_rel bs pending
+  fresh_rel seg b_extra pending
 
 let create_store (db : Bcdb.t) =
   let catalog = R.Database.catalog db.Bcdb.state in
@@ -204,40 +184,26 @@ let create_store (db : Bcdb.t) =
   }
 
 let clone_rel rs =
-  let copy_postings tbl =
-    let out = Vtbl.create (max 4 (Vtbl.length tbl)) in
-    Vtbl.iter
-      (fun key (p : posting) ->
-        Vtbl.replace out key
-          { all = p.all; count = p.count; cepoch = p.cepoch; cvis = p.cvis })
-      tbl;
-    out
-  in
-  let copy_composite tbl =
-    let out = R.Tuple.Tbl.create (max 4 (R.Tuple.Tbl.length tbl)) in
-    R.Tuple.Tbl.iter
-      (fun key (p : posting) ->
-        R.Tuple.Tbl.replace out key
-          { all = p.all; count = p.count; cepoch = p.cepoch; cvis = p.cvis })
-      tbl;
-    out
-  in
-  let copy_outer copy tbl =
-    let out = Hashtbl.create (max 4 (Hashtbl.length tbl)) in
-    Hashtbl.iter (fun key inner -> Hashtbl.replace out key (copy inner)) tbl;
-    out
-  in
+  let postings = Hashtbl.copy rs.postings in
+  Hashtbl.filter_map_inplace
+    (fun _ tbl ->
+      let out = R.Tuple.Tbl.create (max 4 (R.Tuple.Tbl.length tbl)) in
+      R.Tuple.Tbl.iter
+        (fun key (p : posting) ->
+          R.Tuple.Tbl.replace out key { all = p.all; count = p.count })
+        tbl;
+      Some out)
+    postings;
   {
-    base = rs.base;  (* shared: immutable segment, immutable b_extra *)
+    seg = rs.seg;
+    b_extra = Hashtbl.copy rs.b_extra;
     bmemo = Hashtbl.copy rs.bmemo;
     entries = Array.copy rs.entries;
     len = rs.len;
     by_tuple = R.Tuple.Tbl.copy rs.by_tuple;
-    indexes = copy_outer copy_postings rs.indexes;
-    composite = copy_outer copy_composite rs.composite;
+    postings;
     by_origin = Hashtbl.copy rs.by_origin;
     viscount = Array.copy rs.viscount;
-    overlay = Hashtbl.copy rs.overlay;
     probes = Array.init 3 (fun _ -> Hashtbl.create 8);
   }
 
@@ -262,11 +228,11 @@ let set_obs t obs = t.obs <- obs
 let world t = Bitset.copy t.visible
 
 let base_bytes t =
-  Smap.fold (fun _ rs acc -> acc + R.Segment.bytes rs.base.b_seg) t.rels 0
+  Smap.fold (fun _ rs acc -> acc + R.Segment.bytes rs.seg) t.rels 0
 
 (* Switch to [vis] (a fresh bitset owned by the store) by flipping only
    the transactions whose membership changed. A no-op switch keeps the
-   epoch, so posting caches survive save/restore pairs. *)
+   epoch. *)
 let apply_world t vis =
   if not (Bitset.equal vis t.visible) then begin
     let old = t.visible in
@@ -366,70 +332,43 @@ let base_index rs cols =
   match Hashtbl.find_opt rs.bmemo cols with
   | Some idx -> idx
   | None ->
-      let idx = R.Segment.index rs.base.b_seg cols in
+      let idx = R.Segment.index rs.seg cols in
       Hashtbl.replace rs.bmemo cols idx;
       idx
 
 (* --- pending-segment indexes (private, incremental) --- *)
 
-let ensure_index rs col =
-  match Hashtbl.find_opt rs.indexes col with
-  | Some idx -> idx
-  | None ->
-      let idx = Vtbl.create (max 16 rs.len) in
-      for i = 0 to rs.len - 1 do
-        let v = rs.entries.(i).tuple.(col) in
-        match Vtbl.find_opt idx v with
-        | Some p ->
-            p.all <- i :: p.all;
-            p.count <- p.count + 1
-        | None -> Vtbl.replace idx v { all = [ i ]; count = 1; cepoch = -1; cvis = [] }
-      done;
-      Hashtbl.replace rs.indexes col idx;
-      idx
+let posting_add tbl key i =
+  match R.Tuple.Tbl.find_opt tbl key with
+  | Some p ->
+      p.all <- i :: p.all;
+      p.count <- p.count + 1
+  | None -> R.Tuple.Tbl.replace tbl key { all = [ i ]; count = 1 }
 
-let ensure_composite rs cols =
-  match Hashtbl.find_opt rs.composite cols with
-  | Some idx -> idx
+(* The posting table of one sorted column list: projection -> pending
+   positions. A single column is a one-column projection. *)
+let postings rs cols =
+  match Hashtbl.find_opt rs.postings cols with
+  | Some tbl -> tbl
   | None ->
-      let idx = R.Tuple.Tbl.create (max 16 rs.len) in
+      let tbl = R.Tuple.Tbl.create (max 16 rs.len) in
       for i = 0 to rs.len - 1 do
-        let key = R.Tuple.project rs.entries.(i).tuple cols in
-        match R.Tuple.Tbl.find_opt idx key with
-        | Some p ->
-            p.all <- i :: p.all;
-            p.count <- p.count + 1
-        | None ->
-            R.Tuple.Tbl.replace idx key { all = [ i ]; count = 1; cepoch = -1; cvis = [] }
+        posting_add tbl (R.Tuple.project rs.entries.(i).tuple cols) i
       done;
-      Hashtbl.replace rs.composite cols idx;
-      idx
+      Hashtbl.replace rs.postings cols tbl;
+      tbl
 
 (* The posting a probe finds when its key has none; never mutated. *)
-let no_posting = { all = []; count = 0; cepoch = -1; cvis = [] }
+let no_posting = { all = []; count = 0 }
 
-let find_single tbl v =
-  match Vtbl.find tbl v with p -> p | exception Not_found -> no_posting
-
-let find_composite tbl keys =
+let find_posting tbl keys =
   match R.Tuple.Tbl.find tbl keys with p -> p | exception Not_found -> no_posting
-
-(* Visible pending positions of a posting, cached per epoch. *)
-let posting_visible t rs (p : posting) =
-  if p.cepoch <> t.epoch then begin
-    p.cvis <- List.filter (fun i -> rs.viscount.(i) > 0) p.all;
-    p.cepoch <- t.epoch;
-    if Obs.enabled t.obs then Obs.add t.obs "store.vis_miss" 1
-  end
-  else if Obs.enabled t.obs then Obs.add t.obs "store.vis_hit" 1;
-  p.cvis
 
 (* Which pending positions a view sees: those of the active world
    ({!source}), every one ({!union_source}, the instance [R ∪ T]) or
-   none ({!base_source}, [R] alone). The two fixed views walk posting
-   [all] lists directly, so a probe through them never touches
-   [visible], [viscount] or [epoch] — the posting caches of the active
-   world survive it. Every view yields the same order (pending matches
+   none ({!base_source}, [R] alone). The two fixed views never read
+   [visible], [viscount] or [epoch], so a probe through them leaves the
+   active world alone. Every view yields the same order (pending matches
    by descending position, then base matches), so a fixed view answers
    exactly what {!source} answers after {!all_visible}/{!base_only}. *)
 type view = World | Union | Base
@@ -439,21 +378,17 @@ let view_slot = function World -> 0 | Union -> 1 | Base -> 2
 let pend_visible view rs i =
   match view with World -> rs.viscount.(i) > 0 | Union -> true | Base -> false
 
-let scan t view name =
-  let rs = rel_store t name in
-  let np = match view with Base -> 0 | World | Union -> rs.len in
-  let rec pend i () =
-    if i >= np then Seq.Nil
-    else if pend_visible view rs i then Seq.Cons (rs.entries.(i).tuple, pend (i + 1))
-    else pend (i + 1) ()
-  in
-  Seq.append (R.Segment.tuple_seq rs.base.b_seg) (pend 0)
-
 let rec emit rs f = function
   | [] -> ()
   | i :: rest ->
       f rs.entries.(i).tuple;
       emit rs f rest
+
+let rec emit_visible rs f = function
+  | [] -> ()
+  | i :: rest ->
+      if rs.viscount.(i) > 0 then f rs.entries.(i).tuple;
+      emit_visible rs f rest
 
 (* Resolved on first use, then kept: a probe the evaluator only costs
    never builds the indexes only iterating needs, and vice versa. *)
@@ -467,20 +402,21 @@ let memo f =
         cell := Some x;
         x
 
-(* The probe of one view, relation and bound-column set. [iter] yields
-   pending matches (descending position), then base matches (descending
-   position). [count] is world-independent by design: memoized pending
-   posting counts plus the base hash-range width (an upper bound —
-   collisions are not filtered out, which is fine for a cost estimate
-   and identical across every store sharing the segment, so the primary
-   store and its replicas pick the same join orders). With more than 3
-   bound columns it estimates from the lowest column alone; iterating
-   goes through an exact composite posting table instead, so no other
-   single-column index is built. The pending tables are the store's
-   own, maintained in place by {!append_tx}/{!undo}, so the handle
-   outlives both. *)
+(* The probe of one view, relation and bound-column set. Over no column
+   it is the full read: base rows by position, then the view's pending
+   rows by ascending position. Otherwise [iter] yields pending matches
+   (descending position), then base matches (descending position).
+   [count] is world-independent by design: memoized pending posting
+   counts plus the base hash-range width (an upper bound — collisions
+   are not filtered out, which is fine for a cost estimate and identical
+   across every store sharing the segment, so the primary store and its
+   replicas pick the same join orders). With more than 3 bound columns
+   it estimates from the lowest column's table alone; iterating goes
+   through the exact table over every bound column. The pending tables
+   are the store's own, maintained in place by {!append_tx}/{!undo}, so
+   the handle outlives both. *)
 let make_probe t view rs cols =
-  let seg = rs.base.b_seg in
+  let seg = rs.seg in
   let n = Array.length cols in
   if n = 0 then
     {
@@ -497,32 +433,26 @@ let make_probe t view rs cols =
     }
   else
     let col_list = Array.to_list cols in
-    let single = memo (fun () -> ensure_index rs cols.(0)) in
-    let pend =
-      if n = 1 then fun keys -> find_single (single ()) keys.(0)
-      else
-        let composite = memo (fun () -> ensure_composite rs col_list) in
-        fun keys -> find_composite (composite ()) keys
-    in
+    let exact = memo (fun () -> postings rs col_list) in
     let base = memo (fun () -> base_index rs col_list) in
     let count =
       if n <= 3 then fun keys ->
-        (pend keys).count + R.Segment.probe_count seg (base ()) keys
+        (find_posting (exact ()) keys).count
+        + R.Segment.probe_count seg (base ()) keys
       else
+        let pend_first = memo (fun () -> postings rs [ cols.(0) ]) in
         let base_first = memo (fun () -> base_index rs [ cols.(0) ]) in
         let first = [| R.Value.Null |] in
         fun keys ->
           first.(0) <- keys.(0);
-          (find_single (single ()) keys.(0)).count
+          (find_posting (pend_first ()) first).count
           + R.Segment.probe_count seg (base_first ()) first
     in
     let iter keys f =
       (match view with
       | Base -> ()
-      | Union -> emit rs f (pend keys).all
-      | World ->
-          let p = pend keys in
-          if p != no_posting then emit rs f (posting_visible t rs p));
+      | Union -> emit rs f (find_posting (exact ()) keys).all
+      | World -> emit_visible rs f (find_posting (exact ()) keys).all);
       let idx = base () in
       if Obs.enabled t.obs then begin
         let hits, misses = R.Segment.dict_probe seg idx keys in
@@ -545,23 +475,17 @@ let prepare t view name cols =
 
 let mem t view name tuple =
   let rs = rel_store t name in
-  R.Segment.mem rs.base.b_seg tuple
+  R.Segment.mem rs.seg tuple
   ||
   match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
   | None -> false
   | Some i -> pend_visible view rs i
 
-let cardinality t name =
-  let rs = rel_store t name in
-  R.Segment.length rs.base.b_seg + rs.len
-
 let view_source t view =
   {
     R.Source.catalog = R.Database.catalog t.db.Bcdb.state;
-    scan = scan t view;
     prepare = prepare t view;
     mem = mem t view;
-    cardinality = cardinality t;
   }
 
 let with_views t =
@@ -589,14 +513,11 @@ let validity t =
 
 let origins t name tuple =
   let rs = rel_store t name in
-  match base_find rs.base tuple with
+  match R.Segment.find rs.seg tuple with
   | bpos when bpos >= 0 -> (
-      match Hashtbl.find_opt rs.overlay bpos with
+      match Hashtbl.find_opt rs.b_extra bpos with
       | Some o -> Array.to_list o
-      | None -> (
-          match Hashtbl.find_opt rs.base.b_extra bpos with
-          | Some o -> Array.to_list o
-          | None -> [ base_origin ]))
+      | None -> [ base_origin ])
   | _ -> (
       match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
       | Some i -> Array.to_list rs.entries.(i).origins
@@ -608,7 +529,7 @@ let to_database t =
     (fun name rs ->
       Seq.iter
         (fun tuple -> ignore (R.Database.insert out name tuple))
-        (R.Segment.tuple_seq rs.base.b_seg);
+        (R.Segment.tuple_seq rs.seg);
       for i = 0 to rs.len - 1 do
         if rs.viscount.(i) > 0 then
           ignore (R.Database.insert out name rs.entries.(i).tuple)
@@ -621,7 +542,7 @@ let to_database t =
 type undo_item =
   | Entry_added of string * int
   | Origin_added of string * int * entry
-  | Overlay_set of string * int * int array option
+  | Extra_set of string * int * int array option
 
 type journal = {
   prev_db : Bcdb.t;
@@ -662,21 +583,14 @@ let append_tx t (db' : Bcdb.t) =
         List.map
           (fun (rel, tuple) ->
             let rs = rel_store t rel in
-            match base_find rs.base tuple with
+            match R.Segment.find rs.seg tuple with
             | bpos when bpos >= 0 ->
                 (* Base rows are always visible; the new origin only has
-                   to show up in [origins], via the overlay. *)
-                let prev = Hashtbl.find_opt rs.overlay bpos in
-                let before =
-                  match prev with
-                  | Some o -> o
-                  | None -> (
-                      match Hashtbl.find_opt rs.base.b_extra bpos with
-                      | Some o -> o
-                      | None -> [| base_origin |])
-                in
-                Hashtbl.replace rs.overlay bpos (Array.append before [| id |]);
-                Overlay_set (rel, bpos, prev)
+                   to show up in [origins]. *)
+                let prev = Hashtbl.find_opt rs.b_extra bpos in
+                let before = Option.value prev ~default:[| base_origin |] in
+                Hashtbl.replace rs.b_extra bpos (Array.append before [| id |]);
+                Extra_set (rel, bpos, prev)
             | _ -> (
                 match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
                 | Some i ->
@@ -689,30 +603,9 @@ let append_tx t (db' : Bcdb.t) =
                     let i = push_entry rs { tuple; origins = [| id |] } in
                     R.Tuple.Tbl.replace rs.by_tuple tuple i;
                     add_origin rs id i;
-                    (* The new position is invisible ([id] is not in any
-                       world yet), so live posting caches stay valid. *)
                     Hashtbl.iter
-                      (fun col idx ->
-                        let v = tuple.(col) in
-                        match Vtbl.find_opt idx v with
-                        | Some p ->
-                            p.all <- i :: p.all;
-                            p.count <- p.count + 1
-                        | None ->
-                            Vtbl.replace idx v
-                              { all = [ i ]; count = 1; cepoch = -1; cvis = [] })
-                      rs.indexes;
-                    Hashtbl.iter
-                      (fun cols idx ->
-                        let key = R.Tuple.project tuple cols in
-                        match R.Tuple.Tbl.find_opt idx key with
-                        | Some p ->
-                            p.all <- i :: p.all;
-                            p.count <- p.count + 1
-                        | None ->
-                            R.Tuple.Tbl.replace idx key
-                              { all = [ i ]; count = 1; cepoch = -1; cvis = [] })
-                      rs.composite;
+                      (fun cols tbl -> posting_add tbl (R.Tuple.project tuple cols) i)
+                      rs.postings;
                     Entry_added (rel, i)))
           tx.Pending.rows;
     }
@@ -729,36 +622,24 @@ let undo t journal =
   let id = Array.length journal.prev_db.Bcdb.pending in
   List.iter
     (function
-      | Overlay_set (rel, bpos, prev) -> (
+      | Extra_set (rel, bpos, prev) -> (
           let rs = rel_store t rel in
           match prev with
-          | Some o -> Hashtbl.replace rs.overlay bpos o
-          | None -> Hashtbl.remove rs.overlay bpos)
+          | Some o -> Hashtbl.replace rs.b_extra bpos o
+          | None -> Hashtbl.remove rs.b_extra bpos)
       | Origin_added (rel, i, prev) -> (rel_store t rel).entries.(i) <- prev
       | Entry_added (rel, i) ->
           let rs = rel_store t rel in
           let e = rs.entries.(i) in
           R.Tuple.Tbl.remove rs.by_tuple e.tuple;
           Hashtbl.iter
-            (fun col idx ->
-              let v = e.tuple.(col) in
-              match Vtbl.find_opt idx v with
+            (fun cols tbl ->
+              match R.Tuple.Tbl.find_opt tbl (R.Tuple.project e.tuple cols) with
               | None -> ()
               | Some p ->
                   p.all <- List.filter (fun q -> q <> i) p.all;
-                  p.count <- p.count - 1;
-                  p.cepoch <- -1)
-            rs.indexes;
-          Hashtbl.iter
-            (fun cols idx ->
-              let key = R.Tuple.project e.tuple cols in
-              match R.Tuple.Tbl.find_opt idx key with
-              | None -> ()
-              | Some p ->
-                  p.all <- List.filter (fun q -> q <> i) p.all;
-                  p.count <- p.count - 1;
-                  p.cepoch <- -1)
-            rs.composite;
+                  p.count <- p.count - 1)
+            rs.postings;
           (* Entries were appended; undoing in any order is fine because
              lengths only shrink back to the original boundary. *)
           rs.len <- min rs.len i)

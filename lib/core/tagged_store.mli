@@ -2,8 +2,8 @@
     pending transaction is loaded once, tagged with its origins, and
     indexed. A {e possible world} is then just a visibility bitset over
     transaction ids — switching worlds costs nothing, and the exposed
-    {!Relational.Source.t} filters scans, index lookups and membership
-    tests by the active visibility.
+    {!Relational.Source.t} filters full reads, index lookups and
+    membership tests by the active visibility.
 
     This is the in-memory analogue of the paper's implementation trick
     (Section 6.3) of augmenting every Postgres table with a boolean
@@ -37,9 +37,8 @@ val clone : t -> t
     or building indexes on the clone never affects the parent and vice
     versa — this is what lets each parallel engine worker evaluate
     worlds on the one replica it owns ({!Engine}). A clone answers
-    [cardinality] and probe counts exactly as its parent does, so the
-    evaluator picks the same join orders, and returns the same
-    witnesses, on either. A clone starts with no prepared probe: the
+    probe counts exactly as its parent does, so the evaluator picks the
+    same join orders, and returns the same witnesses, on either. A clone starts with no prepared probe: the
     parent's handles hold the parent's pending tables and are never
     shared. Clone while no {!append_tx} journal is outstanding. *)
 
@@ -59,8 +58,8 @@ val state_generation : t -> int
     stale — see {!Session} for the rebuild-on-churn guard. *)
 
 val set_obs : t -> Obs.t -> unit
-(** Attach a recorder; the store bumps visibility-cache hit/miss,
-    world-epoch-switch and base-probe dictionary hit/miss
+(** Attach a recorder; the store bumps world-switch
+    (["store.epoch_switch"]) and base-probe dictionary hit/miss
     (["segment.dict_hits"]/["segment.dict_miss"]) counters on it
     (defaults to {!Obs.null}, whose per-call cost is one branch).
     {!clone} inherits the parent's recorder. *)
@@ -92,14 +91,17 @@ val source : t -> Relational.Source.t
     caller may key per-source state on it physically.
 
     [prepare rel cols] resolves the relation's pending posting table
-    (single-column for one bound column, an exact composite over the
-    bound columns otherwise) and its base segment index once, on first
+    over the bound columns (one table kind, keyed by the projection on
+    the sorted column list) and its base segment index once, on first
     use, and caches the probe per store, view, relation and columns:
     a second [prepare] returns the same handle. [iter] yields the
     visible pending matches by descending position, then the base
-    matches by descending position. [count] is world-independent: the
-    pending posting count plus the base hash-range width, from the
-    lowest bound column alone when more than 3 are bound. Handles stay
+    matches by descending position, testing each pending position's
+    visibility inline. [count] is world-independent: the pending
+    posting count plus the base hash-range width, from the lowest bound
+    column alone when more than 3 are bound. The zero-column probe is
+    the full read: base rows by position, then the visible pending rows
+    by ascending position; it counts every base and pending row. Handles stay
     valid across world switches, {!append_tx} and {!undo}, which update
     the tables in place. A store — and so its handles — belongs to one
     domain at a time. *)
@@ -108,7 +110,7 @@ val union_source : t -> Relational.Source.t
 (** A read-only view fixed at [R ∪ T]: every pending row visible,
     whatever the active world. Answers what {!source} answers after
     {!all_visible}, in the same order, but never switches the world —
-    the active world, its epoch and its posting caches are untouched.
+    the active world and its epoch are untouched.
     The solver's pre-check and the live layer's index probes for one
     transaction go through it. *)
 
@@ -131,9 +133,9 @@ val validity : t -> bool array * bool array
     {!checker}. The active world and its epoch are untouched. *)
 
 val epoch : t -> int
-(** Monotone stamp of the active world: bumped by every world switch
-    that changes the visible set (and by {!undo}). Probes through
-    {!union_source}/{!base_source} leave it unchanged. *)
+(** Monotone world-switch stamp: bumped by every world switch that
+    changes the visible set (and by {!undo}); no-op switches and probes
+    through any view leave it unchanged. *)
 
 type world_delta = {
   added_txs : int;  (** Transactions visible now but not in [prev]. *)

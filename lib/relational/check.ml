@@ -12,31 +12,31 @@ let pp_violation ppf = function
 
 exception Found of violation
 
+(* Every visible tuple of [rel]: the zero-column probe. *)
+let iter_all (src : Source.t) rel f = (src.Source.prepare rel [||]).Source.iter [||] f
+
 let check_fd (src : Source.t) (f : Constr.fd) =
   let seen = Tuple.Tbl.create 256 in
   try
-    src.Source.scan f.Constr.frel
-    |> Seq.iter (fun t ->
-           let lhs = Tuple.project t f.Constr.lhs in
-           let rhs = Tuple.project t f.Constr.rhs in
-           match Tuple.Tbl.find_opt seen lhs with
-           | Some (rhs', t') ->
-               if not (Tuple.equal rhs rhs') then
-                 raise (Found (Fd_violation (f, t', t)))
-           | None -> Tuple.Tbl.replace seen lhs (rhs, t));
+    iter_all src f.Constr.frel (fun t ->
+        let lhs = Tuple.project t f.Constr.lhs in
+        let rhs = Tuple.project t f.Constr.rhs in
+        match Tuple.Tbl.find_opt seen lhs with
+        | Some (rhs', t') ->
+            if not (Tuple.equal rhs rhs') then
+              raise (Found (Fd_violation (f, t', t)))
+        | None -> Tuple.Tbl.replace seen lhs (rhs, t));
     None
   with Found v -> Some v
 
 let check_ind (src : Source.t) (i : Constr.ind) =
   let supported = Tuple.Tbl.create 256 in
-  src.Source.scan i.Constr.sup_rel
-  |> Seq.iter (fun t ->
-         Tuple.Tbl.replace supported (Tuple.project t i.Constr.sup_attrs) ());
+  iter_all src i.Constr.sup_rel (fun t ->
+      Tuple.Tbl.replace supported (Tuple.project t i.Constr.sup_attrs) ());
   try
-    src.Source.scan i.Constr.sub_rel
-    |> Seq.iter (fun t ->
-           if not (Tuple.Tbl.mem supported (Tuple.project t i.Constr.sub_attrs))
-           then raise (Found (Ind_violation (i, t))));
+    iter_all src i.Constr.sub_rel (fun t ->
+        if not (Tuple.Tbl.mem supported (Tuple.project t i.Constr.sub_attrs))
+        then raise (Found (Ind_violation (i, t))));
     None
   with Found v -> Some v
 

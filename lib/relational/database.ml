@@ -94,18 +94,11 @@ let copy t =
     t.relations;
   fresh
 
-let scan t name =
-  match Smap.find_opt name t.segs with
-  | Some seg -> Seq.append (Segment.tuple_seq seg) (Relation.scan (relation t name))
-  | None -> Relation.scan (relation t name)
-
 let mem t name tu =
   (match Smap.find_opt name t.segs with
   | Some seg -> Segment.mem seg tu
   | None -> false)
   || Relation.mem (relation t name) tu
-
-let cardinality t name = seg_len t name + Relation.cardinality (relation t name)
 
 (* Segment matches first (descending position), then the tail's. *)
 let prepare t name cols =
@@ -134,18 +127,15 @@ let prepare t name cols =
 let source t =
   {
     Source.catalog = t.catalog;
-    scan = scan t;
     prepare = prepare t;
     mem = mem t;
-    cardinality = cardinality t;
   }
 
 let pp ppf t =
   let pp_rel ppf (name, r) =
-    let tuples = List.of_seq (scan t name) in
     Format.fprintf ppf "@[<v 2>%a:@ %a@]" Schema.pp_relation (Relation.schema r)
-      (Format.pp_print_list Tuple.pp)
-      tuples
+      (Format.pp_print_iter (fun f name -> iter_tuples t name f) Tuple.pp)
+      name
   in
   Format.fprintf ppf "@[<v>%a@]"
     (Format.pp_print_list pp_rel)

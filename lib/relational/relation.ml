@@ -60,12 +60,6 @@ let insert r t =
 
 let mem r t = Tuple.Tbl.mem r.present t
 
-let scan r =
-  let n = r.len in
-  let tuples = r.tuples in
-  let rec go i () = if i >= n then Seq.Nil else Seq.Cons (tuples.(i), go (i + 1)) in
-  go 0
-
 let ensure_index r col =
   match Hashtbl.find_opt r.indexes col with
   | Some idx -> idx

@@ -19,7 +19,6 @@ val insert : t -> Tuple.t -> bool
     Raises [Invalid_argument] on an arity mismatch. *)
 
 val mem : t -> Tuple.t -> bool
-val scan : t -> Tuple.t Seq.t
 
 val prepare : t -> int array -> Source.probe
 (** The {!Source.probe} for the given strictly ascending bound columns:

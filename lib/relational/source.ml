@@ -5,10 +5,8 @@ type probe = {
 
 type t = {
   catalog : Schema.t;
-  scan : string -> Tuple.t Seq.t;
   prepare : string -> int array -> probe;
   mem : string -> Tuple.t -> bool;
-  cardinality : string -> int;
 }
 
 let schema t name = Schema.find t.catalog name

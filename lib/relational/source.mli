@@ -17,13 +17,13 @@ type probe = {
 }
 (** An access path resolved once for one relation and one set of bound
     columns. Keys carry one value per prepared column, in the prepared
-    (ascending) column order. A probe over no column counts
-    {!field-cardinality} and iterates {!field-scan}'s order. *)
+    (ascending) column order. The probe over no column is the full
+    read: [(src.prepare rel [||]).iter [||]] visits every visible tuple
+    of [rel] once, and its [count] is the relation's size (possibly an
+    upper bound). *)
 
 type t = {
   catalog : Schema.t;
-  scan : string -> Tuple.t Seq.t;
-      (** All visible tuples of the named relation. *)
   prepare : string -> int array -> probe;
       (** [prepare rel cols], [cols] strictly ascending: the probe for
           [rel] with exactly [cols] bound. Implementations resolve their
@@ -32,8 +32,6 @@ type t = {
           per (view, relation, columns). *)
   mem : string -> Tuple.t -> bool;
       (** Visible membership test (used for negated atoms). *)
-  cardinality : string -> int;
-      (** Number of visible tuples (may be an upper bound). *)
 }
 
 val schema : t -> string -> Schema.relation

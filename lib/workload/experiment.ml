@@ -14,7 +14,6 @@ type measurement = {
   seconds : float;
   stats : Core.Dcsat.stats;
   obs_worlds : int;
-  cache_hit_ratio : float;
   comp_cache_hit_ratio : float;
   worker_util : float;
   eval_full : int;
@@ -81,12 +80,6 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
     let total = eval_full + eval_delta in
     if total = 0 then 0.0 else float_of_int eval_delta /. float_of_int total
   in
-  let hit = Bcobs.Obs.counter obs "store.vis_hit" in
-  let miss = Bcobs.Obs.counter obs "store.vis_miss" in
-  let cache_hit_ratio =
-    if hit + miss = 0 then 0.0
-    else float_of_int hit /. float_of_int (hit + miss)
-  in
   let chit = Bcobs.Obs.counter obs "live.comp_cache_hit" in
   let cmiss = Bcobs.Obs.counter obs "live.comp_cache_miss" in
   let comp_cache_hit_ratio =
@@ -115,7 +108,6 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
     seconds;
     stats = last.Core.Dcsat.stats;
     obs_worlds;
-    cache_hit_ratio;
     comp_cache_hit_ratio;
     worker_util;
     eval_full;

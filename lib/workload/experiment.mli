@@ -21,9 +21,6 @@ type measurement = {
   obs_worlds : int;
       (** Worlds evaluated, from the instrumented run's merged
           ["dcsat.worlds"] counter (deterministic across backends). *)
-  cache_hit_ratio : float;
-      (** Visibility-cache hits / (hits + misses) in the tagged store;
-          0 when the run never probed the cache. *)
   comp_cache_hit_ratio : float;
       (** Live verdict-cache hits / (hits + misses)
           (["live.comp_cache_hit"] / ["live.comp_cache_miss"]); 0 on the
@@ -87,7 +84,7 @@ val run :
     The timed runs execute with the session's existing recorder
     untouched (normally {!Bcobs.Obs.null}, so they are not perturbed);
     one extra {e untimed} run under a fresh recorder supplies the
-    [obs_worlds]/[cache_hit_ratio]/[worker_util] fields and pushes its
+    [obs_worlds]/[worker_util] fields and pushes its
     summary through [obs_sinks] (default none — e.g. a trace collector
     accumulating one Chrome trace for the whole bench run). *)
 

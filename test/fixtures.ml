@@ -105,3 +105,10 @@ let account_row owner bank balance =
   ("Account", R.Tuple.make [ str owner; str bank; V.Int balance ])
 
 let session_of db = Core.Session.create db
+
+(* Every visible tuple of [rel], in order, through the zero-column
+   probe — a source's full read. *)
+let read_all (src : R.Source.t) rel =
+  let acc = ref [] in
+  (src.R.Source.prepare rel [||]).R.Source.iter [||] (fun t -> acc := t :: !acc);
+  List.rev !acc

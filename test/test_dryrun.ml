@@ -25,8 +25,8 @@ let snapshot session =
   Core.Tagged_store.all_visible store;
   let src = Core.Tagged_store.source store in
   ( Core.Tagged_store.tx_count store,
-    List.length (List.of_seq (src.R.Source.scan "TxOut")),
-    List.length (List.of_seq (src.R.Source.scan "TxIn")) )
+    List.length (Fixtures.read_all src "TxOut"),
+    List.length (Fixtures.read_all src "TxIn") )
 
 let test_extended_matches_fresh () =
   let session = Fixtures.session_of (Fixtures.paper_db ()) in

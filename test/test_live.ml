@@ -163,6 +163,28 @@ let random_rows rng =
 
 let random_pending_label rng m = fst (List.nth m.pending (Random.State.int rng (List.length m.pending)))
 
+(* Confirm [label] on each live layer. A from-scratch session over the
+   model decides the expected answer: an includable transaction
+   ([R ∪ T |= I]) is confirmed and moves to the model's state; any
+   other is refused and changes nothing. Returns whether it was
+   confirmed. *)
+let confirm_event lives m label =
+  let id = Option.get (List.find_index (fun (l, _) -> l = label) m.pending) in
+  let includable = (Core.Session.includable (Core.Session.create (model_db m))).(id) in
+  if includable then begin
+    m.confirmed <- (label, List.assoc label m.pending) :: m.confirmed;
+    m.pending <- List.filter (fun (l, _) -> l <> label) m.pending
+  end;
+  List.iter
+    (fun live ->
+      match (Core.Live.confirm live label, includable) with
+      | Ok (), true | Error _, false -> ()
+      | Ok (), false ->
+          QCheck.Test.fail_reportf "confirm %s: not includable, yet accepted" label
+      | Error e, true -> QCheck.Test.fail_reportf "confirm %s: %s" label e)
+    lives;
+  includable
+
 (* One event, applied to the model and each live layer in lockstep (the
    cache differential drives two instances through the same stream). *)
 let step_event rng lives m =
@@ -182,18 +204,8 @@ let step_event rng lives m =
         | Error e -> QCheck.Test.fail_reportf "evict %s: %s" label e)
       lives
   end
-  else if pick < 85 then begin
-    let label = random_pending_label rng m in
-    let rows = List.assoc label m.pending in
-    m.pending <- List.filter (fun (l, _) -> l <> label) m.pending;
-    m.confirmed <- (label, rows) :: m.confirmed;
-    List.iter
-      (fun live ->
-        match Core.Live.confirm live label with
-        | Ok () -> ()
-        | Error e -> QCheck.Test.fail_reportf "confirm %s: %s" label e)
-      lives
-  end
+  else if pick < 85 then
+    ignore (confirm_event lives m (random_pending_label rng m) : bool)
   else
     match m.confirmed with
     | [] ->
@@ -334,18 +346,19 @@ let long_stream =
         end
         else begin
           let label = random_pending_label rng m in
-          let rows = List.assoc label m.pending in
-          m.pending <- List.filter (fun (l, _) -> l <> label) m.pending;
-          let what, result =
-            if pick < 90 then ("evict", Core.Live.evict live label)
+          let what =
+            if pick < 90 then begin
+              m.pending <- List.filter (fun (l, _) -> l <> label) m.pending;
+              (match Core.Live.evict live label with
+              | Ok () -> ()
+              | Error e -> QCheck.Test.fail_reportf "evict %s: %s" label e);
+              "evict"
+            end
             else begin
-              m.confirmed <- (label, rows) :: m.confirmed;
-              ("confirm", Core.Live.confirm live label)
+              ignore (confirm_event [ live ] m label : bool);
+              "confirm"
             end
           in
-          (match result with
-          | Ok () -> ()
-          | Error e -> QCheck.Test.fail_reportf "%s %s: %s" what label e);
           ignore (unchanged what before : bool)
         end;
         let k = Core.Live.pending_count live in
@@ -392,6 +405,35 @@ let test_duplicate_add_rejected () =
   Core.Live.add live ~label:"C" [ node_row 5 "blue" ];
   Alcotest.(check bool) "then a fresh add = rebuild" true
     (assert_agrees ~step:1 ~jobs:1 live m q)
+
+(* --- a confirm of a transaction that is not includable is refused ---- *)
+
+let test_confirm_not_includable () =
+  let m = fresh_model () in
+  (* "KEY" re-colours node 0 (the key fails against R); "DANGLING" adds
+     an edge from a node nobody holds (the inclusion fails); "OK" is
+     includable. *)
+  m.pending <-
+    [ ("KEY", [ node_row 0 "blue" ]); ("DANGLING", [ edge_row 9 0 ]);
+      ("OK", [ node_row 3 "green" ]) ];
+  let live = Core.Live.create (model_db m) in
+  let q = parse (List.nth queries 1) in
+  ignore (Core.Live.components live q : int list list);
+  let before = world_of live in
+  List.iter
+    (fun label ->
+      Alcotest.(check bool) (label ^ " refused") false (confirm_event [ live ] m label))
+    [ "KEY"; "DANGLING" ];
+  let store, w, e = world_of live in
+  let store', w', e' = before in
+  Alcotest.(check bool) "same store, world and epoch" true
+    (store == store' && w = w' && e = e');
+  Alcotest.(check int) "still three pending" 3 (Core.Live.pending_count live);
+  Alcotest.(check bool) "maintained structures = rebuild" true
+    (assert_agrees ~step:0 ~jobs:1 live m q);
+  Alcotest.(check bool) "an includable confirm goes through" true
+    (confirm_event [ live ] m "OK");
+  Alcotest.(check bool) "then = rebuild" true (assert_agrees ~step:1 ~jobs:1 live m q)
 
 (* --- satellite 3 (PR 10): the verdict cache must be invisible --------
 
@@ -724,6 +766,8 @@ let () =
           QCheck_alcotest.to_alcotest long_stream;
           Alcotest.test_case "duplicate add is rejected, nothing changes"
             `Quick test_duplicate_add_rejected;
+          Alcotest.test_case "confirm of a non-includable tx is refused" `Quick
+            test_confirm_not_includable;
           Alcotest.test_case "unlimited budget checks hit the cache" `Quick
             test_budget_cacheability;
         ] );

@@ -327,8 +327,7 @@ let test_trace_validator_rejects_garbage () =
    generated Bitcoin-shaped economy. A traced cold precheck that
    decides its query (the plan evaluated once over R ∪ T) probes a base
    dictionary for a value it lacks; a traced cold solve the precheck
-   cannot decide records dictionary hits and misses and, evaluating
-   worlds, posting-visibility cache hits and misses. *)
+   cannot decide records dictionary hits and misses. *)
 let test_probe_counters_fire () =
   let module W = Workload in
   let sim = W.Generator.generate (W.Datasets.params W.Datasets.Small) in
@@ -362,7 +361,7 @@ let test_probe_counters_fire () =
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " recorded") true (Obs.counter obs name > 0))
-    [ "segment.dict_hits"; "segment.dict_miss"; "store.vis_hit"; "store.vis_miss" ]
+    [ "segment.dict_hits"; "segment.dict_miss" ]
 
 let () =
   Alcotest.run "obs"

@@ -256,7 +256,7 @@ let reference_matches (src : R.Source.t) (body : Q.Cq.t) =
   let rec assignments env = function
     | [] -> [ env ]
     | (atom : Q.Atom.t) :: rest ->
-        List.of_seq (src.R.Source.scan atom.Q.Atom.rel)
+        Fixtures.read_all src atom.Q.Atom.rel
         |> List.concat_map (fun tuple ->
                let rec unify env i =
                  if i >= Q.Atom.arity atom then Some env

@@ -128,7 +128,7 @@ let lookup_agrees_with_scan =
             |> List.sort R.Tuple.compare
           in
           let via_scan =
-            List.of_seq (R.Relation.scan r)
+            probe_list (R.Relation.prepare r [||]) [||]
             |> List.filter (fun t -> V.equal (R.Tuple.get t 0) (V.Int key))
             |> List.sort R.Tuple.compare
           in

@@ -28,7 +28,7 @@ let test_visibility () =
   let db = mk [ row 1 1 ] [ [ row 2 2 ]; [ row 3 3 ] ] in
   let store = Core.Tagged_store.create db in
   let src = Core.Tagged_store.source store in
-  let count () = List.length (List.of_seq (src.R.Source.scan "Rel")) in
+  let count () = List.length (Fixtures.read_all src "Rel") in
   Core.Tagged_store.base_only store;
   Alcotest.(check int) "base only" 1 (count ());
   Core.Tagged_store.set_world_list store [ 0 ];
@@ -46,7 +46,7 @@ let test_set_semantics_across_origins () =
   let src = Core.Tagged_store.source store in
   Core.Tagged_store.all_visible store;
   Alcotest.(check int) "distinct tuples" 2
-    (List.length (List.of_seq (src.R.Source.scan "Rel")));
+    (List.length (Fixtures.read_all src "Rel"));
   Alcotest.(check (list int))
     "origins recorded" [ -1; 0; 1 ]
     (Core.Tagged_store.origins store "Rel" (R.Tuple.make [ V.Int 1; V.Int 1 ]));
@@ -80,17 +80,15 @@ let test_to_database_matches () =
   let src_db = R.Database.source materialized in
   List.iter
     (fun rel ->
-      let of_seq s = List.sort R.Tuple.compare (List.of_seq s) in
+      let sorted src = List.sort R.Tuple.compare (Fixtures.read_all src rel) in
       Alcotest.(check int)
         (rel ^ " cardinality agrees")
-        (List.length (of_seq (src_db.R.Source.scan rel)))
-        (List.length (of_seq (src_store.R.Source.scan rel)));
+        (List.length (sorted src_db))
+        (List.length (sorted src_store));
       Alcotest.(check bool)
         (rel ^ " contents agree")
         true
-        (List.equal R.Tuple.equal
-           (of_seq (src_db.R.Source.scan rel))
-           (of_seq (src_store.R.Source.scan rel))))
+        (List.equal R.Tuple.equal (sorted src_db) (sorted src_store)))
     [ "TxOut"; "TxIn" ]
 
 let test_clone_independence () =
@@ -102,7 +100,7 @@ let test_clone_independence () =
   let replica = Core.Tagged_store.clone store in
   let count st =
     let src = Core.Tagged_store.source st in
-    List.length (List.of_seq (src.R.Source.scan "Rel"))
+    List.length (Fixtures.read_all src "Rel")
   in
   Alcotest.(check int) "clone starts in parent's world" 2 (count replica);
   (* Move the clone; the parent must not budge — including via indexed
@@ -120,6 +118,35 @@ let test_clone_independence () =
   Core.Tagged_store.base_only store;
   Alcotest.(check int) "parent narrowed" 1 (count store);
   Alcotest.(check int) "clone unaffected" 3 (count replica)
+
+(* A base row that pending transactions also write keeps its merged
+   origins in the store's own side table: [append_tx] extends them,
+   [undo] restores them, and a clone taken after a kept append carries
+   them without sharing them with its parent. *)
+let test_base_row_origins () =
+  let db = mk [ row 1 1 ] [ [ row 1 1 ] ] in
+  let store = Core.Tagged_store.create db in
+  let origins st =
+    Core.Tagged_store.origins st "Rel" (R.Tuple.make [ V.Int 1; V.Int 1 ])
+  in
+  let check msg want st = Alcotest.(check (list int)) msg want (origins st) in
+  check "base and T0" [ -1; 0 ] store;
+  let db1 = Core.Bcdb.with_pending db [ row 1 1 ] in
+  let journal = Core.Tagged_store.append_tx store db1 in
+  check "append adds T1" [ -1; 0; 1 ] store;
+  Core.Tagged_store.undo store journal;
+  check "undo restores" [ -1; 0 ] store;
+  ignore (Core.Tagged_store.append_tx store db1 : Core.Tagged_store.journal);
+  let replica = Core.Tagged_store.clone store in
+  check "clone after a kept append" [ -1; 0; 1 ] replica;
+  let db2 = Core.Bcdb.with_pending db1 [ row 1 1 ] in
+  let journal = Core.Tagged_store.append_tx store db2 in
+  check "parent appends T2" [ -1; 0; 1; 2 ] store;
+  check "clone unaffected" [ -1; 0; 1 ] replica;
+  Core.Tagged_store.undo store journal;
+  ignore (Core.Tagged_store.append_tx replica db2 : Core.Tagged_store.journal);
+  check "clone appends T2" [ -1; 0; 1; 2 ] replica;
+  check "parent unaffected" [ -1; 0; 1 ] store
 
 let store_scan_prop =
   QCheck.Test.make
@@ -145,7 +172,7 @@ let store_scan_prop =
       Core.Tagged_store.set_world_list store visible;
       let src = Core.Tagged_store.source store in
       let got =
-        List.of_seq (src.R.Source.scan "Rel") |> List.sort_uniq R.Tuple.compare
+        Fixtures.read_all src "Rel" |> List.sort_uniq R.Tuple.compare
       in
       let expected =
         List.map (fun (a, b) -> R.Tuple.make [ V.Int a; V.Int b ]) base
@@ -162,12 +189,14 @@ let store_scan_prop =
 (* ------------------------------------------------------------------ *)
 (* Prepared probes against reference filters. For every view, relation
    and bound-column subset, [iter] must yield exactly the tuples a
-   filter over the view's scan yields — pending matches by descending
-   position, then base matches by descending position (a scan lists
-   base rows then pending entries, both ascending) — and [count] must
-   equal the estimate the store's join ordering has always used,
-   recomputed here from scratch. Handles are prepared once and must
-   stay right across [append_tx] and [undo]. *)
+   filter over the view's rows yields — pending matches by descending
+   position, then base matches by descending position; over no column,
+   base rows then visible pending entries, both ascending — and [count]
+   must equal the estimate the store's join ordering has always used,
+   recomputed here from scratch. The reference rows come from the
+   database and {!Core.Tagged_store.origins}, not from a probe. Handles
+   are prepared once and must stay right across [append_tx] and
+   [undo]. *)
 
 let pair = R.Schema.relation "Pair" [ "a"; "b" ]
 let wide = R.Schema.relation "Wide" [ "a"; "b"; "c"; "d"; "e" ]
@@ -245,7 +274,35 @@ let database_count ~seg ~tail cols keys =
     count_where (agrees [| cols.(0) |] [| keys.(0) |]) tail
     + base_width seg cols keys
 
-let drop n l = List.filteri (fun i _ -> i >= n) l
+(* The reference rows of [rel] in store order: base rows by position,
+   then pending entries by first contribution (transaction order), each
+   listed once; and the pending entries the active world sees. *)
+let reference_rows store rel =
+  let db = Core.Tagged_store.db store in
+  let base = ref [] in
+  R.Database.iter_tuples db.Core.Bcdb.state rel (fun t -> base := t :: !base);
+  let base = List.rev !base in
+  let pending_all =
+    Array.fold_left
+      (fun acc (tx : Core.Pending.t) ->
+        List.fold_left
+          (fun acc (r, t) ->
+            if r = rel && not (List.exists (R.Tuple.equal t) (base @ acc)) then
+              acc @ [ t ]
+            else acc)
+          acc tx.Core.Pending.rows)
+      [] db.Core.Bcdb.pending
+  in
+  let world = Core.Tagged_store.world store in
+  let visible =
+    List.filter
+      (fun t ->
+        List.exists
+          (fun o -> o >= 0 && Bitset.mem world o)
+          (Core.Tagged_store.origins store rel t))
+      pending_all
+  in
+  (base, pending_all, visible)
 
 (* Key arrays for one column subset: projections of present tuples, and
    values absent from every column (dictionary and type misses). *)
@@ -303,11 +360,12 @@ let store_probes_prop =
       let check () =
         List.for_all
           (fun ((src : R.Source.t), rel, cols, probe) ->
-            let scan (s : R.Source.t) = List.of_seq (s.R.Source.scan rel) in
-            let base = scan (Core.Tagged_store.base_source store) in
-            let nb = List.length base in
-            let pending_all = drop nb (scan (Core.Tagged_store.union_source store)) in
-            let visible = drop nb (scan src) in
+            let base, pending_all, visible = reference_rows store rel in
+            let visible =
+              if src == Core.Tagged_store.base_source store then []
+              else if src == Core.Tagged_store.union_source store then pending_all
+              else visible
+            in
             let expected keys =
               if Array.length cols = 0 then base @ visible
               else
@@ -405,6 +463,8 @@ let () =
           Alcotest.test_case "materialize" `Quick test_to_database_matches;
           Alcotest.test_case "clone independence" `Quick
             test_clone_independence;
+          Alcotest.test_case "base-row origins across append, undo, clone"
+            `Quick test_base_row_origins;
           QCheck_alcotest.to_alcotest store_scan_prop;
         ] );
       ( "probes",
