@@ -4,7 +4,7 @@
    Usage: main.exe [--smoke] [section ...] where a section is one of
    table1 fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h datasize
    parallel dense dense-groups evalbench serve ablation scenarios
-   live-create. With no arguments,
+   live-create cold-check. With no arguments,
    everything runs; `--smoke` alone runs the fixed CI subset,
    `--smoke SECTION...` runs the named sections scaled down. *)
 
@@ -1464,65 +1464,35 @@ let consolidation (db : Core.Bcdb.t) ~inputs =
   :: List.rev_map (fun (t : R.Tuple.t) -> txin t.(0) t.(1) t.(2) t.(3)) !unspent
   @ own
 
-let live_create_row ~label (db : Core.Bcdb.t) =
-  let path = Filename.temp_file "bcdb-live-create" ".snap" in
+(* [f load] with [load ()] reading [db] back from a binary snapshot, as
+   a `bcdb` process loads it: each call yields fresh segments, so no
+   index built on one copy serves another. *)
+let with_snapshot (db : Core.Bcdb.t) f =
+  let path = Filename.temp_file "bcdb-phases" ".snap" in
   (match Core.Bcdb_file.save_binary path db with
   | Ok () -> ()
-  | Error e -> failwith ("live-create: saving the snapshot: " ^ e));
+  | Error e -> failwith ("phase rows: saving the snapshot: " ^ e));
   let load () =
     match Core.Bcdb_file.load_binary path with
     | Ok db -> db
-    | Error e -> failwith ("live-create: loading the snapshot: " ^ e)
+    | Error e -> failwith ("phase rows: loading the snapshot: " ^ e)
   in
-  let timed f =
-    let t0 = Bcobs.Monotime.now () in
-    let r = f () in
-    (r, Bcobs.Monotime.elapsed ~since:t0)
-  in
-  let repeats = 5 in
-  let names =
-    [ "load"; "store"; "validity"; "fd_conflicts"; "ind_edges"; "digests"; "total" ]
-  in
-  let samples = List.map (fun n -> (n, Array.make repeats 0.0)) names in
-  let put name r v = (List.assoc name samples).(r) <- v in
-  for r = 0 to repeats - 1 do
-    Gc.compact ();
-    let db1, load_s = timed load in
-    put "load" r load_s;
-    put "total" r (snd (timed (fun () -> Core.Live.create db1)));
-    let db2 = load () in
-    Gc.compact ();
-    let store, store_s =
-      timed (fun () -> Core.Session.store (Core.Session.create db2))
-    in
-    put "store" r store_s;
-    let pending = db2.Core.Bcdb.pending in
-    let (node_ok, _), valid_s =
-      timed (fun () -> Core.Tagged_store.validity store)
-    in
-    put "validity" r valid_s;
-    put "fd_conflicts" r
-      (snd (timed (fun () -> ignore (Core.Fd_graph.build store ~node_ok))));
-    put "ind_edges" r
-      (snd (timed (fun () -> ignore (Core.Ind_graph.base_edges store))));
-    put "digests" r
-      (snd (timed (fun () -> ignore (Array.map Core.Live.tx_digest pending))))
-  done;
-  Sys.remove path;
-  let pending = Array.length db.Core.Bcdb.pending in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f load)
+
+let timed f =
+  let t0 = Bcobs.Monotime.now () in
+  let r = f () in
+  (r, Bcobs.Monotime.elapsed ~since:t0)
+
+(* Record one phase row and print its min/median table. *)
+let add_phase_row ~row ~title ~label ~x samples =
+  let repeats = Array.length (snd (List.hd samples)) in
   phase_rows :=
-    {
-      prow = "live-create";
-      plabel = label;
-      px = pending;
-      prepeats = repeats;
-      phases = samples;
-    }
+    { prow = row; plabel = label; px = x; prepeats = repeats; phases = samples }
     :: !phase_rows;
   E.print_table
     ~title:
-      (Printf.sprintf "Live.create phases, %s: %d pending (%d repeats)" label
-         pending repeats)
+      (Printf.sprintf "%s, %s: %d pending (%d repeats)" title label x repeats)
     ~columns:[ "phase"; "min"; "median" ]
     ~rows:
       (List.map
@@ -1533,6 +1503,40 @@ let live_create_row ~label (db : Core.Bcdb.t) =
              E.ms (W.Poisson.percentile a 0.5);
            ])
          samples)
+
+let live_create_row ~label (db : Core.Bcdb.t) =
+  let repeats = 5 in
+  let names =
+    [ "load"; "store"; "validity"; "fd_conflicts"; "ind_edges"; "digests"; "total" ]
+  in
+  let samples = List.map (fun n -> (n, Array.make repeats 0.0)) names in
+  let put name r v = (List.assoc name samples).(r) <- v in
+  with_snapshot db (fun load ->
+      for r = 0 to repeats - 1 do
+        Gc.compact ();
+        let db1, load_s = timed load in
+        put "load" r load_s;
+        put "total" r (snd (timed (fun () -> Core.Live.create db1)));
+        let db2 = load () in
+        Gc.compact ();
+        let store, store_s =
+          timed (fun () -> Core.Session.store (Core.Session.create db2))
+        in
+        put "store" r store_s;
+        let pending = db2.Core.Bcdb.pending in
+        let (node_ok, _), valid_s =
+          timed (fun () -> Core.Tagged_store.validity store)
+        in
+        put "validity" r valid_s;
+        put "fd_conflicts" r
+          (snd (timed (fun () -> ignore (Core.Fd_graph.build store ~node_ok))));
+        put "ind_edges" r
+          (snd (timed (fun () -> ignore (Core.Ind_graph.base_edges store))));
+        put "digests" r
+          (snd (timed (fun () -> ignore (Array.map Core.Live.tx_digest pending))))
+      done);
+  add_phase_row ~row:"live-create" ~title:"Live.create phases" ~label
+    ~x:(Array.length db.Core.Bcdb.pending) samples
 
 (* The serve-read economy as loaded, then with one consolidation
    transaction of about 5,000 inputs (1,000 at smoke scale) pending. *)
@@ -1550,6 +1554,46 @@ let live_create_bench () =
   live_create_row
     ~label:(Printf.sprintf "%s+consolidation-%drows" base (List.length big))
     db_big
+
+(* ------------------------------------------------------------------ *)
+(* A cold `bcdb check`'s fixed costs on the batch-solve sweep snapshot
+   (all 50 sweep blocks plus 20 double spends, 1785 pending; 10 blocks
+   at smoke scale): Session.create; node validity and the fd graph it
+   feeds (the store's validity sweep plus Fd_graph.build, as
+   Session.fd_graph forces them); and the first maximal clique of that
+   graph, which NaiveDCSat's one world and every OptDCSat component
+   start from. Each repeat loads the snapshot afresh. *)
+let cold_check_bench () =
+  let take = if !smoke_flag then Some 10 else None in
+  let db =
+    W.Generator.dataset (sim Sweep) ?pending_take:take ~contradictions:20 ()
+  in
+  let repeats = 7 in
+  let names = [ "session"; "validity_fd_graph"; "first_clique"; "total" ] in
+  let samples = List.map (fun n -> (n, Array.make repeats 0.0)) names in
+  let put name r v = (List.assoc name samples).(r) <- v in
+  with_snapshot db (fun load ->
+      for r = 0 to repeats - 1 do
+        let db = load () in
+        Gc.compact ();
+        let sess, session_s = timed (fun () -> Core.Session.create db) in
+        let fd, fd_s = timed (fun () -> Core.Session.fd_graph sess) in
+        let clique, clique_s =
+          timed (fun () ->
+              Bcgraph.Bron_kerbosch.generator fd.Core.Fd_graph.graph ())
+        in
+        if clique = None then fail "cold-check: the fd graph has no clique";
+        put "session" r session_s;
+        put "validity_fd_graph" r fd_s;
+        put "first_clique" r clique_s;
+        put "total" r (session_s +. fd_s +. clique_s)
+      done);
+  add_phase_row ~row:"cold-check" ~title:"Cold check phases"
+    ~label:
+      (match take with
+      | Some n -> Printf.sprintf "sweep-%dblk" n
+      | None -> "sweep")
+    ~x:(Array.length db.Core.Bcdb.pending) samples
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode (--smoke): a minutes-scale subset that exercises the full
@@ -1594,9 +1638,11 @@ let epoch_switch_gate ~pairs =
    NaiveDCSat solve (jobs 1, delta off) on a session whose fd graph is
    already built. The count is deterministic — no timing, no second
    domain — so the bound is the figure measured when the gate was set
-   (1380 words per world; 5147 before probes were prepared once) plus
-   25%: a probe path that starts allocating per call again fails it. *)
-let alloc_words_per_world = 1380.0
+   (863 words per world; 1380 before the evaluator kept its bindings
+   unboxed and skipped the empty base segment, 5147 before probes were
+   prepared once) plus 25%: a probe path that starts allocating per
+   call again fails it. *)
+let alloc_words_per_world = 863.0
 
 let alloc_gate ~pairs =
   let sess = dense_session pairs in
@@ -1744,6 +1790,7 @@ let smoke () =
   alloc_gate ~pairs:dpairs;
   validity_alloc_gate ();
   live_create_bench ();
+  cold_check_bench ();
   precheck_switch_gate sess (Q.instantiate s (Q.Qp 3) Q.Satisfied);
   (* Scenario library: every named instance must meet its scripted
      expectation and keep its verdict across a binary snapshot
@@ -1775,6 +1822,7 @@ let sections =
     ("ablation", ablation);
     ("scenarios", scenarios_section);
     ("live-create", live_create_bench);
+    ("cold-check", cold_check_bench);
   ]
 
 let write_and_validate_trace () =

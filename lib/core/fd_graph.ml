@@ -110,13 +110,17 @@ let extend g store ~valid:ok =
   in
   { graph; node_ok; conflicts }
 
+(* One fd's rows sharing an lhs: transaction id and row, newest first. *)
+type bucket = Nil | Row of int * R.Tuple.t * bucket
+
 let build store ~node_ok =
   let db = Tagged_store.db store in
   let fds = Bcdb.fds db in
   let k = Tagged_store.tx_count store in
   if Array.length node_ok <> k then
     invalid_arg "Fd_graph.build: node_ok length mismatch";
-  (* Pairwise conflicts: bucket pending rows by fd-lhs projection. *)
+  (* Pairwise conflicts: bucket pending rows by their fd-lhs values,
+     hashed and compared in place — no projection is built. *)
   let conflict = Hashtbl.create 64 in
   let record i j =
     let key = if i < j then (i, j) else (j, i) in
@@ -124,32 +128,41 @@ let build store ~node_ok =
   in
   List.iter
     (fun (f : R.Constr.fd) ->
-      let buckets = R.Tuple.Tbl.create 256 in
+      let lhs = Array.of_list f.R.Constr.lhs
+      and rhs = Array.of_list f.R.Constr.rhs in
+      let module Lhs = Hashtbl.Make (struct
+        type t = R.Tuple.t
+
+        let equal a b = R.Tuple.agree_on a lhs b lhs
+        let hash t = R.Tuple.hash_on t lhs
+      end) in
+      let buckets = Lhs.create 256 in
       Array.iter
         (fun (tx : Pending.t) ->
           List.iter
-            (fun tuple ->
-              let lhs = R.Tuple.project tuple f.R.Constr.lhs in
-              let rhs = R.Tuple.project tuple f.R.Constr.rhs in
-              let prev =
-                Option.value (R.Tuple.Tbl.find_opt buckets lhs) ~default:[]
-              in
-              R.Tuple.Tbl.replace buckets lhs ((tx.Pending.id, rhs) :: prev))
-            (Pending.rows_for tx f.R.Constr.frel))
+            (fun (rel, tuple) ->
+              if String.equal rel f.R.Constr.frel then
+                let prev =
+                  match Lhs.find buckets tuple with
+                  | b -> b
+                  | exception Not_found -> Nil
+                in
+                Lhs.replace buckets tuple (Row (tx.Pending.id, tuple, prev)))
+            tx.Pending.rows)
         db.Bcdb.pending;
-      R.Tuple.Tbl.iter
-        (fun _ entries ->
-          let rec pairs = function
-            | [] -> ()
-            | (i, rhs_i) :: rest ->
-                List.iter
-                  (fun (j, rhs_j) ->
-                    if i <> j && not (R.Tuple.equal rhs_i rhs_j) then record i j)
-                  rest;
-                pairs rest
-          in
-          pairs entries)
-        buckets)
+      let rec against i t = function
+        | Nil -> ()
+        | Row (j, u, rest) ->
+            if i <> j && not (R.Tuple.agree_on t rhs u rhs) then record i j;
+            against i t rest
+      in
+      let rec pairs = function
+        | Nil -> ()
+        | Row (i, t, rest) ->
+            against i t rest;
+            pairs rest
+      in
+      Lhs.iter (fun _ bucket -> pairs bucket) buckets)
     fds;
   let conflicts =
     Hashtbl.fold

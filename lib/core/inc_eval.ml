@@ -32,6 +32,7 @@ module Bitset = Bcgraph.Bitset
 type plan = {
   query : Q.Query.t;
   body : Q.Eval.compiled;
+  delta_rels : string list;  (* distinct relations of the positive atoms *)
   monotone_body : bool;  (* no negated atoms: match set grows with tuples *)
   agg : Q.Query.aggregate option;
   incremental_agg : bool;  (* accumulator-maintainable aggregate kind *)
@@ -47,6 +48,8 @@ let plan query =
   {
     query;
     body;
+    delta_rels =
+      List.sort_uniq String.compare (Q.Eval.positive_relations body);
     monotone_body = not (Q.Eval.has_negation body);
     agg;
     incremental_agg =
@@ -254,8 +257,7 @@ let full_entry t store =
    {e distinct} relation among the positive atoms (an atom pair on one
    relation reuses the same Δ-list). *)
 let delta_tuple_count p delta_fn =
-  let rels = List.sort_uniq String.compare (Q.Eval.positive_relations p.body) in
-  List.fold_left (fun n rel -> n + List.length (delta_fn rel)) 0 rels
+  List.fold_left (fun n rel -> n + List.length (delta_fn rel)) 0 p.delta_rels
 
 (* Delta evaluation is worth attempting when the transaction-level
    frontier is small next to the world: the seeded search costs

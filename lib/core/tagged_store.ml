@@ -414,9 +414,12 @@ let memo f =
    it estimates from the lowest column's table alone; iterating goes
    through the exact table over every bound column. The pending tables
    are the store's own, maintained in place by {!append_tx}/{!undo}, so
-   the handle outlives both. *)
+   the handle outlives both. A relation whose base segment is empty
+   (all of Dense's rows are pending) skips the base side: it counts 0
+   and yields nothing, so no base index is built or searched. *)
 let make_probe t view rs cols =
   let seg = rs.seg in
+  let base_empty = R.Segment.length seg = 0 in
   let n = Array.length cols in
   if n = 0 then
     {
@@ -438,7 +441,7 @@ let make_probe t view rs cols =
     let count =
       if n <= 3 then fun keys ->
         (find_posting (exact ()) keys).count
-        + R.Segment.probe_count seg (base ()) keys
+        + if base_empty then 0 else R.Segment.probe_count seg (base ()) keys
       else
         let pend_first = memo (fun () -> postings rs [ cols.(0) ]) in
         let base_first = memo (fun () -> base_index rs [ cols.(0) ]) in
@@ -446,20 +449,24 @@ let make_probe t view rs cols =
         fun keys ->
           first.(0) <- keys.(0);
           (find_posting (pend_first ()) first).count
-          + R.Segment.probe_count seg (base_first ()) first
+          +
+          if base_empty then 0
+          else R.Segment.probe_count seg (base_first ()) first
     in
     let iter keys f =
       (match view with
       | Base -> ()
       | Union -> emit rs f (find_posting (exact ()) keys).all
       | World -> emit_visible rs f (find_posting (exact ()) keys).all);
-      let idx = base () in
-      if Obs.enabled t.obs then begin
-        let hits, misses = R.Segment.dict_probe seg idx keys in
-        if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
-        if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
-      end;
-      R.Segment.probe_iter seg idx keys f
+      if not base_empty then begin
+        let idx = base () in
+        if Obs.enabled t.obs then begin
+          let hits, misses = R.Segment.dict_probe seg idx keys in
+          if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
+          if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
+        end;
+        R.Segment.probe_iter seg idx keys f
+      end
     in
     { R.Source.count; iter }
 

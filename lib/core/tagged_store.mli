@@ -99,7 +99,9 @@ val source : t -> Relational.Source.t
     matches by descending position, testing each pending position's
     visibility inline. [count] is world-independent: the pending
     posting count plus the base hash-range width, from the lowest bound
-    column alone when more than 3 are bound. The zero-column probe is
+    column alone when more than 3 are bound. A relation with an empty
+    base segment never builds or searches a base index (and counts no
+    dictionary hit or miss). The zero-column probe is
     the full read: base rows by position, then the visible pending rows
     by ascending position; it counts every base and pending row. Handles stay
     valid across world switches, {!append_tx} and {!undo}, which update

@@ -137,25 +137,20 @@ let iter_diff f a b =
     if x <> 0 then iter_word f (w lsl 5) x
   done
 
-(* Argmax of [inter_cardinal rows.(u) target] over the members [u] of
-   [cand], allocation-free: the score of each candidate is a direct
-   word-loop popcount, and only a strictly better score displaces the
-   current best, so ties resolve to the smallest member — the
-   deterministic pivot rule the clique enumerator relies on. The scan
-   stops at the first member whose score reaches [bound]: when [bound]
-   caps every score, that member is already the smallest argmax. *)
-let max_inter ~rows ~bound cand target =
-  let nw = Array.length target.words in
+let inter_into a b =
+  if a.n <> b.n then invalid_arg "Bitset: capacity mismatch";
+  for i = 0 to Array.length a.words - 1 do
+    a.words.(i) <- a.words.(i) land b.words.(i)
+  done
+
+(* Argmax of [score u] over the members [u] of [cand], ascending: only a
+   strictly better score displaces the current best, so ties resolve to
+   the smallest member — the deterministic pivot rule the clique
+   enumerator relies on. The scan stops at the first member whose score
+   reaches [bound]: when [bound] caps every score, that member is
+   already the smallest argmax. *)
+let max_by ~bound cand score =
   let best = ref (-1) and best_score = ref (-1) in
-  let score u =
-    let ru = rows.(u) in
-    if ru.n <> target.n then invalid_arg "Bitset.max_inter: capacity mismatch";
-    let s = ref 0 in
-    for i = 0 to nw - 1 do
-      s := !s + popcount (ru.words.(i) land target.words.(i))
-    done;
-    !s
-  in
   let w = ref 0 and stop = ref false in
   while !w < Array.length cand.words && not !stop do
     let x = ref cand.words.(!w) in

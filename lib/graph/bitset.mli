@@ -38,12 +38,14 @@ val inter_cardinal : t -> t -> int
 (** [inter_cardinal a b] is [cardinal (inter a b)] without the
     intermediate allocation. *)
 
-val max_inter : rows:t array -> bound:int -> t -> t -> int * int
-(** [max_inter ~rows ~bound cand target] is [(u, score)] where [u] is
-    the member of [cand] maximizing [inter_cardinal rows.(u) target] and
-    [score] that maximum — the Tomita pivot score |P ∩ N(u)| when
-    [target] is P and [rows] the adjacency rows. Ties resolve to the
-    smallest member; [(-1, -1)] when [cand] is empty.
+val inter_into : t -> t -> unit
+(** [inter_into a b] narrows [a] to [inter a b] in place. *)
+
+val max_by : bound:int -> t -> (int -> int) -> int * int
+(** [max_by ~bound cand score] is [(u, score u)] for the member [u] of
+    [cand] maximizing [score] — the clique enumerator's Tomita pivot
+    score |P ∩ N(u)|. Ties resolve to the smallest member; [(-1, -1)]
+    when [cand] is empty.
 
     The scan runs over [cand] in ascending order and stops at the first
     member whose score reaches [bound], returning that member and its
@@ -51,8 +53,7 @@ val max_inter : rows:t array -> bound:int -> t -> t -> int * int
     enumerator passes [|P| - 1] for members of P, [|P|] for members of
     X), that member is the smallest argmax, so the result is exactly
     the full scan's; the scan just ends as soon as the bound proves no
-    later member can do better. Allocation-free: no intermediate
-    bitsets. *)
+    later member can do better. *)
 
 val iter : (int -> unit) -> t -> unit
 

@@ -15,19 +15,36 @@
    Leaves — nodes with both P and X empty — are the maximal cliques,
    emitted in depth-first order.
 
-   Pivot scoring runs through {!Bitset.max_inter} — a word-level argmax
-   over the borrowed adjacency rows, no intermediate bitsets — and each
-   scan stops at the first node whose score reaches its cap (|P| - 1 in
-   P, |P| in X), which is already the smallest argmax. On the nearly
-   complete fd graphs of Bitcoin data almost every node hits the cap, so
-   a level costs a few row scores instead of |P| of them, and the first
-   maximal clique costs O(n²/32) rather than O(n³/32). *)
+   Pivot scans run through {!Bitset.max_by} and stop at the first node
+   whose score reaches its cap (|P| - 1 in P, |P| in X), which is
+   already the smallest argmax. On the nearly complete fd graphs of
+   Bitcoin data most nodes hit the cap, but not all: a double-spending
+   node misses its rival, so every conflicted node below the first
+   capped one is scored again at each level (on a 1785-node sweep
+   graph, 19 nodes at each of the first clique's 1,764 levels). A node
+   missing at most one word count of neighbours is therefore scored
+   sparsely: with miss(u) its non-neighbours other than itself and no
+   self-loops,
+
+     |P ∩ N(u)| = |P| - [u ∈ P] - |P ∩ miss(u)|,
+
+   the same integer a full-row popcount gives, in O(|miss(u)|). Each
+   node's scorer is chosen on its first score, so a small component
+   whose nodes are never scored builds no list. *)
+
+(* How a node's pivot score is computed, chosen on its first score. *)
+type scorer =
+  | Unscored
+  | Sparse of int array  (* non-neighbours other than the node itself *)
+  | Full  (* popcount of the adjacency row against P *)
 
 type prep = {
   n : int;
   neigh : Bitset.t array;  (* borrowed adjacency rows, read-only *)
   order : int array;  (* degeneracy order: order.(i) = i-th root node *)
   rank : int array;  (* inverse of order *)
+  scorers : scorer array;
+  all : Bitset.t Lazy.t;  (* every node; complements a row *)
 }
 
 let prep g =
@@ -36,7 +53,41 @@ let prep g =
   let order = Undirected.degeneracy_order g in
   let rank = Array.make n 0 in
   Array.iteri (fun i v -> rank.(v) <- i) order;
-  { n; neigh; order; rank }
+  {
+    n;
+    neigh;
+    order;
+    rank;
+    scorers = Array.make n Unscored;
+    all = lazy (Bitset.full n);
+  }
+
+(* Sparse when the node misses at most as many neighbours as a row has
+   words: the sparse score then costs no more than the popcount. *)
+let classify pr u =
+  let row = pr.neigh.(u) in
+  if pr.n - 1 - Bitset.cardinal row > (pr.n + 31) / 32 then Full
+  else begin
+    let miss = ref [] in
+    Bitset.iter_diff
+      (fun j -> if j <> u then miss := j :: !miss)
+      (Lazy.force pr.all) row;
+    Sparse (Array.of_list !miss)
+  end
+
+(* |P ∩ N(u)|, [np] being |P|. *)
+let rec score pr p np u =
+  match pr.scorers.(u) with
+  | Sparse miss ->
+      let s = ref (if Bitset.mem p u then np - 1 else np) in
+      for k = 0 to Array.length miss - 1 do
+        if Bitset.mem p (Array.unsafe_get miss k) then decr s
+      done;
+      !s
+  | Full -> Bitset.inter_cardinal pr.neigh.(u) p
+  | Unscored ->
+      pr.scorers.(u) <- classify pr u;
+      score pr p np u
 
 (* Root [i]'s P/X split of N(order.(i)) by rank. Fresh bitsets — the
    walkers mutate them as branching advances. *)
@@ -58,8 +109,9 @@ let root_px pr v =
    smallest argmax, the node the full scan would return. *)
 let branch_todo pr p x =
   let np = Bitset.cardinal p in
-  let bp, sp = Bitset.max_inter ~rows:pr.neigh ~bound:(np - 1) p p in
-  let bx, sx = Bitset.max_inter ~rows:pr.neigh ~bound:np x p in
+  let score = score pr p np in
+  let bp, sp = Bitset.max_by ~bound:(np - 1) p score in
+  let bx, sx = Bitset.max_by ~bound:np x score in
   let pivot = if sx > sp then bx else bp in
   let acc = ref [] in
   Bitset.iter_diff (fun j -> acc := j :: !acc) p pr.neigh.(pivot);
@@ -122,11 +174,25 @@ let generator ?interrupt g =
             else begin
               let v = f.stodo.(f.scur) in
               f.scur <- f.scur + 1;
-              let p' = Bitset.inter f.sp pr.neigh.(v)
-              and x' = Bitset.inter f.sx pr.neigh.(v) in
+              let row = pr.neigh.(v) in
+              let p', x' =
+                if f.scur = Array.length f.stodo then begin
+                  (* The frame's last branch: it never reads its P or X
+                     again, so they become the child's. [v] is in
+                     neither narrowed set (no self-loops). *)
+                  Bitset.inter_into f.sp row;
+                  Bitset.inter_into f.sx row;
+                  (f.sp, f.sx)
+                end
+                else begin
+                  let p' = Bitset.inter f.sp row
+                  and x' = Bitset.inter f.sx row in
+                  Bitset.remove f.sp v;
+                  Bitset.add f.sx v;
+                  (p', x')
+                end
+              in
               let r' = v :: f.sr in
-              Bitset.remove f.sp v;
-              Bitset.add f.sx v;
               if Bitset.is_empty p' && Bitset.is_empty x' then
                 Some (List.sort Int.compare r')
               else begin

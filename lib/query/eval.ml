@@ -69,42 +69,58 @@ let attach ev src =
 let has_negation c = Array.length c.neg > 0
 let positive_relations c = Array.to_list (Array.map (fun a -> a.rel) c.pos)
 
-(* Binding environment: None = unbound. *)
+(* Binding environment: [vals.(id)] is variable [id]'s value while
+   [bound.(id)]. [trail] holds the bound ids in binding order, so a
+   search level undoes its unifications by popping back to the mark it
+   took before them. *)
+type env = {
+  vals : Value.t array;
+  bound : bool array;
+  trail : int array;
+  mutable top : int;
+}
 
-let arg_value env = function
-  | C v -> Some v
-  | V i -> env.(i)
+let make_env n =
+  {
+    vals = Array.make n Value.Null;
+    bound = Array.make n false;
+    trail = Array.make n 0;
+    top = 0;
+  }
+
+let undo_to env mark =
+  while env.top > mark do
+    env.top <- env.top - 1;
+    env.bound.(env.trail.(env.top)) <- false
+  done
+
+let is_bound env = function C _ -> true | V i -> env.bound.(i)
+let value env = function C v -> v | V i -> env.vals.(i)
 
 (* A comparison or negated atom is checked once all of its variables are
    bound; before that it is skipped (it will be re-examined deeper in the
    search, and in the leaf everything is bound). *)
 
 let cmp_ok env (lhs, op, rhs) =
-  match (arg_value env lhs, arg_value env rhs) with
-  | Some a, Some b -> Cq.cmp op a b
-  | _ -> true
+  (not (is_bound env lhs && is_bound env rhs))
+  || Cq.cmp op (value env lhs) (value env rhs)
 
-let ground_atom env (a : catom) =
-  let n = Array.length a.cargs in
-  let out = Array.make n Value.Null in
-  let rec go i =
-    if i >= n then Some out
-    else
-      match arg_value env a.cargs.(i) with
-      | Some v ->
-          out.(i) <- v;
-          go (i + 1)
-      | None -> None
-  in
-  go 0
+let rec all_bound env (a : catom) i =
+  i >= Array.length a.cargs
+  || (is_bound env a.cargs.(i) && all_bound env a (i + 1))
 
 let neg_ok (src : Source.t) env (a : catom) =
-  match ground_atom env a with
-  | Some t -> not (src.Source.mem a.rel t)
-  | None -> true
+  (not (all_bound env a 0))
+  || not (src.Source.mem a.rel (Array.map (value env) a.cargs))
 
-let guards_ok src env c =
-  Array.for_all (cmp_ok env) c.cmps && Array.for_all (neg_ok src env) c.neg
+let rec cmps_ok env cmps i =
+  i >= Array.length cmps || (cmp_ok env cmps.(i) && cmps_ok env cmps (i + 1))
+
+let rec negs_ok src env neg i =
+  i >= Array.length neg
+  || (neg_ok src env neg.(i) && negs_ok src env neg (i + 1))
+
+let guards_ok src env c = cmps_ok env c.cmps 0 && negs_ok src env c.neg 0
 
 (* The slot of positive atom [i] for the positions [env] binds, its
    keys filled with the bound values. *)
@@ -113,12 +129,7 @@ let slot ev (src : Source.t) env i =
   let n = Array.length a.cargs in
   let mask = ref 0 in
   for j = 0 to n - 1 do
-    match a.cargs.(j) with
-    | C _ -> mask := !mask lor (1 lsl j)
-    | V id -> (
-        match env.(id) with
-        | Some _ -> mask := !mask lor (1 lsl j)
-        | None -> ())
+    if is_bound env a.cargs.(j) then mask := !mask lor (1 lsl j)
   done;
   let mask = !mask in
   let rec find = function
@@ -141,47 +152,46 @@ let slot ev (src : Source.t) env i =
   in
   let s = find ev.slots.(i) in
   for k = 0 to Array.length s.cols - 1 do
-    s.keys.(k) <-
-      (match a.cargs.(s.cols.(k)) with
-      | C v -> v
-      | V id -> ( match env.(id) with Some v -> v | None -> assert false))
+    s.keys.(k) <- value env a.cargs.(s.cols.(k))
   done;
   s
 
-(* Try to match [tuple] against atom [a], extending [env]; returns the list
-   of variable ids newly bound (for undo), or None on mismatch. *)
-let unify env (a : catom) (tuple : Tuple.t) =
-  let n = Array.length a.cargs in
-  let rec go i bound =
-    if i >= n then Some bound
-    else
-      match a.cargs.(i) with
-      | C v ->
-          if Value.equal v tuple.(i) then go (i + 1) bound
-          else begin
-            List.iter (fun id -> env.(id) <- None) bound;
-            None
-          end
-      | V id -> (
-          match env.(id) with
-          | Some v ->
-              if Value.equal v tuple.(i) then go (i + 1) bound
-              else begin
-                List.iter (fun id -> env.(id) <- None) bound;
-                None
-              end
-          | None ->
-              env.(id) <- Some tuple.(i);
-              go (i + 1) (id :: bound))
-  in
-  go 0 []
+(* Match [tuple] against atom [a] from position [i] on, binding the
+   unbound variables (pushed on the trail). On a mismatch the bindings
+   made so far stay on the trail: the caller undoes to its mark. *)
+let rec unify env (a : catom) (tuple : Tuple.t) i =
+  i >= Array.length a.cargs
+  ||
+  match a.cargs.(i) with
+  | C v -> Value.equal v tuple.(i) && unify env a tuple (i + 1)
+  | V id ->
+      if env.bound.(id) then
+        Value.equal env.vals.(id) tuple.(i) && unify env a tuple (i + 1)
+      else begin
+        env.vals.(id) <- tuple.(i);
+        env.bound.(id) <- true;
+        env.trail.(env.top) <- id;
+        env.top <- env.top + 1;
+        unify env a tuple (i + 1)
+      end
 
 exception Stop
+
+(* The matched assignment, reported: a copy of the values and the
+   support list, built only here. *)
+let report c env support on_match =
+  let rec supp i =
+    if i >= Array.length c.pos then []
+    else (c.pos.(i).rel, support.(i)) :: supp (i + 1)
+  in
+  match on_match (Array.copy env.vals) (supp 0) with
+  | `Continue -> ()
+  | `Stop -> raise Stop
 
 (* The backtracking join over [c.pos], resumable from any [depth]: the
    caller may have pre-bound some atoms (marking them in [used] and
    filling their [support] slot) — that is how {!run_delta} seeds the
-   search with a Δ-tuple. *)
+   search with a Δ-tuple. [depth] is the number of used atoms. *)
 let search ev (src : Source.t) env used support ~depth on_match =
   let c = ev.c in
   let natoms = Array.length c.pos in
@@ -189,51 +199,49 @@ let search ev (src : Source.t) env used support ~depth on_match =
      the [count] of its prepared probe. A zero-cost atom cannot
      be beaten, and — since only a strictly smaller estimate displaces
      the current best — later atoms could at most tie with it, so the
-     scan stops there without changing which atom is picked. *)
-  let pick () =
-    let best = ref (-1) and best_cost = ref max_int in
-    let i = ref 0 in
-    while !best_cost > 0 && !i < natoms do
-      (if not used.(!i) then begin
-         let s = slot ev src env !i in
-         let cost = s.probe.Source.count s.keys in
-         if cost < !best_cost then begin
-           best := !i;
-           best_cost := cost
-         end
-       end);
-      incr i
-    done;
-    !best
+     scan stops there without changing which atom is picked. The last
+     remaining atom is picked without a count: it has no rival. *)
+  let pick depth =
+    if depth = natoms - 1 then begin
+      let i = ref 0 in
+      while used.(!i) do
+        incr i
+      done;
+      !i
+    end
+    else begin
+      let best = ref (-1) and best_cost = ref max_int in
+      let i = ref 0 in
+      while !best_cost > 0 && !i < natoms do
+        (if not used.(!i) then begin
+           let s = slot ev src env !i in
+           let cost = s.probe.Source.count s.keys in
+           if cost < !best_cost then begin
+             best := !i;
+             best_cost := cost
+           end
+         end);
+        incr i
+      done;
+      !best
+    end
   in
   let rec go depth =
     if depth >= natoms then begin
-      if Array.for_all (cmp_ok env) c.cmps && Array.for_all (neg_ok src env) c.neg
-      then begin
-        let values =
-          Array.map
-            (function Some v -> v | None -> assert false)
-            env
-        in
-        match on_match values (Array.to_list support) with
-        | `Continue -> ()
-        | `Stop -> raise Stop
-      end
+      if guards_ok src env c then report c env support on_match
     end
     else begin
-      let i = pick () in
+      let i = pick depth in
       used.(i) <- true;
       let atom = c.pos.(i) in
       let s = slot ev src env i in
       s.probe.Source.iter s.keys (fun tuple ->
-          match unify env atom tuple with
-          | None -> ()
-          | Some newly_bound ->
-              if guards_ok src env c then begin
-                support.(i) <- (atom.rel, tuple);
-                go (depth + 1)
-              end;
-              List.iter (fun id -> env.(id) <- None) newly_bound);
+          let mark = env.top in
+          if unify env atom tuple 0 && guards_ok src env c then begin
+            support.(i) <- tuple;
+            go (depth + 1)
+          end;
+          undo_to env mark);
       used.(i) <- false
     end
   in
@@ -242,10 +250,10 @@ let search ev (src : Source.t) env used support ~depth on_match =
 let run_compiled (src : Source.t) ev on_match =
   attach ev src;
   let c = ev.c in
-  let env = Array.make c.nvars None in
   let natoms = Array.length c.pos in
+  let env = make_env c.nvars in
   let used = Array.make natoms false in
-  let support = Array.make natoms ("", ([||] : Tuple.t)) in
+  let support = Array.make natoms ([||] : Tuple.t) in
   try search ev src env used support ~depth:0 on_match with Stop -> ()
 
 let run (src : Source.t) (q : Cq.t) on_match =
@@ -259,25 +267,22 @@ let run (src : Source.t) (q : Cq.t) on_match =
 let run_delta (src : Source.t) ev ~delta on_match =
   attach ev src;
   let c = ev.c in
-  let env = Array.make c.nvars None in
   let natoms = Array.length c.pos in
+  let env = make_env c.nvars in
   let used = Array.make natoms false in
-  let support = Array.make natoms ("", ([||] : Tuple.t)) in
+  let support = Array.make natoms ([||] : Tuple.t) in
   try
     for s = 0 to natoms - 1 do
       let atom = c.pos.(s) in
       List.iter
         (fun tuple ->
-          match unify env atom tuple with
-          | None -> ()
-          | Some newly_bound ->
-              if guards_ok src env c then begin
-                support.(s) <- (atom.rel, tuple);
-                used.(s) <- true;
-                search ev src env used support ~depth:1 on_match;
-                used.(s) <- false
-              end;
-              List.iter (fun id -> env.(id) <- None) newly_bound)
+          if unify env atom tuple 0 && guards_ok src env c then begin
+            support.(s) <- tuple;
+            used.(s) <- true;
+            search ev src env used support ~depth:1 on_match;
+            used.(s) <- false
+          end;
+          undo_to env 0)
         (delta atom.rel)
     done
   with Stop -> ()

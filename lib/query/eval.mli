@@ -1,10 +1,11 @@
 (** Query evaluation over a {!Relational.Source.t}.
 
     The evaluator runs a backtracking join: at every depth it picks the
-    cheapest remaining positive atom (most bound argument positions,
-    smallest estimated result), enumerates matching tuples through the
-    source's prepared probes, and prunes with negated atoms and
-    comparisons as soon as their variables are bound.
+    cheapest remaining positive atom (smallest estimated result, the
+    [count] of its prepared probe; the last remaining atom is taken
+    without a count), enumerates matching tuples through the source's
+    prepared probes, and prunes with negated atoms and comparisons as
+    soon as their variables are bound.
 
     An assignment [h] maps each body variable to a value; because every
     variable occurs in a positive atom, assignments correspond one-to-one

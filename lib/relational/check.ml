@@ -60,11 +60,6 @@ let ind_supported (src : Source.t) (i : Constr.ind) =
   fun (t : Tuple.t) ->
     match probe t on_match with () -> false | exception Supported -> true
 
-(* Whether [a] at positions [pa] equals [b] at positions [pb]. *)
-let rec agree (a : Tuple.t) pa (b : Tuple.t) pb i =
-  i >= Array.length pa
-  || (Value.equal a.(pa.(i)) b.(pb.(i)) && agree a pa b pb (i + 1))
-
 (* The batch's own rows, hashed in place on given columns: a scratch
    open-addressing table that lives with the checker, is emptied by
    bumping [gen] and grows only for a batch larger than any before it,
@@ -74,19 +69,6 @@ type scratch = {
   mutable stamp : int array;
   mutable gen : int;
 }
-
-(* [Value.hash] boxes its tag pair; this one does not. Both agree with
-   [Value.equal], which is all the table needs. *)
-let hash_value : Value.t -> int = function
-  | Null -> 0
-  | Bool b -> if b then 1 else 2
-  | Int i -> Hashtbl.hash i
-  | Float f -> Hashtbl.hash f
-  | Str s -> Hashtbl.hash s
-
-let rec hash_at (t : Tuple.t) pos i h =
-  if i >= Array.length pos then h
-  else hash_at t pos (i + 1) ((h * 31) + hash_value t.(pos.(i)))
 
 (* Empty [s], with room for [n] keys at load at most 1/2. *)
 let reset s n =
@@ -103,11 +85,11 @@ let reset s n =
 (* The slot of the key that agrees at [kpos] with [t] at [pos], or the
    empty slot where such a key goes. *)
 let rec probe_slot s kpos (t : Tuple.t) pos i =
-  if s.stamp.(i) <> s.gen || agree s.keys.(i) kpos t pos 0 then i
+  if s.stamp.(i) <> s.gen || Tuple.agree_on s.keys.(i) kpos t pos then i
   else probe_slot s kpos t pos ((i + 1) land (Array.length s.keys - 1))
 
 let slot s kpos t pos =
-  probe_slot s kpos t pos (hash_at t pos 0 17 land (Array.length s.keys - 1))
+  probe_slot s kpos t pos (Tuple.hash_on t pos land (Array.length s.keys - 1))
 
 let occupied s i = s.stamp.(i) = s.gen
 
@@ -147,7 +129,9 @@ let fd_check src (f : Constr.fd) =
     Source.probe_from src f.Constr.frel ~cols:f.Constr.lhs ~from:f.Constr.lhs
   in
   let cur = ref [||] in
-  let on_match t' = if not (agree !cur rhs t' rhs 0) then raise_notrace Conflict in
+  let on_match t' =
+    if not (Tuple.agree_on !cur rhs t' rhs) then raise_notrace Conflict
+  in
   {
     frel = f.Constr.frel;
     lhs = Array.of_list f.Constr.lhs;
@@ -185,7 +169,7 @@ let rec fd_holds s c = function
        else if c.conflicts_base t then false
        else
          let i = slot s c.lhs t c.lhs in
-         if occupied s i then agree t c.rhs s.keys.(i) c.rhs 0
+         if occupied s i then Tuple.agree_on t c.rhs s.keys.(i) c.rhs
          else (
            fill s i t;
            true))

@@ -131,7 +131,7 @@ let index s cols =
           idx)
 
 let index_order idx =
-  Array.init (Bigarray.Array1.dim idx.perm) (Bigarray.Array1.get idx.perm)
+  Array.init (Bigarray.Array1.dim idx.perm) (fun k -> idx.perm.{k})
 
 (* The all-columns index, fetched once per segment: whole-tuple probes
    ([find], [mem]) then skip the index cache's lock. *)
@@ -153,8 +153,11 @@ let key_hash keys =
   done;
   !acc land max_int
 
-(* First k with hashes.(k) >= target (resp. > target when [strict]). *)
-let bound hashes target ~strict =
+(* First k with hashes.(k) >= target (resp. > target when [strict]).
+   The annotation fixes the Bigarray kind, so the accesses compile to
+   inline loads; without it [bound] is kind-polymorphic and every step
+   of the search is a generic C call. *)
+let bound (hashes : int_ba) target ~strict =
   let lo = ref 0 and hi = ref (Bigarray.Array1.dim hashes) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

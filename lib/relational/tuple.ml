@@ -41,6 +41,27 @@ let compare a b =
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 
+(* [Value.hash] boxes its tag pair; this one does not. Both agree with
+   [Value.equal], which is all [hash_on]'s tables need. *)
+let hash_value : Value.t -> int = function
+  | Null -> 0
+  | Bool b -> if b then 1 else 2
+  | Int i -> Hashtbl.hash i
+  | Float f -> Hashtbl.hash f
+  | Str s -> Hashtbl.hash s
+
+let rec hash_from (t : t) pos i h =
+  if i >= Array.length pos then h
+  else hash_from t pos (i + 1) ((h * 31) + hash_value t.(pos.(i)))
+
+let hash_on t pos = hash_from t pos 0 17
+
+let rec agree_from (a : t) pa (b : t) pb i =
+  i >= Array.length pa
+  || (Value.equal a.(pa.(i)) b.(pb.(i)) && agree_from a pa b pb (i + 1))
+
+let agree_on a pa b pb = agree_from a pa b pb 0
+
 let pp ppf t =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_list

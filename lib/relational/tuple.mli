@@ -20,6 +20,16 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val hash_on : t -> int array -> int
+(** [hash_on t pos]: a hash of [t]'s values at positions [pos], in
+    order, without building the projection and without allocating.
+    Tuples that agree there hash alike; it is not {!hash} of the
+    projection. *)
+
+val agree_on : t -> int array -> t -> int array -> bool
+(** [agree_on a pa b pb]: [a]'s value at [pa.(i)] equals [b]'s at
+    [pb.(i)] for every [i]. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as [(v1, v2, ...)]. *)
 

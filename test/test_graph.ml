@@ -1,5 +1,5 @@
 (* Graph substrate: bitsets, union-find, components, Bron–Kerbosch and
-   its helpers (Bitset.max_inter, Undirected.degeneracy_order). *)
+   its helpers (Bitset.max_by, Undirected.degeneracy_order). *)
 
 module G = Bcgraph
 
@@ -436,6 +436,61 @@ let bk_order_matches_reference_near_complete =
       let g = near_complete n non in
       G.Bron_kerbosch.maximal_cliques g = reference_cliques g)
 
+(* Dense G(n, p): every pair is an edge with probability [p]. Node
+   counts stay at 24 or below — denser graphs on more nodes have too
+   many maximal cliques for the reference. Nodes of degree n - 1 or
+   n - 2 take the enumerator's sparse pivot score, the rest its full
+   popcount. *)
+let dense_gnp_arb =
+  QCheck.make
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d with %d edges" n (List.length edges))
+    QCheck.Gen.(
+      pair (int_range 1 24) (float_range 0.5 0.98) >>= fun (n, p) ->
+      let pairs =
+        List.concat (List.init n (fun i -> List.init i (fun j -> (j, i))))
+      in
+      map
+        (fun coins ->
+          (n, List.filteri (fun k _ -> List.nth coins k < p) pairs))
+        (list_repeat (List.length pairs) (float_bound_exclusive 1.0)))
+
+let bk_order_matches_reference_dense =
+  QCheck.Test.make
+    ~name:"Bron–Kerbosch order = full-scan reference (dense G(n,p), n <= 24)"
+    ~count:60 dense_gnp_arb
+    (fun (n, edges) ->
+      let g = random_graph n edges in
+      G.Bron_kerbosch.maximal_cliques g = reference_cliques g)
+
+(* Near-complete graphs up to 300 nodes (rows of up to ten words) with
+   at most 8 non-edges, so at most 2^8 maximal cliques: many more
+   non-edges on this many nodes make the clique count explode. Half of
+   the non-edges touch one of three hub nodes, which then miss more
+   neighbours than a row has words and take the full popcount while the
+   other nodes take the sparse score. *)
+let near_complete_hub_arb =
+  QCheck.make
+    ~print:(fun (n, non) ->
+      Printf.sprintf "n=%d without {%s}" n
+        (String.concat ";"
+           (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) non)))
+    QCheck.Gen.(
+      int_range 1 300 >>= fun n ->
+      let node = int_bound (n - 1) in
+      let endpoint = frequency [ (1, int_bound (min 2 (n - 1))); (1, node) ] in
+      map (fun non -> (n, non)) (list_size (int_bound 8) (pair endpoint node)))
+
+let bk_order_matches_reference_near_complete_300 =
+  QCheck.Test.make
+    ~name:
+      "Bron–Kerbosch order = full-scan reference (near-complete, n <= 300, \
+       <= 8 non-edges)"
+    ~count:25 near_complete_hub_arb
+    (fun (n, non) ->
+      let g = near_complete n non in
+      G.Bron_kerbosch.maximal_cliques g = reference_cliques g)
+
 let induced_preserves_edges =
   QCheck.Test.make ~name:"induced subgraph preserves adjacency" ~count:80
     QCheck.(
@@ -469,13 +524,12 @@ let graph_arb =
     pair (int_range 1 10)
       (list_of_size (QCheck.Gen.int_bound 30) (pair (int_bound 9) (int_bound 9))))
 
-(* --- Bitset.max_inter ------------------------------------------------ *)
+(* --- Bitset.max_by ---------------------------------------------------- *)
 
 (* With a [~bound], the scan stops at the first ascending member whose
    score reaches it; when none does, the result is the full argmax. *)
-let max_inter_matches_naive =
-  QCheck.Test.make ~name:"max_inter = naive argmax over inter_cardinal"
-    ~count:300
+let max_by_matches_naive =
+  QCheck.Test.make ~name:"max_by = naive argmax" ~count:300
     QCheck.(
       quad
         (list_of_size (QCheck.Gen.int_bound 12) (int_bound 19))
@@ -497,7 +551,19 @@ let max_inter_matches_naive =
               (fun (bu, bs) u -> if score u > bs then (u, score u) else (bu, bs))
               (-1, -1) members
       in
-      G.Bitset.max_inter ~rows ~bound cand target = expect)
+      G.Bitset.max_by ~bound cand score = expect)
+
+let inter_into_matches_inter =
+  QCheck.Test.make ~name:"inter_into = inter, in place" ~count:200
+    QCheck.(
+      pair
+        (list_of_size (QCheck.Gen.int_bound 40) (int_bound 69))
+        (list_of_size (QCheck.Gen.int_bound 40) (int_bound 69)))
+    (fun (xs, ys) ->
+      let a = G.Bitset.of_list 70 xs and b = G.Bitset.of_list 70 ys in
+      let expect = G.Bitset.inter a b in
+      G.Bitset.inter_into a b;
+      G.Bitset.equal a expect && G.Bitset.to_list b = List.sort_uniq compare ys)
 
 (* --- Undirected.degeneracy_order ------------------------------------ *)
 
@@ -574,10 +640,13 @@ let () =
           QCheck_alcotest.to_alcotest generator_matches_iter_near_complete;
           QCheck_alcotest.to_alcotest bk_order_matches_reference;
           QCheck_alcotest.to_alcotest bk_order_matches_reference_near_complete;
+          QCheck_alcotest.to_alcotest bk_order_matches_reference_dense;
+          QCheck_alcotest.to_alcotest bk_order_matches_reference_near_complete_300;
         ] );
       ( "helpers",
         [
-          QCheck_alcotest.to_alcotest max_inter_matches_naive;
+          QCheck_alcotest.to_alcotest max_by_matches_naive;
+          QCheck_alcotest.to_alcotest inter_into_matches_inter;
           QCheck_alcotest.to_alcotest degeneracy_is_greedy_min_peel;
           QCheck_alcotest.to_alcotest degeneracy_near_complete;
         ] );

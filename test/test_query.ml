@@ -349,6 +349,127 @@ let eval_matches_reference =
           `Continue);
       List.sort compare !fast = reference_matches src body)
 
+(* Over the tagged store: a random state (in half of the cases with no
+   TxOut row, so that relation's base segment is empty and every TxOut
+   row is pending), random pending transactions and two random worlds.
+   In every plan below the last atom the join reaches is taken without
+   a count. [find_witness] and [iter_matches] (values and support) must
+   agree with the reference over the world materialized as a plain
+   database, and for the negation-free plans [run_delta] from the first
+   world to the second must report every new match and only matches. *)
+let store_queries =
+  [
+    ({| q() :- TxOut(t, s, pk, a), TxIn(t, s, pk, a, n, g). |}, true);
+    ( {| q() :- TxIn(p, s, pk, a, t, g), TxOut(t, s2, pk, b),
+               TxOut(p, s, pk, a). |},
+      true );
+    ({| q() :- TxOut(t, s, pk, a), TxOut(t2, s, pk, b), a < b. |}, true);
+    ({| q() :- TxOut(t, s, "P1", a), a > 4. |}, true);
+    ({| q() :- TxOut(t, s, pk, a), !TxIn(t, s, pk, a, "t0", "g"). |}, false);
+  ]
+
+let store_eval_matches_reference =
+  QCheck.Test.make
+    ~name:"store evaluation = reference (forced last atom, empty base segment)"
+    ~count:150
+    QCheck.(
+      pair (int_bound 100_000) (int_bound (List.length store_queries - 1)))
+    (fun (seed, qi) ->
+      let rng = Random.State.make [| seed |] in
+      let pick n = Random.State.int rng n in
+      let row () =
+        let t = V.Str (Printf.sprintf "t%d" (pick 4))
+        and s = V.Int (pick 3)
+        and pk = V.Str (Printf.sprintf "P%d" (pick 3))
+        and a = V.Int (pick 8) in
+        if Random.State.bool rng then ("TxOut", R.Tuple.make [ t; s; pk; a ])
+        else
+          ( "TxIn",
+            R.Tuple.make
+              [ t; s; pk; a; V.Str (Printf.sprintf "t%d" (pick 4)); V.Str "g" ]
+          )
+      in
+      let base_out = Random.State.bool rng in
+      let state = R.Database.create catalog in
+      for _ = 0 to pick 10 do
+        let rel, t = row () in
+        if rel = "TxIn" || base_out then ignore (R.Database.insert state rel t)
+      done;
+      let pending =
+        List.init (2 + pick 5) (fun _ ->
+            List.init (1 + pick 3) (fun _ -> row ()))
+      in
+      let db =
+        Bccore.Bcdb.create_unchecked ~state ~constraints:[] ~pending ()
+      in
+      let store = Bccore.Tagged_store.create db in
+      let k = Bccore.Tagged_store.tx_count store in
+      let world () =
+        List.filter (fun _ -> Random.State.bool rng) (List.init k Fun.id)
+      in
+      let text, monotone = List.nth store_queries qi in
+      let body =
+        match parse text with
+        | Q.Query.Boolean b -> b
+        | Q.Query.Aggregate _ -> assert false
+      in
+      let ev = Q.Eval.(evaluator (compile body)) in
+      let src = Bccore.Tagged_store.source store in
+      let reference () =
+        reference_matches
+          (R.Database.source (Bccore.Tagged_store.to_database store))
+          body
+      in
+      let w0 = world () and w1 = world () in
+      Bccore.Tagged_store.set_world_list store w0;
+      let ref0 = reference () in
+      let prev = Bccore.Tagged_store.world store in
+      Bccore.Tagged_store.set_world_list store w1;
+      let ref1 = reference () in
+      let matches = ref [] and supported = ref true in
+      Q.Eval.iter_matches src ev (fun values support ->
+          let values = Array.to_list values in
+          let env = List.combine body.Q.Cq.vars values in
+          supported :=
+            !supported
+            && List.length support = List.length body.Q.Cq.positive
+            && List.for_all2
+                 (fun (a : Q.Atom.t) (rel, tuple) ->
+                   rel = a.Q.Atom.rel
+                   && src.R.Source.mem rel tuple
+                   && R.Tuple.equal tuple
+                        (Array.map
+                           (function
+                             | Q.Term.Const c -> c
+                             | Q.Term.Var x -> List.assoc x env)
+                           a.Q.Atom.args))
+                 body.Q.Cq.positive support;
+          matches := values :: !matches;
+          `Continue);
+      let in_order = List.rev !matches in
+      let witness_ok =
+        match (Q.Eval.find_witness src ev, in_order) with
+        | None, [] -> true
+        | Some w, first :: _ -> List.map snd w = first
+        | _ -> false
+      in
+      let delta_ok =
+        (not monotone)
+        ||
+        let d = Bccore.Tagged_store.world_delta store ~prev in
+        let found = ref [] in
+        Q.Eval.run_delta src ev ~delta:(Lazy.force d.Bccore.Tagged_store.added)
+          (fun values _ ->
+            found := Array.to_list values :: !found;
+            `Continue);
+        let found = List.sort_uniq compare !found in
+        List.for_all (fun m -> List.mem m ref1) found
+        && List.for_all
+             (fun m -> List.mem m ref0 || List.mem m found)
+             ref1
+      in
+      List.sort compare in_order = ref1 && !supported && witness_ok && delta_ok)
+
 (* Property: evaluation is invariant under atom order permutation. *)
 let order_invariance =
   QCheck.Test.make ~name:"join order does not change the result" ~count:50
@@ -399,5 +520,6 @@ let () =
           Alcotest.test_case "count matches" `Quick test_count_matches;
           QCheck_alcotest.to_alcotest order_invariance;
           QCheck_alcotest.to_alcotest eval_matches_reference;
+          QCheck_alcotest.to_alcotest store_eval_matches_reference;
         ] );
     ]
