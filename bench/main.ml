@@ -4,7 +4,7 @@
    Usage: main.exe [--smoke] [section ...] where a section is one of
    table1 fig6a fig6b fig6c fig6d fig6e fig6f fig6g fig6h datasize
    parallel dense dense-groups evalbench serve ablation scenarios
-   live-create cold-check. With no arguments,
+   live-create cold-check ingest. With no arguments,
    everything runs; `--smoke` alone runs the fixed CI subset,
    `--smoke SECTION...` runs the named sections scaled down. *)
 
@@ -1596,6 +1596,121 @@ let cold_check_bench () =
     ~x:(Array.length db.Core.Bcdb.pending) samples
 
 (* ------------------------------------------------------------------ *)
+(* `bcdb snapshot --file`'s ingest of the batch-solve sweep's .bcdb dump
+   (1785 pending; 10 blocks at smoke scale), phase by phase: the text
+   scan into schemas, rows and transactions; the state (inserts plus the
+   R |= I check); the pending set (Pending.make per transaction, through
+   Bcdb.create_unchecked); the columnar segments (Database.to_segment per
+   relation); and the binary write from those segments. The phases
+   together write the bytes Bcdb_file.of_string + to_binary_string
+   write, which is checked once per run. *)
+
+let ingest_text () =
+  let take = if !smoke_flag then Some 10 else None in
+  let db =
+    W.Generator.dataset (sim Sweep) ?pending_take:take ~contradictions:20 ()
+  in
+  ( (match take with Some n -> Printf.sprintf "sweep-%dblk" n | None -> "sweep"),
+    Core.Bcdb_file.to_string db )
+
+let ok_or_fail what = function
+  | Ok v -> v
+  | Error e -> failwith (Printf.sprintf "ingest: %s: %s" what e)
+
+(* One ingest, phase by phase: the snapshot bytes, the pending count and
+   the phase times. *)
+let ingest_phases text =
+  let module R = Relational in
+  let sc, scan_s = timed (fun () -> ok_or_fail "scan" (Core.Bcdb_file.scan text)) in
+  let catalog = sc.Core.Bcdb_file.catalog in
+  let constraints = sc.Core.Bcdb_file.constraints in
+  let state, state_s =
+    timed (fun () ->
+        let state = R.Database.create catalog in
+        List.iter
+          (fun (name, rows) ->
+            List.iter (fun t -> ignore (R.Database.insert state name t)) rows)
+          sc.Core.Bcdb_file.state;
+        if not (R.Check.satisfies (R.Database.source state) constraints) then
+          failwith "ingest: the state violates its constraints";
+        state)
+  in
+  let txs = sc.Core.Bcdb_file.txs in
+  let db, pending_s =
+    timed (fun () ->
+        Core.Bcdb.create_unchecked ~state ~constraints
+          ~pending:(List.map snd txs) ~labels:(List.map fst txs) ())
+  in
+  let segs, columns_s =
+    timed (fun () ->
+        List.map
+          (fun schema ->
+            let name = schema.R.Schema.name in
+            (name, R.Database.to_segment state name))
+          (R.Schema.relations catalog))
+  in
+  let bytes, write_s =
+    timed (fun () ->
+        Core.Bcdb_file.to_binary_string
+          (Core.Bcdb.with_state db (R.Database.of_segments catalog segs)))
+  in
+  ( bytes,
+    Array.length db.Core.Bcdb.pending,
+    [ scan_s; state_s; pending_s; columns_s; write_s ] )
+
+let ingest_bench () =
+  let label, text = ingest_text () in
+  let expected =
+    Core.Bcdb_file.to_binary_string
+      (ok_or_fail "of_string" (Core.Bcdb_file.of_string text))
+  in
+  let repeats = 9 in
+  let names = [ "scan"; "state"; "pending"; "columns"; "write"; "total" ] in
+  let samples = List.map (fun n -> (n, Array.make repeats 0.0)) names in
+  let pending = ref 0 in
+  for r = 0 to repeats - 1 do
+    Gc.compact ();
+    let bytes, k, times = ingest_phases text in
+    if not (String.equal bytes expected) then
+      fail "ingest: the phases wrote other bytes than of_string + to_binary_string";
+    pending := k;
+    List.iteri (fun i t -> (snd (List.nth samples i)).(r) <- t) times;
+    (List.assoc "total" samples).(r) <- List.fold_left ( +. ) 0.0 times
+  done;
+  add_phase_row ~row:"ingest" ~title:"Text ingest phases" ~label ~x:!pending
+    samples
+
+(* Allocation gate: minor words per ingested row (state and pending) of
+   `bcdb snapshot --file`'s in-process work, Bcdb_file.of_string then
+   to_binary_string, on the smoke-scale sweep dump. The count is
+   deterministic, so the bound is the figure measured when the gate was
+   set plus 25% (69.0 words per row; 530 for the reader before it, which
+   split the input into a line list, copied every item through a Buffer
+   and hashed with Value.hash): a reader that copies lines or items, or
+   a builder that allocates per hash, fails it. *)
+let ingest_words_per_row = 69.0
+
+let ingest_alloc_gate () =
+  let _, text = ingest_text () in
+  let before = Gc.minor_words () in
+  let db = ok_or_fail "of_string" (Core.Bcdb_file.of_string text) in
+  ignore (Sys.opaque_identity (Core.Bcdb_file.to_binary_string db));
+  let words = Gc.minor_words () -. before in
+  let rows =
+    Relational.Database.total_cardinality db.Core.Bcdb.state
+    + Array.fold_left (fun acc p -> acc + Core.Pending.size p) 0 db.Core.Bcdb.pending
+  in
+  let per_row = words /. float_of_int rows in
+  let bound = ingest_words_per_row *. 1.25 in
+  Printf.printf "[smoke] ingest of %d rows: %.1f minor words per row (bound %.1f)\n%!"
+    rows per_row bound;
+  if per_row > bound then
+    fail
+      "smoke: the text ingest allocated %.1f minor words per row (bound %.1f \
+       = %.1f + 25%%)"
+      per_row bound ingest_words_per_row
+
+(* ------------------------------------------------------------------ *)
 (* Smoke mode (--smoke): a minutes-scale subset that exercises the full
    record → JSON → validate pipeline. It writes to a scratch path (the
    committed BENCH_dcsat.json only comes from full runs) but
@@ -1791,6 +1906,8 @@ let smoke () =
   validity_alloc_gate ();
   live_create_bench ();
   cold_check_bench ();
+  ingest_bench ();
+  ingest_alloc_gate ();
   precheck_switch_gate sess (Q.instantiate s (Q.Qp 3) Q.Satisfied);
   (* Scenario library: every named instance must meet its scripted
      expectation and keep its verdict across a binary snapshot
@@ -1823,6 +1940,7 @@ let sections =
     ("scenarios", scenarios_section);
     ("live-create", live_create_bench);
     ("cold-check", cold_check_bench);
+    ("ingest", ingest_bench);
   ]
 
 let write_and_validate_trace () =

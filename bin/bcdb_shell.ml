@@ -251,10 +251,14 @@ let cmd_issue db spec =
       match parse_rows db rows_text with
       | Error msg -> print_endline msg
       | Ok rows ->
-          let label = if label = "" then None else Some label in
-          set_db (Core.Bcdb.with_pending db ?label rows);
-          Format.printf "issued; %d pending transactions@."
-            (Core.Bcdb.pending_count (Option.get state.db)))
+          if Core.Bcdb.has_label db label then
+            Format.printf "transaction %s is already pending@." label
+          else begin
+            let label = if label = "" then None else Some label in
+            set_db (Core.Bcdb.with_pending db ?label rows);
+            Format.printf "issued; %d pending transactions@."
+              (Core.Bcdb.pending_count (Option.get state.db))
+          end)
 
 let cmd_dryrun db spec =
   match String.index_opt spec '|' with
@@ -291,7 +295,11 @@ let cmd_contradict db name =
           List.iter
             (fun (rel, t) -> Format.printf "  %s%a@." rel R.Tuple.pp t)
             rows;
-          set_db (Core.Bcdb.with_pending db ~label:(labels db id ^ "'") rows);
+          (* T1', then T1'', ... when T1' is taken. *)
+          let rec primed label =
+            if Core.Bcdb.has_label db label then primed (label ^ "'") else label
+          in
+          set_db (Core.Bcdb.with_pending db ~label:(primed (labels db id ^ "'")) rows);
           print_endline "(issued as a pending transaction)")
 
 let cmd_commit db name =

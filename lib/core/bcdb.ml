@@ -55,9 +55,29 @@ let fds t = R.Constr.fds t.constraints
 let inds t = R.Constr.inds t.constraints
 let constraint_profile t = R.Constr.classify (catalog t) t.constraints
 
+let has_label t label =
+  Array.exists (fun (p : Pending.t) -> String.equal p.Pending.label label) t.pending
+
+(* The first of "T<n+1>", "T<n+2>", ... that no transaction has: a file
+   numbers its unlabelled transactions from 1. *)
+let fresh_label t =
+  let rec from n =
+    let label = Printf.sprintf "T%d" n in
+    if has_label t label then from (n + 1) else label
+  in
+  from (Array.length t.pending + 1)
+
 let with_pending t ?label rows =
+  let label =
+    match label with
+    | None -> fresh_label t
+    | Some label ->
+        if has_label t label then
+          invalid_arg (Printf.sprintf "Bcdb.with_pending: label %s is taken" label);
+        label
+  in
   let id = Array.length t.pending in
-  let tx = Pending.make ~id ?label rows in
+  let tx = Pending.make ~id ~label rows in
   { t with pending = Array.append t.pending [| tx |] }
 
 let with_state t state = { t with state }

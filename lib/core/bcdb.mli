@@ -57,7 +57,16 @@ val with_pending :
   t -> ?label:string -> (string * Relational.Tuple.t) list -> t
 (** Issue one more pending transaction (e.g. a hypothetical "dry run"
     transaction, Example 4). The state and existing transactions are
-    shared. *)
+    shared. Without [label] it takes {!fresh_label}'s.
+    @raise Invalid_argument if a pending transaction has [label]. *)
+
+val has_label : t -> string -> bool
+(** Whether a pending transaction has this label. *)
+
+val fresh_label : t -> string
+(** The first of ["T<n+1>"], ["T<n+2>"], ... (for [n] pending
+    transactions) that no pending transaction has — the label a file
+    gives an unlabelled [n+1]-th transaction when it is free. *)
 
 val with_state : t -> Relational.Database.t -> t
 (** [with_state t state] replaces the state and keeps the constraints

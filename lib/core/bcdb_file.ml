@@ -2,302 +2,482 @@ module R = Relational
 module V = R.Value
 
 (* ------------------------------------------------------------------ *)
-(* Line-oriented tokenizer: each declaration fits on one line (a tx row
-   is "NAME(v, ...)" on its own line under a "tx" header). *)
-
-type line =
-  | Relation_decl of string * string list
-  | Key_decl of string * string list
-  | Fd_decl of string * string list * string list
-  | Ind_decl of string * string list * string * string list
-  | State_row of string * V.t list
-  | Tx_header of string option
-  | Tx_row of string * V.t list
+(* The text reader: one cursor over the input string. Lines are found by
+   index and never copied. A line's content is bounded in place (a
+   comment starts at '#' or '%' outside double quotes, and the
+   whitespace String.trim drops is dropped), keywords are tested on
+   characters, a call "NAME(item, ...)" is split into item bounds in
+   place, and each line is folded straight into the schemas, constraints,
+   state rows and transactions. What is copied is what the database
+   keeps: each value (a quoted string without backslashes is one
+   [String.sub]) and each declaration's names. *)
 
 exception Err of int * string
 
 let fail lineno msg = raise (Err (lineno, msg))
 
-let strip_comment s =
-  let cut c s = match String.index_opt s c with
-    | Some i -> String.sub s 0 i
-    | None -> s
-  in
-  cut '#' s |> cut '%'
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = '-' || c = '~'
 
-(* Parse "NAME(item, item, ...)" returning the name and raw item
-   strings; items may contain quoted strings with commas. *)
-let parse_call lineno s =
-  match String.index_opt s '(' with
-  | None -> fail lineno "expected NAME(...)"
-  | Some lp ->
-      let name = String.trim (String.sub s 0 lp) in
-      if name = "" then fail lineno "missing name before '('";
-      let n = String.length s in
-      if s.[n - 1] <> ')' then fail lineno "missing closing ')'";
-      let body = String.sub s (lp + 1) (n - lp - 2) in
-      (* Split on commas outside quotes; a backslash escapes the next
-         character inside a quoted string. *)
-      let items = ref [] in
-      let buf = Buffer.create 16 in
-      let in_quote = ref false in
-      let escaped = ref false in
-      String.iter
-        (fun c ->
-          if !escaped then begin
-            Buffer.add_char buf c;
-            escaped := false
-          end
-          else if !in_quote && c = '\\' then begin
-            Buffer.add_char buf c;
-            escaped := true
-          end
-          else if c = '"' then begin
-            in_quote := not !in_quote;
-            Buffer.add_char buf c
-          end
-          else if c = ',' && not !in_quote then begin
-            items := Buffer.contents buf :: !items;
-            Buffer.clear buf
-          end
-          else Buffer.add_char buf c)
-        body;
-      if Buffer.length buf > 0 || !items <> [] then
-        items := Buffer.contents buf :: !items;
-      let items = List.rev_map String.trim !items in
-      if List.exists (fun i -> i = "") items && List.length items > 1 then
-        fail lineno "empty item in argument list";
-      (name, List.filter (fun i -> i <> "") items)
+let rec skip_space s i hi =
+  if i < hi && is_space (String.unsafe_get s i) then skip_space s (i + 1) hi
+  else i
 
-let parse_value lineno raw =
-  let n = String.length raw in
-  if n = 0 then fail lineno "empty value"
-  else if raw.[0] = '"' then begin
-    if n < 2 || raw.[n - 1] <> '"' then fail lineno "unterminated string";
-    (* Undo OCaml-style escapes produced by the printer (%S). *)
-    let buf = Buffer.create (n - 2) in
-    let i = ref 1 in
-    while !i < n - 1 do
-      let c = raw.[!i] in
-      if c = '\\' && !i + 1 < n - 1 then begin
-        (match raw.[!i + 1] with
+let rec trim_end s lo i =
+  if i > lo && is_space (String.unsafe_get s (i - 1)) then trim_end s lo (i - 1)
+  else i
+
+let rec index_in s c i hi =
+  if i >= hi then -1 else if String.unsafe_get s i = c then i else index_in s c (i + 1) hi
+
+(* The scanning loops below are top-level functions that take all they
+   read as arguments: a local recursive function would be a closure
+   allocated on every call, that is, several times per line. *)
+
+let rec same_chars s lo word i =
+  i >= String.length word
+  || String.unsafe_get s (lo + i) = String.unsafe_get word i
+     && same_chars s lo word (i + 1)
+
+let is_at s lo hi word = hi - lo >= String.length word && same_chars s lo word 0
+
+let is_exactly s lo hi word = hi - lo = String.length word && is_at s lo hi word
+
+(* The cursor: the current line's number and where its content stops,
+   and the last call it read. The call's name spans
+   [s.[name_lo, name_hi)]; its item [k] spans
+   [s.[items.(3k), items.(3k+1))], both trimmed, and [items.(3k+2)] is 1
+   when the item holds a backslash. *)
+type cursor = {
+  s : string;
+  mutable lineno : int;
+  mutable stop : int;
+  mutable name_lo : int;
+  mutable name_hi : int;
+  mutable items : int array;
+  mutable nitems : int;
+}
+
+let cursor s =
+  {
+    s;
+    lineno = 1;
+    stop = 0;
+    name_lo = 0;
+    name_hi = 0;
+    items = Array.make 24 0;
+    nitems = 0;
+  }
+
+let rec newline s i =
+  if i >= String.length s || String.unsafe_get s i = '\n' then i else newline s (i + 1)
+
+(* The end of the line from [i] (its '\n', or the end of the input),
+   leaving in [c.stop] where the line's content ends: at the first '#' or
+   '%' outside a double-quoted string (in which a backslash escapes the
+   next character), else at the line's end. *)
+let rec line_end c i =
+  let s = c.s in
+  if i >= String.length s then begin
+    c.stop <- i;
+    i
+  end
+  else
+    match String.unsafe_get s i with
+    | '\n' ->
+        c.stop <- i;
+        i
+    | '#' | '%' ->
+        c.stop <- i;
+        newline s i
+    | '"' -> quoted_line_end c (i + 1)
+    | _ -> line_end c (i + 1)
+
+and quoted_line_end c i =
+  let s = c.s in
+  if i >= String.length s then begin
+    c.stop <- i;
+    i
+  end
+  else
+    match String.unsafe_get s i with
+    | '\n' ->
+        c.stop <- i;
+        i
+    | '"' -> line_end c (i + 1)
+    | '\\' when i + 1 < String.length s && String.unsafe_get s (i + 1) <> '\n' ->
+        quoted_line_end c (i + 2)
+    | _ -> quoted_line_end c (i + 1)
+
+let push_item c lo hi esc =
+  let k = 3 * c.nitems in
+  if k + 3 > Array.length c.items then begin
+    let a = Array.make (2 * Array.length c.items) 0 in
+    Array.blit c.items 0 a 0 k;
+    c.items <- a
+  end;
+  let lo = skip_space c.s lo hi in
+  c.items.(k) <- lo;
+  c.items.(k + 1) <- trim_end c.s lo hi;
+  c.items.(k + 2) <- esc;
+  c.nitems <- c.nitems + 1
+
+let item_lo c k = c.items.(3 * k)
+let item_hi c k = c.items.((3 * k) + 1)
+let item_is_empty c k = item_lo c k = item_hi c k
+
+(* Split [s.[start, hi)] into items on commas outside double quotes; a
+   backslash escapes the next character inside quotes. [esc] is 1 once
+   the item holds a backslash. *)
+let rec split_items c start i hi esc =
+  if i >= hi then push_item c start hi esc
+  else
+    match String.unsafe_get c.s i with
+    | ',' ->
+        push_item c start i esc;
+        split_items c (i + 1) (i + 1) hi 0
+    | '"' -> split_quoted c start (i + 1) hi esc
+    | '\\' -> split_items c start (i + 1) hi 1
+    | _ -> split_items c start (i + 1) hi esc
+
+and split_quoted c start i hi esc =
+  if i >= hi then push_item c start hi esc
+  else
+    match String.unsafe_get c.s i with
+    | '"' -> split_items c start (i + 1) hi esc
+    | '\\' -> split_quoted c start (i + 2) hi 1
+    | _ -> split_quoted c start (i + 1) hi esc
+
+(* Read "NAME(item, item, ...)" on the trimmed span [s.[lo, hi)]. A
+   blank argument list has no items. *)
+let call c lo hi =
+  let s = c.s in
+  let lp = index_in s '(' lo hi in
+  if lp < 0 then fail c.lineno "expected NAME(...)";
+  c.name_lo <- skip_space s lo lp;
+  c.name_hi <- trim_end s c.name_lo lp;
+  if c.name_lo = c.name_hi then fail c.lineno "missing name before '('";
+  if s.[hi - 1] <> ')' then fail c.lineno "missing closing ')'";
+  c.nitems <- 0;
+  if lp + 1 < hi - 1 then begin
+    split_items c (lp + 1) (lp + 1) (hi - 1) 0;
+    if c.nitems = 1 && item_is_empty c 0 then c.nitems <- 0
+    else
+      for k = 0 to c.nitems - 1 do
+        if item_is_empty c k then fail c.lineno "empty item in argument list"
+      done
+  end
+
+let sub c lo hi = String.sub c.s lo (hi - lo)
+let name c = sub c c.name_lo c.name_hi
+let item c k = sub c (item_lo c k) (item_hi c k)
+let items c = List.init c.nitems (item c)
+
+let is_digit ch = ch >= '0' && ch <= '9'
+
+(* The byte a "\ddd" escape at [s.[i]] (its backslash) stands for, or -1. *)
+let decimal_escape s i hi =
+  if i + 3 < hi && is_digit s.[i + 1] && is_digit s.[i + 2] && is_digit s.[i + 3] then
+    let code =
+      (100 * (Char.code s.[i + 1] - 48)) + (10 * (Char.code s.[i + 2] - 48)) + Char.code s.[i + 3] - 48
+    in
+    if code <= 255 then code else -1
+  else -1
+
+(* Undo the escapes the printer (%S) writes, on the inside [s.[lo, hi)]
+   of a quoted string: \n \t \r \b, "\ddd" for a byte outside printable
+   ASCII, and a backslash before any other character stands for it. *)
+let unescape s lo hi =
+  let buf = Buffer.create (hi - lo) in
+  let i = ref lo in
+  while !i < hi do
+    let ch = s.[!i] in
+    if ch = '\\' && !i + 1 < hi then begin
+      let code = decimal_escape s !i hi in
+      if code >= 0 then begin
+        Buffer.add_char buf (Char.chr code);
+        i := !i + 4
+      end
+      else begin
+        (match s.[!i + 1] with
         | 'n' -> Buffer.add_char buf '\n'
         | 't' -> Buffer.add_char buf '\t'
         | 'r' -> Buffer.add_char buf '\r'
+        | 'b' -> Buffer.add_char buf '\b'
         | other -> Buffer.add_char buf other);
         i := !i + 2
       end
-      else begin
-        Buffer.add_char buf c;
-        incr i
-      end
-    done;
-    V.Str (Buffer.contents buf)
-  end
+    end
+    else begin
+      Buffer.add_char buf ch;
+      incr i
+    end
+  done;
+  Buffer.contents buf
+
+let rec digits s i hi acc =
+  if i >= hi then acc
   else
-    match raw with
-    | "true" -> V.Bool true
-    | "false" -> V.Bool false
-    | "null" -> V.Null
+    let ch = String.unsafe_get s i in
+    if is_digit ch then digits s (i + 1) hi ((acc * 10) + Char.code ch - 48)
+    else -1
+
+(* An optional '-' and 1 to 18 decimal digits, which cannot overflow and
+   which [int_of_string] reads as this; [min_int] for any other span. *)
+let decimal s lo hi =
+  let neg = String.unsafe_get s lo = '-' in
+  let d0 = if neg then lo + 1 else lo in
+  if hi - d0 < 1 || hi - d0 > 18 then min_int
+  else
+    match digits s d0 hi 0 with
+    | -1 -> min_int
+    | v -> if neg then -v else v
+
+let value c k =
+  let s = c.s in
+  let lo = item_lo c k and hi = item_hi c k in
+  if s.[lo] = '"' then begin
+    if hi - lo < 2 || s.[hi - 1] <> '"' then fail c.lineno "unterminated string";
+    if c.items.((3 * k) + 2) = 0 then V.Str (String.sub s (lo + 1) (hi - lo - 2))
+    else V.Str (unescape s (lo + 1) (hi - 1))
+  end
+  else if is_exactly s lo hi "true" then V.Bool true
+  else if is_exactly s lo hi "false" then V.Bool false
+  else if is_exactly s lo hi "null" then V.Null
+  else
+    match decimal s lo hi with
+    | i when i <> min_int -> V.Int i
     | _ -> (
+        let raw = String.sub s lo (hi - lo) in
         match int_of_string_opt raw with
         | Some i -> V.Int i
         | None -> (
             match float_of_string_opt raw with
             | Some f -> V.Float f
             | None ->
-                fail lineno
+                fail c.lineno
                   (Printf.sprintf "cannot parse value %S (strings are quoted)" raw)))
+
+(* The row "NAME(v, ...)" on [s.[lo, hi)], handed to [add] with the
+   relation [find] gives for its name (whose [schema] fixes the arity).
+   Values are read before the name is looked up, so in a file a value's
+   fault is reported first; [parse_row] looks the name up before. *)
+let row c ~find ~schema ~add lo hi =
+  call c lo hi;
+  let t = Array.make c.nitems V.Null in
+  for k = 0 to c.nitems - 1 do
+    t.(k) <- value c k
+  done;
+  let rel = find c in
+  let schema : R.Schema.relation = schema rel in
+  if c.nitems <> R.Schema.arity schema then
+    fail c.lineno
+      (Printf.sprintf "%s expects %d values, got %d" schema.R.Schema.name
+         (R.Schema.arity schema) c.nitems);
+  add rel t
 
 let check_attr lineno a =
   if a = "" || not (String.for_all is_ident_char a) then
     fail lineno (Printf.sprintf "bad attribute name %S" a);
   a
 
-let parse_line lineno s =
-  let s = String.trim (strip_comment s) in
-  if s = "" then None
-  else if String.length s >= 9 && String.sub s 0 9 = "relation " then begin
-    let name, attrs = parse_call lineno (String.sub s 9 (String.length s - 9)) in
-    Some (Relation_decl (name, List.map (check_attr lineno) attrs))
-  end
-  else if String.length s >= 4 && String.sub s 0 4 = "key " then begin
-    let name, attrs = parse_call lineno (String.sub s 4 (String.length s - 4)) in
-    Some (Key_decl (name, List.map (check_attr lineno) attrs))
-  end
-  else if String.length s >= 3 && String.sub s 0 3 = "fd " then begin
-    let name, items = parse_call lineno (String.sub s 3 (String.length s - 3)) in
-    (* items were split on commas; the arrow lives inside one item,
-       e.g. "a, b -> c, d" splits as ["a"; "b -> c"; "d"]. *)
-    let lhs = ref [] and rhs = ref [] and seen_arrow = ref false in
-    List.iter
-      (fun item ->
-        match
-          let rec find i =
-            if i + 1 >= String.length item then None
-            else if item.[i] = '-' && item.[i + 1] = '>' then Some i
-            else find (i + 1)
-          in
-          find 0
-        with
-        | Some i ->
-            if !seen_arrow then fail lineno "two arrows in fd";
-            seen_arrow := true;
-            let l = String.trim (String.sub item 0 i) in
-            let r =
-              String.trim (String.sub item (i + 2) (String.length item - i - 2))
-            in
-            if l <> "" then lhs := l :: !lhs;
-            if r <> "" then rhs := r :: !rhs
-        | None ->
-            if !seen_arrow then rhs := item :: !rhs else lhs := item :: !lhs)
-      items;
-    if not !seen_arrow then fail lineno "fd needs '->'";
-    Some
-      (Fd_decl
-         ( name,
-           List.rev_map (check_attr lineno) !lhs,
-           List.rev_map (check_attr lineno) !rhs ))
-  end
-  else if String.length s >= 4 && String.sub s 0 4 = "ind " then begin
-    let rest = String.sub s 4 (String.length s - 4) in
-    let sep = "<=" in
-    let idx =
-      let rec find i =
-        if i + 1 >= String.length rest then fail lineno "ind needs '<='"
-        else if rest.[i] = '<' && rest.[i + 1] = '=' then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    let left = String.trim (String.sub rest 0 idx) in
-    let right =
-      String.trim (String.sub rest (idx + String.length sep)
-                     (String.length rest - idx - String.length sep))
-    in
-    let sub_name, sub_attrs = parse_call lineno left in
-    let sup_name, sup_attrs = parse_call lineno right in
-    Some
-      (Ind_decl
-         ( sub_name,
-           List.map (check_attr lineno) sub_attrs,
-           sup_name,
-           List.map (check_attr lineno) sup_attrs ))
-  end
-  else if String.length s >= 6 && String.sub s 0 6 = "state " then begin
-    let name, items = parse_call lineno (String.sub s 6 (String.length s - 6)) in
-    Some (State_row (name, List.map (parse_value lineno) items))
-  end
-  else if s = "tx" then Some (Tx_header None)
-  else if String.length s >= 3 && String.sub s 0 3 = "tx " then
-    Some (Tx_header (Some (String.trim (String.sub s 3 (String.length s - 3)))))
-  else begin
-    let name, items = parse_call lineno s in
-    Some (Tx_row (name, List.map (parse_value lineno) items))
-  end
+let attrs c = List.map (check_attr c.lineno) (items c)
+
+(* "a, b -> c, d" splits on commas as ["a"; "b -> c"; "d"]: the arrow
+   lives inside one item. *)
+let fd_sides c =
+  let lhs = ref [] and rhs = ref [] and seen_arrow = ref false in
+  List.iter
+    (fun item ->
+      match
+        let rec find i =
+          if i + 1 >= String.length item then None
+          else if item.[i] = '-' && item.[i + 1] = '>' then Some i
+          else find (i + 1)
+        in
+        find 0
+      with
+      | Some i ->
+          if !seen_arrow then fail c.lineno "two arrows in fd";
+          seen_arrow := true;
+          let l = String.trim (String.sub item 0 i) in
+          let r = String.trim (String.sub item (i + 2) (String.length item - i - 2)) in
+          if l <> "" then lhs := l :: !lhs;
+          if r <> "" then rhs := r :: !rhs
+      | None -> if !seen_arrow then rhs := item :: !rhs else lhs := item :: !lhs)
+    (items c);
+  if not !seen_arrow then fail c.lineno "fd needs '->'";
+  (List.rev_map (check_attr c.lineno) !lhs, List.rev_map (check_attr c.lineno) !rhs)
 
 (* ------------------------------------------------------------------ *)
 
-let of_string input =
-  match
-    let lines = String.split_on_char '\n' input in
-    let parsed =
-      List.concat
-        (List.mapi
-           (fun i raw ->
-             match parse_line (i + 1) raw with
-             | Some l -> [ (i + 1, l) ]
-             | None -> [])
-           lines)
+type scanned = {
+  catalog : R.Schema.t;
+  constraints : R.Constr.t list;
+  state : (string * R.Tuple.t list) list;
+  txs : (string * (string * R.Tuple.t) list) list;
+}
+
+(* A declared relation and its state rows so far, latest first. *)
+type decl = { schema : R.Schema.relation; mutable rows : R.Tuple.t list }
+
+let rec find_decl c = function
+  | [] -> fail c.lineno (Printf.sprintf "relation %s not declared" (name c))
+  | d :: rest ->
+      if is_exactly c.s c.name_lo c.name_hi d.schema.R.Schema.name then d
+      else find_decl c rest
+
+let scan_exn input =
+  let c = cursor input in
+  let s = input and n = String.length input in
+  let decls = ref [] (* latest first *) and constraints = ref [] in
+  let find_schema c = (find_decl c !decls).schema in
+  (* Transactions: the finished ones latest first, and the open one. *)
+  let txs = ref [] and ntx = ref 0 in
+  let tx_label = ref "" and tx_line = ref 0 and tx_rows = ref [] in
+  let labels = Hashtbl.create 64 in
+  let close_tx () =
+    if !ntx > 0 then begin
+      if !tx_rows = [] then
+        fail !tx_line (Printf.sprintf "transaction #%d has no rows" !ntx);
+      txs := (!tx_label, List.rev !tx_rows) :: !txs
+    end
+  in
+  let tx_header lo hi =
+    close_tx ();
+    incr ntx;
+    let label =
+      if hi - lo = 2 then Printf.sprintf "T%d" !ntx else sub c (skip_space s (lo + 3) hi) hi
     in
-    let schemas = ref [] in
-    let constraints = ref [] in
-    let state_rows = ref [] in
-    let txs = ref [] (* (label option, rows ref) in reverse *) in
-    let find_schema lineno name =
-      match List.assoc_opt name !schemas with
-      | Some s -> s
-      | None -> fail lineno (Printf.sprintf "relation %s not declared" name)
+    (match Hashtbl.find_opt labels label with
+    | Some first ->
+        fail c.lineno
+          (Printf.sprintf "duplicate transaction label %s (first at line %d)" label first)
+    | None -> Hashtbl.replace labels label c.lineno);
+    tx_label := label;
+    tx_line := c.lineno;
+    tx_rows := []
+  in
+  let state_row =
+    row c
+      ~find:(fun c -> find_decl c !decls)
+      ~schema:(fun d -> d.schema)
+      ~add:(fun d t -> d.rows <- t :: d.rows)
+  in
+  let tx_row =
+    row c
+      ~find:(fun c ->
+        if !ntx = 0 then fail c.lineno "transaction row before any 'tx' header";
+        find_decl c !decls)
+      ~schema:(fun d -> d.schema)
+      ~add:(fun d t -> tx_rows := (d.schema.R.Schema.name, t) :: !tx_rows)
+  in
+  let relation lo hi =
+    call c lo hi;
+    let nm = name c and attrs = attrs c in
+    if List.exists (fun d -> d.schema.R.Schema.name = nm) !decls then
+      fail c.lineno (Printf.sprintf "relation %s declared twice" nm);
+    let schema =
+      try R.Schema.relation nm attrs with Invalid_argument msg -> fail c.lineno msg
     in
-    let check_row lineno name values =
-      let schema = find_schema lineno name in
-      if List.length values <> R.Schema.arity schema then
-        fail lineno
-          (Printf.sprintf "%s expects %d values, got %d" name
-             (R.Schema.arity schema) (List.length values));
-      (name, R.Tuple.make values)
+    decls := { schema; rows = [] } :: !decls
+  in
+  let key lo hi =
+    call c lo hi;
+    let attrs = attrs c in
+    let schema = find_schema c in
+    let cstr =
+      try R.Constr.key schema attrs with
+      | Invalid_argument msg | Failure msg -> fail c.lineno msg
+      | Not_found -> fail c.lineno ("unknown attribute in key on " ^ schema.R.Schema.name)
     in
-    List.iter
-      (fun (lineno, l) ->
-        match l with
-        | Relation_decl (name, attrs) ->
-            if List.mem_assoc name !schemas then
-              fail lineno (Printf.sprintf "relation %s declared twice" name);
-            let schema =
-              try R.Schema.relation name attrs
-              with Invalid_argument msg -> fail lineno msg
-            in
-            schemas := (name, schema) :: !schemas
-        | Key_decl (name, attrs) ->
-            let schema = find_schema lineno name in
-            let c =
-              try R.Constr.key schema attrs
-              with Invalid_argument msg | Failure msg -> fail lineno msg
-                 | Not_found -> fail lineno ("unknown attribute in key on " ^ name)
-            in
-            constraints := c :: !constraints
-        | Fd_decl (name, lhs, rhs) ->
-            let schema = find_schema lineno name in
-            let c =
-              try R.Constr.fd schema lhs rhs
-              with Invalid_argument msg -> fail lineno msg
-                 | Not_found -> fail lineno ("unknown attribute in fd on " ^ name)
-            in
-            constraints := c :: !constraints
-        | Ind_decl (sub_name, sub_attrs, sup_name, sup_attrs) ->
-            let sub = find_schema lineno sub_name in
-            let sup = find_schema lineno sup_name in
-            let c =
-              try R.Constr.ind ~sub sub_attrs ~sup sup_attrs
-              with Invalid_argument msg -> fail lineno msg
-                 | Not_found -> fail lineno "unknown attribute in ind"
-            in
-            constraints := c :: !constraints
-        | State_row (name, values) ->
-            state_rows := check_row lineno name values :: !state_rows
-        | Tx_header label -> txs := (label, ref []) :: !txs
-        | Tx_row (name, values) -> (
-            match !txs with
-            | [] -> fail lineno "transaction row before any 'tx' header"
-            | (_, rows) :: _ -> rows := check_row lineno name values :: !rows))
-      parsed;
-    let catalog = R.Schema.of_list (List.rev_map snd !schemas) in
-    let state = R.Database.create catalog in
-    R.Database.insert_all state (List.rev !state_rows);
-    let txs = List.rev !txs in
-    List.iteri
-      (fun i (_, rows) ->
-        if !rows = [] then
-          fail 0 (Printf.sprintf "transaction #%d has no rows" (i + 1)))
-      txs;
-    let labels =
-      List.mapi
-        (fun i (label, _) ->
-          Option.value label ~default:(Printf.sprintf "T%d" (i + 1)))
-        txs
+    constraints := cstr :: !constraints
+  in
+  let fd lo hi =
+    call c lo hi;
+    let lhs, rhs = fd_sides c in
+    let schema = find_schema c in
+    let cstr =
+      try R.Constr.fd schema lhs rhs with
+      | Invalid_argument msg -> fail c.lineno msg
+      | Not_found -> fail c.lineno ("unknown attribute in fd on " ^ schema.R.Schema.name)
     in
-    Bcdb.create ~state
-      ~constraints:(List.rev !constraints)
-      ~pending:(List.map (fun (_, rows) -> List.rev !rows) txs)
-      ~labels ()
-  with
-  | result -> result
-  | exception Err (lineno, msg) ->
-      Error (Printf.sprintf "line %d: %s" lineno msg)
+    constraints := cstr :: !constraints
+  in
+  let ind lo hi =
+    let rec arrow i =
+      if i + 1 >= hi then fail c.lineno "ind needs '<='"
+      else if s.[i] = '<' && s.[i + 1] = '=' then i
+      else arrow (i + 1)
+    in
+    let idx = arrow lo in
+    let left = skip_space s lo idx in
+    call c left (trim_end s left idx);
+    let sub_lo = c.name_lo and sub_hi = c.name_hi and sub_attrs = attrs c in
+    call c (skip_space s (idx + 2) hi) hi;
+    let sup_lo = c.name_lo and sup_hi = c.name_hi and sup_attrs = attrs c in
+    let find_at lo hi =
+      c.name_lo <- lo;
+      c.name_hi <- hi;
+      find_schema c
+    in
+    let sub = find_at sub_lo sub_hi in
+    let sup = find_at sup_lo sup_hi in
+    let cstr =
+      try R.Constr.ind ~sub sub_attrs ~sup sup_attrs with
+      | Invalid_argument msg -> fail c.lineno msg
+      | Not_found -> fail c.lineno "unknown attribute in ind"
+    in
+    constraints := cstr :: !constraints
+  in
+  (* A keyword is followed by a space; anything else is a transaction row. *)
+  let line lo hi =
+    match s.[lo] with
+    | 'r' when is_at s lo hi "relation " -> relation (lo + 9) hi
+    | 'k' when is_at s lo hi "key " -> key (lo + 4) hi
+    | 'f' when is_at s lo hi "fd " -> fd (lo + 3) hi
+    | 'i' when is_at s lo hi "ind " -> ind (lo + 4) hi
+    | 's' when is_at s lo hi "state " -> state_row (lo + 6) hi
+    | 't' when is_exactly s lo hi "tx" || is_at s lo hi "tx " -> tx_header lo hi
+    | _ -> tx_row lo hi
+  in
+  let rec lines start =
+    let eol = line_end c start in
+    let lo = skip_space s start c.stop in
+    let hi = trim_end s lo c.stop in
+    if lo < hi then line lo hi;
+    if eol < n then begin
+      c.lineno <- c.lineno + 1;
+      lines (eol + 1)
+    end
+  in
+  lines 0;
+  close_tx ();
+  let decls = List.rev !decls in
+  {
+    catalog = R.Schema.of_list (List.map (fun d -> d.schema) decls);
+    constraints = List.rev !constraints;
+    state = List.map (fun d -> (d.schema.R.Schema.name, List.rev d.rows)) decls;
+    txs = List.rev !txs;
+  }
+
+let scan input =
+  match scan_exn input with
+  | scanned -> Ok scanned
+  | exception Err (lineno, msg) -> Error (Printf.sprintf "line %d: %s" lineno msg)
+
+let build sc =
+  let state = R.Database.create sc.catalog in
+  List.iter
+    (fun (name, rows) -> List.iter (fun t -> ignore (R.Database.insert state name t)) rows)
+    sc.state;
+  Bcdb.create ~state ~constraints:sc.constraints ~pending:(List.map snd sc.txs)
+    ~labels:(List.map fst sc.txs) ()
+
+let of_string input = Result.bind (scan input) build
 
 let to_string (db : Bcdb.t) =
   let buf = Buffer.create 4096 in
@@ -353,19 +533,26 @@ let to_string (db : Bcdb.t) =
   Buffer.contents buf
 
 let parse_row catalog input =
+  let c = cursor input in
   match
-    let name, items = parse_call 1 (String.trim (strip_comment input)) in
-    match R.Schema.find_opt catalog name with
-    | None -> Error (Printf.sprintf "unknown relation %s" name)
-    | Some schema ->
-        let values = List.map (parse_value 1) items in
-        if List.length values <> R.Schema.arity schema then
-          Error
-            (Printf.sprintf "%s expects %d values, got %d" name
-               (R.Schema.arity schema) (List.length values))
-        else Ok (name, R.Tuple.make values)
+    let eol = line_end c 0 in
+    if skip_space input eol (String.length input) < String.length input then
+      fail 1 "a row is one line";
+    let lo = skip_space input 0 c.stop in
+    let hi = trim_end input lo c.stop in
+    (* A request names its relation before its values are read: an
+       unknown relation is reported before a value's fault. *)
+    call c lo hi;
+    let schema =
+      let name = name c in
+      match R.Schema.find_opt catalog name with
+      | Some schema -> schema
+      | None -> fail c.lineno ("unknown relation " ^ name)
+    in
+    row c lo hi ~find:(fun _ -> schema) ~schema:Fun.id
+      ~add:(fun schema t -> (schema.R.Schema.name, t))
   with
-  | result -> result
+  | row -> Ok row
   | exception Err (_, msg) -> Error msg
 
 let load path =
@@ -415,7 +602,7 @@ let add_int_list buf l =
   Relational.Column.add_i64 buf (List.length l);
   List.iter (Relational.Column.add_i64 buf) l
 
-let to_binary_string (db : Bcdb.t) =
+let binary_buffer (db : Bcdb.t) =
   (* Pre-size near the payload size (the segments dominate): at
      paper-scale states, letting the buffer double its way up would copy
      hundreds of MB and leave as much garbage behind. *)
@@ -474,7 +661,9 @@ let to_binary_string (db : Bcdb.t) =
         tx.Pending.rows)
     db.Bcdb.pending;
   Buffer.add_string buf binary_end;
-  Buffer.contents buf
+  buf
+
+let to_binary_string db = Buffer.contents (binary_buffer db)
 
 let of_binary_string ?(validate = false) s =
   let corrupt msg = raise (Relational.Column.Corrupt msg) in
@@ -593,6 +782,13 @@ let of_binary_string ?(validate = false) s =
       !pos + String.length binary_end <> String.length s
       || String.sub s !pos (String.length binary_end) <> binary_end
     then corrupt "missing end marker";
+    let seen = Hashtbl.create (max 16 npend) in
+    List.iter
+      (fun (label, _) ->
+        if Hashtbl.mem seen label then
+          corrupt (Printf.sprintf "duplicate transaction label %s" label);
+        Hashtbl.replace seen label ())
+      txs;
     let labels = List.map fst txs in
     let pending = List.map snd txs in
     if validate then Bcdb.create ~state ~constraints ~pending ~labels ()
@@ -608,8 +804,7 @@ let load_binary ?validate path =
 
 let save_binary path db =
   match
-    Out_channel.with_open_bin path (fun oc ->
-        Out_channel.output_string oc (to_binary_string db))
+    Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc (binary_buffer db))
   with
   | () -> Ok ()
   | exception Sys_error msg -> Error msg

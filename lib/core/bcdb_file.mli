@@ -24,11 +24,30 @@
     Declarations may appear in any order except that relations must be
     declared before use and transaction rows follow their [tx] header.
     Values are integers, floats (with a decimal point), double-quoted
-    strings, [true], [false] or [null]. *)
+    strings, [true], [false] or [null]. A comment starts at [#] or [%]
+    outside double quotes, so strings may hold both (the printer leaves
+    them unescaped). Transaction labels are unique: a [tx] header without
+    one is labelled ["T<n>"] for the [n]-th transaction, and a header
+    that repeats an earlier label, given or defaulted, is an error. *)
 
 val of_string : string -> (Bcdb.t, string) result
-(** Parse and validate (including [R |= I]); errors carry a line
-    number. *)
+(** Parse and validate (including [R |= I]); errors carry the line
+    number of the first fault in the file. *)
+
+type scanned = {
+  catalog : Relational.Schema.t;
+  constraints : Relational.Constr.t list;
+  state : (string * Relational.Tuple.t list) list;
+      (** Each relation's state rows, in file order. *)
+  txs : (string * (string * Relational.Tuple.t) list) list;
+      (** Each transaction's label and rows, in file order. *)
+}
+
+val scan : string -> (scanned, string) result
+(** The reader alone: every syntax, declaration, arity and label check
+    of {!of_string}, without building the database. [of_string] is
+    [scan], then the rows inserted into a fresh state and
+    {!Bcdb.create}. *)
 
 val to_string : Bcdb.t -> string
 (** Render in the same format; [of_string (to_string db)] reconstructs an
@@ -53,8 +72,8 @@ val to_binary_string : Bcdb.t -> string
 
 val of_binary_string : ?validate:bool -> string -> (Bcdb.t, string) result
 (** Structural integrity (magic, version, bounds, arities, constraint
-    attribute ranges) is always checked; the semantic [R |= I]
-    validation — a full pass over the state — runs only with
+    attribute ranges, unique transaction labels) is always checked; the
+    semantic [R |= I] validation — a full pass over the state — runs only with
     [~validate:true], since snapshots are normally written by this
     process from an already validated database. *)
 
@@ -64,4 +83,9 @@ val save_binary : string -> Bcdb.t -> (unit, string) result
 val parse_row :
   Relational.Schema.t -> string -> (string * Relational.Tuple.t, string) result
 (** Parse a single ["Name(v1, v2, ...)"] row against a catalog — the
-    building block interactive tools use to accept tuples. *)
+    building block interactive tools use to accept tuples. It reads the
+    row as {!of_string} reads a transaction row and reports the same
+    faults, without a line number, except that an unknown relation is
+    reported before a fault in the row's values. The row is one line: a
+    trailing comment and line end are allowed, a second line is an
+    error. *)

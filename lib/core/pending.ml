@@ -2,22 +2,28 @@ module Tuple = Relational.Tuple
 
 type t = { id : int; label : string; rows : (string * Tuple.t) list }
 
+module Seen = Hashtbl.Make (struct
+  type t = string * Tuple.t
+
+  let equal (rel, t) (rel', t') = String.equal rel rel' && Tuple.equal t t'
+  let hash (rel, t) = Hashtbl.hash rel + (31 * Tuple.hash_noalloc t)
+end)
+
 let make ~id ?label rows =
   if id < 0 then invalid_arg "Pending.make: negative id";
   if rows = [] then invalid_arg "Pending.make: empty transaction";
-  let seen = Hashtbl.create 8 in
+  let seen = Seen.create 8 in
   let rows =
     List.filter
-      (fun (rel, tuple) ->
-        let key = (rel, Tuple.hash tuple, tuple) in
-        if Hashtbl.mem seen key then false
+      (fun row ->
+        if Seen.mem seen row then false
         else begin
-          Hashtbl.replace seen key ();
+          Seen.add seen row ();
           true
         end)
       rows
   in
-  let label = Option.value label ~default:(Printf.sprintf "T%d" id) in
+  let label = match label with Some l -> l | None -> Printf.sprintf "T%d" id in
   { id; label; rows }
 
 let reid t id =

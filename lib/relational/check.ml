@@ -15,28 +15,52 @@ exception Found of violation
 (* Every visible tuple of [rel]: the zero-column probe. *)
 let iter_all (src : Source.t) rel f = (src.Source.prepare rel [||]).Source.iter [||] f
 
+(* Tuples keyed on their values at [pos], hashed and compared in place. *)
+module On (P : sig
+  val pos : int array
+end) =
+Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal a b = Tuple.agree_on a P.pos b P.pos
+  let hash t = Tuple.hash_on t P.pos
+end)
+
 let check_fd (src : Source.t) (f : Constr.fd) =
-  let seen = Tuple.Tbl.create 256 in
+  let rhs = Array.of_list f.Constr.rhs in
+  let module Seen = On (struct
+    let pos = Array.of_list f.Constr.lhs
+  end) in
+  let seen = Seen.create 256 in
   try
     iter_all src f.Constr.frel (fun t ->
-        let lhs = Tuple.project t f.Constr.lhs in
-        let rhs = Tuple.project t f.Constr.rhs in
-        match Tuple.Tbl.find_opt seen lhs with
-        | Some (rhs', t') ->
-            if not (Tuple.equal rhs rhs') then
+        match Seen.find seen t with
+        | t' ->
+            if not (Tuple.agree_on t rhs t' rhs) then
               raise (Found (Fd_violation (f, t', t)))
-        | None -> Tuple.Tbl.replace seen lhs (rhs, t));
+        | exception Not_found -> Seen.add seen t t);
     None
   with Found v -> Some v
 
+(* A sub row is probed through one scratch tuple holding its values at
+   the sup positions; where a sup position repeats, the row's values
+   there must agree as well. *)
 let check_ind (src : Source.t) (i : Constr.ind) =
-  let supported = Tuple.Tbl.create 256 in
-  iter_all src i.Constr.sup_rel (fun t ->
-      Tuple.Tbl.replace supported (Tuple.project t i.Constr.sup_attrs) ());
+  let sub = Array.of_list i.Constr.sub_attrs in
+  let sup = Array.of_list i.Constr.sup_attrs in
+  let module Sup = On (struct
+    let pos = sup
+  end) in
+  let supported = Sup.create 256 in
+  iter_all src i.Constr.sup_rel (fun t -> Sup.replace supported t ());
+  let key = Array.make (1 + Array.fold_left max 0 sup) Value.Null in
   try
     iter_all src i.Constr.sub_rel (fun t ->
-        if not (Tuple.Tbl.mem supported (Tuple.project t i.Constr.sub_attrs))
-        then raise (Found (Ind_violation (i, t))));
+        for k = 0 to Array.length sup - 1 do
+          key.(sup.(k)) <- t.(sub.(k))
+        done;
+        if not (Tuple.agree_on key sup t sub && Sup.mem supported key) then
+          raise (Found (Ind_violation (i, t))));
     None
   with Found v -> Some v
 

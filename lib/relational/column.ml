@@ -6,11 +6,14 @@
    All payloads live off the OCaml heap, so a 10M-row segment costs the
    GC nothing. *)
 
+(* Dictionary tables (the builder's and the probe-time [by_value]) only
+   look values up, so they hash without allocating; [vhash] keeps
+   [Value.hash], which segment index orders are built from. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
-  let hash = Value.hash
+  let hash = Value.hash_noalloc
 end)
 
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -108,13 +111,17 @@ let dict_size = function Dict d -> Array.length d.values | _ -> 0
 module Builder = struct
   type col = t
 
+  (* While every value so far is an [Int] ([raw]), [codes] holds the
+     payloads themselves and nothing is hashed; the first other value
+     interns them, in order, and from then on [codes] holds dictionary
+     codes — the same dictionary interning on the fly would have built. *)
   type t = {
     mutable n : int;
     mutable codes : int array;  (* growable; valid up to [n] *)
+    mutable raw : bool;
     by_value : int Vtbl.t;
-    mutable values : Value.t list;  (* reversed interning order *)
+    mutable values : Value.t array;  (* growable; code -> value up to [nvalues] *)
     mutable nvalues : int;
-    mutable all_int : bool;
     mutable all_float : bool;
   }
 
@@ -122,12 +129,28 @@ module Builder = struct
     {
       n = 0;
       codes = [||];
+      raw = true;
       by_value = Vtbl.create 64;
-      values = [];
+      values = [||];
       nvalues = 0;
-      all_int = true;
       all_float = true;
     }
+
+  let intern b v =
+    match Vtbl.find b.by_value v with
+    | c -> c
+    | exception Not_found ->
+        let c = b.nvalues in
+        Vtbl.replace b.by_value v c;
+        if c >= Array.length b.values then begin
+          let nv = Array.make (max 16 (2 * c)) Value.Null in
+          Array.blit b.values 0 nv 0 c;
+          b.values <- nv
+        end;
+        b.values.(c) <- v;
+        b.nvalues <- c + 1;
+        (match v with Value.Float _ -> () | _ -> b.all_float <- false);
+        c
 
   let add b v =
     if b.n >= Array.length b.codes then begin
@@ -136,35 +159,27 @@ module Builder = struct
       Array.blit b.codes 0 nc 0 b.n;
       b.codes <- nc
     end;
-    let c =
-      match Vtbl.find_opt b.by_value v with
-      | Some c -> c
-      | None ->
-          let c = b.nvalues in
-          Vtbl.replace b.by_value v c;
-          b.values <- v :: b.values;
-          b.nvalues <- c + 1;
-          (match v with
-          | Value.Int _ -> b.all_float <- false
-          | Value.Float _ -> b.all_int <- false
-          | _ ->
-              b.all_int <- false;
-              b.all_float <- false);
-          c
-    in
-    b.codes.(b.n) <- c;
+    (match v with
+    | Value.Int i when b.raw -> b.codes.(b.n) <- i
+    | _ ->
+        if b.raw then begin
+          b.raw <- false;
+          for k = 0 to b.n - 1 do
+            b.codes.(k) <- intern b (Value.Int b.codes.(k))
+          done
+        end;
+        b.codes.(b.n) <- intern b v);
     b.n <- b.n + 1
 
   let length b = b.n
 
   let finish b =
-    let values = Array.of_list (List.rev b.values) in
+    let values = Array.sub b.values 0 b.nvalues in
     let n = b.n in
-    if b.all_int && b.nvalues > 0 then begin
-      let decode = Array.map (function Value.Int i -> i | _ -> 0) values in
+    if b.raw && n > 0 then begin
       let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
       for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set a i decode.(b.codes.(i))
+        Bigarray.Array1.unsafe_set a i b.codes.(i)
       done;
       Ints a
     end

@@ -1,8 +1,17 @@
+(* Lookup-only tables: nothing iterates them, so they hash without
+   allocating. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
-  let hash = Value.hash
+  let hash = Value.hash_noalloc
+end)
+
+module Rows = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash_noalloc
 end)
 
 type index = int list Vtbl.t
@@ -12,7 +21,7 @@ type t = {
   schema : Schema.relation;
   mutable tuples : Tuple.t array;
   mutable len : int;
-  present : unit Tuple.Tbl.t;
+  present : unit Rows.t;
   indexes : (int, index) Hashtbl.t;
 }
 
@@ -21,7 +30,7 @@ let create schema =
     schema;
     tuples = [||];
     len = 0;
-    present = Tuple.Tbl.create 64;
+    present = Rows.create 64;
     indexes = Hashtbl.create 4;
   }
 
@@ -48,17 +57,18 @@ let insert r t =
       (Printf.sprintf "Relation.insert: arity mismatch for %s (got %d, want %d)"
          (name r) (Tuple.arity t)
          (Schema.arity r.schema));
-  if Tuple.Tbl.mem r.present t then false
+  if Rows.mem r.present t then false
   else begin
     grow r;
     r.tuples.(r.len) <- t;
-    Tuple.Tbl.replace r.present t ();
-    Hashtbl.iter (fun col idx -> index_add idx t.(col) r.len) r.indexes;
+    Rows.add r.present t ();
+    if Hashtbl.length r.indexes > 0 then
+      Hashtbl.iter (fun col idx -> index_add idx t.(col) r.len) r.indexes;
     r.len <- r.len + 1;
     true
   end
 
-let mem r t = Tuple.Tbl.mem r.present t
+let mem r t = Rows.mem r.present t
 
 let ensure_index r col =
   match Hashtbl.find_opt r.indexes col with

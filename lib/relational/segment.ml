@@ -238,7 +238,9 @@ module Builder = struct
   let add b (t : Tuple.t) =
     if Array.length t <> Array.length b.builders then
       invalid_arg "Segment.Builder.add: arity mismatch";
-    Array.iteri (fun c bld -> Column.Builder.add bld t.(c)) b.builders;
+    for c = 0 to Array.length t - 1 do
+      Column.Builder.add b.builders.(c) t.(c)
+    done;
     b.bn <- b.bn + 1
 
   let length b = b.bn

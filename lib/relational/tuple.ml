@@ -41,18 +41,16 @@ let compare a b =
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 
-(* [Value.hash] boxes its tag pair; this one does not. Both agree with
-   [Value.equal], which is all [hash_on]'s tables need. *)
-let hash_value : Value.t -> int = function
-  | Null -> 0
-  | Bool b -> if b then 1 else 2
-  | Int i -> Hashtbl.hash i
-  | Float f -> Hashtbl.hash f
-  | Str s -> Hashtbl.hash s
+let hash_noalloc (t : t) =
+  let h = ref 17 in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash_noalloc (Array.unsafe_get t i)
+  done;
+  !h
 
 let rec hash_from (t : t) pos i h =
   if i >= Array.length pos then h
-  else hash_from t pos (i + 1) ((h * 31) + hash_value t.(pos.(i)))
+  else hash_from t pos (i + 1) ((h * 31) + Value.hash_noalloc t.(pos.(i)))
 
 let hash_on t pos = hash_from t pos 0 17
 

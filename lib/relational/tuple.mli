@@ -20,6 +20,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val hash_noalloc : t -> int
+(** A hash compatible with {!equal} built from {!Value.hash_noalloc}:
+    no allocation, but not {!hash} (see {!Value.hash_noalloc}). *)
+
 val hash_on : t -> int array -> int
 (** [hash_on t pos]: a hash of [t]'s values at positions [pos], in
     order, without building the projection and without allocating.

@@ -30,6 +30,13 @@ let hash = function
   | Float f -> Hashtbl.hash (3, f)
   | Str s -> Hashtbl.hash (4, s)
 
+let hash_noalloc = function
+  | Null -> 0
+  | Bool b -> if b then 1 else 2
+  | Int i -> Hashtbl.hash i
+  | Float f -> Hashtbl.hash f
+  | Str s -> Hashtbl.hash s
+
 let to_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f

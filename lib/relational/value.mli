@@ -19,7 +19,14 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Hash compatible with {!equal}; suitable for [Hashtbl]. *)
+(** Hash compatible with {!equal}; suitable for [Hashtbl]. It hashes a
+    (tag, payload) pair it builds on each call. *)
+
+val hash_noalloc : t -> int
+(** Another hash compatible with {!equal}, of the payload alone, so it
+    allocates nothing. It differs from {!hash}: tables whose iteration
+    order or stored hashes are observable (segment indexes, [Tuple.Tbl])
+    keep {!hash}; lookup-only tables use this one. *)
 
 val lt : t -> t -> bool
 (** Semantic strict order used by query comparisons ([<], [>]).

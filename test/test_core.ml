@@ -345,6 +345,36 @@ let world_recognition_prop =
       let expected = List.mem (Bitset.to_list set) Fixtures.paper_worlds in
       Core.Poss.is_possible_world store set = expected)
 
+(* A transaction is a set of rows: repeats are dropped and first
+   occurrences keep their order, floats' -0.0 = 0.0 included. *)
+let pending_dedup_prop =
+  let row =
+    QCheck.Gen.(
+      map2
+        (fun rel v -> (rel, [| v |]))
+        (oneofl [ "A"; "B" ])
+        (oneof
+           [
+             map (fun i -> R.Value.Int i) (int_bound 6);
+             map (fun f -> R.Value.Float f) (oneofl [ 0.0; -0.0; 1.0 ]);
+           ]))
+  in
+  QCheck.Test.make ~name:"Pending.make keeps first occurrences in order" ~count:300
+    (QCheck.make
+       ~print:(fun rows ->
+         String.concat " " (List.map (fun (r, t) -> r ^ R.Tuple.to_string t) rows))
+       QCheck.Gen.(list_size (int_range 1 40) row))
+    (fun rows ->
+      let same (r, t) (r', t') = String.equal r r' && R.Tuple.equal t t' in
+      let expected =
+        List.rev
+          (List.fold_left
+             (fun kept row -> if List.exists (same row) kept then kept else row :: kept)
+             [] rows)
+      in
+      let got = (Core.Pending.make ~id:0 rows).Core.Pending.rows in
+      List.length got = List.length expected && List.for_all2 same got expected)
+
 let () =
   Alcotest.run "core"
     [
@@ -378,5 +408,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest agreement_prop;
           QCheck_alcotest.to_alcotest world_recognition_prop;
+          QCheck_alcotest.to_alcotest pending_dedup_prop;
         ] );
     ]

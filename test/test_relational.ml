@@ -50,6 +50,45 @@ let hash_consistent =
     (fun (i, j) ->
       (not (V.equal (V.Int i) (V.Int j))) || V.hash (V.Int i) = V.hash (V.Int j))
 
+(* The allocation-free hash (lookup tables) must agree with equality
+   across every kind of value, negative zero and NaN included. *)
+let hash_noalloc_consistent =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          return V.Null;
+          map (fun b -> V.Bool b) bool;
+          map (fun i -> V.Int i) (int_range (-3) 3);
+          map (fun f -> V.Float f) (oneofl [ 0.0; -0.0; Float.nan; 1.5; -1.5 ]);
+          map (fun s -> V.Str s) (oneofl [ ""; "a"; "b"; "ab" ]);
+        ])
+  in
+  QCheck.Test.make ~name:"equal values hash equally without allocating" ~count:300
+    (QCheck.make (QCheck.Gen.pair gen gen))
+    (fun (a, b) ->
+      ((not (V.equal a b)) || V.hash_noalloc a = V.hash_noalloc b)
+      && ((not (R.Tuple.equal [| a; b |] [| b; a |]))
+         || R.Tuple.hash_noalloc [| a; b |] = R.Tuple.hash_noalloc [| b; a |]))
+
+let test_hash_noalloc_allocates_nothing () =
+  let values = [| V.Int 7; V.Float 2.5; V.Str "txid"; V.Bool true; V.Null |] in
+  let t = R.Tuple.make (Array.to_list values) in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    for i = 0 to Array.length values - 1 do
+      sink := !sink + V.hash_noalloc values.(i)
+    done;
+    sink := !sink + R.Tuple.hash_noalloc t
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  (* Value.hash would allocate 3 words per boxed value: 15,000 here. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 6,000 hashes" words)
+    true (words < 100.0)
+
 let test_tuple_project () =
   let t = R.Tuple.make [ V.Int 1; V.Str "x"; V.Int 3 ] in
   Alcotest.(check int) "arity" 3 (R.Tuple.arity t);
@@ -368,6 +407,69 @@ let sweep_equals_materialized =
       && Array.to_list fd_sess = fd_exp
       && Array.to_list ok_sess = ok_exp)
 
+(* The full check against a reference built from projections, on
+   instances that may violate anything: the same verdict and the same
+   first violation (fds in row order, each against the first row with
+   its lhs; inds at the first unsupported sub row), through sweep's
+   constraints — out-of-order sup columns, a sup column bound twice,
+   an out-of-order lhs. *)
+let reference_violation db cs =
+  let rows rel = R.Relation.to_list (R.Database.relation db rel) in
+  let proj t pos = List.map (fun i -> t.(i)) pos in
+  let same a b = List.length a = List.length b && List.for_all2 V.equal a b in
+  List.find_map
+    (function
+      | R.Constr.Fd f ->
+          let seen = ref [] in
+          List.find_map
+            (fun t ->
+              match List.find_opt (fun (k, _) -> same k (proj t f.R.Constr.lhs)) !seen with
+              | Some (_, t') ->
+                  if same (proj t f.R.Constr.rhs) (proj t' f.R.Constr.rhs) then None
+                  else Some (R.Check.Fd_violation (f, t', t))
+              | None ->
+                  seen := (proj t f.R.Constr.lhs, t) :: !seen;
+                  None)
+            (rows f.R.Constr.frel)
+      | R.Constr.Ind i ->
+          let sup = List.map (fun t -> proj t i.R.Constr.sup_attrs) (rows i.R.Constr.sup_rel) in
+          List.find_map
+            (fun t ->
+              if List.exists (same (proj t i.R.Constr.sub_attrs)) sup then None
+              else Some (R.Check.Ind_violation (i, t)))
+            (rows i.R.Constr.sub_rel))
+    cs
+
+let check_equals_reference =
+  let v = QCheck.Gen.int_bound 3 in
+  let row =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun (a, b, c) -> ("R", ints [ a; b; c ])) (triple v v v);
+          map (fun (x, y) -> ("S", ints [ x; y ])) (pair v v);
+          map (fun (u, w, x) -> ("P", ints [ u; w; x ])) (triple v v v);
+        ])
+  in
+  QCheck.Test.make ~name:"Check.first_violation = projection reference" ~count:300
+    (QCheck.make
+       ~print:(fun rows ->
+         String.concat " "
+           (List.map (fun (rel, t) -> rel ^ Format.asprintf "%a" R.Tuple.pp t) rows))
+       QCheck.Gen.(list_size (int_bound 12) row))
+    (fun rows ->
+      let db = R.Database.create sweep_cat in
+      R.Database.insert_all db rows;
+      let got = R.Check.first_violation (R.Database.source db) sweep_constraints in
+      let expected = reference_violation db sweep_constraints in
+      match (got, expected) with
+      | None, None -> true
+      | Some (R.Check.Fd_violation (f, a, b)), Some (R.Check.Fd_violation (f', a', b')) ->
+          f == f' && R.Tuple.equal a a' && R.Tuple.equal b b'
+      | Some (R.Check.Ind_violation (i, t)), Some (R.Check.Ind_violation (i', t')) ->
+          i == i' && R.Tuple.equal t t'
+      | _ -> false)
+
 let () =
   Alcotest.run "relational"
     [
@@ -378,6 +480,9 @@ let () =
           QCheck_alcotest.to_alcotest value_total_order;
           QCheck_alcotest.to_alcotest float_print_roundtrip;
           QCheck_alcotest.to_alcotest hash_consistent;
+          QCheck_alcotest.to_alcotest hash_noalloc_consistent;
+          Alcotest.test_case "hash_noalloc allocates nothing" `Quick
+            test_hash_noalloc_allocates_nothing;
         ] );
       ( "tuple-schema",
         [
@@ -398,5 +503,6 @@ let () =
           Alcotest.test_case "checker outcome" `Quick test_checker_outcome;
           QCheck_alcotest.to_alcotest checker_equals_full_check;
           QCheck_alcotest.to_alcotest sweep_equals_materialized;
+          QCheck_alcotest.to_alcotest check_equals_reference;
         ] );
     ]

@@ -62,6 +62,52 @@ let segment_binary_roundtrip =
       && List.init (R.Segment.length seg) (R.Segment.tuple seg)
          = List.init (R.Segment.length seg') (R.Segment.tuple seg'))
 
+(* A column keeps what it was given, and its encoding is fixed by the
+   values alone: all-Int and all-Float columns are unboxed, any other
+   column is a dictionary in first-appearance order — whether the first
+   non-Int value comes first, late or never (the builder holds Int
+   payloads raw until then). *)
+let column_builder_encoding =
+  let gen =
+    QCheck.Gen.(
+      let* ints = list_size (int_bound 40) (map (fun i -> V.Int i) (int_range (-5) 5)) in
+      let+ rest = list_size (int_bound 6) value_gen in
+      ints @ rest)
+  in
+  QCheck.Test.make ~name:"Column builder: unboxed or first-appearance dictionary"
+    ~count:300
+    (QCheck.make ~print:(fun vs -> R.Tuple.to_string (Array.of_list vs)) gen)
+    (fun vs ->
+      let b = R.Segment.Builder.create ~arity:1 in
+      List.iter (fun v -> R.Segment.Builder.add b [| v |]) vs;
+      let seg = R.Segment.Builder.finish b in
+      let buf = Buffer.create 256 in
+      R.Segment.serialize buf seg;
+      let blob = Buffer.contents buf in
+      (* segment header (rows, columns), then the column's kind tag *)
+      let kind = Char.code blob.[16] in
+      let distinct =
+        List.fold_left
+          (fun acc v -> if List.exists (V.equal v) acc then acc else v :: acc)
+          [] vs
+        |> List.rev
+      in
+      let all p = vs <> [] && List.for_all p vs in
+      let expected_kind =
+        if all (function V.Int _ -> true | _ -> false) then 0
+        else if all (function V.Float _ -> true | _ -> false) then 1
+        else 2
+      in
+      let dictionary () =
+        let pos = ref 25 in
+        let nd = Int64.to_int (String.get_int64_le blob !pos) in
+        pos := !pos + 8;
+        List.init nd (fun _ -> Option.get (V.read_binary blob pos))
+      in
+      List.for_all2 V.equal vs (List.init (R.Segment.length seg) (fun row -> R.Segment.get seg row 0))
+      && kind = expected_kind
+      && (kind <> 2 || List.equal V.equal (dictionary ()) distinct))
+
 (* Probes answer exactly what a row-at-a-time filter over the same rows
    answers, for every single- and two-column bind drawn from the data
    (hits) and from values absent from it (dictionary misses). *)
@@ -310,6 +356,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest segment_relation_roundtrip;
           QCheck_alcotest.to_alcotest segment_binary_roundtrip;
+          QCheck_alcotest.to_alcotest column_builder_encoding;
           QCheck_alcotest.to_alcotest probe_agreement;
           QCheck_alcotest.to_alcotest index_order_prop;
         ] );
