@@ -1558,24 +1558,27 @@ let live_create_bench () =
 (* ------------------------------------------------------------------ *)
 (* A cold `bcdb check`'s fixed costs on the batch-solve sweep snapshot
    (all 50 sweep blocks plus 20 double spends, 1785 pending; 10 blocks
-   at smoke scale): Session.create; node validity and the fd graph it
-   feeds (the store's validity sweep plus Fd_graph.build, as
+   at smoke scale): the snapshot load (Bcdb_file.load_binary);
+   Session.create, which builds the store; node validity and the fd
+   graph it feeds (the store's validity sweep plus Fd_graph.build, as
    Session.fd_graph forces them); and the first maximal clique of that
    graph, which NaiveDCSat's one world and every OptDCSat component
    start from. Each repeat loads the snapshot afresh. *)
-let cold_check_bench () =
+let cold_check_db () =
   let take = if !smoke_flag then Some 10 else None in
-  let db =
-    W.Generator.dataset (sim Sweep) ?pending_take:take ~contradictions:20 ()
-  in
+  ( (match take with Some n -> Printf.sprintf "sweep-%dblk" n | None -> "sweep"),
+    W.Generator.dataset (sim Sweep) ?pending_take:take ~contradictions:20 () )
+
+let cold_check_bench () =
+  let label, db = cold_check_db () in
   let repeats = 7 in
-  let names = [ "session"; "validity_fd_graph"; "first_clique"; "total" ] in
+  let names = [ "load"; "session"; "validity_fd_graph"; "first_clique"; "total" ] in
   let samples = List.map (fun n -> (n, Array.make repeats 0.0)) names in
   let put name r v = (List.assoc name samples).(r) <- v in
   with_snapshot db (fun load ->
       for r = 0 to repeats - 1 do
-        let db = load () in
         Gc.compact ();
+        let db, load_s = timed load in
         let sess, session_s = timed (fun () -> Core.Session.create db) in
         let fd, fd_s = timed (fun () -> Core.Session.fd_graph sess) in
         let clique, clique_s =
@@ -1583,17 +1586,47 @@ let cold_check_bench () =
               Bcgraph.Bron_kerbosch.generator fd.Core.Fd_graph.graph ())
         in
         if clique = None then fail "cold-check: the fd graph has no clique";
+        put "load" r load_s;
         put "session" r session_s;
         put "validity_fd_graph" r fd_s;
         put "first_clique" r clique_s;
-        put "total" r (session_s +. fd_s +. clique_s)
+        put "total" r (load_s +. session_s +. fd_s +. clique_s)
       done);
-  add_phase_row ~row:"cold-check" ~title:"Cold check phases"
-    ~label:
-      (match take with
-      | Some n -> Printf.sprintf "sweep-%dblk" n
-      | None -> "sweep")
+  add_phase_row ~row:"cold-check" ~title:"Cold check phases" ~label
     ~x:(Array.length db.Core.Bcdb.pending) samples
+
+(* Allocation gate: minor words per pending row of a cold check's
+   start-up, Bcdb_file.load_binary then Session.create (which builds the
+   store), on the smoke-scale sweep snapshot. The count is
+   deterministic, so the bound is the figure measured when the gate was
+   set plus 25% (189.9 words per row; 563.0 before the store was built
+   in one insertion pass and the decoder stopped allocating per value):
+   a decoder that boxes or copies per value, or a build that hashes
+   into scratch tables again, fails it. *)
+let cold_words_per_row = 189.9
+
+let cold_alloc_gate () =
+  let _, db = cold_check_db () in
+  with_snapshot db (fun load ->
+      ignore (load ());
+      let before = Gc.minor_words () in
+      let db = load () in
+      ignore (Sys.opaque_identity (Core.Session.create db));
+      let words = Gc.minor_words () -. before in
+      let rows =
+        Array.fold_left (fun acc p -> acc + Core.Pending.size p) 0 db.Core.Bcdb.pending
+      in
+      let per_row = words /. float_of_int rows in
+      let bound = cold_words_per_row *. 1.25 in
+      Printf.printf
+        "[smoke] cold start over %d pending rows: %.1f minor words per row \
+         (bound %.1f)\n%!"
+        rows per_row bound;
+      if per_row > bound then
+        fail
+          "smoke: load_binary + Session.create allocated %.1f minor words per \
+           pending row (bound %.1f = %.1f + 25%%)"
+          per_row bound cold_words_per_row)
 
 (* ------------------------------------------------------------------ *)
 (* `bcdb snapshot --file`'s ingest of the batch-solve sweep's .bcdb dump
@@ -1906,6 +1939,7 @@ let smoke () =
   validity_alloc_gate ();
   live_create_bench ();
   cold_check_bench ();
+  cold_alloc_gate ();
   ingest_bench ();
   ingest_alloc_gate ();
   precheck_switch_gate sess (Q.instantiate s (Q.Qp 3) Q.Satisfied);

@@ -117,22 +117,7 @@ let help () =
 let parse_query db text =
   Q.Parser.parse ~catalog:(Core.Bcdb.catalog db) (String.trim text)
 
-let parse_rows db text =
-  let parts =
-    String.split_on_char ';' text
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  if parts = [] then Error "no rows given"
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | row :: rest -> (
-          match Core.Bcdb_file.parse_row (Core.Bcdb.catalog db) row with
-          | Ok r -> go (r :: acc) rest
-          | Error msg -> Error msg)
-    in
-    go [] parts
+let parse_rows db text = Core.Bcdb_file.parse_rows (Core.Bcdb.catalog db) text
 
 let cmd_show db =
   Format.printf "%a@." Core.Bcdb.pp_summary db;

@@ -555,6 +555,38 @@ let parse_row catalog input =
   | row -> Ok row
   | exception Err (_, msg) -> Error msg
 
+(* Where the row starting at [i] ends: at the first ';' outside double
+   quotes (in which a backslash escapes the next character), or [hi]. *)
+let rec row_end s i hi =
+  if i >= hi then hi
+  else
+    match String.unsafe_get s i with
+    | ';' -> i
+    | '"' -> quoted_row_end s (i + 1) hi
+    | _ -> row_end s (i + 1) hi
+
+and quoted_row_end s i hi =
+  if i >= hi then hi
+  else
+    match String.unsafe_get s i with
+    | '"' -> row_end s (i + 1) hi
+    | '\\' -> quoted_row_end s (i + 2) hi
+    | _ -> quoted_row_end s (i + 1) hi
+
+let parse_rows catalog input =
+  let n = String.length input in
+  let rec go acc i =
+    if i > n then if acc = [] then Error "no rows given" else Ok (List.rev acc)
+    else
+      let j = row_end input i n in
+      if skip_space input i j = j then go acc (j + 1)
+      else
+        match parse_row catalog (String.sub input i (j - i)) with
+        | Ok row -> go (row :: acc) (j + 1)
+        | Error _ as e -> e
+  in
+  go [] 0
+
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | contents -> of_string contents
@@ -757,40 +789,36 @@ let of_binary_string ?(validate = false) s =
     let by_index = Array.of_list schemas in
     let npend = Relational.Column.read_i64 s pos in
     if npend < 0 || npend > 1_000_000 then corrupt "bad pending count";
-    let txs =
-      List.init npend (fun _ ->
-          let label = read_str pos in
-          let nrows = Relational.Column.read_i64 s pos in
-          if nrows < 0 || nrows > 10_000_000 then corrupt "bad row count";
-          let rows =
-            List.init nrows (fun _ ->
-                let ri = Relational.Column.read_i64 s pos in
-                if ri < 0 || ri >= Array.length by_index then
-                  corrupt "bad relation index in pending row";
-                let schema = by_index.(ri) in
-                let tuple =
-                  Array.init (R.Schema.arity schema) (fun _ ->
-                      match V.read_binary s pos with
-                      | Some v -> v
-                      | None -> corrupt "bad value in pending row")
-                in
-                (schema.R.Schema.name, tuple))
-          in
-          (label, rows))
-    in
+    let seen = Hashtbl.create (max 16 npend) in
+    let labels = ref [] and pending = ref [] in
+    for _ = 1 to npend do
+      let label = read_str pos in
+      if Hashtbl.mem seen label then
+        corrupt (Printf.sprintf "duplicate transaction label %s" label);
+      Hashtbl.replace seen label ();
+      let nrows = Relational.Column.read_i64 s pos in
+      if nrows < 0 || nrows > 10_000_000 then corrupt "bad row count";
+      let read_row _ =
+        let ri = Relational.Column.read_i64 s pos in
+        if ri < 0 || ri >= Array.length by_index then
+          corrupt "bad relation index in pending row";
+        let schema = by_index.(ri) in
+        let tuple = Array.make (R.Schema.arity schema) V.Null in
+        for c = 0 to Array.length tuple - 1 do
+          match V.read_binary s pos with
+          | v -> tuple.(c) <- v
+          | exception Invalid_argument _ -> corrupt "bad value in pending row"
+        done;
+        (schema.R.Schema.name, tuple)
+      in
+      labels := label :: !labels;
+      pending := List.init nrows read_row :: !pending
+    done;
     if
       !pos + String.length binary_end <> String.length s
       || String.sub s !pos (String.length binary_end) <> binary_end
     then corrupt "missing end marker";
-    let seen = Hashtbl.create (max 16 npend) in
-    List.iter
-      (fun (label, _) ->
-        if Hashtbl.mem seen label then
-          corrupt (Printf.sprintf "duplicate transaction label %s" label);
-        Hashtbl.replace seen label ())
-      txs;
-    let labels = List.map fst txs in
-    let pending = List.map snd txs in
+    let labels = List.rev !labels and pending = List.rev !pending in
     if validate then Bcdb.create ~state ~constraints ~pending ~labels ()
     else Ok (Bcdb.create_unchecked ~state ~constraints ~pending ~labels ())
   with
@@ -798,9 +826,11 @@ let of_binary_string ?(validate = false) s =
   | exception Relational.Column.Corrupt msg -> Error ("binary snapshot: " ^ msg)
 
 let load_binary ?validate path =
-  match In_channel.with_open_bin path In_channel.input_all with
+  let read ic = really_input_string ic (Int64.to_int (In_channel.length ic)) in
+  match In_channel.with_open_bin path read with
   | contents -> of_binary_string ?validate contents
   | exception Sys_error msg -> Error msg
+  | exception End_of_file -> Error (path ^ ": file shrank while being read")
 
 let save_binary path db =
   match

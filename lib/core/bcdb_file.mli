@@ -89,3 +89,11 @@ val parse_row :
     reported before a fault in the row's values. The row is one line: a
     trailing comment and line end are allowed, a second line is an
     error. *)
+
+val parse_rows :
+  Relational.Schema.t ->
+  string ->
+  ((string * Relational.Tuple.t) list, string) result
+(** Rows separated by [';'] outside double-quoted strings, each read by
+    {!parse_row}, in order; blank parts are skipped. The first fault is
+    the error, and a text without a row is ["no rows given"]. *)

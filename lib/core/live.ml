@@ -213,7 +213,7 @@ let admissible t label rows =
 
 let try_add t ?label rows =
   let id = Array.length t.db.Bcdb.pending in
-  let label = Option.value label ~default:(Printf.sprintf "T%d" id) in
+  let label = match label with Some l -> l | None -> Bcdb.fresh_label t.db in
   match admissible t label rows with
   | Error _ as e -> e
   | Ok () ->

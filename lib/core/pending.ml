@@ -9,20 +9,32 @@ module Seen = Hashtbl.Make (struct
   let hash (rel, t) = Hashtbl.hash rel + (31 * Tuple.hash_noalloc t)
 end)
 
+(* One dedup table per domain, reused by every call. It is reset before
+   use (an exception may have left rows in it) and after (to drop the
+   rows and any buckets a large transaction grew); [Seen.reset] brings
+   it back to its initial size, so a transaction of any size costs what
+   a fresh table would. A row is new iff adding it grows the table: one
+   hash per row. Without a duplicate the row list is kept as given. *)
+let seen_key = Domain.DLS.new_key (fun () -> Seen.create 8)
+
 let make ~id ?label rows =
   if id < 0 then invalid_arg "Pending.make: negative id";
   if rows = [] then invalid_arg "Pending.make: empty transaction";
-  let seen = Seen.create 8 in
-  let rows =
-    List.filter
-      (fun row ->
-        if Seen.mem seen row then false
-        else begin
-          Seen.add seen row ();
-          true
-        end)
-      rows
+  let seen = Domain.DLS.get seen_key in
+  let fresh row =
+    let n = Seen.length seen in
+    Seen.replace seen row ();
+    Seen.length seen > n
   in
+  Seen.reset seen;
+  let rows =
+    if List.for_all fresh rows then rows
+    else begin
+      Seen.reset seen;
+      List.filter fresh rows
+    end
+  in
+  Seen.reset seen;
   let label = match label with Some l -> l | None -> Printf.sprintf "T%d" id in
   { id; label; rows }
 

@@ -42,12 +42,13 @@ type rel_store = {
       (* per-store memo of base indexes already fetched: lock-free *)
   mutable entries : entry array;  (* pending segment, valid up to [len] *)
   mutable len : int;
-  by_tuple : int R.Tuple.Tbl.t;  (* pending tuples only *)
-  postings : (int list, posting R.Tuple.Tbl.t) Hashtbl.t;
+  by_tuple : int R.Tuple.Lookup.t;  (* pending tuples only *)
+  postings : (int list, posting R.Tuple.Lookup.t) Hashtbl.t;
       (** Pending hash indexes, keyed by the (sorted) column list; the
           inner table maps a projection to pending positions. Built on
           demand for the column sets the evaluator actually probes. *)
-  by_origin : (int, int list) Hashtbl.t;  (* tx id -> pending positions *)
+  mutable by_origin : int list array;
+      (* tx id -> its pending positions, descending; [] past the end *)
   mutable viscount : int array;  (* per pending position *)
   probes : (int array, R.Source.probe) Hashtbl.t array;
       (** Prepared probes per view ([World], [Union], [Base]) and bound
@@ -79,118 +80,166 @@ let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
 let base_origin = -1
 
-let fresh_rel seg b_extra entries =
-  let np = Array.length entries in
-  let by_tuple = R.Tuple.Tbl.create (max 16 np) in
-  Array.iteri (fun i (e : entry) -> R.Tuple.Tbl.replace by_tuple e.tuple i) entries;
-  let by_origin = Hashtbl.create (max 16 np) in
-  Array.iteri
-    (fun i (e : entry) ->
-      Array.iter
-        (fun o ->
-          if o >= 0 then
-            Hashtbl.replace by_origin o
-              (i :: Option.value (Hashtbl.find_opt by_origin o) ~default:[]))
-        e.origins)
-    entries;
+let unknown_relation name = invalid_arg ("Tagged_store: unknown relation " ^ name)
+
+let rel_store t name =
+  match Smap.find name t.rels with rs -> rs | exception Not_found -> unknown_relation name
+
+(* Fills entry arrays: a static value, so making a large array never
+   waits for the runtime to empty the minor heap, as seeding it with a
+   young entry would. *)
+let no_entry = { tuple = [||]; origins = [||] }
+
+(* An empty pending segment over the base [seg], sized for [rows]
+   pending rows (an upper bound on its entries). *)
+let empty_rel seg ~rows ~txs =
+  let cap = max 16 rows in
   {
     seg;
-    b_extra;
+    b_extra = Hashtbl.create 4;
     bmemo = Hashtbl.create 4;
-    entries;
-    len = np;
-    by_tuple;
+    entries = Array.make rows no_entry;
+    len = 0;
+    by_tuple = R.Tuple.Lookup.create cap;
     postings = Hashtbl.create 4;
-    by_origin;
-    viscount = Array.make (max 1 np) 0;
+    by_origin = Array.make txs [];
+    viscount = Array.make (max 1 rows) 0;
     probes = Array.init 3 (fun _ -> Hashtbl.create 8);
   }
 
-let build_rel seg rows =
-  (* [seg]: the relation's base state, already columnar. [rows]:
-     (origin, tuple) pending contributions in transaction order.
-     Pending tuples that also sit in the base merge their origins into
-     the sparse [b_extra] table (the base row is visible everywhere
-     anyway); the rest are deduplicated into pending entries — rows of
-     one origin arrive together, so deduplication is a head check. *)
-  let b_extra = Hashtbl.create 4 in
-  let scratch = R.Tuple.Tbl.create (max 64 (List.length rows)) in
-  let order = ref [] in
+let push_entry rs e =
+  if rs.len >= Array.length rs.entries then begin
+    let ncap = max 16 (2 * Array.length rs.entries) in
+    let ne = Array.make ncap no_entry in
+    Array.blit rs.entries 0 ne 0 rs.len;
+    rs.entries <- ne
+  end;
+  if rs.len >= Array.length rs.viscount then begin
+    let nv = Array.make (max 16 (2 * Array.length rs.viscount)) 0 in
+    Array.blit rs.viscount 0 nv 0 rs.len;
+    rs.viscount <- nv
+  end;
+  rs.entries.(rs.len) <- e;
+  rs.viscount.(rs.len) <- 0;
+  rs.len <- rs.len + 1;
+  rs.len - 1
+
+let posting_add tbl key i =
+  match R.Tuple.Lookup.find tbl key with
+  | p ->
+      p.all <- i :: p.all;
+      p.count <- p.count + 1
+  | exception Not_found -> R.Tuple.Lookup.add tbl key { all = [ i ]; count = 1 }
+
+(* The one insertion step, shared by {!create} and {!append_tx}: load
+   transaction [id]'s rows. Ids arrive ascending and a transaction's
+   rows are distinct (Pending.make), so appending [id] keeps every
+   origin array ascending. A row the base also holds only merges [id]
+   into that base position's [b_extra] origins (the row is visible
+   everywhere anyway); a row another transaction already wrote gains
+   the origin; any other row becomes a new entry, so entries stay in
+   order of first occurrence. [by_origin] lists stay by descending
+   position — the order world deltas report rows in. Returns the base
+   positions written, for {!undo}. *)
+let insert_tx t id rows =
+  let base_hits = ref [] and shared = ref [] in
   List.iter
-    (fun (origin, tuple) ->
-      match R.Segment.find seg tuple with
-      | bpos when bpos >= 0 ->
-          let prev =
-            Option.value (Hashtbl.find_opt b_extra bpos) ~default:[| base_origin |]
-          in
-          if not (Array.exists (fun o -> o = origin) prev) then
-            Hashtbl.replace b_extra bpos (Array.append prev [| origin |])
-      | _ -> (
-          match R.Tuple.Tbl.find_opt scratch tuple with
-          | Some origins -> (
-              match !origins with
-              | last :: _ when last = origin -> ()
-              | _ -> origins := origin :: !origins)
-          | None ->
-              R.Tuple.Tbl.replace scratch tuple (ref [ origin ]);
-              order := tuple :: !order))
+    (fun (rel, tuple) ->
+      let rs = rel_store t rel in
+      let bpos = R.Segment.find rs.seg tuple in
+      if bpos >= 0 then begin
+        let before =
+          match Hashtbl.find rs.b_extra bpos with
+          | o -> o
+          | exception Not_found -> [| base_origin |]
+        in
+        Hashtbl.replace rs.b_extra bpos (Array.append before [| id |]);
+        base_hits := (rs, bpos) :: !base_hits
+      end
+      else
+        let i =
+          match R.Tuple.Lookup.find rs.by_tuple tuple with
+          | i ->
+              let e = rs.entries.(i) in
+              rs.entries.(i) <- { e with origins = Array.append e.origins [| id |] };
+              if not (List.memq rs !shared) then shared := rs :: !shared;
+              i
+          | exception Not_found ->
+              let i = push_entry rs { tuple; origins = [| id |] } in
+              R.Tuple.Lookup.add rs.by_tuple tuple i;
+              Hashtbl.iter
+                (fun cols tbl -> posting_add tbl (R.Tuple.project tuple cols) i)
+                rs.postings;
+              i
+        in
+        if id >= Array.length rs.by_origin then begin
+          let grown = Array.make (max 16 (2 * id)) [] in
+          Array.blit rs.by_origin 0 grown 0 (Array.length rs.by_origin);
+          rs.by_origin <- grown
+        end;
+        rs.by_origin.(id) <- i :: rs.by_origin.(id))
     rows;
-  let pending =
-    Array.of_list
-      (List.rev_map
-         (fun tuple ->
-           let origins = !(R.Tuple.Tbl.find scratch tuple) in
-           { tuple; origins = Array.of_list (List.sort_uniq Int.compare origins) })
-         !order)
-  in
-  fresh_rel seg b_extra pending
+  (* A row that joined an older entry may sit below positions pushed
+     before it. *)
+  List.iter
+    (fun rs ->
+      rs.by_origin.(id) <- List.sort (fun a b -> Int.compare b a) rs.by_origin.(id))
+    !shared;
+  !base_hits
 
 let create_store (db : Bcdb.t) =
-  let catalog = R.Database.catalog db.Bcdb.state in
-  let rows_by_rel = Hashtbl.create 8 in
-  let push rel row =
-    let prev = Option.value (Hashtbl.find_opt rows_by_rel rel) ~default:[] in
-    Hashtbl.replace rows_by_rel rel (row :: prev)
+  let state = db.Bcdb.state in
+  let schemas = R.Schema.relations (R.Database.catalog state) in
+  (* Rows per relation, to size its tables: a name compare per row, no
+     hashing. *)
+  let counts =
+    List.fold_left (fun m s -> Smap.add s.R.Schema.name (ref 0) m) Smap.empty schemas
   in
   Array.iter
     (fun (tx : Pending.t) ->
-      List.iter (fun (rel, tuple) -> push rel (tx.Pending.id, tuple)) tx.Pending.rows)
+      List.iter
+        (fun (rel, _) ->
+          match Smap.find rel counts with
+          | n -> incr n
+          | exception Not_found -> unknown_relation rel)
+        tx.Pending.rows)
     db.Bcdb.pending;
+  let k = Array.length db.Bcdb.pending in
   let rels =
-    List.fold_left
-      (fun acc schema ->
-        let rel = schema.R.Schema.name in
+    Smap.mapi
+      (fun rel rows ->
         (* The base state reaches the store columnar: zero-cost when the
            database was restored from a binary snapshot (all segment),
            one streaming encode when it was built row by row. *)
-        let seg = R.Database.to_segment db.Bcdb.state rel in
-        let rows =
-          List.rev (Option.value (Hashtbl.find_opt rows_by_rel rel) ~default:[])
-        in
-        Smap.add rel (build_rel seg rows) acc)
-      Smap.empty (R.Schema.relations catalog)
+        empty_rel (R.Database.to_segment state rel) ~rows:!rows ~txs:k)
+      counts
   in
-  let k = Array.length db.Bcdb.pending in
-  {
-    uid = fresh_uid ();
-    db;
-    rels;
-    k;
-    visible = Bitset.create k;
-    epoch = 0;
-    obs = Obs.null;
-    views = [||];
-    checker = None;
-  }
+  let t =
+    {
+      uid = fresh_uid ();
+      db;
+      rels;
+      k;
+      visible = Bitset.create k;
+      epoch = 0;
+      obs = Obs.null;
+      views = [||];
+      checker = None;
+    }
+  in
+  Array.iter
+    (fun (tx : Pending.t) -> ignore (insert_tx t tx.Pending.id tx.Pending.rows))
+    db.Bcdb.pending;
+  t
 
 let clone_rel rs =
   let postings = Hashtbl.copy rs.postings in
   Hashtbl.filter_map_inplace
     (fun _ tbl ->
-      let out = R.Tuple.Tbl.create (max 4 (R.Tuple.Tbl.length tbl)) in
-      R.Tuple.Tbl.iter
+      let out = R.Tuple.Lookup.create (max 4 (R.Tuple.Lookup.length tbl)) in
+      R.Tuple.Lookup.iter
         (fun key (p : posting) ->
-          R.Tuple.Tbl.replace out key { all = p.all; count = p.count })
+          R.Tuple.Lookup.replace out key { all = p.all; count = p.count })
         tbl;
       Some out)
     postings;
@@ -200,9 +249,9 @@ let clone_rel rs =
     bmemo = Hashtbl.copy rs.bmemo;
     entries = Array.copy rs.entries;
     len = rs.len;
-    by_tuple = R.Tuple.Tbl.copy rs.by_tuple;
+    by_tuple = R.Tuple.Lookup.copy rs.by_tuple;
     postings;
-    by_origin = Hashtbl.copy rs.by_origin;
+    by_origin = Array.copy rs.by_origin;
     viscount = Array.copy rs.viscount;
     probes = Array.init 3 (fun _ -> Hashtbl.create 8);
   }
@@ -230,6 +279,9 @@ let world t = Bitset.copy t.visible
 let base_bytes t =
   Smap.fold (fun _ rs acc -> acc + R.Segment.bytes rs.seg) t.rels 0
 
+let positions rs id =
+  if id < Array.length rs.by_origin then rs.by_origin.(id) else []
+
 (* Switch to [vis] (a fresh bitset owned by the store) by flipping only
    the transactions whose membership changed. A no-op switch keeps the
    epoch. *)
@@ -239,12 +291,7 @@ let apply_world t vis =
     Smap.iter
       (fun _ rs ->
         let flip sign id =
-          match Hashtbl.find_opt rs.by_origin id with
-          | None -> ()
-          | Some ps ->
-              List.iter
-                (fun p -> rs.viscount.(p) <- rs.viscount.(p) + sign)
-                ps
+          List.iter (fun p -> rs.viscount.(p) <- rs.viscount.(p) + sign) (positions rs id)
         in
         Bitset.iter_diff (flip (-1)) old vis;
         Bitset.iter_diff (flip 1) vis old)
@@ -262,11 +309,6 @@ let set_world t vis =
 let set_world_list t ids = apply_world t (Bitset.of_list t.k ids)
 let all_visible t = apply_world t (Bitset.full t.k)
 let base_only t = apply_world t (Bitset.create t.k)
-
-let rel_store t name =
-  match Smap.find_opt name t.rels with
-  | Some rs -> rs
-  | None -> invalid_arg ("Tagged_store: unknown relation " ^ name)
 
 (* --- world deltas (incremental evaluation support) --- *)
 
@@ -302,22 +344,19 @@ let world_delta t ~prev =
            let acc = ref [] in
            List.iter
              (fun id ->
-               match Hashtbl.find_opt rs.by_origin id with
-               | None -> ()
-               | Some ps ->
-                   List.iter
-                     (fun p ->
-                       if not (Hashtbl.mem seen p) then begin
-                         Hashtbl.replace seen p ();
-                         let e = rs.entries.(p) in
-                         if
-                           not
-                             (Array.exists
-                                (fun o -> o >= 0 && Bitset.mem prev o)
-                                e.origins)
-                         then acc := e.tuple :: !acc
-                       end)
-                     ps)
+               List.iter
+                 (fun p ->
+                   if not (Hashtbl.mem seen p) then begin
+                     Hashtbl.replace seen p ();
+                     let e = rs.entries.(p) in
+                     if
+                       not
+                         (Array.exists
+                            (fun o -> o >= 0 && Bitset.mem prev o)
+                            e.origins)
+                     then acc := e.tuple :: !acc
+                   end)
+                 (positions rs id))
              added_ids;
            if !acc <> [] then Hashtbl.replace per_rel name !acc)
          t.rels;
@@ -338,20 +377,13 @@ let base_index rs cols =
 
 (* --- pending-segment indexes (private, incremental) --- *)
 
-let posting_add tbl key i =
-  match R.Tuple.Tbl.find_opt tbl key with
-  | Some p ->
-      p.all <- i :: p.all;
-      p.count <- p.count + 1
-  | None -> R.Tuple.Tbl.replace tbl key { all = [ i ]; count = 1 }
-
 (* The posting table of one sorted column list: projection -> pending
    positions. A single column is a one-column projection. *)
 let postings rs cols =
   match Hashtbl.find_opt rs.postings cols with
   | Some tbl -> tbl
   | None ->
-      let tbl = R.Tuple.Tbl.create (max 16 rs.len) in
+      let tbl = R.Tuple.Lookup.create (max 16 rs.len) in
       for i = 0 to rs.len - 1 do
         posting_add tbl (R.Tuple.project rs.entries.(i).tuple cols) i
       done;
@@ -362,7 +394,7 @@ let postings rs cols =
 let no_posting = { all = []; count = 0 }
 
 let find_posting tbl keys =
-  match R.Tuple.Tbl.find tbl keys with p -> p | exception Not_found -> no_posting
+  match R.Tuple.Lookup.find tbl keys with p -> p | exception Not_found -> no_posting
 
 (* Which pending positions a view sees: those of the active world
    ({!source}), every one ({!union_source}, the instance [R ∪ T]) or
@@ -484,9 +516,9 @@ let mem t view name tuple =
   let rs = rel_store t name in
   R.Segment.mem rs.seg tuple
   ||
-  match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
-  | None -> false
-  | Some i -> pend_visible view rs i
+  match R.Tuple.Lookup.find rs.by_tuple tuple with
+  | i -> pend_visible view rs i
+  | exception Not_found -> false
 
 let view_source t view =
   {
@@ -526,7 +558,7 @@ let origins t name tuple =
       | Some o -> Array.to_list o
       | None -> [ base_origin ])
   | _ -> (
-      match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
+      match R.Tuple.Lookup.find_opt rs.by_tuple tuple with
       | Some i -> Array.to_list rs.entries.(i).origins
       | None -> [])
 
@@ -546,81 +578,27 @@ let to_database t =
 
 (* --- hypothetical extension (dry runs) --- *)
 
-type undo_item =
-  | Entry_added of string * int
-  | Origin_added of string * int * entry
-  | Extra_set of string * int * int array option
-
+(* The journal keeps only what {!insert_tx} cannot be read back from:
+   the previous database and world, and the base positions written.
+   The transaction's pending positions are [by_origin]'s list for its
+   id; an entry whose origins are [|id|] alone was new. *)
 type journal = {
   prev_db : Bcdb.t;
   prev_visible : Bitset.t;
-  items : undo_item list;
+  base_hits : (rel_store * int) list;
 }
-
-let push_entry rs e =
-  if rs.len >= Array.length rs.entries then begin
-    let ncap = max 16 (2 * Array.length rs.entries) in
-    let ne = Array.make ncap e in
-    Array.blit rs.entries 0 ne 0 rs.len;
-    rs.entries <- ne
-  end;
-  if rs.len >= Array.length rs.viscount then begin
-    let nv = Array.make (max 16 (2 * Array.length rs.viscount)) 0 in
-    Array.blit rs.viscount 0 nv 0 rs.len;
-    rs.viscount <- nv
-  end;
-  rs.entries.(rs.len) <- e;
-  rs.viscount.(rs.len) <- 0;
-  rs.len <- rs.len + 1;
-  rs.len - 1
-
-let add_origin rs id p =
-  Hashtbl.replace rs.by_origin id
-    (p :: Option.value (Hashtbl.find_opt rs.by_origin id) ~default:[])
 
 let append_tx t (db' : Bcdb.t) =
   let id = t.k in
   assert (Array.length db'.Bcdb.pending = t.k + 1);
-  let tx = db'.Bcdb.pending.(id) in
-  let journal =
-    {
-      prev_db = t.db;
-      prev_visible = t.visible;
-      items =
-        List.map
-          (fun (rel, tuple) ->
-            let rs = rel_store t rel in
-            match R.Segment.find rs.seg tuple with
-            | bpos when bpos >= 0 ->
-                (* Base rows are always visible; the new origin only has
-                   to show up in [origins]. *)
-                let prev = Hashtbl.find_opt rs.b_extra bpos in
-                let before = Option.value prev ~default:[| base_origin |] in
-                Hashtbl.replace rs.b_extra bpos (Array.append before [| id |]);
-                Extra_set (rel, bpos, prev)
-            | _ -> (
-                match R.Tuple.Tbl.find_opt rs.by_tuple tuple with
-                | Some i ->
-                    let prev = rs.entries.(i) in
-                    rs.entries.(i) <-
-                      { prev with origins = Array.append prev.origins [| id |] };
-                    add_origin rs id i;
-                    Origin_added (rel, i, prev)
-                | None ->
-                    let i = push_entry rs { tuple; origins = [| id |] } in
-                    R.Tuple.Tbl.replace rs.by_tuple tuple i;
-                    add_origin rs id i;
-                    Hashtbl.iter
-                      (fun cols tbl -> posting_add tbl (R.Tuple.project tuple cols) i)
-                      rs.postings;
-                    Entry_added (rel, i)))
-          tx.Pending.rows;
-    }
-  in
+  let prev_db = t.db and prev_visible = t.visible in
+  let base_hits = insert_tx t id db'.Bcdb.pending.(id).Pending.rows in
   t.db <- db';
   t.k <- t.k + 1;
-  t.visible <- Bitset.resize journal.prev_visible t.k;
-  journal
+  t.visible <- Bitset.resize prev_visible t.k;
+  { prev_db; prev_visible; base_hits }
+
+let drop_last a = Array.sub a 0 (Array.length a - 1)
 
 let undo t journal =
   (* Restore the previous world's membership first, while [by_origin]
@@ -628,31 +606,34 @@ let undo t journal =
   apply_world t (Bitset.resize journal.prev_visible t.k);
   let id = Array.length journal.prev_db.Bcdb.pending in
   List.iter
-    (function
-      | Extra_set (rel, bpos, prev) -> (
-          let rs = rel_store t rel in
-          match prev with
-          | Some o -> Hashtbl.replace rs.b_extra bpos o
-          | None -> Hashtbl.remove rs.b_extra bpos)
-      | Origin_added (rel, i, prev) -> (rel_store t rel).entries.(i) <- prev
-      | Entry_added (rel, i) ->
-          let rs = rel_store t rel in
+    (fun (rs, bpos) ->
+      let o = Hashtbl.find rs.b_extra bpos in
+      if Array.length o = 2 then Hashtbl.remove rs.b_extra bpos
+      else Hashtbl.replace rs.b_extra bpos (drop_last o))
+    journal.base_hits;
+  Smap.iter
+    (fun _ rs ->
+      List.iter
+        (fun i ->
           let e = rs.entries.(i) in
-          R.Tuple.Tbl.remove rs.by_tuple e.tuple;
-          Hashtbl.iter
-            (fun cols tbl ->
-              match R.Tuple.Tbl.find_opt tbl (R.Tuple.project e.tuple cols) with
-              | None -> ()
-              | Some p ->
-                  p.all <- List.filter (fun q -> q <> i) p.all;
-                  p.count <- p.count - 1)
-            rs.postings;
-          (* Entries were appended; undoing in any order is fine because
-             lengths only shrink back to the original boundary. *)
-          rs.len <- min rs.len i)
-    (List.rev journal.items);
-  Smap.iter (fun _ rs -> Hashtbl.remove rs.by_origin id) t.rels;
+          if Array.length e.origins > 1 then
+            rs.entries.(i) <- { e with origins = drop_last e.origins }
+          else begin
+            R.Tuple.Lookup.remove rs.by_tuple e.tuple;
+            Hashtbl.iter
+              (fun cols tbl ->
+                let p = R.Tuple.Lookup.find tbl (R.Tuple.project e.tuple cols) in
+                p.all <- List.filter (fun q -> q <> i) p.all;
+                p.count <- p.count - 1)
+              rs.postings;
+            (* New entries sit at the end: the length shrinks back to
+               the first of them. *)
+            rs.len <- min rs.len i
+          end)
+        (positions rs id);
+      if id < Array.length rs.by_origin then rs.by_origin.(id) <- [])
+    t.rels;
   t.db <- journal.prev_db;
-  t.k <- Array.length journal.prev_db.Bcdb.pending;
+  t.k <- id;
   t.visible <- journal.prev_visible;
   t.epoch <- t.epoch + 1

@@ -27,6 +27,17 @@
 type t
 
 val create : Bcdb.t -> t
+(** One pass over the pending rows, transaction by transaction in id
+    order, through the same insertion step {!append_tx} takes: a row the
+    base segment holds ({!Relational.Segment.find}) only merges its
+    origin into the base row's; a row an earlier transaction wrote gains
+    the origin; any other row becomes a new pending entry. Entries are
+    so in order of first occurrence and origin lists ascending — the
+    store {!append_tx} grows from the same database with nothing
+    pending, one transaction at a time. The pending row and posting
+    tables are looked up with {!Relational.Tuple.hash_noalloc} (their
+    order never shows), so the build allocates no hash keys. *)
+
 val db : t -> Bcdb.t
 
 val clone : t -> t
@@ -178,8 +189,10 @@ type journal
 
 val append_tx : t -> Bcdb.t -> journal
 (** [append_tx t db'] where [db'] is [db t] plus exactly one more pending
-    transaction: loads that transaction's rows (id = old {!tx_count}) and
-    switches the store to [db']. Returns the rollback journal. *)
+    transaction: loads that transaction's rows (id = old {!tx_count})
+    with {!create}'s insertion step and switches the store to [db'].
+    Returns the rollback journal: the base rows the transaction also
+    wrote; the rest is read back from the store. *)
 
 val undo : t -> journal -> unit
 (** Roll back the matching {!append_tx}. Journals must be undone in LIFO

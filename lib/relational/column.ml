@@ -271,6 +271,10 @@ let deserialize s pos =
   incr pos;
   let n = read_i64 s pos in
   if n < 0 then raise (Corrupt "negative column length");
+  (* Sizes are checked against the bytes left before anything is
+     allocated for them. *)
+  let left = String.length s - !pos in
+  if kind <> 2 && n > left / 8 then raise (Corrupt "truncated column");
   match kind with
   | 0 ->
       let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
@@ -289,12 +293,16 @@ let deserialize s pos =
   | 2 ->
       let nd = read_i64 s pos in
       if nd < 0 then raise (Corrupt "negative dictionary size");
-      let values =
-        Array.init nd (fun _ ->
-            match Value.read_binary s pos with
-            | Some v -> v
-            | None -> raise (Corrupt "bad dictionary value"))
-      in
+      if nd > String.length s - !pos then raise (Corrupt "truncated dictionary");
+      (* Filled in place from an immediate: [Array.init] would seed a
+         large array with a young value, and the runtime empties the
+         minor heap before it makes such an array. *)
+      let values = Array.make nd Value.Null in
+      for c = 0 to nd - 1 do
+        match Value.read_binary s pos with
+        | v -> values.(c) <- v
+        | exception Invalid_argument _ -> raise (Corrupt "bad dictionary value")
+      done;
       let by_value = Vtbl.create (max 16 nd) in
       Array.iteri (fun c v -> Vtbl.replace by_value v c) values;
       let w =

@@ -7,13 +7,6 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash_noalloc
 end)
 
-module Rows = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash_noalloc
-end)
-
 type index = int list Vtbl.t
 (* value on the indexed column -> positions (most recent first) *)
 
@@ -21,7 +14,7 @@ type t = {
   schema : Schema.relation;
   mutable tuples : Tuple.t array;
   mutable len : int;
-  present : unit Rows.t;
+  present : unit Tuple.Lookup.t;
   indexes : (int, index) Hashtbl.t;
 }
 
@@ -30,7 +23,7 @@ let create schema =
     schema;
     tuples = [||];
     len = 0;
-    present = Rows.create 64;
+    present = Tuple.Lookup.create 64;
     indexes = Hashtbl.create 4;
   }
 
@@ -57,18 +50,18 @@ let insert r t =
       (Printf.sprintf "Relation.insert: arity mismatch for %s (got %d, want %d)"
          (name r) (Tuple.arity t)
          (Schema.arity r.schema));
-  if Rows.mem r.present t then false
+  if Tuple.Lookup.mem r.present t then false
   else begin
     grow r;
     r.tuples.(r.len) <- t;
-    Rows.add r.present t ();
+    Tuple.Lookup.add r.present t ();
     if Hashtbl.length r.indexes > 0 then
       Hashtbl.iter (fun col idx -> index_add idx t.(col) r.len) r.indexes;
     r.len <- r.len + 1;
     true
   end
 
-let mem r t = Rows.mem r.present t
+let mem r t = Tuple.Lookup.mem r.present t
 
 let ensure_index r col =
   match Hashtbl.find_opt r.indexes col with

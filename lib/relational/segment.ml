@@ -51,12 +51,13 @@ let dict_size s = Array.fold_left (fun acc c -> acc + Column.dict_size c) 0 s.co
 (* ------------------------------------------------------------------ *)
 (* Hash-permutation indexes *)
 
-let row_hash s icols row =
-  let acc = ref 17 in
-  Array.iter
-    (fun c -> acc := (!acc * 31) + Column.hash_at s.cols.(c) row)
-    icols;
-  !acc land max_int
+(* A loop over its arguments, not [Array.iter] over a closure: an index
+   build calls it once per row. *)
+let rec row_hash_from s icols row i acc =
+  if i >= Array.length icols then acc land max_int
+  else row_hash_from s icols row (i + 1) ((acc * 31) + Column.hash_at s.cols.(icols.(i)) row)
+
+let row_hash s icols row = row_hash_from s icols row 0 17
 
 (* Radix digit width: about log2 n, within [8, 16]. Each pass clears and
    prefix-sums [2^bits] counters, so a fixed 16-bit digit made every
@@ -129,6 +130,8 @@ let index s cols =
           let idx = build_index s (Array.of_list cols) in
           Hashtbl.replace s.icache cols idx;
           idx)
+
+let whole_built s = Option.is_some (Atomic.get s.whole)
 
 let index_order idx =
   Array.init (Bigarray.Array1.dim idx.perm) (fun k -> idx.perm.{k})
@@ -206,11 +209,16 @@ let dict_probe s idx keys =
     idx.icols;
   (!hits, !misses)
 
+let rec admits_from s (t : Tuple.t) c =
+  c >= Array.length t || (Column.admits s.cols.(c) t.(c) && admits_from s t (c + 1))
+
 (* Whole-tuple membership via the all-columns index. Segments built from
    relations are duplicate-free, so the first (highest) position is the
-   only one. *)
+   only one. A tuple with a value its column cannot hold is rejected
+   first: most pending rows carry a fresh id, and asking for them must
+   not build the index. *)
 let find s t =
-  if Array.length t <> arity s then -1
+  if Array.length t <> arity s || not (admits_from s t 0) then -1
   else
     let idx = whole s in
     let target = key_hash t in

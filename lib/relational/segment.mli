@@ -58,8 +58,11 @@ val dict_probe : t -> index -> Value.t array -> int * int
     miss means the value is absent from the column's dictionary. *)
 
 val find : t -> Tuple.t -> int
-(** The position holding exactly this tuple (via the all-columns index,
-    fetched once per segment), or [-1]. *)
+(** The position holding exactly this tuple, or [-1]. A tuple with a
+    value its column does not admit ({!Column.admits}: the wrong type
+    for an unboxed column, absent from a dictionary) is [-1] at once;
+    only the others go through the all-columns index, built on the
+    first such call and fetched once per segment. *)
 
 val mem : t -> Tuple.t -> bool
 
@@ -88,6 +91,9 @@ val deserialize : string -> int ref -> t
 (** Raises {!Column.Corrupt} on malformed input. *)
 
 (**/**)
+
+val whole_built : t -> bool
+(** Whether the all-columns index has been built (testing). *)
 
 val index_order : index -> int array
 (** The index's row permutation: positions by ascending hash, ties by

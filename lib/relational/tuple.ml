@@ -78,6 +78,13 @@ end
 
 module Tbl = Hashtbl.Make (Hashed)
 
+module Lookup = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash_noalloc
+end)
+
 module Set = Set.Make (struct
   type nonrec t = t
 

@@ -41,4 +41,10 @@ val to_string : t -> string
 
 module Hashed : Hashtbl.HashedType with type t = t
 module Tbl : Hashtbl.S with type key = t
+
+module Lookup : Hashtbl.S with type key = t
+(** Keyed by {!hash_noalloc}: for tables that are only looked up (and
+    copied), never iterated where the order shows, so a key costs no
+    allocation. {!Tbl}'s iteration order follows {!hash}. *)
+
 module Set : Set.S with type elt = t

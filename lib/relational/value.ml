@@ -108,36 +108,31 @@ let write_binary buf = function
       Buffer.add_int64_le buf (Int64.of_int (String.length s));
       Buffer.add_string buf s
 
+let malformed () = invalid_arg "Value.read_binary"
+
+(* Payload reads go through [Int64.to_int] and [Int64.float_of_bits]
+   straight from the string, so the only block allocated is the value. *)
 let read_binary s pos =
-  let len = String.length s in
-  if !pos >= len then None
+  let p = !pos and len = String.length s in
+  if p >= len then malformed ();
+  let tag = Char.code (String.unsafe_get s p) in
+  if tag <= 2 then begin
+    pos := p + 1;
+    match tag with 0 -> Null | 1 -> Bool false | _ -> Bool true
+  end
   else begin
-    let tag = Char.code s.[!pos] in
-    incr pos;
-    let i64 () =
-      if !pos + 8 > len then None
-      else begin
-        let v = String.get_int64_le s !pos in
-        pos := !pos + 8;
-        Some v
-      end
-    in
+    if tag > 5 || p + 9 > len then malformed ();
+    let payload = p + 1 in
     match tag with
-    | 0 -> Some Null
-    | 1 -> Some (Bool false)
-    | 2 -> Some (Bool true)
-    | 3 -> Option.map (fun v -> Int (Int64.to_int v)) (i64 ())
-    | 4 -> Option.map (fun v -> Float (Int64.float_of_bits v)) (i64 ())
-    | 5 -> (
-        match i64 () with
-        | Some n ->
-            let n = Int64.to_int n in
-            if n < 0 || !pos + n > len then None
-            else begin
-              let v = Str (String.sub s !pos n) in
-              pos := !pos + n;
-              Some v
-            end
-        | None -> None)
-    | _ -> None
+    | 3 ->
+        pos := p + 9;
+        Int (Int64.to_int (String.get_int64_le s payload))
+    | 4 ->
+        pos := p + 9;
+        Float (Int64.float_of_bits (String.get_int64_le s payload))
+    | _ ->
+        let n = Int64.to_int (String.get_int64_le s payload) in
+        if n < 0 || n > len - p - 9 then malformed ();
+        pos := p + 9 + n;
+        Str (String.sub s (p + 9) n)
   end

@@ -66,7 +66,7 @@ val to_string : t -> string
 val write_binary : Buffer.t -> t -> unit
 (** Tagged little-endian binary encoding, used by the snapshot format. *)
 
-val read_binary : string -> int ref -> t option
+val read_binary : string -> int ref -> t
 (** Reads one {!write_binary}-encoded value at [!pos], advancing [pos].
-    [None] on a malformed or truncated encoding (never reads out of
-    bounds). *)
+    Allocates the value alone. Raises [Invalid_argument] on a malformed
+    or truncated encoding (never reads out of bounds). *)

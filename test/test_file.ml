@@ -421,6 +421,122 @@ let test_binary_rejects_garbage () =
   match Core.Bcdb_file.of_binary_string (Bytes.to_string b) with
   | Ok _ | Error _ -> ()
 
+(* The offset of every value's tag byte in a snapshot: the dictionary
+   values of each column blob and the values of each pending row,
+   found by walking the layout Bcdb_file documents. *)
+let value_tag_offsets (db : Core.Bcdb.t) s =
+  let pos = ref 12 in
+  let i64 () =
+    let v = Int64.to_int (String.get_int64_le s !pos) in
+    pos := !pos + 8;
+    v
+  in
+  let str () = pos := !pos + i64 () in
+  let int_list () = pos := !pos + (8 * i64 ()) in
+  let tags = ref [] in
+  let value () =
+    tags := !pos :: !tags;
+    let tag = Char.code s.[!pos] in
+    incr pos;
+    if tag = 3 || tag = 4 then pos := !pos + 8 else if tag = 5 then str ()
+  in
+  for _ = 1 to i64 () do
+    str ();
+    for _ = 1 to i64 () do str () done
+  done;
+  for _ = 1 to i64 () do
+    let tag = Char.code s.[!pos] in
+    incr pos;
+    str ();
+    int_list ();
+    if tag = 0 then int_list ()
+    else begin
+      str ();
+      int_list ()
+    end
+  done;
+  let rels = Array.of_list (R.Schema.relations (Core.Bcdb.catalog db)) in
+  Array.iter
+    (fun _ ->
+      ignore (i64 ());
+      for _ = 1 to i64 () do
+        let kind = Char.code s.[!pos] in
+        incr pos;
+        let n = i64 () in
+        if kind = 2 then begin
+          for _ = 1 to i64 () do value () done;
+          let w = Char.code s.[!pos] in
+          incr pos;
+          pos := !pos + (w * n)
+        end
+        else pos := !pos + (8 * n)
+      done)
+    rels;
+  for _ = 1 to i64 () do
+    str ();
+    for _ = 1 to i64 () do
+      let schema = rels.(i64 ()) in
+      for _ = 1 to R.Schema.arity schema do value () done
+    done
+  done;
+  Alcotest.(check int) "the walk ends at the end marker" (String.length s - 8) !pos;
+  List.rev !tags
+
+(* A damaged snapshot is refused with an [Error]: no exception escapes
+   and no database comes back. Every prefix of the paper database's
+   snapshot is one, and so is the snapshot with any one value's tag
+   byte inverted (no tag survives inversion). *)
+let test_binary_damage () =
+  let db = Fixtures.paper_db () in
+  let good = Core.Bcdb_file.to_binary_string db in
+  let refused what s =
+    match Core.Bcdb_file.of_binary_string s with
+    | Ok _ -> Alcotest.failf "%s: loaded" what
+    | Error _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  for n = 0 to String.length good - 1 do
+    refused (Printf.sprintf "prefix of %d bytes" n) (String.sub good 0 n)
+  done;
+  let tags = value_tag_offsets db good in
+  Alcotest.(check bool) "dictionary and pending values walked" true
+    (List.length tags > 20);
+  List.iter
+    (fun at ->
+      let b = Bytes.of_string good in
+      Bytes.set b at (Char.chr (0xff lxor Char.code good.[at]));
+      refused (Printf.sprintf "value tag at %d inverted" at) (Bytes.to_string b))
+    tags
+
+(* bcdb-shell's row lists: ';' separates rows only outside quotes. *)
+let test_parse_rows () =
+  let catalog = Fixtures.catalog in
+  (match Core.Bcdb_file.parse_rows catalog {|TxOut("9;x", 1, "U9Pk", 2.0)|} with
+  | Ok [ ("TxOut", t) ] ->
+      Alcotest.(check string) "the quoted ';' stays in the value" {|"9;x"|}
+        (V.to_string t.(0))
+  | Ok _ -> Alcotest.fail "not one TxOut row"
+  | Error e -> Alcotest.fail e);
+  (match
+     Core.Bcdb_file.parse_rows catalog
+       {| TxOut("a\";b", 1, "p", 1.0) ; TxOut("c", 2, "p;q", 2.0); |}
+   with
+  | Ok [ (_, a); (_, b) ] ->
+      Alcotest.(check (list string)) "two rows, escapes kept"
+        [ {|"a\";b"|}; {|"p;q"|} ]
+        [ V.to_string a.(0); V.to_string b.(2) ]
+  | Ok _ -> Alcotest.fail "not two rows"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (text, expected) ->
+      match Core.Bcdb_file.parse_rows catalog text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error e -> Alcotest.(check string) text expected e)
+    [
+      (" ; ", "no rows given");
+      ({|TxOut("1", 1, "p", 1.0); Nope(1)|}, "unknown relation Nope");
+    ]
+
 (* Floats print in their shortest exact form: awkward values (repeating
    binary fractions, extremes, negative zero) must parse back to the
    identical bits, and integer-valued floats must keep a decimal point
@@ -452,7 +568,7 @@ let float_shortest_roundtrip =
       let buf = Buffer.create 16 in
       V.write_binary buf (V.Float f);
       match V.read_binary (Buffer.contents buf) (ref 0) with
-      | Some (V.Float f') ->
+      | V.Float f' ->
           Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
       | _ -> false)
 
@@ -542,6 +658,8 @@ let () =
           Alcotest.test_case "binary save/load" `Quick test_binary_save_load;
           Alcotest.test_case "binary rejects garbage" `Quick
             test_binary_rejects_garbage;
+          Alcotest.test_case "binary damage is an error" `Quick test_binary_damage;
+          Alcotest.test_case "row lists split outside quotes" `Quick test_parse_rows;
           Alcotest.test_case "float printing" `Quick test_float_printing;
           QCheck_alcotest.to_alcotest float_shortest_roundtrip;
           QCheck_alcotest.to_alcotest fuzz_roundtrip;

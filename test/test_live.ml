@@ -383,9 +383,8 @@ let test_duplicate_add_rejected () =
   (match Core.Live.try_add live ~label:"A" [ node_row 5 "blue" ] with
   | Ok () -> Alcotest.fail "a duplicate label was accepted"
   | Error _ -> ());
-  (* An unlabeled add defaults to "T<id>": rejected when that is taken. *)
-  (match Core.Live.try_add live [ node_row 6 "red" ] with
-  | Ok () -> Alcotest.fail "a duplicate default label was accepted"
+  (match Core.Live.try_add live ~label:"T2" [ node_row 6 "red" ] with
+  | Ok () -> Alcotest.fail "a duplicate T<n> label was accepted"
   | Error _ -> ());
   (match Core.Live.try_add live ~label:"C" [] with
   | Ok () -> Alcotest.fail "an empty transaction was accepted"
@@ -405,6 +404,20 @@ let test_duplicate_add_rejected () =
   Core.Live.add live ~label:"C" [ node_row 5 "blue" ];
   Alcotest.(check bool) "then a fresh add = rebuild" true
     (assert_agrees ~step:1 ~jobs:1 live m q)
+
+(* An unlabelled add takes the first free "T<n>" from n = pending + 1,
+   as a file numbers its unlabelled transactions: T6 on the paper
+   database (T1..T5), where the 0-based id would have named it T5. *)
+let test_unlabelled_add () =
+  let live = Core.Live.create (Fixtures.paper_db ()) in
+  (match Core.Live.try_add live ~label:"T5" [ Fixtures.out_row "9" 1 "U9Pk" 2.0 ] with
+  | Ok () -> Alcotest.fail "an explicit duplicate label was accepted"
+  | Error _ -> ());
+  (match Core.Live.try_add live [ Fixtures.out_row "9" 1 "U9Pk" 2.0 ] with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("the unlabelled add was refused: " ^ e));
+  Alcotest.(check (option int)) "labelled T6" (Some 5) (Core.Live.find live "T6");
+  Alcotest.(check (option int)) "T5 is still the fifth" (Some 4) (Core.Live.find live "T5")
 
 (* --- a confirm of a transaction that is not includable is refused ---- *)
 
@@ -766,6 +779,8 @@ let () =
           QCheck_alcotest.to_alcotest long_stream;
           Alcotest.test_case "duplicate add is rejected, nothing changes"
             `Quick test_duplicate_add_rejected;
+          Alcotest.test_case "unlabelled add takes a free label" `Quick
+            test_unlabelled_add;
           Alcotest.test_case "confirm of a non-includable tx is refused" `Quick
             test_confirm_not_includable;
           Alcotest.test_case "unlimited budget checks hit the cache" `Quick

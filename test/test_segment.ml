@@ -102,7 +102,7 @@ let column_builder_encoding =
         let pos = ref 25 in
         let nd = Int64.to_int (String.get_int64_le blob !pos) in
         pos := !pos + 8;
-        List.init nd (fun _ -> Option.get (V.read_binary blob pos))
+        List.init nd (fun _ -> V.read_binary blob pos)
       in
       List.for_all2 V.equal vs (List.init (R.Segment.length seg) (fun row -> R.Segment.get seg row 0))
       && kind = expected_kind

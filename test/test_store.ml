@@ -452,6 +452,177 @@ let database_probes_prop =
             [ pair; wide ])
         [ (plain, false); (columnar, true) ])
 
+(* --- the store build: one insertion step ------------------------------
+
+   [Tagged_store.create] over a database must be the store that
+   [append_tx] grows from the same database with no pending transaction,
+   one transaction at a time: the same origins for every row, and the
+   same rows in the same order from every probe of every view, in a
+   shared world and in the rows a world switch adds. Origins are also
+   checked against a reference built from the rows, since both builds
+   share the step. The instances mix rows several transactions write,
+   pending rows the base also holds, values no base dictionary holds,
+   and empty bases. *)
+
+let fresh_value rng c =
+  match Random.State.int rng 3 with
+  | 0 -> V.Int (50 + c)
+  | 1 -> V.Str (Printf.sprintf "new%d" (Random.State.int rng 3))
+  | _ -> V.Float 0.5
+
+(* [t] with one column holding a value no base row has. *)
+let with_fresh rng (t : R.Tuple.t) =
+  let t = Array.copy t in
+  let c = Random.State.int rng (Array.length t) in
+  t.(c) <- fresh_value rng c;
+  t
+
+let build_row rng ~base ~earlier =
+  match Random.State.int rng 4 with
+  | 0 when base <> [] -> List.nth base (Random.State.int rng (List.length base))
+  | 1 when earlier <> [] ->
+      List.nth earlier (Random.State.int rng (List.length earlier))
+  | 2 ->
+      let rel, t = random_row rng in
+      (rel, with_fresh rng t)
+  | _ -> random_row rng
+
+let reference_origins (db : Core.Bcdb.t) rel t =
+  let in_state = ref false in
+  R.Database.iter_tuples db.Core.Bcdb.state rel (fun u ->
+      if R.Tuple.equal u t then in_state := true);
+  (if !in_state then [ -1 ] else [])
+  @ List.filter_map
+      (fun (tx : Core.Pending.t) ->
+        if List.exists (fun (r, u) -> r = rel && R.Tuple.equal u t) tx.Core.Pending.rows
+        then Some tx.Core.Pending.id
+        else None)
+      (Array.to_list db.Core.Bcdb.pending)
+
+(* Each column admits a value iff it could occur there: any Int (Float)
+   in an all-Int (all-Float) column, otherwise a value the column
+   holds. *)
+let admitted rows (t : R.Tuple.t) =
+  let col c =
+    let vals = List.map (fun (u : R.Tuple.t) -> u.(c)) rows in
+    let all p = vals <> [] && List.for_all p vals in
+    if all (function V.Int _ -> true | _ -> false) then
+      match t.(c) with V.Int _ -> true | _ -> false
+    else if all (function V.Float _ -> true | _ -> false) then
+      match t.(c) with V.Float _ -> true | _ -> false
+    else List.exists (V.equal t.(c)) vals
+  in
+  let ok = ref true in
+  Array.iteri (fun c _ -> if not (col c) then ok := false) t;
+  !ok
+
+let store_build_prop =
+  QCheck.Test.make ~name:"Tagged_store.create = append_tx from zero pending"
+    ~count:150 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let state = R.Database.create probe_cat in
+      let nbase = if Random.State.int rng 4 = 0 then 0 else Random.State.int rng 15 in
+      let base_rows = List.init nbase (fun _ -> random_row rng) in
+      R.Database.insert_all state base_rows;
+      let earlier = ref [] in
+      let pending =
+        List.init (Random.State.int rng 8) (fun _ ->
+            let rows =
+              List.init (1 + Random.State.int rng 4) (fun _ ->
+                  build_row rng ~base:base_rows ~earlier:!earlier)
+            in
+            earlier := !earlier @ rows;
+            rows)
+      in
+      let labels = List.mapi (fun i _ -> Printf.sprintf "L%d" i) pending in
+      let db = Core.Bcdb.create_unchecked ~state ~constraints:[] ~pending ~labels () in
+      let built = Core.Tagged_store.create db in
+      let grown =
+        Core.Tagged_store.create
+          (Core.Bcdb.create_unchecked ~state ~constraints:[] ~pending:[] ())
+      in
+      List.iteri
+        (fun i rows ->
+          let db' =
+            Core.Bcdb.with_pending (Core.Tagged_store.db grown) ~label:(List.nth labels i) rows
+          in
+          ignore (Core.Tagged_store.append_tx grown db' : Core.Tagged_store.journal))
+        pending;
+      let k = List.length pending in
+      let world () = List.filter (fun _ -> Random.State.bool rng) (List.init k Fun.id) in
+      let w0 = world () and w1 = world () in
+      List.iter (fun st -> Core.Tagged_store.set_world_list st w0) [ built; grown ];
+      let prev = Core.Tagged_store.world built in
+      let rels = [ pair; wide ] in
+      let rows_of rel l = List.filter_map (fun (r, t) -> if r = rel then Some t else None) l in
+      let probe_tuples rel =
+        let own = rows_of rel (base_rows @ !earlier) in
+        own @ List.map (with_fresh rng) own
+      in
+      let same_origins =
+        List.for_all
+          (fun (schema : R.Schema.relation) ->
+            let rel = schema.R.Schema.name in
+            List.for_all
+              (fun t ->
+                let o = Core.Tagged_store.origins built rel t in
+                o = Core.Tagged_store.origins grown rel t && o = reference_origins db rel t)
+              (probe_tuples rel))
+          rels
+      in
+      let views st =
+        Core.Tagged_store.
+          [ source st; union_source st; base_source st ]
+      in
+      let same_probes () =
+        List.for_all2
+          (fun (a : R.Source.t) (b : R.Source.t) ->
+            List.for_all
+              (fun (schema : R.Schema.relation) ->
+                let rel = schema.R.Schema.name in
+                List.for_all
+                  (fun cols ->
+                    let pa = a.R.Source.prepare rel cols and pb = b.R.Source.prepare rel cols in
+                    List.for_all
+                      (fun keys ->
+                        probe_order pa keys = probe_order pb keys
+                        && pa.R.Source.count keys = pb.R.Source.count keys)
+                      (keys_for rng (probe_tuples rel) cols))
+                  (subsets (R.Schema.arity schema)))
+              rels)
+          (views built) (views grown)
+      in
+      let probes_w0 = same_probes () in
+      List.iter (fun st -> Core.Tagged_store.set_world_list st w1) [ built; grown ];
+      let added st =
+        let d = Core.Tagged_store.world_delta st ~prev in
+        List.map (fun (r : R.Schema.relation) -> Lazy.force d.Core.Tagged_store.added r.R.Schema.name) rels
+      in
+      (* [Segment.find] = a linear scan, and a tuple some column does not
+         admit is refused before the whole-tuple index exists. *)
+      let find_ok =
+        List.for_all
+          (fun (schema : R.Schema.relation) ->
+            let rel = schema.R.Schema.name in
+            let seg = R.Database.to_segment state rel in
+            let rows = List.init (R.Segment.length seg) (R.Segment.tuple seg) in
+            let tuples = probe_tuples rel in
+            let refused = List.filter (fun t -> not (admitted rows t)) tuples in
+            List.for_all (fun t -> R.Segment.find seg t = -1) refused
+            && (not (R.Segment.whole_built seg))
+            && List.for_all
+                 (fun t ->
+                   let rec linear i = function
+                     | [] -> -1
+                     | u :: rest -> if R.Tuple.equal t u then i else linear (i + 1) rest
+                   in
+                   R.Segment.find seg t = linear 0 rows)
+                 tuples)
+          rels
+      in
+      same_origins && probes_w0 && same_probes () && added built = added grown && find_ok)
+
 let () =
   Alcotest.run "store"
     [
@@ -471,5 +642,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest store_probes_prop;
           QCheck_alcotest.to_alcotest database_probes_prop;
+          QCheck_alcotest.to_alcotest store_build_prop;
         ] );
     ]
