@@ -1,4 +1,4 @@
-.PHONY: all build test test-scenarios test-serve fmt check bench bench-smoke bench-data bench-eval bench-serve bench-perf clean
+.PHONY: all build test test-jobs test-scenarios test-serve fmt check bench bench-smoke bench-data bench-eval bench-serve bench-perf clean
 
 all: build
 
@@ -7,6 +7,25 @@ build:
 
 test:
 	dune runtest
+
+# Engine determinism through the CLI: `bcdb check --preset small`
+# output at -j 1 and -j 4 must be identical but for the time= field,
+# for NaiveDCSat and OptDCSat on the qs family's satisfied and
+# unsatisfied queries.
+QS_UNSAT = q() :- TxOut(ntx, s, "PK009f6d1f631373cb", a).
+QS_SAT = q() :- TxOut(ntx, s, "PKfresh-never-used", a).
+
+test-jobs:
+	dune build bin/bcdb_cli.exe
+	@set -e; for algo in naive opt; do for q in '$(QS_SAT)' '$(QS_UNSAT)'; do \
+	  for j in 1 4; do \
+	    ./_build/default/bin/bcdb_cli.exe check --preset small --algo $$algo -j $$j "$$q" \
+	      > _build/test-jobs.raw || test $$? -eq 2; \
+	    sed -E 's/time=[0-9.]+s/time=-/' _build/test-jobs.raw > _build/test-jobs.$$j.out; \
+	  done; \
+	  diff _build/test-jobs.1.out _build/test-jobs.4.out; \
+	  echo "test-jobs: $$algo '$$q': -j 1 = -j 4"; \
+	done; done
 
 # Scenario attack library: the differential verdict harness (honors
 # BCDB_TEST_JOBS) plus the `bcdb scenario run` exit-code contract.

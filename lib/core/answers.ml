@@ -39,26 +39,24 @@ let certain session (body : Q.Cq.t) ~vars =
   | Error _ as e -> e
   | Ok () ->
       let store = Session.store session in
-      if Q.Cq.is_positive body then begin
+      if Q.Cq.is_positive body then
         (* Monotone: true over R stays true in every world ⊇ R. *)
-        Tagged_store.base_only store;
-        Ok (distinct_answers (Tagged_store.source store) body vars)
-      end
+        Ok (distinct_answers (Tagged_store.base_source store) body vars)
       else if Tagged_store.tx_count store > 24 then
         Error "negated body over too many pending transactions for enumeration"
       else begin
         (* Candidates are the answers over R (a possible world), then
            each must survive every other world. *)
-        Tagged_store.base_only store;
         let candidates =
-          distinct_answers (Tagged_store.source store) body vars
+          distinct_answers (Tagged_store.base_source store) body vars
         in
         let survivors = Hashtbl.create 16 in
         List.iter (fun t -> Hashtbl.replace survivors t true) candidates;
+        let view = Tagged_store.view store in
         Poss.enumerate store (fun world ->
-            Tagged_store.set_world store world;
+            Tagged_store.set_world view world;
             let here =
-              distinct_answers (Tagged_store.source store) body vars
+              distinct_answers (Tagged_store.source view) body vars
             in
             Hashtbl.iter
               (fun t alive ->
@@ -76,9 +74,11 @@ let possible session (body : Q.Cq.t) ~vars =
   match validate_vars body vars with
   | Error _ as e -> e
   | Ok () ->
-      let store = Session.store session in
-      Tagged_store.all_visible store;
-      let candidates = distinct_answers (Tagged_store.source store) body vars in
+      let candidates =
+        distinct_answers
+          (Tagged_store.union_source (Session.store session))
+          body vars
+      in
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | t :: rest -> (

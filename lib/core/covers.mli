@@ -7,4 +7,5 @@
 
 val covers : Tagged_store.t -> int list -> Bcquery.Query.t -> bool
 (** [covers store component q] — [Covers(R, T', q)] with [T'] the listed
-    transactions. Leaves the store's active world unchanged. *)
+    transactions, read through a {!Tagged_store.view}: the store's
+    world is never switched. *)

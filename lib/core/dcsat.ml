@@ -130,7 +130,7 @@ let default = { precheck = true; delta = true }
 (* The solve's evaluator constructor: each call instantiates one
    {!Inc_eval} evaluator over the session's compiled plan, so every
    engine worker gets its own incremental world caches (the caches
-   themselves live with the store being evaluated on, which is also
+   themselves live with the handle being evaluated on, which is also
    worker-private). *)
 let evaluators config session plan () =
   Inc_eval.evaluator ~use_delta:config.delta ~obs:(Session.obs session) plan
@@ -178,8 +178,6 @@ let run_groups ~jobs ~budget ~on_event ~count_cliques session counters
   in
   let report =
     Engine.run ~obs ~budget ~on_world ~jobs ~store:(Session.store session)
-      ~replicate:(fun () -> Session.borrow_replica session)
-      ~release:(Session.return_replica session)
       ~groups ~worlds ~eval ()
   in
   let n = report.Engine.evaluated in

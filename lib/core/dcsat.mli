@@ -28,9 +28,10 @@
     group per covered component, brute force one group of every possible
     world. Only OptDCSat has several groups to share: with [jobs:n],
     [n > 1], up to [n] OCaml domains share its covered components, each
-    on a private store replica, with identical results and work counts
-    (see the engine's determinism contract); NaiveDCSat and brute force
-    always walk their one group on the session's store. Every solver restores the session store's
+    on its own {!Tagged_store.view} of the session's store, with
+    identical results and work counts (see the engine's determinism
+    contract); NaiveDCSat and brute force always walk their one group on
+    the session's store. Every solver restores the session store's
     active world on exit, whatever the outcome.
 
     Every solver accepts an {!Engine.Budget.t}: when the budget trips

@@ -178,12 +178,11 @@ end
 
 (* The one enumeration loop. [jobs] workers — the calling domain plus
    [jobs - 1] helpers from the {!Pool} — claim groups from [groups] in
-   index order under one lock (the source may touch the primary store:
-   Covers tests run there). A worker walks the candidate stream of the
-   group it claims one world at a time, on its own store: the primary
-   one when it is the only worker, otherwise a full replica borrowed
-   (under the lock, since cloning reads the primary store) when it
-   claims its first group. No store is ever shared between domains.
+   index order under one lock. A worker walks the candidate stream of
+   the group it claims one world at a time, on its own handle: [store]
+   itself when it is the only worker, otherwise a {!Tagged_store.view}
+   of it made when it claims its first group. No handle is ever shared
+   between domains; the tables behind them are.
 
    Every shared counter lives under the lock. Before each world the
    worker checks, under it, whether a lower-index group has already
@@ -196,8 +195,7 @@ end
    work only over the groups up to it makes every count independent of
    [jobs]. *)
 let run ?(obs = Obs.null) ?(budget = Budget.unlimited)
-    ?(on_world = fun _ _ -> ()) ~jobs ~store ~replicate ?(release = ignore)
-    ~groups ~worlds ~eval () =
+    ?(on_world = fun _ _ -> ()) ~jobs ~store ~groups ~worlds ~eval () =
   let helpers = workers jobs - 1 in
   let lock = Mutex.create () in
   let locked f = Mutex.protect lock f in
@@ -207,7 +205,6 @@ let run ?(obs = Obs.null) ?(budget = Budget.unlimited)
   let best = ref max_int (* index of the lowest violating group *) in
   let results = ref [] (* (index, group, verdict, worlds) *) in
   let failure = ref None in
-  let borrowed = ref [] in
   let interrupt =
     if Budget.is_unlimited budget then None
     else Some (fun () -> locked (Budget.interrupt budget))
@@ -285,40 +282,23 @@ let run ?(obs = Obs.null) ?(budget = Budget.unlimited)
   in
   let worker () =
     let eval = eval () in
-    let replica = ref None in
-    let store_of () =
-      if helpers = 0 then store
-      else
-        match !replica with
-        | Some r -> r
-        | None ->
-            let r =
-              locked (fun () ->
-                  let r = replicate () in
-                  borrowed := r :: !borrowed;
-                  r)
-            in
-            replica := Some r;
-            r
-    in
+    let own = lazy (Tagged_store.view store) in
     let rec loop () =
       match claim () with
       | None -> ()
       | Some item ->
-          walk eval (store_of ()) item;
+          walk eval (if helpers = 0 then store else Lazy.force own) item;
           loop ()
     in
     Obs.span obs ~cat:"engine" "worker" loop
   in
-  (* Exception safety. A worker may raise (a broken [eval], an
-     interrupted replica clone): the raise must not strand [finished] —
-     that deadlocks the join — and must not leak borrowed replicas. Each
-     worker runs under a catch-all that records the first failure (with
-     its backtrace) and closes the claims, so the other workers drop
-     their groups at the next world; after the join, every borrowed
-     replica is released and the recorded exception is re-raised to the
-     caller. The pool's parked domains never see the exception, so the
-     pool stays reusable for the next run. *)
+  (* Exception safety. A worker may raise (a broken [eval]): the raise
+     must not strand [finished] — that deadlocks the join. Each worker
+     runs under a catch-all that records the first failure (with its
+     backtrace) and closes the claims, so the other workers drop their
+     groups at the next world; after the join, the recorded exception is
+     re-raised to the caller. The pool's parked domains never see the
+     exception, so the pool stays reusable for the next run. *)
   let guarded () =
     try worker ()
     with e ->
@@ -345,7 +325,6 @@ let run ?(obs = Obs.null) ?(budget = Budget.unlimited)
           Condition.wait done_cv done_m
         done;
         Mutex.unlock done_m);
-  List.iter release !borrowed;
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
   let counted =
     List.sort

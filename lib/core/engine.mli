@@ -14,10 +14,10 @@
     the calling domain plus the rest as helpers from a persistent pool of parked domains (spawning a domain
     costs milliseconds, often more than a whole solve, so helpers are
     reused across runs and sleep on a condition variable in between).
-    The only worker of a one-worker run evaluates on the primary store;
-    with more, each worker borrows one full replica via [replicate] when
-    it claims its first group and hands it back through [release] after
-    the join — no store is ever shared between domains. A group is never
+    The only worker of a one-worker run evaluates on [store] itself; with
+    more, each worker evaluates on its own {!Tagged_store.view} of it,
+    made when it claims its first group — views share the store's
+    tables, and no handle is ever shared between domains. A group is never
     split between workers: spreading one clique stream over workers did
     not pay (EXPERIMENTS.md, "Where parallelism pays").
 
@@ -33,9 +33,8 @@
 module Work_source : sig
   type 'a t = unit -> 'a option
   (** A stateful puller: of groups (pulled under the engine lock, so a
-      group source may safely touch the primary store, e.g. Covers
-      tests), or of a group's candidate worlds (pulled by the worker
-      that claimed the group). *)
+      group source needs no lock of its own), or of a group's candidate
+      worlds (pulled by the worker that claimed the group). *)
 
   val of_list : 'a list -> 'a t
 
@@ -132,8 +131,6 @@ val run :
   ?on_world:(int list -> evaluation -> unit) ->
   jobs:int ->
   store:Tagged_store.t ->
-  replicate:(unit -> Tagged_store.t) ->
-  ?release:(Tagged_store.t -> unit) ->
   groups:'g Work_source.t ->
   worlds:
     (?interrupt:(unit -> bool) ->
@@ -146,14 +143,14 @@ val run :
 (** Claim [groups] until the source ends, a violation is recorded or
     the budget trips, with {!workers}[ jobs] workers. For each claimed
     group [g], its worker opens [worlds ?interrupt store g] on its own
-    store (the budget's deadline
+    handle (the budget's deadline
     hook as [interrupt], unless the budget is unlimited) and evaluates
     each candidate with [eval] on that store, up to the group's first
     violation. [eval] is a {e factory}: each worker calls it once at
     start-up, so an evaluator may carry per-worker mutable state (e.g.
     {!Inc_eval}'s world caches) without cross-domain sharing; the
     factory itself must be safe to call from any worker domain, and the
-    returned evaluator must use only the store it is handed.
+    returned evaluator must use only the handle it is handed.
 
     [on_world candidate evaluation] (default: nothing) is called under
     the engine lock after each world, so callers need no lock of their
@@ -163,11 +160,6 @@ val run :
     [claim], [join], cat ["engine"]) and per-world evaluation times (the
     ["engine.busy_s"] histogram) — each worker domain writes to its own
     buffer, so instrumentation adds no cross-domain contention.
-    [replicate] is called only with more than one worker, at most once
-    per worker and under the engine lock (it reads the primary store);
-    every store
-    it returns is passed to [release] after the workers have joined (the
-    default [release] drops it).
 
     [budget] (default {!Budget.unlimited}) bounds the run; when it
     trips, the group in hand ends [Unknown], no further group is
@@ -175,9 +167,8 @@ val run :
     [jobs = 1] a [max_worlds] budget of [k] cuts the unbudgeted run
     right after its [k]-th world.
 
-    {b Exception safety.} If [eval], [worlds], [groups] or [replicate]
-    raises, the exception propagates to the caller: the run records the
-    first failure, stops claiming, waits for every worker to finish,
-    releases all borrowed replicas through [release], and re-raises with
-    the original backtrace after the join — the helper-domain pool stays
-    reusable for subsequent runs. *)
+    {b Exception safety.} If [eval], [worlds] or [groups] raises, the
+    exception propagates to the caller: the run records the first
+    failure, stops claiming, waits for every worker to finish, and
+    re-raises with the original backtrace after the join — the
+    helper-domain pool stays reusable for subsequent runs. *)

@@ -136,11 +136,11 @@ type state = {
 let max_entries = 4
 
 (* States live in a global weak-keyed registry so they persist exactly
-   as long as the store does: session stores and pooled replicas keep
-   their history across solver runs. One store is only ever evaluated
-   on by one domain at a time (the engine's no-shared-store contract),
-   so states need no lock of their own — only the registry itself is
-   guarded. *)
+   as long as the store handle does: a session's handle keeps its
+   history across solver runs (a jobs>1 worker's view, made per run,
+   keeps it for that run). One handle is only ever evaluated on by one
+   domain at a time (the engine's no-shared-handle contract), so states
+   need no lock of their own — only the registry itself is guarded. *)
 module Registry = Ephemeron.K1.Make (struct
   type t = Tagged_store.t
 

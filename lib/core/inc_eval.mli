@@ -7,9 +7,10 @@
     (repeated solves). A {!plan}
     compiles the constraint body once; an {!type-t} evaluator then keeps a
     small per-(store, plan) cache of recently evaluated worlds in a
-    process-wide weak registry keyed by store identity, so the history
-    survives as long as the store does (session stores and pooled
-    replicas across runs).
+    process-wide weak registry keyed by store handle identity, so the
+    history survives as long as the handle does: the session's handle
+    keeps it across solves, which is where jobs=1 solves evaluate; the
+    {!Tagged_store.view} a jobs>1 worker makes keeps it for one run.
 
     Evaluating the current world:
 

@@ -1,4 +1,3 @@
-module R = Relational
 module Q = Bcquery
 module Bitset = Bcgraph.Bitset
 
@@ -16,13 +15,11 @@ let logistic_feerate ~fee_rates ?(midpoint = 1.0) ?(steepness = 2.0) () =
 
 let probability m i = m.probs i
 
-(* Greedy deterministic repair: proposed transactions in decreasing
-   probability (ties by id) are appended while consistency holds, looping
+(* Greedy deterministic repair: {!Closure.run}'s append loop over the
+   proposed transactions in decreasing probability (ties by id), looping
    until a fixpoint so that dependency chains inside the proposal are
    honoured regardless of their probabilities. *)
 let repair session model proposal =
-  let store = Session.store session in
-  let db = Session.db session in
   let order =
     Bitset.to_list proposal
     |> List.sort (fun a b ->
@@ -30,40 +27,13 @@ let repair session model proposal =
            | 0 -> Int.compare a b
            | c -> c)
   in
-  let saved = Tagged_store.world store in
-  let k = Tagged_store.tx_count store in
-  let included = Bitset.create k in
-  Tagged_store.set_world store included;
-  let checker = R.Check.checker (Tagged_store.source store) db.Bcdb.constraints in
-  let remaining = ref order in
-  let progress = ref true in
-  while !progress && !remaining <> [] do
-    progress := false;
-    remaining :=
-      List.filter
-        (fun id ->
-          if
-            R.Check.outcome checker db.Bcdb.pending.(id).Pending.rows
-            = R.Check.Satisfied
-          then begin
-            Bitset.add included id;
-            Tagged_store.set_world store included;
-            progress := true;
-            false
-          end
-          else true)
-        !remaining
-  done;
-  Tagged_store.set_world store saved;
-  included
+  Closure.run (Session.store session)
+    ~constraints:(Session.db session).Bcdb.constraints ~candidates:order
 
 let violates session q world =
-  let store = Session.store session in
-  let saved = Tagged_store.world store in
-  Tagged_store.set_world store world;
-  let result = Q.Eval.eval (Tagged_store.source store) q in
-  Tagged_store.set_world store saved;
-  result
+  let view = Tagged_store.view (Session.store session) in
+  Tagged_store.set_world view world;
+  Q.Eval.eval (Tagged_store.source view) q
 
 let exact_violation_probability session model q =
   let store = Session.store session in

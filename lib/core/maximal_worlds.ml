@@ -28,11 +28,11 @@ let list session =
   List.rev !acc
 
 let extremum session eval ~compare =
-  let store = Session.store session in
+  let view = Tagged_store.view (Session.store session) in
   let best = ref None in
   iter session (fun world ->
-      Tagged_store.set_world store world;
-      let value = eval (Tagged_store.source store) in
+      Tagged_store.set_world view world;
+      let value = eval (Tagged_store.source view) in
       (match !best with
       | Some (current, _) when compare value current <= 0 -> ()
       | Some _ | None -> best := Some (value, Bitset.to_list world));

@@ -5,17 +5,12 @@ module Bitset = Bcgraph.Bitset
    satisfies the fds. Since fds are preserved under subsets, this is
    exactly the condition that no intermediate step can violate an fd. *)
 let fd_consistent store target =
-  let saved = Tagged_store.world store in
-  Tagged_store.set_world store target;
-  let src = Tagged_store.source store in
-  let db = Tagged_store.db store in
-  let ok =
-    List.for_all
-      (fun f -> Option.is_none (R.Check.check_fd src f))
-      (Bcdb.fds db)
-  in
-  Tagged_store.set_world store saved;
-  ok
+  let view = Tagged_store.view store in
+  Tagged_store.set_world view target;
+  let src = Tagged_store.source view in
+  List.for_all
+    (fun f -> Option.is_none (R.Check.check_fd src f))
+    (Bcdb.fds (Tagged_store.db store))
 
 (* Greedy closure under inds only: fds over the final set were already
    checked, and fds hold in every subset of an fd-consistent set. *)
@@ -24,7 +19,8 @@ let reachable_subset store target =
   let ind_constraints =
     List.map (fun i -> R.Constr.Ind i) (Bcdb.inds db)
   in
-  Closure.run store ~constraints:ind_constraints ~candidates:target
+  Closure.run store ~constraints:ind_constraints
+    ~candidates:(Bitset.to_list target)
 
 let is_possible_world store target =
   fd_consistent store target
@@ -46,7 +42,9 @@ let generator store =
     set
   in
   let db = Tagged_store.db store in
-  let checker = R.Check.checker (Tagged_store.source store) db.Bcdb.constraints in
+  (* The BFS steps read their own view: the store's world never moves. *)
+  let view = Tagged_store.view store in
+  let checker = R.Check.checker (Tagged_store.source view) db.Bcdb.constraints in
   let visited = Hashtbl.create 256 in
   let frontier = Queue.create () in
   let to_emit = Queue.create () in
@@ -63,20 +61,16 @@ let generator store =
     else if Queue.is_empty frontier then None
     else begin
       let bits = Queue.pop frontier in
-      let world = of_bits bits in
+      Tagged_store.set_world view (of_bits bits);
       for id = 0 to k - 1 do
         if bits land (1 lsl id) = 0 then begin
           let next_bits = bits lor (1 lsl id) in
           if not (Hashtbl.mem visited next_bits) then begin
             (* One can-append step: the extended instance must satisfy I. *)
-            let saved = Tagged_store.world store in
-            Tagged_store.set_world store world;
-            let ok =
+            if
               R.Check.outcome checker db.Bcdb.pending.(id).Pending.rows
               = R.Check.Satisfied
-            in
-            Tagged_store.set_world store saved;
-            if ok then visit next_bits
+            then visit next_bits
           end
         end
       done;

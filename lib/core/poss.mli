@@ -10,8 +10,8 @@
     complete). *)
 
 val is_possible_world : Tagged_store.t -> Bcgraph.Bitset.t -> bool
-(** Whether [R ⇒T,I R ∪ (chosen transactions)]. Leaves the store's
-    active world unchanged. *)
+(** Whether [R ⇒T,I R ∪ (chosen transactions)]. Reads through views of
+    its own: the store's world is never switched. *)
 
 val reachable_subset : Tagged_store.t -> Bcgraph.Bitset.t -> Bcgraph.Bitset.t
 (** The unique maximal subset of the given transactions reachable under
@@ -21,9 +21,9 @@ val reachable_subset : Tagged_store.t -> Bcgraph.Bitset.t -> Bcgraph.Bitset.t
 val generator : Tagged_store.t -> unit -> Bcgraph.Bitset.t option
 (** A resumable pull-based enumerator over every possible world
     (including the empty world [R]), in the same order as {!enumerate}.
-    Each call performs at most one BFS expansion step against the store
-    (switching worlds and restoring them), so the solver engine can hand
-    worlds out as work items. Exponential in the number of pending
+    Each call performs at most one BFS expansion step, on a
+    {!Tagged_store.view} the generator owns (the store's world never
+    moves), so the solver engine can hand worlds out as work items. Exponential in the number of pending
     transactions; raises [Invalid_argument] when more than 24
     transactions are pending. *)
 

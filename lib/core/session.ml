@@ -16,12 +16,10 @@ type t = {
       (* R's generation stamp when [store]/[caches] were (re)built;
          mismatch means the state was mutated in place since. *)
   obs : Obs.t ref;
-      (* a ref, not a value: lazies and pooled replicas must see the
-         recorder active when they run, not the one at session creation *)
+      (* a ref, not a value: lazies must see the recorder active when
+         they run, not the one at session creation *)
   mutable caches : caches;
   valid_lock : Mutex.t;  (* guards the store/state_gen/caches swap *)
-  pool : Tagged_store.t list ref;  (* idle full replicas, guarded by pool_lock *)
-  pool_lock : Mutex.t;
   plans : (Bcquery.Query.t * Inc_eval.plan) list ref;
       (* compiled-plan cache, guarded by plans_lock *)
   plans_lock : Mutex.t;
@@ -62,8 +60,6 @@ let create ?(obs = Obs.null) db =
     obs;
     caches = build_caches obs store;
     valid_lock = Mutex.create ();
-    pool = ref [];
-    pool_lock = Mutex.create ();
     plans = ref [];
     plans_lock = Mutex.create ();
     components = ref [];
@@ -75,7 +71,7 @@ let create ?(obs = Obs.null) db =
    between two solves leaves every derived structure stale while the
    physical database value — the old cache guard — is unchanged. The
    generation stamp catches exactly that; on mismatch the store and every
-   R-dependent cache are rebuilt and pooled replicas dropped. Component
+   R-dependent cache are rebuilt. Component
    entries stay keyed by database value; they are cleared too because ΘI
    edges consult R. *)
 let revalidate t =
@@ -89,9 +85,6 @@ let revalidate t =
       t.caches <- build_caches t.obs store;
       t.store <- store;
       t.state_gen <- gen;
-      Mutex.lock t.pool_lock;
-      t.pool := [];
-      Mutex.unlock t.pool_lock;
       Mutex.lock t.components_lock;
       t.components := [];
       Mutex.unlock t.components_lock
@@ -188,40 +181,6 @@ let warm t =
   ignore (ind_base_edges t);
   ignore (includable t)
 
-(* Replica pooling: engine runs borrow full-store replicas and hand them
-   back when the run finishes, so repeated solves on one session clone
-   the store once per domain overall, not once per run. A pooled replica
-   is only handed out while it still matches the session's database (a
-   dry-run journal on the primary invalidates it — physical equality on
-   the Bcdb value catches that; in-place churn empties the pool in
-   [revalidate]). *)
-let borrow_replica t =
-  revalidate t;
-  Mutex.lock t.pool_lock;
-  let hit =
-    match !(t.pool) with
-    | r :: rest when Tagged_store.db r == Tagged_store.db t.store ->
-        t.pool := rest;
-        Some r
-    | _ :: _ ->
-        (* Stale pool (the database moved on): drop it wholesale. *)
-        t.pool := [];
-        None
-    | [] -> None
-  in
-  Mutex.unlock t.pool_lock;
-  let r = match hit with Some r -> r | None -> Tagged_store.clone t.store in
-  (* Pooled replicas may predate the session's current recorder. *)
-  Tagged_store.set_obs r !(t.obs);
-  r
-
-let return_replica t r =
-  if Tagged_store.db r == Tagged_store.db t.store then begin
-    Mutex.lock t.pool_lock;
-    t.pool := r :: !(t.pool);
-    Mutex.unlock t.pool_lock
-  end
-
 let extended ?ind_edges t =
   let store = t.store in
   let db' = Tagged_store.db store in
@@ -270,8 +229,6 @@ let extended ?ind_edges t =
     obs = t.obs;
     caches = { fd_graph; ind_base_edges; includable };
     valid_lock = Mutex.create ();
-    pool = ref [];
-    pool_lock = Mutex.create ();
     plans = ref !(t.plans);
     plans_lock = Mutex.create ();
     (* The hypothetical transaction changes the ind-q graph: start
@@ -304,8 +261,6 @@ let reseed t ?fd_graph ?ind_base_edges ?includable db =
         includable = seeded includable fresh.includable;
       };
     valid_lock = Mutex.create ();
-    pool = ref [];
-    pool_lock = Mutex.create ();
     plans = ref !(t.plans);
     plans_lock = Mutex.create ();
     components = ref [];

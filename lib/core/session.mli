@@ -25,9 +25,9 @@ val store : t -> Tagged_store.t
 val obs : t -> Obs.t
 val set_obs : t -> Obs.t -> unit
 (** Swap the recorder mid-session (the bench harness records one
-    instrumented run after the timed ones). The store, pooled replicas
-    as they are next borrowed, and future solver runs all pick up the
-    new recorder. *)
+    instrumented run after the timed ones). The store, views made of it
+    from then on, and future solver runs all pick up the new
+    recorder. *)
 
 val plan : t -> Bcquery.Query.t -> Inc_eval.plan
 (** The session's compiled plan for [q], compiling on first use and
@@ -66,16 +66,6 @@ val includable : t -> bool array
 
 val warm : t -> unit
 (** Force all cached structures (for benchmarking the steady state). *)
-
-val borrow_replica : t -> Tagged_store.t
-(** A full replica of the session store, reused from the session's pool
-    when a previous engine run has returned one that still matches the
-    current database (dry-run extensions invalidate pooled replicas).
-    Thread-safe; the parallel engine calls this under its claim lock. *)
-
-val return_replica : t -> Tagged_store.t -> unit
-(** Hand a borrowed replica back for reuse. Replicas whose database no
-    longer matches the session's are silently dropped. *)
 
 val extended : ?ind_edges:(int * int) list -> t -> t
 (** A session over the same store after the store has been extended with

@@ -27,8 +27,9 @@ val solve :
 (** [Error] only when the constraint is non-monotone {e and} the pending
     set is too large for exhaustive enumeration (> 24 transactions).
     [jobs] (default 1, the calling domain alone) is OptDCSat's worker
-    count: [jobs > 1] adds pooled helper domains, each evaluating on one
-    session-pooled replica, that share its covered components (see
+    count: [jobs > 1] adds pooled helper domains, every worker
+    evaluating on its own view of the session's store, that share its
+    covered components (see
     {!Engine}); the Naive and brute-force paths walk their one group on
     one worker. [budget] bounds the enumerating paths; an exhausted
     budget yields [verdict = Unknown] in the

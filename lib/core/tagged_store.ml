@@ -7,23 +7,23 @@ type entry = { tuple : R.Tuple.t; origins : int array }
 
    - the {e base segment} holds every tuple contributed by the base
      state, as one immutable columnar {!R.Segment.t}. Base tuples are
-     visible in *every* world, so the segment — column payloads and
-     hash indexes alike — is shared zero-copy across clones; cloning a
-     store never touches base data.
-     Indexes are built on demand under the segment's own lock and
-     memoized per store, so steady-state probes never touch the lock.
-     The rare base tuple that is *also* written by pending transactions
-     carries its merged origin set in the sparse per-store [b_extra]
-     side table.
+     visible in *every* world. Indexes are built on demand under the
+     segment's own lock and memoized per prepared probe, so
+     steady-state probes never touch the lock. The rare base tuple that
+     is *also* written by pending transactions carries its merged origin
+     set in the sparse [b_extra] side table.
 
    - the {e pending segment} holds tuples contributed only by pending
-     transactions; their visibility depends on the active world. It is
-     private to each store. Instead of re-testing origin sets per probe,
-     each pending position carries a visible-origin refcount
-     ([viscount]) maintained incrementally by world *deltas*: switching
-     worlds flips only the transactions whose membership changed
-     (O(|delta|)), not O(k). A probe walks a posting list and tests
-     [viscount] inline. *)
+     transactions, each with its ascending [origins]. Its visibility
+     depends on the world: a probe walks a posting list and tests each
+     entry's origins against the handle's bitset inline.
+
+   Both segments are shared by every handle of one store — the one
+   {!create} returned and each {!view} of it — like the rows of the
+   paper's tables, whose [current] column marks one world (§6.3). A
+   handle owns only its world bitset, epoch, Source records and prepared
+   probes, so a view costs O(relations), and switching a handle's world
+   is one bitset copy. *)
 
 type posting = {
   mutable all : int list;  (* pending positions, descending *)
@@ -32,48 +32,49 @@ type posting = {
 
 type rel_store = {
   seg : R.Segment.t;
-      (* the base state; shared with clones: immutable columns +
-         lock-guarded index cache *)
+      (* the base state: immutable columns + lock-guarded index cache *)
   b_extra : (int, int array) Hashtbl.t;
       (* base position -> merged origins [|-1; tx...|]; only positions
          some pending transaction also contributes. At most as large as
-         the pending rows; copied on clone, extended by {!append_tx}. *)
-  bmemo : (int list, R.Segment.index) Hashtbl.t;
-      (* per-store memo of base indexes already fetched: lock-free *)
+         the pending rows; extended by {!append_tx}. *)
   mutable entries : entry array;  (* pending segment, valid up to [len] *)
   mutable len : int;
   by_tuple : int R.Tuple.Lookup.t;  (* pending tuples only *)
   postings : (int list, posting R.Tuple.Lookup.t) Hashtbl.t;
       (** Pending hash indexes, keyed by the (sorted) column list; the
           inner table maps a projection to pending positions. Built on
-          demand for the column sets the evaluator actually probes. *)
+          demand for the column sets the evaluator actually probes,
+          under the store's shared lock. *)
   mutable by_origin : int list array;
       (* tx id -> its pending positions, descending; [] past the end *)
-  mutable viscount : int array;  (* per pending position *)
-  probes : (int array, R.Source.probe) Hashtbl.t array;
-      (** Prepared probes per view ([World], [Union], [Base]) and bound
-          columns. They hold this store's pending tables, so clones start
-          empty. *)
 }
+
+(* One relation as a handle sees it: the shared tables, and the
+   handle's own prepared probes per view ([World], [Union], [Base]) and
+   bound columns. A probe memoizes the tables it reads, so it is never
+   shared between handles. *)
+type rel = { rs : rel_store; probes : (int array, R.Source.probe) Hashtbl.t array }
 
 module Smap = Map.Make (String)
 
 type t = {
-  uid : int;  (* unique per store value; hash key for weak registries *)
+  uid : int;  (* unique per handle; hash key for weak registries *)
+  primary : bool;  (* made by [create]: the one handle that may append *)
+  lock : Mutex.t;  (* shared by the store's handles: posting-table builds *)
   mutable db : Bcdb.t;
-  rels : rel_store Smap.t;
+  rels : rel Smap.t;
   mutable k : int;
-  mutable visible : Bitset.t;
+  mutable visible : Bitset.t;  (* never written in place: see [view_store] *)
   mutable epoch : int;
   mutable obs : Obs.t;
   mutable views : R.Source.t array;
-      (* the [World], [Union] and [Base] sources, built once per store *)
+      (* the [World], [Union] and [Base] sources, built once per handle *)
   mutable checker : R.Check.checker option;
       (* the constraints prepared on the [Base] view, on first use *)
 }
 
-(* Every store — created or cloned — gets a fresh uid, so a
-   weak table keyed by physical store identity can hash without walking
+(* Every handle — created or a view — gets a fresh uid, so a
+   weak table keyed by physical handle identity can hash without walking
    the (deep, mutable) structure. *)
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
@@ -82,8 +83,10 @@ let base_origin = -1
 
 let unknown_relation name = invalid_arg ("Tagged_store: unknown relation " ^ name)
 
-let rel_store t name =
-  match Smap.find name t.rels with rs -> rs | exception Not_found -> unknown_relation name
+let rel t name =
+  match Smap.find name t.rels with r -> r | exception Not_found -> unknown_relation name
+
+let rel_store t name = (rel t name).rs
 
 (* Fills entry arrays: a static value, so making a large array never
    waits for the runtime to empty the minor heap, as seeding it with a
@@ -93,19 +96,17 @@ let no_entry = { tuple = [||]; origins = [||] }
 (* An empty pending segment over the base [seg], sized for [rows]
    pending rows (an upper bound on its entries). *)
 let empty_rel seg ~rows ~txs =
-  let cap = max 16 rows in
   {
     seg;
     b_extra = Hashtbl.create 4;
-    bmemo = Hashtbl.create 4;
     entries = Array.make rows no_entry;
     len = 0;
-    by_tuple = R.Tuple.Lookup.create cap;
+    by_tuple = R.Tuple.Lookup.create (max 16 rows);
     postings = Hashtbl.create 4;
     by_origin = Array.make txs [];
-    viscount = Array.make (max 1 rows) 0;
-    probes = Array.init 3 (fun _ -> Hashtbl.create 8);
   }
+
+let fresh_probes () = Array.init 3 (fun _ -> Hashtbl.create 8)
 
 let push_entry rs e =
   if rs.len >= Array.length rs.entries then begin
@@ -114,13 +115,7 @@ let push_entry rs e =
     Array.blit rs.entries 0 ne 0 rs.len;
     rs.entries <- ne
   end;
-  if rs.len >= Array.length rs.viscount then begin
-    let nv = Array.make (max 16 (2 * Array.length rs.viscount)) 0 in
-    Array.blit rs.viscount 0 nv 0 rs.len;
-    rs.viscount <- nv
-  end;
   rs.entries.(rs.len) <- e;
-  rs.viscount.(rs.len) <- 0;
   rs.len <- rs.len + 1;
   rs.len - 1
 
@@ -211,12 +206,17 @@ let create_store (db : Bcdb.t) =
         (* The base state reaches the store columnar: zero-cost when the
            database was restored from a binary snapshot (all segment),
            one streaming encode when it was built row by row. *)
-        empty_rel (R.Database.to_segment state rel) ~rows:!rows ~txs:k)
+        {
+          rs = empty_rel (R.Database.to_segment state rel) ~rows:!rows ~txs:k;
+          probes = fresh_probes ();
+        })
       counts
   in
   let t =
     {
       uid = fresh_uid ();
+      primary = true;
+      lock = Mutex.create ();
       db;
       rels;
       k;
@@ -232,39 +232,14 @@ let create_store (db : Bcdb.t) =
     db.Bcdb.pending;
   t
 
-let clone_rel rs =
-  let postings = Hashtbl.copy rs.postings in
-  Hashtbl.filter_map_inplace
-    (fun _ tbl ->
-      let out = R.Tuple.Lookup.create (max 4 (R.Tuple.Lookup.length tbl)) in
-      R.Tuple.Lookup.iter
-        (fun key (p : posting) ->
-          R.Tuple.Lookup.replace out key { all = p.all; count = p.count })
-        tbl;
-      Some out)
-    postings;
+(* A handle's bitset is never written in place — a switch installs a
+   fresh one — so a view starts on its parent's without copying it. *)
+let view_store t =
   {
-    seg = rs.seg;
-    b_extra = Hashtbl.copy rs.b_extra;
-    bmemo = Hashtbl.copy rs.bmemo;
-    entries = Array.copy rs.entries;
-    len = rs.len;
-    by_tuple = R.Tuple.Lookup.copy rs.by_tuple;
-    postings;
-    by_origin = Array.copy rs.by_origin;
-    viscount = Array.copy rs.viscount;
-    probes = Array.init 3 (fun _ -> Hashtbl.create 8);
-  }
-
-let clone_store t =
-  {
+    t with
     uid = fresh_uid ();
-    db = t.db;
-    rels = Smap.map clone_rel t.rels;
-    k = t.k;
-    visible = Bitset.copy t.visible;
-    epoch = t.epoch;
-    obs = t.obs;
+    primary = false;
+    rels = Smap.map (fun r -> { rs = r.rs; probes = fresh_probes () }) t.rels;
     views = [||];
     checker = None;
   }
@@ -277,25 +252,16 @@ let set_obs t obs = t.obs <- obs
 let world t = Bitset.copy t.visible
 
 let base_bytes t =
-  Smap.fold (fun _ rs acc -> acc + R.Segment.bytes rs.seg) t.rels 0
+  Smap.fold (fun _ r acc -> acc + R.Segment.bytes r.rs.seg) t.rels 0
 
 let positions rs id =
   if id < Array.length rs.by_origin then rs.by_origin.(id) else []
 
-(* Switch to [vis] (a fresh bitset owned by the store) by flipping only
-   the transactions whose membership changed. A no-op switch keeps the
-   epoch. *)
+(* Rebind the handle to [vis] (a fresh bitset the handle owns). Probes
+   read the bitset at each call, so nothing else moves. A no-op switch
+   keeps the epoch. *)
 let apply_world t vis =
   if not (Bitset.equal vis t.visible) then begin
-    let old = t.visible in
-    Smap.iter
-      (fun _ rs ->
-        let flip sign id =
-          List.iter (fun p -> rs.viscount.(p) <- rs.viscount.(p) + sign) (positions rs id)
-        in
-        Bitset.iter_diff (flip (-1)) old vis;
-        Bitset.iter_diff (flip 1) vis old)
-      t.rels;
     t.visible <- vis;
     t.epoch <- t.epoch + 1;
     if Obs.enabled t.obs then Obs.add t.obs "store.epoch_switch" 1
@@ -339,7 +305,7 @@ let world_delta t ~prev =
           transactions are deduplicated per relation. *)
        let per_rel = Hashtbl.create 8 in
        Smap.iter
-         (fun name rs ->
+         (fun name { rs; _ } ->
            let seen = Hashtbl.create 16 in
            let acc = ref [] in
            List.iter
@@ -364,22 +330,15 @@ let world_delta t ~prev =
   in
   { added_txs = !added_txs; removed_txs = !removed_txs; added }
 
-(* --- base-segment indexes: built once under the segment's lock,
-   published immutable, memoized per store --- *)
-
-let base_index rs cols =
-  match Hashtbl.find_opt rs.bmemo cols with
-  | Some idx -> idx
-  | None ->
-      let idx = R.Segment.index rs.seg cols in
-      Hashtbl.replace rs.bmemo cols idx;
-      idx
-
-(* --- pending-segment indexes (private, incremental) --- *)
+(* --- pending-segment indexes (shared, incremental) --- *)
 
 (* The posting table of one sorted column list: projection -> pending
-   positions. A single column is a one-column projection. *)
-let postings rs cols =
+   positions. A single column is a one-column projection. Handles on
+   other domains may ask for the same table at once, so the lookup and
+   the first build happen under the store's lock; a prepared probe keeps
+   the table it got, so steady-state probes take no lock. *)
+let postings t rs cols =
+  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt rs.postings cols with
   | Some tbl -> tbl
   | None ->
@@ -396,19 +355,27 @@ let no_posting = { all = []; count = 0 }
 let find_posting tbl keys =
   match R.Tuple.Lookup.find tbl keys with p -> p | exception Not_found -> no_posting
 
-(* Which pending positions a view sees: those of the active world
+(* Which pending positions a source sees: those of the handle's world
    ({!source}), every one ({!union_source}, the instance [R ∪ T]) or
-   none ({!base_source}, [R] alone). The two fixed views never read
-   [visible], [viscount] or [epoch], so a probe through them leaves the
-   active world alone. Every view yields the same order (pending matches
-   by descending position, then base matches), so a fixed view answers
-   exactly what {!source} answers after {!all_visible}/{!base_only}. *)
+   none ({!base_source}, [R] alone). The two fixed sources never read
+   [visible] or [epoch], so a probe through them leaves the world alone.
+   Every source yields the same order (pending matches by descending
+   position, then base matches), so a fixed one answers exactly what
+   {!source} answers after {!all_visible}/{!base_only}. *)
 type view = World | Union | Base
 
 let view_slot = function World -> 0 | Union -> 1 | Base -> 2
 
-let pend_visible view rs i =
-  match view with World -> rs.viscount.(i) > 0 | Union -> true | Base -> false
+(* A pending entry is in the world [vis] when one of its origins is: one
+   bit test for the usual single origin, a loop for the rest
+   ({!Bitset.mem_any}, closure-free: it runs once per probed position).
+   An origin at or past the bitset's capacity (a transaction appended
+   after the handle's world was set) is not in it. *)
+let pend_visible t view rs i =
+  match view with
+  | World -> Bitset.mem_any t.visible rs.entries.(i).origins
+  | Union -> true
+  | Base -> false
 
 let rec emit rs f = function
   | [] -> ()
@@ -416,11 +383,12 @@ let rec emit rs f = function
       f rs.entries.(i).tuple;
       emit rs f rest
 
-let rec emit_visible rs f = function
+let rec emit_visible vis rs f = function
   | [] -> ()
   | i :: rest ->
-      if rs.viscount.(i) > 0 then f rs.entries.(i).tuple;
-      emit_visible rs f rest
+      let e = rs.entries.(i) in
+      if Bitset.mem_any vis e.origins then f e.tuple;
+      emit_visible vis rs f rest
 
 (* Resolved on first use, then kept: a probe the evaluator only costs
    never builds the indexes only iterating needs, and vice versa. *)
@@ -434,21 +402,36 @@ let memo f =
         cell := Some x;
         x
 
-(* The probe of one view, relation and bound-column set. Over no column
-   it is the full read: base rows by position, then the view's pending
-   rows by ascending position. Otherwise [iter] yields pending matches
-   (descending position), then base matches (descending position).
-   [count] is world-independent by design: memoized pending posting
-   counts plus the base hash-range width (an upper bound — collisions
-   are not filtered out, which is fine for a cost estimate and identical
-   across every store sharing the segment, so the primary store and its
-   replicas pick the same join orders). With more than 3 bound columns
-   it estimates from the lowest column's table alone; iterating goes
-   through the exact table over every bound column. The pending tables
-   are the store's own, maintained in place by {!append_tx}/{!undo}, so
-   the handle outlives both. A relation whose base segment is empty
-   (all of Dense's rows are pending) skips the base side: it counts 0
-   and yields nothing, so no base index is built or searched. *)
+(* The base index over [cols], fetched for the first key every probed
+   base column admits and kept. A key some column cannot hold matches
+   no base row, so it is refused first, as {!R.Segment.find} does: a
+   probe for a constant no base dictionary holds builds no index. *)
+let base_lookup seg cols =
+  let cell = ref None in
+  fun keys ->
+    match !cell with
+    | Some _ as idx -> idx
+    | None ->
+        if R.Segment.admits seg cols keys then
+          cell := Some (R.Segment.index seg (Array.to_list cols));
+        !cell
+
+(* The probe of one source, relation and bound-column set. Over no
+   column it is the full read: base rows by position, then the source's
+   pending rows by ascending position. Otherwise [iter] yields pending
+   matches (descending position), then base matches (descending
+   position). [count] is world-independent by design: memoized pending
+   posting counts plus the base hash-range width (an upper bound —
+   collisions are not filtered out, which is fine for a cost estimate
+   and identical on every handle of the store, so the session's handle
+   and its views pick the same join orders). With more than 3 bound
+   columns it estimates from the lowest column's table alone; iterating
+   goes through the exact table over every bound column. The pending
+   tables are shared by the store's handles and maintained in place by
+   {!append_tx}/{!undo}, so the probe outlives both. A relation whose
+   base segment is empty (all of Dense's rows are pending) skips the
+   base side: it counts 0 and yields nothing, so no base index is built
+   or searched. *)
 let make_probe t view rs cols =
   let seg = rs.seg in
   let base_empty = R.Segment.length seg = 0 in
@@ -463,52 +446,55 @@ let make_probe t view rs cols =
           done;
           if view <> Base then
             for i = 0 to rs.len - 1 do
-              if pend_visible view rs i then f rs.entries.(i).tuple
+              if pend_visible t view rs i then f rs.entries.(i).tuple
             done);
     }
   else
-    let col_list = Array.to_list cols in
-    let exact = memo (fun () -> postings rs col_list) in
-    let base = memo (fun () -> base_index rs col_list) in
+    let exact = memo (fun () -> postings t rs (Array.to_list cols)) in
+    let base = base_lookup seg cols in
+    let base_count base keys =
+      if base_empty then 0
+      else
+        match base keys with
+        | Some idx -> R.Segment.probe_count seg idx keys
+        | None -> 0
+    in
     let count =
       if n <= 3 then fun keys ->
-        (find_posting (exact ()) keys).count
-        + if base_empty then 0 else R.Segment.probe_count seg (base ()) keys
+        (find_posting (exact ()) keys).count + base_count base keys
       else
-        let pend_first = memo (fun () -> postings rs [ cols.(0) ]) in
-        let base_first = memo (fun () -> base_index rs [ cols.(0) ]) in
+        let pend_first = memo (fun () -> postings t rs [ cols.(0) ]) in
+        let base_first = base_lookup seg [| cols.(0) |] in
         let first = [| R.Value.Null |] in
         fun keys ->
           first.(0) <- keys.(0);
-          (find_posting (pend_first ()) first).count
-          +
-          if base_empty then 0
-          else R.Segment.probe_count seg (base_first ()) first
+          (find_posting (pend_first ()) first).count + base_count base_first first
     in
     let iter keys f =
       (match view with
       | Base -> ()
       | Union -> emit rs f (find_posting (exact ()) keys).all
-      | World -> emit_visible rs f (find_posting (exact ()) keys).all);
+      | World -> emit_visible t.visible rs f (find_posting (exact ()) keys).all);
       if not base_empty then begin
-        let idx = base () in
         if Obs.enabled t.obs then begin
-          let hits, misses = R.Segment.dict_probe seg idx keys in
+          let hits, misses = R.Segment.dict_probe seg cols keys in
           if hits > 0 then Obs.add t.obs "segment.dict_hits" hits;
           if misses > 0 then Obs.add t.obs "segment.dict_miss" misses
         end;
-        R.Segment.probe_iter seg idx keys f
+        match base keys with
+        | Some idx -> R.Segment.probe_iter seg idx keys f
+        | None -> ()
       end
     in
     { R.Source.count; iter }
 
 let prepare t view name cols =
-  let rs = rel_store t name in
-  let tbl = rs.probes.(view_slot view) in
+  let r = rel t name in
+  let tbl = r.probes.(view_slot view) in
   match Hashtbl.find_opt tbl cols with
   | Some p -> p
   | None ->
-      let p = make_probe t view rs cols in
+      let p = make_probe t view r.rs cols in
       Hashtbl.replace tbl (Array.copy cols) p;
       p
 
@@ -517,7 +503,7 @@ let mem t view name tuple =
   R.Segment.mem rs.seg tuple
   ||
   match R.Tuple.Lookup.find rs.by_tuple tuple with
-  | i -> pend_visible view rs i
+  | i -> pend_visible t view rs i
   | exception Not_found -> false
 
 let view_source t view =
@@ -532,7 +518,7 @@ let with_views t =
   t
 
 let create db = with_views (create_store db)
-let clone t = with_views (clone_store t)
+let view t = with_views (view_store t)
 let source t = t.views.(view_slot World)
 let union_source t = t.views.(view_slot Union)
 let base_source t = t.views.(view_slot Base)
@@ -565,12 +551,12 @@ let origins t name tuple =
 let to_database t =
   let out = R.Database.create (R.Database.catalog t.db.Bcdb.state) in
   Smap.iter
-    (fun name rs ->
+    (fun name { rs; _ } ->
       Seq.iter
         (fun tuple -> ignore (R.Database.insert out name tuple))
         (R.Segment.tuple_seq rs.seg);
       for i = 0 to rs.len - 1 do
-        if rs.viscount.(i) > 0 then
+        if pend_visible t World rs i then
           ignore (R.Database.insert out name rs.entries.(i).tuple)
       done)
     t.rels;
@@ -588,7 +574,11 @@ type journal = {
   base_hits : (rel_store * int) list;
 }
 
+let primary_only t what =
+  if not t.primary then invalid_arg ("Tagged_store." ^ what ^ ": not on a view")
+
 let append_tx t (db' : Bcdb.t) =
+  primary_only t "append_tx";
   let id = t.k in
   assert (Array.length db'.Bcdb.pending = t.k + 1);
   let prev_db = t.db and prev_visible = t.visible in
@@ -601,8 +591,8 @@ let append_tx t (db' : Bcdb.t) =
 let drop_last a = Array.sub a 0 (Array.length a - 1)
 
 let undo t journal =
-  (* Restore the previous world's membership first, while [by_origin]
-     still routes the hypothetical transaction's flips. *)
+  primary_only t "undo";
+  (* Rebind to the previous world first: counted like any switch. *)
   apply_world t (Bitset.resize journal.prev_visible t.k);
   let id = Array.length journal.prev_db.Bcdb.pending in
   List.iter
@@ -612,7 +602,7 @@ let undo t journal =
       else Hashtbl.replace rs.b_extra bpos (drop_last o))
     journal.base_hits;
   Smap.iter
-    (fun _ rs ->
+    (fun _ { rs; _ } ->
       List.iter
         (fun i ->
           let e = rs.entries.(i) in

@@ -17,11 +17,14 @@
 
     The base state lives in an immutable columnar {!Relational.Segment.t}
     per relation (unboxed [Int]/[Float] columns, dictionary-encoded
-    otherwise): off-heap, invisible to the GC, and shared zero-copy by
-    every replica. Only the pending tail is per-store mutable state.
+    otherwise): off-heap and invisible to the GC. The pending tail holds
+    each tuple once with its ascending origins; a pending tuple is in a
+    world when one of its origins is.
 
-    Every world is evaluated on a full store: the session's primary one,
-    or a {!clone} that one engine worker owns. A world inside an ind-q
+    A value of type {!t} is a {e handle}: the tables are shared by the
+    handle {!create} returns and every {!view} of it, while each handle
+    owns its world. Engine workers, and every library module that needs
+    a world of its own, evaluate on a view; a world inside an ind-q
     component leaves every transaction outside it invisible. *)
 
 type t
@@ -40,23 +43,32 @@ val create : Bcdb.t -> t
 
 val db : t -> Bcdb.t
 
-val clone : t -> t
-(** An independent replica over the same database: the base segments
-    (and their indexes) are shared zero-copy — cloning costs O(pending),
-    {e independent of base size} — while the visibility bitset, pending
-    entry arrays and pending index tables are copied. Switching worlds
-    or building indexes on the clone never affects the parent and vice
-    versa — this is what lets each parallel engine worker evaluate
-    worlds on the one replica it owns ({!Engine}). A clone answers
-    probe counts exactly as its parent does, so the evaluator picks the
-    same join orders, and returns the same witnesses, on either. A clone starts with no prepared probe: the
-    parent's handles hold the parent's pending tables and are never
-    shared. Clone while no {!append_tx} journal is outstanding. *)
+val view : t -> t
+(** A read-only handle over the same tables: base segments, pending
+    entries, posting tables and origins are shared, so a view costs
+    O(relations) whatever the store's size. It owns its world (a copy
+    of [t]'s when it is made), epoch, uid, sources and prepared probes:
+    switching its world never moves [t]'s or another view's, and vice
+    versa. A view answers every probe, count included, exactly as any
+    handle of the store in the same world, so the evaluator picks the
+    same join orders and returns the same witnesses on either.
+
+    Views on different domains may probe at once: a pending posting
+    table is built on first use under one lock the store's handles
+    share, and a prepared probe keeps the table it got, so steady-state
+    probes take no lock. A handle itself — its world and prepared
+    probes — belongs to one domain at a time.
+
+    A view copies [t]'s database and transaction count when it is made
+    and refuses {!append_tx} and {!undo} ([Invalid_argument]): only the
+    handle {!create} returned grows the shared tables, and only while no
+    view is being probed. Make views after an {!append_tx}, not across
+    it; a view made before one never sees the appended transaction. *)
 
 val tx_count : t -> int
 
 val uid : t -> int
-(** A process-unique id minted at creation ({!create} and {!clone}
+(** A process-unique id minted at creation ({!create} and {!view}
     each get a fresh one). Lets weak tables keyed by physical store
     identity hash in O(1) instead of walking the deep mutable
     structure. *)
@@ -73,12 +85,12 @@ val set_obs : t -> Obs.t -> unit
     (["store.epoch_switch"]) and base-probe dictionary hit/miss
     (["segment.dict_hits"]/["segment.dict_miss"]) counters on it
     (defaults to {!Obs.null}, whose per-call cost is one branch).
-    {!clone} inherits the parent's recorder. *)
+    A {!view} starts with its parent's recorder. *)
 
 val base_bytes : t -> int
 (** Estimated resident bytes of the base segments (column payloads).
-    Replicas made by {!clone} share these bytes — sum the figure
-    across replicas and you count the same memory repeatedly. *)
+    Views share these bytes — sum the figure across views and you count
+    the same memory repeatedly. *)
 
 val world : t -> Bcgraph.Bitset.t
 (** The active visibility (a copy; mutating it does not affect the
@@ -86,7 +98,8 @@ val world : t -> Bcgraph.Bitset.t
 
 val set_world : t -> Bcgraph.Bitset.t -> unit
 (** Make exactly the given transactions visible (base state is always
-    visible). Capacity must equal {!tx_count}. *)
+    visible): one bitset copy, whatever the pending size. Capacity must
+    equal {!tx_count}. *)
 
 val set_world_list : t -> int list -> unit
 val all_visible : t -> unit
@@ -104,20 +117,23 @@ val source : t -> Relational.Source.t
     [prepare rel cols] resolves the relation's pending posting table
     over the bound columns (one table kind, keyed by the projection on
     the sorted column list) and its base segment index once, on first
-    use, and caches the probe per store, view, relation and columns:
-    a second [prepare] returns the same handle. [iter] yields the
-    visible pending matches by descending position, then the base
-    matches by descending position, testing each pending position's
-    visibility inline. [count] is world-independent: the pending
-    posting count plus the base hash-range width, from the lowest bound
-    column alone when more than 3 are bound. A relation with an empty
-    base segment never builds or searches a base index (and counts no
-    dictionary hit or miss). The zero-column probe is
-    the full read: base rows by position, then the visible pending rows
-    by ascending position; it counts every base and pending row. Handles stay
-    valid across world switches, {!append_tx} and {!undo}, which update
-    the tables in place. A store — and so its handles — belongs to one
-    domain at a time. *)
+    use, and caches the probe per handle, source, relation and columns:
+    a second [prepare] returns the same probe. The base index is only
+    fetched for a key every probed base column admits
+    ({!Relational.Segment.admits}): a key holding a constant no base
+    column holds matches no base row, and probing it builds no index.
+    [iter] yields the visible pending matches by descending position,
+    then the base matches by descending position, testing each pending
+    entry's origins against the handle's world inline. [count] is
+    world-independent: the pending posting count plus the base
+    hash-range width, from the lowest bound column alone when more than
+    3 are bound. A relation with an empty base segment never builds or
+    searches a base index (and counts no dictionary hit or miss). The
+    zero-column probe is the full read: base rows by position, then the
+    visible pending rows by ascending position; it counts every base
+    and pending row. Probes stay valid across world switches,
+    {!append_tx} and {!undo}, which update the shared tables in place. A
+    handle — and so its probes — belongs to one domain at a time. *)
 
 val union_source : t -> Relational.Source.t
 (** A read-only view fixed at [R ∪ T]: every pending row visible,
@@ -137,7 +153,7 @@ val checker : t -> Relational.Check.checker
     {!Relational.Check.outcome} of a transaction's rows is its node
     validity and includability, read without switching the active
     world. Built on first use and kept; the constraints and [R] never
-    change under {!append_tx}, so it outlives it. {!clone} starts
+    change under {!append_tx}, so it outlives it. A {!view} starts
     without one. *)
 
 val validity : t -> bool array * bool array
@@ -183,7 +199,9 @@ val to_database : t -> Relational.Database.t
     extend the store in place with one more pending transaction —
     sharing every loaded tuple and index — and later roll it back. Used
     by {!Dry_run}; while a journal is outstanding, other consumers of
-    the store must not rely on the transaction count. *)
+    the store must not rely on the transaction count. Only the handle
+    {!create} returned may extend the store or roll it back; both raise
+    [Invalid_argument] on a {!view}. *)
 
 type journal
 

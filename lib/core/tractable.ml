@@ -149,8 +149,7 @@ let solve_fd_conjunctive run body =
   let store = Session.store run.session in
   let vindex = var_index body in
   let qpos = positive_part body in
-  Tagged_store.all_visible store;
-  let src = Tagged_store.source store in
+  let src = Tagged_store.union_source store in
   let found = ref None in
   Q.Eval.iter_matches src Q.Eval.(evaluator (compile qpos)) (fun values support ->
       let candidates = support_choices store support in
@@ -186,14 +185,20 @@ let global_maximal run =
   let k = Tagged_store.tx_count (Session.store run.session) in
   ind_only_maximal run (Bitset.full k)
 
+(* The source of [world], on a view of the session's store. *)
+let world_source run world =
+  let view = Tagged_store.view (Session.store run.session) in
+  Tagged_store.set_world view world;
+  Tagged_store.source view
+
 let solve_ind_conjunctive run body =
   let store = Session.store run.session in
   if body.Q.Cq.negated = [] then begin
     let world = global_maximal run in
     run.worlds <- run.worlds + 1;
-    Tagged_store.set_world store world;
     match
-      Q.Eval.find_witness (Tagged_store.source store) Q.Eval.(evaluator (compile body))
+      Q.Eval.find_witness (world_source run world)
+        Q.Eval.(evaluator (compile body))
     with
     | Some assignment ->
         outcome run false (Some (Bitset.to_list world)) (Some assignment)
@@ -217,10 +222,8 @@ let solve_ind_conjunctive run body =
           w
     in
     let found = ref None in
-    Tagged_store.all_visible store;
-    let src = Tagged_store.source store in
+    let src = Tagged_store.union_source store in
     Q.Eval.iter_matches src Q.Eval.(evaluator (compile qpos)) (fun values support ->
-        Tagged_store.all_visible store;
         let negated_ground =
           List.map
             (fun a -> (a.Q.Atom.rel, ground_atom vindex values a))
@@ -251,10 +254,7 @@ let solve_ind_conjunctive run body =
                   List.combine body.Q.Cq.vars (Array.to_list values) );
             `Stop
           end
-          else begin
-            Tagged_store.all_visible store;
-            `Continue
-          end
+          else `Continue
         end);
     match !found with
     | Some (world, assignment) ->
@@ -270,8 +270,8 @@ let solve_fd_aggregate run (a : Q.Query.aggregate) =
   let outer = Q.Eval.evaluator body and inner = Q.Eval.evaluator body in
   let tested = Hashtbl.create 64 in
   let found = ref None in
-  Tagged_store.all_visible store;
-  let src = Tagged_store.source store in
+  let src = Tagged_store.union_source store in
+  let view = Tagged_store.view store in
   Q.Eval.iter_matches src outer (fun _values support ->
       let candidates = support_choices store support in
       let test members =
@@ -281,13 +281,9 @@ let solve_fd_aggregate run (a : Q.Query.aggregate) =
           fd_consistent_set run.session members
           && begin
             run.worlds <- run.worlds + 1;
-            Tagged_store.set_world_list store members;
-            let world_src = Tagged_store.source store in
-            let result =
-              Q.Eval.eval_compiled world_src (Q.Query.Aggregate a) inner
-            in
-            Tagged_store.all_visible store;
-            result
+            Tagged_store.set_world_list view members;
+            Q.Eval.eval_compiled (Tagged_store.source view)
+              (Q.Query.Aggregate a) inner
           end
         end
       in
@@ -301,11 +297,9 @@ let solve_fd_aggregate run (a : Q.Query.aggregate) =
   | None -> outcome run true None None
 
 let solve_ind_monotone_aggregate run q =
-  let store = Session.store run.session in
   let world = global_maximal run in
   run.worlds <- run.worlds + 1;
-  Tagged_store.set_world store world;
-  if Q.Eval.eval (Tagged_store.source store) q then
+  if Q.Eval.eval (world_source run world) q then
     outcome run false (Some (Bitset.to_list world)) None
   else outcome run true None None
 

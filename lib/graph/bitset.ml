@@ -30,6 +30,18 @@ let mem t i =
   check t i;
   t.words.(i lsr 5) land (1 lsl (i land 31)) <> 0
 
+(* One range test per element, then an unchecked word load: this runs
+   once per probed pending row of every world. *)
+let rec mem_any_from t (a : int array) j =
+  j < Array.length a
+  &&
+  let i = Array.unsafe_get a j in
+  (i >= 0 && i < t.n
+  && Array.unsafe_get t.words (i lsr 5) land (1 lsl (i land 31)) <> 0)
+  || mem_any_from t a (j + 1)
+
+let mem_any t a = mem_any_from t a 0
+
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 (* Whole-word copy into a fresh array; when shrinking, the last kept

@@ -12,6 +12,10 @@ val copy : t -> t
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
+val mem_any : t -> int array -> bool
+(** [mem_any t a]: some element of [a] is a member of [t]. Elements
+    outside [0 .. capacity - 1] count as absent rather than raising. *)
+
 val is_empty : t -> bool
 
 val resize : t -> int -> t

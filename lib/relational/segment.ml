@@ -120,10 +120,10 @@ let index s cols =
       Mutex.unlock s.ilock;
       idx
   | None ->
-      (* Builds are rare and the segment is shared across replicas, so
-         hold the lock and build once rather than racing duplicates.
-         Callers memoize the returned index per store, making the
-         steady state lock-free. *)
+      (* Builds are rare and the segment is shared by every handle of a
+         store, so hold the lock and build once rather than racing
+         duplicates. Callers memoize the returned index per probe,
+         making the steady state lock-free. *)
       Fun.protect
         ~finally:(fun () -> Mutex.unlock s.ilock)
         (fun () ->
@@ -177,15 +177,16 @@ let row_matches s idx keys row =
   in
   go 0
 
+let rec admits_from_col s icols keys i =
+  i >= Array.length icols
+  || Column.admits s.cols.(icols.(i)) keys.(i) && admits_from_col s icols keys (i + 1)
+
+let admits s icols keys = admits_from_col s icols keys 0
+
 (* Upper bound: range width counts hash collisions too. Callers use it
    as a selectivity estimate, never as an exact cardinality. *)
 let probe_count s idx keys =
-  let icols = idx.icols in
-  let rec admitted i =
-    i >= Array.length icols
-    || Column.admits s.cols.(icols.(i)) keys.(i) && admitted (i + 1)
-  in
-  if not (admitted 0) then 0
+  if not (admits s idx.icols keys) then 0
   else
     let target = key_hash keys in
     bound idx.hashes target ~strict:true - bound idx.hashes target ~strict:false
@@ -199,15 +200,17 @@ let probe_iter s idx keys f =
     if row_matches s idx keys row then f (tuple s row)
   done
 
-let dict_probe s idx keys =
+let dict_probe s icols keys =
   let hits = ref 0 and misses = ref 0 in
   Array.iteri
     (fun i c ->
       let col = s.cols.(c) in
       if Column.is_dict col then
         if Column.admits col keys.(i) then incr hits else incr misses)
-    idx.icols;
+    icols;
   (!hits, !misses)
+
+let cached_indexes s = Mutex.protect s.ilock (fun () -> Hashtbl.length s.icache)
 
 let rec admits_from s (t : Tuple.t) c =
   c >= Array.length t || (Column.admits s.cols.(c) t.(c) && admits_from s t (c + 1))

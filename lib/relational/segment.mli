@@ -53,9 +53,18 @@ val probe_iter : t -> index -> Value.t array -> (Tuple.t -> unit) -> unit
     position. The keys are read while iterating: do not mutate them
     until it returns. *)
 
-val dict_probe : t -> index -> Value.t array -> int * int
-(** [(hits, misses)] over the probe's dictionary-encoded columns — a
-    miss means the value is absent from the column's dictionary. *)
+val admits : t -> int array -> Value.t array -> bool
+(** [admits s cols keys]: whether every [keys.(i)] can occur in column
+    [cols.(i)] ({!Column.admits}). Touches no index: a probe that is
+    refused here is empty, so asking it need not build one. *)
+
+val dict_probe : t -> int array -> Value.t array -> int * int
+(** [dict_probe s cols keys]: [(hits, misses)] over the probed columns
+    that are dictionary-encoded — a miss means the value is absent from
+    the column's dictionary. Touches no index. *)
+
+val cached_indexes : t -> int
+(** How many indexes the segment has built so far (its cache size). *)
 
 val find : t -> Tuple.t -> int
 (** The position holding exactly this tuple, or [-1]. A tuple with a

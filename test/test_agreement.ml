@@ -157,8 +157,8 @@ let backend_agreement =
       && agree (fun ~jobs -> Core.Dcsat.opt ~jobs session q)
       (* With the pre-check off, the clique/component enumeration
          actually runs even when R ∪ T already refutes q, which drives
-         far more worlds through the primary store (jobs=1) and the
-         workers' replicas (jobs=3). *)
+         far more worlds through the session's store (jobs=1) and the
+         workers' views (jobs=3). *)
       && agree (fun ~jobs -> Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs session q)
       && agree (fun ~jobs -> Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs session q)
       && agree (fun ~jobs ->

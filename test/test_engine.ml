@@ -1,9 +1,9 @@
 (* The engine's group loop: cooperative budgets (deadline / max-worlds)
    surfacing as three-valued verdicts, the clique generator's interrupt
    hook, the lowest-index winner and its work count, and exception
-   safety at every job count — a raising eval or replicate must
-   propagate to the caller, release every borrowed replica, and leave
-   the helper-domain pool reusable — plus solver-level differentials:
+   safety at every job count — a raising eval must propagate to the
+   caller and leave the helper-domain pool reusable — plus solver-level
+   differentials:
    the jobs=4 pool against jobs=1, NaiveDCSat's and OptDCSat's budget
    prefixes, and OptDCSat's verdict-cache hooks against the hook-free
    run. *)
@@ -184,9 +184,9 @@ exception Boom
 
 (* Groups given as lists of candidate worlds; [violates] and [fail_on]
    pick the worlds that violate and the one whose evaluation raises. *)
-let run_lists ?budget ?on_world ~jobs ~store ~replicate ?release
-    ?(violates = fun _ -> false) ?(fail_on = []) groups =
-  Engine.run ?budget ?on_world ~jobs ~store ~replicate ?release
+let run_lists ?budget ?on_world ~jobs ~store ?(violates = fun _ -> false)
+    ?(fail_on = []) groups =
+  Engine.run ?budget ?on_world ~jobs ~store
     ~groups:(Engine.Work_source.of_list groups)
     ~worlds:(fun ?interrupt:_ _store g -> Engine.Work_source.of_list g)
     ~eval:(fun () _store members ->
@@ -219,7 +219,6 @@ let test_lowest_index_winner jobs () =
   let seen = ref [] in
   let report =
     run_lists ~jobs ~store
-      ~replicate:(fun () -> Core.Tagged_store.clone store)
       ~on_world:(fun c _ -> seen := c :: !seen)
       ~violates:(fun w -> w = [ 11 ] || w = [ 30 ])
       groups
@@ -248,9 +247,7 @@ let test_budget_trip jobs () =
   let groups = List.init 4 (fun g -> List.init 3 (fun w -> [ (10 * g) + w ])) in
   let budget = Engine.Budget.create ~max_worlds:4 () in
   let report =
-    run_lists ~budget ~jobs ~store
-      ~replicate:(fun () -> Core.Tagged_store.clone store)
-      groups
+    run_lists ~budget ~jobs ~store groups
   in
   Alcotest.(check bool) "exhausted" true
     (report.Engine.exhausted = Some Engine.Budget.Max_worlds);
@@ -271,48 +268,19 @@ let test_budget_trip jobs () =
 
 let test_eval_raise_propagates jobs () =
   let store = paper_store () in
-  let borrowed = ref 0 and released = ref 0 in
-  let replicate () =
-    incr borrowed;
-    Core.Tagged_store.clone store
-  in
-  let release _ = incr released in
   let groups = [ [ [ 0 ]; [ 1 ] ]; [ [ 2 ]; [ 3 ] ]; [ [ 4 ] ] ] in
-  (match run_lists ~jobs ~store ~replicate ~release ~fail_on:[ 2 ] groups with
+  (match run_lists ~jobs ~store ~fail_on:[ 2 ] groups with
   | (_ : _ Engine.report) -> Alcotest.fail "expected the eval's exception"
   | exception Boom -> ());
-  Alcotest.(check int) "every borrowed replica released" !borrowed !released;
   (* The engine (and its helper-domain pool) must stay usable: a clean
      run right after the failed one completes with full counts. *)
-  let report = run_lists ~jobs ~store ~replicate ~release groups in
+  let report = run_lists ~jobs ~store groups in
   Alcotest.(check int) "clean rerun evaluates everything" 5
     report.Engine.evaluated;
   Alcotest.(check int) "and reports every group" 3
     (List.length report.Engine.groups);
   Alcotest.(check bool) "no violation" true (report.Engine.hit = None);
-  Alcotest.(check bool) "no exhaustion" true (report.Engine.exhausted = None);
-  Alcotest.(check int) "rerun replicas also released" !borrowed !released
-
-let test_replicate_raise_propagates jobs () =
-  (* Failures in replicate (not just eval) must unwind the same way. *)
-  let store = paper_store () in
-  let released = ref 0 in
-  let replicate () = raise Boom in
-  let release _ = incr released in
-  let groups = [ [ [ 0 ] ]; [ [ 1 ] ] ] in
-  if Engine.workers jobs <= 1 then begin
-    (* A single worker evaluates on the primary store and never
-       replicates, so a poisoned replicate is simply unused. *)
-    let report = run_lists ~jobs ~store ~replicate ~release groups in
-    Alcotest.(check int) "single-worker run unaffected" 2
-      report.Engine.evaluated
-  end
-  else begin
-    (match run_lists ~jobs ~store ~replicate ~release groups with
-    | (_ : _ Engine.report) -> Alcotest.fail "expected replicate's exception"
-    | exception Boom -> ());
-    Alcotest.(check int) "nothing to release" 0 !released
-  end
+  Alcotest.(check bool) "no exhaustion" true (report.Engine.exhausted = None)
 
 let jobs_cases name mk =
   [
@@ -408,9 +376,43 @@ let pool_matches_sequential_grouped () =
   Alcotest.(check bool) "jobs=4 = jobs=1" true
     (jobs_agree session (Workload.Dense.grouped_query ()))
 
+(* The jobs=4 run goes first, on a fresh session: no posting table
+   exists before the workers start, so their views race to build the
+   shared tables on first use. Each outcome must still equal the jobs=1
+   one, itself solved on a fresh session of its own. *)
+let fresh_sessions_race () =
+  let solve algo ~jobs db q =
+    let session = Core.Session.create db in
+    match algo with
+    | `Naive -> Core.Dcsat.naive ~config:Fixtures.no_precheck ~jobs session q
+    | `Opt -> Core.Dcsat.opt ~config:Fixtures.no_precheck ~jobs session q
+  in
+  let instances =
+    (Workload.Dense.grouped ~groups:4 ~pairs:2, Workload.Dense.grouped_query ())
+    :: List.map
+         (fun seed ->
+           ( random_db (Random.State.make [| seed |]),
+             Q.Parser.parse_exn ~catalog:cat (List.hd queries) ))
+         [ 1; 2; 3 ]
+  in
+  for _ = 1 to 20 do
+    List.iter
+      (fun (db, q) ->
+        List.iter
+          (fun algo ->
+            match (solve algo ~jobs:4 db q, solve algo ~jobs:1 db q) with
+            | Ok par, Ok seq ->
+                Alcotest.(check bool) "fresh jobs=4 = fresh jobs=1" true
+                  (same_outcome par seq)
+            | Error _, Error _ -> ()
+            | _ -> Alcotest.fail "one job count refused, the other did not")
+          [ `Naive; `Opt ])
+      instances
+  done
+
 (* A tripped budget must surface as Unknown and leave the session
-   reusable: borrowed replicas handed back, a follow-up unbudgeted solve
-   on the same session gives the exact answer. *)
+   reusable: a follow-up unbudgeted solve on the same session gives the
+   exact answer. *)
 let budget_trips_to_unknown () =
   let state = R.Database.create cat in
   let pending =
@@ -641,9 +643,7 @@ let () =
         @ jobs_cases "violation beats exhaustion"
             test_violation_beats_exhaustion );
       ( "exceptions",
-        jobs_cases "eval raise propagates" test_eval_raise_propagates
-        @ jobs_cases "replicate raise propagates"
-            test_replicate_raise_propagates );
+        jobs_cases "eval raise propagates" test_eval_raise_propagates );
       ( "solver",
         [
           QCheck_alcotest.to_alcotest pool_matches_sequential;
@@ -655,6 +655,9 @@ let () =
             all_dirty_matches_no_hooks;
           Alcotest.test_case "naive/opt: jobs=4 pool = jobs=1 on Dense.grouped"
             `Quick pool_matches_sequential_grouped;
+          Alcotest.test_case
+            "naive/opt: fresh jobs=4 = fresh jobs=1 (first table builds race)"
+            `Quick fresh_sessions_race;
           opt_cases "naive: max-worlds k = unbudgeted run cut at world k"
             (budget_prefix_holds ~algo:`Naive);
           opt_cases "opt: a cached violation wins unless a lower one does"

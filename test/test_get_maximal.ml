@@ -123,7 +123,7 @@ let agrees_on_cliques (db : Core.Bcdb.t) =
       let moved = Core.Tagged_store.epoch store <> epoch in
       let oracle =
         Core.Closure.run store ~constraints:db.Core.Bcdb.constraints
-          ~candidates:c
+          ~candidates:(Bitset.to_list c)
       in
       if moved || not (Bitset.equal fast oracle && Bitset.equal listed oracle)
       then begin
@@ -220,7 +220,8 @@ let ind_only_sets_agree =
         (fun allowed ->
           Bitset.equal
             (Core.Get_maximal.run store allowed)
-            (Core.Closure.run store ~constraints:inds ~candidates:allowed))
+            (Core.Closure.run store ~constraints:inds
+               ~candidates:(Bitset.to_list allowed)))
         sets)
 
 let () =

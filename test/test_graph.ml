@@ -65,6 +65,19 @@ let bitset_resize_prop =
       same_bits (G.Bitset.resize b m)
         (G.Bitset.of_list m (List.filter (fun x -> x < m) xs)))
 
+(* [mem_any] against [mem] element by element: elements outside the
+   capacity (negative, or at and past it — a transaction appended after
+   a world was set) count as absent instead of raising. *)
+let bitset_mem_any_prop =
+  QCheck.Test.make ~name:"Bitset.mem_any = exists mem, out of range absent"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair sized_members (list_size (int_bound 4) (int_range (-2) 70))))
+    (fun ((n, xs), probe) ->
+      let b = G.Bitset.of_list n xs in
+      G.Bitset.mem_any b (Array.of_list probe)
+      = List.exists (fun i -> i >= 0 && i < n && G.Bitset.mem b i) probe)
+
 let bitset_remove_shift_prop =
   QCheck.Test.make ~name:"Bitset.remove_shift = bit-by-bit re-id" ~count:300
     (QCheck.make
@@ -615,6 +628,7 @@ let () =
           QCheck_alcotest.to_alcotest bitset_ops_prop;
           QCheck_alcotest.to_alcotest bitset_resize_prop;
           QCheck_alcotest.to_alcotest bitset_remove_shift_prop;
+          QCheck_alcotest.to_alcotest bitset_mem_any_prop;
         ] );
       ( "union-find",
         [ Alcotest.test_case "groups" `Quick test_union_find ] );

@@ -1,7 +1,8 @@
 (* Columnar segments: value/relation round-trips, row-vs-columnar
    agreement on probes and solver verdicts, binary-vs-text snapshot
-   equivalence, and the clone-cost contract (clone cost independent of
-   base size). *)
+   equivalence, the view-cost contract (a view costs O(relations),
+   whatever the base and pending sizes) and index-free probes for
+   constants the base cannot hold. *)
 
 module R = Relational
 module V = R.Value
@@ -302,36 +303,87 @@ let test_binary_validate () =
   | Error msg -> Alcotest.failf "validated restore failed: %s" msg
 
 (* ------------------------------------------------------------------ *)
-(* Clone cost: cloning a store whose base holds hundreds of thousands
-   of rows must allocate only per-pending-transaction state — the base
-   segment is shared, never copied. The bound is generous (the real
-   figure is a few hundred KB) but two orders of magnitude below the
-   base payload, so a base copy trips it immediately. *)
+(* View cost: a view shares every table of its store and owns only its
+   world and per-relation probe caches, so making one allocates
+   O(relations) — the same few hundred bytes over a 300k-row base as
+   over thousands of pending transactions. A view that copied the base
+   or the pending segment would allocate megabytes. *)
 
-let test_clone_cost () =
+let view_bytes store =
+  let before = Gc.allocated_bytes () in
+  let view = Core.Tagged_store.view store in
+  let allocated = Gc.allocated_bytes () -. before in
+  (view, allocated)
+
+let pending_heavy_db txs =
+  let rel = R.Schema.relation "S" [ "a"; "b" ] in
+  Core.Bcdb.create_exn
+    ~state:(R.Database.create (R.Schema.of_list [ rel ]))
+    ~constraints:[]
+    ~pending:(List.init txs (fun i -> [ ("S", R.Tuple.make [ V.Int i; V.Int (i mod 7) ]) ]))
+    ()
+
+let test_view_cost () =
   let p = { W.Huge.smoke with W.Huge.rows = 300_000 } in
-  let db = W.Huge.generate p in
-  let store = Core.Tagged_store.create db in
+  let store = Core.Tagged_store.create (W.Huge.generate p) in
   Core.Tagged_store.all_visible store;
   Alcotest.(check bool) "base is actually large (> 5 MB)" true
     (Core.Tagged_store.base_bytes store > 5_000_000);
-  (* Warm one probe so lazily built structures don't bill to the clone. *)
+  (* Warm one probe so lazily built structures don't bill to the view. *)
   ignore
     (probe_list (Core.Tagged_store.source store) "TxOut" [| 0 |] [| V.Int 0 |]);
-  let before = Gc.allocated_bytes () in
-  let clone = Core.Tagged_store.clone store in
-  let allocated = Gc.allocated_bytes () -. before in
+  let view, allocated = view_bytes store in
   Alcotest.(check bool)
-    (Printf.sprintf "clone allocated %.0f bytes (< 2 MB)" allocated)
-    true
-    (allocated < 2_000_000.0);
-  Alcotest.(check int) "clone shares the base segments"
+    (Printf.sprintf "view allocated %.0f bytes (< 8 KB)" allocated)
+    true (allocated < 8192.0);
+  Alcotest.(check int) "the view shares the base segments"
     (Core.Tagged_store.base_bytes store)
-    (Core.Tagged_store.base_bytes clone);
-  (* And the clone still answers. *)
-  Alcotest.(check bool) "clone sees base rows" true
-    ((Core.Tagged_store.source clone).R.Source.mem "TxOut"
-       (R.Tuple.make [ V.Int 0; V.Int 0; V.Str "PK0"; V.Int 1 ]))
+    (Core.Tagged_store.base_bytes view);
+  Alcotest.(check bool) "the view sees base rows" true
+    ((Core.Tagged_store.source view).R.Source.mem "TxOut"
+       (R.Tuple.make [ V.Int 0; V.Int 0; V.Str "PK0"; V.Int 1 ]));
+  (* Same relation count, 20k pending entries against 10: the same
+     allocation, far below the pending segment's size. *)
+  let small = Core.Tagged_store.create (pending_heavy_db 10) in
+  let big = Core.Tagged_store.create (pending_heavy_db 20_000) in
+  let _, small_bytes = view_bytes small and big_view, big_bytes = view_bytes big in
+  Alcotest.(check (float 0.0)) "view cost independent of pending size"
+    small_bytes big_bytes;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes, far below 20k pending entries" big_bytes)
+    true (big_bytes < 8192.0);
+  Core.Tagged_store.set_world_list big_view [ 19_999 ];
+  Alcotest.(check int) "the view answers in its own world" 1
+    (List.length (probe_list (Core.Tagged_store.source big_view) "S" [| 1 |] [| V.Int (19_999 mod 7) |]))
+
+(* A probe whose key holds a constant no base dictionary holds matches
+   no base row: it answers from the pending side alone and leaves the
+   segment's index cache as it was, on every source. *)
+let test_absent_constant_builds_no_index () =
+  let db = binary_of (Fixtures.paper_db ()) in
+  let store = Core.Tagged_store.create db in
+  let seg = R.Database.to_segment db.Core.Bcdb.state "TxOut" in
+  Alcotest.(check bool) "the base is one segment" true (R.Segment.length seg > 0);
+  let before = R.Segment.cached_indexes seg in
+  let absent = [| V.Str "PK-held-by-no-row" |] in
+  List.iter
+    (fun (name, src) ->
+      let p = src.R.Source.prepare "TxOut" [| 2 |] in
+      Alcotest.(check int) (name ^ ": count") 0 (p.R.Source.count absent);
+      let rows = ref 0 in
+      p.R.Source.iter absent (fun _ -> incr rows);
+      Alcotest.(check int) (name ^ ": rows") 0 !rows)
+    [
+      ("world", Core.Tagged_store.source store);
+      ("union", Core.Tagged_store.union_source store);
+      ("base", Core.Tagged_store.base_source store);
+    ];
+  Alcotest.(check int) "index cache unchanged" before (R.Segment.cached_indexes seg);
+  (* A constant the base holds still builds the index, once. *)
+  let held = [| R.Segment.get seg 0 2 |] in
+  let p = (Core.Tagged_store.base_source store).R.Source.prepare "TxOut" [| 2 |] in
+  Alcotest.(check bool) "a held constant matches" true (p.R.Source.count held > 0);
+  Alcotest.(check int) "and builds one index" (before + 1) (R.Segment.cached_indexes seg)
 
 (* The streaming Huge generator's constraints hold by construction and
    its two queries land on the designed verdicts. *)
@@ -372,7 +424,12 @@ let () =
           Alcotest.test_case "binary = text" `Quick test_binary_text_equivalence;
           Alcotest.test_case "validated restore" `Quick test_binary_validate;
         ] );
-      ( "clone", [ Alcotest.test_case "cost" `Quick test_clone_cost ] );
+      ( "view",
+        [
+          Alcotest.test_case "cost" `Quick test_view_cost;
+          Alcotest.test_case "absent constant builds no index" `Quick
+            test_absent_constant_builds_no_index;
+        ] );
       ( "huge",
         [ Alcotest.test_case "smoke preset solves" `Quick test_huge_smoke_solves ]
       );

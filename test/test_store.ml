@@ -91,38 +91,65 @@ let test_to_database_matches () =
         (List.equal R.Tuple.equal (sorted src_db) (sorted src_store)))
     [ "TxOut"; "TxIn" ]
 
-let test_clone_independence () =
-  (* A clone must share no mutable state with its parent: world switches
-     and index builds on one side never show through on the other. *)
-  let db = mk [ row 1 1 ] [ [ row 2 2 ]; [ row 3 3 ] ] in
-  let store = Core.Tagged_store.create db in
-  Core.Tagged_store.set_world_list store [ 0 ];
-  let replica = Core.Tagged_store.clone store in
-  let count st =
-    let src = Core.Tagged_store.source st in
-    List.length (Fixtures.read_all src "Rel")
+(* Two views of one store, each in its own world, with probes and
+   world switches interleaved across them and the store itself: every
+   answer — a prepared probe's rows in order, its count, a membership
+   test — must be exactly what a fresh store answers after [set_world]
+   of that view's world. Views share the store's tables (posting tables
+   built by one are used by the other) but never its world. *)
+let view_independence_prop =
+  let cells = QCheck.Gen.(pair (int_bound 4) (int_bound 4)) in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_bound 8) cells)
+        (list_size (int_range 1 5) (list_size (int_range 1 3) cells))
+        (pair (list_size (int_bound 5) (int_bound 4)) (list_size (int_bound 5) (int_bound 4)))
+        (list_size (int_range 1 12)
+           (quad bool (int_bound 3) cells (list_size (int_bound 3) (int_bound 4)))))
   in
-  Alcotest.(check int) "clone starts in parent's world" 2 (count replica);
-  (* Move the clone; the parent must not budge — including via indexed
-     lookups, which build per-store index tables on demand. *)
-  Core.Tagged_store.set_world_list replica [ 0; 1 ];
-  Alcotest.(check int) "clone moved" 3 (count replica);
-  Alcotest.(check int) "parent unchanged" 2 (count store);
-  let lookup st a =
-    let src = Core.Tagged_store.source st in
-    List.length (probe_list src "Rel" [| 0 |] [| V.Int a |])
-  in
-  Alcotest.(check int) "clone lookup sees T1" 1 (lookup replica 3);
-  Alcotest.(check int) "parent lookup does not" 0 (lookup store 3);
-  (* And the other direction. *)
-  Core.Tagged_store.base_only store;
-  Alcotest.(check int) "parent narrowed" 1 (count store);
-  Alcotest.(check int) "clone unaffected" 3 (count replica)
+  QCheck.Test.make ~name:"views answer as fresh stores in their worlds" ~count:200
+    (QCheck.make gen)
+    (fun (base, pending, (w1, w2), ops) ->
+      let db =
+        mk
+          (List.map (fun (a, b) -> row a b) base)
+          (List.map (List.map (fun (a, b) -> row a b)) pending)
+      in
+      let k = List.length pending in
+      let world ids = List.sort_uniq Int.compare (List.filter (fun i -> i < k) ids) in
+      let store = Core.Tagged_store.create db in
+      let in_world ids =
+        let fresh = Core.Tagged_store.create db in
+        Core.Tagged_store.set_world_list fresh ids;
+        fresh
+      in
+      let v1 = Core.Tagged_store.view store and v2 = Core.Tagged_store.view store in
+      Core.Tagged_store.set_world_list v1 (world w1);
+      Core.Tagged_store.set_world_list v2 (world w2);
+      let ref1 = in_world (world w1) and ref2 = in_world (world w2) in
+      let columns = [| [||]; [| 0 |]; [| 1 |]; [| 0; 1 |] |] in
+      List.for_all
+        (fun (first, c, (a, b), store_world) ->
+          (* The store itself moves too; no view may notice. *)
+          Core.Tagged_store.set_world_list store (world store_world);
+          let v, r = if first then (v1, ref1) else (v2, ref2) in
+          let cols = columns.(c) in
+          let keys = Array.map (fun col -> V.Int (if col = 0 then a else b)) cols in
+          let answer st =
+            let src = Core.Tagged_store.source st in
+            let p = src.R.Source.prepare "Rel" cols in
+            ( probe_order p keys,
+              p.R.Source.count keys,
+              src.R.Source.mem "Rel" (R.Tuple.make [ V.Int a; V.Int b ]) )
+          in
+          answer v = answer r)
+        ops)
 
 (* A base row that pending transactions also write keeps its merged
-   origins in the store's own side table: [append_tx] extends them,
-   [undo] restores them, and a clone taken after a kept append carries
-   them without sharing them with its parent. *)
+   origins in the store's side table: [append_tx] extends them, [undo]
+   restores them, and a view — which shares the table and refuses to
+   append or undo itself — reads the same origins as its store. *)
 let test_base_row_origins () =
   let db = mk [ row 1 1 ] [ [ row 1 1 ] ] in
   let store = Core.Tagged_store.create db in
@@ -137,16 +164,20 @@ let test_base_row_origins () =
   Core.Tagged_store.undo store journal;
   check "undo restores" [ -1; 0 ] store;
   ignore (Core.Tagged_store.append_tx store db1 : Core.Tagged_store.journal);
-  let replica = Core.Tagged_store.clone store in
-  check "clone after a kept append" [ -1; 0; 1 ] replica;
+  let view = Core.Tagged_store.view store in
+  check "view after a kept append" [ -1; 0; 1 ] view;
   let db2 = Core.Bcdb.with_pending db1 [ row 1 1 ] in
+  Alcotest.check_raises "a view refuses to append"
+    (Invalid_argument "Tagged_store.append_tx: not on a view") (fun () ->
+      ignore (Core.Tagged_store.append_tx view db2 : Core.Tagged_store.journal));
   let journal = Core.Tagged_store.append_tx store db2 in
-  check "parent appends T2" [ -1; 0; 1; 2 ] store;
-  check "clone unaffected" [ -1; 0; 1 ] replica;
+  check "store appends T2" [ -1; 0; 1; 2 ] store;
+  check "the view shares the table" [ -1; 0; 1; 2 ] view;
+  Alcotest.check_raises "a view refuses to undo"
+    (Invalid_argument "Tagged_store.undo: not on a view") (fun () ->
+      Core.Tagged_store.undo view journal);
   Core.Tagged_store.undo store journal;
-  ignore (Core.Tagged_store.append_tx replica db2 : Core.Tagged_store.journal);
-  check "clone appends T2" [ -1; 0; 1; 2 ] replica;
-  check "parent unaffected" [ -1; 0; 1 ] store
+  check "undo restores both" [ -1; 0; 1 ] view
 
 let store_scan_prop =
   QCheck.Test.make
@@ -632,9 +663,8 @@ let () =
           Alcotest.test_case "set semantics" `Quick test_set_semantics_across_origins;
           Alcotest.test_case "indexed lookup" `Quick test_lookup_respects_visibility;
           Alcotest.test_case "materialize" `Quick test_to_database_matches;
-          Alcotest.test_case "clone independence" `Quick
-            test_clone_independence;
-          Alcotest.test_case "base-row origins across append, undo, clone"
+          QCheck_alcotest.to_alcotest view_independence_prop;
+          Alcotest.test_case "base-row origins across append, undo, view"
             `Quick test_base_row_origins;
           QCheck_alcotest.to_alcotest store_scan_prop;
         ] );
