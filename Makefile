@@ -11,21 +11,33 @@ test:
 # Engine determinism through the CLI: `bcdb check --preset small`
 # output at -j 1 and -j 4 must be identical but for the time= field,
 # for NaiveDCSat and OptDCSat on the qs family's satisfied and
-# unsatisfied queries.
+# unsatisfied queries, and for OptDCSat on Q_SPREAD. The qs runs stop
+# at the precheck or at the first covered component, so only Q_SPREAD
+# spreads real work over the workers (every one of its components is
+# covered: components=235/235); the target fails if that run covers
+# fewer than 2 components. NaiveDCSat would walk 2^20 worlds on it.
 QS_UNSAT = q() :- TxOut(ntx, s, "PK009f6d1f631373cb", a).
 QS_SAT = q() :- TxOut(ntx, s, "PKfresh-never-used", a).
+Q_SPREAD = q() :- TxIn(p, s, k, a, n1, g1), TxIn(p, s, k, a, n2, g2), n1 != n2.
 
 test-jobs:
 	dune build bin/bcdb_cli.exe
-	@set -e; for algo in naive opt; do for q in '$(QS_SAT)' '$(QS_UNSAT)'; do \
+	@set -e; run() { \
 	  for j in 1 4; do \
-	    ./_build/default/bin/bcdb_cli.exe check --preset small --algo $$algo -j $$j "$$q" \
+	    ./_build/default/bin/bcdb_cli.exe check --preset small --algo $$1 -j $$j "$$2" \
 	      > _build/test-jobs.raw || test $$? -eq 2; \
 	    sed -E 's/time=[0-9.]+s/time=-/' _build/test-jobs.raw > _build/test-jobs.$$j.out; \
 	  done; \
 	  diff _build/test-jobs.1.out _build/test-jobs.4.out; \
-	  echo "test-jobs: $$algo '$$q': -j 1 = -j 4"; \
-	done; done
+	  echo "test-jobs: $$1 '$$2': -j 1 = -j 4"; \
+	}; \
+	for algo in naive opt; do for q in '$(QS_SAT)' '$(QS_UNSAT)'; do run $$algo "$$q"; done; done; \
+	run opt '$(Q_SPREAD)'; \
+	covered=$$(sed -n 's/.*components=\([0-9]*\)\/.*/\1/p' _build/test-jobs.4.out); \
+	if [ "$${covered:-0}" -lt 2 ]; then \
+	  echo "test-jobs: FAIL: Q_SPREAD covered $${covered:-0} components, want >= 2"; exit 1; \
+	fi; \
+	echo "test-jobs: Q_SPREAD covered $$covered components"
 
 # Scenario attack library: the differential verdict harness (honors
 # BCDB_TEST_JOBS) plus the `bcdb scenario run` exit-code contract.
@@ -36,10 +48,12 @@ test-scenarios:
 
 # Live service: one framed client session against `bcdb serve --paper`
 # covering every response status (SATISFIED/UNSATISFIED/UNKNOWN/OK/
-# ERROR) interleaved with evict/confirm/add mutations.
+# ERROR) interleaved with evict/confirm/add mutations; then one scripted
+# bcdb-shell session diffed against its checked-in transcript.
 test-serve:
-	dune build bin/bcdb_cli.exe
+	dune build bin/bcdb_cli.exe bin/bcdb_shell.exe
 	sh bin/serve_contract.sh
+	sh bin/shell_contract.sh
 
 fmt:
 	dune build @fmt --auto-promote

@@ -15,80 +15,30 @@ module Q = Bcquery
 module Core = Bccore
 module W = Workload
 
-type state = {
-  mutable db : Core.Bcdb.t option;
-  mutable session : Core.Session.t option;  (** Cache, rebuilt on change. *)
-}
+(* The loaded database, behind the one mutation path every front end
+   shares: issue, contradict and commit are [Live] events. *)
+let live : Core.Live.t option ref = ref None
 
-let state = { db = None; session = None }
-
-let set_db db =
-  state.db <- Some db;
-  state.session <- None
-
-let with_db f =
-  match state.db with
+let with_live f =
+  match !live with
   | None -> print_endline "no database loaded (try 'paper', 'gen' or 'load FILE')"
-  | Some db -> f db
+  | Some l -> f l
 
-let session_of db =
-  match state.session with
-  | Some s -> s
-  | None ->
-      let s = Core.Session.create db in
-      state.session <- Some s;
-      s
+let install db =
+  let l = Core.Live.create db in
+  live := Some l;
+  Format.printf "%a@." Core.Bcdb.pp_summary (Core.Live.db l)
 
 let labels (db : Core.Bcdb.t) i = db.Core.Bcdb.pending.(i).Core.Pending.label
 
-let label_id (db : Core.Bcdb.t) name =
-  let found = ref None in
-  Array.iteri
-    (fun i (tx : Core.Pending.t) ->
-      if String.equal tx.Core.Pending.label name then found := Some i)
-    db.Core.Bcdb.pending;
-  match !found with
+(* A pending transaction named by its label or by its id. *)
+let label_id l name =
+  match Core.Live.find l name with
   | Some i -> Some i
-  | None -> int_of_string_opt name
-
-(* The paper's running example, in the text format (dogfooding). *)
-let paper_text =
-  {|
-relation TxOut(txId, ser, pk, amount)
-relation TxIn(prevTxId, prevSer, pk, amount, newTxId, sig)
-key TxOut(txId, ser)
-key TxIn(prevTxId, prevSer)
-ind TxIn(prevTxId, prevSer, pk, amount) <= TxOut(txId, ser, pk, amount)
-ind TxIn(newTxId) <= TxOut(txId)
-
-state TxOut("1", 1, "U1Pk", 1.0)
-state TxOut("2", 1, "U1Pk", 1.0)
-state TxOut("2", 2, "U2Pk", 4.0)
-state TxOut("3", 1, "U3Pk", 1.0)
-state TxOut("3", 2, "U4Pk", 0.5)
-state TxOut("3", 3, "U1Pk", 0.5)
-state TxIn("1", 1, "U1Pk", 1.0, "3", "U1Sig")
-state TxIn("2", 1, "U1Pk", 1.0, "3", "U1Sig")
-
-tx T1
-  TxIn("2", 2, "U2Pk", 4.0, "4", "U2Sig")
-  TxOut("4", 1, "U5Pk", 1.0)
-  TxOut("4", 2, "U2Pk", 3.0)
-tx T2
-  TxIn("4", 2, "U2Pk", 3.0, "5", "U2Sig")
-  TxOut("5", 1, "U4Pk", 3.0)
-tx T3
-  TxIn("3", 3, "U1Pk", 0.5, "6", "U1Sig")
-  TxOut("6", 1, "U4Pk", 0.5)
-tx T4
-  TxIn("6", 1, "U4Pk", 0.5, "7", "U4Sig")
-  TxIn("5", 1, "U4Pk", 3.0, "7", "U4Sig")
-  TxOut("7", 1, "U7Pk", 2.5)
-  TxOut("7", 2, "U8Pk", 1.0)
-tx T5
-  TxIn("2", 2, "U2Pk", 4.0, "8", "U2Sig")
-  TxOut("8", 1, "U7Pk", 4.0)
-|}
+  | None -> (
+      match int_of_string_opt name with
+      | Some i when i >= 0 && i < Core.Live.pending_count l -> Some i
+      | _ -> None)
 
 let help () =
   print_string
@@ -114,19 +64,22 @@ let help () =
   quit / exit               leave
 |}
 
-let parse_query db text =
-  Q.Parser.parse ~catalog:(Core.Bcdb.catalog db) (String.trim text)
+let parse_query l text =
+  Q.Parser.parse ~catalog:(Core.Bcdb.catalog (Core.Live.db l)) (String.trim text)
 
-let parse_rows db text = Core.Bcdb_file.parse_rows (Core.Bcdb.catalog db) text
+let parse_rows l text =
+  Core.Bcdb_file.parse_rows (Core.Bcdb.catalog (Core.Live.db l)) text
 
-let cmd_show db =
+let cmd_show l =
+  let db = Core.Live.db l in
   Format.printf "%a@." Core.Bcdb.pp_summary db;
   Array.iter
     (fun (tx : Core.Pending.t) ->
       Format.printf "  %a@." Core.Pending.pp tx)
     db.Core.Bcdb.pending
 
-let cmd_worlds db =
+let cmd_worlds l =
+  let db = Core.Live.db l in
   let store = Core.Tagged_store.create db in
   if Core.Tagged_store.tx_count store > 16 then
     print_endline "too many pending transactions to enumerate (max 16 here)"
@@ -137,18 +90,18 @@ let cmd_worlds db =
           (match names with [] -> "" | _ -> " + " ^ String.concat " + " names);
         `Continue)
 
-let cmd_maximal db =
-  let session = session_of db in
+let cmd_maximal l =
   List.iter
     (fun ids ->
-      Format.printf "R + {%s}@." (String.concat ", " (List.map (labels db) ids)))
-    (Core.Maximal_worlds.list session)
+      Format.printf "R + {%s}@."
+        (String.concat ", " (List.map (labels (Core.Live.db l)) ids)))
+    (Core.Maximal_worlds.list (Core.Live.session l))
 
-let cmd_check db text =
-  match parse_query db text with
+let cmd_check l text =
+  match parse_query l text with
   | Error msg -> print_endline msg
   | Ok q -> (
-      match Core.Solver.solve (session_of db) q with
+      match Core.Live.check l q with
       | Ok (o, strategy) ->
           Format.printf "%s (%s, %.4fs)@."
             (if o.Core.Dcsat.satisfied then "SATISFIED in every world"
@@ -158,26 +111,27 @@ let cmd_check db text =
           Option.iter
             (fun ids ->
               Format.printf "witness world: R + {%s}@."
-                (String.concat ", " (List.map (labels db) ids)))
+                (String.concat ", " (List.map (labels (Core.Live.db l)) ids)))
             o.Core.Dcsat.witness_world
       | Error msg -> print_endline msg)
 
-let cmd_explain db text =
-  match parse_query db text with
+let cmd_explain l text =
+  match parse_query l text with
   | Error msg -> print_endline msg
   | Ok q -> (
-      match Core.Explain.run (session_of db) q with
-      | Ok report -> print_endline (Core.Explain.to_string db report)
+      match Core.Explain.run (Core.Live.session l) q with
+      | Ok report -> print_endline (Core.Explain.to_string (Core.Live.db l) report)
       | Error msg -> print_endline msg)
 
-let cmd_complexity db text =
-  match parse_query db text with
+let cmd_complexity l text =
+  match parse_query l text with
   | Error msg -> print_endline msg
   | Ok q ->
       print_endline
-        (Core.Complexity.verdict_string (Core.Complexity.classify db q))
+        (Core.Complexity.verdict_string
+           (Core.Complexity.classify (Core.Live.db l) q))
 
-let cmd_answers db spec =
+let cmd_answers l spec =
   match String.index_opt spec '|' with
   | None -> print_endline "usage: answers V1,V2 | q() :- ..."
   | Some i -> (
@@ -187,11 +141,11 @@ let cmd_answers db spec =
         |> List.filter (fun s -> s <> "")
       in
       let qtext = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match parse_query db qtext with
+      match parse_query l qtext with
       | Error msg -> print_endline msg
       | Ok (Q.Query.Aggregate _) -> print_endline "need a boolean query body"
       | Ok (Q.Query.Boolean body) -> (
-          let session = session_of db in
+          let session = Core.Live.session l in
           match Core.Answers.certain session body ~vars with
           | Error msg -> print_endline msg
           | Ok certain -> (
@@ -205,17 +159,17 @@ let cmd_answers db spec =
                     (fun t -> Format.printf "  %a@." R.Tuple.pp t)
                     uncertain)))
 
-let cmd_likelihood db args =
+let cmd_likelihood l args =
   match String.index_opt args ' ' with
   | None -> print_endline "usage: likelihood P q() :- ..."
   | Some i -> (
       let p = float_of_string_opt (String.sub args 0 i) in
       let qtext = String.sub args (i + 1) (String.length args - i - 1) in
-      match (p, parse_query db qtext) with
+      match (p, parse_query l qtext) with
       | None, _ -> print_endline "bad probability"
       | _, Error msg -> print_endline msg
       | Some p, Ok q ->
-          let session = session_of db in
+          let session = Core.Live.session l in
           let model = Core.Likelihood.uniform p in
           let est =
             Core.Likelihood.estimate_violation_probability ~samples:2000
@@ -223,38 +177,33 @@ let cmd_likelihood db args =
           in
           Format.printf "P(violated) ≈ %.4f (± %.4f)@."
             est.Core.Likelihood.probability est.Core.Likelihood.std_error;
-          if Core.Bcdb.pending_count db <= 16 then
+          if Core.Live.pending_count l <= 16 then
             Format.printf "exact: %.4f@."
               (Core.Likelihood.exact_violation_probability session model q))
 
-let cmd_issue db spec =
+let cmd_issue l spec =
   match String.index_opt spec '|' with
   | None -> print_endline "usage: issue LABEL | Row(...); Row(...)"
   | Some i -> (
       let label = String.trim (String.sub spec 0 i) in
       let rows_text = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match parse_rows db rows_text with
+      let label = if label = "" then None else Some label in
+      match Result.bind (parse_rows l rows_text) (Core.Live.try_add l ?label) with
       | Error msg -> print_endline msg
-      | Ok rows ->
-          if Core.Bcdb.has_label db label then
-            Format.printf "transaction %s is already pending@." label
-          else begin
-            let label = if label = "" then None else Some label in
-            set_db (Core.Bcdb.with_pending db ?label rows);
-            Format.printf "issued; %d pending transactions@."
-              (Core.Bcdb.pending_count (Option.get state.db))
-          end)
+      | Ok () ->
+          Format.printf "issued; %d pending transactions@."
+            (Core.Live.pending_count l))
 
-let cmd_dryrun db spec =
+let cmd_dryrun l spec =
   match String.index_opt spec '|' with
   | None -> print_endline "usage: dryrun QUERY | Row(...); Row(...)"
   | Some i -> (
       let qtext = String.sub spec 0 i in
       let rows_text = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match (parse_query db qtext, parse_rows db rows_text) with
+      match (parse_query l qtext, parse_rows l rows_text) with
       | Error msg, _ | _, Error msg -> print_endline msg
       | Ok q, Ok rows -> (
-          match Core.Dry_run.safe_to_issue (session_of db) rows [ q ] with
+          match Core.Dry_run.safe_to_issue (Core.Live.session l) rows [ q ] with
           | Ok (true, _) ->
               print_endline "SAFE: the constraint stays satisfied"
           | Ok (false, outcomes) ->
@@ -269,59 +218,59 @@ let cmd_dryrun db spec =
                 outcomes
           | Error msg -> print_endline msg))
 
-let cmd_contradict db name =
-  match label_id db name with
+let cmd_contradict l name =
+  match label_id l name with
   | None -> print_endline "unknown transaction"
   | Some id -> (
-      match Core.Contradict.derive (session_of db) id with
+      match Core.Contradict.derive (Core.Live.session l) id with
       | Error msg -> print_endline msg
-      | Ok rows ->
-          Format.printf "contradicting transaction for %s:@." (labels db id);
+      | Ok rows -> (
+          let label = labels (Core.Live.db l) id in
+          Format.printf "contradicting transaction for %s:@." label;
           List.iter
             (fun (rel, t) -> Format.printf "  %s%a@." rel R.Tuple.pp t)
             rows;
           (* T1', then T1'', ... when T1' is taken. *)
           let rec primed label =
-            if Core.Bcdb.has_label db label then primed (label ^ "'") else label
+            if Option.is_some (Core.Live.find l label) then primed (label ^ "'")
+            else label
           in
-          set_db (Core.Bcdb.with_pending db ~label:(primed (labels db id ^ "'")) rows);
-          print_endline "(issued as a pending transaction)")
+          match Core.Live.try_add l ~label:(primed (label ^ "'")) rows with
+          | Ok () -> print_endline "(issued as a pending transaction)"
+          | Error msg -> print_endline msg))
 
-let cmd_commit db name =
-  match label_id db name with
+let cmd_commit l name =
+  match label_id l name with
   | None -> print_endline "unknown transaction"
   | Some id -> (
-      match Core.Bcdb.append_to_state db id with
-      | Ok db' ->
-          set_db db';
+      match Core.Live.confirm l (labels (Core.Live.db l) id) with
+      | Ok () ->
           Format.printf "committed; %d pending remain@."
-            (Core.Bcdb.pending_count db')
+            (Core.Live.pending_count l)
       | Error msg -> print_endline msg)
 
 let cmd_gen args =
-  let parts =
-    String.split_on_char ' ' args |> List.filter (fun s -> s <> "")
+  let usage = "usage: gen small|mid|large [contradictions]" in
+  let parsed =
+    match String.split_on_char ' ' args |> List.filter (fun s -> s <> "") with
+    | [] -> Ok (W.Datasets.Mid, W.Datasets.default_contradictions)
+    | [ p ] ->
+        Result.map
+          (fun p -> (p, W.Datasets.default_contradictions))
+          (W.Datasets.preset_of_string p)
+    | [ p; c ] -> (
+        match (W.Datasets.preset_of_string p, int_of_string_opt c) with
+        | Error msg, _ -> Error msg
+        | Ok p, Some c when c >= 0 -> Ok (p, c)
+        | Ok _, _ -> Error (Printf.sprintf "bad contradictions %S; %s" c usage))
+    | _ -> Error usage
   in
-  let preset, contradictions =
-    match parts with
-    | [ p ] -> (p, W.Datasets.default_contradictions)
-    | [ p; c ] -> (p, Option.value (int_of_string_opt c) ~default:20)
-    | _ -> ("mid", W.Datasets.default_contradictions)
-  in
-  let preset =
-    match preset with
-    | "small" -> Some W.Datasets.Small
-    | "mid" -> Some W.Datasets.Mid
-    | "large" -> Some W.Datasets.Large
-    | _ -> None
-  in
-  match preset with
-  | None -> print_endline "usage: gen small|mid|large [contradictions]"
-  | Some preset ->
+  match parsed with
+  | Error msg -> print_endline msg
+  | Ok (preset, contradictions) ->
       print_endline "generating...";
       let sim = W.Generator.generate (W.Datasets.params preset) in
-      set_db (W.Generator.dataset sim ~contradictions ());
-      with_db (fun db -> Format.printf "%a@." Core.Bcdb.pp_summary db)
+      install (W.Generator.dataset sim ~contradictions ())
 
 let dispatch line =
   let line = String.trim line in
@@ -335,36 +284,29 @@ let dispatch line =
   match cmd with
   | "" -> ()
   | "help" -> help ()
-  | "paper" -> (
-      match Core.Bcdb_file.of_string paper_text with
-      | Ok db ->
-          set_db db;
-          with_db (fun db -> Format.printf "%a@." Core.Bcdb.pp_summary db)
-      | Error msg -> print_endline msg)
+  | "paper" -> install (W.Datasets.paper ())
   | "gen" -> cmd_gen rest
   | "load" -> (
       match Core.Bcdb_file.load rest with
-      | Ok db ->
-          set_db db;
-          with_db (fun db -> Format.printf "%a@." Core.Bcdb.pp_summary db)
+      | Ok db -> install db
       | Error msg -> print_endline msg)
   | "save" ->
-      with_db (fun db ->
-          match Core.Bcdb_file.save rest db with
+      with_live (fun l ->
+          match Core.Bcdb_file.save rest (Core.Live.db l) with
           | Ok () -> print_endline "saved"
           | Error msg -> print_endline msg)
-  | "show" -> with_db cmd_show
-  | "worlds" -> with_db cmd_worlds
-  | "maximal" -> with_db cmd_maximal
-  | "check" -> with_db (fun db -> cmd_check db rest)
-  | "explain" -> with_db (fun db -> cmd_explain db rest)
-  | "complexity" -> with_db (fun db -> cmd_complexity db rest)
-  | "answers" -> with_db (fun db -> cmd_answers db rest)
-  | "likelihood" -> with_db (fun db -> cmd_likelihood db rest)
-  | "issue" -> with_db (fun db -> cmd_issue db rest)
-  | "dryrun" -> with_db (fun db -> cmd_dryrun db rest)
-  | "contradict" -> with_db (fun db -> cmd_contradict db rest)
-  | "commit" -> with_db (fun db -> cmd_commit db rest)
+  | "show" -> with_live cmd_show
+  | "worlds" -> with_live cmd_worlds
+  | "maximal" -> with_live cmd_maximal
+  | "check" -> with_live (fun l -> cmd_check l rest)
+  | "explain" -> with_live (fun l -> cmd_explain l rest)
+  | "complexity" -> with_live (fun l -> cmd_complexity l rest)
+  | "answers" -> with_live (fun l -> cmd_answers l rest)
+  | "likelihood" -> with_live (fun l -> cmd_likelihood l rest)
+  | "issue" -> with_live (fun l -> cmd_issue l rest)
+  | "dryrun" -> with_live (fun l -> cmd_dryrun l rest)
+  | "contradict" -> with_live (fun l -> cmd_contradict l rest)
+  | "commit" -> with_live (fun l -> cmd_commit l rest)
   | other -> Printf.printf "unknown command %S (try 'help')\n" other
 
 let () =

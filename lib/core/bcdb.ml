@@ -96,20 +96,14 @@ let remove_pending ?state t id =
 let append_to_state t id =
   if id < 0 || id >= Array.length t.pending then Error "no such transaction"
   else
-    let tx = t.pending.(id) in
+    let rows = t.pending.(id).Pending.rows in
     let checker = R.Check.checker (R.Database.source t.state) t.constraints in
-    if R.Check.outcome checker tx.Pending.rows <> R.Check.Satisfied then
+    if R.Check.outcome checker rows <> R.Check.Satisfied then
       Error "appending this transaction would violate the constraints"
     else begin
       let state = R.Database.copy t.state in
-      R.Database.insert_all state tx.Pending.rows;
-      let remaining =
-        Array.to_list t.pending
-        |> List.filter (fun (p : Pending.t) -> p.Pending.id <> id)
-        |> List.mapi (fun i (p : Pending.t) ->
-               Pending.make ~id:i ~label:p.Pending.label p.Pending.rows)
-      in
-      Ok { t with state; pending = Array.of_list remaining }
+      R.Database.insert_all state rows;
+      Ok (remove_pending ~state t id)
     end
 
 let pp_summary ppf t =

@@ -42,6 +42,11 @@
     so PR 5's ephemeron-registry world/plan caches persist across
     requests, and per-request budgets give admission control.
 
+    This is the one mutation path of the front ends: [bcdb serve] (its
+    protocol is the [Serve] library) and bcdb-shell hold one [t] each
+    and apply every issue, eviction and confirmation as one of these
+    events; neither rebuilds a {!Bcdb.t} or a {!Session.t} itself.
+
     {2 The per-(query, component) verdict cache}
 
     On top of the maintained partition sits a content-addressed verdict

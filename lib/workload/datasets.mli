@@ -7,6 +7,11 @@
 type preset = Small | Mid | Large
 
 val name : preset -> string
+
+val preset_of_string : string -> (preset, string) result
+(** ["small"], ["mid"] or ["large"]; anything else is refused with a
+    message naming the three. *)
+
 val params : preset -> Generator.params
 val sweep_params : Generator.params
 (** Mid-sized state with 50 pending blocks. *)
@@ -23,3 +28,7 @@ type stats = {
 
 val state_stats : Generator.sim -> stats
 val pending_stats : Generator.sim -> pending_take:int -> contradictions:int -> stats
+
+val paper : unit -> Bccore.Bcdb.t
+(** The paper's running example (Figure 2): the state [R] of Example 1's
+    schema and the five pending transactions labelled [T1] .. [T5]. *)
