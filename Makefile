@@ -94,14 +94,18 @@ bench-eval:
 bench-serve:
 	dune exec bench/main.exe -- serve
 
-# Repository benchmark (perfbench/, BENCHMARK.json), one short
-# serve-read run: exits non-zero if the run fails or any request fails.
+# Repository benchmark (perfbench/, BENCHMARK.json), one short run of
+# each of two workloads: serve-read (the long-lived `bcdb serve`) and
+# batch-solve (cold `bcdb check` processes and the dump ingest). Exits
+# non-zero if a run fails or any request of either fails.
 bench-perf:
 	mkdir -p _perfbench
-	python3 perfbench/run.py --workload serve-read --seed 1 --seconds 10 --trace 0 \
-	  > _perfbench/bench-perf.json
-	python3 -c 'import json, sys; r = json.loads(open(sys.argv[1]).read().splitlines()[-1]); print("bench-perf:", r["failed"], "failed of", r["attempted"]); sys.exit(1 if r["failed"] else 0)' \
-	  _perfbench/bench-perf.json
+	@set -e; for w in serve-read batch-solve; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 10 --trace 0 \
+	    > _perfbench/bench-perf.$$w.json; \
+	  python3 -c 'import json, sys; r = json.loads(open(sys.argv[1]).read().splitlines()[-1]); print("bench-perf:", sys.argv[2], r["failed"], "failed of", r["attempted"]); sys.exit(1 if r["failed"] else 0)' \
+	    _perfbench/bench-perf.$$w.json $$w; \
+	done
 
 clean:
 	dune clean

@@ -1420,7 +1420,9 @@ let servebench () =
    end to end ("total"), the other phase by phase, in Live.create's
    order, so the phases reuse no segment index the end-to-end copy
    built. "validity" is the one sweep of the store's prepared checker
-   that yields both node validity and includability. *)
+   that yields node validity, includability and the open rows of the
+   requirement relation; "ind_edges" builds the relation's provider
+   layer (its buckets: the ΘI links and the open rows' providers). *)
 
 let live_create_take () = if !smoke_flag then 10 else 47
 
@@ -1504,6 +1506,7 @@ let add_phase_row ~row ~title ~label ~x samples =
            ])
          samples)
 
+(* Returns the ind phase's minimum. *)
 let live_create_row ~label (db : Core.Bcdb.t) =
   let repeats = 5 in
   let names =
@@ -1531,29 +1534,59 @@ let live_create_row ~label (db : Core.Bcdb.t) =
         put "fd_conflicts" r
           (snd (timed (fun () -> ignore (Core.Fd_graph.build store ~node_ok))));
         put "ind_edges" r
-          (snd (timed (fun () -> ignore (Core.Ind_graph.base_edges store))));
+          (snd
+             (timed (fun () ->
+                  Core.Requirements.link (Core.Tagged_store.requirements store))));
         put "digests" r
           (snd (timed (fun () -> ignore (Array.map Core.Live.tx_digest pending))))
       done);
   add_phase_row ~row:"live-create" ~title:"Live.create phases" ~label
-    ~x:(Array.length db.Core.Bcdb.pending) samples
+    ~x:(Array.length db.Core.Bcdb.pending) samples;
+  W.Poisson.percentile (List.assoc "ind_edges" samples) 0.0
+
+let pending_rows (db : Core.Bcdb.t) =
+  Array.fold_left (fun n p -> n + Core.Pending.size p) 0 db.Core.Bcdb.pending
+
+(* Smoke gate on the two rows: the ind phase per pending row with the
+   consolidation transaction pending may be at most this many times the
+   base row's. The relation buckets each row once, so the two agree up
+   to noise (0.8-1.4 over the smoke runs when the gate was set); the ΘI
+   edge bucketing it replaced paired every left row of a bucket with
+   every right one, and the consolidation's own TxIn/TxOut rows share
+   buckets, so it read 10.3 there. *)
+let ind_per_row_ratio_bound = 4.0
 
 (* The serve-read economy as loaded, then with one consolidation
-   transaction of about 5,000 inputs (1,000 at smoke scale) pending. *)
+   transaction of about 5,000 inputs pending, at smoke scale too: a
+   smaller one would hide a term quadratic in its rows. *)
 let live_create_bench () =
   let db = live_create_db () in
   let base = Printf.sprintf "sweep-%dblk" (live_create_take ()) in
-  live_create_row ~label:base db;
-  let inputs = if !smoke_flag then 1_000 else 5_000 in
+  let base_ind = live_create_row ~label:base db in
+  let inputs = 5_000 in
   let big = consolidation db ~inputs in
   let db_big = Core.Bcdb.with_pending db ~label:"consolidation" big in
   (* The row measures the whole check: every constraint holds. *)
   let includable = Core.Session.includable (Core.Session.create db_big) in
   if not includable.(Array.length includable - 1) then
     fail "live-create: the consolidation transaction is not includable";
-  live_create_row
-    ~label:(Printf.sprintf "%s+consolidation-%drows" base (List.length big))
-    db_big
+  let big_ind =
+    live_create_row
+      ~label:(Printf.sprintf "%s+consolidation-%drows" base (List.length big))
+      db_big
+  in
+  let per_row ind db = ind /. float_of_int (pending_rows db) in
+  let ratio = per_row big_ind db_big /. per_row base_ind db in
+  Printf.printf
+    "[live-create] ind phase per pending row: %.3f us, %.3f us with the \
+     consolidation transaction (ratio %.2f, bound %.1f)\n%!"
+    (per_row base_ind db *. 1e6) (per_row big_ind db_big *. 1e6) ratio
+    ind_per_row_ratio_bound;
+  if !smoke_flag && ratio > ind_per_row_ratio_bound then
+    fail
+      "smoke: the ind phase per pending row is %.1fx the base row's with the \
+       consolidation transaction pending (bound %.1fx)"
+      ratio ind_per_row_ratio_bound
 
 (* ------------------------------------------------------------------ *)
 (* A cold `bcdb check`'s fixed costs on the batch-solve sweep snapshot
@@ -1561,9 +1594,15 @@ let live_create_bench () =
    at smoke scale): the snapshot load (Bcdb_file.load_binary);
    Session.create, which builds the store; node validity and the fd
    graph it feeds (the store's validity sweep plus Fd_graph.build, as
-   Session.fd_graph forces them); and the first maximal clique of that
+   Session.fd_graph forces them); the first maximal clique of that
    graph, which NaiveDCSat's one world and every OptDCSat component
-   start from. Each repeat loads the snapshot afresh. *)
+   start from; the requirement relation's provider layer
+   (Requirements.link), which the next two phases read and the first
+   of them would otherwise build; qp3's ind-q components
+   (Session.ind_components: the relation's ΘI stars plus the Θq
+   buckets), which OptDCSat reads first; and the first clique's
+   maximal world (getMaximal over the linked relation). Each repeat
+   loads the snapshot afresh. *)
 let cold_check_db () =
   let take = if !smoke_flag then Some 10 else None in
   ( (match take with Some n -> Printf.sprintf "sweep-%dblk" n | None -> "sweep"),
@@ -1572,7 +1611,19 @@ let cold_check_db () =
 let cold_check_bench () =
   let label, db = cold_check_db () in
   let repeats = 7 in
-  let names = [ "load"; "session"; "validity_fd_graph"; "first_clique"; "total" ] in
+  let names =
+    [
+      "load";
+      "session";
+      "validity_fd_graph";
+      "first_clique";
+      "requirements_link";
+      "ind_components";
+      "get_maximal";
+      "total";
+    ]
+  in
+  let q = Q.instantiate (sim Sweep) (Q.Qp 3) Q.Unsatisfied in
   let samples = List.map (fun n -> (n, Array.make repeats 0.0)) names in
   let put name r v = (List.assoc name samples).(r) <- v in
   with_snapshot db (fun load ->
@@ -1585,12 +1636,35 @@ let cold_check_bench () =
           timed (fun () ->
               Bcgraph.Bron_kerbosch.generator fd.Core.Fd_graph.graph ())
         in
-        if clique = None then fail "cold-check: the fd graph has no clique";
+        let clique =
+          match clique with
+          | Some c -> c
+          | None ->
+              fail "cold-check: the fd graph has no clique";
+              []
+        in
+        let (), link_s =
+          timed (fun () ->
+              Core.Requirements.link
+                (Core.Tagged_store.requirements (Core.Session.store sess)))
+        in
+        let comps, comps_s = timed (fun () -> Core.Session.ind_components sess q) in
+        if List.length comps < 2 then fail "cold-check: qp3 has one ind-q component";
+        let world, world_s =
+          timed (fun () ->
+              Core.Get_maximal.run_list (Core.Session.store sess) clique)
+        in
+        if Bcgraph.Bitset.is_empty world then
+          fail "cold-check: the first clique's world is empty";
         put "load" r load_s;
         put "session" r session_s;
         put "validity_fd_graph" r fd_s;
         put "first_clique" r clique_s;
-        put "total" r (load_s +. session_s +. fd_s +. clique_s)
+        put "requirements_link" r link_s;
+        put "ind_components" r comps_s;
+        put "get_maximal" r world_s;
+        put "total" r
+          (load_s +. session_s +. fd_s +. clique_s +. link_s +. comps_s +. world_s)
       done);
   add_phase_row ~row:"cold-check" ~title:"Cold check phases" ~label
     ~x:(Array.length db.Core.Bcdb.pending) samples

@@ -13,22 +13,23 @@
     members holds valid nodes only, and every fd violation involves two
     tuples, which node validity (against [R]) or the clique's edges
     (between members) rule out. Only a singleton [{i}] may be an
-    isolated invalid node; it is kept iff its
-    {!Relational.Check.outcome} on {!Tagged_store.checker} is
-    [Satisfied].
+    isolated invalid node; an invalid member is never included.
 
     {b Cost.} Without inds the world is the clique itself: O(|clique|).
-    Otherwise the inds are propagated over the clique's own rows with
-    counters: each member's sup-side rows are hashed per ind, each
-    sub-side row not supported by its own transaction or by [R] becomes
-    a requirement waiting on the members that provide it, and a member
-    joins once all its requirements are closed. That is one base-index
-    probe per sub-side row plus time linear in the members' rows and
-    their provider links; per-call state is sized by the clique, not by
-    the store's transaction count (beyond the result bitset).
+    Otherwise it reads the store's requirement relation
+    ({!Tagged_store.requirements}), whose sweep already probed [R] for
+    every sub row and kept the {e open} ones — those neither their
+    transaction nor [R] supports — each with its pending providers. The
+    inds are then propagated over the clique with counters: each open
+    row of a member becomes a requirement waiting on the providers in
+    the clique (or blocks the member when there is none), and a member
+    joins once all its requirements are closed. That is time linear in
+    the members and their open rows' provider lists, with no hashing
+    and no probe of [R]; per-call state is sized by the clique, not by
+    the store's transaction count (beyond the result bitset). The first
+    call on a store builds the relation's provider layer.
 
-    The store's active world is never read or switched: base support is
-    probed through {!Tagged_store.base_source}. *)
+    The store's active world is never read or switched. *)
 
 val run : Tagged_store.t -> Bcgraph.Bitset.t -> Bcgraph.Bitset.t
 (** The included-transaction set of the maximal world (a fresh bitset of

@@ -4,31 +4,33 @@
     a tuple of [T'].
 
     Connected components partition [T] into independently checkable sets
-    for connected monotone denial constraints (Proposition 2). The edges
-    derived from ΘI depend only on the database, so a session precomputes
-    them once ({!base_edges}); the Θq edges are added per query. *)
+    for connected monotone denial constraints (Proposition 2). Only the
+    components are ever read, so the graph is never built: they come
+    from a union-find fed with spanning links. The ΘI half comes from
+    the store's {!Requirements} relation, which depends only on the
+    database; the Θq half buckets the pending rows in place per query
+    ({!Buckets}), skipping every θ of Θq that ΘI already has. *)
 
-val edges : Tagged_store.t -> Bcquery.Theta.t list -> (int * int) list
-(** Distinct transaction pairs [(i, j)], [i < j], linked by one of the
-    given equality constraints. Computed by hashing projections — linear
-    in the pending rows plus output size. *)
+val query_thetas : Bcdb.t -> Bcquery.Query.t -> Bcquery.Theta.t list
+(** Θq of the query's body less the constraints ΘI already holds (either
+    way round: an edge is unordered). *)
 
-val base_edges : Tagged_store.t -> (int * int) list
-(** The ΘI edges (from the database's inclusion dependencies). *)
-
-val build : Tagged_store.t -> Bcquery.Query.t -> (int * int) list -> Bcgraph.Undirected.t
-(** [build store q base] is [G^{q,ind}_T]: the base ΘI edges plus the Θq
-    edges of [q]'s body. *)
+val components : Requirements.t -> Bcdb.t -> Bcquery.Query.t -> int list list
+(** [components req db q]: the connected components of [G^{q,ind}_T]
+    ([req] must describe [db]), as ascending node lists ordered by
+    smallest member — {!Bcgraph.Components.of_graph}'s canonical form.
+    Linear in the relation plus the rows of Θq's relations. *)
 
 val edges_for_tx : Tagged_store.t -> Bcquery.Theta.t list -> int -> (int * int) list
-(** The edges incident to one transaction, found through the store's
-    indexes over [R ∪ T] ({!Tagged_store.union_source}: the active world
-    is not switched) — incremental maintenance when a transaction is
-    issued. *)
+(** The edges incident to one transaction for the given constraints,
+    found through the store's indexes over [R ∪ T]
+    ({!Tagged_store.union_source}: the active world is not switched) —
+    {!Live}'s Θq upkeep when a transaction arrives. *)
 
 val links : Bcdb.t -> Bcquery.Theta.t list -> int list -> (int * int) list
-(** [links db thetas members] is a set of transaction pairs inside
+(** [links db qthetas members] is a set of transaction pairs inside
     [members] whose connected components over [members] are exactly
-    those of the edges {!edges} finds among [members] — a spanning
-    structure, not the edge set itself. Linear in the members' rows:
-    what re-splitting one component after a removal needs. *)
+    those of the ΘI edges and the [qthetas] edges among [members] — a
+    spanning structure, not the edge set itself. The members' rows are
+    bucketed afresh for every θ, ΘI's too: linear in those rows, what
+    re-splitting one component after a removal needs. *)

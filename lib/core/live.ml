@@ -14,9 +14,10 @@ type signature = { lo : int64; hi : int64; epoch : int }
 type tracked = {
   t_query : Q.Query.t;
   t_qthetas : Q.Theta.t list;
-      (* Θq — derived from the query text alone: computed once. The ΘI
-         half of Θ is shared by every tracked query and maintained as
-         [ind_base], so each query only probes its own Θq. *)
+      (* Θq less ΘI ({!Ind_graph.query_thetas}) — derived from the query
+         text and the inds alone: computed once. The ΘI half of Θ is
+         shared by every tracked query and maintained in [req], so each
+         query only probes its own Θq. *)
   mutable t_comps : int list list;
   mutable t_sigs : (int list list * int * (int list * signature) array) option;
       (* [t_comps] (physically) and the Live epoch the array was signed
@@ -52,8 +53,10 @@ type t = {
   mutable db : Bcdb.t;
   mutable session : Session.t;
   mutable fd : Fd_graph.t;
-  mutable ind_base : (int * int) list;
-  mutable includable : bool array;
+  mutable req : Requirements.t;
+      (* the store's relation, the same value through every reload but
+         a reset's: grown by the store's [append_tx], re-packed and
+         re-swept here *)
   mutable tracked : tracked list;
   mutable digests : string array;
       (* per pending transaction: content digest of its rows, computed
@@ -131,8 +134,7 @@ let create ?(obs = Obs.null) db =
     db;
     session;
     fd = Session.fd_graph session;
-    ind_base = Session.ind_base_edges session;
-    includable = Session.includable session;
+    req = Session.requirements session;
     tracked = [];
     digests = all_digests db.Bcdb.pending;
     epoch = 0;
@@ -145,8 +147,8 @@ let create ?(obs = Obs.null) db =
 let db t = t.db
 let session t = t.session
 let fd_graph t = t.fd
-let ind_base_edges t = t.ind_base
-let includable t = t.includable
+let requirements t = t.req
+let includable t = Requirements.includable t.req
 let pending_count t = Array.length t.db.Bcdb.pending
 
 let cache_stats t =
@@ -171,17 +173,6 @@ let find t label =
   go 0
 
 let same_query q' q = q' == q || Stdlib.compare q' q = 0
-
-(* Drop edges incident to [id] and re-pack ids above it — the edge-set
-   mirror of [Bcdb.create_unchecked]'s dense re-identification. *)
-let remap_edges id edges =
-  List.filter_map
-    (fun (a, b) ->
-      if a = id || b = id then None
-      else
-        let f x = if x > id then x - 1 else x in
-        Some (f a, f b))
-    edges
 
 let splice arr id =
   Array.init
@@ -221,24 +212,19 @@ let try_add t ?label rows =
       let db' = Bcdb.with_pending t.db ~label rows in
       let store = Session.store t.session in
       (* A permanent extension: the journal is deliberately dropped — the
-         arrival is never rolled back (an eviction re-packs instead). *)
-      ignore (Tagged_store.append_tx store db' : Tagged_store.journal);
-      (* The new transaction's ΘI edges, probed once and shared by the
-         session's ΘI edge set and every tracked query's merge. *)
-      let ind_new =
-        span t "ind_edges" (fun () ->
-            Ind_graph.edges_for_tx store (Q.Theta.of_inds (Bcdb.inds db')) id)
-      in
-      (* The extension judges the arrival's validity and includability
-         once and adds its fd-graph node. *)
-      let session' =
-        span t "fd" (fun () -> Session.extended ~ind_edges:ind_new t.session)
-      in
+         arrival is never rolled back (an eviction re-packs instead). The
+         store's relation judges the arrival (validity, includability,
+         open rows) and buckets its rows. *)
+      span t "ind_edges" (fun () ->
+          ignore (Tagged_store.append_tx store db' : Tagged_store.journal));
+      (* The new transaction's ΘI edges, read off its buckets once and
+         shared by every tracked query's merge. *)
+      let ind_new = List.map (fun j -> (j, id)) (Requirements.neighbours t.req id) in
+      (* The extension adds the arrival's fd-graph node. *)
+      let session' = span t "fd" (fun () -> Session.extended t.session) in
       t.db <- db';
       t.session <- session';
       t.fd <- Session.fd_graph session';
-      t.ind_base <- Session.ind_base_edges session';
-      t.includable <- Session.includable session';
       t.digests <- Array.append t.digests [| tx_digest db'.Bcdb.pending.(id) |];
       (* Θ edges only ever appear on insert, so each tracked query's
          component partition absorbs the new node by merging just the
@@ -276,11 +262,10 @@ let add t ?label rows =
 (* Scoped component rebuild after a removal: every part not containing
    [id] survives re-id'd — its content, hence its verdict-cache
    signature, is untouched — and only the part that lost the node is
-   re-split, by bucketing its survivors' rows on the Θ projections
-   ({!Ind_graph.links}: linear in their rows, no index probes). A
-   removal dirties exactly the component it leaves. *)
+   re-split from its survivors' rows, bucketed on the ΘI and Θq
+   positions ({!Ind_graph.links}: no index probes). A removal dirties
+   exactly the component it leaves. *)
 let retrack_after_removal t id =
-  let ind_thetas = Q.Theta.of_inds (Bcdb.inds t.db) in
   List.iter
     (fun tr ->
       let rest, survivors = Bcgraph.Components.remove_node tr.t_comps id in
@@ -289,7 +274,7 @@ let retrack_after_removal t id =
         | [] -> []
         | _ ->
             Bcgraph.Components.split_members survivors
-              (Ind_graph.links t.db (ind_thetas @ tr.t_qthetas) survivors)
+              (Ind_graph.links t.db tr.t_qthetas survivors)
       in
       let comps' = Bcgraph.Components.merge rest parts in
       Session.seed_components t.session tr.t_query comps';
@@ -301,56 +286,44 @@ let retrack_after_removal t id =
       Hashtbl.reset tr.t_viol)
     t.tracked
 
-(* Node validity and includability against a {e grown} state: one
-   sweep of a checker prepared on the new state's plain database source
-   (the state is all-segment, so its probes hit segment indexes, which
-   the store reload then shares). Nodes that turned invalid are
-   isolated in [fd]; validity is never regained, so no other edge
-   changes. *)
-let install_after_state_change t db' ~fd ~ind_base =
-  let fd, includable =
+(* Node validity, includability and open rows against a {e grown}
+   state: one re-sweep of the relation with a checker prepared on the
+   new state's plain database source (the state is all-segment, so its
+   probes hit segment indexes, which the store reload then shares).
+   Nodes that turned invalid are isolated in [fd]; validity is never
+   regained, so no other edge changes. *)
+let install_after_state_change t db' ~fd =
+  let fd =
     span t "fd" (fun () ->
-        let node_ok, includable =
-          R.Check.sweep
-            (R.Check.checker (R.Database.source db'.Bcdb.state)
-               db'.Bcdb.constraints)
-            (Array.map (fun (tx : Pending.t) -> tx.Pending.rows) db'.Bcdb.pending)
-        in
-        (Fd_graph.invalidate fd ~node_ok, includable))
+        Requirements.resweep t.req
+          (R.Check.checker (R.Database.source db'.Bcdb.state) db'.Bcdb.constraints);
+        Fd_graph.invalidate fd ~node_ok:(Requirements.node_ok t.req))
   in
   let session' =
     span t "store" (fun () ->
-        Session.reseed t.session ~fd_graph:fd ~ind_base_edges:ind_base
-          ~includable db')
+        Session.reseed t.session ~fd_graph:fd ~requirements:t.req db')
   in
   t.db <- db';
   t.session <- session';
-  t.fd <- fd;
-  t.ind_base <- ind_base;
-  t.includable <- includable
+  t.fd <- fd
 
 let evict t label =
   span t "evict" @@ fun () ->
   match find t label with
   | None -> Error (Printf.sprintf "evict: no pending transaction %S" label)
   | Some id ->
-      (* R is untouched: validity, surviving conflicts, ΘI edges and
-         includability all carry over — only ids re-pack. *)
+      (* R is untouched: validity, surviving conflicts, open rows and
+         buckets all carry over — only ids re-pack. *)
       let fd = span t "fd" (fun () -> Fd_graph.remove t.fd id) in
-      let ind_base = span t "ind_edges" (fun () -> remap_edges id t.ind_base) in
-      let includable = splice t.includable id in
+      span t "ind_edges" (fun () -> Requirements.remove t.req id);
       let db', session' =
         span t "store" (fun () ->
             let db' = Bcdb.remove_pending t.db id in
-            ( db',
-              Session.reseed t.session ~fd_graph:fd ~ind_base_edges:ind_base
-                ~includable db' ))
+            (db', Session.reseed t.session ~fd_graph:fd ~requirements:t.req db'))
       in
       t.db <- db';
       t.session <- session';
       t.fd <- fd;
-      t.ind_base <- ind_base;
-      t.includable <- includable;
       t.digests <- splice t.digests id;
       (* Removal can split only the component it leaves: re-split that
          one, keep every other part (and its cached verdict). *)
@@ -361,7 +334,7 @@ let confirm t label =
   span t "confirm" @@ fun () ->
   match find t label with
   | None -> Error (Printf.sprintf "confirm: no pending transaction %S" label)
-  | Some id when not t.includable.(id) ->
+  | Some id when not (Requirements.is_includable t.req id) ->
       (* [R ∪ T_id] violates a constraint: the rows would break [R]
          itself. Refused before any structure changes. *)
       Error (Printf.sprintf "confirm: transaction %S is not includable" label)
@@ -371,11 +344,12 @@ let confirm t label =
             let rows = t.db.Bcdb.pending.(id).Pending.rows in
             Bcdb.remove_pending ~state:(compact_with t.db.Bcdb.state rows) t.db id)
       in
-      (* Pairwise conflicts and Θ edges depend only on pending rows:
-         re-id them. Validity/includability consult R: recompute. *)
+      (* Pairwise conflicts and buckets depend only on pending rows:
+         re-id them. Validity, includability and open rows consult R:
+         re-sweep. *)
       let fd = span t "fd" (fun () -> Fd_graph.remove t.fd id) in
-      let ind_base = span t "ind_edges" (fun () -> remap_edges id t.ind_base) in
-      install_after_state_change t db' ~fd ~ind_base;
+      span t "ind_edges" (fun () -> Requirements.remove t.req id);
+      install_after_state_change t db' ~fd;
       t.digests <- splice t.digests id;
       (* R changed: every signature embeds the epoch, so the whole
          verdict cache is conservatively dirty — but the partition
@@ -386,9 +360,9 @@ let confirm t label =
 
 let append_state t rows =
   let db' = Bcdb.with_state t.db (compact_with t.db.Bcdb.state rows) in
-  install_after_state_change t db' ~fd:t.fd ~ind_base:t.ind_base;
+  install_after_state_change t db' ~fd:t.fd;
   t.epoch <- t.epoch + 1;
-  (* Ids did not move and Θ edges ignore R: tracked components hold. *)
+  (* Ids did not move and buckets ignore R: tracked components hold. *)
   List.iter
     (fun tr -> Session.seed_components t.session tr.t_query tr.t_comps)
     t.tracked
@@ -401,8 +375,7 @@ let reset t db =
   t.db <- db';
   t.session <- session';
   t.fd <- Session.fd_graph session';
-  t.ind_base <- Session.ind_base_edges session';
-  t.includable <- Session.includable session';
+  t.req <- Session.requirements session';
   t.digests <- all_digests db'.Bcdb.pending;
   (* Reorg: conservatively dirty everything — tracking (and with it the
      per-query verdict caches) restarts from scratch. *)
@@ -419,7 +392,7 @@ let track t q =
       let tr =
         {
           t_query = q;
-          t_qthetas = Q.Theta.of_query (Q.Query.body q);
+          t_qthetas = Ind_graph.query_thetas t.db q;
           t_comps = comps;
           t_sigs = None;
           t_sat = Hashtbl.create 64;

@@ -2,8 +2,10 @@
     {e maintained} under mempool churn instead of rebuilt per request.
 
     A batch {!Session} amortizes the precomputed structures of Section
-    6.3 — the fd-transaction graph [G^fd_T], the ΘI edges of the
-    ind-transaction graph, per-transaction includability — across many
+    6.3 — the fd-transaction graph [G^fd_T] and the requirement relation
+    ({!Requirements}: per-transaction validity and includability, open
+    rows and their providers, the ΘI links of the ind-transaction
+    graph) — across many
     constraint checks over one frozen database. A serving system sees
     the opposite access pattern: the database churns (transactions
     arrive, are replaced by fee bumps, are confirmed into the state,
@@ -12,26 +14,29 @@
     of the four mempool events, paying per event only for what the event
     actually changed:
 
-    - {b add} ({!try_add}): one new graph node; its fd conflicts and Θ
-      edges are found through world-free index probes
-      ({!Fd_graph.extend}, {!Ind_graph.edges_for_tx}; ΘI once per add,
-      Θq once per tracked query); existing graph rows are copied a word
-      at a time; tracked per-query components merge only the parts the
-      new node's edges reach ({!Bcgraph.Components.add_node});
-      everything else is reused.
+    - {b add} ({!try_add}): one new graph node; one
+      {!Relational.Check.outcome} judges it and reports its open rows,
+      and its rows join the relation's buckets ({!Requirements.add}),
+      which gives its ΘI edges; its fd conflicts and Θq edges are found
+      through world-free index probes ({!Fd_graph.extend},
+      {!Ind_graph.edges_for_tx}, Θq once per tracked query); existing
+      graph rows are copied a word at a time; tracked per-query
+      components merge only the parts the new node's edges reach
+      ({!Bcgraph.Components.add_node}); everything else is reused.
     - {b evict} ({!evict}, RBF): the node and its edges are dropped and
       ids re-packed ({!Fd_graph.remove}: one word shift per surviving
-      row); node validity, surviving
-      conflicts, ΘI edges and includability are reused (none depends on
-      the evicted transaction). Tracked components are rebuilt {e only}
+      row; {!Requirements.remove}: one pass over the buckets); node
+      validity, surviving conflicts, open rows and includability are
+      reused (none depends on the evicted transaction). Tracked components are rebuilt {e only}
       for the component the node leaves (a removal can split nothing
       else); every other part is re-id'd and keeps its cached verdict.
     - {b confirm} ({!confirm}): the transaction's rows join [R], so node
       validity and includability are recomputed for every survivor in
-      one sweep of a checker prepared on the new state
-      ({!Relational.Check.sweep}) and survivors that turned invalid are
-      isolated ({!Fd_graph.invalidate}) in the word-shifted graph; the
-      pairwise conflict relation and the ΘI edges depend only on
+      one re-sweep of the relation with a checker prepared on the new
+      state ({!Requirements.resweep}), which also re-derives every open
+      row, and survivors that turned invalid are isolated
+      ({!Fd_graph.invalidate}) in the word-shifted graph; the pairwise
+      conflict relation and the relation's buckets depend only on
       pending rows and are reused re-id'd. The
       component partition is maintained like an evict's, but the state
       epoch bump conservatively dirties every cached verdict.
@@ -85,7 +90,8 @@
     On the recorder given to {!create}, every maintenance event records
     a span of category [live] — [add], [evict], [confirm] or [reset] —
     with children [fd] (fd-graph upkeep, including validity re-checks
-    after a confirmation), [ind_edges] (ΘI edge probes or re-iding),
+    after a confirmation), [ind_edges] (the relation's upkeep: an
+    arrival's judgement and bucketing, or a removal's re-packing),
     [components] (per-tracked-query partition upkeep) and, on removals,
     [store] (state compaction and the store reload). *)
 
@@ -111,8 +117,10 @@ val fd_graph : t -> Fd_graph.t
 (** The maintained [G^fd_T] — what {!Fd_graph.build} would return on the
     current database (up to edge-list ordering). *)
 
-val ind_base_edges : t -> (int * int) list
-(** The maintained ΘI edge set. *)
+val requirements : t -> Requirements.t
+(** The maintained requirement relation — equal, up to the order of its
+    lists, to a fresh session's {!Session.requirements} on the current
+    database. *)
 
 val includable : t -> bool array
 (** Maintained [R ∪ {T_i} |= I] per pending transaction. *)

@@ -9,15 +9,26 @@ let iter session ?restrict f =
     let nodes = Option.value restrict ~default:(List.init k Fun.id) in
     let sub, back = Bcgraph.Undirected.induced fd.Fd_graph.graph nodes in
     let seen = Hashtbl.create 16 in
+    (* The empty world is contained in every other one, so it is
+       maximal only when it is the only world: an invalid node's
+       singleton clique, or a clique none of whose members can ever be
+       appended, yields it beside the real ones. It is held back and
+       listed only if nothing else was. *)
+    let empty = ref None in
     Bcgraph.Bron_kerbosch.iter_maximal_cliques sub (fun clique ->
         let members = List.map (fun i -> back.(i)) clique in
         let world = Get_maximal.run_list store members in
         let key = Bitset.to_list world in
-        if Hashtbl.mem seen key then `Continue
+        if key = [] then begin
+          empty := Some world;
+          `Continue
+        end
+        else if Hashtbl.mem seen key then `Continue
         else begin
           Hashtbl.replace seen key ();
           f world
-        end)
+        end);
+    if Hashtbl.length seen = 0 then Option.iter (fun w -> ignore (f w)) !empty
   end
 
 let list session =

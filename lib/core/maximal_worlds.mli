@@ -4,7 +4,10 @@
     the only worlds that matter; the solvers use this enumeration
     internally and it is exposed here for analytics (e.g. "how much could
     X at most receive across all futures"). Distinct cliques can yield
-    the same world; duplicates are filtered. *)
+    the same world; duplicates are filtered. The empty world (no
+    transaction appended) is contained in every other world, so it is
+    listed only when no other world exists — an invalid transaction's
+    singleton clique yields it beside the real maximal worlds. *)
 
 val iter :
   Session.t ->

@@ -2,12 +2,28 @@ module R = Relational
 
 (* The lazily-built solver inputs, grouped so that a staleness rebuild
    ([revalidate]) swaps them together with the store they were computed
-   against. *)
+   against. Validity, includability and the ΘI relation live in the
+   store's requirement relation; these lazies only record when they
+   are first forced. *)
 type caches = {
   fd_graph : Fd_graph.t Lazy.t;
-  ind_base_edges : (int * int) list Lazy.t;
   includable : bool array Lazy.t;
 }
+
+(* Node validity and includability come from the store's one sweep over
+   the fixed [R] view: includability is validity plus the inds, so the
+   fd work is done once, and the active world is never switched. *)
+let build_caches obs store =
+  {
+    fd_graph =
+      lazy
+        (Obs.span !obs ~cat:"session" "fd_graph" (fun () ->
+             Fd_graph.build store ~node_ok:(fst (Tagged_store.validity store))));
+    includable =
+      lazy
+        (Obs.span !obs ~cat:"session" "includable" (fun () ->
+             snd (Tagged_store.validity store)));
+  }
 
 type t = {
   db : Bcdb.t;
@@ -27,27 +43,6 @@ type t = {
       (* ind-q-graph component cache, db-guarded, under components_lock *)
   components_lock : Mutex.t;
 }
-
-(* Node validity and includability come from one sweep over the fixed
-   [R] view, shared by the two lazies: includability is validity plus
-   the inds, so the fd work is done once, and the active world is never
-   switched. *)
-let build_caches obs store =
-  let validity = lazy (Tagged_store.validity store) in
-  {
-    fd_graph =
-      lazy
-        (Obs.span !obs ~cat:"session" "fd_graph" (fun () ->
-             Fd_graph.build store ~node_ok:(fst (Lazy.force validity))));
-    ind_base_edges =
-      lazy
-        (Obs.span !obs ~cat:"session" "ind_base_edges" (fun () ->
-             Ind_graph.base_edges store));
-    includable =
-      lazy
-        (Obs.span !obs ~cat:"session" "includable" (fun () ->
-             snd (Lazy.force validity)));
-  }
 
 let create ?(obs = Obs.null) db =
   let store = Tagged_store.create db in
@@ -72,8 +67,8 @@ let create ?(obs = Obs.null) db =
    physical database value — the old cache guard — is unchanged. The
    generation stamp catches exactly that; on mismatch the store and every
    R-dependent cache are rebuilt. Component
-   entries stay keyed by database value; they are cleared too because ΘI
-   edges consult R. *)
+   entries stay keyed by database value; they are cleared too because
+   the requirement relation consults R. *)
 let revalidate t =
   if R.Database.generation t.db.Bcdb.state <> t.state_gen then begin
     Mutex.lock t.valid_lock;
@@ -123,18 +118,28 @@ let fd_graph t =
   revalidate t;
   Lazy.force t.caches.fd_graph
 
-let ind_base_edges t =
+(* The store's relation with its provider layer built: the ΘI half of
+   the ind-q graph. The build is the [ind_base_edges] span. *)
+let linked_requirements t =
+  let r = Tagged_store.requirements t.store in
+  if not (Requirements.linked r) then
+    Obs.span !(t.obs) ~cat:"session" "ind_base_edges" (fun () ->
+        Requirements.link r);
+  r
+
+let requirements t =
   revalidate t;
-  Lazy.force t.caches.ind_base_edges
+  linked_requirements t
+
+let ind_base_edges t = Requirements.edges (requirements t)
 
 (* Connected components of the ind-q-transaction graph, cached per
-   query: the Θq edges are found by hashing pending rows with full
-   projections, never through the store's active world, so repeated
-   solves of one constraint reuse it. Entries are guarded by the
-   database value they were computed against — a dry-run append/undo
-   replaces it, and stale entries are pruned on the next insert —
-   while in-place state churn is caught by {!revalidate} (ΘI edges
-   consult R). *)
+   query: the Θq links are found by bucketing pending rows in place,
+   never through the store's active world, so repeated solves of one
+   constraint reuse it. Entries are guarded by the database value they
+   were computed against — a dry-run append/undo replaces it, and stale
+   entries are pruned on the next insert — while in-place state churn
+   is caught by {!revalidate} (the relation consults R). *)
 let ind_components t q =
   revalidate t;
   let db_now = Tagged_store.db t.store in
@@ -148,8 +153,7 @@ let ind_components t q =
   with
   | Some (_, _, comps) -> comps
   | None ->
-      let graph = Ind_graph.build t.store q (Lazy.force t.caches.ind_base_edges) in
-      let comps = Bcgraph.Components.of_graph graph in
+      let comps = Ind_graph.components (linked_requirements t) db_now q in
       let live =
         List.filter (fun (db', _, _) -> db' == db_now) !(t.components)
       in
@@ -178,56 +182,32 @@ let includable t =
 
 let warm t =
   ignore (fd_graph t);
-  ignore (ind_base_edges t);
+  ignore (requirements t);
   ignore (includable t)
 
-let extended ?ind_edges t =
+let extended t =
   let store = t.store in
   let db' = Tagged_store.db store in
   let id = Tagged_store.tx_count store - 1 in
   if Array.length db'.Bcdb.pending <> Array.length t.db.Bcdb.pending + 1 then
     invalid_arg "Session.extended: store is not one transaction ahead";
-  (* Structures the old session never forced are swept afresh, once. *)
+  (* Structures the old session never forced are built afresh, once;
+     the store's relation, when built, already holds the new
+     transaction. *)
   let fresh = build_caches t.obs store in
-  let outcome =
-    lazy
-      (R.Check.outcome (Tagged_store.checker store)
-         db'.Bcdb.pending.(id).Pending.rows)
-  in
   let fd_graph =
     if Lazy.is_val t.caches.fd_graph then
       Lazy.from_val
         (Fd_graph.extend (Lazy.force t.caches.fd_graph) store
-           ~valid:(Lazy.force outcome <> R.Check.Fd_violated))
+           ~valid:(Requirements.is_valid (Tagged_store.requirements store) id))
     else fresh.fd_graph
-  in
-  let ind_base_edges =
-    if Lazy.is_val t.caches.ind_base_edges then
-      Lazy.from_val
-        (Lazy.force t.caches.ind_base_edges
-        @
-        match ind_edges with
-        | Some edges -> edges
-        | None ->
-            Ind_graph.edges_for_tx store
-              (Bcquery.Theta.of_inds (Bcdb.inds db'))
-              id)
-    else fresh.ind_base_edges
-  in
-  let includable =
-    if Lazy.is_val t.caches.includable then
-      Lazy.from_val
-        (Array.append
-           (Lazy.force t.caches.includable)
-           [| Lazy.force outcome = R.Check.Satisfied |])
-    else fresh.includable
   in
   {
     db = db';
     store;
     state_gen = t.state_gen;
     obs = t.obs;
-    caches = { fd_graph; ind_base_edges; includable };
+    caches = { fresh with fd_graph };
     valid_lock = Mutex.create ();
     plans = ref !(t.plans);
     plans_lock = Mutex.create ();
@@ -237,18 +217,16 @@ let extended ?ind_edges t =
     components_lock = Mutex.create ();
   }
 
-(* The live layer maintains the fd graph, ΘI edges and includability
+(* The live layer maintains the fd graph and the requirement relation
    itself (lib/core/live.ml); [reseed] lets it hand a new database value
    plus those pre-maintained structures to a fresh session without
    rebuilding them — only the store is reloaded (O(pending) when the
    state is all-segment) — while compiled plans carry over. *)
-let reseed t ?fd_graph ?ind_base_edges ?includable db =
+let reseed t ?fd_graph ?requirements db =
   let store = Tagged_store.create db in
   Tagged_store.set_obs store !(t.obs);
+  Option.iter (Tagged_store.set_requirements store) requirements;
   let fresh = build_caches t.obs store in
-  let seeded v fallback =
-    match v with Some x -> Lazy.from_val x | None -> fallback
-  in
   {
     db;
     store;
@@ -256,9 +234,9 @@ let reseed t ?fd_graph ?ind_base_edges ?includable db =
     obs = t.obs;
     caches =
       {
-        fd_graph = seeded fd_graph fresh.fd_graph;
-        ind_base_edges = seeded ind_base_edges fresh.ind_base_edges;
-        includable = seeded includable fresh.includable;
+        fresh with
+        fd_graph =
+          (match fd_graph with Some g -> Lazy.from_val g | None -> fresh.fd_graph);
       };
     valid_lock = Mutex.create ();
     plans = ref !(t.plans);

@@ -1,9 +1,11 @@
 (** A solving session over one blockchain database: owns the tagged store
     and lazily caches the structures the paper precomputes in the steady
-    state (Section 6.3) — the fd-transaction graph, the ΘI edges of the
-    ind-transaction graph, and per-transaction includability
-    ([R ∪ {T} |= I]). Multiple denial constraints can then be checked
-    against the same session cheaply.
+    state (Section 6.3) — the fd-transaction graph, the store's
+    requirement relation ({!Requirements}: per-transaction validity and
+    includability ([R ∪ {T} |= I]), the open rows getMaximal waits on
+    and the ΘI links of the ind-transaction graph). Multiple denial
+    constraints can then be checked against the same session cheaply.
+    {!create} forces none of them.
 
     The store snapshots the state [R] at creation, so every cached
     structure is also guarded by [R]'s {!Relational.Database.generation}
@@ -38,16 +40,21 @@ val plan : t -> Bcquery.Query.t -> Inc_eval.plan
 val fd_graph : t -> Fd_graph.t
 (** Computed on first use, then cached. *)
 
+val requirements : t -> Requirements.t
+(** The store's requirement relation with its provider layer built
+    (recorded as the [session/ind_base_edges] span when it is built). *)
+
 val ind_base_edges : t -> (int * int) list
-(** The ΘI edges of the ind-transaction graph; computed on first use,
-    then cached. *)
+(** The ΘI edges of the ind-transaction graph ({!Requirements.edges}),
+    listed afresh from {!requirements} on every call. *)
 
 val ind_components : t -> Bcquery.Query.t -> int list list
 (** Connected components of the ind-q-transaction graph
     [G^{q,ind}_T] for [q] (OptDCSat's partition, Proposition 2),
     computed on first use and cached per query for the session's
-    lifetime — the graph depends only on the pending set and the query
-    body, never on the store's active world. Entries are invalidated
+    lifetime ({!Ind_graph.components}: a union-find over the relation's
+    ΘI links and in-place Θq buckets) — the graph depends only on the
+    pending set and the query body, never on the store's active world. Entries are invalidated
     when the store's database value changes (dry-run extensions).
     Thread-safe. *)
 
@@ -67,7 +74,7 @@ val includable : t -> bool array
 val warm : t -> unit
 (** Force all cached structures (for benchmarking the steady state). *)
 
-val extended : ?ind_edges:(int * int) list -> t -> t
+val extended : t -> t
 (** A session over the same store after the store has been extended with
     one hypothetical transaction ({!Tagged_store.append_tx}): every
     already-computed structure is updated incrementally (one new graph
@@ -75,24 +82,18 @@ val extended : ?ind_edges:(int * int) list -> t -> t
     world) instead of rebuilt. Used by {!Dry_run} and by {!Live} on
     transaction arrival; when the extension is rolled back, the extended
     session must not outlive the rollback. The new transaction's
-    validity and includability come from one
-    {!Relational.Check.outcome} on {!Tagged_store.checker}. A caller
-    that already probed its ΘI edges passes them as [ind_edges] instead
-    of having them recomputed. *)
+    validity, includability and open rows were judged by one
+    {!Relational.Check.outcome} when the store's built relation took it
+    in ({!Requirements.add}). *)
 
-val reseed :
-  t ->
-  ?fd_graph:Fd_graph.t ->
-  ?ind_base_edges:(int * int) list ->
-  ?includable:bool array ->
-  Bcdb.t ->
-  t
+val reseed : t -> ?fd_graph:Fd_graph.t -> ?requirements:Requirements.t -> Bcdb.t -> t
 (** [reseed t db] is a fresh session over [db] that inherits [t]'s
     compiled-plan cache and recorder, with any supplied pre-maintained
-    structures installed as already-forced caches instead of being
-    rebuilt. This is the {!Live} layer's eviction/confirmation path: it
-    maintains the fd graph, ΘI edges and includability incrementally
-    itself and only needs the store reloaded — O(pending) when the state
-    is all-segment. Structures not supplied are rebuilt lazily. The
-    supplied structures must of course describe [db] exactly; nothing is
-    checked. *)
+    structures installed instead of being rebuilt (the relation into
+    the new store: {!Tagged_store.set_requirements}). This is the
+    {!Live} layer's eviction/confirmation path: it maintains the fd
+    graph and the relation incrementally itself and only needs the
+    store reloaded — O(pending) when the state is all-segment.
+    Structures not supplied are rebuilt lazily. The supplied structures
+    must of course describe [db] exactly; only the relation's
+    transaction count is checked. *)

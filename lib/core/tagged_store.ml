@@ -71,6 +71,9 @@ type t = {
       (* the [World], [Union] and [Base] sources, built once per handle *)
   mutable checker : R.Check.checker option;
       (* the constraints prepared on the [Base] view, on first use *)
+  requirements : Requirements.t option Atomic.t;
+      (* shared by the store's handles, built once under [req_lock] *)
+  req_lock : Mutex.t;
 }
 
 (* Every handle — created or a view — gets a fresh uid, so a
@@ -225,6 +228,8 @@ let create_store (db : Bcdb.t) =
       obs = Obs.null;
       views = [||];
       checker = None;
+      requirements = Atomic.make None;
+      req_lock = Mutex.create ();
     }
   in
   Array.iter
@@ -532,9 +537,26 @@ let checker t =
       t.checker <- Some c;
       c
 
+let requirements t =
+  match Atomic.get t.requirements with
+  | Some r -> r
+  | None ->
+      Mutex.protect t.req_lock @@ fun () ->
+      (match Atomic.get t.requirements with
+      | Some r -> r
+      | None ->
+          let r = Requirements.create (checker t) t.db in
+          Atomic.set t.requirements (Some r);
+          r)
+
+let set_requirements t r =
+  if Requirements.tx_count r <> t.k then
+    invalid_arg "Tagged_store.set_requirements: transaction count mismatch";
+  Atomic.set t.requirements (Some r)
+
 let validity t =
-  R.Check.sweep (checker t)
-    (Array.map (fun (tx : Pending.t) -> tx.Pending.rows) t.db.Bcdb.pending)
+  let r = requirements t in
+  (Requirements.node_ok r, Requirements.includable r)
 
 let origins t name tuple =
   let rs = rel_store t name in
@@ -582,10 +604,14 @@ let append_tx t (db' : Bcdb.t) =
   let id = t.k in
   assert (Array.length db'.Bcdb.pending = t.k + 1);
   let prev_db = t.db and prev_visible = t.visible in
-  let base_hits = insert_tx t id db'.Bcdb.pending.(id).Pending.rows in
+  let tx = db'.Bcdb.pending.(id) in
+  let base_hits = insert_tx t id tx.Pending.rows in
   t.db <- db';
   t.k <- t.k + 1;
   t.visible <- Bitset.resize prev_visible t.k;
+  Option.iter
+    (fun r -> Requirements.add r (checker t) tx)
+    (Atomic.get t.requirements);
   { prev_db; prev_visible; base_hits }
 
 let drop_last a = Array.sub a 0 (Array.length a - 1)
@@ -595,6 +621,7 @@ let undo t journal =
   (* Rebind to the previous world first: counted like any switch. *)
   apply_world t (Bitset.resize journal.prev_visible t.k);
   let id = Array.length journal.prev_db.Bcdb.pending in
+  Option.iter Requirements.remove_last (Atomic.get t.requirements);
   List.iter
     (fun (rs, bpos) ->
       let o = Hashtbl.find rs.b_extra bpos in

@@ -156,10 +156,23 @@ val checker : t -> Relational.Check.checker
     change under {!append_tx}, so it outlives it. A {!view} starts
     without one. *)
 
+val requirements : t -> Requirements.t
+(** The store's requirement relation: its sweep layer comes from one
+    {!Relational.Check.sweep} of {!checker}, its provider layer is built
+    when first read. Built on first use, once, and shared by every
+    {!view} of the store. {!append_tx} and {!undo} keep a built one
+    current; nothing else forces it. The active world and its epoch are
+    untouched. *)
+
+val set_requirements : t -> Requirements.t -> unit
+(** Install a relation maintained elsewhere ({!Live} hands its own to
+    each reloaded store); it must describe the store's database. Raises
+    [Invalid_argument] if its transaction count differs. *)
+
 val validity : t -> bool array * bool array
 (** [(node_ok, includable)]: per pending transaction, [R ∪ T_i |= I_fd]
-    and [R ∪ T_i |= I], both from one {!Relational.Check.sweep} of
-    {!checker}. The active world and its epoch are untouched. *)
+    and [R ∪ T_i |= I] — {!Requirements.node_ok} and
+    {!Requirements.includable} of {!requirements}, fresh arrays. *)
 
 val epoch : t -> int
 (** Monotone world-switch stamp: bumped by every world switch that
@@ -209,9 +222,12 @@ val append_tx : t -> Bcdb.t -> journal
 (** [append_tx t db'] where [db'] is [db t] plus exactly one more pending
     transaction: loads that transaction's rows (id = old {!tx_count})
     with {!create}'s insertion step and switches the store to [db'].
+    A built {!requirements} relation gains the transaction
+    ({!Requirements.add}).
     Returns the rollback journal: the base rows the transaction also
     wrote; the rest is read back from the store. *)
 
 val undo : t -> journal -> unit
 (** Roll back the matching {!append_tx}. Journals must be undone in LIFO
-    order. Restores the previously active world. *)
+    order. Restores the previously active world, and takes the
+    transaction back out of a built {!requirements} relation. *)

@@ -23,16 +23,19 @@ let union t i j =
 
 let same t i j = find t i = find t j
 
+(* Members gathered under their root, then each group emitted at its
+   smallest member: ascending groups by smallest member, no hashing. *)
 let groups t =
   let n = Array.length t.parent in
-  let tbl = Hashtbl.create 16 in
+  let under = Array.make n [] in
   for i = n - 1 downto 0 do
     let r = find t i in
-    let prev = Option.value (Hashtbl.find_opt tbl r) ~default:[] in
-    Hashtbl.replace tbl r (i :: prev)
+    under.(r) <- i :: under.(r)
   done;
-  Hashtbl.fold (fun _ members acc -> members :: acc) tbl []
-  |> List.sort (fun a b ->
-         match (a, b) with
-         | x :: _, y :: _ -> Int.compare x y
-         | _ -> 0)
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    match under.(find t i) with
+    | m :: _ as group when m = i -> acc := group :: !acc
+    | _ -> ()
+  done;
+  !acc

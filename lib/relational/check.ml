@@ -207,13 +207,23 @@ let rec add_sups s c = function
          if not (occupied s i) then fill s i t);
       add_sups s c rest
 
-let rec subs_supported s c = function
-  | [] -> true
+(* The sub rows of the batch that neither the batch nor the source
+   supports are its open rows; the result is whether there is none.
+   With a reporter every one is visited and reported as [f b j t]
+   (batch [b], ind [j]); without, the first ends the walk. *)
+let rec subs_supported s c report b j all = function
+  | [] -> all
   | (rel, t) :: rest ->
-      ((not (String.equal rel c.sub_rel))
-      || occupied s (slot s c.sup t c.sub)
-      || c.supported_base t)
-      && subs_supported s c rest
+      if
+        String.equal rel c.sub_rel
+        && not (occupied s (slot s c.sup t c.sub) || c.supported_base t)
+      then (
+        match report with
+        | None -> false
+        | Some f ->
+            f b j t;
+            subs_supported s c report b j false rest)
+      else subs_supported s c report b j all rest
 
 let rec fds_hold s n fds rows i =
   i >= Array.length fds
@@ -221,26 +231,36 @@ let rec fds_hold s n fds rows i =
       fd_holds s fds.(i) rows)
      && fds_hold s n fds rows (i + 1)
 
-let rec inds_hold s n inds rows i =
-  i >= Array.length inds
-  || (reset s n;
-      add_sups s inds.(i) rows;
-      subs_supported s inds.(i) rows)
-     && inds_hold s n inds rows (i + 1)
+let rec inds_hold s n inds rows report b j all =
+  if j >= Array.length inds then all
+  else begin
+    reset s n;
+    add_sups s inds.(j) rows;
+    let held = subs_supported s inds.(j) report b j true rows in
+    if held || Option.is_some report then
+      inds_hold s n inds rows report b (j + 1) (all && held)
+    else false
+  end
 
 type outcome = Fd_violated | Ind_violated | Satisfied
 
-let outcome c rows =
+let judge c report b rows =
   let n = List.length rows in
   if not (fds_hold c.scratch n c.fds rows 0) then Fd_violated
-  else if not (inds_hold c.scratch n c.inds rows 0) then Ind_violated
+  else if not (inds_hold c.scratch n c.inds rows report b 0 true) then
+    Ind_violated
   else Satisfied
 
-let sweep c batches =
+let outcome ?on_open c rows =
+  match on_open with
+  | None -> judge c None 0 rows
+  | Some f -> judge c (Some (fun _ j t -> f j t)) 0 rows
+
+let sweep ~on_open c batches =
   let n = Array.length batches in
   let fd_ok = Array.make n false and ok = Array.make n false in
   for i = 0 to n - 1 do
-    match outcome c batches.(i) with
+    match judge c (Some on_open) i batches.(i) with
     | Fd_violated -> ()
     | Ind_violated -> fd_ok.(i) <- true
     | Satisfied ->

@@ -51,13 +51,26 @@ type outcome =
   | Ind_violated  (** Every fd holds, some ind fails. *)
   | Satisfied  (** Every constraint holds. *)
 
-val outcome : checker -> (string * Tuple.t) list -> outcome
+val outcome :
+  ?on_open:(int -> Tuple.t -> unit) ->
+  checker ->
+  (string * Tuple.t) list ->
+  outcome
 (** [outcome c rows] judges the visible source extended with [rows]
     (relation name, tuple; any order). Fds are judged before inds, so
     [outcome <> Fd_violated] is fd validity and [outcome = Satisfied]
-    includability. *)
+    includability. Given [on_open], every sub row of every ind is
+    probed when the fds hold: [on_open j t] is called for each row [t]
+    of the [j]-th ind's sub relation (in the order of [Constr.inds])
+    whose projection neither the batch nor the source supports — the
+    batch's {e open} rows. Without it, the first open row decides. *)
 
-val sweep : checker -> (string * Tuple.t) list array -> bool array * bool array
+val sweep :
+  on_open:(int -> int -> Tuple.t -> unit) ->
+  checker ->
+  (string * Tuple.t) list array ->
+  bool array * bool array
 (** [sweep c batches] is [(fd_ok, ok)]: per batch, whether the fds hold
     and whether every constraint holds, both from one {!outcome} call
-    per batch. *)
+    per batch; [on_open b j t] reports batch [b]'s open rows as
+    {!outcome}'s [on_open j t] does. *)

@@ -8,7 +8,9 @@
 
 (* Dictionary tables (the builder's and the probe-time [by_value]) only
    look values up, so they hash without allocating; [vhash] keeps
-   [Value.hash], which segment index orders are built from. *)
+   [Value.hash], which segment index orders are built from, and is
+   filled when the column is first indexed: a column no probe indexes
+   never hashes its values. *)
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
@@ -30,7 +32,8 @@ type codes =
 type dict = {
   codes : codes;
   values : Value.t array;  (* code -> interned value *)
-  vhash : int array;  (* code -> Value.hash of the value *)
+  mutable vhash : int array;
+      (* code -> Value.hash of the value; [||] until first indexed *)
   by_value : int Vtbl.t;  (* value -> code; probe-time encoding *)
 }
 
@@ -68,13 +71,23 @@ let admits t v =
   | Dict d, _ -> Vtbl.mem d.by_value v
   | (Ints _ | Floats _), _ -> false
 
+(* Index builds run under their segment's lock; two segments sharing a
+   column may fill it at once, with equal arrays. *)
+let vhashes d =
+  if Array.length d.vhash = Array.length d.values then d.vhash
+  else begin
+    let h = Array.map Value.hash d.values in
+    d.vhash <- h;
+    h
+  end
+
 (* [hash_at t row = Value.hash (get t row)] without boxing the value,
    so positional index builds hash exactly like probe keys do. *)
 let hash_at t row =
   match t with
   | Ints a -> Hashtbl.hash (2, Bigarray.Array1.unsafe_get a row)
   | Floats a -> Hashtbl.hash (3, Bigarray.Array1.unsafe_get a row)
-  | Dict d -> d.vhash.(code d row)
+  | Dict d -> (vhashes d).(code d row)
 
 let equal_at t row v =
   match t with
@@ -219,7 +232,7 @@ module Builder = struct
           C64 a
         end
       in
-      Dict { codes; values; vhash = Array.map Value.hash values; by_value = b.by_value }
+      Dict { codes; values; vhash = [||]; by_value = b.by_value }
     end
 end
 
@@ -348,5 +361,5 @@ let deserialize s pos =
             C64 a
         | _ -> raise (Corrupt "bad code width")
       in
-      Dict { codes; values; vhash = Array.map Value.hash values; by_value }
+      Dict { codes; values; vhash = [||]; by_value }
   | _ -> raise (Corrupt "bad column kind")

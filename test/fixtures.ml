@@ -112,3 +112,48 @@ let read_all (src : R.Source.t) rel =
   let acc = ref [] in
   (src.R.Source.prepare rel [||]).R.Source.iter [||] (fun t -> acc := t :: !acc);
   List.rev !acc
+
+(* A requirement relation in comparable form: per transaction its
+   validity, includability and open rows (ind, row, providers), sorted,
+   then the connected components of its ΘI links. Two relations over
+   one database agree on it whatever order their lists were built in. *)
+type requirements_view = {
+  rv_node_ok : bool list;
+  rv_includable : bool list;
+  rv_open : (int * string * int list) list list;
+  rv_components : int list list;
+}
+
+let requirements_view req =
+  let k = Core.Requirements.tx_count req in
+  let uf = Bcgraph.Union_find.create k in
+  Core.Requirements.iter_links req (Bcgraph.Union_find.union uf);
+  {
+    rv_node_ok = Array.to_list (Core.Requirements.node_ok req);
+    rv_includable = Array.to_list (Core.Requirements.includable req);
+    rv_open =
+      List.init k (fun i ->
+          List.sort compare
+            (List.map
+               (fun (j, row, providers) -> (j, R.Tuple.to_string row, providers))
+               (Core.Requirements.open_rows req i)));
+    rv_components = Bcgraph.Union_find.groups uf;
+  }
+
+let pp_requirements_view ppf v =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let bools l = String.concat "" (List.map (fun b -> if b then "1" else "0") l) in
+  Format.fprintf ppf "valid %s; includable %s; open [%s]; components [%s]"
+    (bools v.rv_node_ok) (bools v.rv_includable)
+    (String.concat "; "
+       (List.mapi
+          (fun i rows ->
+            Printf.sprintf "%d:%s" i
+              (String.concat ","
+                 (List.map
+                    (fun (j, row, ps) -> Printf.sprintf "%d%s<-{%s}" j row (ints ps))
+                    rows)))
+          v.rv_open))
+    (String.concat "; " (List.map (fun c -> "{" ^ ints c ^ "}") v.rv_components))
+
+let requirements_testable = Alcotest.testable pp_requirements_view ( = )

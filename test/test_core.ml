@@ -201,6 +201,32 @@ let test_maximal_worlds () =
       Alcotest.(check (list int)) "in the big world" [ 0; 1; 2; 3 ] world
   | None -> Alcotest.fail "expected a maximal world"
 
+(* T1 confirmed into R: T5 spends T1's output 2 that T2 spends too, so
+   it turned invalid against R and is an isolated node whose singleton
+   clique yields the empty world. That world is contained in the real
+   one and is not listed; alone, it is the one maximal world. *)
+let test_maximal_worlds_invalid_node () =
+  let live = Core.Live.create (Fixtures.paper_db ()) in
+  (match Core.Live.confirm live "T1" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let labels world =
+    List.map
+      (fun i -> (Core.Live.db live).Core.Bcdb.pending.(i).Core.Pending.label)
+      world
+  in
+  Alcotest.(check bool) "an invalid node" true
+    (Array.exists not (Core.Live.fd_graph live).Core.Fd_graph.node_ok);
+  Alcotest.(check (list (list string))) "no empty world beside the real one"
+    [ [ "T2"; "T3"; "T4" ] ]
+    (List.map labels (Core.Maximal_worlds.list (Core.Live.session live)));
+  List.iter
+    (fun l -> ignore (Core.Live.evict live l))
+    [ "T2"; "T3"; "T4" ];
+  Alcotest.(check (list (list string))) "the empty world when it is the only one"
+    [ [] ]
+    (List.map labels (Core.Maximal_worlds.list (Core.Live.session live)))
+
 (* --- DCSat solvers (Examples 6 and 8) --- *)
 
 let outcome_of = function
@@ -391,6 +417,8 @@ let () =
             test_validity_keeps_world;
           Alcotest.test_case "getMaximal" `Quick test_get_maximal;
           Alcotest.test_case "maximal worlds" `Quick test_maximal_worlds;
+          Alcotest.test_case "maximal worlds: no dominated empty world" `Quick
+            test_maximal_worlds_invalid_node;
           QCheck_alcotest.to_alcotest fd_graph_oracle_prop;
         ] );
       ( "dcsat",

@@ -209,8 +209,8 @@ let incremental_equals_rebuild =
           edges fe.Core.Fd_graph.graph = edges ff.Core.Fd_graph.graph
           && fe.Core.Fd_graph.node_ok = ff.Core.Fd_graph.node_ok
           && Core.Session.includable extended = Core.Session.includable fresh
-          && List.sort compare (Core.Session.ind_base_edges extended)
-             = List.sort compare (Core.Session.ind_base_edges fresh)))
+          && Fixtures.requirements_view (Core.Session.requirements extended)
+             = Fixtures.requirements_view (Core.Session.requirements fresh)))
 
 let () =
   Alcotest.run "dryrun"

@@ -1,5 +1,6 @@
 (* Oracle suite for getMaximal: the counter-based ind propagation of
-   {!Core.Get_maximal} must return exactly what the naive rescanning
+   {!Core.Get_maximal} over the store's requirement relation must return
+   exactly what the naive rescanning
    closure {!Core.Closure.run} returns under the full constraint set, on
    every maximal clique of the fd graph, and must never switch the
    store's world.
@@ -12,7 +13,11 @@
    ever meet. One case in four has more than 64 pending transactions,
    so bitsets span several words. The scenario library and Tractable's
    ind-only calls (the full set and arbitrary allowed subsets, which
-   are cliques only because there are no fds) get the same check. *)
+   are cliques only because there are no fds) get the same check.
+
+   The relation's parts are checked on their own too: {!Core.Buckets}
+   against a model, and the ind-q components ({!Core.Ind_graph}) against
+   the pairwise definition of the Θ edges. *)
 
 module R = Relational
 module V = R.Value
@@ -224,6 +229,192 @@ let ind_only_sets_agree =
                ~candidates:(Bitset.to_list allowed)))
         sets)
 
+(* Required rows with several providers: each required Node row is
+   emitted, identically, by two or three pending transactions (some of
+   which require further nodes themselves), and Edge-only transactions
+   require pairs of them. With fds, a rival emits one of the nodes in
+   another colour, so some providers conflict and cliques differ. *)
+let multi_provider_db rng ~with_fds =
+  let n = 2 + Random.State.int rng 4 in
+  let pick () = 200 + Random.State.int rng n in
+  let providers =
+    List.concat
+      (List.init n (fun r ->
+           List.init
+             (2 + Random.State.int rng 2)
+             (fun _ ->
+               node_row (200 + r) "blue"
+               :: (if Random.State.int rng 3 = 0 then [ edge_row (200 + r) (pick ()) ]
+                   else []))))
+  in
+  let requirers =
+    List.init (2 + Random.State.int rng 5) (fun _ -> [ edge_row (pick ()) (pick ()) ])
+  in
+  let rivals = if with_fds then [ [ node_row (pick ()) "green" ] ] else [] in
+  let shuffled =
+    List.map snd
+      (List.sort compare
+         (List.map
+            (fun tx -> (Random.State.bits rng, tx))
+            (providers @ requirers @ rivals)))
+  in
+  Core.Bcdb.create_exn ~state:(base_state ())
+    ~constraints:(if with_fds then constraints else inds)
+    ~pending:shuffled ()
+
+let multi_provider_agrees =
+  QCheck.Test.make
+    ~name:"multi-provider rows: Get_maximal.run = Closure.run (cliques, ind-only sets)"
+    ~count:100 (QCheck.int_bound 100_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      (match agrees_on_cliques (multi_provider_db rng ~with_fds:true) with
+      | Ok _ -> ()
+      | Error msg -> QCheck.Test.fail_report msg);
+      let db = multi_provider_db rng ~with_fds:false in
+      let store = Core.Tagged_store.create db in
+      let k = Core.Tagged_store.tx_count store in
+      List.for_all
+        (fun allowed ->
+          Bitset.equal
+            (Core.Get_maximal.run store allowed)
+            (Core.Closure.run store ~constraints:inds
+               ~candidates:(Bitset.to_list allowed)))
+        (Bitset.full k
+        :: List.init 8 (fun _ ->
+               Bitset.of_list k
+                 (List.filter (fun _ -> Random.State.bool rng) (List.init k Fun.id)))))
+
+(* --- the buckets and the ind-q components ----------------------------- *)
+
+(* {!Core.Buckets} against an association-list model. Edge rows keyed on
+   [dst] go left and Node rows keyed on [id] right, over four values, so
+   transactions share buckets; transactions arrive in id order, leave
+   in any order, and a bucket left empty is removed. *)
+let buckets_model =
+  QCheck.Test.make ~name:"Buckets = association-list model" ~count:200
+    (QCheck.int_bound 100_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let tbl = Core.Buckets.create 1 in
+      let key_of ~left v =
+        if left then (snd (edge_row 7 v), [| 1 |]) else (snd (node_row v "red"), [| 0 |])
+      in
+      (* value -> (left ids, right ids), each in arrival order *)
+      let model = Array.make 4 ([], []) in
+      let live = ref [] in
+      let agrees () =
+        let sides v =
+          let row, pos = key_of ~left:(Random.State.bool rng) v in
+          Option.map
+            (fun (b : int Core.Buckets.bucket) ->
+              (Array.to_list b.Core.Buckets.left, Array.to_list b.Core.Buckets.right))
+            (Core.Buckets.find tbl row pos)
+        in
+        let count = ref 0 in
+        Core.Buckets.iter tbl (fun _ -> incr count);
+        !count = Array.fold_left (fun n m -> if m = ([], []) then n else n + 1) 0 model
+        && List.for_all
+             (fun v -> sides v = if model.(v) = ([], []) then None else Some model.(v))
+             [ 0; 1; 2; 3 ]
+      in
+      let ok = ref true in
+      for id = 0 to 40 do
+        if !live <> [] && Random.State.int rng 3 = 0 then begin
+          let gone = List.nth !live (Random.State.int rng (List.length !live)) in
+          live := List.filter (( <> ) gone) !live;
+          for v = 0 to 3 do
+            let row, pos = key_of ~left:true v in
+            match Core.Buckets.find tbl row pos with
+            | None -> ()
+            | Some b ->
+                Core.Buckets.remove_member b gone;
+                if Core.Buckets.is_empty b then Core.Buckets.remove tbl row pos
+          done;
+          Array.iteri
+            (fun v (l, r) ->
+              model.(v) <- (List.filter (( <> ) gone) l, List.filter (( <> ) gone) r))
+            model
+        end
+        else begin
+          live := id :: !live;
+          for _ = 0 to Random.State.int rng 3 do
+            let left = Random.State.bool rng and v = Random.State.int rng 4 in
+            let row, pos = key_of ~left v in
+            let b = Core.Buckets.get tbl row pos in
+            if left then Core.Buckets.add_left b id else Core.Buckets.add_right b id;
+            let push l = if List.mem id l then l else l @ [ id ] in
+            let l, r = model.(v) in
+            model.(v) <- (if left then (push l, r) else (l, push r))
+          done
+        end;
+        ok := !ok && agrees ()
+      done;
+      !ok)
+
+(* The Θ edges by their definition: [T_i] and [T_j] (i ≠ j) are joined
+   when some θ holds between a row of one and a row of the other. *)
+let pairwise_components (db : Core.Bcdb.t) thetas members =
+  let k = Array.length db.Core.Bcdb.pending in
+  let rows i = db.Core.Bcdb.pending.(i).Core.Pending.rows in
+  let holds (th : Bcquery.Theta.t) (rl, a) (rr, b) =
+    String.equal rl th.Bcquery.Theta.lrel
+    && String.equal rr th.Bcquery.Theta.rrel
+    && Bcquery.Theta.satisfied_by_tuples th a b
+  in
+  let joined i j =
+    List.exists
+      (fun th ->
+        List.exists
+          (fun a -> List.exists (fun b -> holds th a b || holds th b a) (rows j))
+          (rows i))
+      thetas
+  in
+  let uf = Bcgraph.Union_find.create k in
+  List.iter
+    (fun i ->
+      List.iter
+        (fun j -> if i < j && joined i j then Bcgraph.Union_find.union uf i j)
+        members)
+    members;
+  List.filter (fun g -> List.mem (List.hd g) members) (Bcgraph.Union_find.groups uf)
+
+(* The first query's Θq has [Node.id = Edge.dst], the mirror of an ind's
+   θ; the others add θs ΘI lacks. *)
+let component_queries =
+  [
+    "q() :- Node(i, c), Edge(s, i).";
+    "q() :- Edge(s, d), Chain(d, p).";
+    "q() :- Edge(s, d), Edge(d, e), Node(e, c).";
+  ]
+
+let components_agree =
+  QCheck.Test.make ~name:"Ind_graph.components and links = pairwise Θ edges"
+    ~count:60 (QCheck.int_bound 100_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let db =
+        if Random.State.bool rng then random_db rng
+        else multi_provider_db rng ~with_fds:true
+      in
+      let store = Core.Tagged_store.create db in
+      let req = Core.Tagged_store.requirements store in
+      let k = Array.length db.Core.Bcdb.pending in
+      let ind_thetas = Bcquery.Theta.of_inds (Core.Bcdb.inds db) in
+      List.for_all
+        (fun text ->
+          let q = Bcquery.Parser.parse_exn ~catalog:cat text in
+          let thetas = ind_thetas @ Bcquery.Theta.of_query (Bcquery.Query.body q) in
+          let all = List.init k Fun.id in
+          let members = List.filter (fun _ -> Random.State.bool rng) all in
+          let uf = Bcgraph.Union_find.create k in
+          List.iter
+            (fun (i, j) -> Bcgraph.Union_find.union uf i j)
+            (Core.Ind_graph.links db (Core.Ind_graph.query_thetas db q) members);
+          Core.Ind_graph.components req db q = pairwise_components db thetas all
+          && List.filter
+               (fun g -> List.mem (List.hd g) members)
+               (Bcgraph.Union_find.groups uf)
+             = pairwise_components db thetas members)
+        component_queries)
+
 let () =
   Alcotest.run "get_maximal"
     [
@@ -233,5 +424,11 @@ let () =
           Alcotest.test_case "planted shapes" `Quick test_planted_shapes;
           Alcotest.test_case "scenario library" `Quick test_scenario_library;
           QCheck_alcotest.to_alcotest ind_only_sets_agree;
+          QCheck_alcotest.to_alcotest multi_provider_agrees;
+        ] );
+      ( "relation",
+        [
+          QCheck_alcotest.to_alcotest buckets_model;
+          QCheck_alcotest.to_alcotest components_agree;
         ] );
     ]

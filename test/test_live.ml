@@ -120,9 +120,12 @@ let assert_agrees ~step ~jobs live m q =
   let lc = norm_pairs lf.Core.Fd_graph.conflicts
   and fc = norm_pairs ff.Core.Fd_graph.conflicts in
   if lc <> fc then fail_diff "fd conflicts" step pp_pairs lc fc;
-  let li = norm_pairs (Core.Live.ind_base_edges live)
-  and fi = norm_pairs (Core.Session.ind_base_edges fresh) in
-  if li <> fi then fail_diff "ΘI edges" step pp_pairs li fi;
+  let lr = Fixtures.requirements_view (Core.Live.requirements live)
+  and fr = Fixtures.requirements_view (Core.Session.requirements fresh) in
+  if lr <> fr then
+    fail_diff "requirement relation" step
+      (Format.asprintf "%a" Fixtures.pp_requirements_view)
+      lr fr;
   let linc = Core.Live.includable live
   and finc = Core.Session.includable fresh in
   if Array.to_list linc <> Array.to_list finc then

@@ -388,9 +388,49 @@ let sweep_equals_materialized =
         (R.Check.satisfies src fds, R.Check.satisfies src sweep_constraints)
       in
       let fd_exp, ok_exp = List.split (List.map expected txs) in
+      (* The open rows of a batch whose fds hold: each sub row of the
+         j-th ind that no sup row of R or of the batch matches. *)
+      let opens_exp =
+        List.concat
+          (List.mapi
+             (fun b (rows, fd_ok) ->
+               if not fd_ok then []
+               else
+                 List.concat
+                   (List.mapi
+                      (fun j (i : R.Constr.ind) ->
+                        let base_sups = ref [] in
+                        R.Database.iter_tuples base i.R.Constr.sup_rel (fun t ->
+                            base_sups := t :: !base_sups);
+                        let sups =
+                          !base_sups
+                          @ List.filter_map
+                              (fun (rel, t) ->
+                                if rel = i.R.Constr.sup_rel then Some t else None)
+                              rows
+                        in
+                        List.filter_map
+                          (fun (rel, t) ->
+                            if
+                              rel = i.R.Constr.sub_rel
+                              && not
+                                   (List.exists
+                                      (fun u ->
+                                        List.for_all2
+                                          (fun a c -> R.Value.equal t.(a) u.(c))
+                                          i.R.Constr.sub_attrs i.R.Constr.sup_attrs)
+                                      sups)
+                            then Some (b, j, t)
+                            else None)
+                          rows)
+                      (R.Constr.inds sweep_constraints)))
+             (List.combine txs fd_exp))
+      in
       (* Over the plain database source. *)
+      let opens = ref [] in
       let fd_db, ok_db =
         R.Check.sweep
+          ~on_open:(fun b j t -> opens := (b, j, t) :: !opens)
           (R.Check.checker (R.Database.source base) sweep_constraints)
           (Array.of_list txs)
       in
@@ -404,6 +444,7 @@ let sweep_equals_materialized =
       let ok_sess = Bccore.Session.includable session in
       Array.to_list fd_db = fd_exp
       && Array.to_list ok_db = ok_exp
+      && List.sort compare !opens = List.sort compare opens_exp
       && Array.to_list fd_sess = fd_exp
       && Array.to_list ok_sess = ok_exp)
 

@@ -173,9 +173,9 @@ let assert_rebuild what live ~before =
     (edge_list ff.Core.Fd_graph.graph) (edge_list lf.Core.Fd_graph.graph);
   Alcotest.check pairs (what ^ ": fd conflicts")
     (norm_pairs ff.Core.Fd_graph.conflicts) (norm_pairs lf.Core.Fd_graph.conflicts);
-  Alcotest.check pairs (what ^ ": ΘI edges")
-    (norm_pairs (Core.Session.ind_base_edges fresh))
-    (norm_pairs (Core.Live.ind_base_edges live));
+  Alcotest.check Fixtures.requirements_testable (what ^ ": requirement relation")
+    (Fixtures.requirements_view (Core.Session.requirements fresh))
+    (Fixtures.requirements_view (Core.Live.requirements live));
   Alcotest.(check (array bool)) (what ^ ": includable")
     (Core.Session.includable fresh) (Core.Live.includable live);
   List.iter
